@@ -27,8 +27,6 @@ def _build_parser():
     run.add_argument("--out", metavar="DIR", help="override the output directory")
     run.add_argument("--seed", type=int, metavar="N",
                      help="override the random-field seed")
-    run.add_argument("--threads", type=int, default=1, metavar="N",
-                     help="run independent combinations concurrently")
     run.set_defaults(func=_cmd_run)
 
     cmp_ = sub.add_parser("compare",
@@ -56,7 +54,7 @@ def _cmd_run(args):
         overrides["seed"] = args.seed
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    rows = run_experiment(config, threads=max(1, args.threads))
+    rows = run_experiment(config)
     for r in rows:
         state = "converged" if r.converged else f"NOT converged ({r.reason})"
         print(f"{r.method} M={r.mesh} I={r.I} k={r.k} beta={r.beta:g}: "

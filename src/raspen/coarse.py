@@ -4,10 +4,10 @@ The coarse function tests the fine residual against the interpolation
 basis: F_0(u_0) = P_0^T F(P_0 u_0), one DOF per subdomain.  The test
 space has to match the trial space here: aggregating residuals with
 plain per-coarse-cell sums instead (the other natural finite-volume
-choice, kept as decomposition.coarse_restrict_sum) breaks the Galerkin
-symmetry, and the resulting two-level correction amplifies interface
-modes -- on the linear Darcy problem the two-level iteration operator
-then has spectral radius around 5-6 and the fixed point diverges.
+choice) breaks the Galerkin symmetry, and the resulting two-level
+correction amplifies interface modes -- on the linear Darcy problem the
+two-level iteration operator then has spectral radius around 5-6 and the
+fixed point diverges.
 
 The full-approximation-scheme correction C_0(u) (used by the two-level
 Newton solver on the restricted Schwarz function) solves
@@ -20,8 +20,10 @@ precomputes the coarse solution u_0* (F_0(u_0*) = 0) once and solves
 
     F_0(C_0^A(u) + u_0*) = -P_0^T F(u)
 
-from the initial guess u_0*.  Both retain the dense coarse Jacobian at the
-converged iterate (J^_0), factorized, for the outer Jacobian actions
+from the initial guess u_0*.  Both are one coarse Newton solve that differs
+only in its start value and right-hand side, and both retain the dense
+coarse Jacobian at the converged iterate (J^_0), factorized, for the outer
+Jacobian actions
 
     dC_0/du   = -R_0 + J^_0^{-1} (J_0 R_0 - P_0^T J(u)),
     dC_0^A/du = -J^_0^{-1} P_0^T J(u).
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .local_solver import StaleCacheError
+from .local_solver import SolveError, StaleCacheError
 
 __all__ = [
     "CoarseSolveResult",
@@ -47,7 +49,7 @@ __all__ = [
 ]
 
 
-class CoarseSolveError(RuntimeError):
+class CoarseSolveError(SolveError):
     """The coarse Newton solve failed to converge or became singular."""
 
 
@@ -55,15 +57,13 @@ class CoarseSolveError(RuntimeError):
 class CoarseSolveResult:
     """Outcome of one coarse correction solve.
 
-    J0 is the coarse Jacobian at the initial guess (FAS only, None for the
-    additive-Schwarz correction); J0_hat_lu factorizes the coarse Jacobian
-    at the converged iterate.  base_state guards against reuse at a
-    different fine state.
+    J0 is the coarse Jacobian at the initial guess (read by the FAS action
+    only); J0_hat_lu factorizes the coarse Jacobian at the converged
+    iterate.  base_state guards against reuse at a different fine state.
     """
 
     correction: np.ndarray
     J0: np.ndarray = field(repr=False)
-    J0_hat: np.ndarray = field(repr=False)
     J0_hat_lu: tuple = field(repr=False)
     inner_iterations: int
     base_state: np.ndarray = field(repr=False)
@@ -119,24 +119,39 @@ def _coarse_newton(problem, layout, w0, rhs, settings, what):
     return w, iterations, J_first
 
 
+def _correction(problem, layout, u, start, rhs, settings, what):
+    """Solve F_0(start + c) = rhs for c by coarse Newton from start.
+
+    The result keeps the coarse Jacobian of the first Newton step (taken at
+    start; J^_0 itself when no step was needed) and the factorized J^_0 at
+    the converged iterate.
+    """
+    w, iterations, J_first = _coarse_newton(problem, layout, start, rhs,
+                                            settings, what)
+    J_hat = coarse_jacobian(problem, layout, w)
+    return CoarseSolveResult(
+        correction=w - start,
+        J0=J_hat if J_first is None else J_first,
+        J0_hat_lu=sla.lu_factor(J_hat),
+        inner_iterations=iterations,
+        base_state=u.copy(),
+    )
+
+
+def _checked_jacobian(result, problem, u, J_u, what):
+    """Fine Jacobian at u (J_u when given), once result is known to match u."""
+    if not np.array_equal(u, result.base_state):
+        raise StaleCacheError(f"{what} was solved at a different state")
+    return problem.jacobian(u) if J_u is None else J_u
+
+
 def fas_correction(problem, layout, u, settings):
     """Full-approximation-scheme coarse correction C_0(u)."""
     u = np.asarray(u, dtype=float)
     u0 = layout.R0 @ u
     rhs = coarse_residual(problem, layout, u0) - layout.P0.T @ problem.residual(u)
-    w, iterations, J_first = _coarse_newton(
-        problem, layout, u0, rhs, settings, "FAS coarse correction"
-    )
-    J0_hat = coarse_jacobian(problem, layout, w)
-    J0 = J_first if J_first is not None else J0_hat
-    return CoarseSolveResult(
-        correction=w - u0,
-        J0=J0,
-        J0_hat=J0_hat,
-        J0_hat_lu=sla.lu_factor(J0_hat),
-        inner_iterations=iterations,
-        base_state=u.copy(),
-    )
+    return _correction(problem, layout, u, u0, rhs, settings,
+                       "FAS coarse correction")
 
 
 def fas_correction_jacobian_action(result, problem, layout, u, v, J_u=None):
@@ -145,12 +160,7 @@ def fas_correction_jacobian_action(result, problem, layout, u, v, J_u=None):
     J_u may pass a preassembled fine Jacobian at u to avoid reassembly;
     otherwise problem.jacobian(u) is used.
     """
-    if not np.array_equal(u, result.base_state):
-        raise StaleCacheError(
-            "FAS coarse correction was solved at a different state"
-        )
-    if J_u is None:
-        J_u = problem.jacobian(u)
+    J_u = _checked_jacobian(result, problem, u, J_u, "FAS coarse correction")
     R0v = layout.R0 @ v
     w = result.J0 @ R0v - layout.P0.T @ (J_u @ v)
     return -R0v + sla.lu_solve(result.J0_hat_lu, w)
@@ -169,28 +179,12 @@ def aspin_coarse_setup(problem, layout, settings):
 def aspin_coarse_correction(problem, layout, u, u0_star, settings):
     """Additive-Schwarz coarse correction: F_0(C_0^A + u_0*) = -P_0^T F(u)."""
     u = np.asarray(u, dtype=float)
-    u0_star = np.asarray(u0_star, dtype=float)
     rhs = -(layout.P0.T @ problem.residual(u))
-    w, iterations, J_first = _coarse_newton(
-        problem, layout, u0_star, rhs, settings, "AS coarse correction"
-    )
-    J0_hat = coarse_jacobian(problem, layout, w)
-    return CoarseSolveResult(
-        correction=w - u0_star,
-        J0=J_first if J_first is not None else J0_hat,
-        J0_hat=J0_hat,
-        J0_hat_lu=sla.lu_factor(J0_hat),
-        inner_iterations=iterations,
-        base_state=u.copy(),
-    )
+    return _correction(problem, layout, u, u0_star, rhs, settings,
+                       "AS coarse correction")
 
 
 def aspin_coarse_jacobian_action(result, problem, layout, u, v, J_u=None):
     """Apply dC_0^A/du = -J^_0^{-1} P_0^T J(u) to v."""
-    if not np.array_equal(u, result.base_state):
-        raise StaleCacheError(
-            "AS coarse correction was solved at a different state"
-        )
-    if J_u is None:
-        J_u = problem.jacobian(u)
+    J_u = _checked_jacobian(result, problem, u, J_u, "AS coarse correction")
     return -sla.lu_solve(result.J0_hat_lu, layout.P0.T @ (J_u @ v))

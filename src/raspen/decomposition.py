@@ -8,8 +8,8 @@ set) and the restricted prolongation (extension writing owned cells only), so
 that sum_i restricted_prolong(restrict(v)) == v holds exactly.
 
 The coarse space has one degree of freedom per subdomain: R0 averages over the
-owned cells, R0_sum adds them (the residual-space restriction), and P0
-interpolates linearly (1D) or bilinearly (2D) through the owned-block centers.
+owned cells, and P0 interpolates linearly (1D) or bilinearly (2D) through the
+owned-block centers.
 Toward a boundary whose Dirichlet datum is zero, P0 pins the interpolant to 0
 (corrections vanish there); toward a Neumann boundary or a boundary with
 nonzero Dirichlet datum it extends the nearest nodal value constantly.  Early
@@ -33,7 +33,6 @@ __all__ = [
     "prolong",
     "restricted_prolong",
     "coarse_restrict_mean",
-    "coarse_restrict_sum",
     "coarse_prolong",
 ]
 
@@ -52,7 +51,7 @@ class DecompositionLayout:
     """Immutable decomposition of {0..n_cells-1} with coarse-space operators.
 
     coarse_cells[i] is the cell set aggregated into coarse DOF i (the owned
-    set of subdomain i).  R0 / R0_sum / P0 are sparse operator matrices.
+    set of subdomain i).  R0 / P0 are sparse operator matrices.
     """
 
     n_cells: int
@@ -60,7 +59,6 @@ class DecompositionLayout:
     overlap_layers: int
     coarse_cells: tuple
     R0: sp.csr_matrix = field(repr=False)
-    R0_sum: sp.csr_matrix = field(repr=False)
     P0: sp.csr_matrix = field(repr=False)
 
     @property
@@ -81,17 +79,14 @@ def _partition_blocks(n, parts):
     return starts, sizes
 
 
-def _coarse_operators(coarse_cells, n_cells):
-    rows, cols, mean_data, sum_data = [], [], [], []
+def _coarse_mean(coarse_cells, n_cells):
+    """R0: the per-coarse-cell mean as a sparse matrix."""
+    rows, cols, data = [], [], []
     for i, cells in enumerate(coarse_cells):
         rows.extend([i] * len(cells))
         cols.extend(cells.tolist())
-        mean_data.extend([1.0 / len(cells)] * len(cells))
-        sum_data.extend([1.0] * len(cells))
-    shape = (len(coarse_cells), n_cells)
-    R0 = sp.csr_matrix((mean_data, (rows, cols)), shape=shape)
-    R0_sum = sp.csr_matrix((sum_data, (rows, cols)), shape=shape)
-    return R0, R0_sum
+        data.extend([1.0 / len(cells)] * len(cells))
+    return sp.csr_matrix((data, (rows, cols)), shape=(len(coarse_cells), n_cells))
 
 
 def _linear_weights(targets, nodes, left, right):
@@ -160,12 +155,12 @@ def build_1d_layout(n_cells, n_subdomains, overlap_layers, dirichlet=(0.0, 1.0))
         subdomains.append(Subdomain(owned, overlap, owned_local))
 
     coarse_cells = tuple(s.owned for s in subdomains)
-    R0, R0_sum = _coarse_operators(coarse_cells, M)
+    R0 = _coarse_mean(coarse_cells, M)
     centers = (np.arange(M) + 0.5) / M
     nodes = np.array([centers[c].mean() for c in coarse_cells])
     left, right = ("zero" if d == 0.0 else "const" for d in dirichlet)
     P0 = _linear_weights(centers, nodes, left=left, right=right)
-    return DecompositionLayout(M, tuple(subdomains), k, coarse_cells, R0, R0_sum, P0)
+    return DecompositionLayout(M, tuple(subdomains), k, coarse_cells, R0, P0)
 
 
 def build_2d_layout(nx, ny, n_per_side, overlap_layers, dirichlet_value=1.0):
@@ -207,7 +202,7 @@ def build_2d_layout(nx, ny, n_per_side, overlap_layers, dirichlet_value=1.0):
             subdomains.append(Subdomain(owned, overlap, owned_local))
 
     coarse_cells = tuple(s.owned for s in subdomains)
-    R0, R0_sum = _coarse_operators(coarse_cells, nx * ny)
+    R0 = _coarse_mean(coarse_cells, nx * ny)
     # P0 = kron(Wy, Wx): coarse DOF (cx, cy) -> cy*N + cx matches the
     # subdomain enumeration above; x=1 is the Dirichlet edge.
     xc = (np.arange(nx) + 0.5) / nx
@@ -217,9 +212,7 @@ def build_2d_layout(nx, ny, n_per_side, overlap_layers, dirichlet_value=1.0):
     Wx = _linear_weights(xc, xn, left="const", right=right)
     Wy = _linear_weights(yc, xn, left="const", right="const")
     P0 = sp.kron(Wy, Wx, format="csr")
-    return DecompositionLayout(
-        nx * ny, tuple(subdomains), k, coarse_cells, R0, R0_sum, P0
-    )
+    return DecompositionLayout(nx * ny, tuple(subdomains), k, coarse_cells, R0, P0)
 
 
 def restrict(layout, i, v):
@@ -258,14 +251,6 @@ def coarse_restrict_mean(layout, v):
     if v.shape != (layout.n_cells,):
         raise ValueError(f"expected global vector of length {layout.n_cells}")
     return layout.R0 @ v
-
-
-def coarse_restrict_sum(layout, r):
-    """R0_sum r: per-coarse-cell sum (residual-space restriction)."""
-    r = np.asarray(r)
-    if r.shape != (layout.n_cells,):
-        raise ValueError(f"expected global vector of length {layout.n_cells}")
-    return layout.R0_sum @ r
 
 
 def coarse_prolong(layout, v0):

@@ -36,9 +36,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .coarse import CoarseSolveError
 from .decomposition import build_1d_layout, build_2d_layout
-from .local_solver import LocalSolveError, SolverSettings
+from .local_solver import LocalSolveError, SolveError, SolverSettings
 from .newton import (direct_newton, fixed_point_solve, outer_newton,
                      reference_solution)
 from .precond import PreconditionedSystem
@@ -83,21 +82,9 @@ class ExperimentConfig:
     contrast: tuple = (1e-2, 1e2)
     amplitude: float = 1.0
     omega: float = 20.0
-    inner_tol: float = 1e-8
-    outer_tol: float = 1e-8
-    gmres_tol: float = 1e-8
-    max_inner: int = 50
-    max_outer: int = 50
-    max_fixed_point: int = 500
+    settings: SolverSettings = dataclasses.field(default_factory=SolverSettings)
     seed: int = 0
     outdir: str = "results"
-
-    def settings(self):
-        return SolverSettings(
-            inner_tol=self.inner_tol, outer_tol=self.outer_tol,
-            gmres_tol=self.gmres_tol, max_inner=self.max_inner,
-            max_outer=self.max_outer, max_fixed_point=self.max_fixed_point,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,15 +125,13 @@ _CONFIG_KEYS = {
     "contrast": ("contrast", lambda v: _parse_list(v, float)),
     "amplitude": ("amplitude", float),
     "omega": ("omega", float),
-    "inner_tol": ("inner_tol", float),
-    "outer_tol": ("outer_tol", float),
-    "gmres_tol": ("gmres_tol", float),
-    "max_inner": ("max_inner", int),
-    "max_outer": ("max_outer", int),
-    "max_fixed_point": ("max_fixed_point", int),
     "seed": ("seed", int),
     "outdir": ("outdir", str),
 }
+# SolverSettings fields are flat config keys too (inner_tol = 1e-10)
+_SETTINGS_FIELDS = tuple(f.name for f in dataclasses.fields(SolverSettings))
+_CONFIG_KEYS.update({f.name: (f.name, f.type)
+                     for f in dataclasses.fields(SolverSettings)})
 
 
 def parse_config(path):
@@ -180,7 +165,8 @@ def config_from_dict(raw):
             raise ValueError(f"config key {key!r}: {exc}") from exc
     if raw.get("problem") == "diffusion2d" and "beta" not in raw:
         kwargs["betas"] = (0.0,)
-    config = ExperimentConfig(**kwargs)
+    settings = {name: kwargs.pop(name) for name in _SETTINGS_FIELDS if name in kwargs}
+    config = ExperimentConfig(settings=SolverSettings(**settings), **kwargs)
     _validate(config)
     return config
 
@@ -215,12 +201,6 @@ def _validate(config):
         raise ValueError("overlap entries must be nonnegative")
     if len(config.contrast) != 2 or not 0 < config.contrast[0] <= config.contrast[1]:
         raise ValueError("contrast must be 'lo,hi' with 0 < lo <= hi")
-    for name in ("inner_tol", "outer_tol", "gmres_tol"):
-        if getattr(config, name) <= 0:
-            raise ValueError(f"{name} must be positive")
-    for name in ("max_inner", "max_outer", "max_fixed_point"):
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name} must be at least 1")
     if config.seed < 0:
         raise ValueError("seed must be nonnegative")
 
@@ -356,7 +336,7 @@ def _execute(config, combo, problem, layout, u_ref, settings):
             system = PreconditionedSystem(kind, problem, layout, settings,
                                           jacobian_mode=mode)
             run = outer_newton(system, u0, settings, u_ref=u_ref)
-    except (LocalSolveError, CoarseSolveError) as exc:
+    except SolveError as exc:
         row = ResultRow(combo.method, combo.mesh, combo.I, combo.k, combo.beta,
                         0, 0, False, str(exc), time.perf_counter() - t0)
         return row, first_residual
@@ -366,16 +346,13 @@ def _execute(config, combo, problem, layout, u_ref, settings):
     return row, first_residual
 
 
-def run_experiment(config, threads=1):
+def run_experiment(config):
     """Execute the config's cross product and write all output files.
 
-    Returns the list of ResultRows in matrix order.  Each combination is
-    independent; with threads > 1 they run concurrently and a single
-    collector writes the files afterwards, so outputs are identical to a
-    serial run.
+    Returns the list of ResultRows in matrix order.
     """
     combos, problems, layouts = _prepare(config)
-    settings = config.settings()
+    settings = config.settings
     refs = {}
     for (mesh, beta), problem in problems.items():
         try:
@@ -385,18 +362,10 @@ def run_experiment(config, threads=1):
                 f"reference solution for mesh={mesh} beta={beta:g}: {exc}"
             ) from exc
 
-    def job(combo):
-        return _execute(config, combo,
-                        problems[(combo.mesh, combo.beta)],
-                        layouts[(combo.mesh, combo.I, combo.k)],
-                        refs[(combo.mesh, combo.beta)], settings)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(job, combos))
-    else:
-        outcomes = [job(c) for c in combos]
+    outcomes = [_execute(config, c, problems[(c.mesh, c.beta)],
+                         layouts[(c.mesh, c.I, c.k)], refs[(c.mesh, c.beta)],
+                         settings)
+                for c in combos]
 
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -541,9 +510,14 @@ class CompareReport:
         return [c.line() for c in self.cells]
 
 
+def _get(row, name):
+    """A field of a result row given as a plain dict or as a ResultRow."""
+    return row[name] if isinstance(row, dict) else getattr(row, name)
+
+
 def _row_key(row):
-    get = row.__getitem__ if isinstance(row, dict) else lambda k: getattr(row, k)
-    return (get("method"), int(get("I")), int(get("k")), float(get("beta")))
+    return (_get(row, "method"), int(_get(row, "I")), int(_get(row, "k")),
+            float(_get(row, "beta")))
 
 
 def compare_table(rows, reference_table_file, outer_tol=1, ls_rtol=0.15):
@@ -552,18 +526,23 @@ def compare_table(rows, reference_table_file, outer_tol=1, ls_rtol=0.15):
     Matching is on (method, I, k, beta).  outer_iters passes within
     +/- outer_tol, LS_total within a relative ls_rtol; a row that did
     not converge fails both cells.  The reference may be a path or the
-    name of a shipped table.  Raises on schema mismatch or when nothing
-    matches.
+    name of a shipped table.  Raises on schema mismatch, when nothing
+    matches, or when two result rows share a key (such as the rows of
+    one combination on two meshes).
     """
     ref_rows = _rows_from_text(read_reference_table(reference_table_file),
                                str(reference_table_file))
     indexed = {}
     for row in rows:
-        get = row.__getitem__ if isinstance(row, dict) else lambda k, r=row: getattr(r, k)
-        indexed[_row_key(row)] = {
-            "outer_iters": int(get("outer_iters")),
-            "LS_total": int(get("LS_total")),
-            "converged": bool(get("converged")),
+        key = _row_key(row)
+        if key in indexed:
+            method, I, k, beta = key
+            raise ValueError(f"two result rows share method={method} I={I} "
+                             f"k={k} beta={beta:g}; compare one mesh at a time")
+        indexed[key] = {
+            "outer_iters": int(_get(row, "outer_iters")),
+            "LS_total": int(_get(row, "LS_total")),
+            "converged": bool(_get(row, "converged")),
         }
     cells = []
     for ref in ref_rows:

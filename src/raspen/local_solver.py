@@ -2,10 +2,10 @@
 
 C_i(u) is the overlap-local vector solving R_i F(u + P_i C_i(u)) = 0 with
 the exterior of the subdomain frozen at u (homogeneous correction outside).
-Each solve retains the LU factorization of the local Jacobian block
-A_ii = R_i J(u^(i)) P_i taken at the solved state u^(i) = u + P_i C_i(u),
-plus the coupling block R_i J(u^(i)) (I - P_i R_i) holding the derivative
-with respect to the frozen exterior values.  Together these give the exact
+Each solve retains the row block R_i J(u^(i)) of the global Jacobian at
+the solved state u^(i) = u + P_i C_i(u), whose columns cover the overlap
+cells and the frozen exterior alike, plus the LU factorization of its
+overlap columns A_ii = R_i J(u^(i)) P_i.  Together these give the exact
 derivative of the correction,
 
     dC_i/du = -A_ii^{-1} R_i J(u^(i)),
@@ -22,6 +22,7 @@ import scipy.sparse.linalg as spla
 __all__ = [
     "SolverSettings",
     "LocalSolveResult",
+    "SolveError",
     "LocalSolveError",
     "StaleCacheError",
     "solve_local",
@@ -30,7 +31,11 @@ __all__ = [
 ]
 
 
-class LocalSolveError(RuntimeError):
+class SolveError(RuntimeError):
+    """A subdomain or coarse nonlinear solve failed to converge."""
+
+
+class LocalSolveError(SolveError):
     """A subdomain Newton solve failed to converge or became singular."""
 
 
@@ -69,9 +74,8 @@ class LocalSolveResult:
 
     subdomain: int
     correction: np.ndarray
-    A_ii: sp.csr_matrix = field(repr=False)
+    rows: sp.csr_matrix = field(repr=False)
     factorization: object = field(repr=False)
-    coupling: sp.csr_matrix = field(repr=False)
     inner_iterations: int
     base_state: np.ndarray = field(repr=False)
 
@@ -81,8 +85,8 @@ def solve_local(problem, layout, i, u, settings):
 
     Inner Newton from the zero correction with full steps; the local block
     is refactorized at every step.  Convergence means the local residual
-    norm is at or below settings.inner_tol; the factorization and coupling
-    retained on the result are assembled at the final iterate.
+    norm is at or below settings.inner_tol; the row block and its
+    factorization retained on the result are assembled at the final iterate.
     """
     sub = layout.subdomains[i]
     ov = sub.overlap
@@ -113,43 +117,35 @@ def solve_local(problem, layout, i, u, settings):
                 f"subdomain {i}: inner Newton produced a non-finite residual"
             )
 
-    J = problem.jacobian(v).tocsr()
-    Jrows = J[ov]
-    A_ii = Jrows[:, ov].tocsr()
+    rows = problem.jacobian(v).tocsr()[ov]
     try:
-        factorization = spla.splu(A_ii.tocsc())
+        factorization = spla.splu(rows[:, ov].tocsc())
     except RuntimeError as exc:
         raise LocalSolveError(f"subdomain {i}: singular local Jacobian") from exc
-    mask = np.ones(layout.n_cells)
-    mask[ov] = 0.0
-    coupling = (Jrows @ sp.diags(mask)).tocsr()
     return LocalSolveResult(
         subdomain=i,
         correction=v[ov] - u[ov],
-        A_ii=A_ii,
+        rows=rows,
         factorization=factorization,
-        coupling=coupling,
         inner_iterations=iterations,
         base_state=u.copy(),
     )
 
 
-def local_correction_jacobian_action(result, layout, v, at_state=None):
+def local_correction_jacobian_action(result, v, at_state=None):
     """Apply dC_i/du = -A_ii^{-1} R_i J(u^(i)) to a global vector v.
 
-    R_i J(u^(i)) v splits into A_ii (R_i v) + coupling @ v, so the action
-    costs one sparse product and one back-substitution with the cached
-    factorization.  Passing at_state asserts the result belongs to that
-    state; a mismatch raises StaleCacheError.
+    The action costs one sparse product with the cached row block and one
+    back-substitution with the cached factorization.  Passing at_state
+    asserts the result belongs to that state; a mismatch raises
+    StaleCacheError.
     """
     if at_state is not None and not np.array_equal(at_state, result.base_state):
         raise StaleCacheError(
             f"subdomain {result.subdomain}: factorization was built at a "
             "different state than the one being differentiated"
         )
-    ov = layout.subdomains[result.subdomain].overlap
-    w = result.A_ii @ v[ov] + result.coupling @ v
-    return -result.factorization.solve(w)
+    return -result.factorization.solve(result.rows @ v)
 
 
 def sweep_locals(problem, layout, u, settings):

@@ -15,14 +15,13 @@ direct Newton solve, falling back to continuation in beta when the cold
 start diverges.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .coarse import CoarseSolveError
 from .krylov import gmres
-from .local_solver import LocalSolveError, SolverSettings
+from .local_solver import LocalSolveError, SolveError, SolverSettings
 
 __all__ = [
     "IterationLedger",
@@ -118,7 +117,7 @@ def outer_newton(system, u0, settings=None, u_ref=None):
     for _ in range(settings.max_outer):
         try:
             r = system.residual(u)
-        except (LocalSolveError, CoarseSolveError) as exc:
+        except SolveError as exc:
             raise type(exc)(f"outer iteration {updates}: {exc}") from exc
         rnorm = np.linalg.norm(r)
         ls_in, ls_min = system.last_counts
@@ -166,7 +165,7 @@ def fixed_point_solve(system, u0, settings=None, max_steps=None, u_ref=None):
     for step in range(1, max_steps + 1):
         try:
             u_next = system.fixed_point_step(u)
-        except (LocalSolveError, CoarseSolveError) as exc:
+        except SolveError as exc:
             return RunResult(u, ledger, False, step - 1,
                              f"solve failed at step {step}: {exc}")
         ls_in, ls_min = system.last_counts
@@ -202,7 +201,7 @@ def continuation_solve(system_factory, betas, u0, settings=None, u_ref=None):
         system = system_factory(beta)
         try:
             run = outer_newton(system, u, settings, u_ref=u_ref)
-        except (LocalSolveError, CoarseSolveError) as exc:
+        except SolveError as exc:
             raise ContinuationError(f"beta={beta}: {exc}", results) from exc
         results.append(run)
         if not run.converged:
@@ -249,14 +248,7 @@ def reference_solution(problem, settings=None, tol=1e-12,
     warm-starting each stage.
     """
     settings = settings or SolverSettings()
-    strict = SolverSettings(
-        inner_tol=settings.inner_tol,
-        outer_tol=settings.outer_tol,
-        gmres_tol=settings.gmres_tol,
-        max_inner=settings.max_inner,
-        max_outer=max(settings.max_outer, 100),
-        max_fixed_point=settings.max_fixed_point,
-    )
+    strict = replace(settings, max_outer=max(settings.max_outer, 100))
     run = direct_newton(problem, problem.initial_state(), strict, tol=tol)
     if run.converged:
         return run.u

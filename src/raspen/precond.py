@@ -181,7 +181,7 @@ class PreconditionedSystem:
         extend = restricted_prolong if self.restricted else prolong
         acc = np.zeros(self.layout.n_cells)
         for res in cache.locals_:
-            dv = local_correction_jacobian_action(res, self.layout, v, at_state)
+            dv = local_correction_jacobian_action(res, v, at_state)
             acc += extend(self.layout, res.subdomain, dv)
         return acc
 

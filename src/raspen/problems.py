@@ -20,8 +20,6 @@ __all__ = [
     "smooth_forchheimer",
     "hard_forchheimer",
     "default_diffusion_source",
-    "load_field",
-    "save_field",
 ]
 
 # below this the Darcy limit q(g)=g is used verbatim
@@ -305,33 +303,3 @@ class DiffusionProblem2D(NonlinearProblem):
         natural cold start; a zero start lies outside the solution's range.
         """
         return np.full(self.nx * self.ny, self.dirichlet_value)
-
-
-def load_field(path, expected_length=None):
-    """Read a per-cell field from a two-column text file (index, value).
-
-    Indices must be 0..n-1 in any order, each exactly once.  Lines starting
-    with '#' are comments.
-    """
-    raw = np.loadtxt(path, ndmin=2)
-    if raw.shape[1] != 2:
-        raise ValueError(f"{path}: expected two columns (index, value)")
-    idx = raw[:, 0].astype(int)
-    if np.any(raw[:, 0] != idx):
-        raise ValueError(f"{path}: first column must hold integer cell indices")
-    n = len(idx)
-    if expected_length is not None and n != expected_length:
-        raise ValueError(f"{path}: expected {expected_length} cells, found {n}")
-    if sorted(idx.tolist()) != list(range(n)):
-        raise ValueError(f"{path}: cell indices must cover 0..{n - 1} exactly once")
-    out = np.empty(n)
-    out[idx] = raw[:, 1]
-    return out
-
-
-def save_field(path, values):
-    """Write a per-cell field in the two-column format read by load_field."""
-    values = np.asarray(values, dtype=float)
-    with open(path, "w") as fh:
-        for i, v in enumerate(values):
-            fh.write(f"{i} {float(v)!r}\n")

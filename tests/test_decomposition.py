@@ -8,7 +8,6 @@ from raspen.decomposition import (
     build_2d_layout,
     coarse_prolong,
     coarse_restrict_mean,
-    coarse_restrict_sum,
     prolong,
     restrict,
     restricted_prolong,
@@ -119,7 +118,6 @@ def test_coarse_restrictions():
     lay = build_1d_layout(9, 3, 0)
     v = np.arange(9.0)
     assert np.allclose(coarse_restrict_mean(lay, v), [1.0, 4.0, 7.0])
-    assert coarse_restrict_sum(lay, np.ones(9)).tolist() == [3.0, 3.0, 3.0]
     # mean restriction reproduces coarse-constant-per-block vectors
     blocks = coarse_prolong(lay, np.array([2.0, -1.0, 5.0]))
     assert np.allclose(

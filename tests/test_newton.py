@@ -111,15 +111,19 @@ def test_gmres_stall_sets_reason(monkeypatch):
 
 
 class _BoomSystem:
-    """Stub whose residual always fails like a subdomain solve."""
+    """Stub whose residual always fails like a subdomain or coarse solve."""
+
+    def __init__(self, error=LocalSolveError):
+        self.error = error
 
     def residual(self, u):
-        raise LocalSolveError("synthetic local failure")
+        raise self.error("synthetic solve failure")
 
 
-def test_local_failure_aborts_with_context():
-    with pytest.raises(LocalSolveError, match="outer iteration 0"):
-        outer_newton(_BoomSystem(), np.zeros(4))
+@pytest.mark.parametrize("error", [LocalSolveError, CoarseSolveError])
+def test_solve_failure_aborts_with_context(error):
+    with pytest.raises(error, match="outer iteration 0"):
+        outer_newton(_BoomSystem(error), np.zeros(4))
 
 
 # ---------------------------------------------------------------- fixed point

@@ -9,10 +9,8 @@ from raspen.problems import (
     ForchheimerProblem1D,
     build_transmissibilities,
     hard_forchheimer,
-    load_field,
     q_flux,
     q_flux_derivative,
-    save_field,
     smooth_forchheimer,
 )
 
@@ -275,20 +273,3 @@ def test_diffusion_rejects_wrong_shape():
     prob = DiffusionProblem2D(4, 4)
     with pytest.raises(ValueError):
         prob.residual(np.zeros(15))
-
-
-# ---------------------------------------------------------- field files
-
-
-def test_field_roundtrip(tmp_path):
-    path = tmp_path / "lam.txt"
-    values = np.array([0.125, 3.0, 2.5e-7, 1e2])
-    save_field(path, values)
-    assert np.array_equal(load_field(path, expected_length=4), values)
-
-
-def test_field_rejects_bad_indices(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("0 1.0\n0 2.0\n")
-    with pytest.raises(ValueError):
-        load_field(path)
