@@ -4,10 +4,10 @@ A config names one problem family and lists of meshes, subdomain counts,
 overlaps, beta values, and methods; run_experiment executes the full cross
 product and writes four kinds of artifact into the output directory:
 
-  results.csv     one row per combination: method,I,k,beta,outer_iters,
-                  LS_total,converged
+  results.csv     one row per combination: method,mesh,I,k,beta,
+                  outer_iters,LS_total,converged
   iterations.csv  long format, one row per outer iteration:
-                  method,I,k,beta,n,ls_G,ls_in,ls_min,error,residual
+                  method,mesh,I,k,beta,n,ls_G,ls_in,ls_min,error,residual
   curve_*.csv     per-run error/work curves: step,error,LS
   summary.json    config echo, library versions, seed, failure reasons
 
@@ -61,9 +61,10 @@ METHODS = ("newton", "ras-fp", "as-fp", "raspen1", "aspin1", "raspen2", "aspin2"
 PROBLEMS = ("forchheimer1d", "diffusion2d")
 FIELD_KINDS = ("smooth", "random")
 
-ROW_COLUMNS = ("method", "I", "k", "beta", "outer_iters", "LS_total", "converged")
-ITER_COLUMNS = ("method", "I", "k", "beta", "n", "ls_G", "ls_in", "ls_min",
-                "error", "residual")
+ROW_COLUMNS = ("method", "mesh", "I", "k", "beta", "outer_iters", "LS_total",
+               "converged")
+ITER_COLUMNS = ("method", "mesh", "I", "k", "beta", "n", "ls_G", "ls_in",
+                "ls_min", "error", "residual")
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,6 @@ class ExperimentConfig:
     overlaps: tuple = (1,)
     betas: tuple = (1.0,)
     methods: tuple = ("raspen1",)
-    jacobian_mode: str = "inexact"
     field: str = "smooth"
     contrast: tuple = (1e-2, 1e2)
     amplitude: float = 1.0
@@ -120,7 +120,6 @@ _CONFIG_KEYS = {
     "overlap": ("overlaps", lambda v: _parse_list(v, int)),
     "beta": ("betas", lambda v: _parse_list(v, float)),
     "methods": ("methods", lambda v: _parse_list(v, str)),
-    "jacobian_mode": ("jacobian_mode", str),
     "field": ("field", str),
     "contrast": ("contrast", lambda v: _parse_list(v, float)),
     "amplitude": ("amplitude", float),
@@ -181,8 +180,6 @@ def _validate(config):
             raise ValueError(f"unknown method {m!r} (known: {', '.join(METHODS)})")
     if len(set(config.methods)) != len(config.methods):
         raise ValueError("duplicate entries in methods")
-    if config.jacobian_mode not in ("inexact", "exact"):
-        raise ValueError("jacobian_mode must be 'inexact' or 'exact'")
     if config.field not in FIELD_KINDS:
         raise ValueError(f"field must be one of {FIELD_KINDS}")
     if config.field == "random" and config.problem != "forchheimer1d":
@@ -291,8 +288,9 @@ def _first_step_residual(system, problem, layout, u0, settings):
 
     Away from the subdomain interfaces the glued iterate inherits the
     local solves' accuracy, so those entries must already sit at the
-    inner tolerance; the interesting structure is the concentration at
-    the interfaces.
+    inner tolerance (a SolveError otherwise, recorded as the row's
+    failure); the interesting structure is the concentration at the
+    interfaces.
     """
     u1 = system.fixed_point_step(u0)
     r = problem.residual(u1)
@@ -300,7 +298,7 @@ def _first_step_residual(system, problem, layout, u0, settings):
     if mask.any():
         worst = float(np.max(np.abs(r[mask])))
         if worst > settings.inner_tol:
-            raise RuntimeError(
+            raise SolveError(
                 f"off-interface residual {worst:.3e} exceeds the inner "
                 f"tolerance after the first restricted Schwarz step"
             )
@@ -316,7 +314,7 @@ def _tag(row):
             f"_beta{_fmt_beta(row.beta)}")
 
 
-def _execute(config, combo, problem, layout, u_ref, settings):
+def _execute(combo, problem, layout, u_ref, settings):
     u0 = problem.initial_state()
     t0 = time.perf_counter()
     first_residual = None
@@ -331,10 +329,8 @@ def _execute(config, combo, problem, layout, u_ref, settings):
                                                       u0, settings)
             run = fixed_point_solve(system, u0, settings, u_ref=u_ref)
         else:
-            kind = combo.method.upper()
-            mode = config.jacobian_mode if kind.startswith("ASPIN") else "exact"
-            system = PreconditionedSystem(kind, problem, layout, settings,
-                                          jacobian_mode=mode)
+            system = PreconditionedSystem(combo.method, problem, layout,
+                                          settings)
             run = outer_newton(system, u0, settings, u_ref=u_ref)
     except SolveError as exc:
         row = ResultRow(combo.method, combo.mesh, combo.I, combo.k, combo.beta,
@@ -362,7 +358,7 @@ def run_experiment(config):
                 f"reference solution for mesh={mesh} beta={beta:g}: {exc}"
             ) from exc
 
-    outcomes = [_execute(config, c, problems[(c.mesh, c.beta)],
+    outcomes = [_execute(c, problems[(c.mesh, c.beta)],
                          layouts[(c.mesh, c.I, c.k)], refs[(c.mesh, c.beta)],
                          settings)
                 for c in combos]
@@ -385,7 +381,7 @@ def run_experiment(config):
 def _write_results_csv(path, rows):
     lines = [",".join(ROW_COLUMNS)]
     for r in rows:
-        lines.append(f"{r.method},{r.I},{r.k},{_fmt_beta(r.beta)},"
+        lines.append(f"{r.method},{r.mesh},{r.I},{r.k},{_fmt_beta(r.beta)},"
                      f"{r.outer_iters},{r.LS_total},"
                      f"{'true' if r.converged else 'false'}")
     path.write_text("\n".join(lines) + "\n")
@@ -398,8 +394,8 @@ def _write_iterations_csv(path, rows):
             continue
         led = r.ledger
         for n in range(len(led)):
-            lines.append(f"{r.method},{r.I},{r.k},{_fmt_beta(r.beta)},{n + 1},"
-                         f"{led.ls_G[n]},{led.ls_in[n]},{led.ls_min[n]},"
+            lines.append(f"{r.method},{r.mesh},{r.I},{r.k},{_fmt_beta(r.beta)},"
+                         f"{n + 1},{led.ls_G[n]},{led.ls_in[n]},{led.ls_min[n]},"
                          f"{led.error[n]:.12e},{led.residual_norm[n]:.12e}")
     path.write_text("\n".join(lines) + "\n")
 

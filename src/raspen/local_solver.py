@@ -2,30 +2,36 @@
 
 C_i(u) is the overlap-local vector solving R_i F(u + P_i C_i(u)) = 0 with
 the exterior of the subdomain frozen at u (homogeneous correction outside).
-Each solve retains the row block R_i J(u^(i)) of the global Jacobian at
-the solved state u^(i) = u + P_i C_i(u), whose columns cover the overlap
-cells and the frozen exterior alike, plus the LU factorization of its
-overlap columns A_ii = R_i J(u^(i)) P_i.  Together these give the exact
-derivative of the correction,
+A solve keeps the correction, the solved overlap values of
+u^(i) = u + P_i C_i(u) and its inner Newton count, but no derivative data.
+
+That lives in a LocalJacobian, built on demand by local_jacobian (the one
+place a local block is factored; every inner Newton step uses it too): the
+row block R_i J of a global Jacobian, over the overlap cells and the frozen
+exterior, plus the LU factors of A_ii = R_i J P_i.  Taken at u^(i)
+(solved_jacobian) the block applies the exact derivative
 
     dC_i/du = -A_ii^{-1} R_i J(u^(i)),
 
-applied matrix-free as one sparse product plus one back-substitution.
+taken at u it applies ASPIN's inexact one; either costs one sparse product
+and one back-substitution.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
     "SolverSettings",
     "LocalSolveResult",
+    "LocalJacobian",
     "SolveError",
     "LocalSolveError",
     "StaleCacheError",
     "solve_local",
+    "local_jacobian",
+    "solved_jacobian",
     "local_correction_jacobian_action",
     "sweep_locals",
 ]
@@ -65,19 +71,53 @@ class SolverSettings:
 
 @dataclass(frozen=True, eq=False)
 class LocalSolveResult:
-    """Outcome of one local solve, immutable afterward.
+    """Outcome of one local solve at the global state base_state.
 
-    base_state is the global u the solve was performed at; Jacobian actions
-    verify against it so factorizations from an earlier outer iterate cannot
-    be reused silently.
+    solved holds the overlap values of the solved state u^(i).
     """
 
     subdomain: int
     correction: np.ndarray
-    rows: sp.csr_matrix = field(repr=False)
-    factorization: object = field(repr=False)
+    solved: np.ndarray = field(repr=False)
     inner_iterations: int
     base_state: np.ndarray = field(repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class LocalJacobian:
+    """Row block R_i J of a global Jacobian and the LU factors of R_i J P_i.
+
+    base_state is the global u whose derivative the block represents (None
+    for the blocks of inner Newton steps); actions verify against it.
+    """
+
+    subdomain: int
+    rows: object = field(repr=False)
+    lu: object = field(repr=False)
+    base_state: np.ndarray = field(default=None, repr=False)
+
+
+def local_jacobian(J, layout, i, base_state=None):
+    """The block of subdomain i of the global Jacobian J, factored."""
+    ov = layout.subdomains[i].overlap
+    rows = J.tocsr()[ov]
+    try:
+        lu = spla.splu(rows[:, ov].tocsc())
+    except RuntimeError as exc:  # scipy reports singular factors this way
+        raise LocalSolveError(f"subdomain {i}: singular local Jacobian") from exc
+    return LocalJacobian(i, rows, lu, base_state)
+
+
+def solved_jacobian(problem, layout, result):
+    """The block of a local solve at its solved state u^(i).
+
+    u^(i) is rebuilt from the stored solved values rather than as
+    base_state + P_i correction, which can differ in the last bit.
+    """
+    state = result.base_state.copy()
+    state[layout.subdomains[result.subdomain].overlap] = result.solved
+    return local_jacobian(problem.jacobian(state), layout, result.subdomain,
+                          result.base_state)
 
 
 def solve_local(problem, layout, i, u, settings):
@@ -85,11 +125,9 @@ def solve_local(problem, layout, i, u, settings):
 
     Inner Newton from the zero correction with full steps; the local block
     is refactorized at every step.  Convergence means the local residual
-    norm is at or below settings.inner_tol; the row block and its
-    factorization retained on the result are assembled at the final iterate.
+    norm is at or below settings.inner_tol.
     """
-    sub = layout.subdomains[i]
-    ov = sub.overlap
+    ov = layout.subdomains[i].overlap
     u = np.asarray(u, dtype=float)
     v = u.copy()
 
@@ -102,13 +140,7 @@ def solve_local(problem, layout, i, u, settings):
                 f"subdomain {i}: inner Newton did not reach {settings.inner_tol} "
                 f"within {settings.max_inner} iterations (residual {rnorm:.3e})"
             )
-        J = problem.jacobian(v)
-        A_ii = J[ov][:, ov].tocsc()
-        try:
-            delta = spla.splu(A_ii).solve(r)
-        except RuntimeError as exc:  # scipy reports singular factors this way
-            raise LocalSolveError(f"subdomain {i}: singular local Jacobian") from exc
-        v[ov] -= delta
+        v[ov] -= local_jacobian(problem.jacobian(v), layout, i).lu.solve(r)
         iterations += 1
         r = problem.residual(v)[ov]
         rnorm = np.linalg.norm(r)
@@ -117,35 +149,28 @@ def solve_local(problem, layout, i, u, settings):
                 f"subdomain {i}: inner Newton produced a non-finite residual"
             )
 
-    rows = problem.jacobian(v).tocsr()[ov]
-    try:
-        factorization = spla.splu(rows[:, ov].tocsc())
-    except RuntimeError as exc:
-        raise LocalSolveError(f"subdomain {i}: singular local Jacobian") from exc
     return LocalSolveResult(
         subdomain=i,
         correction=v[ov] - u[ov],
-        rows=rows,
-        factorization=factorization,
+        solved=v[ov],
         inner_iterations=iterations,
         base_state=u.copy(),
     )
 
 
-def local_correction_jacobian_action(result, v, at_state=None):
-    """Apply dC_i/du = -A_ii^{-1} R_i J(u^(i)) to a global vector v.
+def local_correction_jacobian_action(block, v, at_state=None):
+    """Apply -A_ii^{-1} R_i J to a global vector v with a LocalJacobian.
 
-    The action costs one sparse product with the cached row block and one
-    back-substitution with the cached factorization.  Passing at_state
-    asserts the result belongs to that state; a mismatch raises
-    StaleCacheError.
+    The action costs one sparse product with the row block and one
+    back-substitution with its factors.  Passing at_state asserts the
+    block belongs to that state; a mismatch raises StaleCacheError.
     """
-    if at_state is not None and not np.array_equal(at_state, result.base_state):
+    if at_state is not None and not np.array_equal(at_state, block.base_state):
         raise StaleCacheError(
-            f"subdomain {result.subdomain}: factorization was built at a "
+            f"subdomain {block.subdomain}: factorization was built at a "
             "different state than the one being differentiated"
         )
-    return -result.factorization.solve(result.rows @ v)
+    return -block.lu.solve(block.rows @ v)
 
 
 def sweep_locals(problem, layout, u, settings):

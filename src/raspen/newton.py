@@ -105,7 +105,8 @@ def outer_newton(system, u0, settings=None, u_ref=None):
     tests ||residual||_2 against outer_tol, then solves one Jacobian
     system with GMRES and updates u.  GMRES nonconvergence is noted in
     the reason string but the step is still taken; subdomain or coarse
-    solve failures propagate with outer-iteration context.
+    solve failures, in the residual or in the Jacobian actions, propagate
+    with outer-iteration context.
     """
     settings = settings or SolverSettings()
     u = np.asarray(u0, dtype=float).copy()
@@ -117,20 +118,19 @@ def outer_newton(system, u0, settings=None, u_ref=None):
     for _ in range(settings.max_outer):
         try:
             r = system.residual(u)
+            rnorm = np.linalg.norm(r)
+            ls_in, ls_min = system.last_counts
+            if rnorm <= settings.outer_tol:
+                ledger.record(0, ls_in, ls_min, _error_of(u, u_ref), rnorm)
+                return RunResult(u, ledger, True, updates, reason)
+            if not np.isfinite(rnorm):
+                ledger.record(0, ls_in, ls_min, _error_of(u, u_ref), rnorm)
+                return RunResult(u, ledger, False, updates,
+                                 reason or "non-finite residual")
+            delta, report = gmres(lambda v: system.jacobian_action(u, v), -r,
+                                  tol=settings.gmres_tol)
         except SolveError as exc:
             raise type(exc)(f"outer iteration {updates}: {exc}") from exc
-        rnorm = np.linalg.norm(r)
-        ls_in, ls_min = system.last_counts
-        if rnorm <= settings.outer_tol:
-            ledger.record(0, ls_in, ls_min, _error_of(u, u_ref), rnorm)
-            return RunResult(u, ledger, True, updates, reason)
-        if not np.isfinite(rnorm):
-            ledger.record(0, ls_in, ls_min, _error_of(u, u_ref), rnorm)
-            return RunResult(u, ledger, False, updates,
-                             reason or "non-finite residual")
-        delta, report = gmres(
-            lambda v: system.jacobian_action(u, v), -r, tol=settings.gmres_tol
-        )
         ledger.record(report.iterations, ls_in, ls_min,
                       _error_of(u, u_ref), rnorm)
         if not report.converged and not reason:
@@ -210,29 +210,27 @@ def continuation_solve(system_factory, betas, u0, settings=None, u_ref=None):
     return results
 
 
-def direct_newton(problem, u0, settings=None, u_ref=None, tol=None):
+def direct_newton(problem, u0, settings=None, u_ref=None):
     """Plain Newton on F(u) = 0 with one sparse direct solve per step.
 
     Ledger rows carry ls_in = 0 and ls_G = 1 per update (the single
     global solve), so LS_total equals the number of Newton steps.
     """
     settings = settings or SolverSettings()
-    tol = settings.outer_tol if tol is None else tol
     u = np.asarray(u0, dtype=float).copy()
     ledger = IterationLedger()
     updates = 0
     for _ in range(settings.max_outer):
         r = problem.residual(u)
         rnorm = np.linalg.norm(r)
-        if rnorm <= tol:
+        if rnorm <= settings.outer_tol:
             ledger.record(0, 0, 0, _error_of(u, u_ref), rnorm)
             return RunResult(u, ledger, True, updates, "")
         if not np.isfinite(rnorm) or rnorm > 1e12:
             ledger.record(0, 0, 0, _error_of(u, u_ref), rnorm)
             return RunResult(u, ledger, False, updates, "diverged")
         ledger.record(1, 0, 0, _error_of(u, u_ref), rnorm)
-        J = problem.jacobian(u).tocsc()
-        u = u + spla.splu(J).solve(-r)
+        u = u + spla.factorized(problem.jacobian(u).tocsc())(-r)
         updates += 1
     return RunResult(u, ledger, False, updates,
                      f"no convergence in {settings.max_outer} Newton steps")
@@ -248,8 +246,9 @@ def reference_solution(problem, settings=None, tol=1e-12,
     warm-starting each stage.
     """
     settings = settings or SolverSettings()
-    strict = replace(settings, max_outer=max(settings.max_outer, 100))
-    run = direct_newton(problem, problem.initial_state(), strict, tol=tol)
+    strict = replace(settings, outer_tol=tol,
+                     max_outer=max(settings.max_outer, 100))
+    run = direct_newton(problem, problem.initial_state(), strict)
     if run.converged:
         return run.u
     beta = getattr(problem, "beta", None)
@@ -261,7 +260,7 @@ def reference_solution(problem, settings=None, tol=1e-12,
             problem.lambda_field, problem.source, b,
             L=problem.L, dirichlet=problem.dirichlet,
         )
-        run = direct_newton(stage, u, strict, tol=tol)
+        run = direct_newton(stage, u, strict)
         if not run.converged:
             raise LocalSolveError(
                 f"reference continuation failed at beta={b}: {run.reason}"

@@ -11,22 +11,23 @@ correction equation built from subdomain solves:
 where C_i are the local corrections, C_0 the full-approximation-scheme
 coarse correction (applied multiplicatively inside RASPEN2) and C_0^A the
 additive coarse correction around the precomputed coarse solution u_0*.
-Each system also applies its derivative matrix-free: RASPEN kinds always
-differentiate exactly, reusing the factorizations the corrections already
-produced; ASPIN kinds default to the cheaper inexact derivative that
-freezes all local Jacobians at the current iterate u (one fresh global
-Jacobian per outer iteration), with the exact variant available as
-jacobian_mode="exact".
+Each system also applies its derivative matrix-free, by one formula for
+all four kinds: the coarse derivative (two-level kinds), then every local
+derivative -A_ii^{-1} R_i J glued like the corrections, applied to v, or
+to v plus the prolonged coarse action inside RASPEN2.  The local blocks
+are taken at each solved local state (exact mode, always used by the
+RASPEN kinds) or all at the one global Jacobian J(u) (inexact mode, the
+ASPIN default; the exact variant is jacobian_mode="exact").
 
 A residual evaluation caches everything the subsequent Jacobian actions
-need; actions verify they are applied at the cached state and raise
-StaleCacheError otherwise.
+need; the local blocks are built and factored at the first action, so an
+evaluation that no action follows factors nothing.  Actions verify they
+are applied at the cached state and raise StaleCacheError otherwise.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .coarse import (
     aspin_coarse_correction,
@@ -40,6 +41,8 @@ from .local_solver import (
     SolverSettings,
     StaleCacheError,
     local_correction_jacobian_action,
+    local_jacobian,
+    solved_jacobian,
     sweep_locals,
 )
 
@@ -57,10 +60,10 @@ class _EvalCache:
     locals_: list
     ls_in_max: int
     ls_in_min: int
+    local_state: np.ndarray        # the locals' state: u, or w for RASPEN2
     coarse: object = None
-    w: np.ndarray = None           # RASPEN2: u + P_0 C_0(u)
     J_u: object = None             # fine Jacobian at u, assembled on demand
-    inexact_lus: list = field(default=None, repr=False)
+    blocks: list = None            # LocalJacobians, built at the first action
 
 
 class PreconditionedSystem:
@@ -117,40 +120,36 @@ class PreconditionedSystem:
             raise StaleCacheError("no residual evaluation cached")
         return self._cache.ls_in_max, self._cache.ls_in_min
 
-    def _glue(self, results, w=None):
-        """Assemble sum_i P~_i C_i (restricted) or sum_i P_i C_i (additive)."""
+    def _glue(self, subdomain_vectors):
+        """Assemble sum_i P~_i x_i (restricted) or sum_i P_i x_i (additive)."""
         extend = restricted_prolong if self.restricted else prolong
         acc = np.zeros(self.layout.n_cells)
-        for res in results:
-            acc += extend(self.layout, res.subdomain, res.correction)
+        for i, x in subdomain_vectors:
+            acc += extend(self.layout, i, x)
         return acc
 
     def residual(self, u):
         """Evaluate the preconditioned function, caching all intermediates."""
         u = np.asarray(u, dtype=float).copy()
-        if self.kind in ("RASPEN1", "ASPIN1"):
-            results, mx, mn = sweep_locals(self.problem, self.layout, u, self.settings)
-            cache = _EvalCache(u, self._glue(results), results, mx, mn)
-        elif self.kind == "RASPEN2":
-            c0 = fas_correction(self.problem, self.layout, u, self.settings)
-            pc0 = self.layout.P0 @ c0.correction
-            w = u + pc0
-            results, mx, mn = sweep_locals(self.problem, self.layout, w, self.settings)
-            cache = _EvalCache(
-                u, pc0 + self._glue(results), results,
-                max(mx, c0.inner_iterations), mn, coarse=c0, w=w,
-            )
-        else:  # ASPIN2
-            c0 = aspin_coarse_correction(
+        coarse, pc0, local_state = None, 0.0, u
+        if self.kind == "RASPEN2":
+            coarse = fas_correction(self.problem, self.layout, u, self.settings)
+            pc0 = self.layout.P0 @ coarse.correction
+            local_state = u + pc0
+        elif self.kind == "ASPIN2":
+            coarse = aspin_coarse_correction(
                 self.problem, self.layout, u, self.u0_star, self.settings
             )
-            results, mx, mn = sweep_locals(self.problem, self.layout, u, self.settings)
-            cache = _EvalCache(
-                u, self.layout.P0 @ c0.correction + self._glue(results), results,
-                max(mx, c0.inner_iterations), mn, coarse=c0,
-            )
-        self._cache = cache
-        return cache.residual.copy()
+            pc0 = self.layout.P0 @ coarse.correction
+        results, mx, mn = sweep_locals(
+            self.problem, self.layout, local_state, self.settings
+        )
+        if coarse is not None:
+            mx = max(mx, coarse.inner_iterations)
+        glued = self._glue((res.subdomain, res.correction) for res in results)
+        self._cache = _EvalCache(u, pc0 + glued, results, mx, mn, local_state,
+                                 coarse)
+        return self._cache.residual.copy()
 
     def _require_cache(self, u):
         if self._cache is None:
@@ -166,60 +165,37 @@ class PreconditionedSystem:
             cache.J_u = self.problem.jacobian(cache.u).tocsr()
         return cache.J_u
 
-    def _inexact_factors(self, cache):
-        """LU factors of R_i J(u) P_i, built once per outer iterate."""
-        if cache.inexact_lus is None:
-            J = self._fine_jacobian(cache)
-            lus = []
-            for sub in self.layout.subdomains:
-                A = J[sub.overlap][:, sub.overlap].tocsc()
-                lus.append(spla.splu(A))
-            cache.inexact_lus = lus
-        return cache.inexact_lus
-
-    def _exact_local_sum(self, cache, v, at_state):
-        extend = restricted_prolong if self.restricted else prolong
-        acc = np.zeros(self.layout.n_cells)
-        for res in cache.locals_:
-            dv = local_correction_jacobian_action(res, v, at_state)
-            acc += extend(self.layout, res.subdomain, dv)
-        return acc
-
-    def _inexact_local_sum(self, cache, Jv):
-        acc = np.zeros(self.layout.n_cells)
-        for sub, lu in zip(self.layout.subdomains, self._inexact_factors(cache)):
-            acc[sub.overlap] -= lu.solve(Jv[sub.overlap])
-        return acc
+    def _blocks(self, cache):
+        """The local blocks of this evaluation, built once at the first action."""
+        if cache.blocks is None:
+            if self.jacobian_mode == "exact":
+                cache.blocks = [solved_jacobian(self.problem, self.layout, res)
+                                for res in cache.locals_]
+            else:
+                J = self._fine_jacobian(cache)
+                cache.blocks = [local_jacobian(J, self.layout, i, cache.u)
+                                for i in range(self.layout.n_subdomains)]
+        return cache.blocks
 
     def jacobian_action(self, u, v):
         """Apply the derivative of the preconditioned function at u to v."""
         cache = self._require_cache(u)
         v = np.asarray(v, dtype=float)
-
-        if self.kind in ("RASPEN1", "ASPIN1"):
-            if self.jacobian_mode == "exact":
-                return self._exact_local_sum(cache, v, cache.u)
-            Jv = self._fine_jacobian(cache) @ v
-            return self._inexact_local_sum(cache, Jv)
-
-        if self.kind == "RASPEN2":
-            t = fas_correction_jacobian_action(
+        pt = 0.0
+        if cache.coarse is not None:
+            coarse_action = (fas_correction_jacobian_action
+                             if self.kind == "RASPEN2"
+                             else aspin_coarse_jacobian_action)
+            pt = self.layout.P0 @ coarse_action(
                 cache.coarse, self.problem, self.layout, cache.u, v,
                 J_u=self._fine_jacobian(cache),
             )
-            pt = self.layout.P0 @ t
-            return pt + self._exact_local_sum(cache, v + pt, cache.w)
-
-        # ASPIN2
-        t = aspin_coarse_jacobian_action(
-            cache.coarse, self.problem, self.layout, cache.u, v,
-            J_u=self._fine_jacobian(cache),
+        x = v + pt if self.kind == "RASPEN2" else v
+        return pt + self._glue(
+            (block.subdomain,
+             local_correction_jacobian_action(block, x, cache.local_state))
+            for block in self._blocks(cache)
         )
-        pt = self.layout.P0 @ t
-        if self.jacobian_mode == "exact":
-            return pt + self._exact_local_sum(cache, v, cache.u)
-        Jv = self._fine_jacobian(cache) @ v
-        return pt + self._inexact_local_sum(cache, Jv)
 
     def fixed_point_step(self, u):
         """One sweep of the underlying fixed-point iteration: u + residual(u)."""

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import raspen.harness as harness_mod
 from raspen.cli import main as cli_main
 from raspen.harness import (
     ITER_COLUMNS,
@@ -115,7 +116,7 @@ def test_output_schemas(sweep):
     results = (outdir / "results.csv").read_text().splitlines()
     assert results[0] == ",".join(ROW_COLUMNS)
     assert len(results) == 1 + len(rows)
-    assert results[1].startswith("raspen1,10,1,1,")
+    assert results[1].startswith("raspen1,200,10,1,1,")
     iters = (outdir / "iterations.csv").read_text().splitlines()
     assert iters[0] == ",".join(ITER_COLUMNS)
     # one block per row: outer updates plus the confirming evaluation
@@ -173,9 +174,45 @@ def test_solver_failure_recorded_without_aborting(tmp_path):
     assert "inner Newton" in by_method["raspen1"].reason
     assert by_method["newton"].converged
     text = (tmp_path / "fail" / "results.csv").read_text()
-    assert "raspen1,4,2,1,0,0,false" in text
+    assert "raspen1,40,4,2,1,0,0,false" in text
     summary = json.loads((tmp_path / "fail" / "summary.json").read_text())
     assert "raspen1_M40_I4_k2_beta1" in summary["reasons"]
+
+
+def test_first_step_check_failure_recorded_without_aborting(tmp_path,
+                                                           monkeypatch):
+    # counting the interface cells as off-interface makes the check after
+    # the first restricted step fail; that fails the ras-fp row only
+    monkeypatch.setattr(harness_mod, "_off_interface_mask",
+                        lambda problem, layout: np.ones(problem.dof_count, bool))
+    config = config_from_dict({
+        "mesh": "40", "subdomains": "4", "overlap": "2",
+        "methods": "ras-fp,newton", "max_fixed_point": "30",
+        "outdir": str(tmp_path / "check"),
+    })
+    rows = run_experiment(config)
+    by_method = {r.method: r for r in rows}
+    assert not by_method["ras-fp"].converged
+    assert "off-interface residual" in by_method["ras-fp"].reason
+    assert by_method["newton"].converged
+    text = (tmp_path / "check" / "results.csv").read_text()
+    assert "ras-fp,40,4,2,1,0,0,false" in text
+    summary = json.loads((tmp_path / "check" / "summary.json").read_text())
+    assert "off-interface" in summary["reasons"]["ras-fp_M40_I4_k2_beta1"]
+
+
+def test_rows_of_a_multi_mesh_sweep_name_their_mesh(tmp_path):
+    config = config_from_dict({
+        "mesh": "40,80", "subdomains": "4", "overlap": "2",
+        "methods": "newton", "outdir": str(tmp_path / "meshes"),
+    })
+    run_experiment(config)
+    results = (tmp_path / "meshes" / "results.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in results[1:]] == [
+        ["newton", "40"], ["newton", "80"]]
+    iters = (tmp_path / "meshes" / "iterations.csv").read_text().splitlines()
+    assert {tuple(line.split(",")[:2]) for line in iters[1:]} == {
+        ("newton", "40"), ("newton", "80")}
 
 
 def test_first_ras_step_residual_export(tmp_path):

@@ -11,6 +11,7 @@ from raspen.local_solver import (
     StaleCacheError,
     local_correction_jacobian_action,
     solve_local,
+    solved_jacobian,
     sweep_locals,
 )
 from raspen.problems import DiffusionProblem2D, smooth_forchheimer
@@ -81,12 +82,12 @@ def test_factorization_round_trip():
     prob = smooth_forchheimer(30, beta=1.0)
     lay = build_1d_layout(30, 3, 2)
     u = np.linspace(0, 1, 30)
-    res = solve_local(prob, lay, 0, u, SETTINGS)
-    A_ii = res.rows[:, lay.subdomains[0].overlap]
+    block = solved_jacobian(prob, lay, solve_local(prob, lay, 0, u, SETTINGS))
+    A_ii = block.rows[:, lay.subdomains[0].overlap]
     rng = np.random.default_rng(23)
     for _ in range(5):
         w = rng.standard_normal(A_ii.shape[0])
-        back = A_ii @ res.factorization.solve(w)
+        back = A_ii @ block.lu.solve(w)
         assert np.linalg.norm(back - w) / np.linalg.norm(w) < 1e-10
 
 
@@ -94,13 +95,13 @@ def test_jacobian_action_zero_and_linear():
     prob = smooth_forchheimer(20, beta=1.0)
     lay = build_1d_layout(20, 4, 1)
     u = np.linspace(0, 1, 20)
-    res = solve_local(prob, lay, 2, u, SETTINGS)
-    assert np.allclose(local_correction_jacobian_action(res, np.zeros(20)), 0.0)
+    block = solved_jacobian(prob, lay, solve_local(prob, lay, 2, u, SETTINGS))
+    assert np.allclose(local_correction_jacobian_action(block, np.zeros(20)), 0.0)
     rng = np.random.default_rng(24)
     v, w = rng.standard_normal(20), rng.standard_normal(20)
-    a = local_correction_jacobian_action(res, 2.0 * v + w)
-    b = (2.0 * local_correction_jacobian_action(res, v)
-         + local_correction_jacobian_action(res, w))
+    a = local_correction_jacobian_action(block, 2.0 * v + w)
+    b = (2.0 * local_correction_jacobian_action(block, v)
+         + local_correction_jacobian_action(block, w))
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -112,12 +113,12 @@ def test_jacobian_action_affine_oracle():
     u = rng.standard_normal(15)
     for i in range(3):
         ov = lay.subdomains[i].overlap
-        res = solve_local(prob, lay, i, u, SETTINGS)
+        block = solved_jacobian(prob, lay, solve_local(prob, lay, i, u, SETTINGS))
         A_i = A[np.ix_(ov, ov)]
         for _ in range(3):
             v = rng.standard_normal(15)
             want = -np.linalg.solve(A_i, (A @ v)[ov])
-            got = local_correction_jacobian_action(res, v)
+            got = local_correction_jacobian_action(block, v)
             assert np.allclose(got, want, atol=1e-10)
 
 
@@ -132,14 +133,14 @@ def test_jacobian_action_matches_fd(make):
     rng = np.random.default_rng(26)
     u = 0.1 * rng.standard_normal(n)
     for i in range(lay.n_subdomains):
-        res = solve_local(prob, lay, i, u, tight)
+        block = solved_jacobian(prob, lay, solve_local(prob, lay, i, u, tight))
         for _ in range(2):
             v = rng.standard_normal(n)
             eps = 1e-6
             cp = solve_local(prob, lay, i, u + eps * v, tight).correction
             cm = solve_local(prob, lay, i, u - eps * v, tight).correction
             fd = (cp - cm) / (2 * eps)
-            got = local_correction_jacobian_action(res, v)
+            got = local_correction_jacobian_action(block, v)
             denom = max(1.0, np.linalg.norm(fd))
             assert np.linalg.norm(got - fd) / denom < 1e-5
 
@@ -148,10 +149,10 @@ def test_stale_cache_guard():
     prob = smooth_forchheimer(12, beta=1.0)
     lay = build_1d_layout(12, 2, 1)
     u = np.zeros(12)
-    res = solve_local(prob, lay, 0, u, SETTINGS)
-    local_correction_jacobian_action(res, np.ones(12), at_state=u)
+    block = solved_jacobian(prob, lay, solve_local(prob, lay, 0, u, SETTINGS))
+    local_correction_jacobian_action(block, np.ones(12), at_state=u)
     with pytest.raises(StaleCacheError):
-        local_correction_jacobian_action(res, np.ones(12), at_state=u + 0.5)
+        local_correction_jacobian_action(block, np.ones(12), at_state=u + 0.5)
 
 
 def test_sweep_counts_and_single_domain():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from oracles import plain_newton
 
 import raspen.newton as newton_mod
@@ -124,6 +125,28 @@ class _BoomSystem:
 def test_solve_failure_aborts_with_context(error):
     with pytest.raises(error, match="outer iteration 0"):
         outer_newton(_BoomSystem(error), np.zeros(4))
+
+
+def test_singular_block_at_first_action_gets_outer_context(monkeypatch):
+    # the local blocks are factored at the first Jacobian action, inside
+    # GMRES; a singular one must carry the same context as a failure in
+    # the residual evaluation
+    system = _system("RASPEN1")
+    residual = system.residual
+
+    def residual_then_singular(u):
+        r = residual(u)
+        monkeypatch.setattr(spla, "splu", _singular_splu)
+        return r
+
+    system.residual = residual_then_singular
+    with pytest.raises(LocalSolveError, match="outer iteration 0: subdomain 0: "
+                                              "singular local Jacobian"):
+        outer_newton(system, system.problem.initial_state())
+
+
+def _singular_splu(A):
+    raise RuntimeError("Factor is exactly singular")
 
 
 # ---------------------------------------------------------------- fixed point

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from oracles import dense_darcy_system, plain_newton, schwarz_preconditioners
 
+import raspen.precond as precond_mod
 from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.local_solver import SolverSettings, StaleCacheError
 from raspen.precond import KINDS, PreconditionedSystem
@@ -199,6 +201,38 @@ def test_fixed_point_dichotomy_compact():
     two = run("RASPEN2", 60)
     assert two[-1] < 1e-4
     assert two[-1] < ras[-1]
+
+
+@pytest.mark.parametrize("kind", ["RASPEN1", "RASPEN2"])
+def test_local_blocks_factored_only_for_actions(kind, monkeypatch):
+    # a fixed-point step applies no derivative, so its only local
+    # factorizations are the inner Newton steps'; the first Jacobian action
+    # then factors each block once and later actions reuse them
+    prob, lay = _forchheimer_setup()
+    system = PreconditionedSystem(kind, prob, lay, SETTINGS)
+    factored, solved = [], []
+    splu, sweep = spla.splu, precond_mod.sweep_locals
+
+    def counting_splu(A):
+        factored.append(A.shape)
+        return splu(A)
+
+    def recording_sweep(*args):
+        out = sweep(*args)
+        solved.extend(out[0])
+        return out
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(precond_mod, "sweep_locals", recording_sweep)
+    u = 0.2 * np.ones(24)
+    system.fixed_point_step(u)
+    inner = sum(res.inner_iterations for res in solved)
+    assert inner > 0
+    assert len(factored) == inner
+    v = np.ones(24)
+    system.jacobian_action(u, v)
+    system.jacobian_action(u, v)
+    assert len(factored) == inner + lay.n_subdomains
 
 
 def test_stale_cache_paths():
