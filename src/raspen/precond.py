@@ -23,6 +23,9 @@ A residual evaluation caches everything the subsequent Jacobian actions
 need; the local blocks are built and factored at the first action, so an
 evaluation that no action follows factors nothing.  Actions verify they
 are applied at the cached state and raise StaleCacheError otherwise.
+Every local block, in the inner solves and the actions alike, is gathered
+at block positions the system computes once from the problem's fixed
+Jacobian pattern.
 """
 
 from dataclasses import dataclass
@@ -40,6 +43,7 @@ from .decomposition import prolong, restricted_prolong
 from .local_solver import (
     SolverSettings,
     StaleCacheError,
+    block_positions,
     local_correction_jacobian_action,
     local_jacobian,
     solved_jacobian,
@@ -93,6 +97,9 @@ class PreconditionedSystem:
         if jacobian_mode == "inexact" and not kind.startswith("ASPIN"):
             raise ValueError(f"{kind} has no inexact Jacobian variant")
         self.jacobian_mode = jacobian_mode
+        pattern = problem.jacobian(problem.initial_state())
+        self._positions = [block_positions(pattern, layout, i)
+                           for i in range(layout.n_subdomains)]
         self._u0_star = None
         self._cache = None
 
@@ -142,7 +149,7 @@ class PreconditionedSystem:
             )
             pc0 = self.layout.P0 @ coarse.correction
         results, mx, mn = sweep_locals(
-            self.problem, self.layout, local_state, self.settings
+            self.problem, self.layout, local_state, self.settings, self._positions
         )
         if coarse is not None:
             mx = max(mx, coarse.inner_iterations)
@@ -169,12 +176,13 @@ class PreconditionedSystem:
         """The local blocks of this evaluation, built once at the first action."""
         if cache.blocks is None:
             if self.jacobian_mode == "exact":
-                cache.blocks = [solved_jacobian(self.problem, self.layout, res)
+                cache.blocks = [solved_jacobian(self.problem, self.layout, res,
+                                                self._positions[res.subdomain])
                                 for res in cache.locals_]
             else:
                 J = self._fine_jacobian(cache)
-                cache.blocks = [local_jacobian(J, self.layout, i, cache.u)
-                                for i in range(self.layout.n_subdomains)]
+                cache.blocks = [local_jacobian(J, self.layout, i, cache.u, pos)
+                                for i, pos in enumerate(self._positions)]
         return cache.blocks
 
     def jacobian_action(self, u, v):
@@ -191,9 +199,10 @@ class PreconditionedSystem:
                 J_u=self._fine_jacobian(cache),
             )
         x = v + pt if self.kind == "RASPEN2" else v
+        # no per-block state check: _require_cache checked the state once
+        # and the blocks belong to that cache
         return pt + self._glue(
-            (block.subdomain,
-             local_correction_jacobian_action(block, x, cache.local_state))
+            (block.subdomain, local_correction_jacobian_action(block, x))
             for block in self._blocks(cache)
         )
 

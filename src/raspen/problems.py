@@ -2,7 +2,9 @@
 
 Both problems expose the same contract: `dof_count`, `residual(u)` returning
 a vector of the same length, and `jacobian(u)` returning the exact sparse
-derivative of the residual.  Residuals are written in integrated
+derivative of the residual as a CSR matrix whose sparsity pattern does not
+depend on u.  Each problem builds that pattern once, so an evaluation only
+fills the data array.  Residuals are written in integrated
 finite-volume form (flux balance minus integrated source per cell), so a
 zero residual means discrete conservation cell by cell.
 """
@@ -31,7 +33,10 @@ class NonlinearProblem:
 
     Subclasses provide `dof_count`, `residual(u)` and `jacobian(u)`; both
     evaluations must be pure (no state mutated), and jacobian(u) must be the
-    exact derivative of residual at u.
+    exact derivative of residual at u.  jacobian(u) returns a canonical CSR
+    matrix (sorted indices, no duplicates) with the same indptr and indices
+    at every u, entries that happen to vanish included: the local solvers
+    gather their blocks from its data array at positions computed once.
     """
 
     @property
@@ -47,6 +52,22 @@ class NonlinearProblem:
     def initial_state(self):
         """Cold-start iterate used by the solvers and the harness."""
         return np.zeros(self.dof_count)
+
+
+def _csr_pattern(rows, cols, n):
+    """Fixed CSR pattern of the n-by-n entries (rows[k], cols[k]).
+
+    Returns (indptr, indices, target): target[k] is the slot of entry k in
+    the data array, repeated entries sharing one slot.  The index arrays
+    are int32, as scipy stores them, and read-only, since every Jacobian
+    of the problem shares them.
+    """
+    unique, target = np.unique(rows * n + cols, return_inverse=True)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(unique // n, minlength=n), out=indptr[1:])
+    indices = (unique % n).astype(np.int32)
+    indptr.flags.writeable = indices.flags.writeable = False
+    return indptr, indices, target
 
 
 def q_flux(g, beta):
@@ -126,6 +147,14 @@ class ForchheimerProblem1D(NonlinearProblem):
             raise ValueError("beta must be nonnegative")
         self.dirichlet = (float(dirichlet[0]), float(dirichlet[1]))
         self.transmissibilities = build_transmissibilities(self.lambda_field, self.h)
+        # Jacobian entries in the order jacobian() lists their values:
+        # sub-diagonal, diagonal, super-diagonal
+        cells = np.arange(self.M)
+        self._indptr, self._indices, self._slots = _csr_pattern(
+            np.concatenate((cells[1:], cells, cells[:-1])),
+            np.concatenate((cells[:-1], cells, cells[1:])),
+            self.M,
+        )
 
     @property
     def dof_count(self):
@@ -145,9 +174,11 @@ class ForchheimerProblem1D(NonlinearProblem):
     def jacobian(self, u):
         qp = q_flux_derivative(self._face_gradients(u), self.beta)
         w = qp * self.transmissibilities
-        diag = w[1:] + w[:-1]
         off = -w[1:-1]
-        return sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+        data = np.empty(len(self._indices))
+        data[self._slots] = np.concatenate((off, w[1:] + w[:-1], off))
+        return sp.csr_matrix((data, self._indices, self._indptr),
+                             shape=(self.M, self.M))
 
 
 def _cell_edges(M, L):
@@ -225,6 +256,19 @@ class DiffusionProblem2D(NonlinearProblem):
         yc = (np.arange(self.ny) + 0.5) * self.hy
         X, Y = np.meshgrid(xc, yc)
         self.source_cells = np.asarray(source(X, Y), dtype=float) * self.hx * self.hy
+        # Jacobian entries in the order jacobian() lists their values: per
+        # x face then per y face the couplings (L,L), (L,R), (R,L), (R,R),
+        # then the Dirichlet diagonal of the x=1 column
+        idx = np.arange(self.nx * self.ny).reshape(self.ny, self.nx)
+        rows, cols = [], []
+        for L, R in ((idx[:, :-1].ravel(), idx[:, 1:].ravel()),
+                     (idx[:-1, :].ravel(), idx[1:, :].ravel())):
+            rows.extend([L, L, R, R])
+            cols.extend([L, R, L, R])
+        rows.append(idx[:, -1])
+        cols.append(idx[:, -1])
+        self._indptr, self._indices, self._slots = _csr_pattern(
+            np.concatenate(rows), np.concatenate(cols), self.nx * self.ny)
 
     @property
     def dof_count(self):
@@ -260,40 +304,26 @@ class DiffusionProblem2D(NonlinearProblem):
 
     def jacobian(self, u):
         U = self._grid(u)
-        nx, ny = self.nx, self.ny
-        idx = np.arange(nx * ny).reshape(ny, nx)
         Tx, Ty = self.hy / self.hx, self.hx / self.hy
-        rows, cols, data = [], [], []
+        data = []
 
-        def faces(L, R, uL, uR, T):
+        def faces(uL, uR, T):
             d = uL - uR
             mean_a = 1.0 + 0.5 * (uL**2 + uR**2)
             dL = T * (mean_a + uL * d)
             dR = T * (-mean_a + uR * d)
-            rows.extend([L, L, R, R])
-            cols.extend([L, R, L, R])
             data.extend([dL, dR, -dL, -dR])
 
-        faces(
-            idx[:, :-1].ravel(), idx[:, 1:].ravel(),
-            U[:, :-1].ravel(), U[:, 1:].ravel(), Tx,
-        )
-        faces(
-            idx[:-1, :].ravel(), idx[1:, :].ravel(),
-            U[:-1, :].ravel(), U[1:, :].ravel(), Ty,
-        )
-
+        faces(U[:, :-1].ravel(), U[:, 1:].ravel(), Tx)
+        faces(U[:-1, :].ravel(), U[1:, :].ravel(), Ty)
         ub = U[:, -1]
-        d = ub - self.dirichlet_value
-        rows.append(idx[:, -1])
-        cols.append(idx[:, -1])
-        data.append(2.0 * Tx * ((1.0 + ub**2) + 2.0 * ub * d))
-
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        data = np.concatenate(data)
-        J = sp.coo_matrix((data, (rows, cols)), shape=(nx * ny, nx * ny))
-        return J.tocsr()
+        data.append(2.0 * Tx * ((1.0 + ub**2) + 2.0 * ub * (ub - self.dirichlet_value)))
+        # repeated entries are summed in listed order, as a COO-to-CSR
+        # conversion of the same list sums them
+        data = np.bincount(self._slots, weights=np.concatenate(data),
+                           minlength=len(self._indices))
+        n = self.nx * self.ny
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=(n, n))
 
     def initial_state(self):
         """Constant lift of the Dirichlet value.

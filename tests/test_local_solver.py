@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from oracles import brute_frozen_newton, dense_darcy_system, plain_newton
 
 from raspen.decomposition import build_1d_layout, build_2d_layout
@@ -9,7 +10,9 @@ from raspen.local_solver import (
     LocalSolveError,
     SolverSettings,
     StaleCacheError,
+    block_positions,
     local_correction_jacobian_action,
+    local_jacobian,
     solve_local,
     solved_jacobian,
     sweep_locals,
@@ -143,6 +146,53 @@ def test_jacobian_action_matches_fd(make):
             got = local_correction_jacobian_action(block, v)
             denom = max(1.0, np.linalg.norm(fd))
             assert np.linalg.norm(got - fd) / denom < 1e-5
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 8, 3)),
+    lambda: (smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 8, 0)),
+    lambda: (DiffusionProblem2D(8, 8), build_2d_layout(8, 8, 4, 1)),
+    lambda: (DiffusionProblem2D(8, 8), build_2d_layout(8, 8, 4, 2)),
+], ids=["1d-k3", "1d-k0", "2d-k1", "2d-k2"])
+def test_blocks_gathered_by_position_match_slices(make, monkeypatch):
+    # the 2D layouts have corner, edge and interior subdomains
+    prob, lay = make()
+    n = prob.dof_count
+    J = prob.jacobian(np.random.default_rng(27).standard_normal(n))
+    factored = []
+    splu = spla.splu
+
+    def recording_splu(A):
+        factored.append(A)
+        return splu(A)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    for i in range(lay.n_subdomains):
+        ov = lay.subdomains[i].overlap
+        block = local_jacobian(J, lay, i, positions=block_positions(J, lay, i))
+        A_ii = factored[-1]
+        assert A_ii.format == "csc" and A_ii.has_canonical_format
+        assert np.array_equal(A_ii.toarray(), J[ov][:, ov].toarray())
+        assert np.array_equal(block.rows.toarray(), J[ov].toarray())
+    assert len(factored) == lay.n_subdomains
+
+
+def test_block_positions_reject_other_patterns():
+    prob = smooth_forchheimer(12, beta=1.0)
+    lay = build_1d_layout(12, 3, 1)
+    J = prob.jacobian(np.zeros(12))
+    pos = block_positions(J, lay, 1)
+    extra = J.tolil()
+    extra[0, 11] = 1.0
+    bigger = smooth_forchheimer(13, beta=1.0).jacobian(np.zeros(13))
+    for other in (extra.tocsr(), bigger, J.tocsc()):
+        with pytest.raises(ValueError, match="subdomain 1"):
+            local_jacobian(other, lay, 1, positions=pos)
+    with pytest.raises(ValueError, match="subdomain 1"):
+        solve_local(smooth_forchheimer(12, beta=2.0), lay, 1, np.ones(12),
+                    SETTINGS, block_positions(extra.tocsr(), lay, 1))
+    with pytest.raises(ValueError):
+        block_positions(J.tocsc(), lay, 1)
 
 
 def test_stale_cache_guard():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from raspen.problems import (
@@ -273,3 +274,67 @@ def test_diffusion_rejects_wrong_shape():
     prob = DiffusionProblem2D(4, 4)
     with pytest.raises(ValueError):
         prob.residual(np.zeros(15))
+
+
+# ------------------------------------------------- fixed Jacobian pattern
+
+
+def _assembled_jacobian(prob, u):
+    """Oracle: each Jacobian assembled from scratch through scipy conversions.
+
+    1D: the three diagonals through sp.diags; 2D: the per-face COO list
+    converted to CSR, which sums repeated entries.
+    """
+    if isinstance(prob, ForchheimerProblem1D):
+        upad = np.concatenate(([prob.dirichlet[0]], u, [prob.dirichlet[1]]))
+        g = prob.transmissibilities * (upad[:-1] - upad[1:])
+        w = q_flux_derivative(g, prob.beta) * prob.transmissibilities
+        off = -w[1:-1]
+        return sp.diags([off, w[1:] + w[:-1], off], [-1, 0, 1], format="csr")
+    nx, ny = prob.nx, prob.ny
+    U = u.reshape(ny, nx)
+    idx = np.arange(nx * ny).reshape(ny, nx)
+    Tx, Ty = prob.hy / prob.hx, prob.hx / prob.hy
+    rows, cols, data = [], [], []
+    for L, R, T in ((idx[:, :-1], idx[:, 1:], Tx), (idx[:-1, :], idx[1:, :], Ty)):
+        L, R = L.ravel(), R.ravel()
+        uL, uR = u[L], u[R]
+        mean_a = 1.0 + 0.5 * (uL**2 + uR**2)
+        dL = T * (mean_a + uL * (uL - uR))
+        dR = T * (-mean_a + uR * (uL - uR))
+        rows.extend([L, L, R, R])
+        cols.extend([L, R, L, R])
+        data.extend([dL, dR, -dL, -dR])
+    ub = U[:, -1]
+    rows.append(idx[:, -1])
+    cols.append(idx[:, -1])
+    data.append(2.0 * Tx * ((1.0 + ub**2) + 2.0 * ub * (ub - prob.dirichlet_value)))
+    coo = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nx * ny, nx * ny),
+    )
+    return coo.tocsr()
+
+
+@pytest.mark.parametrize("prob", [
+    smooth_forchheimer(30, beta=1.0),
+    hard_forchheimer(25, beta=10.0, seed=3),
+    DiffusionProblem2D(7, 5),
+    DiffusionProblem2D(6, 6),
+], ids=["1d-smooth", "1d-hard", "2d-7x5", "2d-6x6"])
+def test_jacobian_pattern_is_fixed_and_matches_assembly(prob):
+    n = prob.dof_count
+    rng = np.random.default_rng(31)
+    first = prob.jacobian(np.zeros(n))
+    for u in (np.zeros(n), rng.standard_normal(n), 1e3 * rng.standard_normal(n)):
+        J = prob.jacobian(u)
+        assert J.format == "csr" and J.has_canonical_format
+        assert np.array_equal(J.indptr, first.indptr)
+        assert np.array_equal(J.indices, first.indices)
+        # The fixed 1D pattern keeps an entry that happens to vanish, which
+        # the dia-to-CSR conversion of the oracle drops; none vanishes here.
+        want = _assembled_jacobian(prob, u)
+        want.sort_indices()
+        assert np.array_equal(J.indptr, want.indptr)
+        assert np.array_equal(J.indices, want.indices)
+        assert J.data.tobytes() == want.data.tobytes()
