@@ -27,6 +27,9 @@ Jacobian actions
 
     dC_0/du   = -R_0 + J^_0^{-1} (J_0 R_0 - P_0^T J(u)),
     dC_0^A/du = -J^_0^{-1} P_0^T J(u).
+
+An action takes the fine Jacobian J(u) from its caller, which assembles it
+once per state, and checks only that the correction was solved at u.
 """
 
 from dataclasses import dataclass, field
@@ -138,11 +141,10 @@ def _correction(problem, layout, u, start, rhs, settings, what):
     )
 
 
-def _checked_jacobian(result, problem, u, J_u, what):
-    """Fine Jacobian at u (J_u when given), once result is known to match u."""
+def _check_state(result, u, what):
+    """Raise StaleCacheError unless result was solved at the fine state u."""
     if not np.array_equal(u, result.base_state):
         raise StaleCacheError(f"{what} was solved at a different state")
-    return problem.jacobian(u) if J_u is None else J_u
 
 
 def fas_correction(problem, layout, u, settings):
@@ -154,13 +156,12 @@ def fas_correction(problem, layout, u, settings):
                        "FAS coarse correction")
 
 
-def fas_correction_jacobian_action(result, problem, layout, u, v, J_u=None):
+def fas_correction_jacobian_action(result, layout, u, J_u, v):
     """Apply dC_0/du = -R_0 + J^_0^{-1}(J_0 R_0 - P_0^T J(u)) to v.
 
-    J_u may pass a preassembled fine Jacobian at u to avoid reassembly;
-    otherwise problem.jacobian(u) is used.
+    J_u is the fine Jacobian at u, the state result was solved at.
     """
-    J_u = _checked_jacobian(result, problem, u, J_u, "FAS coarse correction")
+    _check_state(result, u, "FAS coarse correction")
     R0v = layout.R0 @ v
     w = result.J0 @ R0v - layout.P0.T @ (J_u @ v)
     return -R0v + sla.lu_solve(result.J0_hat_lu, w)
@@ -184,7 +185,7 @@ def aspin_coarse_correction(problem, layout, u, u0_star, settings):
                        "AS coarse correction")
 
 
-def aspin_coarse_jacobian_action(result, problem, layout, u, v, J_u=None):
-    """Apply dC_0^A/du = -J^_0^{-1} P_0^T J(u) to v."""
-    J_u = _checked_jacobian(result, problem, u, J_u, "AS coarse correction")
+def aspin_coarse_jacobian_action(result, layout, u, J_u, v):
+    """Apply dC_0^A/du = -J^_0^{-1} P_0^T J(u) to v, J_u the fine J(u)."""
+    _check_state(result, u, "AS coarse correction")
     return -sla.lu_solve(result.J0_hat_lu, layout.P0.T @ (J_u @ v))

@@ -14,7 +14,8 @@ product and writes four kinds of artifact into the output directory:
 Reruns of the same config and seed produce byte-identical CSVs (wall
 times live only in the summary).  Per-combination solver failures are
 recorded in the row as converged=false with the reason kept in the
-summary; they never abort sibling combinations.
+summary; they never abort sibling combinations.  A failed reference
+solution fails every row of its (mesh, beta) problem the same way.
 
 compare_table checks result rows against a shipped reference table of
 published counts, cell by cell, with the comparison tolerances used
@@ -37,7 +38,7 @@ import scipy
 
 from . import __version__
 from .decomposition import build_1d_layout, build_2d_layout
-from .local_solver import LocalSolveError, SolveError, SolverSettings
+from .local_solver import SolveError, SolverSettings
 from .newton import (direct_newton, fixed_point_solve, outer_newton,
                      reference_solution)
 from .precond import PreconditionedSystem
@@ -265,22 +266,17 @@ def _prepare(config):
 
 
 def _off_interface_mask(problem, layout):
-    """Cells whose whole flux stencil is owned by a single subdomain."""
+    """Cells whose whole stencil is owned by a single subdomain.
+
+    A cell's stencil is the column set of its row in the problem's fixed
+    Jacobian pattern.
+    """
     owner = np.empty(problem.dof_count, dtype=int)
     for idx, sub in enumerate(layout.subdomains):
         owner[sub.owned] = idx
-    if isinstance(problem, DiffusionProblem2D):
-        own = owner.reshape(problem.ny, problem.nx)
-        mask = np.ones_like(own, dtype=bool)
-        mask[:, :-1] &= own[:, :-1] == own[:, 1:]
-        mask[:, 1:] &= own[:, 1:] == own[:, :-1]
-        mask[:-1, :] &= own[:-1, :] == own[1:, :]
-        mask[1:, :] &= own[1:, :] == own[:-1, :]
-        return mask.ravel()
-    mask = np.ones(problem.dof_count, dtype=bool)
-    mask[:-1] &= owner[:-1] == owner[1:]
-    mask[1:] &= owner[1:] == owner[:-1]
-    return mask
+    J = problem.jacobian(problem.initial_state())
+    same = owner[J.indices] == np.repeat(owner, np.diff(J.indptr))
+    return np.logical_and.reduceat(same, J.indptr[:-1])
 
 
 def _first_step_residual(system, problem, layout, u0, settings):
@@ -315,10 +311,13 @@ def _tag(row):
 
 
 def _execute(combo, problem, layout, u_ref, settings):
+    """Run one combination; a SolveError as u_ref fails it with that reason."""
     u0 = problem.initial_state()
     t0 = time.perf_counter()
     first_residual = None
     try:
+        if isinstance(u_ref, SolveError):
+            raise u_ref
         if combo.method == "newton":
             run = direct_newton(problem, u0, settings, u_ref=u_ref)
         elif combo.method in ("ras-fp", "as-fp"):
@@ -353,10 +352,10 @@ def run_experiment(config):
     for (mesh, beta), problem in problems.items():
         try:
             refs[(mesh, beta)] = reference_solution(problem, settings)
-        except LocalSolveError as exc:
-            raise LocalSolveError(
-                f"reference solution for mesh={mesh} beta={beta:g}: {exc}"
-            ) from exc
+        except SolveError as exc:
+            # every run on this problem fails with the reference's reason
+            refs[(mesh, beta)] = SolveError(
+                f"reference solution for mesh={mesh} beta={beta:g}: {exc}")
 
     outcomes = [_execute(c, problems[(c.mesh, c.beta)],
                          layouts[(c.mesh, c.I, c.k)], refs[(c.mesh, c.beta)],

@@ -19,8 +19,9 @@ class GmresReport:
     """Outcome of one GMRES solve.
 
     iterations equals the number of operator applications.  converged is
-    true when the relative residual reached the tolerance (a lucky Arnoldi
-    breakdown counts: the Krylov space then contains the exact solution).
+    true exactly when the relative residual reached the tolerance.  An
+    Arnoldi breakdown ends the iteration either way: a lucky one (the
+    Krylov space contains the solution) converges, a singular one does not.
     """
 
     iterations: int
@@ -36,8 +37,9 @@ def gmres(action, rhs, tol=1e-8, max_iter=None):
     Modified Gram-Schmidt orthogonalization with Givens rotations on the
     Hessenberg matrix; the least-squares residual is tracked per iteration
     and compared against tol * ||rhs||.  Returns (solution, GmresReport);
-    when max_iter is hit the best iterate so far is returned with
-    converged=False.
+    when max_iter is hit, or a step adds no direction because the operator
+    is singular on the Krylov space, the last least-squares iterate is
+    returned with converged=False.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = len(rhs)
@@ -72,32 +74,36 @@ def gmres(action, rhs, tol=1e-8, max_iter=None):
             hcol[i + 1] = -sn[i] * hcol[i] + cs[i] * hcol[i + 1]
             hcol[i] = t
         denom = np.hypot(hcol[k], hcol[k + 1])
-        if denom == 0.0:
-            c, s = 1.0, 0.0
-        else:
+        # a rotated diagonal that is zero next to the column's norm adds no
+        # direction: the least-squares iterate and residual stay as they were
+        singular = denom <= BREAKDOWN_TOL * np.linalg.norm(hcol)
+        if not singular:
             c, s = hcol[k] / denom, hcol[k + 1] / denom
-        cs.append(c)
-        sn.append(s)
-        hcol[k] = denom
-        hcol[k + 1] = 0.0
-        Rcols.append(hcol[: k + 1])
-        g.append(-s * g[k])
-        g[k] = c * g[k]
+            cs.append(c)
+            sn.append(s)
+            hcol[k] = denom
+            hcol[k + 1] = 0.0
+            Rcols.append(hcol[: k + 1])
+            g.append(-s * g[k])
+            g[k] = c * g[k]
 
         k += 1
-        rel = abs(g[k]) / bnorm
+        rel = abs(g[-1]) / bnorm
         history.append(rel)
-        if rel <= tol or breakdown:
+        if rel <= tol:
             converged = True
             break
+        if breakdown or singular:
+            break
 
-    # back-substitute R y = g on the k-dimensional least-squares system
-    y = np.zeros(k)
-    for j in range(k - 1, -1, -1):
-        acc = g[j] - sum(Rcols[i][j] * y[i] for i in range(j + 1, k))
+    # back-substitute R y = g on the nonsingular least-squares system
+    m = len(Rcols)
+    y = np.zeros(m)
+    for j in range(m - 1, -1, -1):
+        acc = g[j] - sum(Rcols[i][j] * y[i] for i in range(j + 1, m))
         y[j] = acc / Rcols[j][j]
     x = np.zeros(n)
-    for j in range(k):
+    for j in range(m):
         x += y[j] * V[j]
     rel = history[-1] if history else 0.0
     return x, GmresReport(k, rel, converged, tuple(history))

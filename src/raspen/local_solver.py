@@ -15,12 +15,15 @@ exterior, plus the LU factors of A_ii = R_i J P_i.  Taken at u^(i)
 taken at u it applies ASPIN's inexact one; either costs one sparse product
 and one back-substitution.
 
-Every problem's Jacobian has a fixed CSR pattern, so block_positions
-computes once per subdomain where A_ii (in CSC order) and R_i J (in CSR
-order) sit in the Jacobian's data array.  A block is then gathered by index
-from J.data into a matrix sharing precomputed index arrays; an inner Newton
-step gathers and factors A_ii alone (in _factor, the one place a local block
-is factored), and only local_jacobian also gathers R_i J.
+Every problem's Jacobian has a fixed CSR pattern, and it is the only
+description of the stencil read here: block_positions reads it once, from
+one Jacobian at the problem's initial state, and returns every
+subdomain's BlockPositions (its overlap cells, and where A_ii in CSC order
+and R_i J in CSR order sit in the Jacobian's data array).  Every solve and
+block function takes them.  A block is gathered by index from J.data into
+a matrix sharing precomputed index arrays; an inner Newton step gathers
+and factors A_ii alone (in _factor, the one place a local block is
+factored), and only local_jacobian also gathers R_i J.
 """
 
 from dataclasses import dataclass, field
@@ -111,13 +114,15 @@ class LocalJacobian:
 class BlockPositions:
     """Where subdomain i's blocks sit in the data array of a global Jacobian.
 
-    block and rows are (positions, indices, indptr): J.data[positions] with
-    the index arrays forms A_ii = R_i J P_i in CSC form and R_i J in CSR
-    form.  They fit every Jacobian with the pattern they were computed from,
-    which shape and nnz identify.
+    overlap lists the subdomain's cells.  block and rows are (positions,
+    indices, indptr): J.data[positions] with the index arrays forms
+    A_ii = R_i J P_i in CSC form and R_i J in CSR form.  They fit every
+    Jacobian with the pattern they were computed from, which shape and nnz
+    identify.
     """
 
     subdomain: int
+    overlap: np.ndarray = field(repr=False)
     shape: tuple
     nnz: int
     block: tuple = field(repr=False)
@@ -126,15 +131,25 @@ class BlockPositions:
     @property
     def size(self):
         """The number m of overlap cells: A_ii is m x m, R_i J is m x n."""
-        return len(self.rows[2]) - 1
+        return len(self.overlap)
 
 
-def block_positions(J, layout, i):
-    """The BlockPositions of subdomain i in the canonical CSR Jacobian J."""
+def block_positions(problem, layout):
+    """Every subdomain's BlockPositions in the problem's Jacobian pattern.
+
+    The pattern is read from one Jacobian at the problem's initial state,
+    which must be a CSR matrix with sorted, unique indices.
+    """
+    J = problem.jacobian(problem.initial_state())
     if J.format != "csr" or not J.has_canonical_format:
         raise ValueError("block positions need a CSR Jacobian with sorted, "
                          "unique indices")
-    ov = layout.subdomains[i].overlap
+    return [_subdomain_positions(J, i, sub.overlap)
+            for i, sub in enumerate(layout.subdomains)]
+
+
+def _subdomain_positions(J, i, ov):
+    """The BlockPositions of subdomain i, whose overlap cells are ov."""
     m = len(ov)
     starts, ends = J.indptr[ov], J.indptr[ov + 1]
     rows = np.concatenate([np.arange(a, b) for a, b in zip(starts, ends)])
@@ -155,7 +170,7 @@ def block_positions(J, layout, i):
             a.flags.writeable = False
         return arrays
 
-    return BlockPositions(i, J.shape, J.nnz,
+    return BlockPositions(i, ov, J.shape, J.nnz,
                           frozen(rows[inside], row[inside], block_indptr),
                           frozen(rows, J.indices[rows], row_indptr))
 
@@ -185,40 +200,34 @@ def _factor(J, positions):
         ) from exc
 
 
-def local_jacobian(J, layout, i, base_state=None, positions=None):
-    """The block of subdomain i of the global Jacobian J, factored.
-
-    positions are subdomain i's BlockPositions for J's pattern; when
-    omitted they are computed from J.
-    """
-    if positions is None:
-        positions = block_positions(J, layout, i)
+def local_jacobian(J, positions, base_state=None):
+    """The block of the global Jacobian J at positions, factored."""
     rows = _gather(J, positions, positions.rows, sp.csr_matrix,
                    (positions.size, J.shape[1]))
-    return LocalJacobian(i, rows, _factor(J, positions), base_state)
+    return LocalJacobian(positions.subdomain, rows, _factor(J, positions),
+                         base_state)
 
 
-def solved_jacobian(problem, layout, result, positions=None):
+def solved_jacobian(problem, positions, result):
     """The block of a local solve at its solved state u^(i).
 
     u^(i) is rebuilt from the stored solved values rather than as
     base_state + P_i correction, which can differ in the last bit.
     """
     state = result.base_state.copy()
-    state[layout.subdomains[result.subdomain].overlap] = result.solved
-    return local_jacobian(problem.jacobian(state), layout, result.subdomain,
-                          result.base_state, positions)
+    state[positions.overlap] = result.solved
+    return local_jacobian(problem.jacobian(state), positions, result.base_state)
 
 
-def solve_local(problem, layout, i, u, settings, positions=None):
+def solve_local(problem, positions, u, settings):
     """Solve R_i F(u + P_i c) = 0 for the local correction c = C_i(u).
 
-    Inner Newton from the zero correction with full steps; A_ii is gathered
-    and refactorized at every step.  Convergence means the local residual
-    norm is at or below settings.inner_tol.  positions are subdomain i's
-    BlockPositions; when omitted they are computed from the first Jacobian.
+    positions are subdomain i's BlockPositions.  Inner Newton from the
+    zero correction with full steps; A_ii is gathered and refactorized at
+    every step.  Convergence means the local residual norm is at or below
+    settings.inner_tol.
     """
-    ov = layout.subdomains[i].overlap
+    i, ov = positions.subdomain, positions.overlap
     u = np.asarray(u, dtype=float)
     v = u.copy()
 
@@ -231,10 +240,7 @@ def solve_local(problem, layout, i, u, settings, positions=None):
                 f"subdomain {i}: inner Newton did not reach {settings.inner_tol} "
                 f"within {settings.max_inner} iterations (residual {rnorm:.3e})"
             )
-        J = problem.jacobian(v)
-        if positions is None:
-            positions = block_positions(J, layout, i)
-        v[ov] -= _factor(J, positions).solve(r)
+        v[ov] -= _factor(problem.jacobian(v), positions).solve(r)
         iterations += 1
         r = problem.residual(v)[ov]
         rnorm = np.linalg.norm(r)
@@ -267,19 +273,14 @@ def local_correction_jacobian_action(block, v, at_state=None):
     return -block.lu.solve(block.rows @ v)
 
 
-def sweep_locals(problem, layout, u, settings, positions=None):
+def sweep_locals(problem, positions, u, settings):
     """Solve all subdomains at u; returns (results, ls_in_max, ls_in_min).
 
-    The per-subdomain solves are independent (the max/min counts model the
-    parallel wait: all subdomains wait for the slowest).  Failures propagate
-    with the subdomain id attached.  positions, if given, lists every
-    subdomain's BlockPositions.
+    positions lists every subdomain's BlockPositions, as block_positions
+    returns them.  The per-subdomain solves are independent (the max/min
+    counts model the parallel wait: all subdomains wait for the slowest).
+    Failures propagate with the subdomain id attached.
     """
-    if positions is None:
-        positions = [None] * layout.n_subdomains
-    results = [
-        solve_local(problem, layout, i, u, settings, positions[i])
-        for i in range(layout.n_subdomains)
-    ]
+    results = [solve_local(problem, pos, u, settings) for pos in positions]
     counts = [r.inner_iterations for r in results]
     return results, max(counts), min(counts)

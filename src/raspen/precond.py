@@ -24,8 +24,9 @@ need; the local blocks are built and factored at the first action, so an
 evaluation that no action follows factors nothing.  Actions verify they
 are applied at the cached state and raise StaleCacheError otherwise.
 Every local block, in the inner solves and the actions alike, is gathered
-at block positions the system computes once from the problem's fixed
-Jacobian pattern.
+at the block positions of one block_positions call, made when the system
+is built; the fine Jacobian J(u) the inexact blocks and the coarse actions
+read is assembled at most once per evaluation.
 """
 
 from dataclasses import dataclass
@@ -60,11 +61,9 @@ class _EvalCache:
     """Everything produced by one residual evaluation at state u."""
 
     u: np.ndarray
-    residual: np.ndarray
     locals_: list
     ls_in_max: int
     ls_in_min: int
-    local_state: np.ndarray        # the locals' state: u, or w for RASPEN2
     coarse: object = None
     J_u: object = None             # fine Jacobian at u, assembled on demand
     blocks: list = None            # LocalJacobians, built at the first action
@@ -97,15 +96,9 @@ class PreconditionedSystem:
         if jacobian_mode == "inexact" and not kind.startswith("ASPIN"):
             raise ValueError(f"{kind} has no inexact Jacobian variant")
         self.jacobian_mode = jacobian_mode
-        pattern = problem.jacobian(problem.initial_state())
-        self._positions = [block_positions(pattern, layout, i)
-                           for i in range(layout.n_subdomains)]
+        self._positions = block_positions(problem, layout)
         self._u0_star = None
         self._cache = None
-
-    @property
-    def two_level(self):
-        return self.kind in ("RASPEN2", "ASPIN2")
 
     @property
     def restricted(self):
@@ -148,15 +141,13 @@ class PreconditionedSystem:
                 self.problem, self.layout, u, self.u0_star, self.settings
             )
             pc0 = self.layout.P0 @ coarse.correction
-        results, mx, mn = sweep_locals(
-            self.problem, self.layout, local_state, self.settings, self._positions
-        )
+        results, mx, mn = sweep_locals(self.problem, self._positions,
+                                       local_state, self.settings)
         if coarse is not None:
             mx = max(mx, coarse.inner_iterations)
         glued = self._glue((res.subdomain, res.correction) for res in results)
-        self._cache = _EvalCache(u, pc0 + glued, results, mx, mn, local_state,
-                                 coarse)
-        return self._cache.residual.copy()
+        self._cache = _EvalCache(u, results, mx, mn, coarse)
+        return pc0 + glued
 
     def _require_cache(self, u):
         if self._cache is None:
@@ -169,20 +160,20 @@ class PreconditionedSystem:
 
     def _fine_jacobian(self, cache):
         if cache.J_u is None:
-            cache.J_u = self.problem.jacobian(cache.u).tocsr()
+            cache.J_u = self.problem.jacobian(cache.u)
         return cache.J_u
 
     def _blocks(self, cache):
         """The local blocks of this evaluation, built once at the first action."""
         if cache.blocks is None:
             if self.jacobian_mode == "exact":
-                cache.blocks = [solved_jacobian(self.problem, self.layout, res,
-                                                self._positions[res.subdomain])
-                                for res in cache.locals_]
+                cache.blocks = [solved_jacobian(self.problem, pos, res)
+                                for pos, res in zip(self._positions,
+                                                    cache.locals_)]
             else:
                 J = self._fine_jacobian(cache)
-                cache.blocks = [local_jacobian(J, self.layout, i, cache.u, pos)
-                                for i, pos in enumerate(self._positions)]
+                cache.blocks = [local_jacobian(J, pos, cache.u)
+                                for pos in self._positions]
         return cache.blocks
 
     def jacobian_action(self, u, v):
@@ -195,9 +186,7 @@ class PreconditionedSystem:
                              if self.kind == "RASPEN2"
                              else aspin_coarse_jacobian_action)
             pt = self.layout.P0 @ coarse_action(
-                cache.coarse, self.problem, self.layout, cache.u, v,
-                J_u=self._fine_jacobian(cache),
-            )
+                cache.coarse, self.layout, cache.u, self._fine_jacobian(cache), v)
         x = v + pt if self.kind == "RASPEN2" else v
         # no per-block state check: _require_cache checked the state once
         # and the blocks belong to that cache

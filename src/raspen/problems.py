@@ -35,8 +35,9 @@ class NonlinearProblem:
     evaluations must be pure (no state mutated), and jacobian(u) must be the
     exact derivative of residual at u.  jacobian(u) returns a canonical CSR
     matrix (sorted indices, no duplicates) with the same indptr and indices
-    at every u, entries that happen to vanish included: the local solvers
-    gather their blocks from its data array at positions computed once.
+    at every u, entries that happen to vanish included.  That pattern is
+    the stencil the local solvers and the harness read: the blocks are
+    gathered from the data array at positions computed once.
     """
 
     @property

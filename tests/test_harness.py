@@ -9,6 +9,7 @@ import pytest
 
 import raspen.harness as harness_mod
 from raspen.cli import main as cli_main
+from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.harness import (
     ITER_COLUMNS,
     ROW_COLUMNS,
@@ -20,6 +21,7 @@ from raspen.harness import (
     reference_table_names,
     run_experiment,
 )
+from raspen.problems import DiffusionProblem2D, smooth_forchheimer
 
 
 def _cfg_text(**kv):
@@ -199,6 +201,73 @@ def test_first_step_check_failure_recorded_without_aborting(tmp_path,
     assert "ras-fp,40,4,2,1,0,0,false" in text
     summary = json.loads((tmp_path / "check" / "summary.json").read_text())
     assert "off-interface" in summary["reasons"]["ras-fp_M40_I4_k2_beta1"]
+
+
+def test_reference_failure_recorded_without_aborting(tmp_path):
+    # on this rough field the beta=0 reference stalls at the roundoff
+    # floor and the beta=1 continuation through beta=0 with it; their rows
+    # fail with the reason while the beta=10 rows still run
+    config = config_from_dict({
+        "mesh": "240", "subdomains": "8", "overlap": "2", "beta": "0,1,10",
+        "field": "random", "seed": "2", "methods": "newton,raspen1",
+        "outdir": str(tmp_path / "ref"),
+    })
+    rows = run_experiment(config)
+    assert [(r.method, r.beta) for r in rows] == [
+        (m, b) for b in (0.0, 1.0, 10.0) for m in ("newton", "raspen1")]
+    for r in rows[:4]:
+        assert not r.converged and r.ledger is None
+        assert r.reason.startswith(f"reference solution for mesh=240 "
+                                   f"beta={r.beta:g}: ")
+    assert rows[5].converged
+    text = (tmp_path / "ref" / "results.csv").read_text()
+    assert "newton,240,8,2,0,0,0,false" in text
+    assert "raspen1,240,8,2,1,0,0,false" in text
+    reasons = json.loads((tmp_path / "ref" / "summary.json").read_text())[
+        "reasons"]
+    assert "reference Newton failed" in reasons["raspen1_M240_I8_k2_beta0"]
+    assert "reference continuation failed" in reasons["newton_M240_I8_k2_beta1"]
+
+
+def _geometric_off_interface_mask(problem, layout):
+    """Oracle: the two-point flux stencils, from the grid geometry."""
+    owner = np.empty(problem.dof_count, dtype=int)
+    for idx, sub in enumerate(layout.subdomains):
+        owner[sub.owned] = idx
+    if isinstance(problem, DiffusionProblem2D):
+        own = owner.reshape(problem.ny, problem.nx)
+        mask = np.ones_like(own, dtype=bool)
+        mask[:, :-1] &= own[:, :-1] == own[:, 1:]
+        mask[:, 1:] &= own[:, 1:] == own[:, :-1]
+        mask[:-1, :] &= own[:-1, :] == own[1:, :]
+        mask[1:, :] &= own[1:, :] == own[:-1, :]
+        return mask.ravel()
+    mask = np.ones(problem.dof_count, dtype=bool)
+    mask[:-1] &= owner[:-1] == owner[1:]
+    mask[1:] &= owner[1:] == owner[:-1]
+    return mask
+
+
+def _mask_cases():
+    # the owned cells, and so the mask, do not depend on the overlap
+    for M in range(1, 41, 3):
+        for I in range(1, min(M, 8) + 1):
+            yield smooth_forchheimer(M, beta=1.0), build_1d_layout(M, I, 0)
+    for nx, ny in ((1, 1), (1, 5), (6, 6), (7, 4), (4, 12), (12, 6), (9, 3)):
+        for N in range(1, min(nx, ny) + 1):
+            if nx % N == 0 and ny % N == 0:
+                yield DiffusionProblem2D(nx, ny), build_2d_layout(nx, ny, N, 0)
+
+
+def test_off_interface_mask_reads_the_jacobian_pattern():
+    cases = 0
+    for problem, layout in _mask_cases():
+        got = harness_mod._off_interface_mask(problem, layout)
+        want = _geometric_off_interface_mask(problem, layout)
+        assert got.dtype == bool
+        assert np.array_equal(got, want)
+        cases += 1
+    assert cases > 80
 
 
 def test_rows_of_a_multi_mesh_sweep_name_their_mesh(tmp_path):

@@ -84,3 +84,25 @@ def test_zero_rhs():
     assert rep.converged
     assert rep.iterations == 0
     assert np.array_equal(x, np.zeros(4))
+
+
+def test_breakdown_short_of_tol_is_not_convergence():
+    # P is singular on the Krylov space of the rhs: the second step breaks
+    # down without adding a direction, and 2/sqrt(5) is the least residual
+    P = np.diag([1.0, 0.0, 0.0, 0.0, 0.0])
+    rhs = np.ones(5)
+    x, rep = gmres(lambda v: P @ v, rhs)
+    assert not rep.converged
+    assert rep.iterations == 2
+    assert rep.relative_residual == pytest.approx(2 / np.sqrt(5), rel=1e-12)
+    assert np.allclose(x, 1.0, atol=1e-12)
+    true_rel = np.linalg.norm(P @ x - rhs) / np.linalg.norm(rhs)
+    assert true_rel == pytest.approx(rep.relative_residual, rel=1e-12)
+
+
+def test_zero_operator_divides_by_no_zero_diagonal():
+    x, rep = gmres(lambda v: 0.0 * v, np.ones(5))
+    assert not rep.converged
+    assert rep.iterations == 1
+    assert rep.relative_residual == 1.0
+    assert np.array_equal(x, np.zeros(5))

@@ -32,9 +32,9 @@ def test_settings_validation():
 def test_zero_iterations_at_solution():
     prob = smooth_forchheimer(24, beta=1.0)
     ustar = plain_newton(prob, np.zeros(24))
-    lay = build_1d_layout(24, 3, 2)
-    for i in range(3):
-        res = solve_local(prob, lay, i, ustar, SETTINGS)
+    positions = block_positions(prob, build_1d_layout(24, 3, 2))
+    for pos in positions:
+        res = solve_local(prob, pos, ustar, SETTINGS)
         assert res.inner_iterations <= 1
         assert np.allclose(res.correction, 0.0, atol=1e-7)
 
@@ -42,12 +42,12 @@ def test_zero_iterations_at_solution():
 def test_affine_correction_formula():
     prob = smooth_forchheimer(18, beta=0.0)
     A, b = dense_darcy_system(prob)
-    lay = build_1d_layout(18, 3, 2)
+    positions = block_positions(prob, build_1d_layout(18, 3, 2))
     rng = np.random.default_rng(20)
     u = rng.standard_normal(18)
-    for i in range(3):
-        ov = lay.subdomains[i].overlap
-        res = solve_local(prob, lay, i, u, SETTINGS)
+    for pos in positions:
+        ov = pos.overlap
+        res = solve_local(prob, pos, u, SETTINGS)
         A_i = A[np.ix_(ov, ov)]
         want = np.linalg.solve(A_i, (b - A @ u)[ov])
         assert np.allclose(res.correction, want, atol=1e-10)
@@ -57,10 +57,11 @@ def test_affine_correction_formula():
 def test_matches_brute_force_local_newton():
     prob = smooth_forchheimer(12, beta=1.0)
     lay = build_1d_layout(12, 2, 1)
+    positions = block_positions(prob, lay)
     rng = np.random.default_rng(21)
     u = rng.standard_normal(12)
     for i in range(2):
-        res = solve_local(prob, lay, i, u, SETTINGS)
+        res = solve_local(prob, positions[i], u, SETTINGS)
         want = brute_frozen_newton(prob, lay, i, u)
         got = u.copy()
         got[lay.subdomains[i].overlap] += res.correction
@@ -72,7 +73,7 @@ def test_exterior_untouched_and_residual_small():
     lay = build_2d_layout(8, 8, 2, 1)
     rng = np.random.default_rng(22)
     u = rng.standard_normal(64)
-    res = solve_local(prob, lay, 1, u, SETTINGS)
+    res = solve_local(prob, block_positions(prob, lay)[1], u, SETTINGS)
     ov = lay.subdomains[1].overlap
     v = u.copy()
     v[ov] += res.correction
@@ -83,10 +84,10 @@ def test_exterior_untouched_and_residual_small():
 
 def test_factorization_round_trip():
     prob = smooth_forchheimer(30, beta=1.0)
-    lay = build_1d_layout(30, 3, 2)
+    pos = block_positions(prob, build_1d_layout(30, 3, 2))[0]
     u = np.linspace(0, 1, 30)
-    block = solved_jacobian(prob, lay, solve_local(prob, lay, 0, u, SETTINGS))
-    A_ii = block.rows[:, lay.subdomains[0].overlap]
+    block = solved_jacobian(prob, pos, solve_local(prob, pos, u, SETTINGS))
+    A_ii = block.rows[:, pos.overlap]
     rng = np.random.default_rng(23)
     for _ in range(5):
         w = rng.standard_normal(A_ii.shape[0])
@@ -96,9 +97,9 @@ def test_factorization_round_trip():
 
 def test_jacobian_action_zero_and_linear():
     prob = smooth_forchheimer(20, beta=1.0)
-    lay = build_1d_layout(20, 4, 1)
+    pos = block_positions(prob, build_1d_layout(20, 4, 1))[2]
     u = np.linspace(0, 1, 20)
-    block = solved_jacobian(prob, lay, solve_local(prob, lay, 2, u, SETTINGS))
+    block = solved_jacobian(prob, pos, solve_local(prob, pos, u, SETTINGS))
     assert np.allclose(local_correction_jacobian_action(block, np.zeros(20)), 0.0)
     rng = np.random.default_rng(24)
     v, w = rng.standard_normal(20), rng.standard_normal(20)
@@ -111,12 +112,12 @@ def test_jacobian_action_zero_and_linear():
 def test_jacobian_action_affine_oracle():
     prob = smooth_forchheimer(15, beta=0.0)
     A, _ = dense_darcy_system(prob)
-    lay = build_1d_layout(15, 3, 1)
+    positions = block_positions(prob, build_1d_layout(15, 3, 1))
     rng = np.random.default_rng(25)
     u = rng.standard_normal(15)
-    for i in range(3):
-        ov = lay.subdomains[i].overlap
-        block = solved_jacobian(prob, lay, solve_local(prob, lay, i, u, SETTINGS))
+    for pos in positions:
+        ov = pos.overlap
+        block = solved_jacobian(prob, pos, solve_local(prob, pos, u, SETTINGS))
         A_i = A[np.ix_(ov, ov)]
         for _ in range(3):
             v = rng.standard_normal(15)
@@ -135,13 +136,13 @@ def test_jacobian_action_matches_fd(make):
     tight = SolverSettings(inner_tol=1e-13)
     rng = np.random.default_rng(26)
     u = 0.1 * rng.standard_normal(n)
-    for i in range(lay.n_subdomains):
-        block = solved_jacobian(prob, lay, solve_local(prob, lay, i, u, tight))
+    for pos in block_positions(prob, lay):
+        block = solved_jacobian(prob, pos, solve_local(prob, pos, u, tight))
         for _ in range(2):
             v = rng.standard_normal(n)
             eps = 1e-6
-            cp = solve_local(prob, lay, i, u + eps * v, tight).correction
-            cm = solve_local(prob, lay, i, u - eps * v, tight).correction
+            cp = solve_local(prob, pos, u + eps * v, tight).correction
+            cm = solve_local(prob, pos, u - eps * v, tight).correction
             fd = (cp - cm) / (2 * eps)
             got = local_correction_jacobian_action(block, v)
             denom = max(1.0, np.linalg.norm(fd))
@@ -167,9 +168,9 @@ def test_blocks_gathered_by_position_match_slices(make, monkeypatch):
         return splu(A)
 
     monkeypatch.setattr(spla, "splu", recording_splu)
-    for i in range(lay.n_subdomains):
-        ov = lay.subdomains[i].overlap
-        block = local_jacobian(J, lay, i, positions=block_positions(J, lay, i))
+    for pos in block_positions(prob, lay):
+        ov = pos.overlap
+        block = local_jacobian(J, pos)
         A_ii = factored[-1]
         assert A_ii.format == "csc" and A_ii.has_canonical_format
         assert np.array_equal(A_ii.toarray(), J[ov][:, ov].toarray())
@@ -177,29 +178,52 @@ def test_blocks_gathered_by_position_match_slices(make, monkeypatch):
     assert len(factored) == lay.n_subdomains
 
 
+class _Repatterned:
+    """A problem whose Jacobian is passed through change before it is returned."""
+
+    def __init__(self, problem, change):
+        self.problem, self.change = problem, change
+        self.dof_count = problem.dof_count
+
+    def residual(self, u):
+        return self.problem.residual(u)
+
+    def jacobian(self, u):
+        return self.change(self.problem.jacobian(u))
+
+    def initial_state(self):
+        return self.problem.initial_state()
+
+
+def _with_extra_entry(J):
+    extra = J.tolil()
+    extra[0, 11] = 1.0
+    return extra.tocsr()
+
+
 def test_block_positions_reject_other_patterns():
     prob = smooth_forchheimer(12, beta=1.0)
     lay = build_1d_layout(12, 3, 1)
     J = prob.jacobian(np.zeros(12))
-    pos = block_positions(J, lay, 1)
-    extra = J.tolil()
-    extra[0, 11] = 1.0
+    pos = block_positions(prob, lay)[1]
     bigger = smooth_forchheimer(13, beta=1.0).jacobian(np.zeros(13))
-    for other in (extra.tocsr(), bigger, J.tocsc()):
+    for other in (_with_extra_entry(J), bigger, J.tocsc()):
         with pytest.raises(ValueError, match="subdomain 1"):
-            local_jacobian(other, lay, 1, positions=pos)
+            local_jacobian(other, pos)
+    # positions from a pattern with an extra entry fit no Jacobian of prob
+    extra = block_positions(_Repatterned(prob, _with_extra_entry), lay)[1]
     with pytest.raises(ValueError, match="subdomain 1"):
-        solve_local(smooth_forchheimer(12, beta=2.0), lay, 1, np.ones(12),
-                    SETTINGS, block_positions(extra.tocsr(), lay, 1))
-    with pytest.raises(ValueError):
-        block_positions(J.tocsc(), lay, 1)
+        solve_local(smooth_forchheimer(12, beta=2.0), extra, np.ones(12),
+                    SETTINGS)
+    with pytest.raises(ValueError, match="CSR"):
+        block_positions(_Repatterned(prob, lambda J: J.tocsc()), lay)
 
 
 def test_stale_cache_guard():
     prob = smooth_forchheimer(12, beta=1.0)
-    lay = build_1d_layout(12, 2, 1)
+    pos = block_positions(prob, build_1d_layout(12, 2, 1))[0]
     u = np.zeros(12)
-    block = solved_jacobian(prob, lay, solve_local(prob, lay, 0, u, SETTINGS))
+    block = solved_jacobian(prob, pos, solve_local(prob, pos, u, SETTINGS))
     local_correction_jacobian_action(block, np.ones(12), at_state=u)
     with pytest.raises(StaleCacheError):
         local_correction_jacobian_action(block, np.ones(12), at_state=u + 0.5)
@@ -209,12 +233,14 @@ def test_sweep_counts_and_single_domain():
     prob = smooth_forchheimer(20, beta=1.0)
     ustar = plain_newton(prob, np.zeros(20))
     lay = build_1d_layout(20, 4, 2)
-    _, ls_max, ls_min = sweep_locals(prob, lay, ustar, SETTINGS)
+    _, ls_max, ls_min = sweep_locals(prob, block_positions(prob, lay), ustar,
+                                     SETTINGS)
     assert ls_max <= 1 and ls_min >= 0
 
     # one subdomain without overlap degenerates to global Newton
     lay1 = build_1d_layout(20, 1, 0)
-    results, _, _ = sweep_locals(prob, lay1, np.zeros(20), SETTINGS)
+    results, _, _ = sweep_locals(prob, block_positions(prob, lay1),
+                                 np.zeros(20), SETTINGS)
     assert np.allclose(results[0].correction, ustar, atol=1e-7)
 
 
@@ -225,14 +251,15 @@ def test_first_sweep_inner_count_smooth_case():
     # so this pins the desk-scale mesh where the published count holds.
     prob = smooth_forchheimer(60, beta=1.0)
     lay = build_1d_layout(60, 10, 3)
-    _, ls_max, ls_min = sweep_locals(prob, lay, np.zeros(60), SETTINGS)
+    _, ls_max, ls_min = sweep_locals(prob, block_positions(prob, lay),
+                                     np.zeros(60), SETTINGS)
     assert abs(ls_max - 4) <= 1
     assert 0 < ls_min <= ls_max
 
 
 def test_inner_budget_error_names_subdomain():
     prob = smooth_forchheimer(12, beta=1.0)
-    lay = build_1d_layout(12, 2, 1)
+    pos = block_positions(prob, build_1d_layout(12, 2, 1))[1]
     starved = SolverSettings(max_inner=1)
     with pytest.raises(LocalSolveError, match="subdomain 1"):
-        solve_local(prob, lay, 1, 100.0 * np.ones(12), starved)
+        solve_local(prob, pos, 100.0 * np.ones(12), starved)
