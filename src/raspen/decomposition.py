@@ -97,28 +97,23 @@ def _linear_weights(targets, nodes, left, right):
     nearest nodal value (Neumann).  Returns a (len(targets), len(nodes))
     CSR matrix W with (W @ values)[k] = interpolant(targets[k]).
     """
+    x = np.asarray(targets, dtype=float)
     n = len(nodes)
-    rows, cols, data = [], [], []
-    for k, x in enumerate(targets):
-        if x <= nodes[0]:
-            if left == "const" or nodes[0] == 0.0:
-                rows.append(k), cols.append(0), data.append(1.0)
-            else:
-                rows.append(k), cols.append(0), data.append(x / nodes[0])
-        elif x >= nodes[-1]:
-            if right == "const" or nodes[-1] == 1.0:
-                rows.append(k), cols.append(n - 1), data.append(1.0)
-            else:
-                w = (1.0 - x) / (1.0 - nodes[-1])
-                rows.append(k), cols.append(n - 1), data.append(w)
-        else:
-            j = int(np.searchsorted(nodes, x, side="right")) - 1
-            j = min(j, n - 2)
-            t = (x - nodes[j]) / (nodes[j + 1] - nodes[j])
-            rows.extend([k, k])
-            cols.extend([j, j + 1])
-            data.extend([1.0 - t, t])
-    return sp.csr_matrix((data, (rows, cols)), shape=(len(targets), n))
+    below = x <= nodes[0]
+    above = ~below & (x >= nodes[-1])
+    edge, inner = np.flatnonzero(below | above), np.flatnonzero(~below & ~above)
+    ends = np.ones(len(x))
+    if left != "const" and nodes[0] != 0.0:
+        ends[below] = x[below] / nodes[0]
+    if right != "const" and nodes[-1] != 1.0:
+        ends[above] = (1.0 - x[above]) / (1.0 - nodes[-1])
+    j = np.minimum(np.searchsorted(nodes, x[inner], side="right") - 1, n - 2)
+    t = (x[inner] - nodes[j]) / (nodes[j + 1] - nodes[j])
+    # an interior target's two weights stay in column order within its row
+    rows = np.concatenate((edge, inner, inner))
+    cols = np.concatenate((np.where(above[edge], n - 1, 0), j, j + 1))
+    data = np.concatenate((ends[edge], 1.0 - t, t))
+    return sp.csr_matrix((data, (rows, cols)), shape=(len(x), n))
 
 
 def build_1d_layout(n_cells, n_subdomains, overlap_layers, dirichlet=(0.0, 1.0)):

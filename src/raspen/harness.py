@@ -179,8 +179,11 @@ def _validate(config):
     for m in config.methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r} (known: {', '.join(METHODS)})")
-    if len(set(config.methods)) != len(config.methods):
-        raise ValueError("duplicate entries in methods")
+    for name, values in (("mesh", config.meshes), ("subdomains", config.subdomains),
+                         ("overlap", config.overlaps), ("beta", config.betas),
+                         ("methods", config.methods)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"duplicate entries in {name}")
     if config.field not in FIELD_KINDS:
         raise ValueError(f"field must be one of {FIELD_KINDS}")
     if config.field == "random" and config.problem != "forchheimer1d":
@@ -365,53 +368,36 @@ def run_experiment(config):
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = [row for row, _ in outcomes]
-    _write_results_csv(outdir / "results.csv", rows)
-    _write_iterations_csv(outdir / "iterations.csv", rows)
+    _write_csv(outdir / "results.csv", ROW_COLUMNS, (
+        f"{_key_fields(r)},{r.outer_iters},{r.LS_total},"
+        f"{'true' if r.converged else 'false'}" for r in rows))
+    _write_csv(outdir / "iterations.csv", ITER_COLUMNS, (
+        f"{_key_fields(r)},{n},{g},{ls_in},{ls_min},{e:.12e},{res:.12e}"
+        for r in rows if r.ledger is not None
+        for n, (g, ls_in, ls_min, e, res) in enumerate(zip(
+            r.ledger.ls_G, r.ledger.ls_in, r.ledger.ls_min, r.ledger.error,
+            r.ledger.residual_norm), 1)))
     for row, first_residual in outcomes:
         if row.ledger is not None:
-            _write_curve(outdir / f"curve_{_tag(row)}.csv", row)
+            steps = enumerate(zip(row.ledger.error, row.ledger.LS), 1)
+            _write_csv(outdir / f"curve_{_tag(row)}.csv", ("step", "error", "LS"),
+                       (f"{n},{e:.12e},{ls}" for n, (e, ls) in steps))
         if first_residual is not None:
-            _write_first_residual(
-                outdir / f"first_ras_residual_{_tag(row)}.csv", first_residual)
+            _write_csv(outdir / f"first_ras_residual_{_tag(row)}.csv",
+                       ("index", "residual"),
+                       (f"{i},{r:.12e}" for i, r in enumerate(first_residual)))
     _write_summary(outdir / "summary.json", config, rows)
     return rows
 
 
-def _write_results_csv(path, rows):
-    lines = [",".join(ROW_COLUMNS)]
-    for r in rows:
-        lines.append(f"{r.method},{r.mesh},{r.I},{r.k},{_fmt_beta(r.beta)},"
-                     f"{r.outer_iters},{r.LS_total},"
-                     f"{'true' if r.converged else 'false'}")
-    path.write_text("\n".join(lines) + "\n")
+def _key_fields(row):
+    """The method,mesh,I,k,beta fields leading results and iterations lines."""
+    return f"{row.method},{row.mesh},{row.I},{row.k},{_fmt_beta(row.beta)}"
 
 
-def _write_iterations_csv(path, rows):
-    lines = [",".join(ITER_COLUMNS)]
-    for r in rows:
-        if r.ledger is None:
-            continue
-        led = r.ledger
-        for n in range(len(led)):
-            lines.append(f"{r.method},{r.mesh},{r.I},{r.k},{_fmt_beta(r.beta)},"
-                         f"{n + 1},{led.ls_G[n]},{led.ls_in[n]},{led.ls_min[n]},"
-                         f"{led.error[n]:.12e},{led.residual_norm[n]:.12e}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_curve(path, row):
-    lines = ["step,error,LS"]
-    LS = row.ledger.LS
-    for n in range(len(row.ledger)):
-        lines.append(f"{n + 1},{row.ledger.error[n]:.12e},{LS[n]}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_first_residual(path, residual):
-    lines = ["index,residual"]
-    for i, value in enumerate(residual):
-        lines.append(f"{i},{value:.12e}")
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path, header, lines):
+    """Write the header's column names, then one line per element of lines."""
+    path.write_text("\n".join([",".join(header), *lines]) + "\n")
 
 
 def _write_summary(path, config, rows):

@@ -5,32 +5,33 @@ the exterior of the subdomain frozen at u (homogeneous correction outside).
 A solve keeps the correction, the solved overlap values of
 u^(i) = u + P_i C_i(u) and its inner Newton count, but no derivative data.
 
-That lives in a LocalJacobian, built on demand by local_jacobian: the row
-block R_i J of a global Jacobian, over the overlap cells and the frozen
-exterior, plus the LU factors of A_ii = R_i J P_i.  Taken at u^(i)
-(solved_jacobian) the block applies the exact derivative
+That lives in a LocalJacobian, built on demand by local_jacobian: the
+entries of the row block R_i J of a global Jacobian, over the overlap
+cells and the frozen exterior, plus the LU factors of A_ii = R_i J P_i.
+Taken at u^(i) (solved_jacobian) the block applies the exact derivative
 
     dC_i/du = -A_ii^{-1} R_i J(u^(i)),
 
-taken at u it applies ASPIN's inexact one; either costs one sparse product
-and one back-substitution.
+taken at u it applies ASPIN's inexact one; either costs one gathered
+row-block product and one back-substitution.
 
 Every problem's Jacobian has a fixed CSR pattern, and it is the only
 description of the stencil read here: block_positions reads it once, from
 one Jacobian at the problem's initial state, and returns every
-subdomain's BlockPositions (its overlap cells, and where A_ii in CSC order
-and R_i J in CSR order sit in the Jacobian's data array).  Every solve and
-block function takes them.  A block is gathered by index from J.data into
-a matrix sharing precomputed index arrays; an inner Newton step gathers
-and factors A_ii alone (in _factor, the one place a local block is
-factored), and only local_jacobian also gathers R_i J.
+subdomain's BlockPositions (its overlap cells, where R_i J sits in the
+Jacobian's data array, and where A_ii's entries go in LAPACK band
+storage).  Every solve and block function takes them.  Local blocks are
+plain arrays gathered by index from J.data: A_ii is factored by band LU
+(dgbtrf) in the overlap's cell order, so its cost grows with the block's
+bandwidth, and solved by dgbtrs.  _factor is the one place a local block
+is factored; an inner Newton step factors A_ii alone, and only
+local_jacobian also gathers R_i J.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 __all__ = [
     "SolverSettings",
@@ -74,8 +75,8 @@ class SolverSettings:
 
     def __post_init__(self):
         for name in ("inner_tol", "outer_tol", "gmres_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:  # nan fails too
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("max_inner", "max_outer", "max_fixed_point"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -96,42 +97,53 @@ class LocalSolveResult:
 
 
 @dataclass(frozen=True, eq=False)
-class LocalJacobian:
-    """Row block R_i J of a global Jacobian and the LU factors of R_i J P_i.
-
-    Both are gathered from J.data at the subdomain's BlockPositions.
-    base_state is the global u whose derivative the block represents;
-    actions verify against it.
-    """
-
-    subdomain: int
-    rows: object = field(repr=False)
-    lu: object = field(repr=False)
-    base_state: np.ndarray = field(default=None, repr=False)
-
-
-@dataclass(frozen=True, eq=False)
 class BlockPositions:
     """Where subdomain i's blocks sit in the data array of a global Jacobian.
 
-    overlap lists the subdomain's cells.  block and rows are (positions,
-    indices, indptr): J.data[positions] with the index arrays forms
-    A_ii = R_i J P_i in CSC form and R_i J in CSR form.  They fit every
-    Jacobian with the pattern they were computed from, which shape and nnz
-    identify.
+    overlap lists the subdomain's m cells.  R_i J's entries are J.data[rows]
+    at column indices columns, row by row, row r from row_indptr[r].  A_ii =
+    R_i J P_i has lower and upper bandwidths kl and ku in the overlap's cell
+    order; its entries J.data[block] go to the flat indices slots of a C-order
+    (m, 2*kl+ku+1) array, whose transpose is LAPACK's band storage (A_ii[r, c]
+    at row kl+ku+r-c of column c).  The positions fit every Jacobian with the
+    pattern they were computed from, which shape and nnz identify.
     """
 
     subdomain: int
     overlap: np.ndarray = field(repr=False)
     shape: tuple
     nnz: int
-    block: tuple = field(repr=False)
-    rows: tuple = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    columns: np.ndarray = field(repr=False)
+    row_indptr: np.ndarray = field(repr=False)
+    block: np.ndarray = field(repr=False)
+    slots: np.ndarray = field(repr=False)
+    kl: int
+    ku: int
 
     @property
     def size(self):
         """The number m of overlap cells: A_ii is m x m, R_i J is m x n."""
         return len(self.overlap)
+
+
+@dataclass(frozen=True, eq=False)
+class LocalJacobian:
+    """Row block R_i J of a global Jacobian and the band LU of R_i J P_i.
+
+    rows holds R_i J's entries, gathered from J.data at positions.rows; lu
+    is dgbtrf's (band factors, pivots) of A_ii.  base_state is the global u
+    whose derivative the block represents; actions verify against it.
+    """
+
+    positions: BlockPositions = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    lu: tuple = field(repr=False)
+    base_state: np.ndarray = field(default=None, repr=False)
+
+    @property
+    def subdomain(self):
+        return self.positions.subdomain
 
 
 def block_positions(problem, layout):
@@ -153,30 +165,23 @@ def _subdomain_positions(J, i, ov):
     m = len(ov)
     starts, ends = J.indptr[ov], J.indptr[ov + 1]
     rows = np.concatenate([np.arange(a, b) for a, b in zip(starts, ends)])
-    row_indptr = np.concatenate(([0], np.cumsum(ends - starts)))
     local = np.full(J.shape[1], -1)
     local[ov] = np.arange(m)
     col = local[J.indices[rows]]
-    row = np.repeat(np.arange(m), ends - starts)
-    # rows already run in order, so a stable sort by column gives CSC order
     inside = np.flatnonzero(col >= 0)
-    inside = inside[np.argsort(col[inside], kind="stable")]
-    block_indptr = np.concatenate(([0], np.cumsum(np.bincount(col[inside],
-                                                              minlength=m))))
-
-    def frozen(positions, indices, indptr):
-        arrays = (positions, indices.astype(np.int32), indptr.astype(np.int32))
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
-
-    return BlockPositions(i, ov, J.shape, J.nnz,
-                          frozen(rows[inside], row[inside], block_indptr),
-                          frozen(rows, J.indices[rows], row_indptr))
+    col = col[inside]
+    offset = np.repeat(np.arange(m), ends - starts)[inside] - col
+    kl, ku = int(offset.max(initial=0)), int((-offset).max(initial=0))
+    row_indptr = np.concatenate(([0], np.cumsum(ends - starts)))
+    slots = col * (2 * kl + ku + 1) + kl + ku + offset
+    arrays = (rows, J.indices[rows], row_indptr, rows[inside], slots)
+    for a in arrays:
+        a.flags.writeable = False
+    return BlockPositions(i, ov, J.shape, J.nnz, *arrays, kl, ku)
 
 
-def _gather(J, positions, part, fmt, shape):
-    """One block of J as a sparse matrix, its data taken from J.data."""
+def _factor(J, positions):
+    """Band LU factors (dgbtrf's lu, ipiv) of A_ii = R_i J P_i, taken from J."""
     if J.format != "csr" or J.shape != positions.shape or J.nnz != positions.nnz:
         raise ValueError(
             f"subdomain {positions.subdomain}: Jacobian ({J.format}, shape "
@@ -184,28 +189,26 @@ def _gather(J, positions, part, fmt, shape):
             f"positions were computed for (csr, shape {positions.shape}, "
             f"nnz {positions.nnz})"
         )
-    index, indices, indptr = part
-    return fmt((J.data[index], indices, indptr), shape=shape)
-
-
-def _factor(J, positions):
-    """LU factors of A_ii = R_i J P_i, gathered from J."""
-    m = positions.size
-    A_ii = _gather(J, positions, positions.block, sp.csc_matrix, (m, m))
-    try:
-        return spla.splu(A_ii)
-    except RuntimeError as exc:  # scipy reports singular factors this way
+    kl, ku = positions.kl, positions.ku
+    band = np.zeros((positions.size, 2 * kl + ku + 1))
+    band.flat[positions.slots] = J.data[positions.block]
+    lu, ipiv, info = dgbtrf(band.T, kl, ku, overwrite_ab=True)
+    if info > 0:
         raise LocalSolveError(
             f"subdomain {positions.subdomain}: singular local Jacobian"
-        ) from exc
+        )
+    return lu, ipiv
+
+
+def _solve(positions, lu, b):
+    """A_ii^{-1} b by back-substitution with _factor's band LU factors."""
+    return dgbtrs(lu[0], positions.kl, positions.ku, b, lu[1])[0]
 
 
 def local_jacobian(J, positions, base_state=None):
     """The block of the global Jacobian J at positions, factored."""
-    rows = _gather(J, positions, positions.rows, sp.csr_matrix,
-                   (positions.size, J.shape[1]))
-    return LocalJacobian(positions.subdomain, rows, _factor(J, positions),
-                         base_state)
+    lu = _factor(J, positions)
+    return LocalJacobian(positions, J.data[positions.rows], lu, base_state)
 
 
 def solved_jacobian(problem, positions, result):
@@ -240,7 +243,7 @@ def solve_local(problem, positions, u, settings):
                 f"subdomain {i}: inner Newton did not reach {settings.inner_tol} "
                 f"within {settings.max_inner} iterations (residual {rnorm:.3e})"
             )
-        v[ov] -= _factor(problem.jacobian(v), positions).solve(r)
+        v[ov] -= _solve(positions, _factor(problem.jacobian(v), positions), r)
         iterations += 1
         r = problem.residual(v)[ov]
         rnorm = np.linalg.norm(r)
@@ -261,16 +264,19 @@ def solve_local(problem, positions, u, settings):
 def local_correction_jacobian_action(block, v, at_state=None):
     """Apply -A_ii^{-1} R_i J to a global vector v with a LocalJacobian.
 
-    The action costs one sparse product with the row block and one
-    back-substitution with its factors.  Passing at_state asserts the
-    block belongs to that state; a mismatch raises StaleCacheError.
+    The action gathers v at the row block's columns, sums each row's
+    products in one np.add.reduceat and back-substitutes with the band LU.
+    Passing at_state asserts the block belongs to that state; a mismatch
+    raises StaleCacheError.
     """
     if at_state is not None and not np.array_equal(at_state, block.base_state):
         raise StaleCacheError(
             f"subdomain {block.subdomain}: factorization was built at a "
             "different state than the one being differentiated"
         )
-    return -block.lu.solve(block.rows @ v)
+    pos = block.positions
+    Jv = np.add.reduceat(block.rows * v[pos.columns], pos.row_indptr[:-1])
+    return -_solve(pos, block.lu, Jv)
 
 
 def sweep_locals(problem, positions, u, settings):

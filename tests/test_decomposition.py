@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from raspen.decomposition import (
     build_1d_layout,
@@ -209,6 +210,69 @@ def test_coarse_prolong_2d_separable_oracle():
         for ix in range(8):
             want = (wy(xc[jy]) @ ay) * (wx(xc[ix]) @ ax)
             assert got[jy, ix] == pytest.approx(want, abs=1e-14)
+
+
+def _loop_linear_weights(targets, nodes, left, right):
+    """P0's 1D weights target by target, the oracle for _linear_weights."""
+    n = len(nodes)
+    rows, cols, data = [], [], []
+    for k, x in enumerate(targets):
+        if x <= nodes[0]:
+            if left == "const" or nodes[0] == 0.0:
+                rows.append(k), cols.append(0), data.append(1.0)
+            else:
+                rows.append(k), cols.append(0), data.append(x / nodes[0])
+        elif x >= nodes[-1]:
+            if right == "const" or nodes[-1] == 1.0:
+                rows.append(k), cols.append(n - 1), data.append(1.0)
+            else:
+                w = (1.0 - x) / (1.0 - nodes[-1])
+                rows.append(k), cols.append(n - 1), data.append(w)
+        else:
+            j = int(np.searchsorted(nodes, x, side="right")) - 1
+            j = min(j, n - 2)
+            t = (x - nodes[j]) / (nodes[j + 1] - nodes[j])
+            rows.extend([k, k])
+            cols.extend([j, j + 1])
+            data.extend([1.0 - t, t])
+    return sp.csr_matrix((data, (rows, cols)), shape=(len(targets), n))
+
+
+def _same_csr(A, B):
+    """Bit-identical CSR matrices: pattern, explicit zeros, dtypes and values."""
+    return (A.shape == B.shape
+            and all(np.array_equal(a, b) and a.dtype == b.dtype
+                    for a, b in ((A.indptr, B.indptr), (A.indices, B.indices),
+                                 (A.data, B.data))))
+
+
+@pytest.mark.parametrize("dirichlet", [(0.0, 1.0), (0.0, 0.0), (1.0, 0.0),
+                                       (1.0, 1.0)])
+def test_coarse_prolong_1d_matches_loop_oracle(dirichlet):
+    left, right = ("zero" if d == 0.0 else "const" for d in dirichlet)
+    checked = 0
+    for M in [*range(1, 60), 100, 240, 800]:
+        centers = (np.arange(M) + 0.5) / M
+        for I in sorted({min(I, M) for I in (1, 2, 3, M // 7, M // 2, M)} - {0}):
+            lay = build_1d_layout(M, I, 0, dirichlet=dirichlet)
+            nodes = np.array([centers[c].mean() for c in lay.coarse_cells])
+            want = _loop_linear_weights(centers, nodes, left, right)
+            assert _same_csr(lay.P0, want), (M, I)
+            checked += 1
+    assert checked > 300
+
+
+@pytest.mark.parametrize("nx, ny, N, dirichlet_value", [
+    (8, 8, 4, 1.0), (8, 8, 4, 0.0), (12, 6, 3, 0.0), (5, 10, 5, 1.0),
+    (7, 7, 1, 0.0),
+])
+def test_coarse_prolong_2d_matches_loop_oracle(nx, ny, N, dirichlet_value):
+    lay = build_2d_layout(nx, ny, N, 1, dirichlet_value=dirichlet_value)
+    xn = (np.arange(N) + 0.5) / N
+    right = "zero" if dirichlet_value == 0.0 else "const"
+    Wx = _loop_linear_weights((np.arange(nx) + 0.5) / nx, xn, "const", right)
+    Wy = _loop_linear_weights((np.arange(ny) + 0.5) / ny, xn, "const", "const")
+    assert _same_csr(lay.P0, sp.kron(Wy, Wx, format="csr"))
 
 
 def test_shape_validation():

@@ -78,6 +78,13 @@ def test_parse_config_file(tmp_path):
     {"mesh": "40", "problem": "diffusion2d", "field": "random"},
     {"mesh": "40", "field": "random", "contrast": "10,1"},
     {"mesh": "40", "outer_tol": "0"},
+    {"mesh": "40", "inner_tol": "nan"},
+    {"mesh": "40", "outer_tol": "nan"},
+    {"mesh": "40", "gmres_tol": "inf"},
+    {"mesh": "40", "subdomains": "4,4"},
+    {"mesh": "40,60,40"},
+    {"mesh": "40", "overlap": "1,2,1"},
+    {"mesh": "40", "beta": "1,1.0"},
 ])
 def test_config_validation_errors(raw):
     with pytest.raises(ValueError):

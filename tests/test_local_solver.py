@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
+import scipy.sparse as sp
 from oracles import brute_frozen_newton, dense_darcy_system, plain_newton
 
+import raspen.local_solver as local_solver_mod
 from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.local_solver import (
     LocalSolveError,
     SolverSettings,
     StaleCacheError,
+    _solve,
     block_positions,
     local_correction_jacobian_action,
     local_jacobian,
@@ -22,9 +24,30 @@ from raspen.problems import DiffusionProblem2D, smooth_forchheimer
 SETTINGS = SolverSettings()
 
 
+def _row_block(block):
+    """R_i J of a LocalJacobian as a dense matrix, from its gathered entries."""
+    pos = block.positions
+    return sp.csr_matrix((block.rows, pos.columns, pos.row_indptr),
+                         shape=(pos.size, pos.shape[1])).toarray()
+
+
+def _band_to_dense(ab, kl, ku):
+    """The m x m matrix held in LAPACK band storage ab (A[r, c] at kl+ku+r-c, c)."""
+    m = ab.shape[1]
+    A = np.zeros((m, m))
+    for c in range(m):
+        for r in range(max(0, c - ku), min(m, c + kl + 1)):
+            A[r, c] = ab[kl + ku + r - c, c]
+    return A
+
+
 def test_settings_validation():
     with pytest.raises(ValueError):
         SolverSettings(inner_tol=0.0)
+    for bad in (np.nan, np.inf):
+        for name in ("inner_tol", "outer_tol", "gmres_tol"):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                SolverSettings(**{name: bad})
     with pytest.raises(ValueError):
         SolverSettings(max_inner=0)
 
@@ -87,11 +110,11 @@ def test_factorization_round_trip():
     pos = block_positions(prob, build_1d_layout(30, 3, 2))[0]
     u = np.linspace(0, 1, 30)
     block = solved_jacobian(prob, pos, solve_local(prob, pos, u, SETTINGS))
-    A_ii = block.rows[:, pos.overlap]
+    A_ii = _row_block(block)[:, pos.overlap]
     rng = np.random.default_rng(23)
     for _ in range(5):
         w = rng.standard_normal(A_ii.shape[0])
-        back = A_ii @ block.lu.solve(w)
+        back = A_ii @ _solve(pos, block.lu, w)
         assert np.linalg.norm(back - w) / np.linalg.norm(w) < 1e-10
 
 
@@ -161,20 +184,22 @@ def test_blocks_gathered_by_position_match_slices(make, monkeypatch):
     n = prob.dof_count
     J = prob.jacobian(np.random.default_rng(27).standard_normal(n))
     factored = []
-    splu = spla.splu
+    dgbtrf = local_solver_mod.dgbtrf
 
-    def recording_splu(A):
-        factored.append(A)
-        return splu(A)
+    def recording_dgbtrf(ab, kl, ku, **kwargs):
+        factored.append((ab.copy(order="F"), kl, ku))  # factored in place
+        return dgbtrf(ab, kl, ku, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", recording_splu)
+    monkeypatch.setattr(local_solver_mod, "dgbtrf", recording_dgbtrf)
     for pos in block_positions(prob, lay):
         ov = pos.overlap
         block = local_jacobian(J, pos)
-        A_ii = factored[-1]
-        assert A_ii.format == "csc" and A_ii.has_canonical_format
-        assert np.array_equal(A_ii.toarray(), J[ov][:, ov].toarray())
-        assert np.array_equal(block.rows.toarray(), J[ov].toarray())
+        ab, kl, ku = factored[-1]
+        # LAPACK's layout: 2*kl+ku+1 rows, the first kl left for fill-in
+        assert ab.shape == (2 * kl + ku + 1, pos.size) and not ab[:kl].any()
+        assert np.array_equal(_band_to_dense(ab, kl, ku),
+                              J[ov][:, ov].toarray())
+        assert np.array_equal(_row_block(block), J[ov].toarray())
     assert len(factored) == lay.n_subdomains
 
 
@@ -199,6 +224,42 @@ def _with_extra_entry(J):
     extra = J.tolil()
     extra[0, 11] = 1.0
     return extra.tocsr()
+
+
+def _with_entry_above(J):
+    # couples cells 3 and 8, the ends of subdomain 1's overlap in
+    # build_1d_layout(12, 3, 1)
+    extra = J.tolil()
+    extra[3, 8] = 0.5
+    return extra.tocsr()
+
+
+@pytest.mark.parametrize("make, bands", [
+    # subdomain 1 is cells 3..8: the extra entry widens its upper band to
+    # the whole block, the tridiagonal stencil sets its lower one
+    (lambda: (_Repatterned(smooth_forchheimer(12, beta=1.0), _with_entry_above),
+              build_1d_layout(12, 3, 1)), [(1, 1), (1, 5), (1, 1)]),
+    (lambda: (smooth_forchheimer(6, beta=1.0), build_1d_layout(6, 6, 0)),
+     [(0, 0)] * 6),
+], ids=["wide-upper-band", "1x1"])
+def test_band_factors_match_dense_solve(make, bands):
+    prob, lay = make()
+    n = prob.dof_count
+    positions = block_positions(prob, lay)
+    assert [(pos.kl, pos.ku) for pos in positions] == bands
+    rng = np.random.default_rng(28)
+    J = prob.jacobian(rng.standard_normal(n))
+    dense = J.toarray()
+    for pos in positions:
+        ov = pos.overlap
+        A_i = dense[np.ix_(ov, ov)]
+        block = local_jacobian(J, pos)
+        w, v = rng.standard_normal(pos.size), rng.standard_normal(n)
+        assert np.allclose(_solve(pos, block.lu, w), np.linalg.solve(A_i, w),
+                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(local_correction_jacobian_action(block, v),
+                           -np.linalg.solve(A_i, dense[ov] @ v),
+                           rtol=1e-12, atol=1e-12)
 
 
 def test_block_positions_reject_other_patterns():

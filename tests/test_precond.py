@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 from oracles import dense_darcy_system, plain_newton, schwarz_preconditioners
 
+import raspen.local_solver as local_solver_mod
 import raspen.precond as precond_mod
 from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.local_solver import SolverSettings, StaleCacheError
@@ -211,18 +211,18 @@ def test_local_blocks_factored_only_for_actions(kind, monkeypatch):
     prob, lay = _forchheimer_setup()
     system = PreconditionedSystem(kind, prob, lay, SETTINGS)
     factored, solved = [], []
-    splu, sweep = spla.splu, precond_mod.sweep_locals
+    dgbtrf, sweep = local_solver_mod.dgbtrf, precond_mod.sweep_locals
 
-    def counting_splu(A):
-        factored.append(A.shape)
-        return splu(A)
+    def counting_dgbtrf(ab, kl, ku, **kwargs):
+        factored.append(ab.shape)
+        return dgbtrf(ab, kl, ku, **kwargs)
 
     def recording_sweep(*args):
         out = sweep(*args)
         solved.extend(out[0])
         return out
 
-    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(local_solver_mod, "dgbtrf", counting_dgbtrf)
     monkeypatch.setattr(precond_mod, "sweep_locals", recording_sweep)
     u = 0.2 * np.ones(24)
     system.fixed_point_step(u)
