@@ -75,16 +75,16 @@ class CoarseSolveResult:
 def coarse_residual(problem, layout, u0):
     """F_0(u_0) = P_0^T F(P_0 u_0)."""
     u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (layout.n_coarse,):
-        raise ValueError(f"expected coarse vector of length {layout.n_coarse}")
+    if u0.shape != (layout.n_subdomains,):
+        raise ValueError(f"expected coarse vector of length {layout.n_subdomains}")
     return layout.P0.T @ problem.residual(layout.P0 @ u0)
 
 
 def coarse_jacobian(problem, layout, u0):
     """Dense F_0'(u_0) = P_0^T J(P_0 u_0) P_0 (coarse dimension is small)."""
     u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (layout.n_coarse,):
-        raise ValueError(f"expected coarse vector of length {layout.n_coarse}")
+    if u0.shape != (layout.n_subdomains,):
+        raise ValueError(f"expected coarse vector of length {layout.n_subdomains}")
     J = problem.jacobian(layout.P0 @ u0)
     return np.asarray((layout.P0.T @ J @ layout.P0).todense())
 
@@ -169,9 +169,9 @@ def fas_correction_jacobian_action(result, layout, u, J_u, v):
 
 def aspin_coarse_setup(problem, layout, settings):
     """Solve the plain coarse problem F_0(u_0*) = 0 once, from zero."""
-    zero = np.zeros(layout.n_coarse)
+    zero = np.zeros(layout.n_subdomains)
     w, _, _ = _coarse_newton(
-        problem, layout, zero, np.zeros(layout.n_coarse), settings,
+        problem, layout, zero, np.zeros(layout.n_subdomains), settings,
         "coarse base solve",
     )
     return w

@@ -2,10 +2,14 @@
 
 A layout splits the global cell set {0..M-1} into a nonoverlapping partition
 (owned cells) plus overlapping supersets obtained by adding k layers of cells
-toward the neighbours.  The index sets induce the restriction operator R_i
-(select overlap cells), the prolongation P_i (zero extension from the overlap
-set) and the restricted prolongation (extension writing owned cells only), so
-that sum_i restricted_prolong(restrict(v)) == v holds exactly.
+toward the neighbours.  All subdomains share one stacked overlap space, their
+overlap values concatenated in subdomain order: v[layout.cells] is R_i v for
+every i at once, and layout.owned_slots locates each subdomain's owned entries
+in it.  A stacked x = (x_1, ..., x_I) is glued onto the cells additively by
+prolong (P x = sum_i P_i x_i, P_i the zero extension from the overlap cells)
+or by restricted_prolong (P~ x = sum_i P~_i x_i, P~_i writing the owned cells
+only), so restricted_prolong(layout, v[layout.cells]) == v holds exactly.
+Both sum each cell's contributions from 0.0 in subdomain order.
 
 The coarse space has one degree of freedom per subdomain: R0 averages over the
 owned cells, and P0 interpolates linearly (1D) or bilinearly (2D) through the
@@ -29,11 +33,8 @@ __all__ = [
     "DecompositionLayout",
     "build_1d_layout",
     "build_2d_layout",
-    "restrict",
     "prolong",
     "restricted_prolong",
-    "coarse_restrict_mean",
-    "coarse_prolong",
 ]
 
 
@@ -50,24 +51,20 @@ class Subdomain:
 class DecompositionLayout:
     """Immutable decomposition of {0..n_cells-1} with coarse-space operators.
 
-    coarse_cells[i] is the cell set aggregated into coarse DOF i (the owned
-    set of subdomain i).  R0 / P0 are sparse operator matrices.
+    cells and owned_slots index the stacked overlap space (module docstring);
+    coarse DOF i belongs to subdomain i.  R0 / P0 are sparse operator matrices.
     """
 
     n_cells: int
     subdomains: tuple
-    overlap_layers: int
-    coarse_cells: tuple
+    cells: np.ndarray = field(repr=False)
+    owned_slots: np.ndarray = field(repr=False)
     R0: sp.csr_matrix = field(repr=False)
     P0: sp.csr_matrix = field(repr=False)
 
     @property
     def n_subdomains(self):
         return len(self.subdomains)
-
-    @property
-    def n_coarse(self):
-        return len(self.coarse_cells)
 
 
 def _partition_blocks(n, parts):
@@ -79,14 +76,19 @@ def _partition_blocks(n, parts):
     return starts, sizes
 
 
-def _coarse_mean(coarse_cells, n_cells):
-    """R0: the per-coarse-cell mean as a sparse matrix."""
-    rows, cols, data = [], [], []
-    for i, cells in enumerate(coarse_cells):
-        rows.extend([i] * len(cells))
-        cols.extend(cells.tolist())
-        data.extend([1.0 / len(cells)] * len(cells))
-    return sp.csr_matrix((data, (rows, cols)), shape=(len(coarse_cells), n_cells))
+def _layout(n_cells, subdomains, P0):
+    """The layout of `subdomains`: stacked-space indices and R0 (owned means)."""
+    sizes = [len(s.overlap) for s in subdomains]
+    starts = np.cumsum(sizes) - sizes
+    cells = np.concatenate([s.overlap for s in subdomains])
+    owned_slots = np.concatenate([start + s.owned_local
+                                  for start, s in zip(starts, subdomains)])
+    counts = np.array([len(s.owned) for s in subdomains])
+    R0 = sp.csr_matrix(
+        (np.repeat(1.0 / counts, counts),
+         (np.repeat(np.arange(len(subdomains)), counts), cells[owned_slots])),
+        shape=(len(subdomains), n_cells))
+    return DecompositionLayout(n_cells, tuple(subdomains), cells, owned_slots, R0, P0)
 
 
 def _linear_weights(targets, nodes, left, right):
@@ -149,13 +151,11 @@ def build_1d_layout(n_cells, n_subdomains, overlap_layers, dirichlet=(0.0, 1.0))
         owned_local = np.searchsorted(overlap, owned)
         subdomains.append(Subdomain(owned, overlap, owned_local))
 
-    coarse_cells = tuple(s.owned for s in subdomains)
-    R0 = _coarse_mean(coarse_cells, M)
     centers = (np.arange(M) + 0.5) / M
-    nodes = np.array([centers[c].mean() for c in coarse_cells])
+    nodes = np.array([centers[s.owned].mean() for s in subdomains])
     left, right = ("zero" if d == 0.0 else "const" for d in dirichlet)
-    P0 = _linear_weights(centers, nodes, left=left, right=right)
-    return DecompositionLayout(M, tuple(subdomains), k, coarse_cells, R0, P0)
+    return _layout(M, subdomains,
+                   _linear_weights(centers, nodes, left=left, right=right))
 
 
 def build_2d_layout(nx, ny, n_per_side, overlap_layers, dirichlet_value=1.0):
@@ -196,8 +196,6 @@ def build_2d_layout(nx, ny, n_per_side, overlap_layers, dirichlet_value=1.0):
             owned_local = np.searchsorted(overlap, owned)
             subdomains.append(Subdomain(owned, overlap, owned_local))
 
-    coarse_cells = tuple(s.owned for s in subdomains)
-    R0 = _coarse_mean(coarse_cells, nx * ny)
     # P0 = kron(Wy, Wx): coarse DOF (cx, cy) -> cy*N + cx matches the
     # subdomain enumeration above; x=1 is the Dirichlet edge.
     xc = (np.arange(nx) + 0.5) / nx
@@ -206,51 +204,23 @@ def build_2d_layout(nx, ny, n_per_side, overlap_layers, dirichlet_value=1.0):
     right = "zero" if dirichlet_value == 0.0 else "const"
     Wx = _linear_weights(xc, xn, left="const", right=right)
     Wy = _linear_weights(yc, xn, left="const", right="const")
-    P0 = sp.kron(Wy, Wx, format="csr")
-    return DecompositionLayout(nx * ny, tuple(subdomains), k, coarse_cells, R0, P0)
+    return _layout(nx * ny, subdomains, sp.kron(Wy, Wx, format="csr"))
 
 
-def restrict(layout, i, v):
-    """R_i v: select the overlap-cell entries of a global vector."""
-    v = np.asarray(v)
-    if v.shape != (layout.n_cells,):
-        raise ValueError(f"expected global vector of length {layout.n_cells}")
-    return v[layout.subdomains[i].overlap]
+def _stacked(layout, x):
+    x = np.asarray(x, dtype=float)
+    if x.shape != layout.cells.shape:
+        raise ValueError(f"expected stacked vector of length {len(layout.cells)}")
+    return x
 
 
-def prolong(layout, i, v_i):
-    """P_i v_i: write the overlap cells, zero elsewhere."""
-    sub = layout.subdomains[i]
-    v_i = np.asarray(v_i)
-    if v_i.shape != sub.overlap.shape:
-        raise ValueError(f"expected local vector of length {len(sub.overlap)}")
-    out = np.zeros(layout.n_cells)
-    out[sub.overlap] = v_i
-    return out
+def prolong(layout, x):
+    """P x = sum_i P_i x_i: add every stacked value into its cell."""
+    return np.bincount(layout.cells, _stacked(layout, x), layout.n_cells)
 
 
-def restricted_prolong(layout, i, v_i):
-    """Restricted prolongation: write only the owned cells, zero elsewhere."""
-    sub = layout.subdomains[i]
-    v_i = np.asarray(v_i)
-    if v_i.shape != sub.overlap.shape:
-        raise ValueError(f"expected local vector of length {len(sub.overlap)}")
-    out = np.zeros(layout.n_cells)
-    out[sub.owned] = v_i[sub.owned_local]
-    return out
-
-
-def coarse_restrict_mean(layout, v):
-    """R0 v: per-coarse-cell mean of a global vector."""
-    v = np.asarray(v)
-    if v.shape != (layout.n_cells,):
-        raise ValueError(f"expected global vector of length {layout.n_cells}")
-    return layout.R0 @ v
-
-
-def coarse_prolong(layout, v0):
-    """P0 v0: interpolate a coarse vector onto the fine cell centers."""
-    v0 = np.asarray(v0)
-    if v0.shape != (layout.n_coarse,):
-        raise ValueError(f"expected coarse vector of length {layout.n_coarse}")
-    return layout.P0 @ v0
+def restricted_prolong(layout, x):
+    """P~ x = sum_i P~_i x_i: write each subdomain's owned values only."""
+    slots = layout.owned_slots
+    return np.bincount(layout.cells[slots], _stacked(layout, x)[slots],
+                       layout.n_cells)

@@ -27,6 +27,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import platform
 import time
 from dataclasses import dataclass
@@ -107,9 +108,9 @@ class ResultRow:
 
 def _parse_list(value, conv):
     items = [part.strip() for part in value.split(",")]
-    if any(not part for part in items):
+    if not all(items):
         raise ValueError(f"empty element in list {value!r}")
-    return tuple(conv(part) for part in items)
+    return tuple(map(conv, items))
 
 
 # config key -> (attribute, converter)
@@ -179,6 +180,9 @@ def _validate(config):
     for m in config.methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r} (known: {', '.join(METHODS)})")
+    if not all(map(math.isfinite, (*config.betas, *config.contrast,
+                                   config.amplitude, config.omega))):
+        raise ValueError("beta, contrast, amplitude and omega must be finite")
     for name, values in (("mesh", config.meshes), ("subdomains", config.subdomains),
                          ("overlap", config.overlaps), ("beta", config.betas),
                          ("methods", config.methods)):

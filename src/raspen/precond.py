@@ -11,6 +11,9 @@ correction equation built from subdomain solves:
 where C_i are the local corrections, C_0 the full-approximation-scheme
 coarse correction (applied multiplicatively inside RASPEN2) and C_0^A the
 additive coarse correction around the precomputed coarse solution u_0*.
+The local corrections are concatenated in the layout's stacked overlap
+space and glued in one call: by P~ (restricted_prolong) for the RASPEN
+kinds, by P (prolong) for the ASPIN kinds.
 Each system also applies its derivative matrix-free, by one formula for
 all four kinds: the coarse derivative (two-level kinds), then every local
 derivative -A_ii^{-1} R_i J glued like the corrections, applied to v, or
@@ -120,13 +123,10 @@ class PreconditionedSystem:
             raise StaleCacheError("no residual evaluation cached")
         return self._cache.ls_in_max, self._cache.ls_in_min
 
-    def _glue(self, subdomain_vectors):
-        """Assemble sum_i P~_i x_i (restricted) or sum_i P_i x_i (additive)."""
-        extend = restricted_prolong if self.restricted else prolong
-        acc = np.zeros(self.layout.n_cells)
-        for i, x in subdomain_vectors:
-            acc += extend(self.layout, i, x)
-        return acc
+    def _glue(self, vectors):
+        """sum_i P~_i x_i (restricted) or sum_i P_i x_i (additive) in one call."""
+        glue = restricted_prolong if self.restricted else prolong
+        return glue(self.layout, np.concatenate(vectors))
 
     def residual(self, u):
         """Evaluate the preconditioned function, caching all intermediates."""
@@ -145,7 +145,7 @@ class PreconditionedSystem:
                                        local_state, self.settings)
         if coarse is not None:
             mx = max(mx, coarse.inner_iterations)
-        glued = self._glue((res.subdomain, res.correction) for res in results)
+        glued = self._glue([res.correction for res in results])
         self._cache = _EvalCache(u, results, mx, mn, coarse)
         return pc0 + glued
 
@@ -190,10 +190,8 @@ class PreconditionedSystem:
         x = v + pt if self.kind == "RASPEN2" else v
         # no per-block state check: _require_cache checked the state once
         # and the blocks belong to that cache
-        return pt + self._glue(
-            (block.subdomain, local_correction_jacobian_action(block, x))
-            for block in self._blocks(cache)
-        )
+        return pt + self._glue([local_correction_jacobian_action(block, x)
+                                for block in self._blocks(cache)])
 
     def fixed_point_step(self, u):
         """One sweep of the underlying fixed-point iteration: u + residual(u)."""

@@ -144,8 +144,8 @@ class ForchheimerProblem1D(NonlinearProblem):
         self.L = float(L)
         self.h = self.L / self.M
         self.beta = float(beta)
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not 0 <= self.beta < np.inf:
+            raise ValueError("beta must be finite and nonnegative")
         self.dirichlet = (float(dirichlet[0]), float(dirichlet[1]))
         self.transmissibilities = build_transmissibilities(self.lambda_field, self.h)
         # Jacobian entries in the order jacobian() lists their values:

@@ -7,10 +7,7 @@ import scipy.sparse as sp
 from raspen.decomposition import (
     build_1d_layout,
     build_2d_layout,
-    coarse_prolong,
-    coarse_restrict_mean,
     prolong,
-    restrict,
     restricted_prolong,
 )
 
@@ -79,6 +76,14 @@ def test_2d_rejects_bad_shapes():
         build_2d_layout(8, 8, 2, 5)
 
 
+def _assert_additive_multiplicity(lay, rng):
+    """P v[cells] is v times the number of overlaps holding each cell."""
+    # integer values keep every partial sum exact
+    v = rng.integers(-1000, 1000, lay.n_cells).astype(float)
+    multiplicity = np.bincount(lay.cells, minlength=lay.n_cells)
+    assert np.array_equal(prolong(lay, v[lay.cells]), v * multiplicity)
+
+
 @pytest.mark.parametrize(
     "M,I,k",
     [(9, 3, 0), (9, 3, 1), (10, 3, 2), (100, 8, 3), (60, 10, 1)],
@@ -88,10 +93,8 @@ def test_partition_of_unity_1d(M, I, k):
     rng = np.random.default_rng(0)
     for _ in range(20):
         v = rng.standard_normal(M)
-        acc = np.zeros(M)
-        for i in range(I):
-            acc += restricted_prolong(lay, i, restrict(lay, i, v))
-        assert np.array_equal(acc, v)
+        assert np.array_equal(restricted_prolong(lay, v[lay.cells]), v)
+        _assert_additive_multiplicity(lay, rng)
 
 
 @pytest.mark.parametrize("N,k", [(2, 1), (4, 1), (2, 2)])
@@ -100,29 +103,34 @@ def test_partition_of_unity_2d(N, k):
     rng = np.random.default_rng(1)
     for _ in range(10):
         v = rng.standard_normal(lay.n_cells)
-        acc = np.zeros(lay.n_cells)
-        for i in range(lay.n_subdomains):
-            acc += restricted_prolong(lay, i, restrict(lay, i, v))
-        assert np.array_equal(acc, v)
+        assert np.array_equal(restricted_prolong(lay, v[lay.cells]), v)
+        _assert_additive_multiplicity(lay, rng)
 
 
 def test_restrict_prolong_identity():
-    # R_i P_i = I on each subdomain
+    # R_i P_i = I on each subdomain: glue a stacked vector that is zero
+    # outside subdomain i's block and read the overlap cells back
     lay = build_1d_layout(20, 4, 2)
     rng = np.random.default_rng(2)
-    for i in range(4):
-        w = rng.standard_normal(len(lay.subdomains[i].overlap))
-        assert np.array_equal(restrict(lay, i, prolong(lay, i, w)), w)
+    start = 0
+    for sub in lay.subdomains:
+        block = slice(start, start + len(sub.overlap))
+        start = block.stop
+        assert np.array_equal(lay.cells[block], sub.overlap)
+        x = np.zeros(len(lay.cells))
+        x[block] = w = rng.standard_normal(len(sub.overlap))
+        assert np.array_equal(prolong(lay, x)[sub.overlap], w)
+    assert start == len(lay.cells)
 
 
 def test_coarse_restrictions():
     lay = build_1d_layout(9, 3, 0)
     v = np.arange(9.0)
-    assert np.allclose(coarse_restrict_mean(lay, v), [1.0, 4.0, 7.0])
+    assert np.allclose(lay.R0 @ v, [1.0, 4.0, 7.0])
     # mean restriction reproduces coarse-constant-per-block vectors
-    blocks = coarse_prolong(lay, np.array([2.0, -1.0, 5.0]))
+    blocks = lay.P0 @ np.array([2.0, -1.0, 5.0])
     assert np.allclose(
-        coarse_restrict_mean(lay, np.repeat([2.0, -1.0, 5.0], 3)),
+        lay.R0 @ np.repeat([2.0, -1.0, 5.0], 3),
         [2.0, -1.0, 5.0],
     )
     assert blocks.shape == (9,)
@@ -143,24 +151,24 @@ def test_coarse_prolong_1d_oracle():
     # zero data at both ends: pinned to 0 on both sides
     lay00 = build_1d_layout(12, 3, 1, dirichlet=(0.0, 0.0))
     centers = (np.arange(12) + 0.5) / 12
-    nodes = np.array([lay.coarse_cells[i].mean() + 0.5 for i in range(3)]) / 12
+    nodes = np.array([lay.subdomains[i].owned.mean() + 0.5 for i in range(3)]) / 12
     rng = np.random.default_rng(3)
     for _ in range(5):
         v0 = rng.standard_normal(3)
         want = _interp_1d(nodes, v0, centers, ("zero", "const"))
-        assert np.allclose(coarse_prolong(lay, v0), want, atol=1e-14)
+        assert np.allclose(lay.P0 @ v0, want, atol=1e-14)
         want00 = _interp_1d(nodes, v0, centers, ("zero", "zero"))
-        assert np.allclose(coarse_prolong(lay00, v0), want00, atol=1e-14)
+        assert np.allclose(lay00.P0 @ v0, want00, atol=1e-14)
 
 
 def test_coarse_prolong_2d_boundary_rules():
     # with nonzero boundary data, constants prolong to 1 everywhere
     lay = build_2d_layout(8, 8, 2, 1)
-    z = coarse_prolong(lay, np.ones(4)).reshape(8, 8)
+    z = (lay.P0 @ np.ones(4)).reshape(8, 8)
     assert np.allclose(z, 1.0)
     # with zero boundary data the value decays toward the Dirichlet edge x=1
     lay0 = build_2d_layout(8, 8, 2, 1, dirichlet_value=0.0)
-    z0 = coarse_prolong(lay0, np.ones(4)).reshape(8, 8)
+    z0 = (lay0.P0 @ np.ones(4)).reshape(8, 8)
     # y-direction is Neumann on both sides: rows repeat outside the node band
     assert np.allclose(z0[0], z0[1])
     assert np.allclose(z0[-1], z0[-2])
@@ -182,7 +190,7 @@ def test_coarse_prolong_2d_separable_oracle():
     rng = np.random.default_rng(4)
     ax, ay = rng.standard_normal(4), rng.standard_normal(4)
     v0 = np.outer(ay, ax).ravel()  # coarse DOF (cx, cy) -> cy*N + cx
-    got = coarse_prolong(lay, v0).reshape(8, 8)
+    got = (lay.P0 @ v0).reshape(8, 8)
 
     def wx(x):
         if x <= xn[0]:
@@ -255,7 +263,7 @@ def test_coarse_prolong_1d_matches_loop_oracle(dirichlet):
         centers = (np.arange(M) + 0.5) / M
         for I in sorted({min(I, M) for I in (1, 2, 3, M // 7, M // 2, M)} - {0}):
             lay = build_1d_layout(M, I, 0, dirichlet=dirichlet)
-            nodes = np.array([centers[c].mean() for c in lay.coarse_cells])
+            nodes = np.array([centers[s.owned].mean() for s in lay.subdomains])
             want = _loop_linear_weights(centers, nodes, left, right)
             assert _same_csr(lay.P0, want), (M, I)
             checked += 1
@@ -277,9 +285,75 @@ def test_coarse_prolong_2d_matches_loop_oracle(nx, ny, N, dirichlet_value):
 
 def test_shape_validation():
     lay = build_1d_layout(9, 3, 1)
+    for glue in (prolong, restricted_prolong):
+        with pytest.raises(ValueError):
+            glue(lay, np.zeros(len(lay.cells) - 1))
+        with pytest.raises(ValueError):
+            glue(lay, np.zeros(len(lay.cells) + 1))
+        with pytest.raises(ValueError):
+            glue(lay, np.zeros(lay.n_cells))
     with pytest.raises(ValueError):
-        restrict(lay, 0, np.zeros(8))
-    with pytest.raises(ValueError):
-        prolong(lay, 0, np.zeros(3))
-    with pytest.raises(ValueError):
-        coarse_prolong(lay, np.zeros(4))
+        lay.P0 @ np.zeros(4)
+
+
+# ------------------------------------------- stacked gluing against the loop
+
+def _loop_glue(lay, x, restricted):
+    """sum_i P~_i x_i or sum_i P_i x_i one subdomain at a time, each P_i x_i
+    a zeroed length-M vector: the per-subdomain gluing the stacked operators
+    replace, kept as their oracle."""
+    acc = np.zeros(lay.n_cells)
+    start = 0
+    for sub in lay.subdomains:
+        x_i = x[start:start + len(sub.overlap)]
+        start += len(sub.overlap)
+        out = np.zeros(lay.n_cells)
+        if restricted:
+            out[sub.owned] = x_i[sub.owned_local]
+        else:
+            out[sub.overlap] = x_i
+        acc += out
+    return acc
+
+
+def _loop_coarse_mean(lay):
+    """R0 built cell by cell from the owned sets, the oracle for R0."""
+    rows, cols, data = [], [], []
+    for i, sub in enumerate(lay.subdomains):
+        rows.extend([i] * len(sub.owned))
+        cols.extend(sub.owned.tolist())
+        data.extend([1.0 / len(sub.owned)] * len(sub.owned))
+    return sp.csr_matrix((data, (rows, cols)),
+                         shape=(lay.n_subdomains, lay.n_cells))
+
+
+_EXTREMES = np.array([-0.0, -0.0, 0.0, 1e300, -1e300, 1e-300, -1e-300])
+
+
+def _assert_glue_matches_loop(lay, rng):
+    n = len(lay.cells)
+    x = np.where(rng.random(n) < 0.5, rng.choice(_EXTREMES, n),
+                 rng.standard_normal(n))
+    for glue, restricted in ((prolong, False), (restricted_prolong, True)):
+        assert glue(lay, x).tobytes() == _loop_glue(lay, x, restricted).tobytes()
+    assert _same_csr(lay.R0, _loop_coarse_mean(lay))
+
+
+def test_stacked_glue_1d_matches_loop_oracle():
+    rng = np.random.default_rng(5)
+    checked = 0
+    for M in range(1, 61):
+        for I in range(1, M + 1):
+            for k in range(M // I + 1 if I > 1 else 3):
+                _assert_glue_matches_loop(build_1d_layout(M, I, k), rng)
+                checked += 1
+    assert checked == 7141
+
+
+@pytest.mark.parametrize("nx, ny, N, k", [
+    (8, 8, 2, 1), (8, 8, 4, 2), (12, 6, 3, 2), (5, 10, 5, 1), (7, 7, 1, 0),
+    (16, 8, 4, 1), (6, 12, 2, 3),
+])
+def test_stacked_glue_2d_matches_loop_oracle(nx, ny, N, k):
+    _assert_glue_matches_loop(build_2d_layout(nx, ny, N, k),
+                              np.random.default_rng(6))

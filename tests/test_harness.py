@@ -85,6 +85,12 @@ def test_parse_config_file(tmp_path):
     {"mesh": "40,60,40"},
     {"mesh": "40", "overlap": "1,2,1"},
     {"mesh": "40", "beta": "1,1.0"},
+    {"mesh": "40", "beta": "nan"},
+    {"mesh": "40", "beta": "inf"},
+    {"mesh": "40", "beta": "nan,nan"},
+    {"mesh": "40", "field": "random", "amplitude": "nan"},
+    {"mesh": "40", "field": "random", "omega": "inf"},
+    {"mesh": "40", "field": "random", "contrast": "1e-2,inf"},
 ])
 def test_config_validation_errors(raw):
     with pytest.raises(ValueError):

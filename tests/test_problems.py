@@ -170,6 +170,12 @@ def test_darcy_manufactured_consistency():
     assert r80 < r40 / 2.0
 
 
+@pytest.mark.parametrize("beta", [-0.1, np.nan, np.inf])
+def test_forchheimer_rejects_bad_beta(beta):
+    with pytest.raises(ValueError):
+        ForchheimerProblem1D(np.ones(4), np.zeros(4), beta=beta)
+
+
 def test_smooth_fields_are_exact_integrals():
     prob = smooth_forchheimer(30, beta=1.0)
     # lambda_K h = integral of cos = f_K for this data
