@@ -183,6 +183,8 @@ def _validate(config):
     if not all(map(math.isfinite, (*config.betas, *config.contrast,
                                    config.amplitude, config.omega))):
         raise ValueError("beta, contrast, amplitude and omega must be finite")
+    if config.omega == 0:
+        raise ValueError("omega must be nonzero")
     for name, values in (("mesh", config.meshes), ("subdomains", config.subdomains),
                          ("overlap", config.overlaps), ("beta", config.betas),
                          ("methods", config.methods)):

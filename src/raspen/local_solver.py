@@ -5,27 +5,32 @@ the exterior of the subdomain frozen at u (homogeneous correction outside).
 A solve keeps the correction, the solved overlap values of
 u^(i) = u + P_i C_i(u) and its inner Newton count, but no derivative data.
 
-That lives in a LocalJacobian, built on demand by local_jacobian: the
-entries of the row block R_i J of a global Jacobian, over the overlap
-cells and the frozen exterior, plus the LU factors of A_ii = R_i J P_i.
-Taken at u^(i) (solved_jacobian) the block applies the exact derivative
+That lives in a LocalJacobian, built on demand: the entries of the row
+block R_i J, over the overlap cells and the frozen exterior, plus the LU
+factors of A_ii = R_i J P_i.  Taken at u^(i) (solved_jacobian) the block
+applies the exact derivative
 
     dC_i/du = -A_ii^{-1} R_i J(u^(i)),
 
-taken at u it applies ASPIN's inexact one; either costs one gathered
-row-block product and one back-substitution.
+taken at u (local_jacobian, from a global J(u)) it applies ASPIN's
+inexact one; either costs one gathered row-block product and one
+back-substitution.
 
 Every problem's Jacobian has a fixed CSR pattern, and it is the only
 description of the stencil read here: block_positions reads it once, from
 one Jacobian at the problem's initial state, and returns every
-subdomain's BlockPositions (its overlap cells, where R_i J sits in the
-Jacobian's data array, and where A_ii's entries go in LAPACK band
-storage).  Every solve and block function takes them.  Local blocks are
-plain arrays gathered by index from J.data: A_ii is factored by band LU
-(dgbtrf) in the overlap's cell order, so its cost grows with the block's
-bandwidth, and solved by dgbtrs.  _factor is the one place a local block
-is factored; an inner Newton step factors A_ii alone, and only
-local_jacobian also gathers R_i J.
+subdomain's BlockPositions: its overlap cells and halo (the cells outside
+the overlap its rows couple to), the problem's row kernels on them (see
+NonlinearProblem.row_kernels), where R_i J sits in a Jacobian's data
+array, and where A_ii's entries go in LAPACK band storage.  Every solve
+and block function takes them.  An inner Newton step works on the m + h
+values at the overlap and its halo: it calls the row kernels for R_i F and
+R_i J and touches no length-M array, so a sweep costs O(sum_i m_i), not
+O(I M); solved_jacobian calls the Jacobian kernel once at u^(i).  A_ii is
+factored by band LU (dgbtrf) in the overlap's cell order, so its cost
+grows with the block's bandwidth, and solved by dgbtrs.  _factor is the
+one place a local block is factored, from R_i J's entries, whether they
+come from the row kernel or from a global J.data.
 """
 
 from dataclasses import dataclass, field
@@ -86,7 +91,8 @@ class SolverSettings:
 class LocalSolveResult:
     """Outcome of one local solve at the global state base_state.
 
-    solved holds the overlap values of the solved state u^(i).
+    solved holds the overlap values of the solved state u^(i).  base_state
+    is read-only, and the results of one sweep share it.
     """
 
     subdomain: int
@@ -98,19 +104,28 @@ class LocalSolveResult:
 
 @dataclass(frozen=True, eq=False)
 class BlockPositions:
-    """Where subdomain i's blocks sit in the data array of a global Jacobian.
+    """Subdomain i's blocks in the problem's Jacobian pattern, and its row kernels.
 
-    overlap lists the subdomain's m cells.  R_i J's entries are J.data[rows]
-    at column indices columns, row by row, row r from row_indptr[r].  A_ii =
-    R_i J P_i has lower and upper bandwidths kl and ku in the overlap's cell
-    order; its entries J.data[block] go to the flat indices slots of a C-order
-    (m, 2*kl+ku+1) array, whose transpose is LAPACK's band storage (A_ii[r, c]
-    at row kl+ku+r-c of column c).  The positions fit every Jacobian with the
+    overlap lists the subdomain's m cells; cells lists them followed by
+    their halo, the cells outside the overlap that their rows couple to.
+    residual and jacobian are the problem's row kernels on them
+    (NonlinearProblem.row_kernels): at the state whose values at cells are
+    x, residual(x) is R_i F and jacobian(x) holds R_i J's entries.  In a
+    global Jacobian those are J.data[rows], at column indices columns, row
+    by row, row r from row_indptr[r].  A_ii = R_i J P_i has lower and upper
+    bandwidths kl and ku in the overlap's cell order; its entries, R_i J's
+    data at block, go to the flat indices slots of a C-order (m, 2*kl+ku+1)
+    array, whose transpose is LAPACK's band storage (A_ii[r, c] at row
+    kl+ku+r-c of column c).  The positions fit every Jacobian with the
     pattern they were computed from, which shape and nnz identify.
     """
 
     subdomain: int
+    problem: object = field(repr=False)
     overlap: np.ndarray = field(repr=False)
+    cells: np.ndarray = field(repr=False)
+    residual: object = field(repr=False)
+    jacobian: object = field(repr=False)
     shape: tuple
     nnz: int
     rows: np.ndarray = field(repr=False)
@@ -131,8 +146,8 @@ class BlockPositions:
 class LocalJacobian:
     """Row block R_i J of a global Jacobian and the band LU of R_i J P_i.
 
-    rows holds R_i J's entries, gathered from J.data at positions.rows; lu
-    is dgbtrf's (band factors, pivots) of A_ii.  base_state is the global u
+    rows holds R_i J's entries in the order of positions.columns; lu is
+    dgbtrf's (band factors, pivots) of A_ii.  base_state is the global u
     whose derivative the block represents; actions verify against it.
     """
 
@@ -150,48 +165,66 @@ def block_positions(problem, layout):
     """Every subdomain's BlockPositions in the problem's Jacobian pattern.
 
     The pattern is read from one Jacobian at the problem's initial state,
-    which must be a CSR matrix with sorted, unique indices.
+    which must be a CSR matrix with sorted, unique indices; each
+    subdomain's halo is read from it, and the problem's row kernels are
+    built on the overlap and that halo.
     """
     J = problem.jacobian(problem.initial_state())
     if J.format != "csr" or not J.has_canonical_format:
         raise ValueError("block positions need a CSR Jacobian with sorted, "
                          "unique indices")
-    return [_subdomain_positions(J, i, sub.overlap)
+    return [_subdomain_positions(problem, J, i, sub.overlap)
             for i, sub in enumerate(layout.subdomains)]
 
 
-def _subdomain_positions(J, i, ov):
+def _subdomain_positions(problem, J, i, ov):
     """The BlockPositions of subdomain i, whose overlap cells are ov."""
     m = len(ov)
-    starts, ends = J.indptr[ov], J.indptr[ov + 1]
-    rows = np.concatenate([np.arange(a, b) for a, b in zip(starts, ends)])
+    starts, counts = J.indptr[ov], J.indptr[ov + 1] - J.indptr[ov]
+    row_indptr = np.concatenate(([0], np.cumsum(counts)))
+    rows = np.arange(row_indptr[-1]) + np.repeat(starts - row_indptr[:-1], counts)
+    columns = J.indices[rows]
     local = np.full(J.shape[1], -1)
     local[ov] = np.arange(m)
-    col = local[J.indices[rows]]
+    col = local[columns]
+    halo = np.unique(columns[col < 0]).astype(ov.dtype)
     inside = np.flatnonzero(col >= 0)
     col = col[inside]
-    offset = np.repeat(np.arange(m), ends - starts)[inside] - col
+    offset = np.repeat(np.arange(m), counts)[inside] - col
     kl, ku = int(offset.max(initial=0)), int((-offset).max(initial=0))
-    row_indptr = np.concatenate(([0], np.cumsum(ends - starts)))
     slots = col * (2 * kl + ku + 1) + kl + ku + offset
-    arrays = (rows, J.indices[rows], row_indptr, rows[inside], slots)
-    for a in arrays:
+    cells = np.concatenate((ov, halo))
+    for a in (cells, rows, columns, row_indptr, inside, slots):
         a.flags.writeable = False
-    return BlockPositions(i, ov, J.shape, J.nnz, *arrays, kl, ku)
+    return BlockPositions(i, problem, ov, cells, *problem.row_kernels(ov, halo),
+                          J.shape, J.nnz, rows, columns, row_indptr, inside,
+                          slots, kl, ku)
 
 
-def _factor(J, positions):
-    """Band LU factors (dgbtrf's lu, ipiv) of A_ii = R_i J P_i, taken from J."""
-    if J.format != "csr" or J.shape != positions.shape or J.nnz != positions.nnz:
-        raise ValueError(
-            f"subdomain {positions.subdomain}: Jacobian ({J.format}, shape "
-            f"{J.shape}, nnz {J.nnz}) does not have the pattern its block "
-            f"positions were computed for (csr, shape {positions.shape}, "
-            f"nnz {positions.nnz})"
-        )
+def _require_problem(problem, positions):
+    if problem is not positions.problem:
+        raise ValueError(f"subdomain {positions.subdomain}: block positions "
+                         "were computed for another problem")
+
+
+def _frozen(u):
+    """A read-only float copy of u, or u itself if it already is one.
+
+    Only an array that owns its data and is read-only is reused: no caller
+    can change it afterwards, so the local results can share it.
+    """
+    if (not isinstance(u, np.ndarray) or u.dtype != float or u.flags.writeable
+            or u.base is not None):
+        u = np.array(u, dtype=float)
+        u.flags.writeable = False
+    return u
+
+
+def _factor(positions, rows):
+    """Band LU factors (dgbtrf's lu, ipiv) of A_ii, from R_i J's entries rows."""
     kl, ku = positions.kl, positions.ku
     band = np.zeros((positions.size, 2 * kl + ku + 1))
-    band.flat[positions.slots] = J.data[positions.block]
+    band.flat[positions.slots] = rows[positions.block]
     lu, ipiv, info = dgbtrf(band.T, kl, ku, overwrite_ab=True)
     if info > 0:
         raise LocalSolveError(
@@ -207,35 +240,49 @@ def _solve(positions, lu, b):
 
 def local_jacobian(J, positions, base_state=None):
     """The block of the global Jacobian J at positions, factored."""
-    lu = _factor(J, positions)
-    return LocalJacobian(positions, J.data[positions.rows], lu, base_state)
+    if J.format != "csr" or J.shape != positions.shape or J.nnz != positions.nnz:
+        raise ValueError(
+            f"subdomain {positions.subdomain}: Jacobian ({J.format}, shape "
+            f"{J.shape}, nnz {J.nnz}) does not have the pattern its block "
+            f"positions were computed for (csr, shape {positions.shape}, "
+            f"nnz {positions.nnz})"
+        )
+    rows = J.data[positions.rows]
+    return LocalJacobian(positions, rows, _factor(positions, rows), base_state)
 
 
 def solved_jacobian(problem, positions, result):
-    """The block of a local solve at its solved state u^(i).
+    """The block of a local solve at its solved state u^(i), from the row kernel.
 
-    u^(i) is rebuilt from the stored solved values rather than as
-    base_state + P_i correction, which can differ in the last bit.
+    u^(i) is the base state with the stored solved values on the overlap,
+    not base_state + P_i correction, which can differ in the last bit.
     """
-    state = result.base_state.copy()
-    state[positions.overlap] = result.solved
-    return local_jacobian(problem.jacobian(state), positions, result.base_state)
+    _require_problem(problem, positions)
+    x = result.base_state[positions.cells]
+    x[:positions.size] = result.solved
+    rows = positions.jacobian(x)
+    return LocalJacobian(positions, rows, _factor(positions, rows),
+                         result.base_state)
 
 
 def solve_local(problem, positions, u, settings):
     """Solve R_i F(u + P_i c) = 0 for the local correction c = C_i(u).
 
-    positions are subdomain i's BlockPositions.  Inner Newton from the
-    zero correction with full steps; A_ii is gathered and refactorized at
-    every step.  Convergence means the local residual norm is at or below
-    settings.inner_tol.
+    positions are subdomain i's BlockPositions, computed for problem.
+    Inner Newton from the zero correction with full steps on the local
+    vector x = u[positions.cells]: each step evaluates the row kernels at x
+    and refactorizes A_ii, and only x's overlap part changes.  Convergence
+    means the local residual norm is at or below settings.inner_tol.  The
+    result keeps u as its base state, copied unless u already is a
+    read-only array of its own.
     """
-    i, ov = positions.subdomain, positions.overlap
-    u = np.asarray(u, dtype=float)
-    v = u.copy()
+    _require_problem(problem, positions)
+    i, m = positions.subdomain, positions.size
+    u = _frozen(u)
+    x = u[positions.cells]
 
     iterations = 0
-    r = problem.residual(v)[ov]
+    r = positions.residual(x)
     rnorm = np.linalg.norm(r)
     while rnorm > settings.inner_tol:
         if iterations >= settings.max_inner:
@@ -243,21 +290,22 @@ def solve_local(problem, positions, u, settings):
                 f"subdomain {i}: inner Newton did not reach {settings.inner_tol} "
                 f"within {settings.max_inner} iterations (residual {rnorm:.3e})"
             )
-        v[ov] -= _solve(positions, _factor(problem.jacobian(v), positions), r)
+        x[:m] -= _solve(positions, _factor(positions, positions.jacobian(x)), r)
         iterations += 1
-        r = problem.residual(v)[ov]
+        r = positions.residual(x)
         rnorm = np.linalg.norm(r)
         if not np.isfinite(rnorm):
             raise LocalSolveError(
                 f"subdomain {i}: inner Newton produced a non-finite residual"
             )
 
+    solved = x[:m].copy()
     return LocalSolveResult(
         subdomain=i,
-        correction=v[ov] - u[ov],
-        solved=v[ov],
+        correction=solved - u[positions.overlap],
+        solved=solved,
         inner_iterations=iterations,
-        base_state=u.copy(),
+        base_state=u,
     )
 
 
@@ -283,10 +331,13 @@ def sweep_locals(problem, positions, u, settings):
     """Solve all subdomains at u; returns (results, ls_in_max, ls_in_min).
 
     positions lists every subdomain's BlockPositions, as block_positions
-    returns them.  The per-subdomain solves are independent (the max/min
-    counts model the parallel wait: all subdomains wait for the slowest).
-    Failures propagate with the subdomain id attached.
+    returns them.  u is copied once, not per subdomain, and every result
+    shares the read-only copy as its base state.  The per-subdomain solves
+    are independent (the max/min counts model the parallel wait: all
+    subdomains wait for the slowest).  Failures propagate with the
+    subdomain id attached.
     """
+    u = _frozen(u)
     results = [solve_local(problem, pos, u, settings) for pos in positions]
     counts = [r.inner_iterations for r in results]
     return results, max(counts), min(counts)

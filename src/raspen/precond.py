@@ -26,10 +26,15 @@ A residual evaluation caches everything the subsequent Jacobian actions
 need; the local blocks are built and factored at the first action, so an
 evaluation that no action follows factors nothing.  Actions verify they
 are applied at the cached state and raise StaleCacheError otherwise.
-Every local block, in the inner solves and the actions alike, is gathered
-at the block positions of one block_positions call, made when the system
-is built; the fine Jacobian J(u) the inexact blocks and the coarse actions
-read is assembled at most once per evaluation.
+Every local block, in the inner solves and the actions alike, uses the
+block positions of one block_positions call, made when the system is
+built; it reads the problem's one global Jacobian per system, its pattern.
+The inner solves and the exact blocks evaluate only the problem's row
+kernels on each overlap and its halo, so a one-level exact evaluation and
+its actions assemble no global residual or Jacobian, and a sweep costs
+O(sum_i m_i).  The fine Jacobian J(u), which the inexact blocks and the
+coarse actions read, is assembled at most once per evaluation; the coarse
+solves evaluate the global residual and Jacobian.
 """
 
 from dataclasses import dataclass

@@ -1,12 +1,17 @@
 """Discrete nonlinear problems: 1D Forchheimer flow and 2D nonlinear diffusion.
 
 Both problems expose the same contract: `dof_count`, `residual(u)` returning
-a vector of the same length, and `jacobian(u)` returning the exact sparse
+a vector of the same length, `jacobian(u)` returning the exact sparse
 derivative of the residual as a CSR matrix whose sparsity pattern does not
-depend on u.  Each problem builds that pattern once, so an evaluation only
-fills the data array.  Residuals are written in integrated
-finite-volume form (flux balance minus integrated source per cell), so a
-zero residual means discrete conservation cell by cell.
+depend on u, and `row_kernels(cells, halo)`, which evaluates the residual
+rows of a fixed cell set and the matching Jacobian entries from the values
+on the cells and their halo alone.  Each problem builds its pattern once, so
+an evaluation only fills the data array.  Both are face-flux codes with one
+kernel each: the face values of the faces touching the cells, summed into
+the cells' rows; `residual` and `jacobian` are its all-cells case.
+Residuals are written in integrated finite-volume form (flux balance minus
+integrated source per cell), so a zero residual means discrete conservation
+cell by cell.
 """
 
 import numpy as np
@@ -31,13 +36,16 @@ DARCY_THRESHOLD = 1e-12
 class NonlinearProblem:
     """Contract shared by the concrete problems.
 
-    Subclasses provide `dof_count`, `residual(u)` and `jacobian(u)`; both
-    evaluations must be pure (no state mutated), and jacobian(u) must be the
-    exact derivative of residual at u.  jacobian(u) returns a canonical CSR
-    matrix (sorted indices, no duplicates) with the same indptr and indices
-    at every u, entries that happen to vanish included.  That pattern is
-    the stencil the local solvers and the harness read: the blocks are
-    gathered from the data array at positions computed once.
+    Subclasses provide `dof_count`, `residual(u)`, `jacobian(u)` and
+    `row_kernels(cells, halo)`; all evaluations must be pure (no state
+    mutated), and jacobian(u) must be the exact derivative of residual at u.
+    jacobian(u) returns a canonical CSR matrix (sorted indices, no
+    duplicates) with the same indptr and indices at every u, entries that
+    happen to vanish included.  That pattern is the stencil the local
+    solvers and the harness read: they compute the block positions and each
+    subdomain's halo from it once.  A local solve never evaluates the
+    global residual or Jacobian: it calls the row kernels, so its cost
+    grows with the subdomain, not with the mesh.
     """
 
     @property
@@ -50,25 +58,73 @@ class NonlinearProblem:
     def jacobian(self, u):
         raise NotImplementedError
 
+    def row_kernels(self, cells, halo):
+        """The residual and Jacobian rows of `cells` as functions of local values.
+
+        cells and halo are disjoint arrays of global cell indices; the halo
+        must hold every cell outside `cells` that a row of `cells` couples
+        to in the Jacobian pattern.  Returns (residual_rows, jacobian_rows),
+        two functions of the local vector x = u[concatenate((cells, halo))]:
+        residual_rows(x) is residual(u)[cells] and jacobian_rows(x) is the
+        row block's data, jacobian(u)[cells].data in the pattern's order,
+        both bit-identical to the global evaluations.  Building the kernels
+        may cost index work on the cells; calling them reads only x.
+        """
+        raise NotImplementedError
+
     def initial_state(self):
         """Cold-start iterate used by the solvers and the harness."""
         return np.zeros(self.dof_count)
 
+    def _state(self, u):
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.dof_count,):
+            raise ValueError(f"expected state vector of length {self.dof_count}")
+        return u
 
-def _csr_pattern(rows, cols, n):
-    """Fixed CSR pattern of the n-by-n entries (rows[k], cols[k]).
 
-    Returns (indptr, indices, target): target[k] is the slot of entry k in
-    the data array, repeated entries sharing one slot.  The index arrays
-    are int32, as scipy stores them, and read-only, since every Jacobian
-    of the problem shares them.
+def _stencil_pattern(have, offsets):
+    """The fixed CSR pattern of a stencil, one row per row of have.
+
+    Row c holds the columns c + offsets[k] for which have[c, k] is set; the
+    offsets are sorted and no row holds a column twice, so the pattern is
+    canonical.  Returns (indptr, indices), int32 as scipy stores them and
+    read-only, since every Jacobian of the problem shares them.
     """
-    unique, target = np.unique(rows * n + cols, return_inverse=True)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(unique // n, minlength=n), out=indptr[1:])
-    indices = (unique % n).astype(np.int32)
+    indptr = np.append(0, np.cumsum(have.sum(axis=1))).astype(np.int32)
+    indices = (np.arange(len(have))[:, None] + offsets)[have].astype(np.int32)
     indptr.flags.writeable = indices.flags.writeable = False
-    return indptr, indices, target
+    return indptr, indices
+
+
+def _local_index(cells, halo, wanted):
+    """Positions of the global cells `wanted` in concatenate((cells, halo))."""
+    local = np.concatenate((cells, halo))
+    table = np.full(max(local.max(), wanted.max(initial=0)) + 1, -1)
+    table[local] = np.arange(len(local))
+    found = table[wanted]
+    if (found < 0).any():
+        raise ValueError("the halo does not hold every neighbour of the cells")
+    return found
+
+
+def _indexer(index):
+    """index, or the equal slice when it runs through consecutive integers.
+
+    Indexing by a slice takes a view where an index array gathers a copy.
+    """
+    if len(index) and index[-1] - index[0] == len(index) - 1 and (
+            index[1:] - index[:-1] == 1).all():
+        return slice(index[0], index[-1] + 1)
+    return index
+
+
+def _touched(n, *faces):
+    """The sorted distinct entries of the face index arrays, all below n."""
+    mark = np.zeros(n, dtype=bool)
+    for f in faces:
+        mark[f] = True
+    return np.flatnonzero(mark)
 
 
 def q_flux(g, beta):
@@ -148,38 +204,81 @@ class ForchheimerProblem1D(NonlinearProblem):
             raise ValueError("beta must be finite and nonnegative")
         self.dirichlet = (float(dirichlet[0]), float(dirichlet[1]))
         self.transmissibilities = build_transmissibilities(self.lambda_field, self.h)
-        # Jacobian entries in the order jacobian() lists their values:
-        # sub-diagonal, diagonal, super-diagonal
         cells = np.arange(self.M)
-        self._indptr, self._indices, self._slots = _csr_pattern(
-            np.concatenate((cells[1:], cells, cells[:-1])),
-            np.concatenate((cells[:-1], cells, cells[1:])),
-            self.M,
-        )
+        self._indptr, self._indices = _stencil_pattern(
+            _tridiagonal(cells, self.M), [-1, 0, 1])
+        self._all_rows = self.row_kernels(cells, cells[:0])
 
     @property
     def dof_count(self):
         return self.M
 
-    def _face_gradients(self, u):
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.M,):
-            raise ValueError(f"expected state vector of length {self.M}")
-        upad = np.concatenate(([self.dirichlet[0]], u, [self.dirichlet[1]]))
-        return self.transmissibilities * (upad[:-1] - upad[1:])
-
     def residual(self, u):
-        a = q_flux(self._face_gradients(u), self.beta)
-        return a[1:] - a[:-1] - self.source
+        return self._all_rows[0](self._state(u))
 
     def jacobian(self, u):
-        qp = q_flux_derivative(self._face_gradients(u), self.beta)
-        w = qp * self.transmissibilities
-        off = -w[1:-1]
-        data = np.empty(len(self._indices))
-        data[self._slots] = np.concatenate((off, w[1:] + w[:-1], off))
-        return sp.csr_matrix((data, self._indices, self._indptr),
-                             shape=(self.M, self.M))
+        return sp.csr_matrix((self._all_rows[1](self._state(u)), self._indices,
+                              self._indptr), shape=(self.M, self.M))
+
+    def row_kernels(self, cells, halo):
+        rows = _ForchheimerRows(self, cells, halo)
+        return rows.residual, rows.jacobian
+
+
+class _ForchheimerRows:
+    """ForchheimerProblem1D's row kernels on the faces touching the cells.
+
+    Face f lies between cells f-1 and f, the Dirichlet values standing in
+    for cells -1 and M; a cell's row is q at its right face minus q at its
+    left face minus its source, as in the global evaluation.
+    """
+
+    def __init__(self, problem, cells, halo):
+        M, m = problem.M, len(cells)
+        faces = _touched(M + 1, cells, cells + 1)
+        # each face's cells in the local vector padded to (dirichlet[0], x,
+        # dirichlet[1]), whose ends stand in for cells -1 and M (cell
+        # indices shifted by one)
+        ends = _local_index(np.append(0, cells + 1), np.append(halo + 1, M + 1),
+                            np.concatenate((faces, faces + 1)))
+        self.left, self.right = _indexer(ends[:len(faces)]), _indexer(ends[len(faces):])
+        self.lf = _indexer(np.searchsorted(faces, cells))
+        self.rf = _indexer(np.searchsorted(faces, cells + 1))
+        self.T = problem.transmissibilities[faces]
+        self.source, self.beta = problem.source[cells], problem.beta
+        self.d0, self.d1 = np.array(problem.dirichlet[:1]), np.array(problem.dirichlet[1:])
+        # the row of cell c holds, in column order, -w at its left face,
+        # w right + w left, and -w at its right face
+        self.take = (np.arange(m)[:, None] + [0, m, 2 * m])[_tridiagonal(cells, M)]
+
+    def _gradients(self, x):
+        padded = np.concatenate((self.d0, x, self.d1))
+        return self.T * (padded[self.left] - padded[self.right])
+
+    def residual(self, x):
+        a = q_flux(self._gradients(x), self.beta)
+        return a[self.rf] - a[self.lf] - self.source
+
+    def jacobian(self, x):
+        w = q_flux_derivative(self._gradients(x), self.beta) * self.T
+        wl, wr = w[self.lf], w[self.rf]
+        return np.concatenate((-wl, wr + wl, -wr))[self.take]
+
+
+def _tridiagonal(cells, M):
+    """Which of the columns c-1, c, c+1 the Jacobian row of each cell c holds."""
+    have = np.ones((len(cells), 3), dtype=bool)
+    have[:, 0], have[:, 2] = cells > 0, cells < M - 1
+    return have
+
+
+def _five_point(cells, nx, ny):
+    """Which of the columns c-nx, c-1, c, c+1, c+nx the row of each cell c holds."""
+    iy, ix = np.divmod(cells, nx)
+    have = np.ones((len(cells), 5), dtype=bool)
+    have[:, 0], have[:, 1], have[:, 3], have[:, 4] = (
+        iy > 0, ix > 0, ix < nx - 1, iy < ny - 1)
+    return have
 
 
 def _cell_edges(M, L):
@@ -215,9 +314,12 @@ def hard_forchheimer(
     """Stand-in hard case: seeded log-uniform permeability, oscillating source.
 
     Per-cell permeability is drawn log-uniformly from `contrast`, the source
-    is f(x) = amplitude * sin(omega*pi*x) integrated exactly per cell.  The
-    same (M, seed) pair always produces the same fields.
+    is f(x) = amplitude * sin(omega*pi*x) integrated exactly per cell, which
+    needs omega != 0.  The same (M, seed) pair always produces the same
+    fields.
     """
+    if omega == 0:
+        raise ValueError("omega must be nonzero")
     rng = np.random.default_rng(seed)
     lo, hi = contrast
     if not (0 < lo <= hi):
@@ -257,74 +359,22 @@ class DiffusionProblem2D(NonlinearProblem):
         yc = (np.arange(self.ny) + 0.5) * self.hy
         X, Y = np.meshgrid(xc, yc)
         self.source_cells = np.asarray(source(X, Y), dtype=float) * self.hx * self.hy
-        # Jacobian entries in the order jacobian() lists their values: per
-        # x face then per y face the couplings (L,L), (L,R), (R,L), (R,R),
-        # then the Dirichlet diagonal of the x=1 column
-        idx = np.arange(self.nx * self.ny).reshape(self.ny, self.nx)
-        rows, cols = [], []
-        for L, R in ((idx[:, :-1].ravel(), idx[:, 1:].ravel()),
-                     (idx[:-1, :].ravel(), idx[1:, :].ravel())):
-            rows.extend([L, L, R, R])
-            cols.extend([L, R, L, R])
-        rows.append(idx[:, -1])
-        cols.append(idx[:, -1])
-        self._indptr, self._indices, self._slots = _csr_pattern(
-            np.concatenate(rows), np.concatenate(cols), self.nx * self.ny)
+        cells = np.arange(self.nx * self.ny)
+        self._indptr, self._indices = _stencil_pattern(
+            _five_point(cells, self.nx, self.ny), [-self.nx, -1, 0, 1, self.nx])
+        self._all_rows = self.row_kernels(cells, cells[:0])
 
     @property
     def dof_count(self):
         return self.nx * self.ny
 
-    def _grid(self, u):
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.nx * self.ny,):
-            raise ValueError(f"expected state vector of length {self.nx * self.ny}")
-        return u.reshape(self.ny, self.nx)
-
     def residual(self, u):
-        U = self._grid(u)
-        res = -self.source_cells.copy()
-        Tx, Ty = self.hy / self.hx, self.hx / self.hy
-
-        uL, uR = U[:, :-1], U[:, 1:]
-        mean_a = 1.0 + 0.5 * (uL**2 + uR**2)
-        flux = Tx * mean_a * (uL - uR)
-        res[:, :-1] += flux
-        res[:, 1:] -= flux
-
-        uB, uT = U[:-1, :], U[1:, :]
-        mean_a = 1.0 + 0.5 * (uB**2 + uT**2)
-        flux = Ty * mean_a * (uB - uT)
-        res[:-1, :] += flux
-        res[1:, :] -= flux
-
-        # Dirichlet edge x=1: half-cell flux toward the boundary value
-        ub = U[:, -1]
-        res[:, -1] += 2.0 * Tx * (1.0 + ub**2) * (ub - self.dirichlet_value)
-        return res.ravel()
+        return self._all_rows[0](self._state(u))
 
     def jacobian(self, u):
-        U = self._grid(u)
-        Tx, Ty = self.hy / self.hx, self.hx / self.hy
-        data = []
-
-        def faces(uL, uR, T):
-            d = uL - uR
-            mean_a = 1.0 + 0.5 * (uL**2 + uR**2)
-            dL = T * (mean_a + uL * d)
-            dR = T * (-mean_a + uR * d)
-            data.extend([dL, dR, -dL, -dR])
-
-        faces(U[:, :-1].ravel(), U[:, 1:].ravel(), Tx)
-        faces(U[:-1, :].ravel(), U[1:, :].ravel(), Ty)
-        ub = U[:, -1]
-        data.append(2.0 * Tx * ((1.0 + ub**2) + 2.0 * ub * (ub - self.dirichlet_value)))
-        # repeated entries are summed in listed order, as a COO-to-CSR
-        # conversion of the same list sums them
-        data = np.bincount(self._slots, weights=np.concatenate(data),
-                           minlength=len(self._indices))
         n = self.nx * self.ny
-        return sp.csr_matrix((data, self._indices, self._indptr), shape=(n, n))
+        return sp.csr_matrix((self._all_rows[1](self._state(u)), self._indices,
+                              self._indptr), shape=(n, n))
 
     def initial_state(self):
         """Constant lift of the Dirichlet value.
@@ -334,3 +384,77 @@ class DiffusionProblem2D(NonlinearProblem):
         natural cold start; a zero start lies outside the solution's range.
         """
         return np.full(self.nx * self.ny, self.dirichlet_value)
+
+    def row_kernels(self, cells, halo):
+        rows = _DiffusionRows(self, cells, halo)
+        return rows.residual, rows.jacobian
+
+
+class _DiffusionRows:
+    """DiffusionProblem2D's row kernels on the faces touching the cells.
+
+    x face iy*(nx-1)+ix joins cell L = (ix, iy) to R = (ix+1, iy), y face
+    iy*nx+ix joins L = (ix, iy) to R = (ix, iy+1).  Each row sums its terms
+    by one np.bincount in the global evaluation's order: minus the source,
+    the x flux where the cell is L, minus it where the cell is R, the same
+    for y, then the Dirichlet flux.  A Jacobian entry sums its couplings,
+    listed per x face then per y face as (L,L), (L,R), (R,L), (R,R), then
+    the Dirichlet diagonal, by one np.bincount in that order.  Terms of rows
+    outside the cells go to one extra bin, which is dropped.
+    """
+
+    def __init__(self, problem, cells, halo):
+        nx, ny, m = problem.nx, problem.ny, len(cells)
+        iy, ix = np.divmod(cells, nx)
+        nxf, nyf = (nx - 1) * ny, nx * (ny - 1)
+        xf = _touched(nxf, (cells - iy)[ix < nx - 1], (cells - iy - 1)[ix > 0])
+        yf = _touched(nyf, cells[iy < ny - 1], cells[iy > 0] - nx)
+        xL = xf + xf // max(nx - 1, 1)
+        self.left = _local_index(cells, halo, np.concatenate((xL, yf)))
+        self.right = _local_index(cells, halo, np.concatenate((xL + 1, yf + nx)))
+        self.Tx = problem.hy / problem.hx
+        self.T = np.concatenate((np.full(len(xf), self.Tx),
+                                 np.full(len(yf), problem.hx / problem.hy)))
+        self.bound = np.flatnonzero(ix == nx - 1)
+        self.neg_source = -problem.source_cells.ravel()[cells]
+        self.dv, self.m, self.nx_faces = problem.dirichlet_value, m, len(xf)
+
+        L = np.where(self.left < m, self.left, m)
+        R = np.where(self.right < m, self.right, m)
+        x, y = slice(0, len(xf)), slice(len(xf), None)
+        self.r_bins = np.concatenate((np.arange(m), L[x], R[x], L[y], R[y],
+                                      self.bound))
+        # slot[p, k]: where the row of cells[p] holds column k of the stencil
+        # (c-nx, c-1, c, c+1, c+nx) in the row block's data, which lists the
+        # held entries row by row; row m of slot is the extra bin
+        have = _five_point(cells, nx, ny)
+        self.size = int(have.sum())
+        slot = np.append(np.cumsum(have) - 1, np.full(5, self.size)).reshape(m + 1, 5)
+        self.j_bins = np.concatenate((
+            slot[L[x], 2], slot[L[x], 3], slot[R[x], 1], slot[R[x], 2],
+            slot[L[y], 2], slot[L[y], 4], slot[R[y], 0], slot[R[y], 2],
+            slot[self.bound, 2]))
+
+    def _faces(self, x):
+        uL, uR = x[self.left], x[self.right]
+        return uL, uR, 1.0 + 0.5 * (uL**2 + uR**2)
+
+    def residual(self, x):
+        uL, uR, mean_a = self._faces(x)
+        flux = self.T * mean_a * (uL - uR)
+        ub = x[self.bound]
+        nf, k = -flux, self.nx_faces
+        terms = (self.neg_source, flux[:k], nf[:k], flux[k:], nf[k:],
+                 2.0 * self.Tx * (1.0 + ub**2) * (ub - self.dv))
+        return np.bincount(self.r_bins, np.concatenate(terms), self.m + 1)[:-1]
+
+    def jacobian(self, x):
+        uL, uR, mean_a = self._faces(x)
+        d = uL - uR
+        dL = self.T * (mean_a + uL * d)
+        dR = self.T * (-mean_a + uR * d)
+        ub = x[self.bound]
+        ndL, ndR, k = -dL, -dR, self.nx_faces
+        terms = (dL[:k], dR[:k], ndL[:k], ndR[:k], dL[k:], dR[k:], ndL[k:], ndR[k:],
+                 2.0 * self.Tx * ((1.0 + ub**2) + 2.0 * ub * (ub - self.dv)))
+        return np.bincount(self.j_bins, np.concatenate(terms), self.size + 1)[:-1]

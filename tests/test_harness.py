@@ -90,6 +90,7 @@ def test_parse_config_file(tmp_path):
     {"mesh": "40", "beta": "nan,nan"},
     {"mesh": "40", "field": "random", "amplitude": "nan"},
     {"mesh": "40", "field": "random", "omega": "inf"},
+    {"mesh": "40", "field": "random", "omega": "0"},
     {"mesh": "40", "field": "random", "contrast": "1e-2,inf"},
 ])
 def test_config_validation_errors(raw):
@@ -409,6 +410,15 @@ def test_cli_reference_tables(capsys):
 def test_cli_run_requires_config(capsys):
     assert cli_main(["run"]) == 2
     assert "config file is required" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_zero_omega(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "exp.cfg", mesh="40", methods="raspen1",
+                     field="random", omega="0")
+    out = tmp_path / "never"
+    assert cli_main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "error: omega must be nonzero" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_seed_override(tmp_path):

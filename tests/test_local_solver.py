@@ -1,5 +1,7 @@
 """Tests for the per-subdomain nonlinear solves and their derivatives."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -216,6 +218,9 @@ class _Repatterned:
     def jacobian(self, u):
         return self.change(self.problem.jacobian(u))
 
+    def row_kernels(self, cells, halo):
+        return self.problem.row_kernels(cells, halo)
+
     def initial_state(self):
         return self.problem.initial_state()
 
@@ -324,3 +329,50 @@ def test_inner_budget_error_names_subdomain():
     starved = SolverSettings(max_inner=1)
     with pytest.raises(LocalSolveError, match="subdomain 1"):
         solve_local(prob, pos, 100.0 * np.ones(12), starved)
+
+
+def test_inner_newton_checks_name_the_subdomain():
+    prob = smooth_forchheimer(12, beta=1.0)
+    pos = block_positions(prob, build_1d_layout(12, 2, 1))[1]
+    u = np.zeros(12)
+    singular = dataclasses.replace(pos, jacobian=lambda x: np.zeros(len(pos.rows)))
+    with pytest.raises(LocalSolveError,
+                       match="subdomain 1: singular local Jacobian"):
+        solve_local(prob, singular, u, SETTINGS)
+    evaluated = []
+
+    def nan_after_first_step(x):
+        evaluated.append(x)
+        return pos.residual(x) * (np.nan if len(evaluated) > 1 else 1.0)
+
+    with pytest.raises(LocalSolveError, match="subdomain 1: inner Newton "
+                       "produced a non-finite residual"):
+        solve_local(prob, dataclasses.replace(pos, residual=nan_after_first_step),
+                    u, SETTINGS)
+
+
+def test_sweep_results_share_one_frozen_base_state():
+    prob = smooth_forchheimer(20, beta=1.0)
+    positions = block_positions(prob, build_1d_layout(20, 4, 2))
+    u = np.linspace(0.0, 1.0, 20)
+    results, _, _ = sweep_locals(prob, positions, u, SETTINGS)
+    base = results[0].base_state
+    assert all(res.base_state is base for res in results)
+    assert base is not u and np.array_equal(base, u)
+    assert not base.flags.writeable
+    u[3] = 7.0  # the caller's array stays the caller's
+    assert base[3] != 7.0
+    # a standalone solve copies a writable state too
+    assert solve_local(prob, positions[0], u, SETTINGS).base_state is not u
+
+
+def test_positions_serve_only_their_problem():
+    prob = smooth_forchheimer(12, beta=1.0)
+    pos = block_positions(prob, build_1d_layout(12, 2, 1))[0]
+    twin = smooth_forchheimer(12, beta=1.0)
+    res = solve_local(prob, pos, np.zeros(12), SETTINGS)
+    with pytest.raises(ValueError, match="subdomain 0: block positions were "
+                       "computed for another problem"):
+        solve_local(twin, pos, np.zeros(12), SETTINGS)
+    with pytest.raises(ValueError, match="another problem"):
+        solved_jacobian(twin, pos, res)

@@ -7,7 +7,7 @@ from oracles import plain_newton
 import raspen.local_solver as local_solver_mod
 import raspen.newton as newton_mod
 from raspen.coarse import CoarseSolveError
-from raspen.decomposition import build_1d_layout
+from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.krylov import GmresReport
 from raspen.local_solver import LocalSolveError, SolverSettings
 from raspen.newton import (
@@ -20,7 +20,7 @@ from raspen.newton import (
     relative_l1_error,
 )
 from raspen.precond import PreconditionedSystem
-from raspen.problems import hard_forchheimer, smooth_forchheimer
+from raspen.problems import DiffusionProblem2D, hard_forchheimer, smooth_forchheimer
 
 
 def _system(kind, M=60, I=6, k=2, beta=1.0, settings=None):
@@ -156,6 +156,26 @@ def _fp_setup(kind, M):
     prob = smooth_forchheimer(M, beta=1.0)
     lay = build_1d_layout(M, 8, 3, dirichlet=prob.dirichlet)
     return PreconditionedSystem(kind, prob, lay), prob
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (smooth_forchheimer(60, beta=1.0), build_1d_layout(60, 6, 2)),
+    lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1)),
+], ids=["1d", "2d"])
+def test_raspen1_newton_evaluates_no_global_residual_or_jacobian(make):
+    # local solves and their derivative blocks read the problem's row
+    # kernels only: the one global Jacobian is the pattern block_positions
+    # reads when the system is built
+    prob, lay = make()
+    calls = {"residual": 0, "jacobian": 0}
+    for name in calls:
+        def spy(u, evaluate=getattr(prob, name), name=name):
+            calls[name] += 1
+            return evaluate(u)
+        setattr(prob, name, spy)
+    system = PreconditionedSystem("RASPEN1", prob, lay)
+    assert outer_newton(system, prob.initial_state()).converged
+    assert calls == {"residual": 0, "jacobian": 1}
 
 
 def test_ras_fixed_point_converges():

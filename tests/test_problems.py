@@ -1,10 +1,14 @@
 """Tests for the discrete problems against independent dense/FD oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from raspen.decomposition import build_1d_layout, build_2d_layout
+from raspen.local_solver import block_positions
 from raspen.problems import (
     DiffusionProblem2D,
     ForchheimerProblem1D,
@@ -192,6 +196,12 @@ def test_hard_forchheimer_seeded():
     assert a.lambda_field.min() >= 1e-2 and a.lambda_field.max() <= 1e2
 
 
+def test_hard_forchheimer_rejects_zero_omega():
+    # the integrated source divides by omega*pi: omega = 0 made it all nan
+    with pytest.raises(ValueError, match="omega must be nonzero"):
+        hard_forchheimer(40, 1.0, seed=1, omega=0.0)
+
+
 # ---------------------------------------------------------- diffusion 2D
 
 
@@ -344,3 +354,108 @@ def test_jacobian_pattern_is_fixed_and_matches_assembly(prob):
         assert np.array_equal(J.indptr, want.indptr)
         assert np.array_equal(J.indices, want.indices)
         assert J.data.tobytes() == want.data.tobytes()
+
+
+def _sliced_residual(prob, u):
+    """Oracle: the residual summed over whole-mesh slices, cell by cell.
+
+    1D: q at the right face minus q at the left face minus the source; 2D:
+    minus the source, plus the x flux where the cell is left of a face,
+    minus it where it is right, the same for y, plus the Dirichlet flux.
+    """
+    if isinstance(prob, ForchheimerProblem1D):
+        upad = np.concatenate(([prob.dirichlet[0]], u, [prob.dirichlet[1]]))
+        a = q_flux(prob.transmissibilities * (upad[:-1] - upad[1:]), prob.beta)
+        return a[1:] - a[:-1] - prob.source
+    U = u.reshape(prob.ny, prob.nx)
+    res = -prob.source_cells.copy()
+    for uL, uR, T, left, right in (
+            (U[:, :-1], U[:, 1:], prob.hy / prob.hx,
+             res[:, :-1], res[:, 1:]),
+            (U[:-1, :], U[1:, :], prob.hx / prob.hy,
+             res[:-1, :], res[1:, :])):
+        flux = T * (1.0 + 0.5 * (uL**2 + uR**2)) * (uL - uR)
+        left += flux
+        right -= flux
+    ub = U[:, -1]
+    res[:, -1] += (2.0 * prob.hy / prob.hx * (1.0 + ub**2)
+                   * (ub - prob.dirichlet_value))
+    return res.ravel()
+
+
+@pytest.mark.parametrize("prob", [
+    smooth_forchheimer(30, beta=1.0),
+    smooth_forchheimer(7, beta=0.0),
+    hard_forchheimer(25, beta=10.0, seed=3),
+    DiffusionProblem2D(7, 5),
+    DiffusionProblem2D(1, 4),
+    DiffusionProblem2D(6, 1),
+], ids=["1d-smooth", "1d-darcy", "1d-hard", "2d-7x5", "2d-1x4", "2d-6x1"])
+def test_residual_matches_sliced_sums_bit_for_bit(prob):
+    # the row kernels keep every cell's summation order
+    rng = np.random.default_rng(34)
+    n = prob.dof_count
+    for u in (np.zeros(n), rng.standard_normal(n), 1e3 * rng.standard_normal(n)):
+        assert prob.residual(u).tobytes() == _sliced_residual(prob, u).tobytes()
+
+
+# ------------------------------------------------------------ row kernels
+
+
+def _check_row_kernels(prob, subdomains, rng):
+    """Every subdomain's row kernels against the global evaluations, bit for bit."""
+    positions = block_positions(prob, SimpleNamespace(subdomains=subdomains))
+    n = prob.dof_count
+    for u in (rng.standard_normal(n), 1e3 * rng.standard_normal(n)):
+        F, J = prob.residual(u), prob.jacobian(u)
+        for pos in positions:
+            x = u[pos.cells]
+            assert pos.residual(x).tobytes() == F[pos.overlap].tobytes()
+            assert pos.jacobian(x).tobytes() == J.data[pos.rows].tobytes()
+
+
+def test_row_kernels_1d_bit_identical_on_every_interval():
+    # every contiguous cell interval of every mesh with 1 to 49 cells, so
+    # every subdomain of every 1D layout: single cells (I = M, k = 0), the
+    # whole mesh with its empty halo (I = 1), and everything between; the
+    # row block of an interval is a slice of the data array
+    rng = np.random.default_rng(32)
+    for M in range(1, 50):
+        probs = [smooth_forchheimer(M, 1.0)] + [smooth_forchheimer(M, 0.0)] * (M <= 12)
+        for prob in probs:
+            states = [(u, prob.residual(u), prob.jacobian(u)) for u in
+                      (rng.standard_normal(M), 1e3 * rng.standard_normal(M))]
+            for lo in range(M):
+                for hi in range(lo + 1, M + 1):
+                    cells = np.arange(lo, hi)
+                    halo = np.array([c for c in (lo - 1, hi) if 0 <= c < M], dtype=int)
+                    residual_rows, jacobian_rows = prob.row_kernels(cells, halo)
+                    for u, F, J in states:
+                        x = u[np.concatenate((cells, halo))]
+                        assert residual_rows(x).tobytes() == F[lo:hi].tobytes()
+                        assert (jacobian_rows(x).tobytes()
+                                == J.data[J.indptr[lo]:J.indptr[hi]].tobytes())
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 6), (6, 1), (2, 6), (6, 4),
+                                    (9, 6), (8, 12), (10, 5)])
+def test_row_kernels_2d_bit_identical_on_every_subdomain(nx, ny):
+    rng = np.random.default_rng(33)
+    prob = DiffusionProblem2D(nx, ny)
+    for N in range(1, min(nx, ny) + 1):
+        if nx % N or ny % N:
+            continue
+        for k in range(min(nx, ny) // N + 1 if N > 1 else 1):
+            _check_row_kernels(prob, build_2d_layout(nx, ny, N, k).subdomains, rng)
+
+
+@pytest.mark.parametrize("prob, cells", [
+    (smooth_forchheimer(12, beta=1.0), np.arange(3, 7)),
+    (DiffusionProblem2D(6, 5), np.array([7, 8, 13, 14])),
+], ids=["1d", "2d"])
+def test_row_kernels_need_the_whole_halo(prob, cells):
+    J = prob.jacobian(prob.initial_state())
+    halo = np.setdiff1d(J[cells].indices, cells)
+    prob.row_kernels(cells, halo)
+    with pytest.raises(ValueError, match="halo"):
+        prob.row_kernels(cells, halo[1:])
