@@ -58,16 +58,16 @@ def gmres(action, rhs, tol=1e-8, max_iter=None):
 
     k = 0
     while k < max_iter:
-        w = action(V[k])
-        w = np.asarray(w, dtype=float)
+        w = np.array(action(V[k]), dtype=float)  # our copy, updated in place
         hcol = np.zeros(k + 2)
         for i in range(k + 1):
             hcol[i] = V[i] @ w
-            w = w - hcol[i] * V[i]
+            w -= hcol[i] * V[i]
         hcol[k + 1] = np.linalg.norm(w)
         breakdown = hcol[k + 1] < BREAKDOWN_TOL
         if not breakdown:
-            V.append(w / hcol[k + 1])
+            w /= hcol[k + 1]
+            V.append(w)
 
         for i in range(k):
             t = cs[i] * hcol[i] + sn[i] * hcol[i + 1]

@@ -5,16 +5,18 @@ the exterior of the subdomain frozen at u (homogeneous correction outside).
 A solve keeps the correction, the solved overlap values of
 u^(i) = u + P_i C_i(u) and its inner Newton count, but no derivative data.
 
-That lives in a LocalJacobian, built on demand: the entries of the row
-block R_i J, over the overlap cells and the frozen exterior, plus the LU
-factors of A_ii = R_i J P_i.  Taken at u^(i) (solved_jacobian) the block
-applies the exact derivative
+That lives in a LocalJacobian, built on demand for one subdomain or for
+all of them at once: the entries of the row blocks R_i J, over the
+overlap cells and the frozen exterior, stacked in subdomain order, plus
+one band LU of the block-diagonal matrix diag(A_ii), A_ii = R_i J P_i.
+Taken at each u^(i) (solved_jacobian) it applies the exact derivatives
 
     dC_i/du = -A_ii^{-1} R_i J(u^(i)),
 
-taken at u (local_jacobian, from a global J(u)) it applies ASPIN's
-inexact one; either costs one gathered row-block product and one
-back-substitution.
+taken at u (local_jacobian, from a global J(u)) ASPIN's inexact ones;
+either way one action, for every subdomain in the block, costs one
+gather of v, one np.add.reduceat and one back-substitution (dgbtrs), and
+returns the stacked vector of the layout's stacked overlap space.
 
 Every problem's Jacobian has a fixed CSR pattern, and it is the only
 description of the stencil read here: block_positions reads it once, from
@@ -26,11 +28,14 @@ array, and where A_ii's entries go in LAPACK band storage.  Every solve
 and block function takes them.  An inner Newton step works on the m + h
 values at the overlap and its halo: it calls the row kernels for R_i F and
 R_i J and touches no length-M array, so a sweep costs O(sum_i m_i), not
-O(I M); solved_jacobian calls the Jacobian kernel once at u^(i).  A_ii is
-factored by band LU (dgbtrf) in the overlap's cell order, so its cost
-grows with the block's bandwidth, and solved by dgbtrs.  _factor is the
-one place a local block is factored, from R_i J's entries, whether they
-come from the row kernel or from a global J.data.
+O(I M); solved_jacobian calls the Jacobian kernel once per subdomain at
+u^(i).  A_ii is factored by band LU (dgbtrf) in the overlap's cell order
+and solved by dgbtrs.  A stacked block uses the widest block's bandwidths
+for the whole band, so its cost grows with the largest kl + ku; its
+blocks share no coupling, so band LU eliminates each exactly as it would
+alone.  _band_lu is the one place a band is filled and factored, from
+R_i J's entries, whether they come from the row kernel or from a global
+J.data.
 """
 
 from dataclasses import dataclass, field
@@ -144,22 +149,24 @@ class BlockPositions:
 
 @dataclass(frozen=True, eq=False)
 class LocalJacobian:
-    """Row block R_i J of a global Jacobian and the band LU of R_i J P_i.
+    """Stacked row blocks R_i J and the band LU of A = diag(A_ii).
 
-    rows holds R_i J's entries in the order of positions.columns; lu is
-    dgbtrf's (band factors, pivots) of A_ii.  base_state is the global u
-    whose derivative the block represents; actions verify against it.
+    positions lists the blocks' BlockPositions in stacking order.  rows
+    holds every R_i J's entries in turn, at global column indices columns;
+    stacked row r starts at row_starts[r].  lu is dgbtrf's (band factors,
+    pivots) of A, a band matrix with bandwidths kl and ku, the largest of
+    the blocks'.  base_state is the global u whose derivative the blocks
+    represent; actions verify against it.
     """
 
-    positions: BlockPositions = field(repr=False)
+    positions: tuple = field(repr=False)
     rows: np.ndarray = field(repr=False)
+    columns: np.ndarray = field(repr=False)
+    row_starts: np.ndarray = field(repr=False)
+    kl: int
+    ku: int
     lu: tuple = field(repr=False)
     base_state: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def subdomain(self):
-        return self.positions.subdomain
-
 
 def block_positions(problem, layout):
     """Every subdomain's BlockPositions in the problem's Jacobian pattern.
@@ -220,49 +227,89 @@ def _frozen(u):
     return u
 
 
-def _factor(positions, rows):
-    """Band LU factors (dgbtrf's lu, ipiv) of A_ii, from R_i J's entries rows."""
-    kl, ku = positions.kl, positions.ku
-    band = np.zeros((positions.size, 2 * kl + ku + 1))
-    band.flat[positions.slots] = rows[positions.block]
-    lu, ipiv, info = dgbtrf(band.T, kl, ku, overwrite_ab=True)
+def _band_lu(n, kl, ku, slots, entries):
+    """dgbtrf's (lu, ipiv, info) of the n x n band matrix with entries at slots.
+
+    slots are flat indices of a C-order (n, 2*kl+ku+1) array, whose
+    transpose is LAPACK's band storage (A[r, c] at row kl+ku+r-c of column c).
+    """
+    band = np.zeros((n, 2 * kl + ku + 1))
+    band.flat[slots] = entries
+    return dgbtrf(band.T, kl, ku, overwrite_ab=True)
+
+
+def _stacked(positions, entries, base_state):
+    """One LocalJacobian over positions, whose row blocks hold entries in turn.
+
+    Each block's band slots move to its cells' offset in the stack and to
+    the stack's bandwidths; a zero pivot is mapped back to its subdomain.
+    """
+    positions = tuple(positions)
+    sizes = np.array([pos.size for pos in positions])
+    counts = np.array([len(pos.columns) for pos in positions])
+    kls = np.array([pos.kl for pos in positions])
+    kus = np.array([pos.ku for pos in positions])
+    kl, ku = int(kls.max()), int(kus.max())
+    ends = np.cumsum(sizes)
+    first_entry = np.cumsum(counts) - counts
+    of_slot = np.repeat(np.arange(len(positions)),
+                        [len(pos.slots) for pos in positions])
+    rows = np.concatenate(entries)
+    row_starts = (np.concatenate([pos.row_indptr[:-1] for pos in positions])
+                  + np.repeat(first_entry, sizes))
+    block = np.concatenate([pos.block for pos in positions]) + first_entry[of_slot]
+    col, band_row = np.divmod(np.concatenate([pos.slots for pos in positions]),
+                              (2 * kls + kus + 1)[of_slot])
+    slots = ((col + (ends - sizes)[of_slot]) * (2 * kl + ku + 1) + band_row
+             + (kl + ku - kls - kus)[of_slot])
+    lu, ipiv, info = _band_lu(int(ends[-1]), kl, ku, slots, rows[block])
     if info > 0:
-        raise LocalSolveError(
-            f"subdomain {positions.subdomain}: singular local Jacobian"
-        )
-    return lu, ipiv
+        i = positions[np.searchsorted(ends, info - 1, "right")].subdomain
+        raise LocalSolveError(f"subdomain {i}: singular local Jacobian")
+    columns = np.concatenate([pos.columns for pos in positions])
+    return LocalJacobian(positions, rows, columns, row_starts, kl, ku,
+                         (lu, ipiv), base_state)
 
 
-def _solve(positions, lu, b):
-    """A_ii^{-1} b by back-substitution with _factor's band LU factors."""
-    return dgbtrs(lu[0], positions.kl, positions.ku, b, lu[1])[0]
+def _solve(block, b):
+    """A^{-1} b by back-substitution with a LocalJacobian's band LU factors."""
+    return dgbtrs(block.lu[0], block.kl, block.ku, b, block.lu[1])[0]
 
 
 def local_jacobian(J, positions, base_state=None):
-    """The block of the global Jacobian J at positions, factored."""
-    if J.format != "csr" or J.shape != positions.shape or J.nnz != positions.nnz:
-        raise ValueError(
-            f"subdomain {positions.subdomain}: Jacobian ({J.format}, shape "
-            f"{J.shape}, nnz {J.nnz}) does not have the pattern its block "
-            f"positions were computed for (csr, shape {positions.shape}, "
-            f"nnz {positions.nnz})"
-        )
-    rows = J.data[positions.rows]
-    return LocalJacobian(positions, rows, _factor(positions, rows), base_state)
+    """The blocks of the global Jacobian J at a sequence of positions, stacked."""
+    for pos in positions:
+        if J.format != "csr" or J.shape != pos.shape or J.nnz != pos.nnz:
+            raise ValueError(
+                f"subdomain {pos.subdomain}: Jacobian ({J.format}, shape "
+                f"{J.shape}, nnz {J.nnz}) does not have the pattern its block "
+                f"positions were computed for (csr, shape {pos.shape}, "
+                f"nnz {pos.nnz})"
+            )
+    return _stacked(positions, [J.data[pos.rows] for pos in positions],
+                    base_state)
 
 
-def solved_jacobian(problem, positions, result):
-    """The block of a local solve at its solved state u^(i), from the row kernel.
+def solved_jacobian(problem, positions, results):
+    """The blocks of local solves at their solved states u^(i), stacked.
 
-    u^(i) is the base state with the stored solved values on the overlap,
-    not base_state + P_i correction, which can differ in the last bit.
+    positions and results are sequences in the same order; the results
+    must share one base state, as the results of one sweep do.  Each block
+    comes from its row kernel at u^(i), the base state with the stored
+    solved values on the overlap, not base_state + P_i correction, which
+    can differ in the last bit.
     """
-    _require_problem(problem, positions)
-    x = result.base_state[positions.cells]
-    x[:positions.size] = result.solved
-    rows = positions.jacobian(x)
-    return LocalJacobian(positions, rows, _factor(positions, rows),
-                         result.base_state)
+    base = results[0].base_state
+    entries = []
+    for pos, res in zip(positions, results, strict=True):
+        _require_problem(problem, pos)
+        if res.base_state is not base:
+            raise ValueError(f"subdomain {pos.subdomain}: local results of "
+                             "different sweeps cannot be stacked")
+        x = base[pos.cells]
+        x[:pos.size] = res.solved
+        entries.append(pos.jacobian(x))
+    return _stacked(positions, entries, base)
 
 
 def solve_local(problem, positions, u, settings):
@@ -278,6 +325,7 @@ def solve_local(problem, positions, u, settings):
     """
     _require_problem(problem, positions)
     i, m = positions.subdomain, positions.size
+    kl, ku = positions.kl, positions.ku
     u = _frozen(u)
     x = u[positions.cells]
 
@@ -290,7 +338,11 @@ def solve_local(problem, positions, u, settings):
                 f"subdomain {i}: inner Newton did not reach {settings.inner_tol} "
                 f"within {settings.max_inner} iterations (residual {rnorm:.3e})"
             )
-        x[:m] -= _solve(positions, _factor(positions, positions.jacobian(x)), r)
+        lu, ipiv, info = _band_lu(m, kl, ku, positions.slots,
+                                  positions.jacobian(x)[positions.block])
+        if info > 0:
+            raise LocalSolveError(f"subdomain {i}: singular local Jacobian")
+        x[:m] -= dgbtrs(lu, kl, ku, r, ipiv)[0]
         iterations += 1
         r = positions.residual(x)
         rnorm = np.linalg.norm(r)
@@ -310,21 +362,19 @@ def solve_local(problem, positions, u, settings):
 
 
 def local_correction_jacobian_action(block, v, at_state=None):
-    """Apply -A_ii^{-1} R_i J to a global vector v with a LocalJacobian.
+    """Apply every -A_ii^{-1} R_i J of a LocalJacobian to a global vector v.
 
-    The action gathers v at the row block's columns, sums each row's
-    products in one np.add.reduceat and back-substitutes with the band LU.
-    Passing at_state asserts the block belongs to that state; a mismatch
-    raises StaleCacheError.
+    The action gathers v at the stacked columns, sums each row's products
+    in one np.add.reduceat and back-substitutes with the one band LU; the
+    result is the stacked vector of the block's overlaps.  Passing
+    at_state asserts the block belongs to that state; a mismatch raises
+    StaleCacheError.
     """
     if at_state is not None and not np.array_equal(at_state, block.base_state):
-        raise StaleCacheError(
-            f"subdomain {block.subdomain}: factorization was built at a "
-            "different state than the one being differentiated"
-        )
-    pos = block.positions
-    Jv = np.add.reduceat(block.rows * v[pos.columns], pos.row_indptr[:-1])
-    return -_solve(pos, block.lu, Jv)
+        raise StaleCacheError("local blocks were factored at a different "
+                              "state than the one being differentiated")
+    Jv = np.add.reduceat(block.rows * v[block.columns], block.row_starts)
+    return -_solve(block, Jv)
 
 
 def sweep_locals(problem, positions, u, settings):

@@ -17,15 +17,19 @@ kinds, by P (prolong) for the ASPIN kinds.
 Each system also applies its derivative matrix-free, by one formula for
 all four kinds: the coarse derivative (two-level kinds), then every local
 derivative -A_ii^{-1} R_i J glued like the corrections, applied to v, or
-to v plus the prolonged coarse action inside RASPEN2.  The local blocks
+to v plus the prolonged coarse action inside RASPEN2.  The local
+derivatives of an evaluation are one LocalJacobian over all subdomains,
+so an action applies them with one gather, one reduceat and one band
+back-substitution, and glues the stacked result directly.  The blocks
 are taken at each solved local state (exact mode, always used by the
 RASPEN kinds) or all at the one global Jacobian J(u) (inexact mode, the
 ASPIN default; the exact variant is jacobian_mode="exact").
 
 A residual evaluation caches everything the subsequent Jacobian actions
-need; the local blocks are built and factored at the first action, so an
-evaluation that no action follows factors nothing.  Actions verify they
-are applied at the cached state and raise StaleCacheError otherwise.
+need; the stacked local blocks are built and factored, in one band LU,
+at the first action, so an evaluation that no action follows factors
+nothing.  Actions verify they are applied at the cached state and raise
+StaleCacheError otherwise.
 Every local block, in the inner solves and the actions alike, uses the
 block positions of one block_positions call, made when the system is
 built; it reads the problem's one global Jacobian per system, its pattern.
@@ -74,7 +78,7 @@ class _EvalCache:
     ls_in_min: int
     coarse: object = None
     J_u: object = None             # fine Jacobian at u, assembled on demand
-    blocks: list = None            # LocalJacobians, built at the first action
+    block: object = None           # stacked LocalJacobian, built at the first action
 
 
 class PreconditionedSystem:
@@ -128,10 +132,10 @@ class PreconditionedSystem:
             raise StaleCacheError("no residual evaluation cached")
         return self._cache.ls_in_max, self._cache.ls_in_min
 
-    def _glue(self, vectors):
+    def _glue(self, stacked):
         """sum_i P~_i x_i (restricted) or sum_i P_i x_i (additive) in one call."""
         glue = restricted_prolong if self.restricted else prolong
-        return glue(self.layout, np.concatenate(vectors))
+        return glue(self.layout, stacked)
 
     def residual(self, u):
         """Evaluate the preconditioned function, caching all intermediates."""
@@ -150,7 +154,7 @@ class PreconditionedSystem:
                                        local_state, self.settings)
         if coarse is not None:
             mx = max(mx, coarse.inner_iterations)
-        glued = self._glue([res.correction for res in results])
+        glued = self._glue(np.concatenate([res.correction for res in results]))
         self._cache = _EvalCache(u, results, mx, mn, coarse)
         return pc0 + glued
 
@@ -168,18 +172,16 @@ class PreconditionedSystem:
             cache.J_u = self.problem.jacobian(cache.u)
         return cache.J_u
 
-    def _blocks(self, cache):
-        """The local blocks of this evaluation, built once at the first action."""
-        if cache.blocks is None:
+    def _block(self, cache):
+        """The stacked local block of this evaluation, built at the first action."""
+        if cache.block is None:
             if self.jacobian_mode == "exact":
-                cache.blocks = [solved_jacobian(self.problem, pos, res)
-                                for pos, res in zip(self._positions,
-                                                    cache.locals_)]
+                cache.block = solved_jacobian(self.problem, self._positions,
+                                              cache.locals_)
             else:
-                J = self._fine_jacobian(cache)
-                cache.blocks = [local_jacobian(J, pos, cache.u)
-                                for pos in self._positions]
-        return cache.blocks
+                cache.block = local_jacobian(self._fine_jacobian(cache),
+                                             self._positions, cache.u)
+        return cache.block
 
     def jacobian_action(self, u, v):
         """Apply the derivative of the preconditioned function at u to v."""
@@ -193,10 +195,10 @@ class PreconditionedSystem:
             pt = self.layout.P0 @ coarse_action(
                 cache.coarse, self.layout, cache.u, self._fine_jacobian(cache), v)
         x = v + pt if self.kind == "RASPEN2" else v
-        # no per-block state check: _require_cache checked the state once
-        # and the blocks belong to that cache
-        return pt + self._glue([local_correction_jacobian_action(block, x)
-                                for block in self._blocks(cache)])
+        # no state check in the action: _require_cache checked the state
+        # once and the block belongs to that cache
+        return pt + self._glue(
+            local_correction_jacobian_action(self._block(cache), x))
 
     def fixed_point_step(self, u):
         """One sweep of the underlying fixed-point iteration: u + residual(u)."""

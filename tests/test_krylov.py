@@ -106,3 +106,25 @@ def test_zero_operator_divides_by_no_zero_diagonal():
     assert rep.iterations == 1
     assert rep.relative_residual == 1.0
     assert np.array_equal(x, np.zeros(5))
+
+
+def test_rhs_and_returned_arrays_left_unchanged():
+    # the orthogonalization works on its own copy of each action's output,
+    # so an action may hand back the same stored array on every call
+    rng = np.random.default_rng(12)
+    n = 12
+    A = np.eye(n) + 0.2 * rng.standard_normal((n, n))
+    rhs = rng.standard_normal(n)
+    rhs_before = rhs.copy()
+    stored, written = np.empty(n), []
+
+    def action(v):
+        stored[:] = A @ v
+        written.append(stored.copy())
+        return stored
+
+    x, rep = gmres(action, rhs, tol=1e-12)
+    assert rep.converged and rep.iterations == len(written) > 1
+    assert np.array_equal(rhs, rhs_before)
+    assert np.array_equal(stored, written[-1])
+    assert np.allclose(A @ x, rhs, atol=1e-10)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import lapack
 from oracles import brute_frozen_newton, dense_darcy_system, plain_newton
 
 import raspen.local_solver as local_solver_mod
@@ -28,9 +29,10 @@ SETTINGS = SolverSettings()
 
 def _row_block(block):
     """R_i J of a LocalJacobian as a dense matrix, from its gathered entries."""
-    pos = block.positions
-    return sp.csr_matrix((block.rows, pos.columns, pos.row_indptr),
-                         shape=(pos.size, pos.shape[1])).toarray()
+    indptr = np.append(block.row_starts, len(block.rows))
+    return sp.csr_matrix((block.rows, block.columns, indptr),
+                         shape=(len(block.row_starts),
+                                block.positions[0].shape[1])).toarray()
 
 
 def _band_to_dense(ab, kl, ku):
@@ -111,12 +113,12 @@ def test_factorization_round_trip():
     prob = smooth_forchheimer(30, beta=1.0)
     pos = block_positions(prob, build_1d_layout(30, 3, 2))[0]
     u = np.linspace(0, 1, 30)
-    block = solved_jacobian(prob, pos, solve_local(prob, pos, u, SETTINGS))
+    block = solved_jacobian(prob, [pos], [solve_local(prob, pos, u, SETTINGS)])
     A_ii = _row_block(block)[:, pos.overlap]
     rng = np.random.default_rng(23)
     for _ in range(5):
         w = rng.standard_normal(A_ii.shape[0])
-        back = A_ii @ _solve(pos, block.lu, w)
+        back = A_ii @ _solve(block, w)
         assert np.linalg.norm(back - w) / np.linalg.norm(w) < 1e-10
 
 
@@ -124,7 +126,7 @@ def test_jacobian_action_zero_and_linear():
     prob = smooth_forchheimer(20, beta=1.0)
     pos = block_positions(prob, build_1d_layout(20, 4, 1))[2]
     u = np.linspace(0, 1, 20)
-    block = solved_jacobian(prob, pos, solve_local(prob, pos, u, SETTINGS))
+    block = solved_jacobian(prob, [pos], [solve_local(prob, pos, u, SETTINGS)])
     assert np.allclose(local_correction_jacobian_action(block, np.zeros(20)), 0.0)
     rng = np.random.default_rng(24)
     v, w = rng.standard_normal(20), rng.standard_normal(20)
@@ -142,7 +144,7 @@ def test_jacobian_action_affine_oracle():
     u = rng.standard_normal(15)
     for pos in positions:
         ov = pos.overlap
-        block = solved_jacobian(prob, pos, solve_local(prob, pos, u, SETTINGS))
+        block = solved_jacobian(prob, [pos], [solve_local(prob, pos, u, SETTINGS)])
         A_i = A[np.ix_(ov, ov)]
         for _ in range(3):
             v = rng.standard_normal(15)
@@ -162,7 +164,7 @@ def test_jacobian_action_matches_fd(make):
     rng = np.random.default_rng(26)
     u = 0.1 * rng.standard_normal(n)
     for pos in block_positions(prob, lay):
-        block = solved_jacobian(prob, pos, solve_local(prob, pos, u, tight))
+        block = solved_jacobian(prob, [pos], [solve_local(prob, pos, u, tight)])
         for _ in range(2):
             v = rng.standard_normal(n)
             eps = 1e-6
@@ -195,7 +197,7 @@ def test_blocks_gathered_by_position_match_slices(make, monkeypatch):
     monkeypatch.setattr(local_solver_mod, "dgbtrf", recording_dgbtrf)
     for pos in block_positions(prob, lay):
         ov = pos.overlap
-        block = local_jacobian(J, pos)
+        block = local_jacobian(J, [pos])
         ab, kl, ku = factored[-1]
         # LAPACK's layout: 2*kl+ku+1 rows, the first kl left for fill-in
         assert ab.shape == (2 * kl + ku + 1, pos.size) and not ab[:kl].any()
@@ -258,9 +260,9 @@ def test_band_factors_match_dense_solve(make, bands):
     for pos in positions:
         ov = pos.overlap
         A_i = dense[np.ix_(ov, ov)]
-        block = local_jacobian(J, pos)
+        block = local_jacobian(J, [pos])
         w, v = rng.standard_normal(pos.size), rng.standard_normal(n)
-        assert np.allclose(_solve(pos, block.lu, w), np.linalg.solve(A_i, w),
+        assert np.allclose(_solve(block, w), np.linalg.solve(A_i, w),
                            rtol=1e-12, atol=1e-12)
         assert np.allclose(local_correction_jacobian_action(block, v),
                            -np.linalg.solve(A_i, dense[ov] @ v),
@@ -275,7 +277,7 @@ def test_block_positions_reject_other_patterns():
     bigger = smooth_forchheimer(13, beta=1.0).jacobian(np.zeros(13))
     for other in (_with_extra_entry(J), bigger, J.tocsc()):
         with pytest.raises(ValueError, match="subdomain 1"):
-            local_jacobian(other, pos)
+            local_jacobian(other, [pos])
     # positions from a pattern with an extra entry fit no Jacobian of prob
     extra = block_positions(_Repatterned(prob, _with_extra_entry), lay)[1]
     with pytest.raises(ValueError, match="subdomain 1"):
@@ -289,7 +291,7 @@ def test_stale_cache_guard():
     prob = smooth_forchheimer(12, beta=1.0)
     pos = block_positions(prob, build_1d_layout(12, 2, 1))[0]
     u = np.zeros(12)
-    block = solved_jacobian(prob, pos, solve_local(prob, pos, u, SETTINGS))
+    block = solved_jacobian(prob, [pos], [solve_local(prob, pos, u, SETTINGS)])
     local_correction_jacobian_action(block, np.ones(12), at_state=u)
     with pytest.raises(StaleCacheError):
         local_correction_jacobian_action(block, np.ones(12), at_state=u + 0.5)
@@ -375,4 +377,112 @@ def test_positions_serve_only_their_problem():
                        "computed for another problem"):
         solve_local(twin, pos, np.zeros(12), SETTINGS)
     with pytest.raises(ValueError, match="another problem"):
-        solved_jacobian(twin, pos, res)
+        solved_jacobian(twin, [pos], [res])
+
+
+def _per_block_action(positions, entries, v):
+    """Each block's -A_ii^{-1} R_i J v with its own band LU, concatenated."""
+    out = []
+    for pos, rows in zip(positions, entries, strict=True):
+        band = np.zeros((pos.size, 2 * pos.kl + pos.ku + 1))
+        band.flat[pos.slots] = rows[pos.block]
+        lu, piv, info = lapack.dgbtrf(band.T, pos.kl, pos.ku, overwrite_ab=True)
+        assert info == 0
+        Jv = np.add.reduceat(rows * v[pos.columns], pos.row_indptr[:-1])
+        out.append(-lapack.dgbtrs(lu, pos.kl, pos.ku, Jv, piv)[0])
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (smooth_forchheimer(17, beta=1.0), build_1d_layout(17, 4, 0)),
+    lambda: (smooth_forchheimer(17, beta=1.0), build_1d_layout(17, 5, 2)),
+    lambda: (smooth_forchheimer(9, beta=1.0), build_1d_layout(9, 9, 0)),
+    lambda: (smooth_forchheimer(9, beta=1.0), build_1d_layout(9, 9, 1)),
+    lambda: (smooth_forchheimer(17, beta=1.0), build_1d_layout(17, 1, 0)),
+    lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1)),
+    lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 2, 2)),
+    lambda: (DiffusionProblem2D(8, 12), build_2d_layout(8, 12, 4, 2)),
+], ids=["1d-k0", "1d-k2", "1d-1x1", "1d-I=M-k1", "1d-I=1", "2d-12x8-N4-k1",
+        "2d-12x8-N2-k2", "2d-8x12-N4-k2"])
+@pytest.mark.parametrize("exact", [True, False], ids=["solved", "global-J"])
+def test_stacked_action_bit_identical_to_per_block(make, exact):
+    # the stacked band pads every block to the widest bandwidths; the
+    # blocks share no coupling, so each is eliminated exactly as alone
+    prob, lay = make()
+    n = prob.dof_count
+    positions = block_positions(prob, lay)
+    rng = np.random.default_rng(29)
+    u = 0.3 * rng.standard_normal(n)
+    if exact:
+        results, _, _ = sweep_locals(prob, positions, u, SETTINGS)
+        block = solved_jacobian(prob, positions, results)
+        entries = []
+        for pos, res in zip(positions, results):
+            x = res.base_state[pos.cells]
+            x[:pos.size] = res.solved
+            entries.append(pos.jacobian(x))
+    else:
+        J = prob.jacobian(u)
+        block = local_jacobian(J, positions, u)
+        entries = [J.data[pos.rows] for pos in positions]
+    assert (block.kl, block.ku) == (max(pos.kl for pos in positions),
+                                    max(pos.ku for pos in positions))
+    for scale in (1.0, 1e3):
+        v = scale * rng.standard_normal(n)
+        got = local_correction_jacobian_action(block, v)
+        assert got.tobytes() == _per_block_action(positions, entries, v).tobytes()
+
+
+def test_stacked_action_bit_identical_with_padded_bands():
+    # subdomain 1's upper band spans its whole block while the others' is
+    # 1, so blocks 0 and 2 sit in a band padded to ku = 5
+    prob = _Repatterned(smooth_forchheimer(12, beta=1.0), _with_entry_above)
+    positions = block_positions(prob, build_1d_layout(12, 3, 1))
+    rng = np.random.default_rng(30)
+    J = prob.jacobian(rng.standard_normal(12))
+    block = local_jacobian(J, positions)
+    assert (block.kl, block.ku) == (1, 5)
+    entries = [J.data[pos.rows] for pos in positions]
+    for _ in range(3):
+        v = rng.standard_normal(12)
+        got = local_correction_jacobian_action(block, v)
+        assert got.tobytes() == _per_block_action(positions, entries, v).tobytes()
+
+
+def _zeroing_dgbtrf(column):
+    """dgbtrf after zeroing the stacked band's column: that pivot is zero."""
+    dgbtrf = local_solver_mod.dgbtrf
+
+    def zeroed(ab, kl, ku, **kwargs):
+        ab[:, column] = 0.0  # band storage keeps A[:, c] in column c
+        return dgbtrf(ab, kl, ku, **kwargs)
+
+    return zeroed
+
+
+@pytest.mark.parametrize("first, named", [(True, 2), (False, 1)],
+                         ids=["own-first-column", "previous-last-column"])
+def test_zero_pivot_names_its_subdomain(first, named, monkeypatch):
+    prob = smooth_forchheimer(24, beta=1.0)
+    positions = block_positions(prob, build_1d_layout(24, 4, 2))
+    J = prob.jacobian(np.zeros(24))
+    start = positions[0].size + positions[1].size  # subdomain 2's first column
+    monkeypatch.setattr(local_solver_mod, "dgbtrf",
+                        _zeroing_dgbtrf(start if first else start - 1))
+    with pytest.raises(LocalSolveError,
+                       match=f"^subdomain {named}: singular local Jacobian$"):
+        local_jacobian(J, positions)
+
+
+def test_stacked_blocks_need_results_of_one_sweep():
+    # a stacked block has one base state, which the stale-state guard reads
+    prob = smooth_forchheimer(12, beta=1.0)
+    positions = block_positions(prob, build_1d_layout(12, 2, 1))
+    u = np.zeros(12)
+    results = [solve_local(prob, pos, u, SETTINGS) for pos in positions]
+    with pytest.raises(ValueError, match="subdomain 1: local results of "
+                       "different sweeps cannot be stacked"):
+        solved_jacobian(prob, positions, results)
+    results, _, _ = sweep_locals(prob, positions, u, SETTINGS)
+    block = solved_jacobian(prob, positions, results)
+    local_correction_jacobian_action(block, np.ones(12), at_state=u)

@@ -145,6 +145,33 @@ def test_singular_block_at_first_action_gets_outer_context(monkeypatch):
         outer_newton(system, system.problem.initial_state())
 
 
+@pytest.mark.parametrize("first, named", [(True, 3), (False, 2)],
+                         ids=["own-first-column", "previous-last-column"])
+def test_zero_pivot_in_stacked_block_names_subdomain_with_outer_context(
+        first, named, monkeypatch):
+    # all local blocks are factored as one band: a zero pivot at subdomain
+    # 3's first column, or at subdomain 2's last, names that subdomain
+    system = _system("RASPEN1")
+    start = sum(len(sub.overlap) for sub in system.layout.subdomains[:3])
+    column = start if first else start - 1
+    residual = system.residual
+    dgbtrf = local_solver_mod.dgbtrf
+
+    def zeroed(ab, kl, ku, **kwargs):
+        ab[:, column] = 0.0  # band storage keeps A[:, c] in column c
+        return dgbtrf(ab, kl, ku, **kwargs)
+
+    def residual_then_singular(u):
+        r = residual(u)
+        monkeypatch.setattr(local_solver_mod, "dgbtrf", zeroed)
+        return r
+
+    system.residual = residual_then_singular
+    with pytest.raises(LocalSolveError, match=f"outer iteration 0: subdomain "
+                                              f"{named}: singular local Jacobian"):
+        outer_newton(system, system.problem.initial_state())
+
+
 def _singular_dgbtrf(ab, kl, ku, **kwargs):
     # LAPACK reports an exactly zero pivot U(1,1) as info = 1
     return ab, np.zeros(ab.shape[1], dtype=np.int32), 1

@@ -207,7 +207,8 @@ def test_fixed_point_dichotomy_compact():
 def test_local_blocks_factored_only_for_actions(kind, monkeypatch):
     # a fixed-point step applies no derivative, so its only local
     # factorizations are the inner Newton steps'; the first Jacobian action
-    # then factors each block once and later actions reuse them
+    # then factors all blocks once, as one stacked band, and later actions
+    # reuse it
     prob, lay = _forchheimer_setup()
     system = PreconditionedSystem(kind, prob, lay, SETTINGS)
     factored, solved = [], []
@@ -232,7 +233,35 @@ def test_local_blocks_factored_only_for_actions(kind, monkeypatch):
     v = np.ones(24)
     system.jacobian_action(u, v)
     system.jacobian_action(u, v)
-    assert len(factored) == inner + lay.n_subdomains
+    assert len(factored) == inner + 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (smooth_forchheimer(24, beta=1.0), build_1d_layout(24, 4, 2)),
+    lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1)),
+], ids=["1d", "2d"])
+@pytest.mark.parametrize("kind, mode", [
+    ("RASPEN1", None), ("ASPIN1", None), ("RASPEN2", None), ("ASPIN2", None),
+    ("ASPIN1", "exact"), ("ASPIN2", "exact"),
+])
+def test_actions_factor_once_and_solve_once(make, kind, mode, monkeypatch):
+    # every local derivative of an evaluation lives in one stacked band:
+    # the first action factors it once, and each action back-substitutes once
+    prob, lay = make()
+    system = PreconditionedSystem(kind, prob, lay, SETTINGS, jacobian_mode=mode)
+    u = prob.initial_state() + 0.1
+    system.residual(u)
+    calls = {"dgbtrf": 0, "dgbtrs": 0}
+    for name in calls:
+        def counting(*args, lapack=getattr(local_solver_mod, name), name=name,
+                     **kwargs):
+            calls[name] += 1
+            return lapack(*args, **kwargs)
+        monkeypatch.setattr(local_solver_mod, name, counting)
+    v = np.random.default_rng(43).standard_normal(prob.dof_count)
+    for actions in (1, 2, 3):
+        system.jacobian_action(u, v)
+        assert calls == {"dgbtrf": 1, "dgbtrs": actions}
 
 
 def test_stale_cache_paths():
