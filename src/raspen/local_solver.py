@@ -1,9 +1,11 @@
-"""Per-subdomain nonlinear solves defining the local corrections C_i(u).
+"""Subdomain nonlinear solves defining the local corrections C_i(u), all at once.
 
 C_i(u) is the overlap-local vector solving R_i F(u + P_i C_i(u)) = 0 with
 the exterior of the subdomain frozen at u (homogeneous correction outside).
-A solve keeps the correction, the solved overlap values of
-u^(i) = u + P_i C_i(u) and its inner Newton count, but no derivative data.
+solve_local solves a whole sequence of subdomains together and keeps, in
+one LocalSolveResult, their corrections and the solved overlap values of
+each u^(i) = u + P_i C_i(u), stacked in subdomain order, and each
+subdomain's inner Newton count, but no derivative data.
 
 That lives in a LocalJacobian, built on demand for one subdomain or for
 all of them at once: the entries of the row blocks R_i J, over the
@@ -20,22 +22,30 @@ returns the stacked vector of the layout's stacked overlap space.
 
 Every problem's Jacobian has a fixed CSR pattern, and it is the only
 description of the stencil read here: block_positions reads it once, from
-one Jacobian at the problem's initial state, and returns every
-subdomain's BlockPositions: its overlap cells and halo (the cells outside
-the overlap its rows couple to), the problem's row kernels on them (see
-NonlinearProblem.row_kernels), where R_i J sits in a Jacobian's data
-array, and where A_ii's entries go in LAPACK band storage.  Every solve
-and block function takes them.  An inner Newton step works on the m + h
-values at the overlap and its halo: it calls the row kernels for R_i F and
-R_i J and touches no length-M array, so a sweep costs O(sum_i m_i), not
-O(I M); solved_jacobian calls the Jacobian kernel once per subdomain at
-u^(i).  A_ii is factored by band LU (dgbtrf) in the overlap's cell order
-and solved by dgbtrs.  A stacked block uses the widest block's bandwidths
-for the whole band, so its cost grows with the largest kl + ku; its
+one Jacobian at the problem's initial state, and returns a PositionStack:
+every subdomain's BlockPositions (its overlap cells and halo, the cells
+outside the overlap its rows couple to, where R_i J sits in a Jacobian's
+data array, and where A_ii's entries go in LAPACK band storage) plus what
+their stacked solves share, built once: the problem's row kernels on all
+blocks (see NonlinearProblem.row_kernels), where the overlap values sit in
+the stacked local vector X = (u[cells_1], ..., u[cells_I]), and the band
+geometry of diag(A_ii).  Every solve and block function takes a sequence
+of positions and stacks it once (stack_positions), unless it already is a
+PositionStack.
+
+All subdomains take their inner Newton steps together, on X: a step is
+one residual-kernel call, one Jacobian-kernel call, one band fill and one
+dgbtrf/dgbtrs at the stack's bandwidths, and touches no length-M array,
+so a sweep costs O(sum_i m_i), not O(I M).  A subdomain whose residual
+norm reaches the tolerance is frozen: its block becomes the identity and
+its right-hand side zero, so its step is exactly zero and its values
+never change again.  The band has the widest block's bandwidths; its
 blocks share no coupling, so band LU eliminates each exactly as it would
-alone.  _band_lu is the one place a band is filled and factored, from
-R_i J's entries, whether they come from the row kernel or from a global
-J.data.
+alone, and every subdomain's values and count are bit for bit those of a
+solve of that subdomain alone.  solved_jacobian calls the Jacobian kernel
+once, at the solved X.  _band_lu is the one place a band is filled and
+factored, from R_i J's entries, whether they come from the row kernel or
+from a global J.data.
 """
 
 from dataclasses import dataclass, field
@@ -48,11 +58,13 @@ __all__ = [
     "LocalSolveResult",
     "LocalJacobian",
     "BlockPositions",
+    "PositionStack",
     "SolveError",
     "LocalSolveError",
     "StaleCacheError",
     "solve_local",
     "block_positions",
+    "stack_positions",
     "local_jacobian",
     "solved_jacobian",
     "local_correction_jacobian_action",
@@ -65,7 +77,17 @@ class SolveError(RuntimeError):
 
 
 class LocalSolveError(SolveError):
-    """A subdomain Newton solve failed to converge or became singular."""
+    """A subdomain Newton solve failed to converge or became singular.
+
+    subdomain is the failed subdomain's index (None for a failure that is
+    no subdomain's); residuals holds its inner residual norms, from the
+    first one to the one at the failure (empty when no inner solve failed).
+    """
+
+    def __init__(self, message, subdomain=None, residuals=()):
+        super().__init__(message)
+        self.subdomain = subdomain
+        self.residuals = tuple(residuals)
 
 
 class StaleCacheError(RuntimeError):
@@ -94,43 +116,42 @@ class SolverSettings:
 
 @dataclass(frozen=True, eq=False)
 class LocalSolveResult:
-    """Outcome of one local solve at the global state base_state.
+    """Outcome of the local solves of a sequence of subdomains at base_state.
 
-    solved holds the overlap values of the solved state u^(i).  base_state
-    is read-only, and the results of one sweep share it.
+    correction and solved stack, in the order of subdomains, each
+    subdomain's correction and the overlap values of its solved state
+    u^(i); inner_counts holds each subdomain's inner Newton count and
+    inner_iterations their sum.  base_state is read-only.
     """
 
-    subdomain: int
-    correction: np.ndarray
+    subdomains: tuple
+    correction: np.ndarray = field(repr=False)
     solved: np.ndarray = field(repr=False)
+    inner_counts: tuple
     inner_iterations: int
     base_state: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True, eq=False)
 class BlockPositions:
-    """Subdomain i's blocks in the problem's Jacobian pattern, and its row kernels.
+    """Subdomain i's blocks in the problem's Jacobian pattern.
 
     overlap lists the subdomain's m cells; cells lists them followed by
     their halo, the cells outside the overlap that their rows couple to.
-    residual and jacobian are the problem's row kernels on them
-    (NonlinearProblem.row_kernels): at the state whose values at cells are
-    x, residual(x) is R_i F and jacobian(x) holds R_i J's entries.  In a
-    global Jacobian those are J.data[rows], at column indices columns, row
-    by row, row r from row_indptr[r].  A_ii = R_i J P_i has lower and upper
-    bandwidths kl and ku in the overlap's cell order; its entries, R_i J's
-    data at block, go to the flat indices slots of a C-order (m, 2*kl+ku+1)
-    array, whose transpose is LAPACK's band storage (A_ii[r, c] at row
-    kl+ku+r-c of column c).  The positions fit every Jacobian with the
-    pattern they were computed from, which shape and nnz identify.
+    In a global Jacobian R_i J's entries are J.data[rows], at column
+    indices columns, row by row, row r from row_indptr[r].  A_ii = R_i J P_i
+    has lower and upper bandwidths kl and ku in the overlap's cell order;
+    its entries, R_i J's data at block, go to the flat indices slots of a
+    C-order (m, 2*kl+ku+1) array, whose transpose is LAPACK's band storage
+    (A_ii[r, c] at row kl+ku+r-c of column c).  The positions fit every
+    Jacobian with the pattern they were computed from, which shape and nnz
+    identify.
     """
 
     subdomain: int
     problem: object = field(repr=False)
     overlap: np.ndarray = field(repr=False)
     cells: np.ndarray = field(repr=False)
-    residual: object = field(repr=False)
-    jacobian: object = field(repr=False)
     shape: tuple
     nnz: int
     rows: np.ndarray = field(repr=False)
@@ -146,20 +167,81 @@ class BlockPositions:
         """The number m of overlap cells: A_ii is m x m, R_i J is m x n."""
         return len(self.overlap)
 
+    @property
+    def halo(self):
+        return self.cells[self.size:]
+
+
+@dataclass(frozen=True, eq=False)
+class PositionStack:
+    """A sequence of BlockPositions and what their stacked solves share.
+
+    It is the sequence of positions itself (indexing and iteration give
+    the BlockPositions).  X, the stacked local vector, concatenates each
+    block's values at its cells (global indices cells); residual and
+    jacobian are the problem's row kernels on all blocks, functions of X.
+    Block b has sizes[b] stacked rows, from block_starts[b], and its
+    overlap values sit in X at overlap[block_starts[b]:].  R_i J's
+    entries, stacked, are a global Jacobian's J.data[rows], at global
+    columns columns, row r from row_starts[r].  diag(A_ii) is a band
+    matrix with bandwidths kl and ku, the largest of the blocks': the
+    stacked entries at block, held[b] of them block b's, go to the flat
+    indices slots of a C-order (rows, 2*kl+ku+1) array, whose transpose is
+    LAPACK's band storage.
+    """
+
+    positions: tuple = field(repr=False)
+    subdomains: tuple
+    problem: object = field(repr=False)
+    shape: tuple
+    nnz: int
+    residual: object = field(repr=False)
+    jacobian: object = field(repr=False)
+    cells: np.ndarray = field(repr=False)
+    overlap: np.ndarray = field(repr=False)
+    sizes: np.ndarray = field(repr=False)
+    block_starts: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    columns: np.ndarray = field(repr=False)
+    row_starts: np.ndarray = field(repr=False)
+    block: np.ndarray = field(repr=False)
+    held: np.ndarray = field(repr=False)
+    slots: np.ndarray = field(repr=False)
+    kl: int
+    ku: int
+
+    def __len__(self):
+        return len(self.positions)
+
+    def __getitem__(self, index):
+        return self.positions[index]
+
+    def __iter__(self):
+        return iter(self.positions)
+
+    @property
+    def size(self):
+        """The number of stacked rows, sum_i m_i."""
+        return len(self.overlap)
+
+    def block_of(self, row):
+        """The block that holds stacked row (or band column) row."""
+        return int(np.searchsorted(self.block_starts, row, "right")) - 1
+
 
 @dataclass(frozen=True, eq=False)
 class LocalJacobian:
     """Stacked row blocks R_i J and the band LU of A = diag(A_ii).
 
-    positions lists the blocks' BlockPositions in stacking order.  rows
-    holds every R_i J's entries in turn, at global column indices columns;
-    stacked row r starts at row_starts[r].  lu is dgbtrf's (band factors,
-    pivots) of A, a band matrix with bandwidths kl and ku, the largest of
-    the blocks'.  base_state is the global u whose derivative the blocks
-    represent; actions verify against it.
+    positions is the blocks' PositionStack.  rows holds every R_i J's
+    entries in turn, at global column indices columns; stacked row r starts
+    at row_starts[r].  lu is dgbtrf's (band factors, pivots) of A, a band
+    matrix with bandwidths kl and ku, the largest of the blocks'.
+    base_state is the global u whose derivative the blocks represent;
+    actions verify against it.
     """
 
-    positions: tuple = field(repr=False)
+    positions: object = field(repr=False)
     rows: np.ndarray = field(repr=False)
     columns: np.ndarray = field(repr=False)
     row_starts: np.ndarray = field(repr=False)
@@ -168,20 +250,21 @@ class LocalJacobian:
     lu: tuple = field(repr=False)
     base_state: np.ndarray = field(default=None, repr=False)
 
+
 def block_positions(problem, layout):
-    """Every subdomain's BlockPositions in the problem's Jacobian pattern.
+    """Every subdomain's BlockPositions in the problem's Jacobian pattern, stacked.
 
     The pattern is read from one Jacobian at the problem's initial state,
     which must be a CSR matrix with sorted, unique indices; each
     subdomain's halo is read from it, and the problem's row kernels are
-    built on the overlap and that halo.
+    built on all overlaps and their halos.
     """
     J = problem.jacobian(problem.initial_state())
     if J.format != "csr" or not J.has_canonical_format:
         raise ValueError("block positions need a CSR Jacobian with sorted, "
                          "unique indices")
-    return [_subdomain_positions(problem, J, i, sub.overlap)
-            for i, sub in enumerate(layout.subdomains)]
+    return stack_positions([_subdomain_positions(problem, J, i, sub.overlap)
+                            for i, sub in enumerate(layout.subdomains)])
 
 
 def _subdomain_positions(problem, J, i, ov):
@@ -203,14 +286,69 @@ def _subdomain_positions(problem, J, i, ov):
     cells = np.concatenate((ov, halo))
     for a in (cells, rows, columns, row_indptr, inside, slots):
         a.flags.writeable = False
-    return BlockPositions(i, problem, ov, cells, *problem.row_kernels(ov, halo),
-                          J.shape, J.nnz, rows, columns, row_indptr, inside,
-                          slots, kl, ku)
+    return BlockPositions(i, problem, ov, cells, J.shape, J.nnz, rows, columns,
+                          row_indptr, inside, slots, kl, ku)
 
 
-def _require_problem(problem, positions):
-    if problem is not positions.problem:
-        raise ValueError(f"subdomain {positions.subdomain}: block positions "
+def stack_positions(positions):
+    """The PositionStack of a sequence of BlockPositions, in its order.
+
+    A PositionStack is returned as it is.  Otherwise the positions, which
+    must belong to one problem, get the problem's row kernels on all their
+    blocks, and each block's band slots move to its rows' offset in the
+    stack and to the stack's bandwidths.
+    """
+    if isinstance(positions, PositionStack):
+        return positions
+    positions = tuple(positions)
+    if not positions:
+        raise ValueError("no block positions to stack")
+    problem = positions[0].problem
+    for pos in positions:
+        if pos.problem is not problem:
+            raise ValueError(f"subdomain {pos.subdomain}: block positions of "
+                             "different problems cannot be stacked")
+    sizes = np.array([pos.size for pos in positions])
+    widths = np.array([len(pos.cells) for pos in positions])
+    counts = np.array([len(pos.columns) for pos in positions])
+    kls = np.array([pos.kl for pos in positions])
+    kus = np.array([pos.ku for pos in positions])
+    kl, ku = int(kls.max()), int(kus.max())
+    block_starts = np.cumsum(sizes) - sizes
+    first_entry = np.cumsum(counts) - counts
+    held = np.array([len(pos.slots) for pos in positions])
+    entry_block = np.repeat(np.arange(len(positions)), held)
+    col, band_row = np.divmod(np.concatenate([pos.slots for pos in positions]),
+                              (2 * kls + kus + 1)[entry_block])
+    width = 2 * kl + ku + 1
+    stacked = dict(
+        cells=np.concatenate([pos.cells for pos in positions]),
+        overlap=(np.arange(sizes.sum())
+                 + np.repeat(np.cumsum(widths) - widths - block_starts, sizes)),
+        sizes=sizes,
+        block_starts=block_starts,
+        rows=np.concatenate([pos.rows for pos in positions]),
+        columns=np.concatenate([pos.columns for pos in positions]),
+        row_starts=(np.concatenate([pos.row_indptr[:-1] for pos in positions])
+                    + np.repeat(first_entry, sizes)),
+        block=(np.concatenate([pos.block for pos in positions])
+               + first_entry[entry_block]),
+        held=held,
+        slots=((col + block_starts[entry_block]) * width + band_row
+               + (kl + ku - kls - kus)[entry_block]),
+    )
+    for a in stacked.values():
+        a.flags.writeable = False
+    residual, jacobian = problem.row_kernels(
+        [(pos.overlap, pos.halo) for pos in positions])
+    return PositionStack(positions, tuple(pos.subdomain for pos in positions),
+                         problem, positions[0].shape, positions[0].nnz,
+                         residual, jacobian, kl=kl, ku=ku, **stacked)
+
+
+def _require_problem(problem, stack):
+    if problem is not stack.problem:
+        raise ValueError(f"subdomain {stack.subdomains[0]}: block positions "
                          "were computed for another problem")
 
 
@@ -227,48 +365,33 @@ def _frozen(u):
     return u
 
 
-def _band_lu(n, kl, ku, slots, entries):
-    """dgbtrf's (lu, ipiv, info) of the n x n band matrix with entries at slots.
+def _band_lu(stack, entries, active=None):
+    """dgbtrf's (lu, ipiv, info) of diag(A_ii), A_ii's entries among entries.
 
-    slots are flat indices of a C-order (n, 2*kl+ku+1) array, whose
-    transpose is LAPACK's band storage (A[r, c] at row kl+ku+r-c of column c).
+    The blocks that active (one flag per block) does not mark are replaced
+    by the identity.
     """
-    band = np.zeros((n, 2 * kl + ku + 1))
-    band.flat[slots] = entries
-    return dgbtrf(band.T, kl, ku, overwrite_ab=True)
+    width = 2 * stack.kl + stack.ku + 1
+    band = np.zeros((stack.size, width))
+    values = entries[stack.block]
+    if active is None or active.all():
+        band.flat[stack.slots] = values
+    else:
+        band.flat[stack.slots] = np.where(np.repeat(active, stack.held), values, 0.0)
+        frozen = np.flatnonzero(~np.repeat(active, stack.sizes))
+        band.flat[frozen * width + stack.kl + stack.ku] = 1.0  # the diagonal
+    return dgbtrf(band.T, stack.kl, stack.ku, overwrite_ab=True)
 
 
-def _stacked(positions, entries, base_state):
-    """One LocalJacobian over positions, whose row blocks hold entries in turn.
-
-    Each block's band slots move to its cells' offset in the stack and to
-    the stack's bandwidths; a zero pivot is mapped back to its subdomain.
-    """
-    positions = tuple(positions)
-    sizes = np.array([pos.size for pos in positions])
-    counts = np.array([len(pos.columns) for pos in positions])
-    kls = np.array([pos.kl for pos in positions])
-    kus = np.array([pos.ku for pos in positions])
-    kl, ku = int(kls.max()), int(kus.max())
-    ends = np.cumsum(sizes)
-    first_entry = np.cumsum(counts) - counts
-    of_slot = np.repeat(np.arange(len(positions)),
-                        [len(pos.slots) for pos in positions])
-    rows = np.concatenate(entries)
-    row_starts = (np.concatenate([pos.row_indptr[:-1] for pos in positions])
-                  + np.repeat(first_entry, sizes))
-    block = np.concatenate([pos.block for pos in positions]) + first_entry[of_slot]
-    col, band_row = np.divmod(np.concatenate([pos.slots for pos in positions]),
-                              (2 * kls + kus + 1)[of_slot])
-    slots = ((col + (ends - sizes)[of_slot]) * (2 * kl + ku + 1) + band_row
-             + (kl + ku - kls - kus)[of_slot])
-    lu, ipiv, info = _band_lu(int(ends[-1]), kl, ku, slots, rows[block])
+def _factored(stack, entries, base_state):
+    """One LocalJacobian over the stack, whose row blocks hold entries."""
+    lu, ipiv, info = _band_lu(stack, entries)
     if info > 0:
-        i = positions[np.searchsorted(ends, info - 1, "right")].subdomain
-        raise LocalSolveError(f"subdomain {i}: singular local Jacobian")
-    columns = np.concatenate([pos.columns for pos in positions])
-    return LocalJacobian(positions, rows, columns, row_starts, kl, ku,
-                         (lu, ipiv), base_state)
+        i = stack.subdomains[stack.block_of(info - 1)]
+        raise LocalSolveError(f"subdomain {i}: singular local Jacobian",
+                              subdomain=i)
+    return LocalJacobian(stack, entries, stack.columns, stack.row_starts,
+                         stack.kl, stack.ku, (lu, ipiv), base_state)
 
 
 def _solve(block, b):
@@ -278,85 +401,138 @@ def _solve(block, b):
 
 def local_jacobian(J, positions, base_state=None):
     """The blocks of the global Jacobian J at a sequence of positions, stacked."""
-    for pos in positions:
-        if J.format != "csr" or J.shape != pos.shape or J.nnz != pos.nnz:
-            raise ValueError(
-                f"subdomain {pos.subdomain}: Jacobian ({J.format}, shape "
-                f"{J.shape}, nnz {J.nnz}) does not have the pattern its block "
-                f"positions were computed for (csr, shape {pos.shape}, "
-                f"nnz {pos.nnz})"
-            )
-    return _stacked(positions, [J.data[pos.rows] for pos in positions],
-                    base_state)
+    stack = stack_positions(positions)
+    if J.format != "csr" or J.shape != stack.shape or J.nnz != stack.nnz:
+        raise ValueError(
+            f"subdomain {stack.subdomains[0]}: Jacobian ({J.format}, shape "
+            f"{J.shape}, nnz {J.nnz}) does not have the pattern its block "
+            f"positions were computed for (csr, shape {stack.shape}, "
+            f"nnz {stack.nnz})"
+        )
+    return _factored(stack, J.data[stack.rows], base_state)
 
 
-def solved_jacobian(problem, positions, results):
+def solved_jacobian(problem, positions, result):
     """The blocks of local solves at their solved states u^(i), stacked.
 
-    positions and results are sequences in the same order; the results
-    must share one base state, as the results of one sweep do.  Each block
-    comes from its row kernel at u^(i), the base state with the stored
-    solved values on the overlap, not base_state + P_i correction, which
-    can differ in the last bit.
+    result must be the LocalSolveResult of a solve of the same sequence of
+    subdomains.  The blocks come from one Jacobian-kernel call at the
+    solved X, the base state with the stored solved values on the
+    overlaps, not base_state + P_i correction, which can differ in the
+    last bit.
     """
-    base = results[0].base_state
-    entries = []
-    for pos, res in zip(positions, results, strict=True):
-        _require_problem(problem, pos)
-        if res.base_state is not base:
-            raise ValueError(f"subdomain {pos.subdomain}: local results of "
-                             "different sweeps cannot be stacked")
-        x = base[pos.cells]
-        x[:pos.size] = res.solved
-        entries.append(pos.jacobian(x))
-    return _stacked(positions, entries, base)
+    stack = stack_positions(positions)
+    _require_problem(problem, stack)
+    if result.subdomains != stack.subdomains or len(result.solved) != stack.size:
+        got = result.subdomains + (None,) * len(stack)
+        i = next(i for i, j in zip(stack.subdomains, got) if i != j)
+        raise ValueError(f"subdomain {i}: local results of different sweeps "
+                         "cannot be stacked")
+    X = result.base_state[stack.cells]
+    X[stack.overlap] = result.solved
+    return _factored(stack, stack.jacobian(X), result.base_state)
+
+
+def _norms(stack, r):
+    """Each block's residual norm, from the stacked residual r."""
+    return np.sqrt(np.add.reduceat(r * r, stack.block_starts))
+
+
+def _step(stack, entries, r, active, failures):
+    """The Newton step of the active blocks, stacked; the others' is 0.
+
+    entries and r are the row kernels' output.  A block found singular
+    fails (failures maps blocks to their messages) and stops being active.
+    """
+    while True:
+        lu, ipiv, info = _band_lu(stack, entries, active)
+        if info == 0:
+            break
+        b = stack.block_of(info - 1)
+        failures[b] = "singular local Jacobian"
+        active[b] = False
+    moving = np.repeat(active, stack.sizes)
+    step = dgbtrs(lu, stack.kl, stack.ku, np.where(moving, r, 0.0), ipiv)[0]
+    if not np.isfinite(step).all():
+        # 0 * inf spills a non-finite step into the blocks the band pads
+        # next to it: frozen blocks keep still, and every other block with
+        # a non-finite entry takes the step it takes alone
+        step[~moving] = 0.0
+        finite = np.logical_and.reduceat(np.isfinite(step), stack.block_starts)
+        for b in np.flatnonzero(~finite):
+            pos, at = stack[b], stack.block_starts[b]
+            band = np.zeros((pos.size, 2 * pos.kl + pos.ku + 1))
+            first = stack.held[:b].sum()
+            band.flat[pos.slots] = entries[stack.block[first:first + stack.held[b]]]
+            lu, ipiv, _ = dgbtrf(band.T, pos.kl, pos.ku, overwrite_ab=True)
+            step[at:at + pos.size] = dgbtrs(lu, pos.kl, pos.ku,
+                                            r[at:at + pos.size], ipiv)[0]
+    return step
 
 
 def solve_local(problem, positions, u, settings):
-    """Solve R_i F(u + P_i c) = 0 for the local correction c = C_i(u).
+    """Solve R_i F(u + P_i c_i) = 0 for every c_i = C_i(u) of a sequence of subdomains.
 
-    positions are subdomain i's BlockPositions, computed for problem.
-    Inner Newton from the zero correction with full steps on the local
-    vector x = u[positions.cells]: each step evaluates the row kernels at x
-    and refactorizes A_ii, and only x's overlap part changes.  Convergence
-    means the local residual norm is at or below settings.inner_tol.  The
-    result keeps u as its base state, copied unless u already is a
-    read-only array of its own.
+    positions is a sequence of BlockPositions computed for problem (one
+    subdomain's is the one-element case).  Inner Newton from the zero
+    corrections with full steps, on the stacked local vector X =
+    (u[cells_1], ...): each step evaluates the stacked row kernels at X
+    and refactorizes diag(A_ii), with every block whose residual norm is at
+    or below settings.inner_tol frozen, and only X's overlap values change.
+    A subdomain fails when it runs out of settings.max_inner steps, its
+    block is singular or its residual becomes non-finite; it then stops,
+    the others run on, and the failure of the lowest-index subdomain is
+    raised.  The result keeps u as its base state, copied unless u already
+    is a read-only array of its own.
     """
-    _require_problem(problem, positions)
-    i, m = positions.subdomain, positions.size
-    kl, ku = positions.kl, positions.ku
+    stack = stack_positions(positions)
+    _require_problem(problem, stack)
     u = _frozen(u)
-    x = u[positions.cells]
+    X = u[stack.cells]
+    start = X[stack.overlap]
+    tol, budget = settings.inner_tol, settings.max_inner
 
-    iterations = 0
-    r = positions.residual(x)
-    rnorm = np.linalg.norm(r)
-    while rnorm > settings.inner_tol:
-        if iterations >= settings.max_inner:
-            raise LocalSolveError(
-                f"subdomain {i}: inner Newton did not reach {settings.inner_tol} "
-                f"within {settings.max_inner} iterations (residual {rnorm:.3e})"
-            )
-        lu, ipiv, info = _band_lu(m, kl, ku, positions.slots,
-                                  positions.jacobian(x)[positions.block])
-        if info > 0:
-            raise LocalSolveError(f"subdomain {i}: singular local Jacobian")
-        x[:m] -= dgbtrs(lu, kl, ku, r, ipiv)[0]
-        iterations += 1
-        r = positions.residual(x)
-        rnorm = np.linalg.norm(r)
-        if not np.isfinite(rnorm):
-            raise LocalSolveError(
-                f"subdomain {i}: inner Newton produced a non-finite residual"
-            )
+    r = stack.residual(X)
+    norms = _norms(stack, r)
+    trail = [norms]
+    counts = np.zeros(len(stack), dtype=int)
+    failures = {}
+    active = norms > tol
+    steps = 0  # every active subdomain has taken this many
+    while active.any():
+        if steps == budget:
+            for b in np.flatnonzero(active):
+                failures[b] = (f"inner Newton did not reach {tol} within {budget} "
+                               f"iterations (residual {norms[b]:.3e})")
+            break
+        step = _step(stack, stack.jacobian(X), r, active, failures)
+        if not active.any():
+            break
+        X[stack.overlap] -= step
+        steps += 1
+        counts[active] = steps
+        r = stack.residual(X)
+        norms = _norms(stack, r)
+        trail.append(norms)
+        finite = np.isfinite(norms)
+        if not finite.all():
+            for b in np.flatnonzero(active & ~finite):
+                failures[b] = "inner Newton produced a non-finite residual"
+            active &= finite
+        active &= norms > tol
 
-    solved = x[:m].copy()
+    if failures:
+        b = min(failures, key=stack.subdomains.__getitem__)
+        i = stack.subdomains[b]
+        raise LocalSolveError(f"subdomain {i}: {failures[b]}", subdomain=i,
+                              residuals=[float(n[b]) for n in trail[:counts[b] + 1]])
+    solved = X[stack.overlap]
     return LocalSolveResult(
-        subdomain=i,
-        correction=solved - u[positions.overlap],
+        subdomains=stack.subdomains,
+        correction=solved - start,
         solved=solved,
-        inner_iterations=iterations,
+        inner_counts=tuple(counts.tolist()),
+        inner_iterations=int(counts.sum()),
         base_state=u,
     )
 
@@ -378,16 +554,13 @@ def local_correction_jacobian_action(block, v, at_state=None):
 
 
 def sweep_locals(problem, positions, u, settings):
-    """Solve all subdomains at u; returns (results, ls_in_max, ls_in_min).
+    """Solve all subdomains at u; returns (result, ls_in_max, ls_in_min).
 
     positions lists every subdomain's BlockPositions, as block_positions
-    returns them.  u is copied once, not per subdomain, and every result
-    shares the read-only copy as its base state.  The per-subdomain solves
-    are independent (the max/min counts model the parallel wait: all
-    subdomains wait for the slowest).  Failures propagate with the
+    returns them, and the one LocalSolveResult stacks every subdomain's
+    correction.  The max/min counts model the parallel wait: all
+    subdomains wait for the slowest.  Failures propagate with the
     subdomain id attached.
     """
-    u = _frozen(u)
-    results = [solve_local(problem, pos, u, settings) for pos in positions]
-    counts = [r.inner_iterations for r in results]
-    return results, max(counts), min(counts)
+    result = solve_local(problem, positions, u, settings)
+    return result, max(result.inner_counts), min(result.inner_counts)

@@ -7,7 +7,9 @@ coarse solve's count in via the max, since the coarse solve sits on the
 critical path like the slowest subdomain), ls_min the smallest subdomain
 count, and ls_G the GMRES iterations spent on that row's Jacobian solve.
 The terminal evaluation that confirms convergence gets ls_G = 0.  The
-running total is LS_n = sum_{j<=n} (ls_in[j] + ls_G[j]).
+running total is LS_n = sum_{j<=n} (ls_in[j] + ls_G[j]).  An outer Newton
+row also keeps its GMRES solve's relative residual history, ls_G values
+long; rows that solve no GMRES system keep an empty one.
 
 Errors in the ledger are relative l1 distances to a reference iterate,
 which callers usually obtain from reference_solution(): a tight-tolerance
@@ -15,6 +17,7 @@ direct Newton solve, falling back to continuation in beta when the cold
 start diverges.
 """
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,20 +58,27 @@ def relative_l1_error(u, u_ref):
 
 @dataclass
 class IterationLedger:
-    """Per-evaluation iteration records; LS is the running solve total."""
+    """Per-evaluation iteration records; LS is the running solve total.
+
+    gmres_history holds one tuple per row: the relative residuals of the
+    row's GMRES solve, one per GMRES iteration (empty for a row without
+    one: the terminal row, fixed-point rows and direct Newton's).
+    """
 
     ls_G: list = field(default_factory=list)
     ls_in: list = field(default_factory=list)
     ls_min: list = field(default_factory=list)
     error: list = field(default_factory=list)
     residual_norm: list = field(default_factory=list)
+    gmres_history: list = field(default_factory=list)
 
-    def record(self, ls_G, ls_in, ls_min, error, residual_norm):
+    def record(self, ls_G, ls_in, ls_min, error, residual_norm, gmres_history=()):
         self.ls_G.append(int(ls_G))
         self.ls_in.append(int(ls_in))
         self.ls_min.append(int(ls_min))
         self.error.append(float(error))
         self.residual_norm.append(float(residual_norm))
+        self.gmres_history.append(tuple(gmres_history))
 
     def __len__(self):
         return len(self.ls_G)
@@ -98,6 +108,13 @@ def _error_of(u, u_ref):
     return relative_l1_error(u, u_ref) if u_ref is not None else np.nan
 
 
+def _in_context(exc, context):
+    """A copy of exc, attributes included, whose message starts with context."""
+    wrapped = copy.copy(exc)
+    wrapped.args = (f"{context}: {exc}",)
+    return wrapped
+
+
 def outer_newton(system, u0, settings=None, u_ref=None):
     """Newton on the preconditioned function with full steps.
 
@@ -106,7 +123,8 @@ def outer_newton(system, u0, settings=None, u_ref=None):
     system with GMRES and updates u.  GMRES nonconvergence is noted in
     the reason string but the step is still taken; subdomain or coarse
     solve failures, in the residual or in the Jacobian actions, propagate
-    with outer-iteration context.
+    with outer-iteration context and keep their attributes (a
+    LocalSolveError's subdomain and residuals).
     """
     settings = settings or SolverSettings()
     u = np.asarray(u0, dtype=float).copy()
@@ -130,9 +148,9 @@ def outer_newton(system, u0, settings=None, u_ref=None):
             delta, report = gmres(lambda v: system.jacobian_action(u, v), -r,
                                   tol=settings.gmres_tol)
         except SolveError as exc:
-            raise type(exc)(f"outer iteration {updates}: {exc}") from exc
+            raise _in_context(exc, f"outer iteration {updates}") from exc
         ledger.record(report.iterations, ls_in, ls_min,
-                      _error_of(u, u_ref), rnorm)
+                      _error_of(u, u_ref), rnorm, report.residual_history)
         if not report.converged and not reason:
             reason = (
                 f"gmres stalled at outer iteration {updates} "

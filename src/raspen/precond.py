@@ -26,15 +26,18 @@ RASPEN kinds) or all at the one global Jacobian J(u) (inexact mode, the
 ASPIN default; the exact variant is jacobian_mode="exact").
 
 A residual evaluation caches everything the subsequent Jacobian actions
-need; the stacked local blocks are built and factored, in one band LU,
-at the first action, so an evaluation that no action follows factors
-nothing.  Actions verify they are applied at the cached state and raise
-StaleCacheError otherwise.
-Every local block, in the inner solves and the actions alike, uses the
-block positions of one block_positions call, made when the system is
-built; it reads the problem's one global Jacobian per system, its pattern.
-The inner solves and the exact blocks evaluate only the problem's row
-kernels on each overlap and its halo, so a one-level exact evaluation and
+need, in place of the previous evaluation's cache; the stacked local
+blocks are built and factored, in one band LU, at the first action, so an
+evaluation that no action follows factors nothing.  Actions verify they
+are applied at the cached state and raise StaleCacheError otherwise.
+The local solves of an evaluation are one sweep: all subdomains take
+their inner Newton steps together, and its one stacked result is glued
+as it is.  The sweep and the blocks use the PositionStack of one
+block_positions call, made when the system is built: it reads the
+problem's one global Jacobian per system, its pattern, and holds the
+stacked row kernels and band geometry that every evaluation shares.  The
+inner solves and the exact blocks evaluate only those row kernels, on
+all overlaps and their halos at once, so a one-level exact evaluation and
 its actions assemble no global residual or Jacobian, and a sweep costs
 O(sum_i m_i).  The fine Jacobian J(u), which the inexact blocks and the
 coarse actions read, is assembled at most once per evaluation; the coarse
@@ -73,7 +76,7 @@ class _EvalCache:
     """Everything produced by one residual evaluation at state u."""
 
     u: np.ndarray
-    locals_: list
+    locals_: object                # the sweep's one LocalSolveResult
     ls_in_max: int
     ls_in_min: int
     coarse: object = None
@@ -139,6 +142,8 @@ class PreconditionedSystem:
 
     def residual(self, u):
         """Evaluate the preconditioned function, caching all intermediates."""
+        # frees the previous state's band before the sweep makes its own
+        self._cache = None
         u = np.asarray(u, dtype=float).copy()
         coarse, pc0, local_state = None, 0.0, u
         if self.kind == "RASPEN2":
@@ -150,12 +155,12 @@ class PreconditionedSystem:
                 self.problem, self.layout, u, self.u0_star, self.settings
             )
             pc0 = self.layout.P0 @ coarse.correction
-        results, mx, mn = sweep_locals(self.problem, self._positions,
-                                       local_state, self.settings)
+        result, mx, mn = sweep_locals(self.problem, self._positions,
+                                      local_state, self.settings)
         if coarse is not None:
             mx = max(mx, coarse.inner_iterations)
-        glued = self._glue(np.concatenate([res.correction for res in results]))
-        self._cache = _EvalCache(u, results, mx, mn, coarse)
+        glued = self._glue(result.correction)
+        self._cache = _EvalCache(u, result, mx, mn, coarse)
         return pc0 + glued
 
     def _require_cache(self, u):

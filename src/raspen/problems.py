@@ -3,12 +3,13 @@
 Both problems expose the same contract: `dof_count`, `residual(u)` returning
 a vector of the same length, `jacobian(u)` returning the exact sparse
 derivative of the residual as a CSR matrix whose sparsity pattern does not
-depend on u, and `row_kernels(cells, halo)`, which evaluates the residual
-rows of a fixed cell set and the matching Jacobian entries from the values
-on the cells and their halo alone.  Each problem builds its pattern once, so
-an evaluation only fills the data array.  Both are face-flux codes with one
-kernel each: the face values of the faces touching the cells, summed into
-the cells' rows; `residual` and `jacobian` are its all-cells case.
+depend on u, and `row_kernels(blocks)`, which evaluates the residual rows of
+several fixed cell sets at once, and the matching Jacobian entries, from
+the values on each set and its halo alone, stacked in block order.  Each
+problem builds its pattern once, so an evaluation only fills the data
+array.  Both are face-flux codes with one kernel each: the face values of
+the faces touching the cells, summed into the cells' rows; `residual` and
+`jacobian` are its one-block, all-cells case.
 Residuals are written in integrated finite-volume form (flux balance minus
 integrated source per cell), so a zero residual means discrete conservation
 cell by cell.
@@ -37,7 +38,7 @@ class NonlinearProblem:
     """Contract shared by the concrete problems.
 
     Subclasses provide `dof_count`, `residual(u)`, `jacobian(u)` and
-    `row_kernels(cells, halo)`; all evaluations must be pure (no state
+    `row_kernels(blocks)`; all evaluations must be pure (no state
     mutated), and jacobian(u) must be the exact derivative of residual at u.
     jacobian(u) returns a canonical CSR matrix (sorted indices, no
     duplicates) with the same indptr and indices at every u, entries that
@@ -58,17 +59,21 @@ class NonlinearProblem:
     def jacobian(self, u):
         raise NotImplementedError
 
-    def row_kernels(self, cells, halo):
-        """The residual and Jacobian rows of `cells` as functions of local values.
+    def row_kernels(self, blocks):
+        """The residual and Jacobian rows of cell blocks as functions of local values.
 
-        cells and halo are disjoint arrays of global cell indices; the halo
-        must hold every cell outside `cells` that a row of `cells` couples
-        to in the Jacobian pattern.  Returns (residual_rows, jacobian_rows),
-        two functions of the local vector x = u[concatenate((cells, halo))]:
-        residual_rows(x) is residual(u)[cells] and jacobian_rows(x) is the
-        row block's data, jacobian(u)[cells].data in the pattern's order,
-        both bit-identical to the global evaluations.  Building the kernels
-        may cost index work on the cells; calling them reads only x.
+        blocks is a sequence of (cells, halo) pairs of disjoint arrays of
+        global cell indices; each halo must hold every cell outside its
+        cells that a row of them couples to in the Jacobian pattern.  The
+        local vector of a block is x = u[concatenate((cells, halo))], and
+        the kernels read the blocks' local vectors concatenated in block
+        order, X.  Returns (residual_rows, jacobian_rows), two functions of
+        X: residual_rows(X) stacks each block's residual(u)[cells] and
+        jacobian_rows(X) each block's row data, jacobian(u)[cells].data in
+        the pattern's order, both in block order and each block's part
+        bit-identical to the global evaluations.  Blocks may share cells;
+        each is evaluated as if alone.  Building the kernels may cost index
+        work on the cells; calling them reads only X.
         """
         raise NotImplementedError
 
@@ -207,7 +212,7 @@ class ForchheimerProblem1D(NonlinearProblem):
         cells = np.arange(self.M)
         self._indptr, self._indices = _stencil_pattern(
             _tridiagonal(cells, self.M), [-1, 0, 1])
-        self._all_rows = self.row_kernels(cells, cells[:0])
+        self._all_rows = self.row_kernels([(cells, cells[:0])])
 
     @property
     def dof_count(self):
@@ -220,47 +225,65 @@ class ForchheimerProblem1D(NonlinearProblem):
         return sp.csr_matrix((self._all_rows[1](self._state(u)), self._indices,
                               self._indptr), shape=(self.M, self.M))
 
-    def row_kernels(self, cells, halo):
-        rows = _ForchheimerRows(self, cells, halo)
+    def row_kernels(self, blocks):
+        rows = _ForchheimerRows(self, blocks)
         return rows.residual, rows.jacobian
 
 
 class _ForchheimerRows:
-    """ForchheimerProblem1D's row kernels on the faces touching the cells.
+    """ForchheimerProblem1D's row kernels on the faces touching the blocks' cells.
 
     Face f lies between cells f-1 and f, the Dirichlet values standing in
     for cells -1 and M; a cell's row is q at its right face minus q at its
-    left face minus its source, as in the global evaluation.
+    left face minus its source, as in the global evaluation.  The faces are
+    listed block by block, so a face that two blocks touch is listed twice.
     """
 
-    def __init__(self, problem, cells, halo):
-        M, m = problem.M, len(cells)
-        faces = _touched(M + 1, cells, cells + 1)
-        # each face's cells in the local vector padded to (dirichlet[0], x,
-        # dirichlet[1]), whose ends stand in for cells -1 and M (cell
-        # indices shifted by one)
-        ends = _local_index(np.append(0, cells + 1), np.append(halo + 1, M + 1),
-                            np.concatenate((faces, faces + 1)))
-        self.left, self.right = _indexer(ends[:len(faces)]), _indexer(ends[len(faces):])
-        self.lf = _indexer(np.searchsorted(faces, cells))
-        self.rf = _indexer(np.searchsorted(faces, cells + 1))
-        self.T = problem.transmissibilities[faces]
-        self.source, self.beta = problem.source[cells], problem.beta
+    def __init__(self, problem, blocks):
+        M = problem.M
+        total = sum(len(cells) + len(halo) for cells, halo in blocks)
+        left, right, lf, rf, T, source, have = ([] for _ in range(7))
+        width = n_faces = 0  # values of X and faces listed so far
+        for cells, halo in blocks:
+            faces = _touched(M + 1, cells, cells + 1)
+            # each face's cells in the block's local vector padded to
+            # (dirichlet[0], x, dirichlet[1]), whose ends stand in for cells
+            # -1 and M (cell indices shifted by one), moved to the padded X,
+            # (dirichlet[0], X, dirichlet[1])
+            n = len(cells) + len(halo)
+            ends = np.concatenate(([0], np.arange(1, n + 1) + width, [total + 1]))[
+                _local_index(np.append(0, cells + 1), np.append(halo + 1, M + 1),
+                             np.concatenate((faces, faces + 1)))]
+            left.append(ends[:len(faces)])
+            right.append(ends[len(faces):])
+            lf.append(np.searchsorted(faces, cells) + n_faces)
+            rf.append(np.searchsorted(faces, cells + 1) + n_faces)
+            T.append(problem.transmissibilities[faces])
+            source.append(problem.source[cells])
+            have.append(_tridiagonal(cells, M))
+            width, n_faces = width + n, n_faces + len(faces)
+        self.left = _indexer(np.concatenate(left))
+        self.right = _indexer(np.concatenate(right))
+        self.lf, self.rf = _indexer(np.concatenate(lf)), _indexer(np.concatenate(rf))
+        self.T, self.source = np.concatenate(T), np.concatenate(source)
+        self.beta = problem.beta
         self.d0, self.d1 = np.array(problem.dirichlet[:1]), np.array(problem.dirichlet[1:])
         # the row of cell c holds, in column order, -w at its left face,
         # w right + w left, and -w at its right face
-        self.take = (np.arange(m)[:, None] + [0, m, 2 * m])[_tridiagonal(cells, M)]
+        have = np.concatenate(have)
+        m = len(have)
+        self.take = (np.arange(m)[:, None] + [0, m, 2 * m])[have]
 
-    def _gradients(self, x):
-        padded = np.concatenate((self.d0, x, self.d1))
+    def _gradients(self, X):
+        padded = np.concatenate((self.d0, X, self.d1))
         return self.T * (padded[self.left] - padded[self.right])
 
-    def residual(self, x):
-        a = q_flux(self._gradients(x), self.beta)
+    def residual(self, X):
+        a = q_flux(self._gradients(X), self.beta)
         return a[self.rf] - a[self.lf] - self.source
 
-    def jacobian(self, x):
-        w = q_flux_derivative(self._gradients(x), self.beta) * self.T
+    def jacobian(self, X):
+        w = q_flux_derivative(self._gradients(X), self.beta) * self.T
         wl, wr = w[self.lf], w[self.rf]
         return np.concatenate((-wl, wr + wl, -wr))[self.take]
 
@@ -362,7 +385,7 @@ class DiffusionProblem2D(NonlinearProblem):
         cells = np.arange(self.nx * self.ny)
         self._indptr, self._indices = _stencil_pattern(
             _five_point(cells, self.nx, self.ny), [-self.nx, -1, 0, 1, self.nx])
-        self._all_rows = self.row_kernels(cells, cells[:0])
+        self._all_rows = self.row_kernels([(cells, cells[:0])])
 
     @property
     def dof_count(self):
@@ -385,13 +408,13 @@ class DiffusionProblem2D(NonlinearProblem):
         """
         return np.full(self.nx * self.ny, self.dirichlet_value)
 
-    def row_kernels(self, cells, halo):
-        rows = _DiffusionRows(self, cells, halo)
+    def row_kernels(self, blocks):
+        rows = _DiffusionRows(self, blocks)
         return rows.residual, rows.jacobian
 
 
 class _DiffusionRows:
-    """DiffusionProblem2D's row kernels on the faces touching the cells.
+    """DiffusionProblem2D's row kernels on the faces touching the blocks' cells.
 
     x face iy*(nx-1)+ix joins cell L = (ix, iy) to R = (ix+1, iy), y face
     iy*nx+ix joins L = (ix, iy) to R = (ix, iy+1).  Each row sums its terms
@@ -399,61 +422,81 @@ class _DiffusionRows:
     the x flux where the cell is L, minus it where the cell is R, the same
     for y, then the Dirichlet flux.  A Jacobian entry sums its couplings,
     listed per x face then per y face as (L,L), (L,R), (R,L), (R,R), then
-    the Dirichlet diagonal, by one np.bincount in that order.  Terms of rows
-    outside the cells go to one extra bin, which is dropped.
+    the Dirichlet diagonal, by one np.bincount in that order.  The terms are
+    grouped by kind across blocks (the x faces of every block, block by
+    block, then the y faces), which keeps each row's order, since a row
+    only gets terms of its own block.  Terms of rows outside the cells go
+    to one extra bin, which is dropped.
     """
 
-    def __init__(self, problem, cells, halo):
-        nx, ny, m = problem.nx, problem.ny, len(cells)
-        iy, ix = np.divmod(cells, nx)
+    def __init__(self, problem, blocks):
+        nx, ny = problem.nx, problem.ny
         nxf, nyf = (nx - 1) * ny, nx * (ny - 1)
-        xf = _touched(nxf, (cells - iy)[ix < nx - 1], (cells - iy - 1)[ix > 0])
-        yf = _touched(nyf, cells[iy < ny - 1], cells[iy > 0] - nx)
-        xL = xf + xf // max(nx - 1, 1)
-        self.left = _local_index(cells, halo, np.concatenate((xL, yf)))
-        self.right = _local_index(cells, halo, np.concatenate((xL + 1, yf + nx)))
+        m_all = sum(len(cells) for cells, _ in blocks)
+        # per block, the X positions and the rows (m_all, the extra bin,
+        # outside the cells) of the L and R cells of its x faces, then of
+        # its y faces
+        ends, rows = ([[], [], [], []] for _ in range(2))
+        bound, bound_rows, neg_source, have = [], [], [], []
+        width = m = 0  # values of X and rows listed so far
+        for cells, halo in blocks:
+            iy, ix = np.divmod(cells, nx)
+            xf = _touched(nxf, (cells - iy)[ix < nx - 1], (cells - iy - 1)[ix > 0])
+            yf = _touched(nyf, cells[iy < ny - 1], cells[iy > 0] - nx)
+            xL = xf + xf // max(nx - 1, 1)
+            local = _local_index(cells, halo, np.concatenate((xL, xL + 1, yf, yf + nx)))
+            at, row = local + width, np.where(local < len(cells), local + m, m_all)
+            bounds = np.cumsum([0, len(xf), len(xf), len(yf), len(yf)])
+            for k in range(4):
+                ends[k].append(at[bounds[k]:bounds[k + 1]])
+                rows[k].append(row[bounds[k]:bounds[k + 1]])
+            edge = np.flatnonzero(ix == nx - 1)
+            bound.append(edge + width)
+            bound_rows.append(edge + m)
+            neg_source.append(-problem.source_cells.ravel()[cells])
+            have.append(_five_point(cells, nx, ny))
+            width, m = width + len(cells) + len(halo), m + len(cells)
+        self.left = np.concatenate(ends[0] + ends[2])
+        self.right = np.concatenate(ends[1] + ends[3])
+        rxL, rxR, ryL, ryR = (np.concatenate(part) for part in rows)
         self.Tx = problem.hy / problem.hx
-        self.T = np.concatenate((np.full(len(xf), self.Tx),
-                                 np.full(len(yf), problem.hx / problem.hy)))
-        self.bound = np.flatnonzero(ix == nx - 1)
-        self.neg_source = -problem.source_cells.ravel()[cells]
-        self.dv, self.m, self.nx_faces = problem.dirichlet_value, m, len(xf)
+        self.T = np.concatenate((np.full(len(rxL), self.Tx),
+                                 np.full(len(ryL), problem.hx / problem.hy)))
+        self.bound, bound_rows = np.concatenate(bound), np.concatenate(bound_rows)
+        self.neg_source = np.concatenate(neg_source)
+        self.dv, self.m, self.nx_faces = problem.dirichlet_value, m, len(rxL)
 
-        L = np.where(self.left < m, self.left, m)
-        R = np.where(self.right < m, self.right, m)
-        x, y = slice(0, len(xf)), slice(len(xf), None)
-        self.r_bins = np.concatenate((np.arange(m), L[x], R[x], L[y], R[y],
-                                      self.bound))
-        # slot[p, k]: where the row of cells[p] holds column k of the stencil
-        # (c-nx, c-1, c, c+1, c+nx) in the row block's data, which lists the
+        self.r_bins = np.concatenate((np.arange(m), rxL, rxR, ryL, ryR, bound_rows))
+        # slot[p, k]: where stacked row p holds column k of the stencil
+        # (c-nx, c-1, c, c+1, c+nx) in the stacked row data, which lists the
         # held entries row by row; row m of slot is the extra bin
-        have = _five_point(cells, nx, ny)
+        have = np.concatenate(have)
         self.size = int(have.sum())
         slot = np.append(np.cumsum(have) - 1, np.full(5, self.size)).reshape(m + 1, 5)
         self.j_bins = np.concatenate((
-            slot[L[x], 2], slot[L[x], 3], slot[R[x], 1], slot[R[x], 2],
-            slot[L[y], 2], slot[L[y], 4], slot[R[y], 0], slot[R[y], 2],
-            slot[self.bound, 2]))
+            slot[rxL, 2], slot[rxL, 3], slot[rxR, 1], slot[rxR, 2],
+            slot[ryL, 2], slot[ryL, 4], slot[ryR, 0], slot[ryR, 2],
+            slot[bound_rows, 2]))
 
-    def _faces(self, x):
-        uL, uR = x[self.left], x[self.right]
+    def _faces(self, X):
+        uL, uR = X[self.left], X[self.right]
         return uL, uR, 1.0 + 0.5 * (uL**2 + uR**2)
 
-    def residual(self, x):
-        uL, uR, mean_a = self._faces(x)
+    def residual(self, X):
+        uL, uR, mean_a = self._faces(X)
         flux = self.T * mean_a * (uL - uR)
-        ub = x[self.bound]
+        ub = X[self.bound]
         nf, k = -flux, self.nx_faces
         terms = (self.neg_source, flux[:k], nf[:k], flux[k:], nf[k:],
                  2.0 * self.Tx * (1.0 + ub**2) * (ub - self.dv))
         return np.bincount(self.r_bins, np.concatenate(terms), self.m + 1)[:-1]
 
-    def jacobian(self, x):
-        uL, uR, mean_a = self._faces(x)
+    def jacobian(self, X):
+        uL, uR, mean_a = self._faces(X)
         d = uL - uR
         dL = self.T * (mean_a + uL * d)
         dR = self.T * (-mean_a + uR * d)
-        ub = x[self.bound]
+        ub = X[self.bound]
         ndL, ndR, k = -dL, -dR, self.nx_faces
         terms = (dL[:k], dR[:k], ndL[:k], ndR[:k], dL[k:], dR[k:], ndL[k:], ndR[k:],
                  2.0 * self.Tx * ((1.0 + ub**2) + 2.0 * ub * (ub - self.dv)))

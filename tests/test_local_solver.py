@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import lapack
-from oracles import brute_frozen_newton, dense_darcy_system, plain_newton
+from oracles import (
+    brute_frozen_newton,
+    dense_darcy_system,
+    plain_newton,
+    sequential_local_solve,
+)
 
 import raspen.local_solver as local_solver_mod
 from raspen.decomposition import build_1d_layout, build_2d_layout
@@ -20,9 +25,10 @@ from raspen.local_solver import (
     local_jacobian,
     solve_local,
     solved_jacobian,
+    stack_positions,
     sweep_locals,
 )
-from raspen.problems import DiffusionProblem2D, smooth_forchheimer
+from raspen.problems import DiffusionProblem2D, hard_forchheimer, smooth_forchheimer
 
 SETTINGS = SolverSettings()
 
@@ -33,6 +39,16 @@ def _row_block(block):
     return sp.csr_matrix((block.rows, block.columns, indptr),
                          shape=(len(block.row_starts),
                                 block.positions[0].shape[1])).toarray()
+
+
+def _per_block(positions, stacked):
+    """A stacked overlap vector split into the blocks' parts."""
+    return np.split(stacked, np.cumsum([pos.size for pos in positions])[:-1])
+
+
+def _alone_kernels(prob, pos):
+    """The problem's row kernels on one subdomain's overlap and halo."""
+    return prob.row_kernels([(pos.overlap, pos.halo)])
 
 
 def _band_to_dense(ab, kl, ku):
@@ -61,7 +77,7 @@ def test_zero_iterations_at_solution():
     ustar = plain_newton(prob, np.zeros(24))
     positions = block_positions(prob, build_1d_layout(24, 3, 2))
     for pos in positions:
-        res = solve_local(prob, pos, ustar, SETTINGS)
+        res = solve_local(prob, [pos], ustar, SETTINGS)
         assert res.inner_iterations <= 1
         assert np.allclose(res.correction, 0.0, atol=1e-7)
 
@@ -74,7 +90,7 @@ def test_affine_correction_formula():
     u = rng.standard_normal(18)
     for pos in positions:
         ov = pos.overlap
-        res = solve_local(prob, pos, u, SETTINGS)
+        res = solve_local(prob, [pos], u, SETTINGS)
         A_i = A[np.ix_(ov, ov)]
         want = np.linalg.solve(A_i, (b - A @ u)[ov])
         assert np.allclose(res.correction, want, atol=1e-10)
@@ -88,7 +104,7 @@ def test_matches_brute_force_local_newton():
     rng = np.random.default_rng(21)
     u = rng.standard_normal(12)
     for i in range(2):
-        res = solve_local(prob, positions[i], u, SETTINGS)
+        res = solve_local(prob, [positions[i]], u, SETTINGS)
         want = brute_frozen_newton(prob, lay, i, u)
         got = u.copy()
         got[lay.subdomains[i].overlap] += res.correction
@@ -100,7 +116,7 @@ def test_exterior_untouched_and_residual_small():
     lay = build_2d_layout(8, 8, 2, 1)
     rng = np.random.default_rng(22)
     u = rng.standard_normal(64)
-    res = solve_local(prob, block_positions(prob, lay)[1], u, SETTINGS)
+    res = solve_local(prob, [block_positions(prob, lay)[1]], u, SETTINGS)
     ov = lay.subdomains[1].overlap
     v = u.copy()
     v[ov] += res.correction
@@ -113,7 +129,7 @@ def test_factorization_round_trip():
     prob = smooth_forchheimer(30, beta=1.0)
     pos = block_positions(prob, build_1d_layout(30, 3, 2))[0]
     u = np.linspace(0, 1, 30)
-    block = solved_jacobian(prob, [pos], [solve_local(prob, pos, u, SETTINGS)])
+    block = solved_jacobian(prob, [pos], solve_local(prob, [pos], u, SETTINGS))
     A_ii = _row_block(block)[:, pos.overlap]
     rng = np.random.default_rng(23)
     for _ in range(5):
@@ -126,7 +142,7 @@ def test_jacobian_action_zero_and_linear():
     prob = smooth_forchheimer(20, beta=1.0)
     pos = block_positions(prob, build_1d_layout(20, 4, 1))[2]
     u = np.linspace(0, 1, 20)
-    block = solved_jacobian(prob, [pos], [solve_local(prob, pos, u, SETTINGS)])
+    block = solved_jacobian(prob, [pos], solve_local(prob, [pos], u, SETTINGS))
     assert np.allclose(local_correction_jacobian_action(block, np.zeros(20)), 0.0)
     rng = np.random.default_rng(24)
     v, w = rng.standard_normal(20), rng.standard_normal(20)
@@ -144,7 +160,7 @@ def test_jacobian_action_affine_oracle():
     u = rng.standard_normal(15)
     for pos in positions:
         ov = pos.overlap
-        block = solved_jacobian(prob, [pos], [solve_local(prob, pos, u, SETTINGS)])
+        block = solved_jacobian(prob, [pos], solve_local(prob, [pos], u, SETTINGS))
         A_i = A[np.ix_(ov, ov)]
         for _ in range(3):
             v = rng.standard_normal(15)
@@ -164,12 +180,12 @@ def test_jacobian_action_matches_fd(make):
     rng = np.random.default_rng(26)
     u = 0.1 * rng.standard_normal(n)
     for pos in block_positions(prob, lay):
-        block = solved_jacobian(prob, [pos], [solve_local(prob, pos, u, tight)])
+        block = solved_jacobian(prob, [pos], solve_local(prob, [pos], u, tight))
         for _ in range(2):
             v = rng.standard_normal(n)
             eps = 1e-6
-            cp = solve_local(prob, pos, u + eps * v, tight).correction
-            cm = solve_local(prob, pos, u - eps * v, tight).correction
+            cp = solve_local(prob, [pos], u + eps * v, tight).correction
+            cm = solve_local(prob, [pos], u - eps * v, tight).correction
             fd = (cp - cm) / (2 * eps)
             got = local_correction_jacobian_action(block, v)
             denom = max(1.0, np.linalg.norm(fd))
@@ -220,8 +236,8 @@ class _Repatterned:
     def jacobian(self, u):
         return self.change(self.problem.jacobian(u))
 
-    def row_kernels(self, cells, halo):
-        return self.problem.row_kernels(cells, halo)
+    def row_kernels(self, blocks):
+        return self.problem.row_kernels(blocks)
 
     def initial_state(self):
         return self.problem.initial_state()
@@ -281,7 +297,7 @@ def test_block_positions_reject_other_patterns():
     # positions from a pattern with an extra entry fit no Jacobian of prob
     extra = block_positions(_Repatterned(prob, _with_extra_entry), lay)[1]
     with pytest.raises(ValueError, match="subdomain 1"):
-        solve_local(smooth_forchheimer(12, beta=2.0), extra, np.ones(12),
+        solve_local(smooth_forchheimer(12, beta=2.0), [extra], np.ones(12),
                     SETTINGS)
     with pytest.raises(ValueError, match="CSR"):
         block_positions(_Repatterned(prob, lambda J: J.tocsc()), lay)
@@ -291,7 +307,7 @@ def test_stale_cache_guard():
     prob = smooth_forchheimer(12, beta=1.0)
     pos = block_positions(prob, build_1d_layout(12, 2, 1))[0]
     u = np.zeros(12)
-    block = solved_jacobian(prob, [pos], [solve_local(prob, pos, u, SETTINGS)])
+    block = solved_jacobian(prob, [pos], solve_local(prob, [pos], u, SETTINGS))
     local_correction_jacobian_action(block, np.ones(12), at_state=u)
     with pytest.raises(StaleCacheError):
         local_correction_jacobian_action(block, np.ones(12), at_state=u + 0.5)
@@ -307,9 +323,9 @@ def test_sweep_counts_and_single_domain():
 
     # one subdomain without overlap degenerates to global Newton
     lay1 = build_1d_layout(20, 1, 0)
-    results, _, _ = sweep_locals(prob, block_positions(prob, lay1),
-                                 np.zeros(20), SETTINGS)
-    assert np.allclose(results[0].correction, ustar, atol=1e-7)
+    result, _, _ = sweep_locals(prob, block_positions(prob, lay1),
+                                np.zeros(20), SETTINGS)
+    assert np.allclose(result.correction, ustar, atol=1e-7)
 
 
 def test_first_sweep_inner_count_smooth_case():
@@ -330,14 +346,15 @@ def test_inner_budget_error_names_subdomain():
     pos = block_positions(prob, build_1d_layout(12, 2, 1))[1]
     starved = SolverSettings(max_inner=1)
     with pytest.raises(LocalSolveError, match="subdomain 1"):
-        solve_local(prob, pos, 100.0 * np.ones(12), starved)
+        solve_local(prob, [pos], 100.0 * np.ones(12), starved)
 
 
 def test_inner_newton_checks_name_the_subdomain():
     prob = smooth_forchheimer(12, beta=1.0)
     pos = block_positions(prob, build_1d_layout(12, 2, 1))[1]
+    stack = stack_positions([pos])
     u = np.zeros(12)
-    singular = dataclasses.replace(pos, jacobian=lambda x: np.zeros(len(pos.rows)))
+    singular = dataclasses.replace(stack, jacobian=lambda x: np.zeros(len(pos.rows)))
     with pytest.raises(LocalSolveError,
                        match="subdomain 1: singular local Jacobian"):
         solve_local(prob, singular, u, SETTINGS)
@@ -345,11 +362,11 @@ def test_inner_newton_checks_name_the_subdomain():
 
     def nan_after_first_step(x):
         evaluated.append(x)
-        return pos.residual(x) * (np.nan if len(evaluated) > 1 else 1.0)
+        return stack.residual(x) * (np.nan if len(evaluated) > 1 else 1.0)
 
     with pytest.raises(LocalSolveError, match="subdomain 1: inner Newton "
                        "produced a non-finite residual"):
-        solve_local(prob, dataclasses.replace(pos, residual=nan_after_first_step),
+        solve_local(prob, dataclasses.replace(stack, residual=nan_after_first_step),
                     u, SETTINGS)
 
 
@@ -357,7 +374,7 @@ def test_sweep_results_share_one_frozen_base_state():
     prob = smooth_forchheimer(20, beta=1.0)
     positions = block_positions(prob, build_1d_layout(20, 4, 2))
     u = np.linspace(0.0, 1.0, 20)
-    results, _, _ = sweep_locals(prob, positions, u, SETTINGS)
+    results = [sweep_locals(prob, positions, u, SETTINGS)[0]]
     base = results[0].base_state
     assert all(res.base_state is base for res in results)
     assert base is not u and np.array_equal(base, u)
@@ -365,19 +382,19 @@ def test_sweep_results_share_one_frozen_base_state():
     u[3] = 7.0  # the caller's array stays the caller's
     assert base[3] != 7.0
     # a standalone solve copies a writable state too
-    assert solve_local(prob, positions[0], u, SETTINGS).base_state is not u
+    assert solve_local(prob, [positions[0]], u, SETTINGS).base_state is not u
 
 
 def test_positions_serve_only_their_problem():
     prob = smooth_forchheimer(12, beta=1.0)
     pos = block_positions(prob, build_1d_layout(12, 2, 1))[0]
     twin = smooth_forchheimer(12, beta=1.0)
-    res = solve_local(prob, pos, np.zeros(12), SETTINGS)
+    res = solve_local(prob, [pos], np.zeros(12), SETTINGS)
     with pytest.raises(ValueError, match="subdomain 0: block positions were "
                        "computed for another problem"):
-        solve_local(twin, pos, np.zeros(12), SETTINGS)
+        solve_local(twin, [pos], np.zeros(12), SETTINGS)
     with pytest.raises(ValueError, match="another problem"):
-        solved_jacobian(twin, [pos], [res])
+        solved_jacobian(twin, [pos], res)
 
 
 def _per_block_action(positions, entries, v):
@@ -414,13 +431,13 @@ def test_stacked_action_bit_identical_to_per_block(make, exact):
     rng = np.random.default_rng(29)
     u = 0.3 * rng.standard_normal(n)
     if exact:
-        results, _, _ = sweep_locals(prob, positions, u, SETTINGS)
-        block = solved_jacobian(prob, positions, results)
+        result, _, _ = sweep_locals(prob, positions, u, SETTINGS)
+        block = solved_jacobian(prob, positions, result)
         entries = []
-        for pos, res in zip(positions, results):
-            x = res.base_state[pos.cells]
-            x[:pos.size] = res.solved
-            entries.append(pos.jacobian(x))
+        for pos, solved in zip(positions, _per_block(positions, result.solved)):
+            x = result.base_state[pos.cells]
+            x[:pos.size] = solved
+            entries.append(_alone_kernels(prob, pos)[1](x))
     else:
         J = prob.jacobian(u)
         block = local_jacobian(J, positions, u)
@@ -479,10 +496,325 @@ def test_stacked_blocks_need_results_of_one_sweep():
     prob = smooth_forchheimer(12, beta=1.0)
     positions = block_positions(prob, build_1d_layout(12, 2, 1))
     u = np.zeros(12)
-    results = [solve_local(prob, pos, u, SETTINGS) for pos in positions]
+    results = solve_local(prob, [positions[0]], u, SETTINGS)
     with pytest.raises(ValueError, match="subdomain 1: local results of "
                        "different sweeps cannot be stacked"):
         solved_jacobian(prob, positions, results)
     results, _, _ = sweep_locals(prob, positions, u, SETTINGS)
     block = solved_jacobian(prob, positions, results)
     local_correction_jacobian_action(block, np.ones(12), at_state=u)
+
+
+# ------------------------------------------- subdomains solved together
+
+
+class _WideBand(_Repatterned):
+    """_with_entry_above's pattern, with row kernels that hold its extra entry.
+
+    Entry (3, 8) is 0.5 in every Jacobian, row kernels included, so the
+    inner Newton of subdomain 1 of build_1d_layout(12, 3, 1) runs on a band
+    whose upper bandwidth spans the whole block.
+    """
+
+    def __init__(self, problem):
+        super().__init__(problem, _with_entry_above)
+
+    def row_kernels(self, blocks):
+        residual, jacobian = self.problem.row_kernels(blocks)
+        J = self.jacobian(self.initial_state())
+        extra = np.concatenate([
+            (np.repeat(cells, np.diff(J.indptr)[cells]) == 3)
+            & (J[cells].indices == 8) for cells, _ in blocks])
+
+        def jacobian_rows(X):
+            out = np.full(len(extra), 0.5)
+            out[~extra] = jacobian(X)
+            return out
+
+        return residual, jacobian_rows
+
+
+_LAYOUTS = {
+    "1d-k0": lambda: (smooth_forchheimer(17, beta=1.0), build_1d_layout(17, 4, 0)),
+    "1d-k3": lambda: (smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 8, 3)),
+    "1d-I=M": lambda: (smooth_forchheimer(9, beta=1.0), build_1d_layout(9, 9, 0)),
+    "1d-I=M-k1": lambda: (smooth_forchheimer(9, beta=1.0), build_1d_layout(9, 9, 1)),
+    "1d-I=1": lambda: (smooth_forchheimer(17, beta=1.0), build_1d_layout(17, 1, 0)),
+    "1d-rough": lambda: (hard_forchheimer(30, 10.0, seed=4), build_1d_layout(30, 5, 2)),
+    "1d-wide-band": lambda: (_WideBand(smooth_forchheimer(12, beta=1.0)),
+                             build_1d_layout(12, 3, 1)),
+    "2d-12x8-N4-k1": lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1)),
+    "2d-12x8-N2-k2": lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 2, 2)),
+    "2d-8x12-N4-k2": lambda: (DiffusionProblem2D(8, 12), build_2d_layout(8, 12, 4, 2)),
+}
+
+
+def _states(prob, seed):
+    rng = np.random.default_rng(seed)
+    n = prob.dof_count
+    return [prob.initial_state(), 0.3 * rng.standard_normal(n),
+            prob.initial_state() + rng.standard_normal(n)]
+
+
+@pytest.mark.parametrize("name", _LAYOUTS)
+def test_batched_sweep_bit_identical_to_sequential_solves(name):
+    prob, lay = _LAYOUTS[name]()
+    positions = block_positions(prob, lay)
+    if name.startswith("2d") and "-N4-" in name:
+        # corner, edge and interior blocks: the band pads the narrower ones
+        assert len({(pos.kl, pos.ku) for pos in positions}) > 1
+    if name == "1d-wide-band":
+        assert (positions.kl, positions.ku) == (1, 5)
+    for u in _states(prob, 50):
+        try:
+            want = [sequential_local_solve(prob, pos, u, SETTINGS) for pos in positions]
+        except LocalSolveError as exc:
+            # the rough field's cold start: the first failure in subdomain
+            # order, with its message
+            with pytest.raises(LocalSolveError) as caught:
+                sweep_locals(prob, positions, u, SETTINGS)
+            assert str(caught.value) == str(exc)
+            continue
+        result, ls_max, ls_min = sweep_locals(prob, positions, u, SETTINGS)
+        assert result.correction.tobytes() == np.concatenate(
+            [c for c, _, _ in want]).tobytes()
+        assert result.solved.tobytes() == np.concatenate(
+            [s for _, s, _ in want]).tobytes()
+        assert result.inner_counts == tuple(n for _, _, n in want)
+        assert result.inner_iterations == sum(result.inner_counts)
+        assert (ls_max, ls_min) == (max(result.inner_counts), min(result.inner_counts))
+        assert result.subdomains == tuple(range(lay.n_subdomains))
+
+
+def test_converged_subdomains_keep_their_solo_values():
+    # subdomain 3 holds the u(L) = 1 boundary and needs one step more than
+    # the others, which are frozen meanwhile
+    prob = smooth_forchheimer(40, beta=1.0)
+    positions = block_positions(prob, build_1d_layout(40, 4, 2))
+    u = np.zeros(40)
+    result = solve_local(prob, positions, u, SETTINGS)
+    assert min(result.inner_counts) < max(result.inner_counts)
+    for pos, correction, solved, count in zip(
+            positions, _per_block(positions, result.correction),
+            _per_block(positions, result.solved), result.inner_counts):
+        alone = solve_local(prob, [pos], u, SETTINGS)
+        assert alone.inner_counts == (count,)
+        assert correction.tobytes() == alone.correction.tobytes()
+        assert solved.tobytes() == alone.solved.tobytes()
+
+
+def _entry_ranges(stack):
+    """Each block's range in the stacked row data."""
+    ends = np.cumsum([len(pos.columns) for pos in stack])
+    return [range(e - len(pos.columns), e) for pos, e in zip(stack, ends)]
+
+
+def _row_range(stack, b):
+    return range(stack.block_starts[b], stack.block_starts[b] + stack[b].size)
+
+
+def _failing(stack, singular=(), nonfinite=(), tiny=()):
+    """The stack with failures injected into its kernels.
+
+    singular maps blocks to the Jacobian-kernel call (1 = first) from which
+    their entries are zero, nonfinite maps blocks to the residual-kernel
+    call from which their rows are nan, and tiny maps blocks to the
+    Jacobian-kernel call from which their entries are scaled by 1e-320, so
+    that the step overflows.  Returns the failing stack and, per block,
+    kernels that fail the same way on that block alone.
+    """
+    entries, calls = _entry_ranges(stack), {"residual": 0, "jacobian": 0}
+
+    def residual(X):
+        calls["residual"] += 1
+        r = stack.residual(X)
+        for b, at in dict(nonfinite).items():
+            if calls["residual"] >= at:
+                r[_row_range(stack, b)] = np.nan
+        return r
+
+    def jacobian(X):
+        calls["jacobian"] += 1
+        data = stack.jacobian(X)
+        for faults, scale in ((singular, 0.0), (tiny, 1e-320)):
+            for b, at in dict(faults).items():
+                if calls["jacobian"] >= at:
+                    data[entries[b]] *= scale
+        return data
+
+    def alone(b):
+        prob, pos = stack.problem, stack[b]
+        own_residual, own_jacobian = prob.row_kernels([(pos.overlap, pos.halo)])
+        own = {"residual": 0, "jacobian": 0}
+
+        def r(x):
+            own["residual"] += 1
+            out = own_residual(x)
+            if own["residual"] >= dict(nonfinite).get(b, np.inf):
+                out = out * np.nan
+            return out
+
+        def j(x):
+            own["jacobian"] += 1
+            out = own_jacobian(x)
+            if own["jacobian"] >= dict(singular).get(b, np.inf):
+                out = 0.0 * out
+            if own["jacobian"] >= dict(tiny).get(b, np.inf):
+                out = 1e-320 * out
+            return out
+
+        return r, j
+
+    return dataclasses.replace(stack, residual=residual, jacobian=jacobian), alone
+
+
+def _sequential_error(prob, stack, u, settings, alone):
+    """The error the subdomain-by-subdomain loop raises first, or None."""
+    for b, pos in enumerate(stack):
+        try:
+            sequential_local_solve(prob, pos, u, settings, alone(b))
+        except LocalSolveError as exc:
+            return exc
+    return None
+
+
+@pytest.mark.parametrize("faults, settings, named", [
+    # subdomain 3's residual turns nan after its first step; subdomain 1's
+    # block turns singular one step later
+    (dict(singular={1: 2}, nonfinite={3: 2}), SETTINGS, 1),
+    # subdomain 3 is singular at once; subdomain 0 runs out of its two steps
+    (dict(singular={3: 1}), SolverSettings(max_inner=2), 0),
+    # subdomain 2 turns singular at its second step; subdomain 1's residual
+    # turns nan at its third
+    (dict(singular={2: 2}, nonfinite={1: 4}), SETTINGS, 1),
+], ids=["nonfinite-before-singular", "singular-before-budget",
+        "singular-before-nonfinite"])
+def test_first_failure_in_subdomain_order_is_raised(faults, settings, named):
+    prob = smooth_forchheimer(40, beta=1.0)
+    positions = block_positions(prob, build_1d_layout(40, 4, 2))
+    u = np.zeros(40)
+    # every subdomain needs at least four steps from u
+    assert min(solve_local(prob, positions, u, SETTINGS).inner_counts) >= 4
+    failing, alone = _failing(positions, **faults)
+    want = _sequential_error(prob, positions, u, settings, alone)
+    with pytest.raises(LocalSolveError) as caught:
+        solve_local(prob, failing, u, settings)
+    assert str(caught.value) == str(want)
+    assert str(caught.value).startswith(f"subdomain {named}: ")
+    assert caught.value.subdomain == named
+
+
+def test_overflowing_step_spills_into_no_other_subdomain():
+    # subdomain 2's block is scaled to 1e-320 at its second step, so that
+    # step overflows; in the band, 0 * inf would turn the padded neighbours'
+    # steps into nan, and subdomain 0 or 1 would be named instead
+    prob = smooth_forchheimer(40, beta=1.0)
+    positions = block_positions(prob, build_1d_layout(40, 4, 2))
+    u = np.zeros(40)
+    failing, alone = _failing(positions, tiny={2: 2})
+    want = _sequential_error(prob, positions, u, SETTINGS, alone)
+    assert str(want) == "subdomain 2: inner Newton produced a non-finite residual"
+    with pytest.raises(LocalSolveError) as caught:
+        solve_local(prob, failing, u, SETTINGS)
+    assert str(caught.value) == str(want)
+    assert caught.value.subdomain == 2
+
+
+@pytest.mark.parametrize("kind, settings, faults, trail", [
+    ("budget", SolverSettings(max_inner=2), {}, 3),
+    ("singular", SETTINGS, dict(singular={1: 3}), 3),
+    ("nonfinite", SETTINGS, dict(nonfinite={1: 3}), 3),
+], ids=["budget", "singular", "nonfinite"])
+def test_local_solve_error_carries_subdomain_and_residual_trail(
+        kind, settings, faults, trail):
+    prob = smooth_forchheimer(40, beta=1.0)
+    positions = block_positions(prob, build_1d_layout(40, 4, 2))
+    u = np.zeros(40)
+    failing, alone = _failing(positions, **faults)
+    with pytest.raises(LocalSolveError) as caught:
+        solve_local(prob, failing, u, settings)
+    err = caught.value
+    assert err.subdomain == int(str(err).split(":")[0].split()[1])
+    assert len(err.residuals) == trail
+    assert all(isinstance(r, float) for r in err.residuals)
+    # the trail is the failed subdomain's own residual norms
+    pos = positions[err.subdomain]
+    own_residual = alone(err.subdomain)[0]
+    assert np.isclose(err.residuals[0],
+                      np.linalg.norm(own_residual(u[pos.cells])), rtol=1e-14)
+    if kind == "nonfinite":
+        assert not np.isfinite(err.residuals[-1])
+        assert np.isfinite(err.residuals[:-1]).all()
+    else:
+        assert np.isfinite(err.residuals).all()
+        assert err.residuals[-1] > settings.inner_tol
+
+
+def _counting(stack):
+    """The stack with its kernels counted, and the counts."""
+    calls = {"residual": 0, "jacobian": 0}
+
+    def counted(name):
+        kernel = getattr(stack, name)
+
+        def call(X):
+            calls[name] += 1
+            return kernel(X)
+
+        return call
+
+    return dataclasses.replace(stack, residual=counted("residual"),
+                               jacobian=counted("jacobian")), calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 4, 2)),
+    lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1)),
+], ids=["1d", "2d"])
+def test_sweep_cost_is_set_by_the_slowest_subdomain(make, monkeypatch):
+    # one stacked factorization per step of the slowest subdomain, and one
+    # residual evaluation more; the solved block is one Jacobian-kernel call
+    prob, lay = make()
+    stack, calls = _counting(block_positions(prob, lay))
+    factored = []
+    dgbtrf = local_solver_mod.dgbtrf
+
+    def counting_dgbtrf(ab, kl, ku, **kwargs):
+        factored.append(ab.shape)
+        return dgbtrf(ab, kl, ku, **kwargs)
+
+    monkeypatch.setattr(local_solver_mod, "dgbtrf", counting_dgbtrf)
+    for u in _states(prob, 51):
+        del factored[:]
+        calls.update(residual=0, jacobian=0)
+        result = solve_local(prob, stack, u, SETTINGS)
+        steps = max(result.inner_counts)
+        assert steps > 0
+        assert len(factored) == steps == calls["jacobian"]
+        assert calls["residual"] == steps + 1
+        assert set(factored) == {(2 * stack.kl + stack.ku + 1, stack.size)}
+        calls.update(jacobian=0)
+        solved_jacobian(prob, stack, result)
+        assert calls["jacobian"] == 1 and len(factored) == steps + 1
+
+
+def test_stacks_are_built_once_and_share_their_geometry():
+    prob = smooth_forchheimer(24, beta=1.0)
+    positions = block_positions(prob, build_1d_layout(24, 4, 2))
+    assert stack_positions(positions) is positions
+    u = np.linspace(0.0, 1.0, 24)
+    first = solved_jacobian(prob, positions, solve_local(prob, positions, u, SETTINGS))
+    second = local_jacobian(prob.jacobian(u + 1.0), positions, u + 1.0)
+    for a, b in ((first.columns, second.columns), (first.row_starts, second.row_starts),
+                 (first.columns, positions.columns)):
+        assert a is b
+    # a list of positions gets a stack of its own, equal to the layout's
+    again = stack_positions(list(positions))
+    assert again is not positions
+    for name in ("cells", "overlap", "sizes", "block_starts", "rows", "columns",
+                 "row_starts", "block", "held", "slots"):
+        assert np.array_equal(getattr(again, name), getattr(positions, name))
+    with pytest.raises(ValueError, match="subdomain 1: block positions of "
+                       "different problems cannot be stacked"):
+        stack_positions([block_positions(smooth_forchheimer(24, 2.0),
+                                         build_1d_layout(24, 4, 2))[0], positions[1]])

@@ -1,5 +1,7 @@
 """Tests for the outer drivers: Newton, fixed point, and continuation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from oracles import plain_newton
@@ -125,6 +127,79 @@ class _BoomSystem:
 def test_solve_failure_aborts_with_context(error):
     with pytest.raises(error, match="outer iteration 0"):
         outer_newton(_BoomSystem(error), np.zeros(4))
+
+
+def _failing_sweep(system, kernel, fail_from):
+    """Make subdomain 1's kernel output fail from the fail_from-th call on.
+
+    kernel "jacobian" zeros subdomain 1's entries (a singular block),
+    "residual" turns its rows into nan.
+    """
+    stack = system._positions
+    pos = stack[1]
+    rows = slice(stack.block_starts[1], stack.block_starts[1] + pos.size)
+    first = len(stack[0].columns)
+    entries = slice(first, first + len(pos.columns))
+    calls = [0]
+
+    def failing(X):
+        calls[0] += 1
+        out = getattr(stack, kernel)(X)
+        if calls[0] >= fail_from:
+            out[rows if kernel == "residual" else entries] *= (
+                np.nan if kernel == "residual" else 0.0)
+        return out
+
+    system._positions = dataclasses.replace(stack, **{kernel: failing})
+
+
+@pytest.mark.parametrize("failure, message, trail", [
+    ("budget", "inner Newton did not reach 1e-08 within 1 iterations", 2),
+    ("singular", "singular local Jacobian", 2),
+    ("nonfinite", "inner Newton produced a non-finite residual", 3),
+])
+def test_local_failure_keeps_subdomain_and_trail_through_outer_context(
+        failure, message, trail):
+    # outer_newton prefixes the outer iteration; the error's subdomain and
+    # inner residual trail survive, as they are on the sweep's own error
+    settings = SolverSettings(max_inner=1) if failure == "budget" else None
+    errors = []
+    for through_newton in (False, True):
+        system = _system("RASPEN1", settings=settings)
+        if failure == "singular":
+            _failing_sweep(system, "jacobian", 2)
+        elif failure == "nonfinite":
+            _failing_sweep(system, "residual", 3)
+        u = system.problem.initial_state()
+        with pytest.raises(LocalSolveError) as caught:
+            if through_newton:
+                outer_newton(system, u)
+            else:
+                system.residual(u)
+        errors.append(caught.value)
+    direct, wrapped = errors
+    named = 0 if failure == "budget" else 1
+    assert str(direct).startswith(f"subdomain {named}: {message}")
+    assert str(wrapped) == f"outer iteration 0: {direct}"
+    assert type(wrapped) is LocalSolveError and wrapped.__cause__ is not None
+    for err in errors:
+        assert err.subdomain == named
+        assert len(err.residuals) == trail
+    assert np.array_equal(wrapped.residuals, direct.residuals, equal_nan=True)
+
+
+def test_gmres_histories_are_kept_per_row():
+    run = outer_newton(_system("RASPEN1"), np.zeros(60))
+    led = run.ledger
+    assert run.converged and len(led.gmres_history) == len(led)
+    for ls_G, history in zip(led.ls_G, led.gmres_history):
+        assert len(history) == ls_G
+    assert led.gmres_history[-1] == ()
+    assert all(0.0 < h[-1] <= SolverSettings().gmres_tol
+               for h in led.gmres_history[:-1])
+    fp = fixed_point_solve(_system("RASPEN1"), np.zeros(60), max_steps=3,
+                           u_ref=np.zeros(60))
+    assert fp.ledger.gmres_history == [()] * len(fp.ledger)
 
 
 def test_singular_block_at_first_action_gets_outer_context(monkeypatch):

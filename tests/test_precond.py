@@ -1,5 +1,7 @@
 """Tests for the preconditioned systems against dense and FD oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from oracles import dense_darcy_system, plain_newton, schwarz_preconditioners
@@ -206,9 +208,9 @@ def test_fixed_point_dichotomy_compact():
 @pytest.mark.parametrize("kind", ["RASPEN1", "RASPEN2"])
 def test_local_blocks_factored_only_for_actions(kind, monkeypatch):
     # a fixed-point step applies no derivative, so its only local
-    # factorizations are the inner Newton steps'; the first Jacobian action
-    # then factors all blocks once, as one stacked band, and later actions
-    # reuse it
+    # factorizations are the inner Newton steps', one stacked band per step
+    # of the slowest subdomain; the first Jacobian action then factors all
+    # blocks once, as one stacked band, and later actions reuse it
     prob, lay = _forchheimer_setup()
     system = PreconditionedSystem(kind, prob, lay, SETTINGS)
     factored, solved = [], []
@@ -220,14 +222,14 @@ def test_local_blocks_factored_only_for_actions(kind, monkeypatch):
 
     def recording_sweep(*args):
         out = sweep(*args)
-        solved.extend(out[0])
+        solved.append(out[0])
         return out
 
     monkeypatch.setattr(local_solver_mod, "dgbtrf", counting_dgbtrf)
     monkeypatch.setattr(precond_mod, "sweep_locals", recording_sweep)
     u = 0.2 * np.ones(24)
     system.fixed_point_step(u)
-    inner = sum(res.inner_iterations for res in solved)
+    inner = max(max(res.inner_counts) for res in solved)
     assert inner > 0
     assert len(factored) == inner
     v = np.ones(24)
@@ -262,6 +264,48 @@ def test_actions_factor_once_and_solve_once(make, kind, mode, monkeypatch):
     for actions in (1, 2, 3):
         system.jacobian_action(u, v)
         assert calls == {"dgbtrf": 1, "dgbtrs": actions}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (smooth_forchheimer(24, beta=1.0), build_1d_layout(24, 4, 2)),
+    lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1)),
+], ids=["1d", "2d"])
+@pytest.mark.parametrize("kind, mode", [
+    ("RASPEN1", None), ("ASPIN1", None), ("RASPEN2", None), ("ASPIN2", "exact"),
+])
+def test_actions_evaluate_one_jacobian_kernel_on_shared_geometry(make, kind, mode,
+                                                                 monkeypatch):
+    # the exact blocks of an evaluation are one Jacobian-kernel call at the
+    # solved stack and one dgbtrf; the stacked geometry is the system's,
+    # built once, so two evaluations' blocks share it
+    prob, lay = make()
+    system = PreconditionedSystem(kind, prob, lay, SETTINGS, jacobian_mode=mode)
+    stack, calls = system._positions, {"kernel": 0, "dgbtrf": 0}
+
+    def counted_kernel(X):
+        calls["kernel"] += 1
+        return stack.jacobian(X)
+
+    def counted_dgbtrf(*args, dgbtrf=local_solver_mod.dgbtrf, **kwargs):
+        calls["dgbtrf"] += 1
+        return dgbtrf(*args, **kwargs)
+
+    system._positions = dataclasses.replace(stack, jacobian=counted_kernel)
+    monkeypatch.setattr(local_solver_mod, "dgbtrf", counted_dgbtrf)
+    v = np.random.default_rng(44).standard_normal(prob.dof_count)
+    blocks = []
+    for u in (prob.initial_state() + 0.1, prob.initial_state() + 0.2):
+        system.residual(u)
+        calls.update(kernel=0, dgbtrf=0)
+        for _ in range(3):
+            system.jacobian_action(u, v)
+        inexact = system.jacobian_mode == "inexact"
+        assert calls == {"kernel": 0 if inexact else 1, "dgbtrf": 1}
+        blocks.append(system._cache.block)
+    first, second = blocks
+    assert first is not second
+    for name in ("columns", "row_starts"):
+        assert getattr(first, name) is getattr(second, name)
 
 
 def test_stale_cache_paths():

@@ -410,8 +410,9 @@ def _check_row_kernels(prob, subdomains, rng):
         F, J = prob.residual(u), prob.jacobian(u)
         for pos in positions:
             x = u[pos.cells]
-            assert pos.residual(x).tobytes() == F[pos.overlap].tobytes()
-            assert pos.jacobian(x).tobytes() == J.data[pos.rows].tobytes()
+            residual_rows, jacobian_rows = prob.row_kernels([(pos.overlap, pos.halo)])
+            assert residual_rows(x).tobytes() == F[pos.overlap].tobytes()
+            assert jacobian_rows(x).tobytes() == J.data[pos.rows].tobytes()
 
 
 def test_row_kernels_1d_bit_identical_on_every_interval():
@@ -429,7 +430,7 @@ def test_row_kernels_1d_bit_identical_on_every_interval():
                 for hi in range(lo + 1, M + 1):
                     cells = np.arange(lo, hi)
                     halo = np.array([c for c in (lo - 1, hi) if 0 <= c < M], dtype=int)
-                    residual_rows, jacobian_rows = prob.row_kernels(cells, halo)
+                    residual_rows, jacobian_rows = prob.row_kernels([(cells, halo)])
                     for u, F, J in states:
                         x = u[np.concatenate((cells, halo))]
                         assert residual_rows(x).tobytes() == F[lo:hi].tobytes()
@@ -449,6 +450,51 @@ def test_row_kernels_2d_bit_identical_on_every_subdomain(nx, ny):
             _check_row_kernels(prob, build_2d_layout(nx, ny, N, k).subdomains, rng)
 
 
+def _check_stacked_row_kernels(prob, subdomains, rng):
+    """Stacked row kernels against the global evaluations, bit for bit.
+
+    On the layout's whole subdomain set (the stack's own kernels), the set
+    in reverse, and every other subdomain: each block's part of the stacked
+    output must equal the global rows.
+    """
+    positions = block_positions(prob, SimpleNamespace(subdomains=subdomains))
+    sets = [(list(positions), (positions.residual, positions.jacobian))]
+    for chosen in (list(positions)[::-1], list(positions)[::2]):
+        sets.append((chosen, prob.row_kernels([(p.overlap, p.halo) for p in chosen])))
+    n = prob.dof_count
+    for u in (rng.standard_normal(n), 1e3 * rng.standard_normal(n)):
+        F, J = prob.residual(u), prob.jacobian(u)
+        for chosen, (residual_rows, jacobian_rows) in sets:
+            X = u[np.concatenate([p.cells for p in chosen])]
+            assert residual_rows(X).tobytes() == np.concatenate(
+                [F[p.overlap] for p in chosen]).tobytes()
+            assert jacobian_rows(X).tobytes() == np.concatenate(
+                [J.data[p.rows] for p in chosen]).tobytes()
+
+
+@pytest.mark.parametrize("M", [1, 2, 9, 17, 40])
+def test_stacked_row_kernels_1d_bit_identical_on_every_layout(M):
+    # I = M with and without overlap, I = 1, and everything between
+    rng = np.random.default_rng(35)
+    for prob in (smooth_forchheimer(M, 1.0), hard_forchheimer(M, 10.0, seed=2)):
+        for I in range(1, M + 1):
+            for k in range(min(3, M // I) + 1):
+                layout = build_1d_layout(M, I, k)
+                _check_stacked_row_kernels(prob, layout.subdomains, rng)
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 6), (6, 1), (6, 4), (9, 6), (8, 12), (10, 5)])
+def test_stacked_row_kernels_2d_bit_identical_on_every_layout(nx, ny):
+    rng = np.random.default_rng(36)
+    prob = DiffusionProblem2D(nx, ny)
+    for N in range(1, min(nx, ny) + 1):
+        if nx % N or ny % N:
+            continue
+        for k in range(min(nx, ny) // N + 1 if N > 1 else 1):
+            layout = build_2d_layout(nx, ny, N, k)
+            _check_stacked_row_kernels(prob, layout.subdomains, rng)
+
+
 @pytest.mark.parametrize("prob, cells", [
     (smooth_forchheimer(12, beta=1.0), np.arange(3, 7)),
     (DiffusionProblem2D(6, 5), np.array([7, 8, 13, 14])),
@@ -456,6 +502,6 @@ def test_row_kernels_2d_bit_identical_on_every_subdomain(nx, ny):
 def test_row_kernels_need_the_whole_halo(prob, cells):
     J = prob.jacobian(prob.initial_state())
     halo = np.setdiff1d(J[cells].indices, cells)
-    prob.row_kernels(cells, halo)
+    prob.row_kernels([(cells, halo)])
     with pytest.raises(ValueError, match="halo"):
-        prob.row_kernels(cells, halo[1:])
+        prob.row_kernels([(cells, halo[1:])])
