@@ -22,15 +22,14 @@ returns the stacked vector of the layout's stacked overlap space.
 
 Every problem's Jacobian has a fixed CSR pattern, and it is the only
 description of the stencil read here: block_positions reads it once, from
-one Jacobian at the problem's initial state, and returns a PositionStack:
-every subdomain's BlockPositions (its overlap cells and halo, the cells
-outside the overlap its rows couple to, where R_i J sits in a Jacobian's
-data array, and where A_ii's entries go in LAPACK band storage) plus what
-their stacked solves share, built once: the problem's row kernels on all
-blocks (see NonlinearProblem.row_kernels), where the overlap values sit in
-the stacked local vector X = (u[cells_1], ..., u[cells_I]), and the band
-geometry of diag(A_ii).  Every solve and block function takes a sequence
-of positions and stacks it once (stack_positions), unless it already is a
+one Jacobian at the problem's initial state, and returns a PositionStack,
+computed for all subdomains in one pass of array operations: every
+subdomain's overlap cells and halo (the cells outside the overlap its rows
+couple to), where the overlap values sit in the stacked local vector
+X = (u[cells_1], ..., u[cells_I]), where every R_i J sits in a Jacobian's
+data array, where A_ii's entries go in the LAPACK band storage of
+diag(A_ii), and the problem's row kernels on all blocks (see
+NonlinearProblem.row_kernels).  Every solve and block function takes a
 PositionStack.
 
 All subdomains take their inner Newton steps together, on X: a step is
@@ -57,14 +56,12 @@ __all__ = [
     "SolverSettings",
     "LocalSolveResult",
     "LocalJacobian",
-    "BlockPositions",
     "PositionStack",
     "SolveError",
     "LocalSolveError",
     "StaleCacheError",
     "solve_local",
     "block_positions",
-    "stack_positions",
     "local_jacobian",
     "solved_jacobian",
     "local_correction_jacobian_action",
@@ -133,64 +130,26 @@ class LocalSolveResult:
 
 
 @dataclass(frozen=True, eq=False)
-class BlockPositions:
-    """Subdomain i's blocks in the problem's Jacobian pattern.
+class PositionStack:
+    """Where a sequence of subdomains' blocks sit, and what their solves share.
 
-    overlap lists the subdomain's m cells; cells lists them followed by
-    their halo, the cells outside the overlap that their rows couple to.
-    In a global Jacobian R_i J's entries are J.data[rows], at column
-    indices columns, row by row, row r from row_indptr[r].  A_ii = R_i J P_i
-    has lower and upper bandwidths kl and ku in the overlap's cell order;
-    its entries, R_i J's data at block, go to the flat indices slots of a
-    C-order (m, 2*kl+ku+1) array, whose transpose is LAPACK's band storage
-    (A_ii[r, c] at row kl+ku+r-c of column c).  The positions fit every
+    Block b is subdomain subdomains[b].  X, the stacked local vector,
+    concatenates each block's values at its cells (global indices cells):
+    its overlap cells, then its halo, the cells outside the overlap that
+    their rows couple to; residual and jacobian are the problem's row
+    kernels on all blocks, functions of X.  Block b has sizes[b] stacked
+    rows, from block_starts[b], and its overlap values sit in X at
+    overlap[block_starts[b]:].  R_i J's entries, stacked, are a global
+    Jacobian's J.data[rows], at global columns columns, row r from
+    row_starts[r].  diag(A_ii) is a band matrix with bandwidths kl and ku,
+    the largest of the blocks': the stacked entries at block, held[b] of
+    them block b's, go to the flat indices slots of a C-order
+    (rows, 2*kl+ku+1) array, whose transpose is LAPACK's band storage
+    (A[r, c] at row kl+ku+r-c of column c).  The positions fit every
     Jacobian with the pattern they were computed from, which shape and nnz
     identify.
     """
 
-    subdomain: int
-    problem: object = field(repr=False)
-    overlap: np.ndarray = field(repr=False)
-    cells: np.ndarray = field(repr=False)
-    shape: tuple
-    nnz: int
-    rows: np.ndarray = field(repr=False)
-    columns: np.ndarray = field(repr=False)
-    row_indptr: np.ndarray = field(repr=False)
-    block: np.ndarray = field(repr=False)
-    slots: np.ndarray = field(repr=False)
-    kl: int
-    ku: int
-
-    @property
-    def size(self):
-        """The number m of overlap cells: A_ii is m x m, R_i J is m x n."""
-        return len(self.overlap)
-
-    @property
-    def halo(self):
-        return self.cells[self.size:]
-
-
-@dataclass(frozen=True, eq=False)
-class PositionStack:
-    """A sequence of BlockPositions and what their stacked solves share.
-
-    It is the sequence of positions itself (indexing and iteration give
-    the BlockPositions).  X, the stacked local vector, concatenates each
-    block's values at its cells (global indices cells); residual and
-    jacobian are the problem's row kernels on all blocks, functions of X.
-    Block b has sizes[b] stacked rows, from block_starts[b], and its
-    overlap values sit in X at overlap[block_starts[b]:].  R_i J's
-    entries, stacked, are a global Jacobian's J.data[rows], at global
-    columns columns, row r from row_starts[r].  diag(A_ii) is a band
-    matrix with bandwidths kl and ku, the largest of the blocks': the
-    stacked entries at block, held[b] of them block b's, go to the flat
-    indices slots of a C-order (rows, 2*kl+ku+1) array, whose transpose is
-    LAPACK's band storage.
-    """
-
-    positions: tuple = field(repr=False)
     subdomains: tuple
     problem: object = field(repr=False)
     shape: tuple
@@ -210,15 +169,6 @@ class PositionStack:
     kl: int
     ku: int
 
-    def __len__(self):
-        return len(self.positions)
-
-    def __getitem__(self, index):
-        return self.positions[index]
-
-    def __iter__(self):
-        return iter(self.positions)
-
     @property
     def size(self):
         """The number of stacked rows, sum_i m_i."""
@@ -233,117 +183,86 @@ class PositionStack:
 class LocalJacobian:
     """Stacked row blocks R_i J and the band LU of A = diag(A_ii).
 
-    positions is the blocks' PositionStack.  rows holds every R_i J's
-    entries in turn, at global column indices columns; stacked row r starts
-    at row_starts[r].  lu is dgbtrf's (band factors, pivots) of A, a band
-    matrix with bandwidths kl and ku, the largest of the blocks'.
-    base_state is the global u whose derivative the blocks represent;
-    actions verify against it.
+    positions is the blocks' PositionStack, which places them: rows holds
+    every R_i J's entries in turn, at its columns and row_starts.  lu is
+    dgbtrf's (band factors, pivots) of A, at the stack's bandwidths.
     """
 
     positions: object = field(repr=False)
     rows: np.ndarray = field(repr=False)
-    columns: np.ndarray = field(repr=False)
-    row_starts: np.ndarray = field(repr=False)
-    kl: int
-    ku: int
     lu: tuple = field(repr=False)
-    base_state: np.ndarray = field(default=None, repr=False)
 
 
 def block_positions(problem, layout):
-    """Every subdomain's BlockPositions in the problem's Jacobian pattern, stacked.
+    """Every subdomain's positions in the problem's Jacobian pattern, stacked.
 
     The pattern is read from one Jacobian at the problem's initial state,
     which must be a CSR matrix with sorted, unique indices; each
     subdomain's halo is read from it, and the problem's row kernels are
     built on all overlaps and their halos.
     """
+    return _stack(problem, [sub.overlap for sub in layout.subdomains],
+                  tuple(range(len(layout.subdomains))))
+
+
+def _stack(problem, overlaps, subdomains):
+    """The PositionStack of blocks with overlap cells overlaps, in one pass.
+
+    Every stacked row's entries are read from the pattern at once; an
+    entry's column lies in its block's overlap when its (block, column) key
+    is one of the overlap's, and the other keys are the blocks' halos.
+    """
     J = problem.jacobian(problem.initial_state())
     if J.format != "csr" or not J.has_canonical_format:
         raise ValueError("block positions need a CSR Jacobian with sorted, "
                          "unique indices")
-    return stack_positions([_subdomain_positions(problem, J, i, sub.overlap)
-                            for i, sub in enumerate(layout.subdomains)])
-
-
-def _subdomain_positions(problem, J, i, ov):
-    """The BlockPositions of subdomain i, whose overlap cells are ov."""
-    m = len(ov)
-    starts, counts = J.indptr[ov], J.indptr[ov + 1] - J.indptr[ov]
-    row_indptr = np.concatenate(([0], np.cumsum(counts)))
-    rows = np.arange(row_indptr[-1]) + np.repeat(starts - row_indptr[:-1], counts)
-    columns = J.indices[rows]
-    local = np.full(J.shape[1], -1)
-    local[ov] = np.arange(m)
-    col = local[columns]
-    halo = np.unique(columns[col < 0]).astype(ov.dtype)
-    inside = np.flatnonzero(col >= 0)
-    col = col[inside]
-    offset = np.repeat(np.arange(m), counts)[inside] - col
-    kl, ku = int(offset.max(initial=0)), int((-offset).max(initial=0))
-    slots = col * (2 * kl + ku + 1) + kl + ku + offset
-    cells = np.concatenate((ov, halo))
-    for a in (cells, rows, columns, row_indptr, inside, slots):
-        a.flags.writeable = False
-    return BlockPositions(i, problem, ov, cells, J.shape, J.nnz, rows, columns,
-                          row_indptr, inside, slots, kl, ku)
-
-
-def stack_positions(positions):
-    """The PositionStack of a sequence of BlockPositions, in its order.
-
-    A PositionStack is returned as it is.  Otherwise the positions, which
-    must belong to one problem, get the problem's row kernels on all their
-    blocks, and each block's band slots move to its rows' offset in the
-    stack and to the stack's bandwidths.
-    """
-    if isinstance(positions, PositionStack):
-        return positions
-    positions = tuple(positions)
-    if not positions:
-        raise ValueError("no block positions to stack")
-    problem = positions[0].problem
-    for pos in positions:
-        if pos.problem is not problem:
-            raise ValueError(f"subdomain {pos.subdomain}: block positions of "
-                             "different problems cannot be stacked")
-    sizes = np.array([pos.size for pos in positions])
-    widths = np.array([len(pos.cells) for pos in positions])
-    counts = np.array([len(pos.columns) for pos in positions])
-    kls = np.array([pos.kl for pos in positions])
-    kus = np.array([pos.ku for pos in positions])
-    kl, ku = int(kls.max()), int(kus.max())
+    n, ov = J.shape[1], np.concatenate(overlaps)
+    sizes = np.array([len(cells) for cells in overlaps])
     block_starts = np.cumsum(sizes) - sizes
-    first_entry = np.cumsum(counts) - counts
-    held = np.array([len(pos.slots) for pos in positions])
-    entry_block = np.repeat(np.arange(len(positions)), held)
-    col, band_row = np.divmod(np.concatenate([pos.slots for pos in positions]),
-                              (2 * kls + kus + 1)[entry_block])
-    width = 2 * kl + ku + 1
+    starts, counts = J.indptr[ov], J.indptr[ov + 1] - J.indptr[ov]
+    row_starts = np.cumsum(counts) - counts
+    rows = np.arange(counts.sum()) + np.repeat(starts - row_starts, counts)
+    columns = J.indices[rows]
+    row_block = np.repeat(np.arange(len(sizes)), sizes)
+    entry_row = np.repeat(np.arange(len(ov)), counts)
+    entry_block = row_block[entry_row]
+    keys, entry_keys = row_block * n + ov, entry_block * n + columns
+    order = np.argsort(keys, kind="stable")
+    found = np.searchsorted(keys, entry_keys, sorter=order)
+    col = order[np.minimum(found, len(ov) - 1)]
+    hit = keys[col] == entry_keys
+    block, col = np.flatnonzero(hit), col[hit]  # col: the column's stacked row
+    offset = entry_row[block] - col
+    kl, ku = int(offset.max(initial=0)), int((-offset).max(initial=0))
+    halo_block, halo = np.divmod(np.unique(entry_keys[~hit]), n)
+    halo_sizes = np.bincount(halo_block, minlength=len(sizes))
+    widths = sizes + halo_sizes
+    overlap = (np.arange(len(ov))
+               + np.repeat(np.cumsum(widths) - widths - block_starts, sizes))
+    cells = np.empty(widths.sum(), ov.dtype)
+    cells[overlap] = ov
+    in_halo = np.ones(len(cells), bool)
+    in_halo[overlap] = False
+    cells[in_halo] = halo
     stacked = dict(
-        cells=np.concatenate([pos.cells for pos in positions]),
-        overlap=(np.arange(sizes.sum())
-                 + np.repeat(np.cumsum(widths) - widths - block_starts, sizes)),
-        sizes=sizes,
-        block_starts=block_starts,
-        rows=np.concatenate([pos.rows for pos in positions]),
-        columns=np.concatenate([pos.columns for pos in positions]),
-        row_starts=(np.concatenate([pos.row_indptr[:-1] for pos in positions])
-                    + np.repeat(first_entry, sizes)),
-        block=(np.concatenate([pos.block for pos in positions])
-               + first_entry[entry_block]),
-        held=held,
-        slots=((col + block_starts[entry_block]) * width + band_row
-               + (kl + ku - kls - kus)[entry_block]),
+        cells=cells, overlap=overlap, sizes=sizes, block_starts=block_starts,
+        rows=rows, columns=columns, row_starts=row_starts, block=block,
+        held=np.bincount(entry_block[block], minlength=len(sizes)),
+        slots=col * (2 * kl + ku + 1) + kl + ku + offset,
     )
     for a in stacked.values():
         a.flags.writeable = False
-    residual, jacobian = problem.row_kernels(
-        [(pos.overlap, pos.halo) for pos in positions])
-    return PositionStack(positions, tuple(pos.subdomain for pos in positions),
-                         problem, positions[0].shape, positions[0].nnz,
-                         residual, jacobian, kl=kl, ku=ku, **stacked)
+    halos = np.split(cells[in_halo], np.cumsum(halo_sizes)[:-1])
+    residual, jacobian = problem.row_kernels(list(zip(overlaps, halos)))
+    return PositionStack(subdomains, problem, J.shape, J.nnz, residual, jacobian,
+                         kl=kl, ku=ku, **stacked)
+
+
+def _lone(stack, b):
+    """Block b of the stack alone: its one-block stack, at its own bandwidths."""
+    at = stack.block_starts[b]
+    overlap = stack.cells[stack.overlap[at:at + stack.sizes[b]]]
+    return _stack(stack.problem, [overlap], (stack.subdomains[b],))
 
 
 def _require_problem(problem, stack):
@@ -383,54 +302,53 @@ def _band_lu(stack, entries, active=None):
     return dgbtrf(band.T, stack.kl, stack.ku, overwrite_ab=True)
 
 
-def _factored(stack, entries, base_state):
+def _factored(stack, entries):
     """One LocalJacobian over the stack, whose row blocks hold entries."""
     lu, ipiv, info = _band_lu(stack, entries)
     if info > 0:
         i = stack.subdomains[stack.block_of(info - 1)]
         raise LocalSolveError(f"subdomain {i}: singular local Jacobian",
                               subdomain=i)
-    return LocalJacobian(stack, entries, stack.columns, stack.row_starts,
-                         stack.kl, stack.ku, (lu, ipiv), base_state)
+    return LocalJacobian(stack, entries, (lu, ipiv))
 
 
 def _solve(block, b):
     """A^{-1} b by back-substitution with a LocalJacobian's band LU factors."""
-    return dgbtrs(block.lu[0], block.kl, block.ku, b, block.lu[1])[0]
+    stack = block.positions
+    return dgbtrs(block.lu[0], stack.kl, stack.ku, b, block.lu[1])[0]
 
 
-def local_jacobian(J, positions, base_state=None):
-    """The blocks of the global Jacobian J at a sequence of positions, stacked."""
-    stack = stack_positions(positions)
-    if J.format != "csr" or J.shape != stack.shape or J.nnz != stack.nnz:
+def local_jacobian(J, positions):
+    """The blocks of the global Jacobian J at a PositionStack's positions."""
+    if J.format != "csr" or J.shape != positions.shape or J.nnz != positions.nnz:
         raise ValueError(
-            f"subdomain {stack.subdomains[0]}: Jacobian ({J.format}, shape "
+            f"subdomain {positions.subdomains[0]}: Jacobian ({J.format}, shape "
             f"{J.shape}, nnz {J.nnz}) does not have the pattern its block "
-            f"positions were computed for (csr, shape {stack.shape}, "
-            f"nnz {stack.nnz})"
+            f"positions were computed for (csr, shape {positions.shape}, "
+            f"nnz {positions.nnz})"
         )
-    return _factored(stack, J.data[stack.rows], base_state)
+    return _factored(positions, J.data[positions.rows])
 
 
 def solved_jacobian(problem, positions, result):
     """The blocks of local solves at their solved states u^(i), stacked.
 
-    result must be the LocalSolveResult of a solve of the same sequence of
-    subdomains.  The blocks come from one Jacobian-kernel call at the
+    result must be the LocalSolveResult of a solve of the PositionStack
+    positions.  The blocks come from one Jacobian-kernel call at the
     solved X, the base state with the stored solved values on the
     overlaps, not base_state + P_i correction, which can differ in the
     last bit.
     """
-    stack = stack_positions(positions)
-    _require_problem(problem, stack)
-    if result.subdomains != stack.subdomains or len(result.solved) != stack.size:
-        got = result.subdomains + (None,) * len(stack)
-        i = next(i for i, j in zip(stack.subdomains, got) if i != j)
+    _require_problem(problem, positions)
+    if (result.subdomains != positions.subdomains
+            or len(result.solved) != positions.size):
+        got = result.subdomains + (None,) * len(positions.subdomains)
+        i = next(i for i, j in zip(positions.subdomains, got) if i != j)
         raise ValueError(f"subdomain {i}: local results of different sweeps "
                          "cannot be stacked")
-    X = result.base_state[stack.cells]
-    X[stack.overlap] = result.solved
-    return _factored(stack, stack.jacobian(X), result.base_state)
+    X = result.base_state[positions.cells]
+    X[positions.overlap] = result.solved
+    return _factored(positions, positions.jacobian(X))
 
 
 def _norms(stack, r):
@@ -460,22 +378,19 @@ def _step(stack, entries, r, active, failures):
         step[~moving] = 0.0
         finite = np.logical_and.reduceat(np.isfinite(step), stack.block_starts)
         for b in np.flatnonzero(~finite):
-            pos, at = stack[b], stack.block_starts[b]
-            band = np.zeros((pos.size, 2 * pos.kl + pos.ku + 1))
-            first = stack.held[:b].sum()
-            band.flat[pos.slots] = entries[stack.block[first:first + stack.held[b]]]
-            lu, ipiv, _ = dgbtrf(band.T, pos.kl, pos.ku, overwrite_ab=True)
-            step[at:at + pos.size] = dgbtrs(lu, pos.kl, pos.ku,
-                                            r[at:at + pos.size], ipiv)[0]
+            lone, at = _lone(stack, b), stack.block_starts[b]
+            rows = slice(at, at + lone.size)
+            first = stack.row_starts[at]
+            lu, ipiv, _ = _band_lu(lone, entries[first:first + len(lone.columns)])
+            step[rows] = dgbtrs(lu, lone.kl, lone.ku, r[rows], ipiv)[0]
     return step
 
 
 def solve_local(problem, positions, u, settings):
     """Solve R_i F(u + P_i c_i) = 0 for every c_i = C_i(u) of a sequence of subdomains.
 
-    positions is a sequence of BlockPositions computed for problem (one
-    subdomain's is the one-element case).  Inner Newton from the zero
-    corrections with full steps, on the stacked local vector X =
+    positions is a PositionStack computed for problem.  Inner Newton from
+    the zero corrections with full steps, on the stacked local vector X =
     (u[cells_1], ...): each step evaluates the stacked row kernels at X
     and refactorizes diag(A_ii), with every block whose residual norm is at
     or below settings.inner_tol frozen, and only X's overlap values change.
@@ -485,17 +400,16 @@ def solve_local(problem, positions, u, settings):
     raised.  The result keeps u as its base state, copied unless u already
     is a read-only array of its own.
     """
-    stack = stack_positions(positions)
-    _require_problem(problem, stack)
+    _require_problem(problem, positions)
     u = _frozen(u)
-    X = u[stack.cells]
-    start = X[stack.overlap]
+    X = u[positions.cells]
+    start = X[positions.overlap]
     tol, budget = settings.inner_tol, settings.max_inner
 
-    r = stack.residual(X)
-    norms = _norms(stack, r)
+    r = positions.residual(X)
+    norms = _norms(positions, r)
     trail = [norms]
-    counts = np.zeros(len(stack), dtype=int)
+    counts = np.zeros(len(positions.subdomains), dtype=int)
     failures = {}
     active = norms > tol
     steps = 0  # every active subdomain has taken this many
@@ -505,14 +419,14 @@ def solve_local(problem, positions, u, settings):
                 failures[b] = (f"inner Newton did not reach {tol} within {budget} "
                                f"iterations (residual {norms[b]:.3e})")
             break
-        step = _step(stack, stack.jacobian(X), r, active, failures)
+        step = _step(positions, positions.jacobian(X), r, active, failures)
         if not active.any():
             break
-        X[stack.overlap] -= step
+        X[positions.overlap] -= step
         steps += 1
         counts[active] = steps
-        r = stack.residual(X)
-        norms = _norms(stack, r)
+        r = positions.residual(X)
+        norms = _norms(positions, r)
         trail.append(norms)
         finite = np.isfinite(norms)
         if not finite.all():
@@ -522,13 +436,13 @@ def solve_local(problem, positions, u, settings):
         active &= norms > tol
 
     if failures:
-        b = min(failures, key=stack.subdomains.__getitem__)
-        i = stack.subdomains[b]
+        b = min(failures, key=positions.subdomains.__getitem__)
+        i = positions.subdomains[b]
         raise LocalSolveError(f"subdomain {i}: {failures[b]}", subdomain=i,
                               residuals=[float(n[b]) for n in trail[:counts[b] + 1]])
-    solved = X[stack.overlap]
+    solved = X[positions.overlap]
     return LocalSolveResult(
-        subdomains=stack.subdomains,
+        subdomains=positions.subdomains,
         correction=solved - start,
         solved=solved,
         inner_counts=tuple(counts.tolist()),
@@ -537,27 +451,23 @@ def solve_local(problem, positions, u, settings):
     )
 
 
-def local_correction_jacobian_action(block, v, at_state=None):
+def local_correction_jacobian_action(block, v):
     """Apply every -A_ii^{-1} R_i J of a LocalJacobian to a global vector v.
 
     The action gathers v at the stacked columns, sums each row's products
     in one np.add.reduceat and back-substitutes with the one band LU; the
-    result is the stacked vector of the block's overlaps.  Passing
-    at_state asserts the block belongs to that state; a mismatch raises
-    StaleCacheError.
+    result is the stacked vector of the block's overlaps.
     """
-    if at_state is not None and not np.array_equal(at_state, block.base_state):
-        raise StaleCacheError("local blocks were factored at a different "
-                              "state than the one being differentiated")
-    Jv = np.add.reduceat(block.rows * v[block.columns], block.row_starts)
+    stack = block.positions
+    Jv = np.add.reduceat(block.rows * v[stack.columns], stack.row_starts)
     return -_solve(block, Jv)
 
 
 def sweep_locals(problem, positions, u, settings):
     """Solve all subdomains at u; returns (result, ls_in_max, ls_in_min).
 
-    positions lists every subdomain's BlockPositions, as block_positions
-    returns them, and the one LocalSolveResult stacks every subdomain's
+    positions is every subdomain's PositionStack, as block_positions
+    returns it, and the one LocalSolveResult stacks every subdomain's
     correction.  The max/min counts model the parallel wait: all
     subdomains wait for the slowest.  Failures propagate with the
     subdomain id attached.

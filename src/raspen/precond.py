@@ -32,10 +32,11 @@ evaluation that no action follows factors nothing.  Actions verify they
 are applied at the cached state and raise StaleCacheError otherwise.
 The local solves of an evaluation are one sweep: all subdomains take
 their inner Newton steps together, and its one stacked result is glued
-as it is.  The sweep and the blocks use the PositionStack of one
-block_positions call, made when the system is built: it reads the
-problem's one global Jacobian per system, its pattern, and holds the
-stacked row kernels and band geometry that every evaluation shares.  The
+as it is.  The sweep and the blocks use the PositionStack that
+block_positions builds, for all subdomains in one pass, when the system
+is built: it reads the problem's one global Jacobian per system, its
+pattern, and holds the stacked row kernels and band geometry that every
+evaluation shares.  The
 inner solves and the exact blocks evaluate only those row kernels, on
 all overlaps and their halos at once, so a one-level exact evaluation and
 its actions assemble no global residual or Jacobian, and a sweep costs
@@ -185,7 +186,7 @@ class PreconditionedSystem:
                                               cache.locals_)
             else:
                 cache.block = local_jacobian(self._fine_jacobian(cache),
-                                             self._positions, cache.u)
+                                             self._positions)
         return cache.block
 
     def jacobian_action(self, u, v):

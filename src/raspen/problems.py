@@ -43,8 +43,9 @@ class NonlinearProblem:
     jacobian(u) returns a canonical CSR matrix (sorted indices, no
     duplicates) with the same indptr and indices at every u, entries that
     happen to vanish included.  That pattern is the stencil the local
-    solvers and the harness read: they compute the block positions and each
-    subdomain's halo from it once.  A local solve never evaluates the
+    solvers and the harness read: local_solver.block_positions computes
+    every subdomain's block positions and halo from it at once, in one pass
+    over all subdomains.  A local solve never evaluates the
     global residual or Jacobian: it calls the row kernels, so its cost
     grows with the subdomain, not with the mesh.
     """

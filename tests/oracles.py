@@ -5,6 +5,8 @@ loops, and definitions transcribed literally, so the library code can be
 checked against an independent path.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 from scipy.linalg import lapack
 
@@ -117,3 +119,110 @@ def sequential_local_solve(problem, pos, u, settings, kernels=None):
             )
     solved = x[:m].copy()
     return solved - u[pos.overlap], solved, iterations
+
+
+# ------------------------------------- block positions, one block at a time
+
+
+@dataclass(frozen=True, eq=False)
+class BlockPositions:
+    """Subdomain i's blocks in the problem's Jacobian pattern.
+
+    overlap lists the subdomain's m cells; cells lists them followed by
+    their halo, the cells outside the overlap that their rows couple to.
+    In a global Jacobian R_i J's entries are J.data[rows], at column
+    indices columns, row by row, row r from row_indptr[r].  A_ii = R_i J P_i
+    has lower and upper bandwidths kl and ku in the overlap's cell order;
+    its entries, R_i J's data at block, go to the flat indices slots of a
+    C-order (m, 2*kl+ku+1) array, whose transpose is LAPACK's band storage
+    (A_ii[r, c] at row kl+ku+r-c of column c).
+    """
+
+    subdomain: int
+    overlap: np.ndarray = field(repr=False)
+    cells: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    columns: np.ndarray = field(repr=False)
+    row_indptr: np.ndarray = field(repr=False)
+    block: np.ndarray = field(repr=False)
+    slots: np.ndarray = field(repr=False)
+    kl: int
+    ku: int
+
+    @property
+    def size(self):
+        """The number m of overlap cells: A_ii is m x m, R_i J is m x n."""
+        return len(self.overlap)
+
+    @property
+    def halo(self):
+        return self.cells[self.size:]
+
+
+def per_block_positions(problem, layout):
+    """Every subdomain's BlockPositions, built one subdomain after another."""
+    J = problem.jacobian(problem.initial_state())
+    return [subdomain_positions(J, i, sub.overlap)
+            for i, sub in enumerate(layout.subdomains)]
+
+
+def subdomain_positions(J, i, ov):
+    """The BlockPositions of subdomain i, whose overlap cells are ov."""
+    m = len(ov)
+    starts, counts = J.indptr[ov], J.indptr[ov + 1] - J.indptr[ov]
+    row_indptr = np.concatenate(([0], np.cumsum(counts)))
+    rows = np.arange(row_indptr[-1]) + np.repeat(starts - row_indptr[:-1], counts)
+    columns = J.indices[rows]
+    local = np.full(J.shape[1], -1)
+    local[ov] = np.arange(m)
+    col = local[columns]
+    halo = np.unique(columns[col < 0]).astype(ov.dtype)
+    inside = np.flatnonzero(col >= 0)
+    col = col[inside]
+    offset = np.repeat(np.arange(m), counts)[inside] - col
+    kl, ku = int(offset.max(initial=0)), int((-offset).max(initial=0))
+    slots = col * (2 * kl + ku + 1) + kl + ku + offset
+    cells = np.concatenate((ov, halo))
+    return BlockPositions(i, ov, cells, rows, columns, row_indptr, inside, slots,
+                          kl, ku)
+
+
+def stacked_positions(positions):
+    """The stacked arrays of a sequence of BlockPositions, in its order.
+
+    Each block's band slots move to its rows' offset in the stack and to
+    the stack's bandwidths, the largest of the blocks'.  Returns a dict of
+    the PositionStack fields it sets: subdomains, the index arrays, kl, ku.
+    """
+    sizes = np.array([pos.size for pos in positions])
+    widths = np.array([len(pos.cells) for pos in positions])
+    counts = np.array([len(pos.columns) for pos in positions])
+    kls = np.array([pos.kl for pos in positions])
+    kus = np.array([pos.ku for pos in positions])
+    kl, ku = int(kls.max()), int(kus.max())
+    block_starts = np.cumsum(sizes) - sizes
+    first_entry = np.cumsum(counts) - counts
+    held = np.array([len(pos.slots) for pos in positions])
+    entry_block = np.repeat(np.arange(len(positions)), held)
+    col, band_row = np.divmod(np.concatenate([pos.slots for pos in positions]),
+                              (2 * kls + kus + 1)[entry_block])
+    width = 2 * kl + ku + 1
+    return dict(
+        subdomains=tuple(pos.subdomain for pos in positions),
+        cells=np.concatenate([pos.cells for pos in positions]),
+        overlap=(np.arange(sizes.sum())
+                 + np.repeat(np.cumsum(widths) - widths - block_starts, sizes)),
+        sizes=sizes,
+        block_starts=block_starts,
+        rows=np.concatenate([pos.rows for pos in positions]),
+        columns=np.concatenate([pos.columns for pos in positions]),
+        row_starts=(np.concatenate([pos.row_indptr[:-1] for pos in positions])
+                    + np.repeat(first_entry, sizes)),
+        block=(np.concatenate([pos.block for pos in positions])
+               + first_entry[entry_block]),
+        held=held,
+        slots=((col + block_starts[entry_block]) * width + band_row
+               + (kl + ku - kls - kus)[entry_block]),
+        kl=kl,
+        ku=ku,
+    )

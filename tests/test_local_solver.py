@@ -9,8 +9,10 @@ from scipy.linalg import lapack
 from oracles import (
     brute_frozen_newton,
     dense_darcy_system,
+    per_block_positions,
     plain_newton,
     sequential_local_solve,
+    stacked_positions,
 )
 
 import raspen.local_solver as local_solver_mod
@@ -18,14 +20,13 @@ from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.local_solver import (
     LocalSolveError,
     SolverSettings,
-    StaleCacheError,
+    _lone,
     _solve,
     block_positions,
     local_correction_jacobian_action,
     local_jacobian,
     solve_local,
     solved_jacobian,
-    stack_positions,
     sweep_locals,
 )
 from raspen.problems import DiffusionProblem2D, hard_forchheimer, smooth_forchheimer
@@ -35,15 +36,21 @@ SETTINGS = SolverSettings()
 
 def _row_block(block):
     """R_i J of a LocalJacobian as a dense matrix, from its gathered entries."""
-    indptr = np.append(block.row_starts, len(block.rows))
-    return sp.csr_matrix((block.rows, block.columns, indptr),
-                         shape=(len(block.row_starts),
-                                block.positions[0].shape[1])).toarray()
+    stack = block.positions
+    indptr = np.append(stack.row_starts, len(block.rows))
+    return sp.csr_matrix((block.rows, stack.columns, indptr),
+                         shape=(stack.size, stack.shape[1])).toarray()
 
 
-def _per_block(positions, stacked):
+def _per_block(stack, stacked):
     """A stacked overlap vector split into the blocks' parts."""
-    return np.split(stacked, np.cumsum([pos.size for pos in positions])[:-1])
+    return np.split(stacked, stack.block_starts[1:])
+
+
+def _lones(prob, lay):
+    """Every subdomain of the layout alone, as its one-block stack."""
+    stack = block_positions(prob, lay)
+    return [_lone(stack, b) for b in range(lay.n_subdomains)]
 
 
 def _alone_kernels(prob, pos):
@@ -75,9 +82,8 @@ def test_settings_validation():
 def test_zero_iterations_at_solution():
     prob = smooth_forchheimer(24, beta=1.0)
     ustar = plain_newton(prob, np.zeros(24))
-    positions = block_positions(prob, build_1d_layout(24, 3, 2))
-    for pos in positions:
-        res = solve_local(prob, [pos], ustar, SETTINGS)
+    for lone in _lones(prob, build_1d_layout(24, 3, 2)):
+        res = solve_local(prob, lone, ustar, SETTINGS)
         assert res.inner_iterations <= 1
         assert np.allclose(res.correction, 0.0, atol=1e-7)
 
@@ -85,12 +91,12 @@ def test_zero_iterations_at_solution():
 def test_affine_correction_formula():
     prob = smooth_forchheimer(18, beta=0.0)
     A, b = dense_darcy_system(prob)
-    positions = block_positions(prob, build_1d_layout(18, 3, 2))
+    lay = build_1d_layout(18, 3, 2)
     rng = np.random.default_rng(20)
     u = rng.standard_normal(18)
-    for pos in positions:
-        ov = pos.overlap
-        res = solve_local(prob, [pos], u, SETTINGS)
+    for sub, lone in zip(lay.subdomains, _lones(prob, lay)):
+        ov = sub.overlap
+        res = solve_local(prob, lone, u, SETTINGS)
         A_i = A[np.ix_(ov, ov)]
         want = np.linalg.solve(A_i, (b - A @ u)[ov])
         assert np.allclose(res.correction, want, atol=1e-10)
@@ -100,11 +106,11 @@ def test_affine_correction_formula():
 def test_matches_brute_force_local_newton():
     prob = smooth_forchheimer(12, beta=1.0)
     lay = build_1d_layout(12, 2, 1)
-    positions = block_positions(prob, lay)
+    lones = _lones(prob, lay)
     rng = np.random.default_rng(21)
     u = rng.standard_normal(12)
     for i in range(2):
-        res = solve_local(prob, [positions[i]], u, SETTINGS)
+        res = solve_local(prob, lones[i], u, SETTINGS)
         want = brute_frozen_newton(prob, lay, i, u)
         got = u.copy()
         got[lay.subdomains[i].overlap] += res.correction
@@ -116,7 +122,7 @@ def test_exterior_untouched_and_residual_small():
     lay = build_2d_layout(8, 8, 2, 1)
     rng = np.random.default_rng(22)
     u = rng.standard_normal(64)
-    res = solve_local(prob, [block_positions(prob, lay)[1]], u, SETTINGS)
+    res = solve_local(prob, _lones(prob, lay)[1], u, SETTINGS)
     ov = lay.subdomains[1].overlap
     v = u.copy()
     v[ov] += res.correction
@@ -127,10 +133,11 @@ def test_exterior_untouched_and_residual_small():
 
 def test_factorization_round_trip():
     prob = smooth_forchheimer(30, beta=1.0)
-    pos = block_positions(prob, build_1d_layout(30, 3, 2))[0]
+    lay = build_1d_layout(30, 3, 2)
+    lone = _lones(prob, lay)[0]
     u = np.linspace(0, 1, 30)
-    block = solved_jacobian(prob, [pos], solve_local(prob, [pos], u, SETTINGS))
-    A_ii = _row_block(block)[:, pos.overlap]
+    block = solved_jacobian(prob, lone, solve_local(prob, lone, u, SETTINGS))
+    A_ii = _row_block(block)[:, lay.subdomains[0].overlap]
     rng = np.random.default_rng(23)
     for _ in range(5):
         w = rng.standard_normal(A_ii.shape[0])
@@ -140,9 +147,9 @@ def test_factorization_round_trip():
 
 def test_jacobian_action_zero_and_linear():
     prob = smooth_forchheimer(20, beta=1.0)
-    pos = block_positions(prob, build_1d_layout(20, 4, 1))[2]
+    lone = _lones(prob, build_1d_layout(20, 4, 1))[2]
     u = np.linspace(0, 1, 20)
-    block = solved_jacobian(prob, [pos], solve_local(prob, [pos], u, SETTINGS))
+    block = solved_jacobian(prob, lone, solve_local(prob, lone, u, SETTINGS))
     assert np.allclose(local_correction_jacobian_action(block, np.zeros(20)), 0.0)
     rng = np.random.default_rng(24)
     v, w = rng.standard_normal(20), rng.standard_normal(20)
@@ -155,12 +162,12 @@ def test_jacobian_action_zero_and_linear():
 def test_jacobian_action_affine_oracle():
     prob = smooth_forchheimer(15, beta=0.0)
     A, _ = dense_darcy_system(prob)
-    positions = block_positions(prob, build_1d_layout(15, 3, 1))
+    lay = build_1d_layout(15, 3, 1)
     rng = np.random.default_rng(25)
     u = rng.standard_normal(15)
-    for pos in positions:
-        ov = pos.overlap
-        block = solved_jacobian(prob, [pos], solve_local(prob, [pos], u, SETTINGS))
+    for sub, lone in zip(lay.subdomains, _lones(prob, lay)):
+        ov = sub.overlap
+        block = solved_jacobian(prob, lone, solve_local(prob, lone, u, SETTINGS))
         A_i = A[np.ix_(ov, ov)]
         for _ in range(3):
             v = rng.standard_normal(15)
@@ -179,13 +186,13 @@ def test_jacobian_action_matches_fd(make):
     tight = SolverSettings(inner_tol=1e-13)
     rng = np.random.default_rng(26)
     u = 0.1 * rng.standard_normal(n)
-    for pos in block_positions(prob, lay):
-        block = solved_jacobian(prob, [pos], solve_local(prob, [pos], u, tight))
+    for lone in _lones(prob, lay):
+        block = solved_jacobian(prob, lone, solve_local(prob, lone, u, tight))
         for _ in range(2):
             v = rng.standard_normal(n)
             eps = 1e-6
-            cp = solve_local(prob, [pos], u + eps * v, tight).correction
-            cm = solve_local(prob, [pos], u - eps * v, tight).correction
+            cp = solve_local(prob, lone, u + eps * v, tight).correction
+            cm = solve_local(prob, lone, u - eps * v, tight).correction
             fd = (cp - cm) / (2 * eps)
             got = local_correction_jacobian_action(block, v)
             denom = max(1.0, np.linalg.norm(fd))
@@ -211,12 +218,12 @@ def test_blocks_gathered_by_position_match_slices(make, monkeypatch):
         return dgbtrf(ab, kl, ku, **kwargs)
 
     monkeypatch.setattr(local_solver_mod, "dgbtrf", recording_dgbtrf)
-    for pos in block_positions(prob, lay):
-        ov = pos.overlap
-        block = local_jacobian(J, [pos])
+    for sub, lone in zip(lay.subdomains, _lones(prob, lay)):
+        ov = sub.overlap
+        block = local_jacobian(J, lone)
         ab, kl, ku = factored[-1]
         # LAPACK's layout: 2*kl+ku+1 rows, the first kl left for fill-in
-        assert ab.shape == (2 * kl + ku + 1, pos.size) and not ab[:kl].any()
+        assert ab.shape == (2 * kl + ku + 1, lone.size) and not ab[:kl].any()
         assert np.array_equal(_band_to_dense(ab, kl, ku),
                               J[ov][:, ov].toarray())
         assert np.array_equal(_row_block(block), J[ov].toarray())
@@ -268,16 +275,16 @@ def _with_entry_above(J):
 def test_band_factors_match_dense_solve(make, bands):
     prob, lay = make()
     n = prob.dof_count
-    positions = block_positions(prob, lay)
-    assert [(pos.kl, pos.ku) for pos in positions] == bands
+    lones = _lones(prob, lay)
+    assert [(lone.kl, lone.ku) for lone in lones] == bands
     rng = np.random.default_rng(28)
     J = prob.jacobian(rng.standard_normal(n))
     dense = J.toarray()
-    for pos in positions:
-        ov = pos.overlap
+    for sub, lone in zip(lay.subdomains, lones):
+        ov = sub.overlap
         A_i = dense[np.ix_(ov, ov)]
-        block = local_jacobian(J, [pos])
-        w, v = rng.standard_normal(pos.size), rng.standard_normal(n)
+        block = local_jacobian(J, lone)
+        w, v = rng.standard_normal(lone.size), rng.standard_normal(n)
         assert np.allclose(_solve(block, w), np.linalg.solve(A_i, w),
                            rtol=1e-12, atol=1e-12)
         assert np.allclose(local_correction_jacobian_action(block, v),
@@ -289,28 +296,18 @@ def test_block_positions_reject_other_patterns():
     prob = smooth_forchheimer(12, beta=1.0)
     lay = build_1d_layout(12, 3, 1)
     J = prob.jacobian(np.zeros(12))
-    pos = block_positions(prob, lay)[1]
+    lone = _lones(prob, lay)[1]
     bigger = smooth_forchheimer(13, beta=1.0).jacobian(np.zeros(13))
     for other in (_with_extra_entry(J), bigger, J.tocsc()):
         with pytest.raises(ValueError, match="subdomain 1"):
-            local_jacobian(other, [pos])
+            local_jacobian(other, lone)
     # positions from a pattern with an extra entry fit no Jacobian of prob
-    extra = block_positions(_Repatterned(prob, _with_extra_entry), lay)[1]
+    extra = _lones(_Repatterned(prob, _with_extra_entry), lay)[1]
     with pytest.raises(ValueError, match="subdomain 1"):
-        solve_local(smooth_forchheimer(12, beta=2.0), [extra], np.ones(12),
+        solve_local(smooth_forchheimer(12, beta=2.0), extra, np.ones(12),
                     SETTINGS)
     with pytest.raises(ValueError, match="CSR"):
         block_positions(_Repatterned(prob, lambda J: J.tocsc()), lay)
-
-
-def test_stale_cache_guard():
-    prob = smooth_forchheimer(12, beta=1.0)
-    pos = block_positions(prob, build_1d_layout(12, 2, 1))[0]
-    u = np.zeros(12)
-    block = solved_jacobian(prob, [pos], solve_local(prob, [pos], u, SETTINGS))
-    local_correction_jacobian_action(block, np.ones(12), at_state=u)
-    with pytest.raises(StaleCacheError):
-        local_correction_jacobian_action(block, np.ones(12), at_state=u + 0.5)
 
 
 def test_sweep_counts_and_single_domain():
@@ -343,18 +340,17 @@ def test_first_sweep_inner_count_smooth_case():
 
 def test_inner_budget_error_names_subdomain():
     prob = smooth_forchheimer(12, beta=1.0)
-    pos = block_positions(prob, build_1d_layout(12, 2, 1))[1]
+    lone = _lones(prob, build_1d_layout(12, 2, 1))[1]
     starved = SolverSettings(max_inner=1)
     with pytest.raises(LocalSolveError, match="subdomain 1"):
-        solve_local(prob, [pos], 100.0 * np.ones(12), starved)
+        solve_local(prob, lone, 100.0 * np.ones(12), starved)
 
 
 def test_inner_newton_checks_name_the_subdomain():
     prob = smooth_forchheimer(12, beta=1.0)
-    pos = block_positions(prob, build_1d_layout(12, 2, 1))[1]
-    stack = stack_positions([pos])
+    stack = _lones(prob, build_1d_layout(12, 2, 1))[1]
     u = np.zeros(12)
-    singular = dataclasses.replace(stack, jacobian=lambda x: np.zeros(len(pos.rows)))
+    singular = dataclasses.replace(stack, jacobian=lambda x: np.zeros(len(stack.rows)))
     with pytest.raises(LocalSolveError,
                        match="subdomain 1: singular local Jacobian"):
         solve_local(prob, singular, u, SETTINGS)
@@ -382,19 +378,19 @@ def test_sweep_results_share_one_frozen_base_state():
     u[3] = 7.0  # the caller's array stays the caller's
     assert base[3] != 7.0
     # a standalone solve copies a writable state too
-    assert solve_local(prob, [positions[0]], u, SETTINGS).base_state is not u
+    assert solve_local(prob, _lone(positions, 0), u, SETTINGS).base_state is not u
 
 
 def test_positions_serve_only_their_problem():
     prob = smooth_forchheimer(12, beta=1.0)
-    pos = block_positions(prob, build_1d_layout(12, 2, 1))[0]
+    lone = _lones(prob, build_1d_layout(12, 2, 1))[0]
     twin = smooth_forchheimer(12, beta=1.0)
-    res = solve_local(prob, [pos], np.zeros(12), SETTINGS)
+    res = solve_local(prob, lone, np.zeros(12), SETTINGS)
     with pytest.raises(ValueError, match="subdomain 0: block positions were "
                        "computed for another problem"):
-        solve_local(twin, [pos], np.zeros(12), SETTINGS)
+        solve_local(twin, lone, np.zeros(12), SETTINGS)
     with pytest.raises(ValueError, match="another problem"):
-        solved_jacobian(twin, [pos], res)
+        solved_jacobian(twin, lone, res)
 
 
 def _per_block_action(positions, entries, v):
@@ -427,22 +423,22 @@ def test_stacked_action_bit_identical_to_per_block(make, exact):
     # blocks share no coupling, so each is eliminated exactly as alone
     prob, lay = make()
     n = prob.dof_count
-    positions = block_positions(prob, lay)
+    stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
     rng = np.random.default_rng(29)
     u = 0.3 * rng.standard_normal(n)
     if exact:
-        result, _, _ = sweep_locals(prob, positions, u, SETTINGS)
-        block = solved_jacobian(prob, positions, result)
+        result, _, _ = sweep_locals(prob, stack, u, SETTINGS)
+        block = solved_jacobian(prob, stack, result)
         entries = []
-        for pos, solved in zip(positions, _per_block(positions, result.solved)):
+        for pos, solved in zip(positions, _per_block(stack, result.solved)):
             x = result.base_state[pos.cells]
             x[:pos.size] = solved
             entries.append(_alone_kernels(prob, pos)[1](x))
     else:
         J = prob.jacobian(u)
-        block = local_jacobian(J, positions, u)
+        block = local_jacobian(J, stack)
         entries = [J.data[pos.rows] for pos in positions]
-    assert (block.kl, block.ku) == (max(pos.kl for pos in positions),
+    assert (stack.kl, stack.ku) == (max(pos.kl for pos in positions),
                                     max(pos.ku for pos in positions))
     for scale in (1.0, 1e3):
         v = scale * rng.standard_normal(n)
@@ -454,11 +450,12 @@ def test_stacked_action_bit_identical_with_padded_bands():
     # subdomain 1's upper band spans its whole block while the others' is
     # 1, so blocks 0 and 2 sit in a band padded to ku = 5
     prob = _Repatterned(smooth_forchheimer(12, beta=1.0), _with_entry_above)
-    positions = block_positions(prob, build_1d_layout(12, 3, 1))
+    lay = build_1d_layout(12, 3, 1)
+    positions = per_block_positions(prob, lay)
     rng = np.random.default_rng(30)
     J = prob.jacobian(rng.standard_normal(12))
-    block = local_jacobian(J, positions)
-    assert (block.kl, block.ku) == (1, 5)
+    block = local_jacobian(J, block_positions(prob, lay))
+    assert (block.positions.kl, block.positions.ku) == (1, 5)
     entries = [J.data[pos.rows] for pos in positions]
     for _ in range(3):
         v = rng.standard_normal(12)
@@ -483,7 +480,7 @@ def test_zero_pivot_names_its_subdomain(first, named, monkeypatch):
     prob = smooth_forchheimer(24, beta=1.0)
     positions = block_positions(prob, build_1d_layout(24, 4, 2))
     J = prob.jacobian(np.zeros(24))
-    start = positions[0].size + positions[1].size  # subdomain 2's first column
+    start = positions.block_starts[2]  # subdomain 2's first column
     monkeypatch.setattr(local_solver_mod, "dgbtrf",
                         _zeroing_dgbtrf(start if first else start - 1))
     with pytest.raises(LocalSolveError,
@@ -492,17 +489,17 @@ def test_zero_pivot_names_its_subdomain(first, named, monkeypatch):
 
 
 def test_stacked_blocks_need_results_of_one_sweep():
-    # a stacked block has one base state, which the stale-state guard reads
+    # a stacked block is taken at the solved states of one sweep of its stack
     prob = smooth_forchheimer(12, beta=1.0)
     positions = block_positions(prob, build_1d_layout(12, 2, 1))
     u = np.zeros(12)
-    results = solve_local(prob, [positions[0]], u, SETTINGS)
+    results = solve_local(prob, _lone(positions, 0), u, SETTINGS)
     with pytest.raises(ValueError, match="subdomain 1: local results of "
                        "different sweeps cannot be stacked"):
         solved_jacobian(prob, positions, results)
     results, _, _ = sweep_locals(prob, positions, u, SETTINGS)
     block = solved_jacobian(prob, positions, results)
-    local_correction_jacobian_action(block, np.ones(12), at_state=u)
+    local_correction_jacobian_action(block, np.ones(12))
 
 
 # ------------------------------------------- subdomains solved together
@@ -549,6 +546,34 @@ _LAYOUTS = {
 }
 
 
+_STACK_ARRAYS = ("cells", "overlap", "sizes", "block_starts", "rows", "columns",
+                 "row_starts", "block", "held", "slots")
+
+
+def _assert_matches_per_block_builder(stack, positions):
+    """A PositionStack's arrays, bit for bit and dtype for dtype, and bands."""
+    want = stacked_positions(positions)
+    for name in _STACK_ARRAYS:
+        got = getattr(stack, name)
+        assert got.dtype == want[name].dtype, name
+        assert got.tobytes() == want[name].tobytes(), name
+    assert (stack.subdomains, stack.kl, stack.ku) == (
+        want["subdomains"], want["kl"], want["ku"])
+
+
+@pytest.mark.parametrize("make", [*_LAYOUTS.values(),
+    lambda: (_Repatterned(smooth_forchheimer(12, beta=1.0), _with_extra_entry),
+             build_1d_layout(12, 3, 1)),
+    lambda: (_Repatterned(smooth_forchheimer(12, beta=1.0), _with_entry_above),
+             build_1d_layout(12, 3, 1)),
+    lambda: (DiffusionProblem2D(64, 64), build_2d_layout(64, 64, 8, 1)),
+], ids=[*_LAYOUTS, "1d-extra-entry", "1d-entry-above", "2d-64x64-N8-k1"])
+def test_stack_bit_identical_to_per_block_builder(make):
+    prob, lay = make()
+    _assert_matches_per_block_builder(block_positions(prob, lay),
+                                      per_block_positions(prob, lay))
+
+
 def _states(prob, seed):
     rng = np.random.default_rng(seed)
     n = prob.dof_count
@@ -559,12 +584,12 @@ def _states(prob, seed):
 @pytest.mark.parametrize("name", _LAYOUTS)
 def test_batched_sweep_bit_identical_to_sequential_solves(name):
     prob, lay = _LAYOUTS[name]()
-    positions = block_positions(prob, lay)
+    stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
     if name.startswith("2d") and "-N4-" in name:
         # corner, edge and interior blocks: the band pads the narrower ones
         assert len({(pos.kl, pos.ku) for pos in positions}) > 1
     if name == "1d-wide-band":
-        assert (positions.kl, positions.ku) == (1, 5)
+        assert (stack.kl, stack.ku) == (1, 5)
     for u in _states(prob, 50):
         try:
             want = [sequential_local_solve(prob, pos, u, SETTINGS) for pos in positions]
@@ -572,10 +597,10 @@ def test_batched_sweep_bit_identical_to_sequential_solves(name):
             # the rough field's cold start: the first failure in subdomain
             # order, with its message
             with pytest.raises(LocalSolveError) as caught:
-                sweep_locals(prob, positions, u, SETTINGS)
+                sweep_locals(prob, stack, u, SETTINGS)
             assert str(caught.value) == str(exc)
             continue
-        result, ls_max, ls_min = sweep_locals(prob, positions, u, SETTINGS)
+        result, ls_max, ls_min = sweep_locals(prob, stack, u, SETTINGS)
         assert result.correction.tobytes() == np.concatenate(
             [c for c, _, _ in want]).tobytes()
         assert result.solved.tobytes() == np.concatenate(
@@ -590,14 +615,14 @@ def test_converged_subdomains_keep_their_solo_values():
     # subdomain 3 holds the u(L) = 1 boundary and needs one step more than
     # the others, which are frozen meanwhile
     prob = smooth_forchheimer(40, beta=1.0)
-    positions = block_positions(prob, build_1d_layout(40, 4, 2))
+    stack = block_positions(prob, build_1d_layout(40, 4, 2))
     u = np.zeros(40)
-    result = solve_local(prob, positions, u, SETTINGS)
+    result = solve_local(prob, stack, u, SETTINGS)
     assert min(result.inner_counts) < max(result.inner_counts)
-    for pos, correction, solved, count in zip(
-            positions, _per_block(positions, result.correction),
-            _per_block(positions, result.solved), result.inner_counts):
-        alone = solve_local(prob, [pos], u, SETTINGS)
+    for b, (correction, solved, count) in enumerate(zip(
+            _per_block(stack, result.correction), _per_block(stack, result.solved),
+            result.inner_counts)):
+        alone = solve_local(prob, _lone(stack, b), u, SETTINGS)
         assert alone.inner_counts == (count,)
         assert correction.tobytes() == alone.correction.tobytes()
         assert solved.tobytes() == alone.solved.tobytes()
@@ -605,15 +630,15 @@ def test_converged_subdomains_keep_their_solo_values():
 
 def _entry_ranges(stack):
     """Each block's range in the stacked row data."""
-    ends = np.cumsum([len(pos.columns) for pos in stack])
-    return [range(e - len(pos.columns), e) for pos, e in zip(stack, ends)]
+    bounds = np.append(stack.row_starts[stack.block_starts], len(stack.columns))
+    return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _row_range(stack, b):
-    return range(stack.block_starts[b], stack.block_starts[b] + stack[b].size)
+    return range(stack.block_starts[b], stack.block_starts[b] + stack.sizes[b])
 
 
-def _failing(stack, singular=(), nonfinite=(), tiny=()):
+def _failing(stack, positions, singular=(), nonfinite=(), tiny=()):
     """The stack with failures injected into its kernels.
 
     singular maps blocks to the Jacobian-kernel call (1 = first) from which
@@ -621,7 +646,8 @@ def _failing(stack, singular=(), nonfinite=(), tiny=()):
     call from which their rows are nan, and tiny maps blocks to the
     Jacobian-kernel call from which their entries are scaled by 1e-320, so
     that the step overflows.  Returns the failing stack and, per block,
-    kernels that fail the same way on that block alone.
+    kernels that fail the same way on that block alone, whose
+    BlockPositions positions lists.
     """
     entries, calls = _entry_ranges(stack), {"residual": 0, "jacobian": 0}
 
@@ -643,8 +669,8 @@ def _failing(stack, singular=(), nonfinite=(), tiny=()):
         return data
 
     def alone(b):
-        prob, pos = stack.problem, stack[b]
-        own_residual, own_jacobian = prob.row_kernels([(pos.overlap, pos.halo)])
+        pos = positions[b]
+        own_residual, own_jacobian = stack.problem.row_kernels([(pos.overlap, pos.halo)])
         own = {"residual": 0, "jacobian": 0}
 
         def r(x):
@@ -668,9 +694,9 @@ def _failing(stack, singular=(), nonfinite=(), tiny=()):
     return dataclasses.replace(stack, residual=residual, jacobian=jacobian), alone
 
 
-def _sequential_error(prob, stack, u, settings, alone):
+def _sequential_error(prob, positions, u, settings, alone):
     """The error the subdomain-by-subdomain loop raises first, or None."""
-    for b, pos in enumerate(stack):
+    for b, pos in enumerate(positions):
         try:
             sequential_local_solve(prob, pos, u, settings, alone(b))
         except LocalSolveError as exc:
@@ -690,12 +716,12 @@ def _sequential_error(prob, stack, u, settings, alone):
 ], ids=["nonfinite-before-singular", "singular-before-budget",
         "singular-before-nonfinite"])
 def test_first_failure_in_subdomain_order_is_raised(faults, settings, named):
-    prob = smooth_forchheimer(40, beta=1.0)
-    positions = block_positions(prob, build_1d_layout(40, 4, 2))
+    prob, lay = smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 4, 2)
+    stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
     u = np.zeros(40)
     # every subdomain needs at least four steps from u
-    assert min(solve_local(prob, positions, u, SETTINGS).inner_counts) >= 4
-    failing, alone = _failing(positions, **faults)
+    assert min(solve_local(prob, stack, u, SETTINGS).inner_counts) >= 4
+    failing, alone = _failing(stack, positions, **faults)
     want = _sequential_error(prob, positions, u, settings, alone)
     with pytest.raises(LocalSolveError) as caught:
         solve_local(prob, failing, u, settings)
@@ -708,16 +734,38 @@ def test_overflowing_step_spills_into_no_other_subdomain():
     # subdomain 2's block is scaled to 1e-320 at its second step, so that
     # step overflows; in the band, 0 * inf would turn the padded neighbours'
     # steps into nan, and subdomain 0 or 1 would be named instead
-    prob = smooth_forchheimer(40, beta=1.0)
-    positions = block_positions(prob, build_1d_layout(40, 4, 2))
+    prob, lay = smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 4, 2)
+    stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
     u = np.zeros(40)
-    failing, alone = _failing(positions, tiny={2: 2})
+    failing, alone = _failing(stack, positions, tiny={2: 2})
     want = _sequential_error(prob, positions, u, SETTINGS, alone)
     assert str(want) == "subdomain 2: inner Newton produced a non-finite residual"
     with pytest.raises(LocalSolveError) as caught:
         solve_local(prob, failing, u, SETTINGS)
     assert str(caught.value) == str(want)
     assert caught.value.subdomain == 2
+
+
+def test_overflow_resolve_takes_the_block_at_its_own_bands(monkeypatch):
+    # subdomain 2's first step overflows and spills into the blocks the
+    # band pads; each is re-solved on its one-block stack, at its own bands
+    # (subdomain 2's are (1, 1), not the stack's (1, 5))
+    prob, lay = _LAYOUTS["1d-wide-band"]()
+    stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
+    failing, _ = _failing(stack, positions, tiny={2: 1})
+    lone, taken = local_solver_mod._lone, []
+
+    def recording_lone(stack, b):
+        taken.append((b, lone(stack, b)))
+        return taken[-1][1]
+
+    monkeypatch.setattr(local_solver_mod, "_lone", recording_lone)
+    with pytest.raises(LocalSolveError, match="subdomain 2"):
+        solve_local(prob, failing, np.zeros(12), SETTINGS)
+    assert 2 in dict(taken)
+    assert (dict(taken)[2].kl, dict(taken)[2].ku) == (1, 1)
+    for b, alone in taken:
+        _assert_matches_per_block_builder(alone, [positions[b]])
 
 
 @pytest.mark.parametrize("kind, settings, faults, trail", [
@@ -727,10 +775,10 @@ def test_overflowing_step_spills_into_no_other_subdomain():
 ], ids=["budget", "singular", "nonfinite"])
 def test_local_solve_error_carries_subdomain_and_residual_trail(
         kind, settings, faults, trail):
-    prob = smooth_forchheimer(40, beta=1.0)
-    positions = block_positions(prob, build_1d_layout(40, 4, 2))
+    prob, lay = smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 4, 2)
+    stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
     u = np.zeros(40)
-    failing, alone = _failing(positions, **faults)
+    failing, alone = _failing(stack, positions, **faults)
     with pytest.raises(LocalSolveError) as caught:
         solve_local(prob, failing, u, settings)
     err = caught.value
@@ -799,22 +847,11 @@ def test_sweep_cost_is_set_by_the_slowest_subdomain(make, monkeypatch):
 
 
 def test_stacks_are_built_once_and_share_their_geometry():
+    # every LocalJacobian places its entries by the stack it was built on
     prob = smooth_forchheimer(24, beta=1.0)
     positions = block_positions(prob, build_1d_layout(24, 4, 2))
-    assert stack_positions(positions) is positions
     u = np.linspace(0.0, 1.0, 24)
     first = solved_jacobian(prob, positions, solve_local(prob, positions, u, SETTINGS))
-    second = local_jacobian(prob.jacobian(u + 1.0), positions, u + 1.0)
-    for a, b in ((first.columns, second.columns), (first.row_starts, second.row_starts),
-                 (first.columns, positions.columns)):
-        assert a is b
-    # a list of positions gets a stack of its own, equal to the layout's
-    again = stack_positions(list(positions))
-    assert again is not positions
-    for name in ("cells", "overlap", "sizes", "block_starts", "rows", "columns",
-                 "row_starts", "block", "held", "slots"):
-        assert np.array_equal(getattr(again, name), getattr(positions, name))
-    with pytest.raises(ValueError, match="subdomain 1: block positions of "
-                       "different problems cannot be stacked"):
-        stack_positions([block_positions(smooth_forchheimer(24, 2.0),
-                                         build_1d_layout(24, 4, 2))[0], positions[1]])
+    second = local_jacobian(prob.jacobian(u + 1.0), positions)
+    assert first.positions is positions and second.positions is positions
+    assert not any(getattr(positions, name).flags.writeable for name in _STACK_ARRAYS)

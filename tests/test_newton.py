@@ -136,10 +136,8 @@ def _failing_sweep(system, kernel, fail_from):
     "residual" turns its rows into nan.
     """
     stack = system._positions
-    pos = stack[1]
-    rows = slice(stack.block_starts[1], stack.block_starts[1] + pos.size)
-    first = len(stack[0].columns)
-    entries = slice(first, first + len(pos.columns))
+    rows = slice(stack.block_starts[1], stack.block_starts[2])
+    entries = slice(*stack.row_starts[stack.block_starts[1:3]])
     calls = [0]
 
     def failing(X):
@@ -266,8 +264,9 @@ def _fp_setup(kind, M):
 ], ids=["1d", "2d"])
 def test_raspen1_newton_evaluates_no_global_residual_or_jacobian(make):
     # local solves and their derivative blocks read the problem's row
-    # kernels only: the one global Jacobian is the pattern block_positions
-    # reads when the system is built
+    # kernels only: the one global Jacobian is the pattern that
+    # block_positions reads, for all subdomains at once, when the system
+    # is built
     prob, lay = make()
     calls = {"residual": 0, "jacobian": 0}
     for name in calls:

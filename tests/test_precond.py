@@ -304,8 +304,7 @@ def test_actions_evaluate_one_jacobian_kernel_on_shared_geometry(make, kind, mod
         blocks.append(system._cache.block)
     first, second = blocks
     assert first is not second
-    for name in ("columns", "row_starts"):
-        assert getattr(first, name) is getattr(second, name)
+    assert first.positions is second.positions is system._positions
 
 
 def test_stale_cache_paths():

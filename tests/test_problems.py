@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from oracles import per_block_positions
 
 from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.local_solver import block_positions
@@ -404,7 +405,7 @@ def test_residual_matches_sliced_sums_bit_for_bit(prob):
 
 def _check_row_kernels(prob, subdomains, rng):
     """Every subdomain's row kernels against the global evaluations, bit for bit."""
-    positions = block_positions(prob, SimpleNamespace(subdomains=subdomains))
+    positions = per_block_positions(prob, SimpleNamespace(subdomains=subdomains))
     n = prob.dof_count
     for u in (rng.standard_normal(n), 1e3 * rng.standard_normal(n)):
         F, J = prob.residual(u), prob.jacobian(u)
@@ -457,9 +458,10 @@ def _check_stacked_row_kernels(prob, subdomains, rng):
     in reverse, and every other subdomain: each block's part of the stacked
     output must equal the global rows.
     """
-    positions = block_positions(prob, SimpleNamespace(subdomains=subdomains))
-    sets = [(list(positions), (positions.residual, positions.jacobian))]
-    for chosen in (list(positions)[::-1], list(positions)[::2]):
+    layout = SimpleNamespace(subdomains=subdomains)
+    stack, positions = block_positions(prob, layout), per_block_positions(prob, layout)
+    sets = [(positions, (stack.residual, stack.jacobian))]
+    for chosen in (positions[::-1], positions[::2]):
         sets.append((chosen, prob.row_kernels([(p.overlap, p.halo) for p in chosen])))
     n = prob.dof_count
     for u in (rng.standard_normal(n), 1e3 * rng.standard_normal(n)):
