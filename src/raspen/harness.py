@@ -14,8 +14,10 @@ product and writes four kinds of artifact into the output directory:
 Reruns of the same config and seed produce byte-identical CSVs (wall
 times live only in the summary).  Per-combination solver failures are
 recorded in the row as converged=false with the reason kept in the
-summary; they never abort sibling combinations.  A failed reference
-solution fails every row of its (mesh, beta) problem the same way.
+summary; they never abort sibling combinations, and a failed outer
+Newton run keeps the counts and iterations it finished.  A failed
+reference solution fails every row of its (mesh, beta) problem the same
+way.
 
 compare_table checks result rows against a shipped reference table of
 published counts, cell by cell, with the comparison tolerances used
@@ -40,7 +42,7 @@ import scipy
 from . import __version__
 from .decomposition import build_1d_layout, build_2d_layout
 from .local_solver import SolveError, SolverSettings
-from .newton import (direct_newton, fixed_point_solve, outer_newton,
+from .newton import (RunResult, direct_newton, fixed_point_solve, outer_newton,
                      reference_solution)
 from .precond import PreconditionedSystem
 from .problems import DiffusionProblem2D, hard_forchheimer, smooth_forchheimer
@@ -341,12 +343,13 @@ def _execute(combo, problem, layout, u_ref, settings):
                                           settings)
             run = outer_newton(system, u0, settings, u_ref=u_ref)
     except SolveError as exc:
-        row = ResultRow(combo.method, combo.mesh, combo.I, combo.k, combo.beta,
-                        0, 0, False, str(exc), time.perf_counter() - t0)
-        return row, first_residual
+        # an outer Newton failure keeps the ledger of its finished iterations
+        run = RunResult(None, getattr(exc, "ledger", None) or None, False,
+                        getattr(exc, "outer_iterations", 0), str(exc))
+    ledger = run.ledger
     row = ResultRow(combo.method, combo.mesh, combo.I, combo.k, combo.beta,
-                    run.outer_iterations, run.ledger.LS_total, run.converged,
-                    run.reason, time.perf_counter() - t0, run.ledger)
+                    run.outer_iterations, ledger.LS_total if ledger else 0,
+                    run.converged, run.reason, time.perf_counter() - t0, ledger)
     return row, first_residual
 
 

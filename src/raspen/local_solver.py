@@ -28,9 +28,9 @@ subdomain's overlap cells and halo (the cells outside the overlap its rows
 couple to), where the overlap values sit in the stacked local vector
 X = (u[cells_1], ..., u[cells_I]), where every R_i J sits in a Jacobian's
 data array, where A_ii's entries go in the LAPACK band storage of
-diag(A_ii), and the problem's row kernels on all blocks (see
-NonlinearProblem.row_kernels).  Every solve and block function takes a
-PositionStack.
+diag(A_ii), and the problem's row kernels on the stacked rows, fed with
+where their entries' columns sit in X (NonlinearProblem.row_kernels).
+Every solve and block function takes a PositionStack.
 
 All subdomains take their inner Newton steps together, on X: a step is
 one residual-kernel call, one Jacobian-kernel call, one band fill and one
@@ -137,10 +137,10 @@ class PositionStack:
     concatenates each block's values at its cells (global indices cells):
     its overlap cells, then its halo, the cells outside the overlap that
     their rows couple to; residual and jacobian are the problem's row
-    kernels on all blocks, functions of X.  Block b has sizes[b] stacked
-    rows, from block_starts[b], and its overlap values sit in X at
-    overlap[block_starts[b]:].  R_i J's entries, stacked, are a global
-    Jacobian's J.data[rows], at global columns columns, row r from
+    kernels on the stacked overlap rows, functions of X.  Block b has
+    sizes[b] stacked rows, from block_starts[b], and its overlap values sit
+    in X at overlap[block_starts[b]:].  R_i J's entries, stacked, are a
+    global Jacobian's J.data[rows], at columns columns, row r from
     row_starts[r].  diag(A_ii) is a band matrix with bandwidths kl and ku,
     the largest of the blocks': the stacked entries at block, held[b] of
     them block b's, go to the flat indices slots of a C-order
@@ -199,7 +199,7 @@ def block_positions(problem, layout):
     The pattern is read from one Jacobian at the problem's initial state,
     which must be a CSR matrix with sorted, unique indices; each
     subdomain's halo is read from it, and the problem's row kernels are
-    built on all overlaps and their halos.
+    built once, on all overlap rows.
     """
     return _stack(problem, [sub.overlap for sub in layout.subdomains],
                   tuple(range(len(layout.subdomains))))
@@ -228,15 +228,15 @@ def _stack(problem, overlaps, subdomains):
     entry_block = row_block[entry_row]
     keys, entry_keys = row_block * n + ov, entry_block * n + columns
     order = np.argsort(keys, kind="stable")
-    found = np.searchsorted(keys, entry_keys, sorter=order)
+    found = np.searchsorted(keys[order], entry_keys)
     col = order[np.minimum(found, len(ov) - 1)]
     hit = keys[col] == entry_keys
     block, col = np.flatnonzero(hit), col[hit]  # col: the column's stacked row
     offset = entry_row[block] - col
     kl, ku = int(offset.max(initial=0)), int((-offset).max(initial=0))
-    halo_block, halo = np.divmod(np.unique(entry_keys[~hit]), n)
-    halo_sizes = np.bincount(halo_block, minlength=len(sizes))
-    widths = sizes + halo_sizes
+    halo_keys, halo_entry = np.unique(entry_keys[~hit], return_inverse=True)
+    halo_block, halo = np.divmod(halo_keys, n)
+    widths = sizes + np.bincount(halo_block, minlength=len(sizes))
     overlap = (np.arange(len(ov))
                + np.repeat(np.cumsum(widths) - widths - block_starts, sizes))
     cells = np.empty(widths.sum(), ov.dtype)
@@ -244,6 +244,9 @@ def _stack(problem, overlaps, subdomains):
     in_halo = np.ones(len(cells), bool)
     in_halo[overlap] = False
     cells[in_halo] = halo
+    entries = np.empty(len(columns), np.intp)  # each entry's column in X
+    entries[block] = overlap[col]
+    entries[~hit] = np.flatnonzero(in_halo)[halo_entry]
     stacked = dict(
         cells=cells, overlap=overlap, sizes=sizes, block_starts=block_starts,
         rows=rows, columns=columns, row_starts=row_starts, block=block,
@@ -252,8 +255,7 @@ def _stack(problem, overlaps, subdomains):
     )
     for a in stacked.values():
         a.flags.writeable = False
-    halos = np.split(cells[in_halo], np.cumsum(halo_sizes)[:-1])
-    residual, jacobian = problem.row_kernels(list(zip(overlaps, halos)))
+    residual, jacobian = problem.row_kernels(ov, entries)
     return PositionStack(subdomains, problem, J.shape, J.nnz, residual, jacobian,
                          kl=kl, ku=ku, **stacked)
 

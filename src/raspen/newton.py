@@ -123,8 +123,9 @@ def outer_newton(system, u0, settings=None, u_ref=None):
     system with GMRES and updates u.  GMRES nonconvergence is noted in
     the reason string but the step is still taken; subdomain or coarse
     solve failures, in the residual or in the Jacobian actions, propagate
-    with outer-iteration context and keep their attributes (a
-    LocalSolveError's subdomain and residuals).
+    with outer-iteration context, keep their attributes (a LocalSolveError's
+    subdomain and residuals) and carry the run's ledger and update count up
+    to the failure, as ledger and outer_iterations.
     """
     settings = settings or SolverSettings()
     u = np.asarray(u0, dtype=float).copy()
@@ -148,7 +149,9 @@ def outer_newton(system, u0, settings=None, u_ref=None):
             delta, report = gmres(lambda v: system.jacobian_action(u, v), -r,
                                   tol=settings.gmres_tol)
         except SolveError as exc:
-            raise _in_context(exc, f"outer iteration {updates}") from exc
+            wrapped = _in_context(exc, f"outer iteration {updates}")
+            wrapped.ledger, wrapped.outer_iterations = ledger, updates
+            raise wrapped from exc
         ledger.record(report.iterations, ls_in, ls_min,
                       _error_of(u, u_ref), rnorm, report.residual_history)
         if not report.converged and not reason:

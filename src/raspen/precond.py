@@ -36,13 +36,12 @@ as it is.  The sweep and the blocks use the PositionStack that
 block_positions builds, for all subdomains in one pass, when the system
 is built: it reads the problem's one global Jacobian per system, its
 pattern, and holds the stacked row kernels and band geometry that every
-evaluation shares.  The
-inner solves and the exact blocks evaluate only those row kernels, on
-all overlaps and their halos at once, so a one-level exact evaluation and
-its actions assemble no global residual or Jacobian, and a sweep costs
-O(sum_i m_i).  The fine Jacobian J(u), which the inexact blocks and the
-coarse actions read, is assembled at most once per evaluation; the coarse
-solves evaluate the global residual and Jacobian.
+evaluation shares.  The inner solves and the exact blocks evaluate only
+those row kernels, on all overlap rows at once, so a one-level exact
+evaluation and its actions assemble no global residual or Jacobian, and
+a sweep costs O(sum_i m_i).  The fine Jacobian J(u), which the inexact
+blocks and the coarse actions read, is assembled at most once per
+evaluation; the coarse solves evaluate the global residual and Jacobian.
 """
 
 from dataclasses import dataclass

@@ -3,13 +3,12 @@
 Both problems expose the same contract: `dof_count`, `residual(u)` returning
 a vector of the same length, `jacobian(u)` returning the exact sparse
 derivative of the residual as a CSR matrix whose sparsity pattern does not
-depend on u, and `row_kernels(blocks)`, which evaluates the residual rows of
-several fixed cell sets at once, and the matching Jacobian entries, from
-the values on each set and its halo alone, stacked in block order.  Each
-problem builds its pattern once, so an evaluation only fills the data
-array.  Both are face-flux codes with one kernel each: the face values of
-the faces touching the cells, summed into the cells' rows; `residual` and
-`jacobian` are its one-block, all-cells case.
+depend on u, and `row_kernels(rows, entries)`, which evaluates any rows of
+the residual and the Jacobian from a local vector that holds the values at
+the rows' pattern columns.  Each problem builds its pattern once, so an
+evaluation only fills the data array.  Each has one stencil-row kernel, in
+which every row computes its own face fluxes; `residual` and `jacobian`
+are its all-rows case, with the local vector u itself.
 Residuals are written in integrated finite-volume form (flux balance minus
 integrated source per cell), so a zero residual means discrete conservation
 cell by cell.
@@ -38,16 +37,16 @@ class NonlinearProblem:
     """Contract shared by the concrete problems.
 
     Subclasses provide `dof_count`, `residual(u)`, `jacobian(u)` and
-    `row_kernels(blocks)`; all evaluations must be pure (no state
+    `row_kernels(rows, entries)`; all evaluations must be pure (no state
     mutated), and jacobian(u) must be the exact derivative of residual at u.
     jacobian(u) returns a canonical CSR matrix (sorted indices, no
     duplicates) with the same indptr and indices at every u, entries that
     happen to vanish included.  That pattern is the stencil the local
-    solvers and the harness read: local_solver.block_positions computes
-    every subdomain's block positions and halo from it at once, in one pass
-    over all subdomains.  A local solve never evaluates the
-    global residual or Jacobian: it calls the row kernels, so its cost
-    grows with the subdomain, not with the mesh.
+    solvers and the harness read: local_solver.block_positions reads every
+    subdomain's block positions and halo from it, in one pass over all
+    subdomains.  A local solve never evaluates the global residual or
+    Jacobian: it calls the row kernels on the stacked overlap rows, so its
+    cost grows with the subdomains, not with the mesh.
     """
 
     @property
@@ -60,21 +59,17 @@ class NonlinearProblem:
     def jacobian(self, u):
         raise NotImplementedError
 
-    def row_kernels(self, blocks):
-        """The residual and Jacobian rows of cell blocks as functions of local values.
+    def row_kernels(self, rows, entries):
+        """Residual and Jacobian rows of the global cells rows, from local values.
 
-        blocks is a sequence of (cells, halo) pairs of disjoint arrays of
-        global cell indices; each halo must hold every cell outside its
-        cells that a row of them couples to in the Jacobian pattern.  The
-        local vector of a block is x = u[concatenate((cells, halo))], and
-        the kernels read the blocks' local vectors concatenated in block
-        order, X.  Returns (residual_rows, jacobian_rows), two functions of
-        X: residual_rows(X) stacks each block's residual(u)[cells] and
-        jacobian_rows(X) each block's row data, jacobian(u)[cells].data in
-        the pattern's order, both in block order and each block's part
-        bit-identical to the global evaluations.  Blocks may share cells;
-        each is evaluated as if alone.  Building the kernels may cost index
-        work on the cells; calling them reads only X.
+        rows may come in any order and repeat; entries gives, for every
+        entry of their rows in the Jacobian pattern, row by row in the
+        pattern's order, where its column's value sits in a local vector X
+        (ValueError if they do not match the pattern).  Returns two
+        functions of X, giving residual(u)[rows] and the rows' Jacobian data
+        in the pattern's order, bit for bit, when X holds u there: residual
+        and jacobian are row_kernels(arange(n), pattern indices) at X = u.
+        Building the kernels costs index work; calling them reads only X.
         """
         raise NotImplementedError
 
@@ -103,34 +98,18 @@ def _stencil_pattern(have, offsets):
     return indptr, indices
 
 
-def _local_index(cells, halo, wanted):
-    """Positions of the global cells `wanted` in concatenate((cells, halo))."""
-    local = np.concatenate((cells, halo))
-    table = np.full(max(local.max(), wanted.max(initial=0)) + 1, -1)
-    table[local] = np.arange(len(local))
-    found = table[wanted]
-    if (found < 0).any():
-        raise ValueError("the halo does not hold every neighbour of the cells")
-    return found
+def _columns(have, entries):
+    """Where in X each row's stencil columns sit, as a table shaped like have.
 
-
-def _indexer(index):
-    """index, or the equal slice when it runs through consecutive integers.
-
-    Indexing by a slice takes a view where an index array gathers a copy.
+    The columns a row does not hold read 0.
     """
-    if len(index) and index[-1] - index[0] == len(index) - 1 and (
-            index[1:] - index[:-1] == 1).all():
-        return slice(index[0], index[-1] + 1)
-    return index
-
-
-def _touched(n, *faces):
-    """The sorted distinct entries of the face index arrays, all below n."""
-    mark = np.zeros(n, dtype=bool)
-    for f in faces:
-        mark[f] = True
-    return np.flatnonzero(mark)
+    entries = np.asarray(entries)
+    if entries.shape != (have.sum(),):
+        raise ValueError(f"{entries.size} entries do not match the rows' "
+                         f"pattern, which holds {have.sum()}")
+    table = np.zeros(have.shape, dtype=np.intp)
+    table[have] = entries
+    return table
 
 
 def q_flux(g, beta):
@@ -213,7 +192,7 @@ class ForchheimerProblem1D(NonlinearProblem):
         cells = np.arange(self.M)
         self._indptr, self._indices = _stencil_pattern(
             _tridiagonal(cells, self.M), [-1, 0, 1])
-        self._all_rows = self.row_kernels([(cells, cells[:0])])
+        self._all_rows = self.row_kernels(cells, self._indices)
 
     @property
     def dof_count(self):
@@ -226,66 +205,40 @@ class ForchheimerProblem1D(NonlinearProblem):
         return sp.csr_matrix((self._all_rows[1](self._state(u)), self._indices,
                               self._indptr), shape=(self.M, self.M))
 
-    def row_kernels(self, blocks):
-        rows = _ForchheimerRows(self, blocks)
-        return rows.residual, rows.jacobian
+    def row_kernels(self, rows, entries):
+        kernels = _ForchheimerRows(self, rows, entries)
+        return kernels.residual, kernels.jacobian
 
 
 class _ForchheimerRows:
-    """ForchheimerProblem1D's row kernels on the faces touching the blocks' cells.
+    """ForchheimerProblem1D's row kernels: each row's two face fluxes.
 
-    Face f lies between cells f-1 and f, the Dirichlet values standing in
-    for cells -1 and M; a cell's row is q at its right face minus q at its
-    left face minus its source, as in the global evaluation.  The faces are
-    listed block by block, so a face that two blocks touch is listed twice.
+    The row of cell c is q at its right face, T_{c+1} (u_c - u_{c+1}),
+    minus q at its left face, T_c (u_{c-1} - u_c), minus its source, as in
+    the global evaluation; the Dirichlet values stand in for cells -1 and
+    M.  X is read padded to (dirichlet[0], dirichlet[1], X).
     """
 
-    def __init__(self, problem, blocks):
-        M = problem.M
-        total = sum(len(cells) + len(halo) for cells, halo in blocks)
-        left, right, lf, rf, T, source, have = ([] for _ in range(7))
-        width = n_faces = 0  # values of X and faces listed so far
-        for cells, halo in blocks:
-            faces = _touched(M + 1, cells, cells + 1)
-            # each face's cells in the block's local vector padded to
-            # (dirichlet[0], x, dirichlet[1]), whose ends stand in for cells
-            # -1 and M (cell indices shifted by one), moved to the padded X,
-            # (dirichlet[0], X, dirichlet[1])
-            n = len(cells) + len(halo)
-            ends = np.concatenate(([0], np.arange(1, n + 1) + width, [total + 1]))[
-                _local_index(np.append(0, cells + 1), np.append(halo + 1, M + 1),
-                             np.concatenate((faces, faces + 1)))]
-            left.append(ends[:len(faces)])
-            right.append(ends[len(faces):])
-            lf.append(np.searchsorted(faces, cells) + n_faces)
-            rf.append(np.searchsorted(faces, cells + 1) + n_faces)
-            T.append(problem.transmissibilities[faces])
-            source.append(problem.source[cells])
-            have.append(_tridiagonal(cells, M))
-            width, n_faces = width + n, n_faces + len(faces)
-        self.left = _indexer(np.concatenate(left))
-        self.right = _indexer(np.concatenate(right))
-        self.lf, self.rf = _indexer(np.concatenate(lf)), _indexer(np.concatenate(rf))
-        self.T, self.source = np.concatenate(T), np.concatenate(source)
-        self.beta = problem.beta
-        self.d0, self.d1 = np.array(problem.dirichlet[:1]), np.array(problem.dirichlet[1:])
-        # the row of cell c holds, in column order, -w at its left face,
-        # w right + w left, and -w at its right face
-        have = np.concatenate(have)
-        m = len(have)
-        self.take = (np.arange(m)[:, None] + [0, m, 2 * m])[have]
+    def __init__(self, problem, rows, entries):
+        have = _tridiagonal(rows, problem.M)
+        # c-1, c, c+1 in the padded X: the left faces' cells [:2], right [1:]
+        self.at = np.where(have, _columns(have, entries) + 2, [0, 0, 1]).T.copy()
+        self.T = problem.transmissibilities[np.stack((rows, rows + 1))]
+        self.source, self.beta = problem.source[rows], problem.beta
+        self.ends = np.array(problem.dirichlet)
+        # row c holds -w at its left face, w right + w left, -w at its right
+        self.take = (np.arange(len(rows))[:, None] + len(rows) * np.arange(3))[have]
 
     def _gradients(self, X):
-        padded = np.concatenate((self.d0, X, self.d1))
-        return self.T * (padded[self.left] - padded[self.right])
+        u = np.concatenate((self.ends, X))[self.at]
+        return self.T * (u[:2] - u[1:])
 
     def residual(self, X):
         a = q_flux(self._gradients(X), self.beta)
-        return a[self.rf] - a[self.lf] - self.source
+        return a[1] - a[0] - self.source
 
     def jacobian(self, X):
-        w = q_flux_derivative(self._gradients(X), self.beta) * self.T
-        wl, wr = w[self.lf], w[self.rf]
+        wl, wr = q_flux_derivative(self._gradients(X), self.beta) * self.T
         return np.concatenate((-wl, wr + wl, -wr))[self.take]
 
 
@@ -386,7 +339,7 @@ class DiffusionProblem2D(NonlinearProblem):
         cells = np.arange(self.nx * self.ny)
         self._indptr, self._indices = _stencil_pattern(
             _five_point(cells, self.nx, self.ny), [-self.nx, -1, 0, 1, self.nx])
-        self._all_rows = self.row_kernels([(cells, cells[:0])])
+        self._all_rows = self.row_kernels(cells, self._indices)
 
     @property
     def dof_count(self):
@@ -396,9 +349,8 @@ class DiffusionProblem2D(NonlinearProblem):
         return self._all_rows[0](self._state(u))
 
     def jacobian(self, u):
-        n = self.nx * self.ny
         return sp.csr_matrix((self._all_rows[1](self._state(u)), self._indices,
-                              self._indptr), shape=(n, n))
+                              self._indptr), shape=(self.dof_count,) * 2)
 
     def initial_state(self):
         """Constant lift of the Dirichlet value.
@@ -409,96 +361,67 @@ class DiffusionProblem2D(NonlinearProblem):
         """
         return np.full(self.nx * self.ny, self.dirichlet_value)
 
-    def row_kernels(self, blocks):
-        rows = _DiffusionRows(self, blocks)
-        return rows.residual, rows.jacobian
+    def row_kernels(self, rows, entries):
+        kernels = _DiffusionRows(self, rows, entries)
+        return kernels.residual, kernels.jacobian
 
 
 class _DiffusionRows:
-    """DiffusionProblem2D's row kernels on the faces touching the blocks' cells.
+    """DiffusionProblem2D's row kernels: each row's four face fluxes.
 
-    x face iy*(nx-1)+ix joins cell L = (ix, iy) to R = (ix+1, iy), y face
-    iy*nx+ix joins L = (ix, iy) to R = (ix, iy+1).  Each row sums its terms
-    by one np.bincount in the global evaluation's order: minus the source,
-    the x flux where the cell is L, minus it where the cell is R, the same
-    for y, then the Dirichlet flux.  A Jacobian entry sums its couplings,
-    listed per x face then per y face as (L,L), (L,R), (R,L), (R,R), then
-    the Dirichlet diagonal, by one np.bincount in that order.  The terms are
-    grouped by kind across blocks (the x faces of every block, block by
-    block, then the y faces), which keeps each row's order, since a row
-    only gets terms of its own block.  Terms of rows outside the cells go
-    to one extra bin, which is dropped.
+    A face's flux is T a (u_L - u_R), L its -x (-y) cell, R the other, a
+    the mean of 1 + u^2 at the two.  Row c sums, in the global evaluation's
+    order, minus its source, its E flux, minus its W flux, its N flux,
+    minus its S flux, then the Dirichlet flux of the x = 1 edge, each term
+    as T a (u_c - u_n) at its neighbour n, which negates W and S exactly.
+    An absent neighbour reads u_c with T = 0, and the Dirichlet term off
+    the edge has coefficient 0, so both add exactly 0.0.  The diagonal sums
+    T (a + u_c (u_c - u_n)) in the same order; the coupling to n is
+    T (u_n (u_c - u_n) - a) + 0.0, a sum from 0.0 like the global one.
     """
 
-    def __init__(self, problem, blocks):
-        nx, ny = problem.nx, problem.ny
-        nxf, nyf = (nx - 1) * ny, nx * (ny - 1)
-        m_all = sum(len(cells) for cells, _ in blocks)
-        # per block, the X positions and the rows (m_all, the extra bin,
-        # outside the cells) of the L and R cells of its x faces, then of
-        # its y faces
-        ends, rows = ([[], [], [], []] for _ in range(2))
-        bound, bound_rows, neg_source, have = [], [], [], []
-        width = m = 0  # values of X and rows listed so far
-        for cells, halo in blocks:
-            iy, ix = np.divmod(cells, nx)
-            xf = _touched(nxf, (cells - iy)[ix < nx - 1], (cells - iy - 1)[ix > 0])
-            yf = _touched(nyf, cells[iy < ny - 1], cells[iy > 0] - nx)
-            xL = xf + xf // max(nx - 1, 1)
-            local = _local_index(cells, halo, np.concatenate((xL, xL + 1, yf, yf + nx)))
-            at, row = local + width, np.where(local < len(cells), local + m, m_all)
-            bounds = np.cumsum([0, len(xf), len(xf), len(yf), len(yf)])
-            for k in range(4):
-                ends[k].append(at[bounds[k]:bounds[k + 1]])
-                rows[k].append(row[bounds[k]:bounds[k + 1]])
-            edge = np.flatnonzero(ix == nx - 1)
-            bound.append(edge + width)
-            bound_rows.append(edge + m)
-            neg_source.append(-problem.source_cells.ravel()[cells])
-            have.append(_five_point(cells, nx, ny))
-            width, m = width + len(cells) + len(halo), m + len(cells)
-        self.left = np.concatenate(ends[0] + ends[2])
-        self.right = np.concatenate(ends[1] + ends[3])
-        rxL, rxR, ryL, ryR = (np.concatenate(part) for part in rows)
-        self.Tx = problem.hy / problem.hx
-        self.T = np.concatenate((np.full(len(rxL), self.Tx),
-                                 np.full(len(ryL), problem.hx / problem.hy)))
-        self.bound, bound_rows = np.concatenate(bound), np.concatenate(bound_rows)
-        self.neg_source = np.concatenate(neg_source)
-        self.dv, self.m, self.nx_faces = problem.dirichlet_value, m, len(rxL)
-
-        self.r_bins = np.concatenate((np.arange(m), rxL, rxR, ryL, ryR, bound_rows))
-        # slot[p, k]: where stacked row p holds column k of the stencil
-        # (c-nx, c-1, c, c+1, c+nx) in the stacked row data, which lists the
-        # held entries row by row; row m of slot is the extra bin
-        have = np.concatenate(have)
-        self.size = int(have.sum())
-        slot = np.append(np.cumsum(have) - 1, np.full(5, self.size)).reshape(m + 1, 5)
-        self.j_bins = np.concatenate((
-            slot[rxL, 2], slot[rxL, 3], slot[rxR, 1], slot[rxR, 2],
-            slot[ryL, 2], slot[ryL, 4], slot[ryR, 0], slot[ryR, 2],
-            slot[bound_rows, 2]))
+    def __init__(self, problem, rows, entries):
+        have = _five_point(rows, problem.nx, problem.ny)
+        at = _columns(have, entries)
+        # rows c, then its S, W, E and N neighbours, in X
+        self.at = np.where(have, at, at[:, 2:3]).T[[2, 0, 1, 3, 4]]
+        Tx, Ty = problem.hy / problem.hx, problem.hx / problem.hy
+        self.T = np.where(have[:, [0, 1, 3, 4]], [Ty, Tx, Tx, Ty], 0.0).T.copy()
+        self.dv, m = problem.dirichlet_value, len(rows)
+        self.boundary = np.where(rows % problem.nx == problem.nx - 1, 2.0 * Tx, 0.0)
+        self.neg_source = 0.0 - problem.source_cells.ravel()[rows]
+        self.take = (np.arange(m)[:, None] + m * np.arange(5))[have]
 
     def _faces(self, X):
-        uL, uR = X[self.left], X[self.right]
-        return uL, uR, 1.0 + 0.5 * (uL**2 + uR**2)
+        """u_c, u_n, u_c^2, the faces' mean a and u_c - u_n, n the neighbours."""
+        u = X[self.at]
+        sq = u**2
+        uc, un = u[0], u[1:]
+        mean_a = sq[1:] + sq[0]
+        mean_a *= 0.5
+        mean_a += 1.0
+        return uc, un, sq[0], mean_a, uc - un
 
     def residual(self, X):
-        uL, uR, mean_a = self._faces(X)
-        flux = self.T * mean_a * (uL - uR)
-        ub = X[self.bound]
-        nf, k = -flux, self.nx_faces
-        terms = (self.neg_source, flux[:k], nf[:k], flux[k:], nf[k:],
-                 2.0 * self.Tx * (1.0 + ub**2) * (ub - self.dv))
-        return np.bincount(self.r_bins, np.concatenate(terms), self.m + 1)[:-1]
+        uc, _, sq, flux, d = self._faces(X)
+        flux *= self.T
+        flux *= d
+        s, w, e, n = flux
+        return (self.neg_source + e + w + n + s
+                + self.boundary * (1.0 + sq) * (uc - self.dv))
 
     def jacobian(self, X):
-        uL, uR, mean_a = self._faces(X)
-        d = uL - uR
-        dL = self.T * (mean_a + uL * d)
-        dR = self.T * (-mean_a + uR * d)
-        ub = X[self.bound]
-        ndL, ndR, k = -dL, -dR, self.nx_faces
-        terms = (dL[:k], dR[:k], ndL[:k], ndR[:k], dL[k:], dR[k:], ndL[k:], ndR[k:],
-                 2.0 * self.Tx * ((1.0 + ub**2) + 2.0 * ub * (ub - self.dv)))
-        return np.bincount(self.j_bins, np.concatenate(terms), self.size + 1)[:-1]
+        uc, un, sq, mean_a, d = self._faces(X)
+        diagonal = uc * d
+        diagonal += mean_a
+        diagonal *= self.T
+        s, w, e, n = diagonal
+        centre = (e + w + n + s
+                  + self.boundary * ((1.0 + sq) + 2.0 * uc * (uc - self.dv)))
+        coupling = d
+        coupling *= un
+        coupling -= mean_a
+        coupling *= self.T
+        coupling += 0.0
+        return np.concatenate((coupling[:2].ravel(), centre, coupling[2:].ravel()))[
+            self.take]

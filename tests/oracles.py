@@ -89,9 +89,9 @@ def sequential_local_solve(problem, pos, u, settings, kernels=None):
     before they took their steps together: full Newton steps on the
     subdomain's local vector, with its own band LU, raising LocalSolveError
     on the first failed check.  kernels defaults to the problem's row
-    kernels on the subdomain alone.
+    kernels on the subdomain alone (block_kernels).
     """
-    residual, jacobian = kernels or problem.row_kernels([(pos.overlap, pos.halo)])
+    residual, jacobian = kernels or block_kernels(problem, [pos])
     i, m, kl, ku = pos.subdomain, pos.size, pos.kl, pos.ku
     u = np.asarray(u, dtype=float)
     x = u[pos.cells]
@@ -185,6 +185,28 @@ def subdomain_positions(J, i, ov):
     cells = np.concatenate((ov, halo))
     return BlockPositions(i, ov, cells, rows, columns, row_indptr, inside, slots,
                           kl, ku)
+
+
+def local_entries(local, columns):
+    """Where each of columns sits in the cell list local, which holds them all."""
+    order = np.argsort(local, kind="stable")
+    at = order[np.searchsorted(local, columns, sorter=order)]
+    assert np.array_equal(local[at], columns), "a column is not a local cell"
+    return at
+
+
+def block_kernels(problem, positions):
+    """The problem's row kernels on a sequence of BlockPositions, stacked.
+
+    Their local vector X concatenates each block's values at its cells, in
+    the sequence's order, and an entry's column sits in X at its place in
+    its block's cells.
+    """
+    starts = np.cumsum([0] + [len(pos.cells) for pos in positions])
+    entries = [local_entries(pos.cells, pos.columns) + start
+               for pos, start in zip(positions, starts)]
+    return problem.row_kernels(np.concatenate([pos.overlap for pos in positions]),
+                               np.concatenate(entries))
 
 
 def stacked_positions(positions):

@@ -217,6 +217,26 @@ def test_first_step_check_failure_recorded_without_aborting(tmp_path,
     assert "off-interface" in summary["reasons"]["ras-fp_M40_I4_k2_beta1"]
 
 
+def test_failed_outer_newton_row_keeps_its_ledger(tmp_path):
+    # on this rough field raspen2 fails in outer iteration 1; its row, its
+    # iterations and its curve keep the finished iteration 0
+    config = config_from_dict({
+        "mesh": "240", "subdomains": "8", "overlap": "2", "beta": "10",
+        "field": "random", "seed": "1", "methods": "raspen2",
+        "outdir": str(tmp_path / "late"),
+    })
+    (row,) = run_experiment(config)
+    assert not row.converged
+    assert row.reason.startswith("outer iteration 1: subdomain 1: inner Newton")
+    assert (row.outer_iters, row.LS_total, len(row.ledger)) == (1, 50, 1)
+    out = tmp_path / "late"
+    assert "raspen2,240,8,2,10,1,50,false" in (out / "results.csv").read_text()
+    assert (out / "iterations.csv").read_text().splitlines()[1].startswith(
+        "raspen2,240,8,2,10,1,15,35,10,")
+    curve = (out / "curve_raspen2_M240_I8_k2_beta10.csv").read_text()
+    assert curve.splitlines() == ["step,error,LS", "1,1.000000000000e+00,50"]
+
+
 def test_reference_failure_recorded_without_aborting(tmp_path):
     # on this rough field the beta=0 reference stalls at the roundoff
     # floor and the beta=1 continuation through beta=0 with it; their rows

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import lapack
 from oracles import (
+    block_kernels,
     brute_frozen_newton,
     dense_darcy_system,
     per_block_positions,
@@ -51,11 +52,6 @@ def _lones(prob, lay):
     """Every subdomain of the layout alone, as its one-block stack."""
     stack = block_positions(prob, lay)
     return [_lone(stack, b) for b in range(lay.n_subdomains)]
-
-
-def _alone_kernels(prob, pos):
-    """The problem's row kernels on one subdomain's overlap and halo."""
-    return prob.row_kernels([(pos.overlap, pos.halo)])
 
 
 def _band_to_dense(ab, kl, ku):
@@ -243,8 +239,16 @@ class _Repatterned:
     def jacobian(self, u):
         return self.change(self.problem.jacobian(u))
 
-    def row_kernels(self, blocks):
-        return self.problem.row_kernels(blocks)
+    def row_kernels(self, rows, entries):
+        # the wrapped problem's kernels take the entries of its own pattern
+        return self.problem.row_kernels(rows, entries[~self._extra(rows)])
+
+    def _extra(self, rows):
+        """Which entries of the rows' pattern the wrapped problem's lacks."""
+        ours = self.jacobian(self.initial_state())
+        theirs = self.problem.jacobian(self.initial_state())
+        return np.concatenate([~np.isin(ours[r].indices, theirs[r].indices)
+                               for r in rows])
 
     def initial_state(self):
         return self.problem.initial_state()
@@ -433,7 +437,7 @@ def test_stacked_action_bit_identical_to_per_block(make, exact):
         for pos, solved in zip(positions, _per_block(stack, result.solved)):
             x = result.base_state[pos.cells]
             x[:pos.size] = solved
-            entries.append(_alone_kernels(prob, pos)[1](x))
+            entries.append(block_kernels(prob, [pos])[1](x))
     else:
         J = prob.jacobian(u)
         block = local_jacobian(J, stack)
@@ -516,12 +520,9 @@ class _WideBand(_Repatterned):
     def __init__(self, problem):
         super().__init__(problem, _with_entry_above)
 
-    def row_kernels(self, blocks):
-        residual, jacobian = self.problem.row_kernels(blocks)
-        J = self.jacobian(self.initial_state())
-        extra = np.concatenate([
-            (np.repeat(cells, np.diff(J.indptr)[cells]) == 3)
-            & (J[cells].indices == 8) for cells, _ in blocks])
+    def row_kernels(self, rows, entries):
+        residual, jacobian = super().row_kernels(rows, entries)
+        extra = self._extra(rows)
 
         def jacobian_rows(X):
             out = np.full(len(extra), 0.5)
@@ -670,7 +671,7 @@ def _failing(stack, positions, singular=(), nonfinite=(), tiny=()):
 
     def alone(b):
         pos = positions[b]
-        own_residual, own_jacobian = stack.problem.row_kernels([(pos.overlap, pos.halo)])
+        own_residual, own_jacobian = block_kernels(stack.problem, [pos])
         own = {"residual": 0, "jacobian": 0}
 
         def r(x):

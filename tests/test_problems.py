@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from oracles import per_block_positions
+from oracles import block_kernels, local_entries, per_block_positions
 
 from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.local_solver import block_positions
@@ -411,7 +411,7 @@ def _check_row_kernels(prob, subdomains, rng):
         F, J = prob.residual(u), prob.jacobian(u)
         for pos in positions:
             x = u[pos.cells]
-            residual_rows, jacobian_rows = prob.row_kernels([(pos.overlap, pos.halo)])
+            residual_rows, jacobian_rows = block_kernels(prob, [pos])
             assert residual_rows(x).tobytes() == F[pos.overlap].tobytes()
             assert jacobian_rows(x).tobytes() == J.data[pos.rows].tobytes()
 
@@ -427,11 +427,14 @@ def test_row_kernels_1d_bit_identical_on_every_interval():
         for prob in probs:
             states = [(u, prob.residual(u), prob.jacobian(u)) for u in
                       (rng.standard_normal(M), 1e3 * rng.standard_normal(M))]
+            indptr, indices = states[0][2].indptr, states[0][2].indices
             for lo in range(M):
                 for hi in range(lo + 1, M + 1):
                     cells = np.arange(lo, hi)
                     halo = np.array([c for c in (lo - 1, hi) if 0 <= c < M], dtype=int)
-                    residual_rows, jacobian_rows = prob.row_kernels([(cells, halo)])
+                    entries = local_entries(np.concatenate((cells, halo)),
+                                            indices[indptr[lo]:indptr[hi]])
+                    residual_rows, jacobian_rows = prob.row_kernels(cells, entries)
                     for u, F, J in states:
                         x = u[np.concatenate((cells, halo))]
                         assert residual_rows(x).tobytes() == F[lo:hi].tobytes()
@@ -462,7 +465,7 @@ def _check_stacked_row_kernels(prob, subdomains, rng):
     stack, positions = block_positions(prob, layout), per_block_positions(prob, layout)
     sets = [(positions, (stack.residual, stack.jacobian))]
     for chosen in (positions[::-1], positions[::2]):
-        sets.append((chosen, prob.row_kernels([(p.overlap, p.halo) for p in chosen])))
+        sets.append((chosen, block_kernels(prob, chosen)))
     n = prob.dof_count
     for u in (rng.standard_normal(n), 1e3 * rng.standard_normal(n)):
         F, J = prob.residual(u), prob.jacobian(u)
@@ -497,13 +500,43 @@ def test_stacked_row_kernels_2d_bit_identical_on_every_layout(nx, ny):
             _check_stacked_row_kernels(prob, layout.subdomains, rng)
 
 
-@pytest.mark.parametrize("prob, cells", [
-    (smooth_forchheimer(12, beta=1.0), np.arange(3, 7)),
-    (DiffusionProblem2D(6, 5), np.array([7, 8, 13, 14])),
-], ids=["1d", "2d"])
-def test_row_kernels_need_the_whole_halo(prob, cells):
+_KERNEL_PROBLEMS = [
+    smooth_forchheimer(12, beta=1.0),
+    hard_forchheimer(9, beta=10.0, seed=5),
+    DiffusionProblem2D(6, 5),
+    DiffusionProblem2D(1, 4),
+    DiffusionProblem2D(5, 1),
+]
+_KERNEL_IDS = ["1d-smooth", "1d-hard", "2d-6x5", "2d-1x4", "2d-5x1"]
+
+
+@pytest.mark.parametrize("prob", _KERNEL_PROBLEMS, ids=_KERNEL_IDS)
+def test_row_kernels_bit_identical_on_shuffled_and_repeated_rows(prob):
+    # rows in any order, repeats included, each row the global one; X is u
+    # itself (entries: the pattern's columns) and u in a shuffled order
+    rng = np.random.default_rng(37)
+    n = prob.dof_count
+    J0 = prob.jacobian(prob.initial_state())
+    rows = np.concatenate((rng.permutation(n), rng.integers(0, n, 2 * n)))
+    entries = np.concatenate([J0.indices[J0.indptr[r]:J0.indptr[r + 1]] for r in rows])
+    perm = rng.permutation(n)
+    for u in (rng.standard_normal(n), 1e3 * rng.standard_normal(n)):
+        F, J = prob.residual(u), prob.jacobian(u)
+        want_rows = F[rows].tobytes()
+        want_data = np.concatenate(
+            [J.data[J.indptr[r]:J.indptr[r + 1]] for r in rows]).tobytes()
+        for X, at in ((u, entries), (u[perm], local_entries(perm, entries))):
+            residual_rows, jacobian_rows = prob.row_kernels(rows, at)
+            assert residual_rows(X).tobytes() == want_rows
+            assert jacobian_rows(X).tobytes() == want_data
+
+
+@pytest.mark.parametrize("prob", _KERNEL_PROBLEMS, ids=_KERNEL_IDS)
+def test_row_kernels_reject_entries_off_the_pattern(prob):
     J = prob.jacobian(prob.initial_state())
-    halo = np.setdiff1d(J[cells].indices, cells)
-    prob.row_kernels([(cells, halo)])
-    with pytest.raises(ValueError, match="halo"):
-        prob.row_kernels([(cells, halo[1:])])
+    rows = np.arange(1, prob.dof_count)
+    entries = J.indices[J.indptr[1]:]
+    prob.row_kernels(rows, entries)
+    for wrong in (entries[1:], np.append(entries, 0), J.indices):
+        with pytest.raises(ValueError, match="pattern"):
+            prob.row_kernels(rows, wrong)
