@@ -21,8 +21,8 @@ way.
 
 compare_table checks result rows against a shipped reference table of
 published counts, cell by cell, with the comparison tolerances used
-throughout: outer iterations within +/-1, linear-solve totals within
-+/-15%.
+throughout: outer iterations within +/-1 (OUTER_TOL), linear-solve totals
+within +/-15% (LS_RTOL).
 """
 
 import csv
@@ -64,6 +64,8 @@ __all__ = [
 METHODS = ("newton", "ras-fp", "as-fp", "raspen1", "aspin1", "raspen2", "aspin2")
 PROBLEMS = ("forchheimer1d", "diffusion2d")
 FIELD_KINDS = ("smooth", "random")
+OUTER_TOL = 1
+LS_RTOL = 0.15
 
 ROW_COLUMNS = ("method", "mesh", "I", "k", "beta", "outer_iters", "LS_total",
                "converged")
@@ -312,13 +314,9 @@ def _first_step_residual(system, problem, layout, u0, settings):
     return r
 
 
-def _fmt_beta(beta):
-    return f"{beta:g}"
-
-
 def _tag(row):
     return (f"{row.method}_M{row.mesh}_I{row.I}_k{row.k}"
-            f"_beta{_fmt_beta(row.beta)}")
+            f"_beta{row.beta:g}")
 
 
 def _execute(combo, problem, layout, u_ref, settings):
@@ -401,7 +399,7 @@ def run_experiment(config):
 
 def _key_fields(row):
     """The method,mesh,I,k,beta fields leading results and iterations lines."""
-    return f"{row.method},{row.mesh},{row.I},{row.k},{_fmt_beta(row.beta)}"
+    return f"{row.method},{row.mesh},{row.I},{row.k},{row.beta:g}"
 
 
 def _write_csv(path, header, lines):
@@ -510,11 +508,11 @@ def _row_key(row):
             float(_get(row, "beta")))
 
 
-def compare_table(rows, reference_table_file, outer_tol=1, ls_rtol=0.15):
+def compare_table(rows, reference_table_file):
     """Compare result rows with a reference table, cell by cell.
 
     Matching is on (method, I, k, beta).  outer_iters passes within
-    +/- outer_tol, LS_total within a relative ls_rtol; a row that did
+    +/- OUTER_TOL, LS_total within a relative LS_RTOL; a row that did
     not converge fails both cells.  The reference may be a path or the
     name of a shipped table.  Raises on schema mismatch, when nothing
     matches, or when two result rows share a key (such as the rows of
@@ -540,15 +538,10 @@ def compare_table(rows, reference_table_file, outer_tol=1, ls_rtol=0.15):
         got = indexed.get(key)
         if got is None:
             continue
-        method, I, k, beta = key
-        ok_outer = (got["converged"]
-                    and abs(got["outer_iters"] - ref["outer_iters"]) <= outer_tol)
-        cells.append(CompareCell(method, I, k, beta, "outer_iters",
-                                 got["outer_iters"], ref["outer_iters"], ok_outer))
-        ok_ls = (got["converged"]
-                 and abs(got["LS_total"] - ref["LS_total"]) <= ls_rtol * ref["LS_total"])
-        cells.append(CompareCell(method, I, k, beta, "LS_total",
-                                 got["LS_total"], ref["LS_total"], ok_ls))
+        for metric, tol in (("outer_iters", OUTER_TOL),
+                            ("LS_total", LS_RTOL * ref["LS_total"])):
+            ok = got["converged"] and abs(got[metric] - ref[metric]) <= tol
+            cells.append(CompareCell(*key, metric, got[metric], ref[metric], ok))
     if not cells:
         raise ValueError("no rows match the reference table "
                          "(check method/I/k/beta values)")

@@ -2,10 +2,10 @@
 
 C_i(u) is the overlap-local vector solving R_i F(u + P_i C_i(u)) = 0 with
 the exterior of the subdomain frozen at u (homogeneous correction outside).
-solve_local solves a whole sequence of subdomains together and keeps, in
-one LocalSolveResult, their corrections and the solved overlap values of
-each u^(i) = u + P_i C_i(u), stacked in subdomain order, and each
-subdomain's inner Newton count, but no derivative data.
+solve_local solves a whole sequence of subdomains together, one sweep,
+and returns its one handle, a LocalSolveResult: its PositionStack, the
+stacked local vector X at each u^(i) = u + P_i C_i(u), the corrections
+and each subdomain's inner Newton count, but no derivative data.
 
 That lives in a LocalJacobian, built on demand for one subdomain or for
 all of them at once: the entries of the row blocks R_i J, over the
@@ -30,7 +30,7 @@ X = (u[cells_1], ..., u[cells_I]), where every R_i J sits in a Jacobian's
 data array, where A_ii's entries go in the LAPACK band storage of
 diag(A_ii), and the problem's row kernels on the stacked rows, fed with
 where their entries' columns sit in X (NonlinearProblem.row_kernels).
-Every solve and block function takes a PositionStack.
+Every solve and block function takes a PositionStack or a sweep's result.
 
 All subdomains take their inner Newton steps together, on X: a step is
 one residual-kernel call, one Jacobian-kernel call, one band fill and one
@@ -76,9 +76,9 @@ class SolveError(RuntimeError):
 class LocalSolveError(SolveError):
     """A subdomain Newton solve failed to converge or became singular.
 
-    subdomain is the failed subdomain's index (None for a failure that is
-    no subdomain's); residuals holds its inner residual norms, from the
-    first one to the one at the failure (empty when no inner solve failed).
+    subdomain is the failed subdomain's index; residuals holds its inner
+    residual norms, from the first one to the one at the failure (empty
+    when no inner solve failed).
     """
 
     def __init__(self, message, subdomain=None, residuals=()):
@@ -113,20 +113,20 @@ class SolverSettings:
 
 @dataclass(frozen=True, eq=False)
 class LocalSolveResult:
-    """Outcome of the local solves of a sequence of subdomains at base_state.
+    """Outcome of one sweep: the local solves of a PositionStack's subdomains.
 
-    correction and solved stack, in the order of subdomains, each
-    subdomain's correction and the overlap values of its solved state
-    u^(i); inner_counts holds each subdomain's inner Newton count and
-    inner_iterations their sum.  base_state is read-only.
+    X is positions' stacked local vector at the solved states u^(i),
+    read-only: the solved values on the overlaps, the base state's on the
+    halos.  correction stacks, in the order of positions.subdomains, each
+    subdomain's correction; inner_counts holds each subdomain's inner
+    Newton count and inner_iterations their sum.
     """
 
-    subdomains: tuple
+    positions: object = field(repr=False)
+    X: np.ndarray = field(repr=False)
     correction: np.ndarray = field(repr=False)
-    solved: np.ndarray = field(repr=False)
     inner_counts: tuple
     inner_iterations: int
-    base_state: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,25 +267,6 @@ def _lone(stack, b):
     return _stack(stack.problem, [overlap], (stack.subdomains[b],))
 
 
-def _require_problem(problem, stack):
-    if problem is not stack.problem:
-        raise ValueError(f"subdomain {stack.subdomains[0]}: block positions "
-                         "were computed for another problem")
-
-
-def _frozen(u):
-    """A read-only float copy of u, or u itself if it already is one.
-
-    Only an array that owns its data and is read-only is reused: no caller
-    can change it afterwards, so the local results can share it.
-    """
-    if (not isinstance(u, np.ndarray) or u.dtype != float or u.flags.writeable
-            or u.base is not None):
-        u = np.array(u, dtype=float)
-        u.flags.writeable = False
-    return u
-
-
 def _band_lu(stack, entries, active=None):
     """dgbtrf's (lu, ipiv, info) of diag(A_ii), A_ii's entries among entries.
 
@@ -332,25 +313,13 @@ def local_jacobian(J, positions):
     return _factored(positions, J.data[positions.rows])
 
 
-def solved_jacobian(problem, positions, result):
-    """The blocks of local solves at their solved states u^(i), stacked.
+def solved_jacobian(result):
+    """The blocks of a sweep's local solves at their solved states u^(i), stacked.
 
-    result must be the LocalSolveResult of a solve of the PositionStack
-    positions.  The blocks come from one Jacobian-kernel call at the
-    solved X, the base state with the stored solved values on the
-    overlaps, not base_state + P_i correction, which can differ in the
-    last bit.
+    The blocks come from one Jacobian-kernel call at the sweep's solved X,
+    not at u + P_i correction, which can differ in the last bit.
     """
-    _require_problem(problem, positions)
-    if (result.subdomains != positions.subdomains
-            or len(result.solved) != positions.size):
-        got = result.subdomains + (None,) * len(positions.subdomains)
-        i = next(i for i, j in zip(positions.subdomains, got) if i != j)
-        raise ValueError(f"subdomain {i}: local results of different sweeps "
-                         "cannot be stacked")
-    X = result.base_state[positions.cells]
-    X[positions.overlap] = result.solved
-    return _factored(positions, positions.jacobian(X))
+    return _factored(result.positions, result.positions.jacobian(result.X))
 
 
 def _norms(stack, r):
@@ -388,23 +357,21 @@ def _step(stack, entries, r, active, failures):
     return step
 
 
-def solve_local(problem, positions, u, settings):
-    """Solve R_i F(u + P_i c_i) = 0 for every c_i = C_i(u) of a sequence of subdomains.
+def solve_local(positions, u, settings):
+    """Solve R_i F(u + P_i c_i) = 0 for every c_i = C_i(u) of a stack's subdomains.
 
-    positions is a PositionStack computed for problem.  Inner Newton from
-    the zero corrections with full steps, on the stacked local vector X =
-    (u[cells_1], ...): each step evaluates the stacked row kernels at X
-    and refactorizes diag(A_ii), with every block whose residual norm is at
-    or below settings.inner_tol frozen, and only X's overlap values change.
+    Inner Newton from the zero corrections with full steps, on the stacked
+    local vector X = (u[cells_1], ...) of the PositionStack positions: each
+    step evaluates the stacked row kernels at X and refactorizes diag(A_ii),
+    with every block whose residual norm is at or below settings.inner_tol
+    frozen, and only X's overlap values change.
     A subdomain fails when it runs out of settings.max_inner steps, its
     block is singular or its residual becomes non-finite; it then stops,
     the others run on, and the failure of the lowest-index subdomain is
-    raised.  The result keeps u as its base state, copied unless u already
-    is a read-only array of its own.
+    raised.  The result's X is gathered from u, so no later change to u
+    reaches it.
     """
-    _require_problem(problem, positions)
-    u = _frozen(u)
-    X = u[positions.cells]
+    X = np.asarray(u, dtype=float)[positions.cells]
     start = X[positions.overlap]
     tol, budget = settings.inner_tol, settings.max_inner
 
@@ -442,14 +409,13 @@ def solve_local(problem, positions, u, settings):
         i = positions.subdomains[b]
         raise LocalSolveError(f"subdomain {i}: {failures[b]}", subdomain=i,
                               residuals=[float(n[b]) for n in trail[:counts[b] + 1]])
-    solved = X[positions.overlap]
+    X.flags.writeable = False
     return LocalSolveResult(
-        subdomains=positions.subdomains,
-        correction=solved - start,
-        solved=solved,
+        positions=positions,
+        X=X,
+        correction=X[positions.overlap] - start,
         inner_counts=tuple(counts.tolist()),
         inner_iterations=int(counts.sum()),
-        base_state=u,
     )
 
 
@@ -465,7 +431,7 @@ def local_correction_jacobian_action(block, v):
     return -_solve(block, Jv)
 
 
-def sweep_locals(problem, positions, u, settings):
+def sweep_locals(positions, u, settings):
     """Solve all subdomains at u; returns (result, ls_in_max, ls_in_min).
 
     positions is every subdomain's PositionStack, as block_positions
@@ -474,5 +440,5 @@ def sweep_locals(problem, positions, u, settings):
     subdomains wait for the slowest.  Failures propagate with the
     subdomain id attached.
     """
-    result = solve_local(problem, positions, u, settings)
+    result = solve_local(positions, u, settings)
     return result, max(result.inner_counts), min(result.inner_counts)

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .krylov import gmres
-from .local_solver import LocalSolveError, SolveError, SolverSettings
+from .local_solver import SolveError, SolverSettings
 
 __all__ = [
     "IterationLedger",
@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 DIVERGENCE_ERROR = 1e6
+# reference_solution's residual tolerance, and the fractions of the
+# problem's beta its continuation fallback solves for, in turn
+REFERENCE_TOL = 1e-12
+REFERENCE_BETAS = (0.0, 0.1, 0.2, 0.5, 1.0)
 
 
 class ContinuationError(RuntimeError):
@@ -204,6 +208,27 @@ def fixed_point_solve(system, u0, settings=None, max_steps=None, u_ref=None):
                      f"error {ledger.error[-1]:.3e} after {max_steps} steps")
 
 
+def _ladder(betas, u0, solve):
+    """continuation_solve's beta ladder, with solve(beta, u) as its stage run."""
+    betas = list(betas)
+    if not betas:
+        raise ValueError("betas must be nonempty")
+    if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
+        raise ValueError("betas must be strictly increasing")
+    runs = []
+    u = np.asarray(u0, dtype=float)
+    for beta in betas:
+        try:
+            run = solve(beta, u)
+        except SolveError as exc:
+            raise ContinuationError(f"beta={beta}: {exc}", runs) from exc
+        runs.append(run)
+        if not run.converged:
+            break
+        u = run.u
+    return runs
+
+
 def continuation_solve(system_factory, betas, u0, settings=None, u_ref=None):
     """Chain outer_newton runs over increasing beta with warm starts.
 
@@ -211,24 +236,8 @@ def continuation_solve(system_factory, betas, u0, settings=None, u_ref=None):
     beta whose run does not converge (that run is included).  A raising
     stage is wrapped in ContinuationError carrying the completed runs.
     """
-    betas = list(betas)
-    if not betas:
-        raise ValueError("betas must be nonempty")
-    if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-        raise ValueError("betas must be strictly increasing")
-    results = []
-    u = np.asarray(u0, dtype=float)
-    for beta in betas:
-        system = system_factory(beta)
-        try:
-            run = outer_newton(system, u, settings, u_ref=u_ref)
-        except SolveError as exc:
-            raise ContinuationError(f"beta={beta}: {exc}", results) from exc
-        results.append(run)
-        if not run.converged:
-            break
-        u = run.u
-    return results
+    return _ladder(betas, u0, lambda beta, u: outer_newton(
+        system_factory(beta), u, settings, u_ref=u_ref))
 
 
 def direct_newton(problem, u0, settings=None, u_ref=None):
@@ -257,34 +266,29 @@ def direct_newton(problem, u0, settings=None, u_ref=None):
                      f"no convergence in {settings.max_outer} Newton steps")
 
 
-def reference_solution(problem, settings=None, tol=1e-12,
-                       betas=(0.0, 0.1, 0.2, 0.5, 1.0)):
+def reference_solution(problem, settings=None):
     """Tight-tolerance discrete reference solution of F(u) = 0.
 
-    Plain Newton from the problem's cold-start iterate; if that diverges
-    on a Forchheimer problem, retries by continuation, solving for an
-    increasing beta ladder (scaled to end at the problem's beta) and
-    warm-starting each stage.
+    Plain Newton to a residual of REFERENCE_TOL from the problem's
+    cold-start iterate; if that diverges on a Forchheimer problem, retries
+    by continuation, solving for the REFERENCE_BETAS ladder (scaled to end
+    at the problem's beta) and warm-starting each stage.  A failure raises
+    SolveError.
     """
     settings = settings or SolverSettings()
-    strict = replace(settings, outer_tol=tol,
+    strict = replace(settings, outer_tol=REFERENCE_TOL,
                      max_outer=max(settings.max_outer, 100))
     run = direct_newton(problem, problem.initial_state(), strict)
     if run.converged:
         return run.u
     beta = getattr(problem, "beta", None)
     if beta is None or beta <= 0:
-        raise LocalSolveError(f"reference Newton failed: {run.reason}")
-    u = problem.initial_state()
-    for b in sorted({min(f * beta, beta) for f in betas}):
-        stage = type(problem)(
-            problem.lambda_field, problem.source, b,
-            L=problem.L, dirichlet=problem.dirichlet,
-        )
-        run = direct_newton(stage, u, strict)
-        if not run.converged:
-            raise LocalSolveError(
-                f"reference continuation failed at beta={b}: {run.reason}"
-            )
-        u = run.u
-    return u
+        raise SolveError(f"reference Newton failed: {run.reason}")
+    betas = sorted({min(f * beta, beta) for f in REFERENCE_BETAS})
+    runs = _ladder(betas, problem.initial_state(), lambda b, u: direct_newton(
+        type(problem)(problem.lambda_field, problem.source, b, L=problem.L,
+                      dirichlet=problem.dirichlet), u, strict))
+    if not runs[-1].converged:
+        raise SolveError(f"reference continuation failed at "
+                         f"beta={betas[len(runs) - 1]}: {runs[-1].reason}")
+    return runs[-1].u

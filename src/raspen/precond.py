@@ -31,17 +31,19 @@ blocks are built and factored, in one band LU, at the first action, so an
 evaluation that no action follows factors nothing.  Actions verify they
 are applied at the cached state and raise StaleCacheError otherwise.
 The local solves of an evaluation are one sweep: all subdomains take
-their inner Newton steps together, and its one stacked result is glued
-as it is.  The sweep and the blocks use the PositionStack that
-block_positions builds, for all subdomains in one pass, when the system
-is built: it reads the problem's one global Jacobian per system, its
-pattern, and holds the stacked row kernels and band geometry that every
-evaluation shares.  The inner solves and the exact blocks evaluate only
-those row kernels, on all overlap rows at once, so a one-level exact
-evaluation and its actions assemble no global residual or Jacobian, and
-a sweep costs O(sum_i m_i).  The fine Jacobian J(u), which the inexact
-blocks and the coarse actions read, is assembled at most once per
-evaluation; the coarse solves evaluate the global residual and Jacobian.
+their inner Newton steps together, and its one stacked result, which
+carries the sweep's stack and its local vector at the solved states, is
+glued as it is and alone gives the exact blocks.  The sweep and the
+blocks use the PositionStack that block_positions builds, for all
+subdomains in one pass, when the system is built: it reads the
+problem's one global Jacobian per system, its pattern, and holds the
+stacked row kernels and band geometry that every evaluation shares.  The
+inner solves and the exact blocks evaluate only those row kernels, on
+all overlap rows at once, so a one-level exact evaluation and its
+actions assemble no global residual or Jacobian, and a sweep costs
+O(sum_i m_i).  The fine Jacobian J(u), which the inexact blocks and the
+coarse actions read, is assembled at most once per evaluation; the
+coarse solves evaluate the global residual and Jacobian.
 """
 
 from dataclasses import dataclass
@@ -155,8 +157,7 @@ class PreconditionedSystem:
                 self.problem, self.layout, u, self.u0_star, self.settings
             )
             pc0 = self.layout.P0 @ coarse.correction
-        result, mx, mn = sweep_locals(self.problem, self._positions,
-                                      local_state, self.settings)
+        result, mx, mn = sweep_locals(self._positions, local_state, self.settings)
         if coarse is not None:
             mx = max(mx, coarse.inner_iterations)
         glued = self._glue(result.correction)
@@ -181,8 +182,7 @@ class PreconditionedSystem:
         """The stacked local block of this evaluation, built at the first action."""
         if cache.block is None:
             if self.jacobian_mode == "exact":
-                cache.block = solved_jacobian(self.problem, self._positions,
-                                              cache.locals_)
+                cache.block = solved_jacobian(cache.locals_)
             else:
                 cache.block = local_jacobian(self._fine_jacobian(cache),
                                              self._positions)

@@ -79,7 +79,7 @@ def test_zero_iterations_at_solution():
     prob = smooth_forchheimer(24, beta=1.0)
     ustar = plain_newton(prob, np.zeros(24))
     for lone in _lones(prob, build_1d_layout(24, 3, 2)):
-        res = solve_local(prob, lone, ustar, SETTINGS)
+        res = solve_local(lone, ustar, SETTINGS)
         assert res.inner_iterations <= 1
         assert np.allclose(res.correction, 0.0, atol=1e-7)
 
@@ -92,7 +92,7 @@ def test_affine_correction_formula():
     u = rng.standard_normal(18)
     for sub, lone in zip(lay.subdomains, _lones(prob, lay)):
         ov = sub.overlap
-        res = solve_local(prob, lone, u, SETTINGS)
+        res = solve_local(lone, u, SETTINGS)
         A_i = A[np.ix_(ov, ov)]
         want = np.linalg.solve(A_i, (b - A @ u)[ov])
         assert np.allclose(res.correction, want, atol=1e-10)
@@ -106,7 +106,7 @@ def test_matches_brute_force_local_newton():
     rng = np.random.default_rng(21)
     u = rng.standard_normal(12)
     for i in range(2):
-        res = solve_local(prob, lones[i], u, SETTINGS)
+        res = solve_local(lones[i], u, SETTINGS)
         want = brute_frozen_newton(prob, lay, i, u)
         got = u.copy()
         got[lay.subdomains[i].overlap] += res.correction
@@ -118,7 +118,7 @@ def test_exterior_untouched_and_residual_small():
     lay = build_2d_layout(8, 8, 2, 1)
     rng = np.random.default_rng(22)
     u = rng.standard_normal(64)
-    res = solve_local(prob, _lones(prob, lay)[1], u, SETTINGS)
+    res = solve_local(_lones(prob, lay)[1], u, SETTINGS)
     ov = lay.subdomains[1].overlap
     v = u.copy()
     v[ov] += res.correction
@@ -132,7 +132,7 @@ def test_factorization_round_trip():
     lay = build_1d_layout(30, 3, 2)
     lone = _lones(prob, lay)[0]
     u = np.linspace(0, 1, 30)
-    block = solved_jacobian(prob, lone, solve_local(prob, lone, u, SETTINGS))
+    block = solved_jacobian(solve_local(lone, u, SETTINGS))
     A_ii = _row_block(block)[:, lay.subdomains[0].overlap]
     rng = np.random.default_rng(23)
     for _ in range(5):
@@ -145,7 +145,7 @@ def test_jacobian_action_zero_and_linear():
     prob = smooth_forchheimer(20, beta=1.0)
     lone = _lones(prob, build_1d_layout(20, 4, 1))[2]
     u = np.linspace(0, 1, 20)
-    block = solved_jacobian(prob, lone, solve_local(prob, lone, u, SETTINGS))
+    block = solved_jacobian(solve_local(lone, u, SETTINGS))
     assert np.allclose(local_correction_jacobian_action(block, np.zeros(20)), 0.0)
     rng = np.random.default_rng(24)
     v, w = rng.standard_normal(20), rng.standard_normal(20)
@@ -163,7 +163,7 @@ def test_jacobian_action_affine_oracle():
     u = rng.standard_normal(15)
     for sub, lone in zip(lay.subdomains, _lones(prob, lay)):
         ov = sub.overlap
-        block = solved_jacobian(prob, lone, solve_local(prob, lone, u, SETTINGS))
+        block = solved_jacobian(solve_local(lone, u, SETTINGS))
         A_i = A[np.ix_(ov, ov)]
         for _ in range(3):
             v = rng.standard_normal(15)
@@ -183,12 +183,12 @@ def test_jacobian_action_matches_fd(make):
     rng = np.random.default_rng(26)
     u = 0.1 * rng.standard_normal(n)
     for lone in _lones(prob, lay):
-        block = solved_jacobian(prob, lone, solve_local(prob, lone, u, tight))
+        block = solved_jacobian(solve_local(lone, u, tight))
         for _ in range(2):
             v = rng.standard_normal(n)
             eps = 1e-6
-            cp = solve_local(prob, lone, u + eps * v, tight).correction
-            cm = solve_local(prob, lone, u - eps * v, tight).correction
+            cp = solve_local(lone, u + eps * v, tight).correction
+            cm = solve_local(lone, u - eps * v, tight).correction
             fd = (cp - cm) / (2 * eps)
             got = local_correction_jacobian_action(block, v)
             denom = max(1.0, np.linalg.norm(fd))
@@ -308,8 +308,7 @@ def test_block_positions_reject_other_patterns():
     # positions from a pattern with an extra entry fit no Jacobian of prob
     extra = _lones(_Repatterned(prob, _with_extra_entry), lay)[1]
     with pytest.raises(ValueError, match="subdomain 1"):
-        solve_local(smooth_forchheimer(12, beta=2.0), extra, np.ones(12),
-                    SETTINGS)
+        local_jacobian(J, extra)
     with pytest.raises(ValueError, match="CSR"):
         block_positions(_Repatterned(prob, lambda J: J.tocsc()), lay)
 
@@ -318,14 +317,12 @@ def test_sweep_counts_and_single_domain():
     prob = smooth_forchheimer(20, beta=1.0)
     ustar = plain_newton(prob, np.zeros(20))
     lay = build_1d_layout(20, 4, 2)
-    _, ls_max, ls_min = sweep_locals(prob, block_positions(prob, lay), ustar,
-                                     SETTINGS)
+    _, ls_max, ls_min = sweep_locals(block_positions(prob, lay), ustar, SETTINGS)
     assert ls_max <= 1 and ls_min >= 0
 
     # one subdomain without overlap degenerates to global Newton
     lay1 = build_1d_layout(20, 1, 0)
-    result, _, _ = sweep_locals(prob, block_positions(prob, lay1),
-                                np.zeros(20), SETTINGS)
+    result, _, _ = sweep_locals(block_positions(prob, lay1), np.zeros(20), SETTINGS)
     assert np.allclose(result.correction, ustar, atol=1e-7)
 
 
@@ -336,8 +333,8 @@ def test_first_sweep_inner_count_smooth_case():
     # so this pins the desk-scale mesh where the published count holds.
     prob = smooth_forchheimer(60, beta=1.0)
     lay = build_1d_layout(60, 10, 3)
-    _, ls_max, ls_min = sweep_locals(prob, block_positions(prob, lay),
-                                     np.zeros(60), SETTINGS)
+    _, ls_max, ls_min = sweep_locals(block_positions(prob, lay), np.zeros(60),
+                                     SETTINGS)
     assert abs(ls_max - 4) <= 1
     assert 0 < ls_min <= ls_max
 
@@ -347,7 +344,7 @@ def test_inner_budget_error_names_subdomain():
     lone = _lones(prob, build_1d_layout(12, 2, 1))[1]
     starved = SolverSettings(max_inner=1)
     with pytest.raises(LocalSolveError, match="subdomain 1"):
-        solve_local(prob, lone, 100.0 * np.ones(12), starved)
+        solve_local(lone, 100.0 * np.ones(12), starved)
 
 
 def test_inner_newton_checks_name_the_subdomain():
@@ -357,7 +354,7 @@ def test_inner_newton_checks_name_the_subdomain():
     singular = dataclasses.replace(stack, jacobian=lambda x: np.zeros(len(stack.rows)))
     with pytest.raises(LocalSolveError,
                        match="subdomain 1: singular local Jacobian"):
-        solve_local(prob, singular, u, SETTINGS)
+        solve_local(singular, u, SETTINGS)
     evaluated = []
 
     def nan_after_first_step(x):
@@ -366,35 +363,29 @@ def test_inner_newton_checks_name_the_subdomain():
 
     with pytest.raises(LocalSolveError, match="subdomain 1: inner Newton "
                        "produced a non-finite residual"):
-        solve_local(prob, dataclasses.replace(stack, residual=nan_after_first_step),
-                    u, SETTINGS)
+        solve_local(dataclasses.replace(stack, residual=nan_after_first_step), u,
+                    SETTINGS)
 
 
-def test_sweep_results_share_one_frozen_base_state():
+def test_sweep_result_holds_the_solved_local_vector():
+    # X is the stacked local vector at the solved states: solved overlap
+    # values, the base state's halo values, and no tie to the caller's u
     prob = smooth_forchheimer(20, beta=1.0)
     positions = block_positions(prob, build_1d_layout(20, 4, 2))
     u = np.linspace(0.0, 1.0, 20)
-    results = [sweep_locals(prob, positions, u, SETTINGS)[0]]
-    base = results[0].base_state
-    assert all(res.base_state is base for res in results)
-    assert base is not u and np.array_equal(base, u)
-    assert not base.flags.writeable
-    u[3] = 7.0  # the caller's array stays the caller's
-    assert base[3] != 7.0
-    # a standalone solve copies a writable state too
-    assert solve_local(prob, _lone(positions, 0), u, SETTINGS).base_state is not u
-
-
-def test_positions_serve_only_their_problem():
-    prob = smooth_forchheimer(12, beta=1.0)
-    lone = _lones(prob, build_1d_layout(12, 2, 1))[0]
-    twin = smooth_forchheimer(12, beta=1.0)
-    res = solve_local(prob, lone, np.zeros(12), SETTINGS)
-    with pytest.raises(ValueError, match="subdomain 0: block positions were "
-                       "computed for another problem"):
-        solve_local(twin, lone, np.zeros(12), SETTINGS)
-    with pytest.raises(ValueError, match="another problem"):
-        solved_jacobian(twin, lone, res)
+    result, _, _ = sweep_locals(positions, u, SETTINGS)
+    X, overlap = result.X, positions.overlap
+    assert result.positions is positions and result.inner_iterations > 0
+    assert not X.flags.writeable
+    halo = np.ones(len(X), bool)
+    halo[overlap] = False
+    assert halo.any()
+    assert np.array_equal(X[halo], u[positions.cells[halo]])
+    assert np.allclose(X[overlap] - result.correction, u[positions.cells[overlap]],
+                       rtol=0.0, atol=1e-14)
+    before = X.copy()
+    u[:] = 7.0  # the caller's array stays the caller's
+    assert np.array_equal(X, before)
 
 
 def _per_block_action(positions, entries, v):
@@ -431,11 +422,12 @@ def test_stacked_action_bit_identical_to_per_block(make, exact):
     rng = np.random.default_rng(29)
     u = 0.3 * rng.standard_normal(n)
     if exact:
-        result, _, _ = sweep_locals(prob, stack, u, SETTINGS)
-        block = solved_jacobian(prob, stack, result)
+        result, _, _ = sweep_locals(stack, u, SETTINGS)
+        block = solved_jacobian(result)
         entries = []
-        for pos, solved in zip(positions, _per_block(stack, result.solved)):
-            x = result.base_state[pos.cells]
+        solved_values = _per_block(stack, result.X[stack.overlap])
+        for pos, solved in zip(positions, solved_values):
+            x = u[pos.cells]
             x[:pos.size] = solved
             entries.append(block_kernels(prob, [pos])[1](x))
     else:
@@ -490,20 +482,6 @@ def test_zero_pivot_names_its_subdomain(first, named, monkeypatch):
     with pytest.raises(LocalSolveError,
                        match=f"^subdomain {named}: singular local Jacobian$"):
         local_jacobian(J, positions)
-
-
-def test_stacked_blocks_need_results_of_one_sweep():
-    # a stacked block is taken at the solved states of one sweep of its stack
-    prob = smooth_forchheimer(12, beta=1.0)
-    positions = block_positions(prob, build_1d_layout(12, 2, 1))
-    u = np.zeros(12)
-    results = solve_local(prob, _lone(positions, 0), u, SETTINGS)
-    with pytest.raises(ValueError, match="subdomain 1: local results of "
-                       "different sweeps cannot be stacked"):
-        solved_jacobian(prob, positions, results)
-    results, _, _ = sweep_locals(prob, positions, u, SETTINGS)
-    block = solved_jacobian(prob, positions, results)
-    local_correction_jacobian_action(block, np.ones(12))
 
 
 # ------------------------------------------- subdomains solved together
@@ -598,18 +576,18 @@ def test_batched_sweep_bit_identical_to_sequential_solves(name):
             # the rough field's cold start: the first failure in subdomain
             # order, with its message
             with pytest.raises(LocalSolveError) as caught:
-                sweep_locals(prob, stack, u, SETTINGS)
+                sweep_locals(stack, u, SETTINGS)
             assert str(caught.value) == str(exc)
             continue
-        result, ls_max, ls_min = sweep_locals(prob, stack, u, SETTINGS)
+        result, ls_max, ls_min = sweep_locals(stack, u, SETTINGS)
         assert result.correction.tobytes() == np.concatenate(
             [c for c, _, _ in want]).tobytes()
-        assert result.solved.tobytes() == np.concatenate(
+        assert result.X[stack.overlap].tobytes() == np.concatenate(
             [s for _, s, _ in want]).tobytes()
         assert result.inner_counts == tuple(n for _, _, n in want)
         assert result.inner_iterations == sum(result.inner_counts)
         assert (ls_max, ls_min) == (max(result.inner_counts), min(result.inner_counts))
-        assert result.subdomains == tuple(range(lay.n_subdomains))
+        assert result.positions.subdomains == tuple(range(lay.n_subdomains))
 
 
 def test_converged_subdomains_keep_their_solo_values():
@@ -618,15 +596,16 @@ def test_converged_subdomains_keep_their_solo_values():
     prob = smooth_forchheimer(40, beta=1.0)
     stack = block_positions(prob, build_1d_layout(40, 4, 2))
     u = np.zeros(40)
-    result = solve_local(prob, stack, u, SETTINGS)
+    result = solve_local(stack, u, SETTINGS)
     assert min(result.inner_counts) < max(result.inner_counts)
     for b, (correction, solved, count) in enumerate(zip(
-            _per_block(stack, result.correction), _per_block(stack, result.solved),
+            _per_block(stack, result.correction),
+            _per_block(stack, result.X[stack.overlap]),
             result.inner_counts)):
-        alone = solve_local(prob, _lone(stack, b), u, SETTINGS)
+        alone = solve_local(_lone(stack, b), u, SETTINGS)
         assert alone.inner_counts == (count,)
         assert correction.tobytes() == alone.correction.tobytes()
-        assert solved.tobytes() == alone.solved.tobytes()
+        assert solved.tobytes() == alone.X[alone.positions.overlap].tobytes()
 
 
 def _entry_ranges(stack):
@@ -721,11 +700,11 @@ def test_first_failure_in_subdomain_order_is_raised(faults, settings, named):
     stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
     u = np.zeros(40)
     # every subdomain needs at least four steps from u
-    assert min(solve_local(prob, stack, u, SETTINGS).inner_counts) >= 4
+    assert min(solve_local(stack, u, SETTINGS).inner_counts) >= 4
     failing, alone = _failing(stack, positions, **faults)
     want = _sequential_error(prob, positions, u, settings, alone)
     with pytest.raises(LocalSolveError) as caught:
-        solve_local(prob, failing, u, settings)
+        solve_local(failing, u, settings)
     assert str(caught.value) == str(want)
     assert str(caught.value).startswith(f"subdomain {named}: ")
     assert caught.value.subdomain == named
@@ -742,7 +721,7 @@ def test_overflowing_step_spills_into_no_other_subdomain():
     want = _sequential_error(prob, positions, u, SETTINGS, alone)
     assert str(want) == "subdomain 2: inner Newton produced a non-finite residual"
     with pytest.raises(LocalSolveError) as caught:
-        solve_local(prob, failing, u, SETTINGS)
+        solve_local(failing, u, SETTINGS)
     assert str(caught.value) == str(want)
     assert caught.value.subdomain == 2
 
@@ -762,7 +741,7 @@ def test_overflow_resolve_takes_the_block_at_its_own_bands(monkeypatch):
 
     monkeypatch.setattr(local_solver_mod, "_lone", recording_lone)
     with pytest.raises(LocalSolveError, match="subdomain 2"):
-        solve_local(prob, failing, np.zeros(12), SETTINGS)
+        solve_local(failing, np.zeros(12), SETTINGS)
     assert 2 in dict(taken)
     assert (dict(taken)[2].kl, dict(taken)[2].ku) == (1, 1)
     for b, alone in taken:
@@ -781,7 +760,7 @@ def test_local_solve_error_carries_subdomain_and_residual_trail(
     u = np.zeros(40)
     failing, alone = _failing(stack, positions, **faults)
     with pytest.raises(LocalSolveError) as caught:
-        solve_local(prob, failing, u, settings)
+        solve_local(failing, u, settings)
     err = caught.value
     assert err.subdomain == int(str(err).split(":")[0].split()[1])
     assert len(err.residuals) == trail
@@ -836,14 +815,14 @@ def test_sweep_cost_is_set_by_the_slowest_subdomain(make, monkeypatch):
     for u in _states(prob, 51):
         del factored[:]
         calls.update(residual=0, jacobian=0)
-        result = solve_local(prob, stack, u, SETTINGS)
+        result = solve_local(stack, u, SETTINGS)
         steps = max(result.inner_counts)
         assert steps > 0
         assert len(factored) == steps == calls["jacobian"]
         assert calls["residual"] == steps + 1
         assert set(factored) == {(2 * stack.kl + stack.ku + 1, stack.size)}
         calls.update(jacobian=0)
-        solved_jacobian(prob, stack, result)
+        solved_jacobian(result)
         assert calls["jacobian"] == 1 and len(factored) == steps + 1
 
 
@@ -852,7 +831,7 @@ def test_stacks_are_built_once_and_share_their_geometry():
     prob = smooth_forchheimer(24, beta=1.0)
     positions = block_positions(prob, build_1d_layout(24, 4, 2))
     u = np.linspace(0.0, 1.0, 24)
-    first = solved_jacobian(prob, positions, solve_local(prob, positions, u, SETTINGS))
+    first = solved_jacobian(solve_local(positions, u, SETTINGS))
     second = local_jacobian(prob.jacobian(u + 1.0), positions)
     assert first.positions is positions and second.positions is positions
     assert not any(getattr(positions, name).flags.writeable for name in _STACK_ARRAYS)

@@ -11,7 +11,7 @@ import raspen.newton as newton_mod
 from raspen.coarse import CoarseSolveError
 from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.krylov import GmresReport
-from raspen.local_solver import LocalSolveError, SolverSettings
+from raspen.local_solver import LocalSolveError, SolveError, SolverSettings
 from raspen.newton import (
     ContinuationError,
     continuation_solve,
@@ -432,3 +432,15 @@ def test_reference_solution_solves_problem(make):
     prob = make()
     u = reference_solution(prob)
     assert np.linalg.norm(prob.residual(u), np.inf) <= 1e-11
+
+
+@pytest.mark.parametrize("beta, reason", [
+    (0.0, "reference Newton failed: "),
+    (1.0, "reference continuation failed at beta=0.0: "),
+], ids=["newton", "continuation"])
+def test_reference_failure_is_no_subdomain_failure(beta, reason):
+    # on this rough field plain Newton stalls at the roundoff floor at
+    # beta = 0, so the beta = 1 continuation fails at its first stage
+    with pytest.raises(SolveError, match=f"^{reason}") as caught:
+        reference_solution(hard_forchheimer(240, beta=beta, seed=2))
+    assert not isinstance(caught.value, LocalSolveError)
