@@ -75,7 +75,10 @@ ITER_COLUMNS = ("method", "mesh", "I", "k", "beta", "n", "ls_G", "ls_in",
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment matrix; see parse_config for the file format."""
+    """Validated experiment matrix; see parse_config for the file format.
+
+    Every instance is validated, dataclasses.replace copies included.
+    """
 
     problem: str = "forchheimer1d"
     meshes: tuple = ()
@@ -91,6 +94,9 @@ class ExperimentConfig:
     settings: SolverSettings = dataclasses.field(default_factory=SolverSettings)
     seed: int = 0
     outdir: str = "results"
+
+    def __post_init__(self):
+        _validate(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,9 +177,7 @@ def config_from_dict(raw):
     if raw.get("problem") == "diffusion2d" and "beta" not in raw:
         kwargs["betas"] = (0.0,)
     settings = {name: kwargs.pop(name) for name in _SETTINGS_FIELDS if name in kwargs}
-    config = ExperimentConfig(settings=SolverSettings(**settings), **kwargs)
-    _validate(config)
-    return config
+    return ExperimentConfig(settings=SolverSettings(**settings), **kwargs)
 
 
 def _validate(config):

@@ -45,6 +45,8 @@ def gmres(action, rhs, tol=1e-8, max_iter=None):
     n = len(rhs)
     if max_iter is None:
         max_iter = n
+    elif max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
         return np.zeros(n), GmresReport(0, 0.0, True, ())
@@ -105,5 +107,4 @@ def gmres(action, rhs, tol=1e-8, max_iter=None):
     x = np.zeros(n)
     for j in range(m):
         x += y[j] * V[j]
-    rel = history[-1] if history else 0.0
-    return x, GmresReport(k, rel, converged, tuple(history))
+    return x, GmresReport(k, history[-1], converged, tuple(history))

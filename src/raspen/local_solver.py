@@ -7,18 +7,19 @@ and returns its one handle, a LocalSolveResult: its PositionStack, the
 stacked local vector X at each u^(i) = u + P_i C_i(u), the corrections
 and each subdomain's inner Newton count, but no derivative data.
 
-That lives in a LocalJacobian, built on demand for one subdomain or for
-all of them at once: the entries of the row blocks R_i J, over the
-overlap cells and the frozen exterior, stacked in subdomain order, plus
-one band LU of the block-diagonal matrix diag(A_ii), A_ii = R_i J P_i.
-Taken at each u^(i) (solved_jacobian) it applies the exact derivatives
+That lives in a LocalJacobian, built on demand by local_jacobian for one
+subdomain or for all of them at once: the entries of the row blocks
+R_i J, over the overlap cells and the frozen exterior, stacked in
+subdomain order, plus one band LU of the block-diagonal matrix diag(A_ii),
+A_ii = R_i J P_i.  Taken at a sweep's solved X, at each u^(i), it applies
+the exact derivatives
 
     dC_i/du = -A_ii^{-1} R_i J(u^(i)),
 
-taken at u (local_jacobian, from a global J(u)) ASPIN's inexact ones;
-either way one action, for every subdomain in the block, costs one
-gather of v, one np.add.reduceat and one back-substitution (dgbtrs), and
-returns the stacked vector of the layout's stacked overlap space.
+taken at u[cells], at u, ASPIN's inexact ones; either way one action,
+for every subdomain in the block, costs one gather of v, one
+np.add.reduceat and one back-substitution (dgbtrs), and returns the
+stacked vector of the layout's stacked overlap space.
 
 Every problem's Jacobian has a fixed CSR pattern, and it is the only
 description of the stencil read here: block_positions reads it once, from
@@ -26,11 +27,11 @@ one Jacobian at the problem's initial state, and returns a PositionStack,
 computed for all subdomains in one pass of array operations: every
 subdomain's overlap cells and halo (the cells outside the overlap its rows
 couple to), where the overlap values sit in the stacked local vector
-X = (u[cells_1], ..., u[cells_I]), where every R_i J sits in a Jacobian's
-data array, where A_ii's entries go in the LAPACK band storage of
-diag(A_ii), and the problem's row kernels on the stacked rows, fed with
-where their entries' columns sit in X (NonlinearProblem.row_kernels).
-Every solve and block function takes a PositionStack or a sweep's result.
+X = (u[cells_1], ..., u[cells_I]), where A_ii's entries go in the LAPACK
+band storage of diag(A_ii), and the problem's row kernels on the stacked
+rows, fed with where their entries' columns sit in X
+(NonlinearProblem.row_kernels).
+Every solve and block function takes a PositionStack.
 
 All subdomains take their inner Newton steps together, on X: a step is
 one residual-kernel call, one Jacobian-kernel call, one band fill and one
@@ -41,10 +42,9 @@ its right-hand side zero, so its step is exactly zero and its values
 never change again.  The band has the widest block's bandwidths; its
 blocks share no coupling, so band LU eliminates each exactly as it would
 alone, and every subdomain's values and count are bit for bit those of a
-solve of that subdomain alone.  solved_jacobian calls the Jacobian kernel
-once, at the solved X.  _band_lu is the one place a band is filled and
-factored, from R_i J's entries, whether they come from the row kernel or
-from a global J.data.
+solve of that subdomain alone.  local_jacobian calls the Jacobian kernel
+once, at the X it is given.  _band_lu is the one place a band is filled
+and factored, from the Jacobian kernel's R_i J entries.
 """
 
 from dataclasses import dataclass, field
@@ -63,7 +63,6 @@ __all__ = [
     "solve_local",
     "block_positions",
     "local_jacobian",
-    "solved_jacobian",
     "local_correction_jacobian_action",
     "sweep_locals",
 ]
@@ -107,8 +106,9 @@ class SolverSettings:
             if not 0 < getattr(self, name) < np.inf:  # nan fails too
                 raise ValueError(f"{name} must be positive and finite")
         for name in ("max_inner", "max_outer", "max_fixed_point"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            budget = getattr(self, name)  # a step count: 2.5 never equals one
+            if not isinstance(budget, (int, np.integer)) or budget < 1:
+                raise ValueError(f"{name} must be an integer of at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,28 +139,23 @@ class PositionStack:
     their rows couple to; residual and jacobian are the problem's row
     kernels on the stacked overlap rows, functions of X.  Block b has
     sizes[b] stacked rows, from block_starts[b], and its overlap values sit
-    in X at overlap[block_starts[b]:].  R_i J's entries, stacked, are a
-    global Jacobian's J.data[rows], at columns columns, row r from
+    in X at overlap[block_starts[b]:].  R_i J's entries, stacked, are the
+    jacobian kernel's output, at global columns columns, row r from
     row_starts[r].  diag(A_ii) is a band matrix with bandwidths kl and ku,
     the largest of the blocks': the stacked entries at block, held[b] of
     them block b's, go to the flat indices slots of a C-order
     (rows, 2*kl+ku+1) array, whose transpose is LAPACK's band storage
-    (A[r, c] at row kl+ku+r-c of column c).  The positions fit every
-    Jacobian with the pattern they were computed from, which shape and nnz
-    identify.
+    (A[r, c] at row kl+ku+r-c of column c).
     """
 
     subdomains: tuple
     problem: object = field(repr=False)
-    shape: tuple
-    nnz: int
     residual: object = field(repr=False)
     jacobian: object = field(repr=False)
     cells: np.ndarray = field(repr=False)
     overlap: np.ndarray = field(repr=False)
     sizes: np.ndarray = field(repr=False)
     block_starts: np.ndarray = field(repr=False)
-    rows: np.ndarray = field(repr=False)
     columns: np.ndarray = field(repr=False)
     row_starts: np.ndarray = field(repr=False)
     block: np.ndarray = field(repr=False)
@@ -249,15 +244,15 @@ def _stack(problem, overlaps, subdomains):
     entries[~hit] = np.flatnonzero(in_halo)[halo_entry]
     stacked = dict(
         cells=cells, overlap=overlap, sizes=sizes, block_starts=block_starts,
-        rows=rows, columns=columns, row_starts=row_starts, block=block,
+        columns=columns, row_starts=row_starts, block=block,
         held=np.bincount(entry_block[block], minlength=len(sizes)),
         slots=col * (2 * kl + ku + 1) + kl + ku + offset,
     )
     for a in stacked.values():
         a.flags.writeable = False
     residual, jacobian = problem.row_kernels(ov, entries)
-    return PositionStack(subdomains, problem, J.shape, J.nnz, residual, jacobian,
-                         kl=kl, ku=ku, **stacked)
+    return PositionStack(subdomains, problem, residual, jacobian, kl=kl, ku=ku,
+                         **stacked)
 
 
 def _lone(stack, b):
@@ -285,41 +280,27 @@ def _band_lu(stack, entries, active=None):
     return dgbtrf(band.T, stack.kl, stack.ku, overwrite_ab=True)
 
 
-def _factored(stack, entries):
-    """One LocalJacobian over the stack, whose row blocks hold entries."""
-    lu, ipiv, info = _band_lu(stack, entries)
-    if info > 0:
-        i = stack.subdomains[stack.block_of(info - 1)]
-        raise LocalSolveError(f"subdomain {i}: singular local Jacobian",
-                              subdomain=i)
-    return LocalJacobian(stack, entries, (lu, ipiv))
-
-
 def _solve(block, b):
     """A^{-1} b by back-substitution with a LocalJacobian's band LU factors."""
     stack = block.positions
     return dgbtrs(block.lu[0], stack.kl, stack.ku, b, block.lu[1])[0]
 
 
-def local_jacobian(J, positions):
-    """The blocks of the global Jacobian J at a PositionStack's positions."""
-    if J.format != "csr" or J.shape != positions.shape or J.nnz != positions.nnz:
-        raise ValueError(
-            f"subdomain {positions.subdomains[0]}: Jacobian ({J.format}, shape "
-            f"{J.shape}, nnz {J.nnz}) does not have the pattern its block "
-            f"positions were computed for (csr, shape {positions.shape}, "
-            f"nnz {positions.nnz})"
-        )
-    return _factored(positions, J.data[positions.rows])
+def local_jacobian(positions, X):
+    """The blocks of a PositionStack's subdomains at the stacked local vector X.
 
-
-def solved_jacobian(result):
-    """The blocks of a sweep's local solves at their solved states u^(i), stacked.
-
-    The blocks come from one Jacobian-kernel call at the sweep's solved X,
-    not at u + P_i correction, which can differ in the last bit.
+    One Jacobian-kernel call at X gives every R_i J, one band LU factors
+    diag(A_ii).  At a sweep's solved X these are the exact blocks, each at
+    its u^(i) (not at u + P_i correction, which can differ in the last
+    bit); at u[positions.cells] they are the blocks of J(u), bit for bit.
     """
-    return _factored(result.positions, result.positions.jacobian(result.X))
+    entries = positions.jacobian(X)
+    lu, ipiv, info = _band_lu(positions, entries)
+    if info > 0:
+        i = positions.subdomains[positions.block_of(info - 1)]
+        raise LocalSolveError(f"subdomain {i}: singular local Jacobian",
+                              subdomain=i)
+    return LocalJacobian(positions, entries, (lu, ipiv))
 
 
 def _norms(stack, r):

@@ -178,11 +178,13 @@ def fixed_point_solve(system, u0, settings=None, max_steps=None, u_ref=None):
     with the failure quoted in reason (a divergent iteration typically
     leaves the basin of the local solves before the error passes the
     DIVERGENCE_ERROR cutoff).  u_ref defaults to
-    reference_solution(system.problem).
+    reference_solution(system.problem).  max_steps, when given, replaces
+    settings.max_fixed_point.
     """
     settings = settings or SolverSettings()
-    if max_steps is None:
-        max_steps = settings.max_fixed_point
+    if max_steps is not None:
+        settings = replace(settings, max_fixed_point=max_steps)
+    max_steps = settings.max_fixed_point
     if u_ref is None:
         u_ref = reference_solution(system.problem, settings)
     u = np.asarray(u0, dtype=float).copy()

@@ -22,8 +22,8 @@ derivatives of an evaluation are one LocalJacobian over all subdomains,
 so an action applies them with one gather, one reduceat and one band
 back-substitution, and glues the stacked result directly.  The blocks
 are taken at each solved local state (exact mode, always used by the
-RASPEN kinds) or all at the one global Jacobian J(u) (inexact mode, the
-ASPIN default; the exact variant is jacobian_mode="exact").
+RASPEN kinds) or all at u (inexact mode, the ASPIN default; the exact
+variant is jacobian_mode="exact"), by one local_jacobian call either way.
 
 A residual evaluation caches everything the subsequent Jacobian actions
 need, in place of the previous evaluation's cache; the stacked local
@@ -38,12 +38,12 @@ blocks use the PositionStack that block_positions builds, for all
 subdomains in one pass, when the system is built: it reads the
 problem's one global Jacobian per system, its pattern, and holds the
 stacked row kernels and band geometry that every evaluation shares.  The
-inner solves and the exact blocks evaluate only those row kernels, on
-all overlap rows at once, so a one-level exact evaluation and its
-actions assemble no global residual or Jacobian, and a sweep costs
-O(sum_i m_i).  The fine Jacobian J(u), which the inexact blocks and the
-coarse actions read, is assembled at most once per evaluation; the
-coarse solves evaluate the global residual and Jacobian.
+inner solves and the local blocks evaluate only those row kernels, on
+all overlap rows at once, so a one-level evaluation and its actions, of
+either mode, assemble no global residual or Jacobian, and a sweep costs
+O(sum_i m_i).  The fine Jacobian J(u), which only the coarse actions
+read, is assembled at most once per evaluation; the coarse solves
+evaluate the global residual and Jacobian.
 """
 
 from dataclasses import dataclass
@@ -64,7 +64,6 @@ from .local_solver import (
     block_positions,
     local_correction_jacobian_action,
     local_jacobian,
-    solved_jacobian,
     sweep_locals,
 )
 
@@ -82,7 +81,7 @@ class _EvalCache:
     ls_in_max: int
     ls_in_min: int
     coarse: object = None
-    J_u: object = None             # fine Jacobian at u, assembled on demand
+    J_u: object = None             # fine Jacobian at u, for the coarse actions
     block: object = None           # stacked LocalJacobian, built at the first action
 
 
@@ -146,7 +145,7 @@ class PreconditionedSystem:
         """Evaluate the preconditioned function, caching all intermediates."""
         # frees the previous state's band before the sweep makes its own
         self._cache = None
-        u = np.asarray(u, dtype=float).copy()
+        u = self.problem._state(u).copy()
         coarse, pc0, local_state = None, 0.0, u
         if self.kind == "RASPEN2":
             coarse = fas_correction(self.problem, self.layout, u, self.settings)
@@ -173,32 +172,27 @@ class PreconditionedSystem:
             )
         return self._cache
 
-    def _fine_jacobian(self, cache):
-        if cache.J_u is None:
-            cache.J_u = self.problem.jacobian(cache.u)
-        return cache.J_u
-
     def _block(self, cache):
         """The stacked local block of this evaluation, built at the first action."""
         if cache.block is None:
-            if self.jacobian_mode == "exact":
-                cache.block = solved_jacobian(cache.locals_)
-            else:
-                cache.block = local_jacobian(self._fine_jacobian(cache),
-                                             self._positions)
+            X = (cache.locals_.X if self.jacobian_mode == "exact"
+                 else cache.u[self._positions.cells])
+            cache.block = local_jacobian(self._positions, X)
         return cache.block
 
     def jacobian_action(self, u, v):
         """Apply the derivative of the preconditioned function at u to v."""
-        cache = self._require_cache(u)
-        v = np.asarray(v, dtype=float)
+        cache = self._require_cache(self.problem._state(u))
+        v = self.problem._state(v)
         pt = 0.0
         if cache.coarse is not None:
+            if cache.J_u is None:
+                cache.J_u = self.problem.jacobian(cache.u)
             coarse_action = (fas_correction_jacobian_action
                              if self.kind == "RASPEN2"
                              else aspin_coarse_jacobian_action)
             pt = self.layout.P0 @ coarse_action(
-                cache.coarse, self.layout, cache.u, self._fine_jacobian(cache), v)
+                cache.coarse, self.layout, cache.u, cache.J_u, v)
         x = v + pt if self.kind == "RASPEN2" else v
         # no state check in the action: _require_cache checked the state
         # once and the block belongs to that cache

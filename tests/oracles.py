@@ -236,7 +236,6 @@ def stacked_positions(positions):
                  + np.repeat(np.cumsum(widths) - widths - block_starts, sizes)),
         sizes=sizes,
         block_starts=block_starts,
-        rows=np.concatenate([pos.rows for pos in positions]),
         columns=np.concatenate([pos.columns for pos in positions]),
         row_starts=(np.concatenate([pos.row_indptr[:-1] for pos in positions])
                     + np.repeat(first_entry, sizes)),

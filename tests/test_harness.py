@@ -441,6 +441,14 @@ def test_cli_run_rejects_zero_omega(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_seed_override_is_validated(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "exp.cfg", mesh="40", methods="raspen1")
+    out = tmp_path / "never"
+    assert cli_main(["run", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+    assert "error: seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_seed_override(tmp_path):
     cfg = _write_cfg(tmp_path / "exp.cfg", mesh="40", subdomains="4",
                      overlap="2", methods="raspen1", field="random",

@@ -128,3 +128,10 @@ def test_rhs_and_returned_arrays_left_unchanged():
     assert np.array_equal(rhs, rhs_before)
     assert np.array_equal(stored, written[-1])
     assert np.allclose(A @ x, rhs, atol=1e-10)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_max_iter_must_be_positive(max_iter):
+    # with no iteration there is no residual to report
+    with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
+        gmres(lambda v: 2.0 * v, np.ones(4), max_iter=max_iter)

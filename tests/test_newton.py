@@ -258,23 +258,28 @@ def _fp_setup(kind, M):
     return PreconditionedSystem(kind, prob, lay), prob
 
 
-@pytest.mark.parametrize("make", [
-    lambda: (smooth_forchheimer(60, beta=1.0), build_1d_layout(60, 6, 2)),
-    lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1)),
-], ids=["1d", "2d"])
-def test_raspen1_newton_evaluates_no_global_residual_or_jacobian(make):
-    # local solves and their derivative blocks read the problem's row
-    # kernels only: the one global Jacobian is the pattern that
-    # block_positions reads, for all subdomains at once, when the system
-    # is built
-    prob, lay = make()
+_ONE_LEVEL_SETUPS = {
+    "1d": lambda: (smooth_forchheimer(60, beta=1.0), build_1d_layout(60, 6, 2)),
+    "2d": lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1)),
+}
+
+
+@pytest.mark.parametrize("kind, setup", [
+    ("RASPEN1", "1d"), ("RASPEN1", "2d"), ("ASPIN1", "1d"), ("ASPIN1", "2d"),
+], ids=["1d", "2d", "aspin1-1d", "aspin1-2d"])
+def test_raspen1_newton_evaluates_no_global_residual_or_jacobian(kind, setup):
+    # local solves and their derivative blocks, exact or inexact, read the
+    # problem's row kernels only: the one global Jacobian is the pattern
+    # that block_positions reads, for all subdomains at once, when the
+    # system is built
+    prob, lay = _ONE_LEVEL_SETUPS[setup]()
     calls = {"residual": 0, "jacobian": 0}
     for name in calls:
         def spy(u, evaluate=getattr(prob, name), name=name):
             calls[name] += 1
             return evaluate(u)
         setattr(prob, name, spy)
-    system = PreconditionedSystem("RASPEN1", prob, lay)
+    system = PreconditionedSystem(kind, prob, lay)
     assert outer_newton(system, prob.initial_state()).converged
     assert calls == {"residual": 0, "jacobian": 1}
 
@@ -289,6 +294,15 @@ def test_ras_fixed_point_converges():
     assert run.ledger.error[-1] <= SolverSettings().outer_tol
     # fixed-point rows never spend GMRES iterations
     assert all(g == 0 for g in run.ledger.ls_G)
+
+
+@pytest.mark.parametrize("max_steps", [0, 2.5])
+def test_fixed_point_budget_is_a_positive_integer(max_steps):
+    system, prob = _fp_setup("RASPEN1", 32)
+    with pytest.raises(ValueError,
+                       match="^max_fixed_point must be an integer of at least 1$"):
+        fixed_point_solve(system, prob.initial_state(), max_steps=max_steps,
+                          u_ref=np.zeros(32))
 
 
 def test_as_fixed_point_not_convergent():

@@ -275,9 +275,10 @@ def test_actions_factor_once_and_solve_once(make, kind, mode, monkeypatch):
 ])
 def test_actions_evaluate_one_jacobian_kernel_on_shared_geometry(make, kind, mode,
                                                                  monkeypatch):
-    # the exact blocks of an evaluation are one Jacobian-kernel call at the
-    # solved stack and one dgbtrf; the stacked geometry is the system's,
-    # built once, so two evaluations' blocks share it
+    # the blocks of an evaluation are one Jacobian-kernel call, at the
+    # solved stack (exact) or at u (inexact), and one dgbtrf; the stacked
+    # geometry is the system's, built once, so two evaluations' blocks
+    # share it
     prob, lay = make()
     system = PreconditionedSystem(kind, prob, lay, SETTINGS, jacobian_mode=mode)
     stack, calls = system._positions, {"kernel": 0, "dgbtrf": 0}
@@ -299,12 +300,26 @@ def test_actions_evaluate_one_jacobian_kernel_on_shared_geometry(make, kind, mod
         calls.update(kernel=0, dgbtrf=0)
         for _ in range(3):
             system.jacobian_action(u, v)
-        inexact = system.jacobian_mode == "inexact"
-        assert calls == {"kernel": 0 if inexact else 1, "dgbtrf": 1}
+        assert calls == {"kernel": 1, "dgbtrf": 1}
         blocks.append(system._cache.block)
     first, second = blocks
     assert first is not second
     assert first.positions is second.positions is system._positions
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_vectors_of_another_length_are_rejected(kind):
+    prob, lay = smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 4, 2)
+    system = PreconditionedSystem(kind, prob, lay, SETTINGS)
+    wrong = "^expected state vector of length 40$"
+    with pytest.raises(ValueError, match=wrong):
+        system.residual(np.zeros(43))
+    u = np.zeros(40)
+    system.residual(u)
+    for x, v in ((np.zeros(43), np.ones(40)), (u, np.ones(43)),
+                 (u, np.ones((40, 1)))):
+        with pytest.raises(ValueError, match=wrong):
+            system.jacobian_action(x, v)
 
 
 def test_stale_cache_paths():
