@@ -2,16 +2,22 @@
 
 No restarts and a zero initial guess: the iteration count then equals the
 number of operator applications, which is the quantity the experiment
-harness charges as linear subdomain solves.
+harness charges as linear subdomain solves.  The Krylov basis is
+orthogonalized by two-pass classical Gram-Schmidt and kept in row blocks of
+BLOCK_ROWS vectors, allocated as the iteration reaches them, so its memory
+follows the iterations taken, not the length of the vectors.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 __all__ = ["GmresReport", "gmres"]
 
 BREAKDOWN_TOL = 1e-14
+BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -34,12 +40,15 @@ def gmres(action, rhs, tol=1e-8, max_iter=None):
     """Solve action(x) = rhs by full GMRES from the zero initial guess.
 
     `action` must be a linear map on vectors of the same length as rhs.
-    Modified Gram-Schmidt orthogonalization with Givens rotations on the
-    Hessenberg matrix; the least-squares residual is tracked per iteration
-    and compared against tol * ||rhs||.  Returns (solution, GmresReport);
-    when max_iter is hit, or a step adds no direction because the operator
-    is singular on the Krylov space, the last least-squares iterate is
-    returned with converged=False.
+    Two-pass classical Gram-Schmidt (CGS2, orthogonal to working precision)
+    with Givens rotations on the Hessenberg matrix; the least-squares
+    residual is tracked per iteration and compared against tol * ||rhs||.
+    A step breaks down when its new direction is at most BREAKDOWN_TOL
+    times the norm of the action's output, whatever the operator's scale.
+    Returns (solution, GmresReport); when max_iter is hit, or a step adds
+    no direction because the operator is singular on the Krylov space, the
+    last least-squares iterate is returned with converged=False.  An action
+    output that is not finite ends the solve so too, with a nan residual.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = len(rhs)
@@ -47,35 +56,41 @@ def gmres(action, rhs, tol=1e-8, max_iter=None):
         max_iter = n
     elif max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    bnorm = np.linalg.norm(rhs)
+    bnorm = math.sqrt(rhs @ rhs)
     if bnorm == 0.0:
         return np.zeros(n), GmresReport(0, 0.0, True, ())
 
-    V = [rhs / bnorm]
-    Rcols = []          # rotated Hessenberg columns (upper triangular)
+    blocks = [np.empty((BLOCK_ROWS, n))]    # basis vector k is row k of them
+    blocks[0][0] = rhs / bnorm
+    Rcols = []          # rotated Hessenberg columns (upper triangular), concatenated
     cs, sn = [], []
     g = [bnorm]         # rotated least-squares right-hand side
     history = []
-    converged = False
-
-    k = 0
-    while k < max_iter:
-        w = np.array(action(V[k]), dtype=float)  # our copy, updated in place
-        hcol = np.zeros(k + 2)
-        for i in range(k + 1):
-            hcol[i] = V[i] @ w
-            w -= hcol[i] * V[i]
-        hcol[k + 1] = np.linalg.norm(w)
-        breakdown = hcol[k + 1] < BREAKDOWN_TOL
+    for k in range(max_iter):
+        b, r = divmod(k, BLOCK_ROWS)
+        w = np.array(action(blocks[b][r]), dtype=float)  # our copy, updated in place
+        wnorm = math.sqrt(w @ w)
+        if not math.isfinite(wnorm):
+            history.append(math.nan)
+            break
+        basis, hcol = blocks[:b] + [blocks[b][: r + 1]], 0.0
+        for _ in range(2):
+            h = [V @ w for V in basis]
+            for V, hb in zip(basis, h):
+                w -= hb @ V
+            hcol = hcol + np.concatenate(h)
+        hcol = hcol.tolist() + [math.sqrt(w @ w)]
+        breakdown = hcol[k + 1] <= BREAKDOWN_TOL * wnorm
         if not breakdown:
-            w /= hcol[k + 1]
-            V.append(w)
+            if r + 1 == BLOCK_ROWS:
+                blocks.append(np.empty((BLOCK_ROWS, n)))
+            blocks[-1][(k + 1) % BLOCK_ROWS] = w / hcol[k + 1]
 
         for i in range(k):
             t = cs[i] * hcol[i] + sn[i] * hcol[i + 1]
             hcol[i + 1] = -sn[i] * hcol[i] + cs[i] * hcol[i + 1]
             hcol[i] = t
-        denom = np.hypot(hcol[k], hcol[k + 1])
+        denom = float(np.hypot(hcol[k], hcol[k + 1]))
         # a rotated diagonal that is zero next to the column's norm adds no
         # direction: the least-squares iterate and residual stay as they were
         singular = denom <= BREAKDOWN_TOL * np.linalg.norm(hcol)
@@ -84,27 +99,21 @@ def gmres(action, rhs, tol=1e-8, max_iter=None):
             cs.append(c)
             sn.append(s)
             hcol[k] = denom
-            hcol[k + 1] = 0.0
-            Rcols.append(hcol[: k + 1])
+            Rcols += hcol[: k + 1]
             g.append(-s * g[k])
             g[k] = c * g[k]
 
-        k += 1
-        rel = abs(g[-1]) / bnorm
-        history.append(rel)
-        if rel <= tol:
-            converged = True
-            break
-        if breakdown or singular:
+        history.append(abs(g[-1]) / bnorm)
+        if history[-1] <= tol or breakdown or singular:
             break
 
-    # back-substitute R y = g on the nonsingular least-squares system
-    m = len(Rcols)
-    y = np.zeros(m)
-    for j in range(m - 1, -1, -1):
-        acc = g[j] - sum(Rcols[i][j] * y[i] for i in range(j + 1, m))
-        y[j] = acc / Rcols[j][j]
+    # the least-squares iterate x = y V, with R y = g
+    m = len(cs)
+    R = np.zeros((m, m))
+    R.T[np.tril_indices(m)] = Rcols
+    y = solve_triangular(R, g[:m])
     x = np.zeros(n)
-    for j in range(m):
-        x += y[j] * V[j]
-    return x, GmresReport(k, history[-1], converged, tuple(history))
+    for i, V in zip(range(0, m, BLOCK_ROWS), blocks):
+        x += y[i : i + BLOCK_ROWS] @ V[: m - i]
+    rel = history[-1]
+    return x, GmresReport(len(history), rel, rel <= tol, tuple(history))

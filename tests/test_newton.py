@@ -113,6 +113,23 @@ def test_gmres_stall_sets_reason(monkeypatch):
     assert "gmres stalled" in run.reason
 
 
+
+def test_nonfinite_jacobian_action_stalls_gmres_with_nan():
+    system = _system("RASPEN1", M=24, I=3, k=1)
+    exact, calls = system.jacobian_action, []
+
+    def action(u, v):
+        calls.append(v)
+        return exact(u, v) if len(calls) < 3 else np.full(len(v), np.nan)
+
+    system.jacobian_action = action
+    run = outer_newton(system, np.zeros(24), SolverSettings(max_outer=1))
+    assert not run.converged
+    assert run.reason == "gmres stalled at outer iteration 0 (relative residual nan)"
+    assert run.ledger.ls_G == [3]
+    assert np.isnan(run.ledger.gmres_history[0][-1])
+    assert np.all(np.isfinite(run.u))
+
 class _BoomSystem:
     """Stub whose residual always fails like a subdomain or coarse solve."""
 
