@@ -29,7 +29,7 @@ Jacobian actions
     dC_0^A/du = -J^_0^{-1} P_0^T J(u).
 
 An action takes the fine Jacobian J(u) from its caller, which assembles it
-once per state, and checks only that the correction was solved at u.
+once per state and makes sure that the correction was solved at u.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .local_solver import SolveError, StaleCacheError
+from .local_solver import SolveError
 
 __all__ = [
     "CoarseSolveResult",
@@ -62,14 +62,13 @@ class CoarseSolveResult:
 
     J0 is the coarse Jacobian at the initial guess (read by the FAS action
     only); J0_hat_lu factorizes the coarse Jacobian at the converged
-    iterate.  base_state guards against reuse at a different fine state.
+    iterate.
     """
 
     correction: np.ndarray
     J0: np.ndarray = field(repr=False)
     J0_hat_lu: tuple = field(repr=False)
     inner_iterations: int
-    base_state: np.ndarray = field(repr=False)
 
 
 def coarse_residual(problem, layout, u0):
@@ -122,7 +121,7 @@ def _coarse_newton(problem, layout, w0, rhs, settings, what):
     return w, iterations, J_first
 
 
-def _correction(problem, layout, u, start, rhs, settings, what):
+def _correction(problem, layout, start, rhs, settings, what):
     """Solve F_0(start + c) = rhs for c by coarse Newton from start.
 
     The result keeps the coarse Jacobian of the first Newton step (taken at
@@ -137,14 +136,7 @@ def _correction(problem, layout, u, start, rhs, settings, what):
         J0=J_hat if J_first is None else J_first,
         J0_hat_lu=sla.lu_factor(J_hat),
         inner_iterations=iterations,
-        base_state=u.copy(),
     )
-
-
-def _check_state(result, u, what):
-    """Raise StaleCacheError unless result was solved at the fine state u."""
-    if not np.array_equal(u, result.base_state):
-        raise StaleCacheError(f"{what} was solved at a different state")
 
 
 def fas_correction(problem, layout, u, settings):
@@ -152,16 +144,14 @@ def fas_correction(problem, layout, u, settings):
     u = np.asarray(u, dtype=float)
     u0 = layout.R0 @ u
     rhs = coarse_residual(problem, layout, u0) - layout.P0.T @ problem.residual(u)
-    return _correction(problem, layout, u, u0, rhs, settings,
-                       "FAS coarse correction")
+    return _correction(problem, layout, u0, rhs, settings, "FAS coarse correction")
 
 
-def fas_correction_jacobian_action(result, layout, u, J_u, v):
+def fas_correction_jacobian_action(result, layout, J_u, v):
     """Apply dC_0/du = -R_0 + J^_0^{-1}(J_0 R_0 - P_0^T J(u)) to v.
 
     J_u is the fine Jacobian at u, the state result was solved at.
     """
-    _check_state(result, u, "FAS coarse correction")
     R0v = layout.R0 @ v
     w = result.J0 @ R0v - layout.P0.T @ (J_u @ v)
     return -R0v + sla.lu_solve(result.J0_hat_lu, w)
@@ -181,11 +171,10 @@ def aspin_coarse_correction(problem, layout, u, u0_star, settings):
     """Additive-Schwarz coarse correction: F_0(C_0^A + u_0*) = -P_0^T F(u)."""
     u = np.asarray(u, dtype=float)
     rhs = -(layout.P0.T @ problem.residual(u))
-    return _correction(problem, layout, u, u0_star, rhs, settings,
+    return _correction(problem, layout, u0_star, rhs, settings,
                        "AS coarse correction")
 
 
-def aspin_coarse_jacobian_action(result, layout, u, J_u, v):
+def aspin_coarse_jacobian_action(result, layout, J_u, v):
     """Apply dC_0^A/du = -J^_0^{-1} P_0^T J(u) to v, J_u the fine J(u)."""
-    _check_state(result, u, "AS coarse correction")
     return -sla.lu_solve(result.J0_hat_lu, layout.P0.T @ (J_u @ v))

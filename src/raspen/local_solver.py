@@ -8,18 +8,18 @@ stacked local vector X at each u^(i) = u + P_i C_i(u), the corrections
 and each subdomain's inner Newton count, but no derivative data.
 
 That lives in a LocalJacobian, built on demand by local_jacobian for one
-subdomain or for all of them at once: the entries of the row blocks
-R_i J, over the overlap cells and the frozen exterior, stacked in
-subdomain order, plus one band LU of the block-diagonal matrix diag(A_ii),
+subdomain or for all of them at once: the row blocks R_i J, over the
+overlap cells and the frozen exterior, stacked in subdomain order as one
+CSR matrix, plus one band LU of the block-diagonal matrix diag(A_ii),
 A_ii = R_i J P_i.  Taken at a sweep's solved X, at each u^(i), it applies
 the exact derivatives
 
     dC_i/du = -A_ii^{-1} R_i J(u^(i)),
 
 taken at u[cells], at u, ASPIN's inexact ones; either way one action,
-for every subdomain in the block, costs one gather of v, one
-np.add.reduceat and one back-substitution (dgbtrs), and returns the
-stacked vector of the layout's stacked overlap space.
+for every subdomain in the block, is one CSR product and one band
+back-substitution (dgbtrs), and returns the stacked vector of the
+layout's stacked overlap space.
 
 Every problem's Jacobian has a fixed CSR pattern, and it is the only
 description of the stencil read here: block_positions reads it once, from
@@ -50,6 +50,7 @@ and factored, from the Jacobian kernel's R_i J entries.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 __all__ = [
@@ -140,12 +141,12 @@ class PositionStack:
     kernels on the stacked overlap rows, functions of X.  Block b has
     sizes[b] stacked rows, from block_starts[b], and its overlap values sit
     in X at overlap[block_starts[b]:].  R_i J's entries, stacked, are the
-    jacobian kernel's output, at global columns columns, row r from
-    row_starts[r].  diag(A_ii) is a band matrix with bandwidths kl and ku,
-    the largest of the blocks': the stacked entries at block, held[b] of
-    them block b's, go to the flat indices slots of a C-order
-    (rows, 2*kl+ku+1) array, whose transpose is LAPACK's band storage
-    (A[r, c] at row kl+ku+r-c of column c).
+    jacobian kernel's output, in the CSR pattern (columns, indptr) of one
+    index dtype, so a CSR matrix on it copies neither.  diag(A_ii) is a
+    band matrix with bandwidths kl and ku, the largest of the blocks': the
+    stacked entries at block, held[b] of them block b's, go to the flat
+    indices slots of a C-order (rows, 2*kl+ku+1) array, whose transpose is
+    LAPACK's band storage (A[r, c] at row kl+ku+r-c of column c).
     """
 
     subdomains: tuple
@@ -157,7 +158,7 @@ class PositionStack:
     sizes: np.ndarray = field(repr=False)
     block_starts: np.ndarray = field(repr=False)
     columns: np.ndarray = field(repr=False)
-    row_starts: np.ndarray = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
     block: np.ndarray = field(repr=False)
     held: np.ndarray = field(repr=False)
     slots: np.ndarray = field(repr=False)
@@ -178,13 +179,12 @@ class PositionStack:
 class LocalJacobian:
     """Stacked row blocks R_i J and the band LU of A = diag(A_ii).
 
-    positions is the blocks' PositionStack, which places them: rows holds
-    every R_i J's entries in turn, at its columns and row_starts.  lu is
-    dgbtrf's (band factors, pivots) of A, at the stack's bandwidths.
+    positions is the blocks' PositionStack, matrix the stacked R_i J on its
+    CSR pattern and lu dgbtrf's (band factors, pivots) of A, at its bandwidths.
     """
 
     positions: object = field(repr=False)
-    rows: np.ndarray = field(repr=False)
+    matrix: sp.csr_matrix = field(repr=False)
     lu: tuple = field(repr=False)
 
 
@@ -214,10 +214,8 @@ def _stack(problem, overlaps, subdomains):
     n, ov = J.shape[1], np.concatenate(overlaps)
     sizes = np.array([len(cells) for cells in overlaps])
     block_starts = np.cumsum(sizes) - sizes
-    starts, counts = J.indptr[ov], J.indptr[ov + 1] - J.indptr[ov]
-    row_starts = np.cumsum(counts) - counts
-    rows = np.arange(counts.sum()) + np.repeat(starts - row_starts, counts)
-    columns = J.indices[rows]
+    rows = J[ov]  # the stacked rows' CSR pattern, in scipy's index dtype
+    columns, indptr, counts = rows.indices, rows.indptr, np.diff(rows.indptr)
     row_block = np.repeat(np.arange(len(sizes)), sizes)
     entry_row = np.repeat(np.arange(len(ov)), counts)
     entry_block = row_block[entry_row]
@@ -244,7 +242,7 @@ def _stack(problem, overlaps, subdomains):
     entries[~hit] = np.flatnonzero(in_halo)[halo_entry]
     stacked = dict(
         cells=cells, overlap=overlap, sizes=sizes, block_starts=block_starts,
-        columns=columns, row_starts=row_starts, block=block,
+        columns=columns, indptr=indptr, block=block,
         held=np.bincount(entry_block[block], minlength=len(sizes)),
         slots=col * (2 * kl + ku + 1) + kl + ku + offset,
     )
@@ -300,7 +298,9 @@ def local_jacobian(positions, X):
         i = positions.subdomains[positions.block_of(info - 1)]
         raise LocalSolveError(f"subdomain {i}: singular local Jacobian",
                               subdomain=i)
-    return LocalJacobian(positions, entries, (lu, ipiv))
+    matrix = sp.csr_matrix((entries, positions.columns, positions.indptr),
+                           shape=(positions.size, positions.problem.dof_count))
+    return LocalJacobian(positions, matrix, (lu, ipiv))
 
 
 def _norms(stack, r):
@@ -332,8 +332,8 @@ def _step(stack, entries, r, active, failures):
         for b in np.flatnonzero(~finite):
             lone, at = _lone(stack, b), stack.block_starts[b]
             rows = slice(at, at + lone.size)
-            first = stack.row_starts[at]
-            lu, ipiv, _ = _band_lu(lone, entries[first:first + len(lone.columns)])
+            first, last = stack.indptr[[at, rows.stop]]
+            lu, ipiv, _ = _band_lu(lone, entries[first:last])
             step[rows] = dgbtrs(lu, lone.kl, lone.ku, r[rows], ipiv)[0]
     return step
 
@@ -403,13 +403,11 @@ def solve_local(positions, u, settings):
 def local_correction_jacobian_action(block, v):
     """Apply every -A_ii^{-1} R_i J of a LocalJacobian to a global vector v.
 
-    The action gathers v at the stacked columns, sums each row's products
-    in one np.add.reduceat and back-substitutes with the one band LU; the
-    result is the stacked vector of the block's overlaps.
+    The action is one CSR product, every R_i J v at once, and one
+    back-substitution with the one band LU; the result is the stacked
+    vector of the block's overlaps.
     """
-    stack = block.positions
-    Jv = np.add.reduceat(block.rows * v[stack.columns], stack.row_starts)
-    return -_solve(block, Jv)
+    return -_solve(block, block.matrix @ v)
 
 
 def sweep_locals(positions, u, settings):

@@ -19,7 +19,7 @@ all four kinds: the coarse derivative (two-level kinds), then every local
 derivative -A_ii^{-1} R_i J glued like the corrections, applied to v, or
 to v plus the prolonged coarse action inside RASPEN2.  The local
 derivatives of an evaluation are one LocalJacobian over all subdomains,
-so an action applies them with one gather, one reduceat and one band
+so an action applies them with one CSR product and one band
 back-substitution, and glues the stacked result directly.  The blocks
 are taken at each solved local state (exact mode, always used by the
 RASPEN kinds) or all at u (inexact mode, the ASPIN default; the exact
@@ -191,11 +191,11 @@ class PreconditionedSystem:
             coarse_action = (fas_correction_jacobian_action
                              if self.kind == "RASPEN2"
                              else aspin_coarse_jacobian_action)
-            pt = self.layout.P0 @ coarse_action(
-                cache.coarse, self.layout, cache.u, cache.J_u, v)
+            pt = self.layout.P0 @ coarse_action(cache.coarse, self.layout,
+                                                cache.J_u, v)
         x = v + pt if self.kind == "RASPEN2" else v
-        # no state check in the action: _require_cache checked the state
-        # once and the block belongs to that cache
+        # no state check in the coarse or local action: _require_cache
+        # checked the state once, and both belong to that cache
         return pt + self._glue(
             local_correction_jacobian_action(self._block(cache), x))
 

@@ -237,8 +237,10 @@ def stacked_positions(positions):
         sizes=sizes,
         block_starts=block_starts,
         columns=np.concatenate([pos.columns for pos in positions]),
-        row_starts=(np.concatenate([pos.row_indptr[:-1] for pos in positions])
-                    + np.repeat(first_entry, sizes)),
+        indptr=np.append(
+            np.concatenate([pos.row_indptr[:-1] for pos in positions])
+            + np.repeat(first_entry, sizes), counts.sum()
+        ).astype(positions[0].columns.dtype),
         block=(np.concatenate([pos.block for pos in positions])
                + first_entry[entry_block]),
         held=held,

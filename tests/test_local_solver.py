@@ -34,14 +34,6 @@ from raspen.problems import DiffusionProblem2D, hard_forchheimer, smooth_forchhe
 SETTINGS = SolverSettings()
 
 
-def _row_block(block, n):
-    """R_i J of a LocalJacobian as a dense matrix with n columns, from its entries."""
-    stack = block.positions
-    indptr = np.append(stack.row_starts, len(block.rows))
-    return sp.csr_matrix((block.rows, stack.columns, indptr),
-                         shape=(stack.size, n)).toarray()
-
-
 def _per_block(stack, stacked):
     """A stacked overlap vector split into the blocks' parts."""
     return np.split(stacked, stack.block_starts[1:])
@@ -141,12 +133,39 @@ def test_factorization_round_trip():
     lone = _lones(prob, lay)[0]
     u = np.linspace(0, 1, 30)
     block = local_jacobian(lone, solve_local(lone, u, SETTINGS).X)
-    A_ii = _row_block(block, 30)[:, lay.subdomains[0].overlap]
+    A_ii = block.matrix.toarray()[:, lay.subdomains[0].overlap]
     rng = np.random.default_rng(23)
     for _ in range(5):
         w = rng.standard_normal(A_ii.shape[0])
         back = A_ii @ _solve(block, w)
         assert np.linalg.norm(back - w) / np.linalg.norm(w) < 1e-10
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (smooth_forchheimer(30, beta=1.0), build_1d_layout(30, 3, 2)),
+    lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1)),
+], ids=["1d", "2d"])
+def test_local_jacobian_copies_no_array(make):
+    # the block's CSR matrix is built on the stack's index arrays and on the
+    # Jacobian kernel's output, so building it copies none of them
+    prob, lay = make()
+    stack = block_positions(prob, lay)
+    assert stack.indptr.dtype == stack.columns.dtype
+    assert len(stack.indptr) == stack.size + 1
+    outputs = []
+
+    def recording(X):
+        outputs.append(stack.jacobian(X))
+        return outputs[-1]
+
+    u = 0.3 * np.random.default_rng(31).standard_normal(prob.dof_count)
+    block = local_jacobian(dataclasses.replace(stack, jacobian=recording),
+                           u[stack.cells])
+    matrix = block.matrix
+    assert np.shares_memory(matrix.indices, stack.columns)
+    assert np.shares_memory(matrix.indptr, stack.indptr)
+    assert len(outputs) == 1 and matrix.data.size == outputs[0].size
+    assert np.shares_memory(matrix.data, outputs[0])
 
 
 def test_jacobian_action_zero_and_linear():
@@ -231,7 +250,7 @@ def test_blocks_gathered_by_position_match_slices(make, monkeypatch):
         assert ab.shape == (2 * kl + ku + 1, lone.size) and not ab[:kl].any()
         assert np.array_equal(_band_to_dense(ab, kl, ku),
                               J[ov][:, ov].toarray())
-        assert np.array_equal(_row_block(block, n), J[ov].toarray())
+        assert np.array_equal(block.matrix.toarray(), J[ov].toarray())
     assert len(factored) == lay.n_subdomains
 
 
@@ -395,7 +414,8 @@ def _per_block_action(positions, entries, v):
         band.flat[pos.slots] = rows[pos.block]
         lu, piv, info = lapack.dgbtrf(band.T, pos.kl, pos.ku, overwrite_ab=True)
         assert info == 0
-        Jv = np.add.reduceat(rows * v[pos.columns], pos.row_indptr[:-1])
+        Jv = sp.csr_matrix((rows, pos.columns, pos.row_indptr),
+                           shape=(pos.size, len(v))) @ v
         out.append(-lapack.dgbtrs(lu, pos.kl, pos.ku, Jv, piv)[0])
     return np.concatenate(out)
 
@@ -525,7 +545,7 @@ _LAYOUTS = {
 
 
 _STACK_ARRAYS = ("cells", "overlap", "sizes", "block_starts", "columns",
-                 "row_starts", "block", "held", "slots")
+                 "indptr", "block", "held", "slots")
 
 
 def _assert_matches_per_block_builder(stack, positions):
@@ -609,7 +629,7 @@ def test_converged_subdomains_keep_their_solo_values():
 
 def _entry_ranges(stack):
     """Each block's range in the stacked row data."""
-    bounds = np.append(stack.row_starts[stack.block_starts], len(stack.columns))
+    bounds = np.append(stack.indptr[stack.block_starts], len(stack.columns))
     return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 

@@ -154,7 +154,7 @@ def _failing_sweep(system, kernel, fail_from):
     """
     stack = system._positions
     rows = slice(stack.block_starts[1], stack.block_starts[2])
-    entries = slice(*stack.row_starts[stack.block_starts[1:3]])
+    entries = slice(*stack.indptr[stack.block_starts[1:3]])
     calls = [0]
 
     def failing(X):

@@ -337,6 +337,33 @@ def test_stale_cache_paths():
         system.jacobian_action(u + 1e-3, v)
 
 
+@pytest.mark.parametrize("kind", ["RASPEN2", "ASPIN2"])
+def test_two_level_stale_cache(kind, monkeypatch):
+    # the coarse actions check no state: the system's one check raises
+    # before a coarse or local action runs at a state it was not solved at
+    prob, lay = _forchheimer_setup()
+    system = PreconditionedSystem(kind, prob, lay, SETTINGS)
+    name = ("fas_correction_jacobian_action" if kind == "RASPEN2"
+            else "aspin_coarse_jacobian_action")
+    coarse_action, calls = getattr(precond_mod, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return coarse_action(*args)
+
+    monkeypatch.setattr(precond_mod, name, counted)
+    u, v = np.zeros(24), np.ones(24)
+    system.residual(u)
+    system.jacobian_action(u, v)
+    assert len(calls) == 1
+    with pytest.raises(StaleCacheError):
+        system.jacobian_action(u + 1e-3, v)
+    system.residual(u + 1e-3)
+    with pytest.raises(StaleCacheError):
+        system.jacobian_action(u, v)
+    assert len(calls) == 1
+
+
 def test_last_counts_and_u0_star_cached():
     prob, lay = _forchheimer_setup()
     system = PreconditionedSystem("ASPIN2", prob, lay, SETTINGS)
