@@ -21,9 +21,12 @@ precomputes the coarse solution u_0* (F_0(u_0*) = 0) once and solves
     F_0(C_0^A(u) + u_0*) = -P_0^T F(u)
 
 from the initial guess u_0*.  Both are one coarse Newton solve that differs
-only in its start value and right-hand side, and both retain the dense
-coarse Jacobian at the converged iterate (J^_0), factorized, for the outer
-Jacobian actions
+only in its start value and right-hand side, as is the base solve for
+u_0*.  Coarse Newton factors each iterate's dense coarse Jacobian once, by
+LU, steps with those factors and fails with CoarseSolveError on a
+non-finite residual (the start's included), a singular Jacobian or a spent
+budget.  Both corrections retain the factors at the converged iterate
+(J^_0) for the outer Jacobian actions
 
     dC_0/du   = -R_0 + J^_0^{-1} (J_0 R_0 - P_0^T J(u)),
     dC_0^A/du = -J^_0^{-1} P_0^T J(u).
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dgetrf
 
 from .local_solver import SolveError
 
@@ -61,7 +65,8 @@ class CoarseSolveResult:
     """Outcome of one coarse correction solve.
 
     J0 is the coarse Jacobian at the initial guess (read by the FAS action
-    only); J0_hat_lu factorizes the coarse Jacobian at the converged
+    only); J0_hat_lu is the LU factorization (lu, piv), as
+    scipy.linalg.lu_solve takes it, of the coarse Jacobian at the converged
     iterate.
     """
 
@@ -88,55 +93,35 @@ def coarse_jacobian(problem, layout, u0):
     return np.asarray((layout.P0.T @ J @ layout.P0).todense())
 
 
-def _coarse_newton(problem, layout, w0, rhs, settings, what):
-    """Solve F_0(w) = rhs by Newton from w0.
+def _coarse_newton(problem, layout, start, rhs, settings, what):
+    """Solve F_0(start + c) = rhs for c by coarse Newton from start.
 
-    Returns (w, iterations, J_first) with J_first the coarse Jacobian
-    assembled at w0 (None when no step was needed).
+    Every iterate, start included, must have a finite residual.  Each
+    iterate's coarse Jacobian is factored once, by LU; a step solves with
+    those factors.  The result keeps the coarse Jacobian at start and the
+    factors of J^_0, the coarse Jacobian at the converged iterate.
     """
-    w = np.asarray(w0, dtype=float).copy()
-    J_first = None
-    iterations = 0
-    r = coarse_residual(problem, layout, w) - rhs
-    rnorm = np.linalg.norm(r)
-    while rnorm > settings.inner_tol:
-        if iterations >= settings.max_inner:
+    w = np.asarray(start, dtype=float).copy()
+    J0, iterations = None, 0
+    while True:
+        r = coarse_residual(problem, layout, w) - rhs
+        rnorm = np.linalg.norm(r)
+        if not np.isfinite(rnorm):
+            raise CoarseSolveError(f"{what}: coarse Newton produced non-finite values")
+        if rnorm > settings.inner_tol and iterations == settings.max_inner:
             raise CoarseSolveError(
                 f"{what}: coarse Newton did not reach {settings.inner_tol} "
                 f"within {settings.max_inner} iterations (residual {rnorm:.3e})"
             )
         J = coarse_jacobian(problem, layout, w)
-        if J_first is None:
-            J_first = J
-        try:
-            step = sla.solve(J, r)
-        except sla.LinAlgError as exc:
-            raise CoarseSolveError(f"{what}: singular coarse Jacobian") from exc
-        w -= step
+        J0 = J if J0 is None else J0
+        lu, piv, info = dgetrf(J)
+        if info > 0:
+            raise CoarseSolveError(f"{what}: singular coarse Jacobian")
+        if rnorm <= settings.inner_tol:
+            return CoarseSolveResult(w - start, J0, (lu, piv), iterations)
+        w -= sla.lu_solve((lu, piv), r)
         iterations += 1
-        r = coarse_residual(problem, layout, w) - rhs
-        rnorm = np.linalg.norm(r)
-        if not np.isfinite(rnorm):
-            raise CoarseSolveError(f"{what}: coarse Newton produced non-finite values")
-    return w, iterations, J_first
-
-
-def _correction(problem, layout, start, rhs, settings, what):
-    """Solve F_0(start + c) = rhs for c by coarse Newton from start.
-
-    The result keeps the coarse Jacobian of the first Newton step (taken at
-    start; J^_0 itself when no step was needed) and the factorized J^_0 at
-    the converged iterate.
-    """
-    w, iterations, J_first = _coarse_newton(problem, layout, start, rhs,
-                                            settings, what)
-    J_hat = coarse_jacobian(problem, layout, w)
-    return CoarseSolveResult(
-        correction=w - start,
-        J0=J_hat if J_first is None else J_first,
-        J0_hat_lu=sla.lu_factor(J_hat),
-        inner_iterations=iterations,
-    )
 
 
 def fas_correction(problem, layout, u, settings):
@@ -144,7 +129,8 @@ def fas_correction(problem, layout, u, settings):
     u = np.asarray(u, dtype=float)
     u0 = layout.R0 @ u
     rhs = coarse_residual(problem, layout, u0) - layout.P0.T @ problem.residual(u)
-    return _correction(problem, layout, u0, rhs, settings, "FAS coarse correction")
+    return _coarse_newton(problem, layout, u0, rhs, settings,
+                          "FAS coarse correction")
 
 
 def fas_correction_jacobian_action(result, layout, J_u, v):
@@ -160,19 +146,16 @@ def fas_correction_jacobian_action(result, layout, J_u, v):
 def aspin_coarse_setup(problem, layout, settings):
     """Solve the plain coarse problem F_0(u_0*) = 0 once, from zero."""
     zero = np.zeros(layout.n_subdomains)
-    w, _, _ = _coarse_newton(
-        problem, layout, zero, np.zeros(layout.n_subdomains), settings,
-        "coarse base solve",
-    )
-    return w
+    return _coarse_newton(problem, layout, zero, zero, settings,
+                          "coarse base solve").correction
 
 
 def aspin_coarse_correction(problem, layout, u, u0_star, settings):
     """Additive-Schwarz coarse correction: F_0(C_0^A + u_0*) = -P_0^T F(u)."""
     u = np.asarray(u, dtype=float)
     rhs = -(layout.P0.T @ problem.residual(u))
-    return _correction(problem, layout, u0_star, rhs, settings,
-                       "AS coarse correction")
+    return _coarse_newton(problem, layout, u0_star, rhs, settings,
+                          "AS coarse correction")
 
 
 def aspin_coarse_jacobian_action(result, layout, J_u, v):

@@ -285,15 +285,14 @@ def _prepare(config):
 def _off_interface_mask(problem, layout):
     """Cells whose whole stencil is owned by a single subdomain.
 
-    A cell's stencil is the column set of its row in the problem's fixed
-    Jacobian pattern.
+    A cell's stencil is the column set of its row in problem.pattern.
     """
     owner = np.empty(problem.dof_count, dtype=int)
     for idx, sub in enumerate(layout.subdomains):
         owner[sub.owned] = idx
-    J = problem.jacobian(problem.initial_state())
-    same = owner[J.indices] == np.repeat(owner, np.diff(J.indptr))
-    return np.logical_and.reduceat(same, J.indptr[:-1])
+    P = problem.pattern
+    same = owner[P.indices] == np.repeat(owner, np.diff(P.indptr))
+    return np.logical_and.reduceat(same, P.indptr[:-1])
 
 
 def _first_step_residual(system, problem, layout, u0, settings):

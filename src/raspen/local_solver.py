@@ -2,17 +2,17 @@
 
 C_i(u) is the overlap-local vector solving R_i F(u + P_i C_i(u)) = 0 with
 the exterior of the subdomain frozen at u (homogeneous correction outside).
-solve_local solves a whole sequence of subdomains together, one sweep,
-and returns its one handle, a LocalSolveResult: its PositionStack, the
-stacked local vector X at each u^(i) = u + P_i C_i(u), the corrections
-and each subdomain's inner Newton count, but no derivative data.
+solve_local solves all subdomains together, one sweep, and returns its
+one handle, a LocalSolveResult: its PositionStack, the stacked local
+vector X at each u^(i) = u + P_i C_i(u), the corrections and each
+subdomain's inner Newton count, but no derivative data.
 
-That lives in a LocalJacobian, built on demand by local_jacobian for one
-subdomain or for all of them at once: the row blocks R_i J, over the
-overlap cells and the frozen exterior, stacked in subdomain order as one
-CSR matrix, plus one band LU of the block-diagonal matrix diag(A_ii),
-A_ii = R_i J P_i.  Taken at a sweep's solved X, at each u^(i), it applies
-the exact derivatives
+That lives in a LocalJacobian, built on demand by local_jacobian for all
+subdomains at once: the row blocks R_i J, over the overlap cells and the
+frozen exterior, stacked in subdomain order as one CSR matrix, plus one
+band LU of the block-diagonal matrix diag(A_ii), A_ii = R_i J P_i.
+Taken at a sweep's solved X, at each u^(i), it applies the exact
+derivatives
 
     dC_i/du = -A_ii^{-1} R_i J(u^(i)),
 
@@ -21,12 +21,13 @@ for every subdomain in the block, is one CSR product and one band
 back-substitution (dgbtrs), and returns the stacked vector of the
 layout's stacked overlap space.
 
-Every problem's Jacobian has a fixed CSR pattern, and it is the only
-description of the stencil read here: block_positions reads it once, from
-one Jacobian at the problem's initial state, and returns a PositionStack,
-computed for all subdomains in one pass of array operations: every
-subdomain's overlap cells and halo (the cells outside the overlap its rows
-couple to), where the overlap values sit in the stacked local vector
+Every problem's Jacobian has a fixed CSR pattern, the problem's pattern
+attribute, and it is the only description of the stencil read here:
+block_positions reads it once, evaluating no Jacobian, and returns a
+PositionStack, computed for all subdomains in one pass of array
+operations, block b for subdomain b: every subdomain's overlap cells and
+halo (the cells outside the overlap its rows couple to), where the
+overlap values sit in the stacked local vector
 X = (u[cells_1], ..., u[cells_I]), where A_ii's entries go in the LAPACK
 band storage of diag(A_ii), and the problem's row kernels on the stacked
 rows, fed with where their entries' columns sit in X
@@ -42,9 +43,11 @@ its right-hand side zero, so its step is exactly zero and its values
 never change again.  The band has the widest block's bandwidths; its
 blocks share no coupling, so band LU eliminates each exactly as it would
 alone, and every subdomain's values and count are bit for bit those of a
-solve of that subdomain alone.  local_jacobian calls the Jacobian kernel
-once, at the X it is given.  _band_lu is the one place a band is filled
-and factored, from the Jacobian kernel's R_i J entries.
+solve of that subdomain alone.  For the same reason a block whose step
+overflows is solved again on the same band, with every other block the
+identity, and takes the step it takes alone.  local_jacobian calls the
+Jacobian kernel once, at the X it is given.  _band_lu is the one place a
+band is filled and factored, from the Jacobian kernel's R_i J entries.
 """
 
 from dataclasses import dataclass, field
@@ -118,9 +121,9 @@ class LocalSolveResult:
 
     X is positions' stacked local vector at the solved states u^(i),
     read-only: the solved values on the overlaps, the base state's on the
-    halos.  correction stacks, in the order of positions.subdomains, each
-    subdomain's correction; inner_counts holds each subdomain's inner
-    Newton count and inner_iterations their sum.
+    halos.  correction stacks, in subdomain order, each subdomain's
+    correction; inner_counts holds each subdomain's inner Newton count and
+    inner_iterations their sum.
     """
 
     positions: object = field(repr=False)
@@ -132,12 +135,12 @@ class LocalSolveResult:
 
 @dataclass(frozen=True, eq=False)
 class PositionStack:
-    """Where a sequence of subdomains' blocks sit, and what their solves share.
+    """Where every subdomain's block sits, and what their solves share.
 
-    Block b is subdomain subdomains[b].  X, the stacked local vector,
-    concatenates each block's values at its cells (global indices cells):
-    its overlap cells, then its halo, the cells outside the overlap that
-    their rows couple to; residual and jacobian are the problem's row
+    Block b is subdomain b.  X, the stacked local vector, concatenates
+    each block's values at its cells (global indices cells): its overlap
+    cells, then its halo, the cells outside the overlap that their rows
+    couple to; residual and jacobian are the problem's row
     kernels on the stacked overlap rows, functions of X.  Block b has
     sizes[b] stacked rows, from block_starts[b], and its overlap values sit
     in X at overlap[block_starts[b]:].  R_i J's entries, stacked, are the
@@ -149,7 +152,6 @@ class PositionStack:
     LAPACK's band storage (A[r, c] at row kl+ku+r-c of column c).
     """
 
-    subdomains: tuple
     problem: object = field(repr=False)
     residual: object = field(repr=False)
     jacobian: object = field(repr=False)
@@ -191,30 +193,22 @@ class LocalJacobian:
 def block_positions(problem, layout):
     """Every subdomain's positions in the problem's Jacobian pattern, stacked.
 
-    The pattern is read from one Jacobian at the problem's initial state,
-    which must be a CSR matrix with sorted, unique indices; each
-    subdomain's halo is read from it, and the problem's row kernels are
-    built once, on all overlap rows.
+    Block b is subdomain b.  The pattern is problem.pattern, which must be a
+    CSR matrix with sorted, unique indices; no Jacobian is evaluated.  Every
+    stacked row's entries are read from it at once; an entry's column lies
+    in its block's overlap when its (block, column) key is one of the
+    overlap's, and the other keys are the blocks' halos.  The problem's row
+    kernels are built once, on all overlap rows.
     """
-    return _stack(problem, [sub.overlap for sub in layout.subdomains],
-                  tuple(range(len(layout.subdomains))))
-
-
-def _stack(problem, overlaps, subdomains):
-    """The PositionStack of blocks with overlap cells overlaps, in one pass.
-
-    Every stacked row's entries are read from the pattern at once; an
-    entry's column lies in its block's overlap when its (block, column) key
-    is one of the overlap's, and the other keys are the blocks' halos.
-    """
-    J = problem.jacobian(problem.initial_state())
-    if J.format != "csr" or not J.has_canonical_format:
-        raise ValueError("block positions need a CSR Jacobian with sorted, "
+    pattern = problem.pattern
+    if pattern.format != "csr" or not pattern.has_canonical_format:
+        raise ValueError("block positions need a CSR pattern with sorted, "
                          "unique indices")
-    n, ov = J.shape[1], np.concatenate(overlaps)
+    overlaps = [sub.overlap for sub in layout.subdomains]
+    n, ov = pattern.shape[1], np.concatenate(overlaps)
     sizes = np.array([len(cells) for cells in overlaps])
     block_starts = np.cumsum(sizes) - sizes
-    rows = J[ov]  # the stacked rows' CSR pattern, in scipy's index dtype
+    rows = pattern[ov]  # the stacked rows' CSR pattern, in scipy's index dtype
     columns, indptr, counts = rows.indices, rows.indptr, np.diff(rows.indptr)
     row_block = np.repeat(np.arange(len(sizes)), sizes)
     entry_row = np.repeat(np.arange(len(ov)), counts)
@@ -249,15 +243,7 @@ def _stack(problem, overlaps, subdomains):
     for a in stacked.values():
         a.flags.writeable = False
     residual, jacobian = problem.row_kernels(ov, entries)
-    return PositionStack(subdomains, problem, residual, jacobian, kl=kl, ku=ku,
-                         **stacked)
-
-
-def _lone(stack, b):
-    """Block b of the stack alone: its one-block stack, at its own bandwidths."""
-    at = stack.block_starts[b]
-    overlap = stack.cells[stack.overlap[at:at + stack.sizes[b]]]
-    return _stack(stack.problem, [overlap], (stack.subdomains[b],))
+    return PositionStack(problem, residual, jacobian, kl=kl, ku=ku, **stacked)
 
 
 def _band_lu(stack, entries, active=None):
@@ -295,7 +281,7 @@ def local_jacobian(positions, X):
     entries = positions.jacobian(X)
     lu, ipiv, info = _band_lu(positions, entries)
     if info > 0:
-        i = positions.subdomains[positions.block_of(info - 1)]
+        i = positions.block_of(info - 1)
         raise LocalSolveError(f"subdomain {i}: singular local Jacobian",
                               subdomain=i)
     matrix = sp.csr_matrix((entries, positions.columns, positions.indptr),
@@ -326,15 +312,16 @@ def _step(stack, entries, r, active, failures):
     if not np.isfinite(step).all():
         # 0 * inf spills a non-finite step into the blocks the band pads
         # next to it: frozen blocks keep still, and every other block with
-        # a non-finite entry takes the step it takes alone
+        # a non-finite entry is solved again on the band with every other
+        # block the identity, which eliminates it exactly as alone
         step[~moving] = 0.0
         finite = np.logical_and.reduceat(np.isfinite(step), stack.block_starts)
         for b in np.flatnonzero(~finite):
-            lone, at = _lone(stack, b), stack.block_starts[b]
-            rows = slice(at, at + lone.size)
-            first, last = stack.indptr[[at, rows.stop]]
-            lu, ipiv, _ = _band_lu(lone, entries[first:last])
-            step[rows] = dgbtrs(lu, lone.kl, lone.ku, r[rows], ipiv)[0]
+            alone = np.arange(len(active)) == b
+            lu, ipiv, _ = _band_lu(stack, entries, alone)
+            rows = np.repeat(alone, stack.sizes)
+            step[rows] = dgbtrs(lu, stack.kl, stack.ku, np.where(rows, r, 0.0),
+                                ipiv)[0][rows]
     return step
 
 
@@ -346,24 +333,32 @@ def solve_local(positions, u, settings):
     step evaluates the stacked row kernels at X and refactorizes diag(A_ii),
     with every block whose residual norm is at or below settings.inner_tol
     frozen, and only X's overlap values change.
-    A subdomain fails when it runs out of settings.max_inner steps, its
-    block is singular or its residual becomes non-finite; it then stops,
-    the others run on, and the failure of the lowest-index subdomain is
-    raised.  The result's X is gathered from u, so no later change to u
-    reaches it.
+    A subdomain fails when its residual is non-finite, the start residual
+    included, when it runs out of settings.max_inner steps or when its
+    block is singular; it then stops, the others run on, and the failure
+    of the lowest-index subdomain is raised.  The result's X is gathered
+    from u, so no later change to u reaches it.
     """
     X = np.asarray(u, dtype=float)[positions.cells]
     start = X[positions.overlap]
     tol, budget = settings.inner_tol, settings.max_inner
-
-    r = positions.residual(X)
-    norms = _norms(positions, r)
-    trail = [norms]
-    counts = np.zeros(len(positions.subdomains), dtype=int)
+    trail = []
+    counts = np.zeros(len(positions.sizes), dtype=int)
     failures = {}
-    active = norms > tol
+    active = np.ones(len(positions.sizes), dtype=bool)
     steps = 0  # every active subdomain has taken this many
-    while active.any():
+    while True:
+        r = positions.residual(X)
+        norms = _norms(positions, r)
+        trail.append(norms)
+        finite = np.isfinite(norms)
+        if not finite.all():
+            for b in np.flatnonzero(active & ~finite):
+                failures[b] = "inner Newton produced a non-finite residual"
+            active &= finite
+        active &= norms > tol
+        if not active.any():
+            break
         if steps == budget:
             for b in np.flatnonzero(active):
                 failures[b] = (f"inner Newton did not reach {tol} within {budget} "
@@ -375,20 +370,10 @@ def solve_local(positions, u, settings):
         X[positions.overlap] -= step
         steps += 1
         counts[active] = steps
-        r = positions.residual(X)
-        norms = _norms(positions, r)
-        trail.append(norms)
-        finite = np.isfinite(norms)
-        if not finite.all():
-            for b in np.flatnonzero(active & ~finite):
-                failures[b] = "inner Newton produced a non-finite residual"
-            active &= finite
-        active &= norms > tol
 
     if failures:
-        b = min(failures, key=positions.subdomains.__getitem__)
-        i = positions.subdomains[b]
-        raise LocalSolveError(f"subdomain {i}: {failures[b]}", subdomain=i,
+        b = int(min(failures))
+        raise LocalSolveError(f"subdomain {b}: {failures[b]}", subdomain=b,
                               residuals=[float(n[b]) for n in trail[:counts[b] + 1]])
     X.flags.writeable = False
     return LocalSolveResult(

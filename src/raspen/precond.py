@@ -36,8 +36,8 @@ carries the sweep's stack and its local vector at the solved states, is
 glued as it is and alone gives the exact blocks.  The sweep and the
 blocks use the PositionStack that block_positions builds, for all
 subdomains in one pass, when the system is built: it reads the
-problem's one global Jacobian per system, its pattern, and holds the
-stacked row kernels and band geometry that every evaluation shares.  The
+problem's pattern, evaluating no Jacobian, and holds the stacked row
+kernels and band geometry that every evaluation shares.  The
 inner solves and the local blocks evaluate only those row kernels, on
 all overlap rows at once, so a one-level evaluation and its actions, of
 either mode, assemble no global residual or Jacobian, and a sweep costs

@@ -1,14 +1,15 @@
 """Discrete nonlinear problems: 1D Forchheimer flow and 2D nonlinear diffusion.
 
-Both problems expose the same contract: `dof_count`, `residual(u)` returning
-a vector of the same length, `jacobian(u)` returning the exact sparse
-derivative of the residual as a CSR matrix whose sparsity pattern does not
-depend on u, and `row_kernels(rows, entries)`, which evaluates any rows of
+Both problems expose the same contract: `dof_count`; `pattern`, the fixed
+canonical CSR structure of the Jacobian, built once from the problem's
+stencil; `residual(u)` returning a vector of the same length; `jacobian(u)`
+returning the exact sparse derivative of the residual as a CSR matrix on
+that pattern; and `row_kernels(rows, entries)`, which evaluates any rows of
 the residual and the Jacobian from a local vector that holds the values at
-the rows' pattern columns.  Each problem builds its pattern once, so an
-evaluation only fills the data array.  Each has one stencil-row kernel, in
-which every row computes its own face fluxes; `residual` and `jacobian`
-are its all-rows case, with the local vector u itself.
+the rows' pattern columns.  An evaluation only fills a data array.  Each
+problem has one stencil-row kernel, in which every row computes its own
+face fluxes; `residual` and `jacobian` are its all-rows case, with the
+local vector u itself.
 Residuals are written in integrated finite-volume form (flux balance minus
 integrated source per cell), so a zero residual means discrete conservation
 cell by cell.
@@ -36,28 +37,42 @@ DARCY_THRESHOLD = 1e-12
 class NonlinearProblem:
     """Contract shared by the concrete problems.
 
-    Subclasses provide `dof_count`, `residual(u)`, `jacobian(u)` and
-    `row_kernels(rows, entries)`; all evaluations must be pure (no state
+    Subclasses set their stencil with _set_stencil and provide
+    `residual(u)` and `jacobian(u)`; all evaluations must be pure (no state
     mutated), and jacobian(u) must be the exact derivative of residual at u.
-    jacobian(u) returns a canonical CSR matrix (sorted indices, no
-    duplicates) with the same indptr and indices at every u, entries that
-    happen to vanish included.  That pattern is the stencil the local
-    solvers and the harness read: local_solver.block_positions reads every
-    subdomain's block positions and halo from it, in one pass over all
-    subdomains.  A local solve never evaluates the global residual or
-    Jacobian: it calls the row kernels on the stacked overlap rows, so its
-    cost grows with the subdomains, not with the mesh.
+    pattern is a canonical CSR matrix (sorted indices, no duplicates) whose
+    indptr and indices every jacobian(u) shares, entries that happen to
+    vanish included; its data is never read.  That pattern is the stencil
+    the local solvers and the harness read: local_solver.block_positions
+    reads every subdomain's block positions and halo from it, in one pass
+    over all subdomains, and no solver evaluates a Jacobian to find it.  A
+    local solve never evaluates the global residual or Jacobian: it calls
+    the row kernels on the stacked overlap rows, so its cost grows with the
+    subdomains, not with the mesh.
     """
+
+    def _set_stencil(self, have, offsets, rows_class):
+        """Set pattern from the stencil of every cell, and the all-rows kernels.
+
+        Row c of the pattern holds the columns c + offsets[k] for which
+        have[c, k] is set; the offsets are sorted, so the pattern is
+        canonical, and its index arrays are int32, as scipy stores them, and
+        read-only.  rows_class(problem, rows, entries) holds the row kernels
+        as its residual and jacobian methods.
+        """
+        n = len(have)
+        indptr = np.append(0, np.cumsum(have.sum(axis=1))).astype(np.int32)
+        indices = (np.arange(n)[:, None] + offsets)[have].astype(np.int32)
+        data = np.ones(len(indices))
+        for a in (indptr, indices, data):
+            a.flags.writeable = False
+        self.pattern = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        self._rows_class = rows_class
+        self._all_rows = self.row_kernels(np.arange(n), indices)
 
     @property
     def dof_count(self):
-        raise NotImplementedError
-
-    def residual(self, u):
-        raise NotImplementedError
-
-    def jacobian(self, u):
-        raise NotImplementedError
+        return self.pattern.shape[0]
 
     def row_kernels(self, rows, entries):
         """Residual and Jacobian rows of the global cells rows, from local values.
@@ -71,7 +86,8 @@ class NonlinearProblem:
         and jacobian are row_kernels(arange(n), pattern indices) at X = u.
         Building the kernels costs index work; calling them reads only X.
         """
-        raise NotImplementedError
+        kernels = self._rows_class(self, rows, entries)
+        return kernels.residual, kernels.jacobian
 
     def initial_state(self):
         """Cold-start iterate used by the solvers and the harness."""
@@ -82,20 +98,6 @@ class NonlinearProblem:
         if u.shape != (self.dof_count,):
             raise ValueError(f"expected state vector of length {self.dof_count}")
         return u
-
-
-def _stencil_pattern(have, offsets):
-    """The fixed CSR pattern of a stencil, one row per row of have.
-
-    Row c holds the columns c + offsets[k] for which have[c, k] is set; the
-    offsets are sorted and no row holds a column twice, so the pattern is
-    canonical.  Returns (indptr, indices), int32 as scipy stores them and
-    read-only, since every Jacobian of the problem shares them.
-    """
-    indptr = np.append(0, np.cumsum(have.sum(axis=1))).astype(np.int32)
-    indices = (np.arange(len(have))[:, None] + offsets)[have].astype(np.int32)
-    indptr.flags.writeable = indices.flags.writeable = False
-    return indptr, indices
 
 
 def _columns(have, entries):
@@ -189,25 +191,16 @@ class ForchheimerProblem1D(NonlinearProblem):
             raise ValueError("beta must be finite and nonnegative")
         self.dirichlet = (float(dirichlet[0]), float(dirichlet[1]))
         self.transmissibilities = build_transmissibilities(self.lambda_field, self.h)
-        cells = np.arange(self.M)
-        self._indptr, self._indices = _stencil_pattern(
-            _tridiagonal(cells, self.M), [-1, 0, 1])
-        self._all_rows = self.row_kernels(cells, self._indices)
-
-    @property
-    def dof_count(self):
-        return self.M
+        self._set_stencil(_tridiagonal(np.arange(self.M), self.M), [-1, 0, 1],
+                          _ForchheimerRows)
 
     def residual(self, u):
         return self._all_rows[0](self._state(u))
 
     def jacobian(self, u):
-        return sp.csr_matrix((self._all_rows[1](self._state(u)), self._indices,
-                              self._indptr), shape=(self.M, self.M))
-
-    def row_kernels(self, rows, entries):
-        kernels = _ForchheimerRows(self, rows, entries)
-        return kernels.residual, kernels.jacobian
+        P = self.pattern
+        return sp.csr_matrix((self._all_rows[1](self._state(u)), P.indices,
+                              P.indptr), shape=P.shape)
 
 
 class _ForchheimerRows:
@@ -336,21 +329,16 @@ class DiffusionProblem2D(NonlinearProblem):
         yc = (np.arange(self.ny) + 0.5) * self.hy
         X, Y = np.meshgrid(xc, yc)
         self.source_cells = np.asarray(source(X, Y), dtype=float) * self.hx * self.hy
-        cells = np.arange(self.nx * self.ny)
-        self._indptr, self._indices = _stencil_pattern(
-            _five_point(cells, self.nx, self.ny), [-self.nx, -1, 0, 1, self.nx])
-        self._all_rows = self.row_kernels(cells, self._indices)
-
-    @property
-    def dof_count(self):
-        return self.nx * self.ny
+        self._set_stencil(_five_point(np.arange(self.nx * self.ny), self.nx, self.ny),
+                          [-self.nx, -1, 0, 1, self.nx], _DiffusionRows)
 
     def residual(self, u):
         return self._all_rows[0](self._state(u))
 
     def jacobian(self, u):
-        return sp.csr_matrix((self._all_rows[1](self._state(u)), self._indices,
-                              self._indptr), shape=(self.dof_count,) * 2)
+        P = self.pattern
+        return sp.csr_matrix((self._all_rows[1](self._state(u)), P.indices,
+                              P.indptr), shape=P.shape)
 
     def initial_state(self):
         """Constant lift of the Dirichlet value.
@@ -360,10 +348,6 @@ class DiffusionProblem2D(NonlinearProblem):
         natural cold start; a zero start lies outside the solution's range.
         """
         return np.full(self.nx * self.ny, self.dirichlet_value)
-
-    def row_kernels(self, rows, entries):
-        kernels = _DiffusionRows(self, rows, entries)
-        return kernels.residual, kernels.jacobian
 
 
 class _DiffusionRows:

@@ -88,8 +88,9 @@ def sequential_local_solve(problem, pos, u, settings, kernels=None):
     The per-subdomain loop that solved the subdomains one after another
     before they took their steps together: full Newton steps on the
     subdomain's local vector, with its own band LU, raising LocalSolveError
-    on the first failed check.  kernels defaults to the problem's row
-    kernels on the subdomain alone (block_kernels).
+    on the first failed check; a non-finite start residual fails too.
+    kernels defaults to the problem's row kernels on the subdomain alone
+    (block_kernels).
     """
     residual, jacobian = kernels or block_kernels(problem, [pos])
     i, m, kl, ku = pos.subdomain, pos.size, pos.kl, pos.ku
@@ -98,7 +99,13 @@ def sequential_local_solve(problem, pos, u, settings, kernels=None):
     iterations = 0
     r = residual(x)
     rnorm = np.linalg.norm(r)
-    while rnorm > settings.inner_tol:
+    while True:
+        if not np.isfinite(rnorm):
+            raise LocalSolveError(
+                f"subdomain {i}: inner Newton produced a non-finite residual"
+            )
+        if rnorm <= settings.inner_tol:
+            break
         if iterations >= settings.max_inner:
             raise LocalSolveError(
                 f"subdomain {i}: inner Newton did not reach {settings.inner_tol} "
@@ -113,10 +120,6 @@ def sequential_local_solve(problem, pos, u, settings, kernels=None):
         iterations += 1
         r = residual(x)
         rnorm = np.linalg.norm(r)
-        if not np.isfinite(rnorm):
-            raise LocalSolveError(
-                f"subdomain {i}: inner Newton produced a non-finite residual"
-            )
     solved = x[:m].copy()
     return solved - u[pos.overlap], solved, iterations
 
@@ -214,7 +217,7 @@ def stacked_positions(positions):
 
     Each block's band slots move to its rows' offset in the stack and to
     the stack's bandwidths, the largest of the blocks'.  Returns a dict of
-    the PositionStack fields it sets: subdomains, the index arrays, kl, ku.
+    the PositionStack fields it sets: the index arrays, kl and ku.
     """
     sizes = np.array([pos.size for pos in positions])
     widths = np.array([len(pos.cells) for pos in positions])
@@ -230,7 +233,6 @@ def stacked_positions(positions):
                               (2 * kls + kus + 1)[entry_block])
     width = 2 * kl + ku + 1
     return dict(
-        subdomains=tuple(pos.subdomain for pos in positions),
         cells=np.concatenate([pos.cells for pos in positions]),
         overlap=(np.arange(sizes.sum())
                  + np.repeat(np.cumsum(widths) - widths - block_starts, sizes)),

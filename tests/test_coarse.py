@@ -1,9 +1,15 @@
 """Tests for the Galerkin coarse problem and coarse corrections."""
 
+import warnings
+
 import numpy as np
+import pytest
+import scipy.linalg as sla
 from oracles import dense_darcy_system, plain_newton
 
+import raspen.coarse as coarse_mod
 from raspen.coarse import (
+    CoarseSolveError,
     aspin_coarse_correction,
     aspin_coarse_jacobian_action,
     aspin_coarse_setup,
@@ -210,9 +216,62 @@ def test_j0_hat_round_trip():
     u = rng.standard_normal(64)
     res = fas_correction(prob, lay, u, SETTINGS)
     J0_hat = coarse_jacobian(prob, lay, lay.R0 @ u + res.correction)
-    import scipy.linalg as sla
-
     for _ in range(3):
         w = rng.standard_normal(4)
         back = J0_hat @ sla.lu_solve(res.J0_hat_lu, w)
         assert np.linalg.norm(back - w) / np.linalg.norm(w) < 1e-10
+
+
+def _coarse_solves(prob, lay, u):
+    """Each coarse Newton entry point as a function of the settings, by label."""
+    u0_star = aspin_coarse_setup(prob, lay, SETTINGS)
+    return {
+        "FAS coarse correction": lambda s: fas_correction(prob, lay, u, s),
+        "AS coarse correction": lambda s: aspin_coarse_correction(
+            prob, lay, u, u0_star, s),
+        "coarse base solve": lambda s: aspin_coarse_setup(prob, lay, s),
+    }
+
+
+@pytest.mark.parametrize("what", ["FAS coarse correction", "AS coarse correction",
+                                  "coarse base solve"])
+def test_coarse_budget_error(what):
+    prob, lay = smooth_forchheimer(36, beta=1.0), build_1d_layout(36, 4, 3)
+    u = 0.3 * np.random.default_rng(40).standard_normal(36)
+    solve = _coarse_solves(prob, lay, u)[what]
+    if what != "coarse base solve":
+        assert solve(SETTINGS).inner_iterations >= 2
+    with pytest.raises(CoarseSolveError, match=(
+            f"^{what}: coarse Newton did not reach 1e-08 within 1 iterations "
+            r"\(residual ")):
+        solve(SolverSettings(max_inner=1))
+
+
+@pytest.mark.parametrize("what", ["FAS coarse correction", "AS coarse correction",
+                                  "coarse base solve"])
+def test_coarse_singular_error(what, monkeypatch):
+    # the factorization's info reports the zero pivot; no LinAlgWarning
+    prob, lay = smooth_forchheimer(24, beta=1.0), build_1d_layout(24, 4, 2)
+    solve = _coarse_solves(prob, lay, np.linspace(0.0, 1.0, 24))[what]
+    monkeypatch.setattr(coarse_mod, "coarse_jacobian",
+                        lambda problem, layout, u0: np.zeros((4, 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", sla.LinAlgWarning)
+        with pytest.raises(CoarseSolveError,
+                           match=f"^{what}: singular coarse Jacobian$"):
+            solve(SETTINGS)
+
+
+@pytest.mark.parametrize("value", [1e308, np.nan], ids=["overflow", "nan"])
+@pytest.mark.parametrize("what", ["FAS coarse correction", "AS coarse correction"])
+def test_coarse_nonfinite_start_error(what, value):
+    # F(u) is non-finite in rows 4-6, so the start residual is: a nan norm
+    # passes no tolerance test, and nan must not reach the factorization
+    prob, lay = smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 4, 2)
+    u = np.zeros(40)
+    u[5] = value
+    solve = _coarse_solves(prob, lay, u)[what]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            CoarseSolveError,
+            match=f"^{what}: coarse Newton produced non-finite values$"):
+        solve(SETTINGS)

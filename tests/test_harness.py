@@ -293,9 +293,14 @@ def _mask_cases():
                 yield DiffusionProblem2D(nx, ny), build_2d_layout(nx, ny, N, 0)
 
 
+def _no_jacobian(u):
+    raise AssertionError("the mask evaluated a Jacobian")
+
+
 def test_off_interface_mask_reads_the_jacobian_pattern():
     cases = 0
     for problem, layout in _mask_cases():
+        problem.jacobian = _no_jacobian  # the mask reads problem.pattern
         got = harness_mod._off_interface_mask(problem, layout)
         want = _geometric_off_interface_mask(problem, layout)
         assert got.dtype == bool

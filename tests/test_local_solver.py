@@ -21,8 +21,9 @@ from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.local_solver import (
     LocalSolveError,
     SolverSettings,
-    _lone,
+    _band_lu,
     _solve,
+    _step,
     block_positions,
     local_correction_jacobian_action,
     local_jacobian,
@@ -39,10 +40,15 @@ def _per_block(stack, stacked):
     return np.split(stacked, stack.block_starts[1:])
 
 
-def _lones(prob, lay):
-    """Every subdomain of the layout alone, as its one-block stack."""
-    stack = block_positions(prob, lay)
-    return [_lone(stack, b) for b in range(lay.n_subdomains)]
+def _block_diagonal(layout, rows):
+    """diag(A_ii), A_ii = R_i J P_i, from every subdomain's R_i J stacked in rows."""
+    A = np.zeros((len(rows), len(rows)))
+    at = 0
+    for sub in layout.subdomains:
+        block = slice(at, at + len(sub.overlap))
+        A[block, block] = rows[block][:, sub.overlap]
+        at = block.stop
+    return A
 
 
 def _band_to_dense(ab, kl, ku):
@@ -78,10 +84,10 @@ def test_settings_budgets_are_integers(name):
 def test_zero_iterations_at_solution():
     prob = smooth_forchheimer(24, beta=1.0)
     ustar = plain_newton(prob, np.zeros(24))
-    for lone in _lones(prob, build_1d_layout(24, 3, 2)):
-        res = solve_local(lone, ustar, SETTINGS)
-        assert res.inner_iterations <= 1
-        assert np.allclose(res.correction, 0.0, atol=1e-7)
+    res = solve_local(block_positions(prob, build_1d_layout(24, 3, 2)), ustar,
+                      SETTINGS)
+    assert max(res.inner_counts) <= 1
+    assert np.allclose(res.correction, 0.0, atol=1e-7)
 
 
 def test_affine_correction_formula():
@@ -90,26 +96,27 @@ def test_affine_correction_formula():
     lay = build_1d_layout(18, 3, 2)
     rng = np.random.default_rng(20)
     u = rng.standard_normal(18)
-    for sub, lone in zip(lay.subdomains, _lones(prob, lay)):
+    stack = block_positions(prob, lay)
+    res = solve_local(stack, u, SETTINGS)
+    assert res.inner_counts == (1,) * lay.n_subdomains
+    for sub, correction in zip(lay.subdomains, _per_block(stack, res.correction)):
         ov = sub.overlap
-        res = solve_local(lone, u, SETTINGS)
         A_i = A[np.ix_(ov, ov)]
         want = np.linalg.solve(A_i, (b - A @ u)[ov])
-        assert np.allclose(res.correction, want, atol=1e-10)
-        assert res.inner_iterations == 1
+        assert np.allclose(correction, want, atol=1e-10)
 
 
 def test_matches_brute_force_local_newton():
     prob = smooth_forchheimer(12, beta=1.0)
     lay = build_1d_layout(12, 2, 1)
-    lones = _lones(prob, lay)
+    stack = block_positions(prob, lay)
     rng = np.random.default_rng(21)
     u = rng.standard_normal(12)
-    for i in range(2):
-        res = solve_local(lones[i], u, SETTINGS)
+    res = solve_local(stack, u, SETTINGS)
+    for i, correction in enumerate(_per_block(stack, res.correction)):
         want = brute_frozen_newton(prob, lay, i, u)
         got = u.copy()
-        got[lay.subdomains[i].overlap] += res.correction
+        got[lay.subdomains[i].overlap] += correction
         assert np.max(np.abs(got - want)) < 1e-8
 
 
@@ -118,10 +125,11 @@ def test_exterior_untouched_and_residual_small():
     lay = build_2d_layout(8, 8, 2, 1)
     rng = np.random.default_rng(22)
     u = rng.standard_normal(64)
-    res = solve_local(_lones(prob, lay)[1], u, SETTINGS)
+    stack = block_positions(prob, lay)
+    res = solve_local(stack, u, SETTINGS)
     ov = lay.subdomains[1].overlap
     v = u.copy()
-    v[ov] += res.correction
+    v[ov] += _per_block(stack, res.correction)[1]
     outside = np.setdiff1d(np.arange(64), ov)
     assert np.array_equal(v[outside], u[outside])
     assert np.linalg.norm(prob.residual(v)[ov]) <= SETTINGS.inner_tol
@@ -130,14 +138,14 @@ def test_exterior_untouched_and_residual_small():
 def test_factorization_round_trip():
     prob = smooth_forchheimer(30, beta=1.0)
     lay = build_1d_layout(30, 3, 2)
-    lone = _lones(prob, lay)[0]
+    stack = block_positions(prob, lay)
     u = np.linspace(0, 1, 30)
-    block = local_jacobian(lone, solve_local(lone, u, SETTINGS).X)
-    A_ii = block.matrix.toarray()[:, lay.subdomains[0].overlap]
+    block = local_jacobian(stack, solve_local(stack, u, SETTINGS).X)
+    A = _block_diagonal(lay, block.matrix.toarray())
     rng = np.random.default_rng(23)
     for _ in range(5):
-        w = rng.standard_normal(A_ii.shape[0])
-        back = A_ii @ _solve(block, w)
+        w = rng.standard_normal(stack.size)
+        back = A @ _solve(block, w)
         assert np.linalg.norm(back - w) / np.linalg.norm(w) < 1e-10
 
 
@@ -170,9 +178,9 @@ def test_local_jacobian_copies_no_array(make):
 
 def test_jacobian_action_zero_and_linear():
     prob = smooth_forchheimer(20, beta=1.0)
-    lone = _lones(prob, build_1d_layout(20, 4, 1))[2]
+    stack = block_positions(prob, build_1d_layout(20, 4, 1))
     u = np.linspace(0, 1, 20)
-    block = local_jacobian(lone, solve_local(lone, u, SETTINGS).X)
+    block = local_jacobian(stack, solve_local(stack, u, SETTINGS).X)
     assert np.allclose(local_correction_jacobian_action(block, np.zeros(20)), 0.0)
     rng = np.random.default_rng(24)
     v, w = rng.standard_normal(20), rng.standard_normal(20)
@@ -188,15 +196,15 @@ def test_jacobian_action_affine_oracle():
     lay = build_1d_layout(15, 3, 1)
     rng = np.random.default_rng(25)
     u = rng.standard_normal(15)
-    for sub, lone in zip(lay.subdomains, _lones(prob, lay)):
-        ov = sub.overlap
-        block = local_jacobian(lone, solve_local(lone, u, SETTINGS).X)
-        A_i = A[np.ix_(ov, ov)]
-        for _ in range(3):
-            v = rng.standard_normal(15)
-            want = -np.linalg.solve(A_i, (A @ v)[ov])
-            got = local_correction_jacobian_action(block, v)
-            assert np.allclose(got, want, atol=1e-10)
+    stack = block_positions(prob, lay)
+    block = local_jacobian(stack, solve_local(stack, u, SETTINGS).X)
+    for _ in range(3):
+        v = rng.standard_normal(15)
+        got = _per_block(stack, local_correction_jacobian_action(block, v))
+        for sub, got_i in zip(lay.subdomains, got):
+            ov = sub.overlap
+            want = -np.linalg.solve(A[np.ix_(ov, ov)], (A @ v)[ov])
+            assert np.allclose(got_i, want, atol=1e-10)
 
 
 @pytest.mark.parametrize("make", [
@@ -209,17 +217,18 @@ def test_jacobian_action_matches_fd(make):
     tight = SolverSettings(inner_tol=1e-13)
     rng = np.random.default_rng(26)
     u = 0.1 * rng.standard_normal(n)
-    for lone in _lones(prob, lay):
-        block = local_jacobian(lone, solve_local(lone, u, tight).X)
-        for _ in range(2):
-            v = rng.standard_normal(n)
-            eps = 1e-6
-            cp = solve_local(lone, u + eps * v, tight).correction
-            cm = solve_local(lone, u - eps * v, tight).correction
-            fd = (cp - cm) / (2 * eps)
-            got = local_correction_jacobian_action(block, v)
-            denom = max(1.0, np.linalg.norm(fd))
-            assert np.linalg.norm(got - fd) / denom < 1e-5
+    stack = block_positions(prob, lay)
+    block = local_jacobian(stack, solve_local(stack, u, tight).X)
+    for _ in range(2):
+        v = rng.standard_normal(n)
+        eps = 1e-6
+        cp = solve_local(stack, u + eps * v, tight).correction
+        cm = solve_local(stack, u - eps * v, tight).correction
+        fd = (cp - cm) / (2 * eps)
+        got = local_correction_jacobian_action(block, v)
+        for got_i, fd_i in zip(_per_block(stack, got), _per_block(stack, fd)):
+            denom = max(1.0, np.linalg.norm(fd_i))
+            assert np.linalg.norm(got_i - fd_i) / denom < 1e-5
 
 
 @pytest.mark.parametrize("make", [
@@ -242,24 +251,25 @@ def test_blocks_gathered_by_position_match_slices(make, monkeypatch):
         return dgbtrf(ab, kl, ku, **kwargs)
 
     monkeypatch.setattr(local_solver_mod, "dgbtrf", recording_dgbtrf)
-    for sub, lone in zip(lay.subdomains, _lones(prob, lay)):
-        ov = sub.overlap
-        block = local_jacobian(lone, u[lone.cells])
-        ab, kl, ku = factored[-1]
-        # LAPACK's layout: 2*kl+ku+1 rows, the first kl left for fill-in
-        assert ab.shape == (2 * kl + ku + 1, lone.size) and not ab[:kl].any()
-        assert np.array_equal(_band_to_dense(ab, kl, ku),
-                              J[ov][:, ov].toarray())
-        assert np.array_equal(block.matrix.toarray(), J[ov].toarray())
-    assert len(factored) == lay.n_subdomains
+    stack = block_positions(prob, lay)
+    block = local_jacobian(stack, u[stack.cells])
+    assert len(factored) == 1
+    ab, kl, ku = factored[0]
+    # LAPACK's layout: 2*kl+ku+1 rows, the first kl left for fill-in
+    assert ab.shape == (2 * kl + ku + 1, stack.size) and not ab[:kl].any()
+    ov = np.concatenate([sub.overlap for sub in lay.subdomains])
+    assert np.array_equal(block.matrix.toarray(), J[ov].toarray())
+    assert np.array_equal(_band_to_dense(ab, kl, ku),
+                          _block_diagonal(lay, J[ov].toarray()))
 
 
 class _Repatterned:
-    """A problem whose Jacobian is passed through change before it is returned."""
+    """A problem whose pattern and Jacobians are passed through change."""
 
     def __init__(self, problem, change):
         self.problem, self.change = problem, change
         self.dof_count = problem.dof_count
+        self.pattern = change(problem.pattern)
 
     def residual(self, u):
         return self.problem.residual(u)
@@ -273,8 +283,7 @@ class _Repatterned:
 
     def _extra(self, rows):
         """Which entries of the rows' pattern the wrapped problem's lacks."""
-        ours = self.jacobian(self.initial_state())
-        theirs = self.problem.jacobian(self.initial_state())
+        ours, theirs = self.pattern, self.problem.pattern
         return np.concatenate([~np.isin(ours[r].indices, theirs[r].indices)
                                for r in rows])
 
@@ -305,22 +314,24 @@ def _with_entry_above(J):
      [(0, 0)] * 6),
 ], ids=["wide-upper-band", "1x1"])
 def test_band_factors_match_dense_solve(make, bands):
+    # the stack's band has the widest block's bandwidths
     prob, lay = make()
     n = prob.dof_count
-    lones = _lones(prob, lay)
-    assert [(lone.kl, lone.ku) for lone in lones] == bands
+    assert [(pos.kl, pos.ku) for pos in per_block_positions(prob, lay)] == bands
+    stack = block_positions(prob, lay)
+    assert (stack.kl, stack.ku) == tuple(np.max(bands, axis=0))
     rng = np.random.default_rng(28)
     u = rng.standard_normal(n)
     dense = prob.jacobian(u).toarray()
-    for sub, lone in zip(lay.subdomains, lones):
-        ov = sub.overlap
-        A_i = dense[np.ix_(ov, ov)]
-        block = local_jacobian(lone, u[lone.cells])
-        w, v = rng.standard_normal(lone.size), rng.standard_normal(n)
-        assert np.allclose(_solve(block, w), np.linalg.solve(A_i, w),
+    ov = np.concatenate([sub.overlap for sub in lay.subdomains])
+    A = _block_diagonal(lay, dense[ov])
+    block = local_jacobian(stack, u[stack.cells])
+    for _ in range(2):
+        w, v = rng.standard_normal(stack.size), rng.standard_normal(n)
+        assert np.allclose(_solve(block, w), np.linalg.solve(A, w),
                            rtol=1e-12, atol=1e-12)
         assert np.allclose(local_correction_jacobian_action(block, v),
-                           -np.linalg.solve(A_i, dense[ov] @ v),
+                           -np.linalg.solve(A, dense[ov] @ v),
                            rtol=1e-12, atol=1e-12)
 
 
@@ -358,31 +369,29 @@ def test_first_sweep_inner_count_smooth_case():
 
 
 def test_inner_budget_error_names_subdomain():
-    prob = smooth_forchheimer(12, beta=1.0)
-    lone = _lones(prob, build_1d_layout(12, 2, 1))[1]
+    # u is the solution but at cell 11, which only subdomain 1 sees:
+    # subdomain 0 converges at once, subdomain 1 runs out of its one step
+    prob, lay = smooth_forchheimer(12, beta=1.0), build_1d_layout(12, 2, 1)
+    u = plain_newton(prob, np.zeros(12))
+    u[11] += 100.0
     starved = SolverSettings(max_inner=1)
-    with pytest.raises(LocalSolveError, match="subdomain 1"):
-        solve_local(lone, 100.0 * np.ones(12), starved)
+    with pytest.raises(LocalSolveError, match="^subdomain 1: inner Newton did not "
+                       "reach") as caught:
+        solve_local(block_positions(prob, lay), u, starved)
+    assert caught.value.subdomain == 1
 
 
 def test_inner_newton_checks_name_the_subdomain():
-    prob = smooth_forchheimer(12, beta=1.0)
-    stack = _lones(prob, build_1d_layout(12, 2, 1))[1]
-    u = np.zeros(12)
-    singular = dataclasses.replace(stack, jacobian=lambda x: np.zeros(len(stack.columns)))
-    with pytest.raises(LocalSolveError,
-                       match="subdomain 1: singular local Jacobian"):
-        solve_local(singular, u, SETTINGS)
-    evaluated = []
-
-    def nan_after_first_step(x):
-        evaluated.append(x)
-        return stack.residual(x) * (np.nan if len(evaluated) > 1 else 1.0)
-
-    with pytest.raises(LocalSolveError, match="subdomain 1: inner Newton "
-                       "produced a non-finite residual"):
-        solve_local(dataclasses.replace(stack, residual=nan_after_first_step), u,
-                    SETTINGS)
+    prob, lay = smooth_forchheimer(12, beta=1.0), build_1d_layout(12, 2, 1)
+    stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
+    for faults, message in (
+            (dict(singular={1: 1}), "singular local Jacobian"),
+            (dict(nonfinite={1: 2}), "inner Newton produced a non-finite residual")):
+        failing, _ = _failing(stack, positions, **faults)
+        with pytest.raises(LocalSolveError,
+                           match=f"^subdomain 1: {message}$") as caught:
+            solve_local(failing, np.zeros(12), SETTINGS)
+        assert caught.value.subdomain == 1
 
 
 def test_sweep_result_holds_the_solved_local_vector():
@@ -555,8 +564,7 @@ def _assert_matches_per_block_builder(stack, positions):
         got = getattr(stack, name)
         assert got.dtype == want[name].dtype, name
         assert got.tobytes() == want[name].tobytes(), name
-    assert (stack.subdomains, stack.kl, stack.ku) == (
-        want["subdomains"], want["kl"], want["ku"])
+    assert (stack.kl, stack.ku) == (want["kl"], want["ku"])
 
 
 @pytest.mark.parametrize("make", [*_LAYOUTS.values(),
@@ -606,25 +614,25 @@ def test_batched_sweep_bit_identical_to_sequential_solves(name):
         assert result.inner_counts == tuple(n for _, _, n in want)
         assert result.inner_iterations == sum(result.inner_counts)
         assert (ls_max, ls_min) == (max(result.inner_counts), min(result.inner_counts))
-        assert result.positions.subdomains == tuple(range(lay.n_subdomains))
 
 
 def test_converged_subdomains_keep_their_solo_values():
     # subdomain 3 holds the u(L) = 1 boundary and needs one step more than
     # the others, which are frozen meanwhile
-    prob = smooth_forchheimer(40, beta=1.0)
-    stack = block_positions(prob, build_1d_layout(40, 4, 2))
+    prob, lay = smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 4, 2)
+    stack = block_positions(prob, lay)
     u = np.zeros(40)
     result = solve_local(stack, u, SETTINGS)
     assert min(result.inner_counts) < max(result.inner_counts)
-    for b, (correction, solved, count) in enumerate(zip(
+    for pos, correction, solved, count in zip(
+            per_block_positions(prob, lay),
             _per_block(stack, result.correction),
             _per_block(stack, result.X[stack.overlap]),
-            result.inner_counts)):
-        alone = solve_local(_lone(stack, b), u, SETTINGS)
-        assert alone.inner_counts == (count,)
-        assert correction.tobytes() == alone.correction.tobytes()
-        assert solved.tobytes() == alone.X[alone.positions.overlap].tobytes()
+            result.inner_counts):
+        alone = sequential_local_solve(prob, pos, u, SETTINGS)
+        assert alone[2] == count
+        assert correction.tobytes() == alone[0].tobytes()
+        assert solved.tobytes() == alone[1].tobytes()
 
 
 def _entry_ranges(stack):
@@ -745,26 +753,55 @@ def test_overflowing_step_spills_into_no_other_subdomain():
     assert caught.value.subdomain == 2
 
 
-def test_overflow_resolve_takes_the_block_at_its_own_bands(monkeypatch):
-    # subdomain 2's first step overflows and spills into the blocks the
-    # band pads; each is re-solved on its one-block stack, at its own bands
-    # (subdomain 2's are (1, 1), not the stack's (1, 5))
+@pytest.mark.parametrize("value", [1e308, np.nan], ids=["overflow", "nan"])
+def test_nonfinite_start_residual_fails_its_subdomain(value):
+    # u[5] makes F non-finite in rows 4-6, which only subdomain 0 holds; a
+    # nan start norm passes no tolerance test, so it must fail, not freeze
+    prob, lay = smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 4, 2)
+    stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
+    u = np.zeros(40)
+    u[5] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _sequential_error(prob, positions, u, SETTINGS, lambda b: None)
+        with pytest.raises(LocalSolveError) as caught:
+            solve_local(stack, u, SETTINGS)
+    assert str(caught.value) == str(want) == (
+        "subdomain 0: inner Newton produced a non-finite residual")
+    assert caught.value.subdomain == 0
+    assert len(caught.value.residuals) == 1
+    assert not np.isfinite(caught.value.residuals[0])
+
+
+def test_overflow_resolve_leaves_every_other_step_as_alone():
+    # block 2's entries scaled to 1e-320 make its step overflow; in the band,
+    # padded to block 1's upper bandwidth 5, 0 * inf spills into its
+    # neighbours, so each non-finite block is solved again on the band with
+    # every other block the identity
     prob, lay = _LAYOUTS["1d-wide-band"]()
     stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
-    failing, _ = _failing(stack, positions, tiny={2: 1})
-    lone, taken = local_solver_mod._lone, []
-
-    def recording_lone(stack, b):
-        taken.append((b, lone(stack, b)))
-        return taken[-1][1]
-
-    monkeypatch.setattr(local_solver_mod, "_lone", recording_lone)
-    with pytest.raises(LocalSolveError, match="subdomain 2"):
-        solve_local(failing, np.zeros(12), SETTINGS)
-    assert 2 in dict(taken)
-    assert (dict(taken)[2].kl, dict(taken)[2].ku) == (1, 1)
-    for b, alone in taken:
-        _assert_matches_per_block_builder(alone, [positions[b]])
+    assert (stack.kl, stack.ku) == (1, 5)
+    X = np.zeros(len(stack.cells))
+    entries, r = stack.jacobian(X), stack.residual(X)
+    entries[_entry_ranges(stack)[2]] *= 1e-320
+    lu, ipiv, _ = _band_lu(stack, entries)
+    spilled = lapack.dgbtrs(lu, stack.kl, stack.ku, r, ipiv)[0]
+    assert not all(np.isfinite(part).all() for b, part in
+                   enumerate(_per_block(stack, spilled)) if b != 2)
+    active, failures = np.ones(lay.n_subdomains, bool), {}
+    step = _step(stack, entries, r, active, failures)
+    assert active.all() and failures == {}
+    for b, (pos, got) in enumerate(zip(positions, _per_block(stack, step))):
+        if b == 2:
+            assert not np.isfinite(got).all()
+            continue
+        band = np.zeros((pos.size, 2 * pos.kl + pos.ku + 1))
+        band.flat[pos.slots] = entries[_entry_ranges(stack)[b]][pos.block]
+        own_lu, own_ipiv, info = lapack.dgbtrf(band.T, pos.kl, pos.ku,
+                                               overwrite_ab=True)
+        assert info == 0
+        solo = lapack.dgbtrs(own_lu, pos.kl, pos.ku, r[_row_range(stack, b)],
+                             own_ipiv)[0]
+        assert got.tobytes() == solo.tobytes()
 
 
 @pytest.mark.parametrize("kind, settings, faults, trail", [

@@ -281,24 +281,38 @@ _ONE_LEVEL_SETUPS = {
 }
 
 
-@pytest.mark.parametrize("kind, setup", [
-    ("RASPEN1", "1d"), ("RASPEN1", "2d"), ("ASPIN1", "1d"), ("ASPIN1", "2d"),
-], ids=["1d", "2d", "aspin1-1d", "aspin1-2d"])
-def test_raspen1_newton_evaluates_no_global_residual_or_jacobian(kind, setup):
-    # local solves and their derivative blocks, exact or inexact, read the
-    # problem's row kernels only: the one global Jacobian is the pattern
-    # that block_positions reads, for all subdomains at once, when the
-    # system is built
-    prob, lay = _ONE_LEVEL_SETUPS[setup]()
+def _spied(prob):
+    """Count prob's global residual and Jacobian evaluations."""
     calls = {"residual": 0, "jacobian": 0}
     for name in calls:
         def spy(u, evaluate=getattr(prob, name), name=name):
             calls[name] += 1
             return evaluate(u)
         setattr(prob, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind, setup", [
+    ("RASPEN1", "1d"), ("RASPEN1", "2d"), ("ASPIN1", "1d"), ("ASPIN1", "2d"),
+], ids=["1d", "2d", "aspin1-1d", "aspin1-2d"])
+def test_raspen1_newton_evaluates_no_global_residual_or_jacobian(kind, setup):
+    # local solves and their derivative blocks, exact or inexact, read the
+    # problem's row kernels only, and block_positions reads the problem's
+    # pattern, for all subdomains at once, when the system is built
+    prob, lay = _ONE_LEVEL_SETUPS[setup]()
+    calls = _spied(prob)
     system = PreconditionedSystem(kind, prob, lay)
     assert outer_newton(system, prob.initial_state()).converged
-    assert calls == {"residual": 0, "jacobian": 1}
+    assert calls == {"residual": 0, "jacobian": 0}
+
+
+@pytest.mark.parametrize("setup", _ONE_LEVEL_SETUPS)
+@pytest.mark.parametrize("kind", ["RASPEN1", "ASPIN1", "RASPEN2", "ASPIN2"])
+def test_building_a_system_evaluates_no_global_residual_or_jacobian(kind, setup):
+    prob, lay = _ONE_LEVEL_SETUPS[setup]()
+    calls = _spied(prob)
+    PreconditionedSystem(kind, prob, lay)
+    assert calls == {"residual": 0, "jacobian": 0}
 
 
 def test_ras_fixed_point_converges():

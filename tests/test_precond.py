@@ -8,8 +8,9 @@ from oracles import dense_darcy_system, plain_newton, schwarz_preconditioners
 
 import raspen.local_solver as local_solver_mod
 import raspen.precond as precond_mod
+from raspen.coarse import CoarseSolveError
 from raspen.decomposition import build_1d_layout, build_2d_layout
-from raspen.local_solver import SolverSettings, StaleCacheError
+from raspen.local_solver import LocalSolveError, SolverSettings, StaleCacheError
 from raspen.precond import KINDS, PreconditionedSystem
 from raspen.problems import DiffusionProblem2D, smooth_forchheimer
 
@@ -374,3 +375,20 @@ def test_last_counts_and_u0_star_cached():
     mx, mn = system.last_counts
     assert mx >= mn >= 0
     assert mx >= 1
+
+
+@pytest.mark.parametrize("value", [1e308, np.nan], ids=["overflow", "nan"])
+@pytest.mark.parametrize("kind, error", [
+    ("RASPEN1", LocalSolveError), ("ASPIN1", LocalSolveError),
+    ("RASPEN2", CoarseSolveError), ("ASPIN2", CoarseSolveError),
+])
+def test_nonfinite_state_fails_the_evaluation(kind, error, value):
+    # F(u) is non-finite in rows 4-6: no kind may return a finite residual
+    # or raise anything but a SolveError, which a harness row records
+    prob, lay = smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 4, 2)
+    system = PreconditionedSystem(kind, prob, lay, SETTINGS)
+    u = np.zeros(40)
+    u[5] = value
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as caught:
+        system.residual(u)
+    assert "non-finite" in str(caught.value)

@@ -342,12 +342,17 @@ def _assembled_jacobian(prob, u):
 def test_jacobian_pattern_is_fixed_and_matches_assembly(prob):
     n = prob.dof_count
     rng = np.random.default_rng(31)
-    first = prob.jacobian(np.zeros(n))
+    # the problem's pattern is every Jacobian's, shared and read-only
+    first = prob.pattern
+    assert first.format == "csr" and first.has_canonical_format
+    assert first.shape == (n, n)
+    assert not (first.indptr.flags.writeable or first.indices.flags.writeable)
     for u in (np.zeros(n), rng.standard_normal(n), 1e3 * rng.standard_normal(n)):
         J = prob.jacobian(u)
         assert J.format == "csr" and J.has_canonical_format
         assert np.array_equal(J.indptr, first.indptr)
         assert np.array_equal(J.indices, first.indices)
+        assert np.shares_memory(J.indices, first.indices)
         # The fixed 1D pattern keeps an entry that happens to vanish, which
         # the dia-to-CSR conversion of the oracle drops; none vanishes here.
         want = _assembled_jacobian(prob, u)

@@ -8,6 +8,7 @@ only `perfbench/run.py --trace 1`, silently.
 import sys
 from pathlib import Path
 
+import pytest
 import scipy.sparse.linalg as spla
 # harness too: installed() imports it, and the module set must not change
 from raspen import harness, local_solver, newton, precond, problems  # noqa: F401
@@ -29,6 +30,15 @@ def _bindings():
            for owner in owners for attr, value in vars(owner).items()}
     out["splu"] = spla.splu
     return out
+
+
+@pytest.mark.parametrize("cls", _PATCHED_CLASSES[:2], ids=lambda c: c.__name__)
+def test_problem_classes_define_their_own_residual_and_jacobian(cls):
+    for method in ("residual", "jacobian"):
+        assert method in vars(cls), (
+            f"{cls.__name__}.{method} must be defined on the class itself: the "
+            f"tracer patches and restores it per class, and restoring an "
+            f"inherited method leaves a copy in the subclass")
 
 
 def test_trace_hooks_cover_every_layer_and_restore_the_originals():
