@@ -23,29 +23,35 @@ precomputes the coarse solution u_0* (F_0(u_0*) = 0) once and solves
 from the initial guess u_0*.  Both are one coarse Newton solve that differs
 only in its start value and right-hand side, as is the base solve for
 u_0*.  Coarse Newton factors each iterate's dense coarse Jacobian once, by
-LU, steps with those factors and fails with CoarseSolveError on a
-non-finite residual (the start's included), a singular Jacobian or a spent
-budget.  Both corrections retain the factors at the converged iterate
-(J^_0) for the outer Jacobian actions
+LU (dgetrf), steps with those factors (dgetrs) and fails with
+CoarseSolveError on a non-finite residual (the start's included), a
+singular Jacobian or a spent budget.  Both corrections retain the factors
+at the converged iterate (J^_0) for the outer Jacobian actions
 
     dC_0/du   = -R_0 + J^_0^{-1} (J_0 R_0 - P_0^T J(u)),
     dC_0^A/du = -J^_0^{-1} P_0^T J(u).
 
 An action takes the fine Jacobian J(u) from its caller, which assembles it
 once per state and makes sure that the correction was solved at u.
+
+Each system builds one CoarseSpace from J's fixed pattern and P_0: P_0^T
+as CSR, for every restriction, and the Galerkin map, two sparse stages
+that take J.data onto the entries of J P_0 and those onto the dense J_0.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import dgetrf
+import scipy.sparse as sp
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .local_solver import SolveError
 
 __all__ = [
+    "CoarseSpace",
     "CoarseSolveResult",
     "CoarseSolveError",
+    "coarse_space",
     "coarse_residual",
     "coarse_jacobian",
     "fas_correction",
@@ -65,9 +71,8 @@ class CoarseSolveResult:
     """Outcome of one coarse correction solve.
 
     J0 is the coarse Jacobian at the initial guess (read by the FAS action
-    only); J0_hat_lu is the LU factorization (lu, piv), as
-    scipy.linalg.lu_solve takes it, of the coarse Jacobian at the converged
-    iterate.
+    only); J0_hat_lu is the LU factorization (lu, piv), as dgetrf returns
+    it and dgetrs takes it, of the coarse Jacobian at the converged iterate.
     """
 
     correction: np.ndarray
@@ -76,35 +81,67 @@ class CoarseSolveResult:
     inner_iterations: int
 
 
-def coarse_residual(problem, layout, u0):
+@dataclass(frozen=True, eq=False)
+class CoarseSpace:
+    """G2 @ (G1 @ J.data) are J_0^T's entries, at `slots` of an N x N array."""
+
+    problem: object
+    layout: object
+    P0T: sp.csr_matrix = field(repr=False)
+    G1: sp.csr_matrix = field(repr=False)
+    G2: sp.csr_matrix = field(repr=False)
+    slots: np.ndarray = field(repr=False)
+
+
+def _stage(P0, rows, cols):
+    """Map X's entries, at (rows, cols), onto X P_0's, at row * N + column."""
+    width = np.diff(P0.indptr)[cols]
+    e = np.repeat(np.arange(cols.size), width)
+    p = np.arange(e.size) + np.repeat(P0.indptr[cols] - width.cumsum() + width, width)
+    slots, dest = np.unique(rows[e] * P0.shape[1] + P0.indices[p], return_inverse=True)
+    return sp.csr_matrix((P0.data[p], (dest, e)), shape=(slots.size, cols.size)), slots
+
+
+def coarse_space(problem, layout):
+    """P_0^T and the Galerkin map of J's pattern; evaluates no Jacobian."""
+    P0, n, J = layout.P0, layout.n_subdomains, problem.pattern
+    G1, jp = _stage(P0, np.repeat(np.arange(J.shape[0]), np.diff(J.indptr)), J.indices)
+    G2, slots = _stage(P0, jp % n, jp // n)  # X = (J P_0)^T: X P_0 = J_0^T
+    return CoarseSpace(problem, layout, P0.T.tocsr(), G1, G2, slots)
+
+
+def _prolonged(space, u0):
+    """P_0 u_0, for a coarse vector u_0 of the space."""
+    u0, n = np.asarray(u0, dtype=float), space.layout.n_subdomains
+    if u0.shape != (n,):
+        raise ValueError(f"expected coarse vector of length {n}")
+    return space.layout.P0 @ u0
+
+
+def coarse_residual(space, u0):
     """F_0(u_0) = P_0^T F(P_0 u_0)."""
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (layout.n_subdomains,):
-        raise ValueError(f"expected coarse vector of length {layout.n_subdomains}")
-    return layout.P0.T @ problem.residual(layout.P0 @ u0)
+    return space.P0T @ space.problem.residual(_prolonged(space, u0))
 
 
-def coarse_jacobian(problem, layout, u0):
-    """Dense F_0'(u_0) = P_0^T J(P_0 u_0) P_0 (coarse dimension is small)."""
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (layout.n_subdomains,):
-        raise ValueError(f"expected coarse vector of length {layout.n_subdomains}")
-    J = problem.jacobian(layout.P0 @ u0)
-    return np.asarray((layout.P0.T @ J @ layout.P0).todense())
+def coarse_jacobian(space, u0):
+    """Dense F_0'(u_0) = P_0^T J(P_0 u_0) P_0, by the Galerkin map."""
+    J0T = np.zeros((space.layout.n_subdomains,) * 2)
+    data = space.problem.jacobian(_prolonged(space, u0)).data
+    J0T.flat[space.slots] = space.G2 @ (space.G1 @ data)
+    return J0T.T
 
 
-def _coarse_newton(problem, layout, start, rhs, settings, what):
+def _coarse_newton(space, start, rhs, settings, what):
     """Solve F_0(start + c) = rhs for c by coarse Newton from start.
 
-    Every iterate, start included, must have a finite residual.  Each
-    iterate's coarse Jacobian is factored once, by LU; a step solves with
-    those factors.  The result keeps the coarse Jacobian at start and the
-    factors of J^_0, the coarse Jacobian at the converged iterate.
+    Every iterate, start included, must have a finite residual; its coarse
+    Jacobian is factored once, by LU.  The result keeps the coarse Jacobian
+    at start and the factors of J^_0, at the converged iterate.
     """
     w = np.asarray(start, dtype=float).copy()
     J0, iterations = None, 0
     while True:
-        r = coarse_residual(problem, layout, w) - rhs
+        r = coarse_residual(space, w) - rhs
         rnorm = np.linalg.norm(r)
         if not np.isfinite(rnorm):
             raise CoarseSolveError(f"{what}: coarse Newton produced non-finite values")
@@ -113,51 +150,43 @@ def _coarse_newton(problem, layout, start, rhs, settings, what):
                 f"{what}: coarse Newton did not reach {settings.inner_tol} "
                 f"within {settings.max_inner} iterations (residual {rnorm:.3e})"
             )
-        J = coarse_jacobian(problem, layout, w)
+        J = coarse_jacobian(space, w)
         J0 = J if J0 is None else J0
         lu, piv, info = dgetrf(J)
         if info > 0:
             raise CoarseSolveError(f"{what}: singular coarse Jacobian")
         if rnorm <= settings.inner_tol:
             return CoarseSolveResult(w - start, J0, (lu, piv), iterations)
-        w -= sla.lu_solve((lu, piv), r)
+        w -= dgetrs(lu, piv, r)[0]
         iterations += 1
 
 
-def fas_correction(problem, layout, u, settings):
+def fas_correction(space, u, settings):
     """Full-approximation-scheme coarse correction C_0(u)."""
-    u = np.asarray(u, dtype=float)
-    u0 = layout.R0 @ u
-    rhs = coarse_residual(problem, layout, u0) - layout.P0.T @ problem.residual(u)
-    return _coarse_newton(problem, layout, u0, rhs, settings,
-                          "FAS coarse correction")
+    u0 = space.layout.R0 @ np.asarray(u, dtype=float)
+    rhs = coarse_residual(space, u0) - space.P0T @ space.problem.residual(u)
+    return _coarse_newton(space, u0, rhs, settings, "FAS coarse correction")
 
 
-def fas_correction_jacobian_action(result, layout, J_u, v):
-    """Apply dC_0/du = -R_0 + J^_0^{-1}(J_0 R_0 - P_0^T J(u)) to v.
-
-    J_u is the fine Jacobian at u, the state result was solved at.
-    """
-    R0v = layout.R0 @ v
-    w = result.J0 @ R0v - layout.P0.T @ (J_u @ v)
-    return -R0v + sla.lu_solve(result.J0_hat_lu, w)
+def fas_correction_jacobian_action(result, space, J_u, v):
+    """Apply dC_0/du = -R_0 + J^_0^{-1}(J_0 R_0 - P_0^T J(u)) to v, J_u = J(u)."""
+    R0v = space.layout.R0 @ v
+    w = result.J0 @ R0v - space.P0T @ (J_u @ v)
+    return -R0v + dgetrs(*result.J0_hat_lu, w)[0]
 
 
-def aspin_coarse_setup(problem, layout, settings):
+def aspin_coarse_setup(space, settings):
     """Solve the plain coarse problem F_0(u_0*) = 0 once, from zero."""
-    zero = np.zeros(layout.n_subdomains)
-    return _coarse_newton(problem, layout, zero, zero, settings,
-                          "coarse base solve").correction
+    zero = np.zeros(space.layout.n_subdomains)
+    return _coarse_newton(space, zero, zero, settings, "coarse base solve").correction
 
 
-def aspin_coarse_correction(problem, layout, u, u0_star, settings):
+def aspin_coarse_correction(space, u, u0_star, settings):
     """Additive-Schwarz coarse correction: F_0(C_0^A + u_0*) = -P_0^T F(u)."""
-    u = np.asarray(u, dtype=float)
-    rhs = -(layout.P0.T @ problem.residual(u))
-    return _coarse_newton(problem, layout, u0_star, rhs, settings,
-                          "AS coarse correction")
+    rhs = -(space.P0T @ space.problem.residual(np.asarray(u, dtype=float)))
+    return _coarse_newton(space, u0_star, rhs, settings, "AS coarse correction")
 
 
-def aspin_coarse_jacobian_action(result, layout, J_u, v):
+def aspin_coarse_jacobian_action(result, space, J_u, v):
     """Apply dC_0^A/du = -J^_0^{-1} P_0^T J(u) to v, J_u the fine J(u)."""
-    return -sla.lu_solve(result.J0_hat_lu, layout.P0.T @ (J_u @ v))
+    return -dgetrs(*result.J0_hat_lu, space.P0T @ (J_u @ v))[0]

@@ -42,8 +42,10 @@ inner solves and the local blocks evaluate only those row kernels, on
 all overlap rows at once, so a one-level evaluation and its actions, of
 either mode, assemble no global residual or Jacobian, and a sweep costs
 O(sum_i m_i).  The fine Jacobian J(u), which only the coarse actions
-read, is assembled at most once per evaluation; the coarse solves
-evaluate the global residual and Jacobian.
+read, is assembled at most once per evaluation.  The coarse solves
+evaluate the global residual and Jacobian; they and the coarse actions
+restrict by P_0^T, take J_0 by the Galerkin map and solve by dgetrs, with
+the CoarseSpace a two-level system builds once, beside its stack.
 """
 
 from dataclasses import dataclass
@@ -54,6 +56,7 @@ from .coarse import (
     aspin_coarse_correction,
     aspin_coarse_jacobian_action,
     aspin_coarse_setup,
+    coarse_space,
     fas_correction,
     fas_correction_jacobian_action,
 )
@@ -113,6 +116,7 @@ class PreconditionedSystem:
             raise ValueError(f"{kind} has no inexact Jacobian variant")
         self.jacobian_mode = jacobian_mode
         self._positions = block_positions(problem, layout)
+        self._coarse = coarse_space(problem, layout) if kind.endswith("2") else None
         self._u0_star = None
         self._cache = None
 
@@ -124,9 +128,7 @@ class PreconditionedSystem:
     def u0_star(self):
         """Coarse base solution for ASPIN2, computed once per system."""
         if self._u0_star is None:
-            self._u0_star = aspin_coarse_setup(
-                self.problem, self.layout, self.settings
-            )
+            self._u0_star = aspin_coarse_setup(self._coarse, self.settings)
         return self._u0_star
 
     @property
@@ -148,13 +150,12 @@ class PreconditionedSystem:
         u = self.problem._state(u).copy()
         coarse, pc0, local_state = None, 0.0, u
         if self.kind == "RASPEN2":
-            coarse = fas_correction(self.problem, self.layout, u, self.settings)
+            coarse = fas_correction(self._coarse, u, self.settings)
             pc0 = self.layout.P0 @ coarse.correction
             local_state = u + pc0
         elif self.kind == "ASPIN2":
-            coarse = aspin_coarse_correction(
-                self.problem, self.layout, u, self.u0_star, self.settings
-            )
+            coarse = aspin_coarse_correction(self._coarse, u, self.u0_star,
+                                             self.settings)
             pc0 = self.layout.P0 @ coarse.correction
         result, mx, mn = sweep_locals(self._positions, local_state, self.settings)
         if coarse is not None:
@@ -191,7 +192,7 @@ class PreconditionedSystem:
             coarse_action = (fas_correction_jacobian_action
                              if self.kind == "RASPEN2"
                              else aspin_coarse_jacobian_action)
-            pt = self.layout.P0 @ coarse_action(cache.coarse, self.layout,
+            pt = self.layout.P0 @ coarse_action(cache.coarse, self._coarse,
                                                 cache.J_u, v)
         x = v + pt if self.kind == "RASPEN2" else v
         # no state check in the coarse or local action: _require_cache

@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 from oracles import dense_darcy_system, schwarz_preconditioners
 
-from raspen.coarse import aspin_coarse_correction, aspin_coarse_setup, fas_correction
+from raspen.coarse import (
+    aspin_coarse_correction,
+    aspin_coarse_setup,
+    coarse_space,
+    fas_correction,
+)
 from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.harness import config_from_dict, run_experiment
 from raspen.local_solver import SolverSettings
@@ -213,10 +218,11 @@ def test_criterion_8_consistency_at_solution():
         for kind in ("RASPEN1", "ASPIN1", "RASPEN2", "ASPIN2"):
             system = PreconditionedSystem(kind, prob, lay, settings)
             worst_res = max(worst_res, np.max(np.abs(system.residual(ustar))))
-        fas = fas_correction(prob, lay, ustar, settings)
+        space = coarse_space(prob, lay)
+        fas = fas_correction(space, ustar, settings)
         worst_coarse = max(worst_coarse, np.max(np.abs(fas.correction)))
-        u0_star = aspin_coarse_setup(prob, lay, settings)
-        asc = aspin_coarse_correction(prob, lay, ustar, u0_star, settings)
+        u0_star = aspin_coarse_setup(space, settings)
+        asc = aspin_coarse_correction(space, ustar, u0_star, settings)
         worst_coarse = max(worst_coarse, np.max(np.abs(asc.correction)))
     dt = time.perf_counter() - t0
     ok = worst_res <= tol and worst_coarse <= tol and dt < 30.0

@@ -8,7 +8,8 @@ from oracles import plain_newton
 
 import raspen.local_solver as local_solver_mod
 import raspen.newton as newton_mod
-from raspen.coarse import CoarseSolveError
+import raspen.precond as precond_mod
+from raspen.coarse import CoarseSolveError, coarse_space
 from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.krylov import GmresReport
 from raspen.local_solver import LocalSolveError, SolveError, SolverSettings
@@ -313,6 +314,26 @@ def test_building_a_system_evaluates_no_global_residual_or_jacobian(kind, setup)
     calls = _spied(prob)
     PreconditionedSystem(kind, prob, lay)
     assert calls == {"residual": 0, "jacobian": 0}
+
+
+@pytest.mark.parametrize("setup", _ONE_LEVEL_SETUPS)
+@pytest.mark.parametrize("kind", ["RASPEN1", "ASPIN1", "RASPEN2", "ASPIN2"])
+def test_a_two_level_system_builds_one_coarse_space(kind, setup, monkeypatch):
+    # built with the system (which evaluates no Jacobian, as the test above
+    # checks), and only read by its solves
+    prob, lay = _ONE_LEVEL_SETUPS[setup]()
+    spaces = []
+
+    def counted(problem, layout):
+        spaces.append(coarse_space(problem, layout))
+        return spaces[-1]
+
+    monkeypatch.setattr(precond_mod, "coarse_space", counted)
+    system = PreconditionedSystem(kind, prob, lay)
+    built = 1 if kind.endswith("2") else 0
+    assert len(spaces) == built
+    assert outer_newton(system, prob.initial_state()).converged
+    assert len(spaces) == built
 
 
 def test_ras_fixed_point_converges():

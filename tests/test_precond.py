@@ -392,3 +392,17 @@ def test_nonfinite_state_fails_the_evaluation(kind, error, value):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as caught:
         system.residual(u)
     assert "non-finite" in str(caught.value)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_nonfinite_direction_gives_a_nonfinite_action(kind):
+    # GMRES ends its solve at a non-finite action, so every kind must return
+    # one for a nan direction rather than raise; the cache stays usable
+    prob, lay = smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 4, 2)
+    system = PreconditionedSystem(kind, prob, lay, SETTINGS)
+    u = prob.initial_state()
+    system.residual(u)
+    v = np.ones(40)
+    v[5] = np.nan
+    assert not np.isfinite(system.jacobian_action(u, v)).all()
+    assert np.isfinite(system.jacobian_action(u, np.ones(40))).all()

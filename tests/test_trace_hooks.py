@@ -62,8 +62,8 @@ def test_trace_hooks_cover_every_layer_and_restore_the_originals():
                tracer.layer_metrics(recorder).items()}
     for name in ("decomposition.glue.calls", "local_solver.solve.calls",
                  "local_solver.action.calls", "local_solver.sweep.calls",
-                 "coarse.action.calls", "precond.action.calls",
-                 "krylov.gmres.calls"):
+                 "coarse.correction.calls", "coarse.action.calls",
+                 "coarse.setup.s", "precond.action.calls", "krylov.gmres.calls"):
         assert metrics[name] > 0, name
     # one glue per residual evaluation and per Jacobian action
     assert metrics["decomposition.glue.calls"] == (
