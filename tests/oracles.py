@@ -5,11 +5,13 @@ loops, and definitions transcribed literally, so the library code can be
 checked against an independent path.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import lapack, solve_triangular
 
+from raspen.krylov import BREAKDOWN_TOL, GmresReport
 from raspen.local_solver import LocalSolveError
 
 
@@ -251,3 +253,81 @@ def stacked_positions(positions):
         kl=kl,
         ku=ku,
     )
+
+
+# --------------------------------------- GMRES on 16-row basis blocks
+
+
+BLOCK_ROWS = 16
+
+
+def blocked_gmres(action, rhs, tol=1e-8, max_iter=None):
+    """Full GMRES as `raspen.krylov.gmres` computes it, step by step.
+
+    The solver that preceded the contiguous basis: CGS2 over a list of
+    BLOCK_ROWS-row basis blocks, allocated one at a time, and each new
+    Hessenberg column rotated by the earlier Givens rotations one after
+    another in a Python loop.  Same breakdown, singular and non-finite
+    rules; returns (solution, GmresReport).
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    n = len(rhs)
+    max_iter = n if max_iter is None else max_iter
+    bnorm = math.sqrt(rhs @ rhs)
+    if bnorm == 0.0:
+        return np.zeros(n), GmresReport(0, 0.0, True, ())
+
+    blocks = [np.empty((BLOCK_ROWS, n))]    # basis vector k is row k of them
+    blocks[0][0] = rhs / bnorm
+    Rcols = []          # rotated Hessenberg columns (upper triangular), concatenated
+    cs, sn = [], []
+    g = [bnorm]         # rotated least-squares right-hand side
+    history = []
+    for k in range(max_iter):
+        b, r = divmod(k, BLOCK_ROWS)
+        w = np.array(action(blocks[b][r]), dtype=float)
+        wnorm = math.sqrt(w @ w)
+        if not math.isfinite(wnorm):
+            history.append(math.nan)
+            break
+        basis, hcol = blocks[:b] + [blocks[b][: r + 1]], 0.0
+        for _ in range(2):
+            h = [V @ w for V in basis]
+            for V, hb in zip(basis, h):
+                w -= hb @ V
+            hcol = hcol + np.concatenate(h)
+        hcol = hcol.tolist() + [math.sqrt(w @ w)]
+        breakdown = hcol[k + 1] <= BREAKDOWN_TOL * wnorm
+        if not breakdown:
+            if r + 1 == BLOCK_ROWS:
+                blocks.append(np.empty((BLOCK_ROWS, n)))
+            blocks[-1][(k + 1) % BLOCK_ROWS] = w / hcol[k + 1]
+
+        for i in range(k):
+            t = cs[i] * hcol[i] + sn[i] * hcol[i + 1]
+            hcol[i + 1] = -sn[i] * hcol[i] + cs[i] * hcol[i + 1]
+            hcol[i] = t
+        denom = float(np.hypot(hcol[k], hcol[k + 1]))
+        singular = denom <= BREAKDOWN_TOL * np.linalg.norm(hcol)
+        if not singular:
+            c, s = hcol[k] / denom, hcol[k + 1] / denom
+            cs.append(c)
+            sn.append(s)
+            hcol[k] = denom
+            Rcols += hcol[: k + 1]
+            g.append(-s * g[k])
+            g[k] = c * g[k]
+
+        history.append(abs(g[-1]) / bnorm)
+        if history[-1] <= tol or breakdown or singular:
+            break
+
+    m = len(cs)
+    R = np.zeros((m, m))
+    R.T[np.tril_indices(m)] = Rcols
+    y = solve_triangular(R, g[:m])
+    x = np.zeros(n)
+    for i, V in zip(range(0, m, BLOCK_ROWS), blocks):
+        x += y[i : i + BLOCK_ROWS] @ V[: m - i]
+    rel = history[-1]
+    return x, GmresReport(len(history), rel, rel <= tol, tuple(history))

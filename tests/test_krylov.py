@@ -5,8 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import blocked_gmres
 
-from raspen.krylov import BLOCK_ROWS, gmres
+from raspen.krylov import FIRST_ROWS, gmres
 
 
 def test_identity_one_iteration():
@@ -136,8 +137,28 @@ def test_rhs_and_returned_arrays_left_unchanged():
 @pytest.mark.parametrize("max_iter", [0, -1])
 def test_max_iter_must_be_positive(max_iter):
     # with no iteration there is no residual to report
-    with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
+    with pytest.raises(ValueError, match="^max_iter must be an integer of at least 1$"):
         gmres(lambda v: 2.0 * v, np.ones(4), max_iter=max_iter)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("tol", math.nan), ("tol", 0.0), ("tol", -1.0), ("tol", math.inf),
+    ("max_iter", 2.5), ("max_iter", 4.0), ("max_iter", "4"),
+])
+def test_arguments_are_checked_before_any_action(name, value):
+    # a nan, zero or negative tol ran all n actions and reported no
+    # convergence; a fractional max_iter raised a TypeError from range
+    calls = []
+
+    def action(v):
+        calls.append(v)
+        return 2.0 * v
+
+    wording = ("tol must be positive and finite" if name == "tol"
+               else "max_iter must be an integer of at least 1")
+    with pytest.raises(ValueError, match=f"^{wording}$"):
+        gmres(action, np.ones(4), **{name: value})
+    assert not calls
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-16, 1e-20, 1e20])
@@ -179,7 +200,7 @@ def test_solve_across_basis_blocks_against_dense_solve():
     A = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     rhs = np.random.default_rng(13).standard_normal(n)
     x, rep = gmres(lambda v: A @ v, rhs, tol=1e-10)
-    assert rep.converged and rep.iterations > 2 * BLOCK_ROWS
+    assert rep.converged and rep.iterations > 2 * FIRST_ROWS
     want = np.linalg.solve(A, rhs)
     assert np.linalg.norm(x - want) / np.linalg.norm(want) < 1e-8
 
@@ -194,8 +215,10 @@ def test_max_iter_beyond_the_dimension():
 
 
 def test_memory_follows_the_iterations_not_the_length():
-    # one iteration holds one basis block and a few vectors; a basis sized
-    # by n would need (n + 1) n doubles
+    # one iteration holds the first basis allocation and a few vectors; a
+    # basis sized by n would need (n + 1) n doubles.  After m iterations the
+    # doubled basis, with the one it was copied from, stays within 3(m + 1)
+    # vectors
     n = 200_000
     rhs = np.ones(n)
     tracemalloc.start()
@@ -206,7 +229,20 @@ def test_memory_follows_the_iterations_not_the_length():
         tracemalloc.stop()
     assert rep.converged and rep.iterations == 1
     assert np.allclose(x, 0.5)
-    assert peak < (BLOCK_ROWS + 8) * n * 8
+    assert peak < (FIRST_ROWS + 8) * n * 8
+
+    n = 20_000
+    d = 1.0 + np.arange(n) % 60     # 60 distinct eigenvalues
+    tracemalloc.start()
+    try:
+        x, rep = gmres(lambda v: d * v, np.ones(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = rep.iterations
+    assert rep.converged and m >= 40
+    assert np.allclose(d * x, 1.0, atol=1e-6)
+    assert peak < (3 * (m + 1) + 8) * n * 8
 
 
 def _grcar(n):
@@ -230,3 +266,35 @@ def test_nonnormal_operator_reports_the_true_residual(make):
     assert rep.converged
     true_rel = np.linalg.norm(A @ x - rhs) / np.linalg.norm(rhs)
     assert true_rel == pytest.approx(rep.relative_residual, abs=1e-10)
+
+
+def _laplacian(n):
+    return 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+
+
+def _random(n):
+    rng = np.random.default_rng(11)
+    return np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+
+
+@pytest.mark.parametrize("make, n, tol, max_iter", [
+    (_laplacian, 20, 1e-10, None),
+    (_grcar, 200, 1e-10, None),             # 145 iterations: the basis grows 4 times
+    (_upwind_convection, 200, 1e-10, None),
+    (_upwind_convection, 200, 1e-10, 70),   # stopped short of the tolerance
+    (_random, 30, 1e-12, None),
+])
+def test_matches_the_blocked_oracle(make, n, tol, max_iter):
+    # the oracle rotates each column by the earlier rotations one at a time
+    # and keeps the basis in 16-row blocks: the same arithmetic, summed in
+    # another order
+    A = make(n)
+    rhs = np.random.default_rng(14).standard_normal(n)
+    x, rep = gmres(lambda v: A @ v, rhs, tol=tol, max_iter=max_iter)
+    want, ref = blocked_gmres(lambda v: A @ v, rhs, tol=tol, max_iter=max_iter)
+    assert rep.iterations == ref.iterations > 16
+    assert rep.converged == ref.converged == (max_iter is None)
+    assert np.allclose(rep.residual_history, ref.residual_history, rtol=0, atol=1e-12)
+    assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+    if make is _grcar:
+        assert rep.iterations > 4 * FIRST_ROWS
