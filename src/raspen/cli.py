@@ -22,8 +22,6 @@ def _build_parser():
     run = sub.add_parser("run", help="execute the experiment matrix of a config file")
     run.add_argument("config_path", nargs="?", metavar="config",
                      help="flat key = value config file")
-    run.add_argument("--config", dest="config_opt", metavar="PATH",
-                     help="alternative way to pass the config file")
     run.add_argument("--out", metavar="DIR", help="override the output directory")
     run.add_argument("--seed", type=int, metavar="N",
                      help="override the random-field seed")
@@ -43,10 +41,9 @@ def _build_parser():
 
 
 def _cmd_run(args):
-    path = args.config_opt or args.config_path
-    if path is None:
-        raise ValueError("a config file is required (positional or --config)")
-    config = parse_config(path)
+    if args.config_path is None:
+        raise ValueError("a config file is required")
+    config = parse_config(args.config_path)
     overrides = {}
     if args.out is not None:
         overrides["outdir"] = args.out

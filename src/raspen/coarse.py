@@ -104,6 +104,8 @@ def _stage(P0, rows, cols):
 
 def coarse_space(problem, layout):
     """P_0^T and the Galerkin map of J's pattern; evaluates no Jacobian."""
+    if problem.dof_count != layout.n_cells:
+        raise ValueError("problem and layout dimensions disagree")
     P0, n, J = layout.P0, layout.n_subdomains, problem.pattern
     G1, jp = _stage(P0, np.repeat(np.arange(J.shape[0]), np.diff(J.indptr)), J.indices)
     G2, slots = _stage(P0, jp % n, jp // n)  # X = (J P_0)^T: X P_0 = J_0^T

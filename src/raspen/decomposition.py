@@ -4,8 +4,9 @@ A layout splits the global cell set {0..M-1} into a nonoverlapping partition
 (owned cells) plus overlapping supersets obtained by adding k layers of cells
 toward the neighbours.  All subdomains share one stacked overlap space, their
 overlap values concatenated in subdomain order: v[layout.cells] is R_i v for
-every i at once, and layout.owned_slots locates each subdomain's owned entries
-in it.  A stacked x = (x_1, ..., x_I) is glued onto the cells additively by
+every i at once, subdomain i's part holds layout.sizes[i] entries, and
+layout.owned_slots locates each subdomain's owned entries in it.  A stacked
+x = (x_1, ..., x_I) is glued onto the cells additively by
 prolong (P x = sum_i P_i x_i, P_i the zero extension from the overlap cells)
 or by restricted_prolong (P~ x = sum_i P~_i x_i, P~_i writing the owned cells
 only), so restricted_prolong(layout, v[layout.cells]) == v holds exactly.
@@ -51,13 +52,15 @@ class Subdomain:
 class DecompositionLayout:
     """Immutable decomposition of {0..n_cells-1} with coarse-space operators.
 
-    cells and owned_slots index the stacked overlap space (module docstring);
-    coarse DOF i belongs to subdomain i.  R0 / P0 are sparse operator matrices.
+    cells, sizes and owned_slots index the stacked overlap space (module
+    docstring), read-only; coarse DOF i belongs to subdomain i.  R0 / P0 are
+    sparse operator matrices.
     """
 
     n_cells: int
     subdomains: tuple
     cells: np.ndarray = field(repr=False)
+    sizes: np.ndarray = field(repr=False)
     owned_slots: np.ndarray = field(repr=False)
     R0: sp.csr_matrix = field(repr=False)
     P0: sp.csr_matrix = field(repr=False)
@@ -78,17 +81,20 @@ def _partition_blocks(n, parts):
 
 def _layout(n_cells, subdomains, P0):
     """The layout of `subdomains`: stacked-space indices and R0 (owned means)."""
-    sizes = [len(s.overlap) for s in subdomains]
+    sizes = np.array([len(s.overlap) for s in subdomains])
     starts = np.cumsum(sizes) - sizes
     cells = np.concatenate([s.overlap for s in subdomains])
     owned_slots = np.concatenate([start + s.owned_local
                                   for start, s in zip(starts, subdomains)])
+    for a in (cells, sizes, owned_slots):
+        a.flags.writeable = False
     counts = np.array([len(s.owned) for s in subdomains])
     R0 = sp.csr_matrix(
         (np.repeat(1.0 / counts, counts),
          (np.repeat(np.arange(len(subdomains)), counts), cells[owned_slots])),
         shape=(len(subdomains), n_cells))
-    return DecompositionLayout(n_cells, tuple(subdomains), cells, owned_slots, R0, P0)
+    return DecompositionLayout(n_cells, tuple(subdomains), cells, sizes, owned_slots,
+                               R0, P0)
 
 
 def _linear_weights(targets, nodes, left, right):

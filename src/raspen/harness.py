@@ -285,12 +285,12 @@ def _prepare(config):
 def _off_interface_mask(problem, layout):
     """Cells whose whole stencil is owned by a single subdomain.
 
-    A cell's stencil is the column set of its row in problem.pattern.
+    A cell's stencil is the column set of its row in problem.pattern; its
+    owner is the row of R0, subdomain i's owned mean, that holds it.
     """
+    R0, P = layout.R0, problem.pattern
     owner = np.empty(problem.dof_count, dtype=int)
-    for idx, sub in enumerate(layout.subdomains):
-        owner[sub.owned] = idx
-    P = problem.pattern
+    owner[R0.indices] = np.repeat(np.arange(R0.shape[0]), np.diff(R0.indptr))
     same = owner[P.indices] == np.repeat(owner, np.diff(P.indptr))
     return np.logical_and.reduceat(same, P.indptr[:-1])
 

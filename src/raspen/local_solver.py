@@ -16,28 +16,28 @@ derivatives
 
     dC_i/du = -A_ii^{-1} R_i J(u^(i)),
 
-taken at u[cells], at u, ASPIN's inexact ones; either way one action,
-for every subdomain in the block, is one CSR product and one band
-back-substitution (dgbtrs), and returns the stacked vector of the
+taken at positions.gather(u), all at u, ASPIN's inexact ones; either way
+one action, for every subdomain in the block, is one CSR product and one
+band back-substitution (dgbtrs), and returns the stacked vector of the
 layout's stacked overlap space.
 
 Every problem's Jacobian has a fixed CSR pattern, the problem's pattern
 attribute, and it is the only description of the stencil read here:
 block_positions reads it once, evaluating no Jacobian, and returns a
 PositionStack, computed for all subdomains in one pass of array
-operations, block b for subdomain b: every subdomain's overlap cells and
-halo (the cells outside the overlap its rows couple to), where the
-overlap values sit in the stacked local vector
-X = (u[cells_1], ..., u[cells_I]), where A_ii's entries go in the LAPACK
-band storage of diag(A_ii), and the problem's row kernels on the stacked
-rows, fed with where their entries' columns sit in X
-(NonlinearProblem.row_kernels).
+operations, block b for subdomain b in the layout's stacked order: where
+A_ii's entries go in the LAPACK band storage of diag(A_ii), and the
+problem's row kernels on the stacked rows, fed with where their entries'
+columns sit in the stacked local vector X = (w[layout.cells], w) at a
+state w.  An entry whose column lies in its block's overlap reads that
+block's stacked row; every other entry reads the frozen exterior, the
+state itself, at size + column.
 Every solve and block function takes a PositionStack.
 
 All subdomains take their inner Newton steps together, on X: a step is
 one residual-kernel call, one Jacobian-kernel call, one band fill and one
-dgbtrf/dgbtrs at the stack's bandwidths, and touches no length-M array,
-so a sweep costs O(sum_i m_i), not O(I M).  A subdomain whose residual
+dgbtrf/dgbtrs at the stack's bandwidths, and changes only X[:size], so a
+sweep costs O(sum_i m_i + M), not O(I M).  A subdomain whose residual
 norm reaches the tolerance is frozen: its block becomes the identity and
 its right-hand side zero, so its step is exactly zero and its values
 never change again.  The band has the widest block's bandwidths; its
@@ -120,10 +120,10 @@ class LocalSolveResult:
     """Outcome of one sweep: the local solves of a PositionStack's subdomains.
 
     X is positions' stacked local vector at the solved states u^(i),
-    read-only: the solved values on the overlaps, the base state's on the
-    halos.  correction stacks, in subdomain order, each subdomain's
-    correction; inner_counts holds each subdomain's inner Newton count and
-    inner_iterations their sum.
+    read-only: X[:size] holds the solved values on the stacked overlaps,
+    X[size:] the base state u, the frozen exterior.  correction stacks, in
+    subdomain order, each subdomain's correction; inner_counts holds each
+    subdomain's inner Newton count and inner_iterations their sum.
     """
 
     positions: object = field(repr=False)
@@ -137,13 +137,11 @@ class LocalSolveResult:
 class PositionStack:
     """Where every subdomain's block sits, and what their solves share.
 
-    Block b is subdomain b.  X, the stacked local vector, concatenates
-    each block's values at its cells (global indices cells): its overlap
-    cells, then its halo, the cells outside the overlap that their rows
-    couple to; residual and jacobian are the problem's row
-    kernels on the stacked overlap rows, functions of X.  Block b has
-    sizes[b] stacked rows, from block_starts[b], and its overlap values sit
-    in X at overlap[block_starts[b]:].  R_i J's entries, stacked, are the
+    Block b is subdomain b of layout.  X, the stacked local vector at a
+    state w, is (w[layout.cells], w): the stacked overlaps, then the state
+    (gather); residual and jacobian are the problem's row kernels on the
+    stacked overlap rows, functions of X.  Block b has sizes[b] stacked
+    rows, from block_starts[b].  R_i J's entries, stacked, are the
     jacobian kernel's output, in the CSR pattern (columns, indptr) of one
     index dtype, so a CSR matrix on it copies neither.  diag(A_ii) is a
     band matrix with bandwidths kl and ku, the largest of the blocks': the
@@ -155,8 +153,7 @@ class PositionStack:
     problem: object = field(repr=False)
     residual: object = field(repr=False)
     jacobian: object = field(repr=False)
-    cells: np.ndarray = field(repr=False)
-    overlap: np.ndarray = field(repr=False)
+    layout: object = field(repr=False)
     sizes: np.ndarray = field(repr=False)
     block_starts: np.ndarray = field(repr=False)
     columns: np.ndarray = field(repr=False)
@@ -170,7 +167,12 @@ class PositionStack:
     @property
     def size(self):
         """The number of stacked rows, sum_i m_i."""
-        return len(self.overlap)
+        return len(self.layout.cells)
+
+    def gather(self, u):
+        """The stacked local vector X = (u[layout.cells], u) at the state u."""
+        u = np.asarray(u, dtype=float)
+        return np.concatenate((u[self.layout.cells], u))
 
     def block_of(self, row):
         """The block that holds stacked row (or band column) row."""
@@ -193,57 +195,48 @@ class LocalJacobian:
 def block_positions(problem, layout):
     """Every subdomain's positions in the problem's Jacobian pattern, stacked.
 
-    Block b is subdomain b.  The pattern is problem.pattern, which must be a
-    CSR matrix with sorted, unique indices; no Jacobian is evaluated.  Every
+    Block b is subdomain b, its rows the layout's stacked cells from
+    block_starts[b].  The pattern is problem.pattern, which must be a CSR
+    matrix with sorted, unique indices; no Jacobian is evaluated.  Every
     stacked row's entries are read from it at once; an entry's column lies
     in its block's overlap when its (block, column) key is one of the
-    overlap's, and the other keys are the blocks' halos.  The problem's row
-    kernels are built once, on all overlap rows.
+    overlap's, and then it reads that stacked row of X, else the state at
+    size + column.  The problem's row kernels are built once, on all
+    overlap rows.
     """
     pattern = problem.pattern
     if pattern.format != "csr" or not pattern.has_canonical_format:
         raise ValueError("block positions need a CSR pattern with sorted, "
                          "unique indices")
-    overlaps = [sub.overlap for sub in layout.subdomains]
-    n, ov = pattern.shape[1], np.concatenate(overlaps)
-    sizes = np.array([len(cells) for cells in overlaps])
+    if problem.dof_count != layout.n_cells:
+        raise ValueError("problem and layout dimensions disagree")
+    ov, sizes = layout.cells, layout.sizes
+    n, size = pattern.shape[1], len(ov)
     block_starts = np.cumsum(sizes) - sizes
     rows = pattern[ov]  # the stacked rows' CSR pattern, in scipy's index dtype
     columns, indptr, counts = rows.indices, rows.indptr, np.diff(rows.indptr)
     row_block = np.repeat(np.arange(len(sizes)), sizes)
-    entry_row = np.repeat(np.arange(len(ov)), counts)
+    entry_row = np.repeat(np.arange(size), counts)
     entry_block = row_block[entry_row]
     keys, entry_keys = row_block * n + ov, entry_block * n + columns
     order = np.argsort(keys, kind="stable")
     found = np.searchsorted(keys[order], entry_keys)
-    col = order[np.minimum(found, len(ov) - 1)]
+    col = order[np.minimum(found, size - 1)]
     hit = keys[col] == entry_keys
+    entries = np.where(hit, col, size + columns)  # each entry's column in X
     block, col = np.flatnonzero(hit), col[hit]  # col: the column's stacked row
     offset = entry_row[block] - col
     kl, ku = int(offset.max(initial=0)), int((-offset).max(initial=0))
-    halo_keys, halo_entry = np.unique(entry_keys[~hit], return_inverse=True)
-    halo_block, halo = np.divmod(halo_keys, n)
-    widths = sizes + np.bincount(halo_block, minlength=len(sizes))
-    overlap = (np.arange(len(ov))
-               + np.repeat(np.cumsum(widths) - widths - block_starts, sizes))
-    cells = np.empty(widths.sum(), ov.dtype)
-    cells[overlap] = ov
-    in_halo = np.ones(len(cells), bool)
-    in_halo[overlap] = False
-    cells[in_halo] = halo
-    entries = np.empty(len(columns), np.intp)  # each entry's column in X
-    entries[block] = overlap[col]
-    entries[~hit] = np.flatnonzero(in_halo)[halo_entry]
     stacked = dict(
-        cells=cells, overlap=overlap, sizes=sizes, block_starts=block_starts,
-        columns=columns, indptr=indptr, block=block,
-        held=np.bincount(entry_block[block], minlength=len(sizes)),
+        sizes=sizes, block_starts=block_starts, columns=columns, indptr=indptr,
+        block=block, held=np.bincount(entry_block[block], minlength=len(sizes)),
         slots=col * (2 * kl + ku + 1) + kl + ku + offset,
     )
     for a in stacked.values():
         a.flags.writeable = False
     residual, jacobian = problem.row_kernels(ov, entries)
-    return PositionStack(problem, residual, jacobian, kl=kl, ku=ku, **stacked)
+    return PositionStack(problem, residual, jacobian, layout, kl=kl, ku=ku,
+                         **stacked)
 
 
 def _band_lu(stack, entries, active=None):
@@ -276,7 +269,7 @@ def local_jacobian(positions, X):
     One Jacobian-kernel call at X gives every R_i J, one band LU factors
     diag(A_ii).  At a sweep's solved X these are the exact blocks, each at
     its u^(i) (not at u + P_i correction, which can differ in the last
-    bit); at u[positions.cells] they are the blocks of J(u), bit for bit.
+    bit); at positions.gather(u) they are the blocks of J(u), bit for bit.
     """
     entries = positions.jacobian(X)
     lu, ipiv, info = _band_lu(positions, entries)
@@ -329,18 +322,18 @@ def solve_local(positions, u, settings):
     """Solve R_i F(u + P_i c_i) = 0 for every c_i = C_i(u) of a stack's subdomains.
 
     Inner Newton from the zero corrections with full steps, on the stacked
-    local vector X = (u[cells_1], ...) of the PositionStack positions: each
-    step evaluates the stacked row kernels at X and refactorizes diag(A_ii),
-    with every block whose residual norm is at or below settings.inner_tol
-    frozen, and only X's overlap values change.
+    local vector X = positions.gather(u): each step evaluates the stacked
+    row kernels at X and refactorizes diag(A_ii), with every block whose
+    residual norm is at or below settings.inner_tol frozen, and only the
+    stacked overlaps X[:size] change.
     A subdomain fails when its residual is non-finite, the start residual
     included, when it runs out of settings.max_inner steps or when its
     block is singular; it then stops, the others run on, and the failure
     of the lowest-index subdomain is raised.  The result's X is gathered
     from u, so no later change to u reaches it.
     """
-    X = np.asarray(u, dtype=float)[positions.cells]
-    start = X[positions.overlap]
+    X, size = positions.gather(u), positions.size
+    start = X[:size].copy()
     tol, budget = settings.inner_tol, settings.max_inner
     trail = []
     counts = np.zeros(len(positions.sizes), dtype=int)
@@ -367,7 +360,7 @@ def solve_local(positions, u, settings):
         step = _step(positions, positions.jacobian(X), r, active, failures)
         if not active.any():
             break
-        X[positions.overlap] -= step
+        X[:size] -= step
         steps += 1
         counts[active] = steps
 
@@ -379,7 +372,7 @@ def solve_local(positions, u, settings):
     return LocalSolveResult(
         positions=positions,
         X=X,
-        correction=X[positions.overlap] - start,
+        correction=X[:size] - start,
         inner_counts=tuple(counts.tolist()),
         inner_iterations=int(counts.sum()),
     )

@@ -104,8 +104,6 @@ class PreconditionedSystem:
         self.kind = kind
         self.problem = problem
         self.layout = layout
-        if problem.dof_count != layout.n_cells:
-            raise ValueError("problem and layout dimensions disagree")
         self.settings = settings if settings is not None else SolverSettings()
         if jacobian_mode is None:
             jacobian_mode = "inexact" if kind.startswith("ASPIN") else "exact"
@@ -177,7 +175,7 @@ class PreconditionedSystem:
         """The stacked local block of this evaluation, built at the first action."""
         if cache.block is None:
             X = (cache.locals_.X if self.jacobian_mode == "exact"
-                 else cache.u[self._positions.cells])
+                 else self._positions.gather(cache.u))
             cache.block = local_jacobian(self._positions, X)
         return cache.block
 

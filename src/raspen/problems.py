@@ -44,11 +44,12 @@ class NonlinearProblem:
     indptr and indices every jacobian(u) shares, entries that happen to
     vanish included; its data is never read.  That pattern is the stencil
     the local solvers and the harness read: local_solver.block_positions
-    reads every subdomain's block positions and halo from it, in one pass
-    over all subdomains, and no solver evaluates a Jacobian to find it.  A
-    local solve never evaluates the global residual or Jacobian: it calls
-    the row kernels on the stacked overlap rows, so its cost grows with the
-    subdomains, not with the mesh.
+    reads every subdomain's block positions from it, in one pass over all
+    subdomains, and no solver evaluates a Jacobian to find it.  A local
+    solve never evaluates the global residual or Jacobian: it calls the row
+    kernels on the stacked overlap rows, at the stacked overlaps followed by
+    the state, so its steps' cost grows with the subdomains, not with the
+    mesh.
     """
 
     def _set_stencil(self, have, offsets, rows_class):

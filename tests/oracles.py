@@ -97,7 +97,7 @@ def sequential_local_solve(problem, pos, u, settings, kernels=None):
     residual, jacobian = kernels or block_kernels(problem, [pos])
     i, m, kl, ku = pos.subdomain, pos.size, pos.kl, pos.ku
     u = np.asarray(u, dtype=float)
-    x = u[pos.cells]
+    x = block_vector([pos], u)
     iterations = 0
     r = residual(x)
     rnorm = np.linalg.norm(r)
@@ -133,22 +133,23 @@ def sequential_local_solve(problem, pos, u, settings, kernels=None):
 class BlockPositions:
     """Subdomain i's blocks in the problem's Jacobian pattern.
 
-    overlap lists the subdomain's m cells; cells lists them followed by
-    their halo, the cells outside the overlap that their rows couple to.
-    In a global Jacobian R_i J's entries are J.data[rows], at column
-    indices columns, row by row, row r from row_indptr[r].  A_ii = R_i J P_i
-    has lower and upper bandwidths kl and ku in the overlap's cell order;
-    its entries, R_i J's data at block, go to the flat indices slots of a
-    C-order (m, 2*kl+ku+1) array, whose transpose is LAPACK's band storage
-    (A_ii[r, c] at row kl+ku+r-c of column c).
+    overlap lists the subdomain's m cells.  In a global Jacobian R_i J's
+    entries are J.data[rows], at column indices columns, row by row, row r
+    from row_indptr[r].  The subdomain's local vector is x = (u[overlap], u),
+    and entries gives where each entry's column sits in it: at its row of
+    the overlap when the overlap holds it, else at m + column.  A_ii =
+    R_i J P_i has lower and upper bandwidths kl and ku in the overlap's cell
+    order; its entries, R_i J's data at block, go to the flat indices slots
+    of a C-order (m, 2*kl+ku+1) array, whose transpose is LAPACK's band
+    storage (A_ii[r, c] at row kl+ku+r-c of column c).
     """
 
     subdomain: int
     overlap: np.ndarray = field(repr=False)
-    cells: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
     columns: np.ndarray = field(repr=False)
     row_indptr: np.ndarray = field(repr=False)
+    entries: np.ndarray = field(repr=False)
     block: np.ndarray = field(repr=False)
     slots: np.ndarray = field(repr=False)
     kl: int
@@ -158,10 +159,6 @@ class BlockPositions:
     def size(self):
         """The number m of overlap cells: A_ii is m x m, R_i J is m x n."""
         return len(self.overlap)
-
-    @property
-    def halo(self):
-        return self.cells[self.size:]
 
 
 def per_block_positions(problem, layout):
@@ -181,14 +178,13 @@ def subdomain_positions(J, i, ov):
     local = np.full(J.shape[1], -1)
     local[ov] = np.arange(m)
     col = local[columns]
-    halo = np.unique(columns[col < 0]).astype(ov.dtype)
+    entries = np.where(col >= 0, col, m + columns)
     inside = np.flatnonzero(col >= 0)
     col = col[inside]
     offset = np.repeat(np.arange(m), counts)[inside] - col
     kl, ku = int(offset.max(initial=0)), int((-offset).max(initial=0))
     slots = col * (2 * kl + ku + 1) + kl + ku + offset
-    cells = np.concatenate((ov, halo))
-    return BlockPositions(i, ov, cells, rows, columns, row_indptr, inside, slots,
+    return BlockPositions(i, ov, rows, columns, row_indptr, entries, inside, slots,
                           kl, ku)
 
 
@@ -200,15 +196,26 @@ def local_entries(local, columns):
     return at
 
 
+def block_vector(positions, u):
+    """The local vector of a sequence of BlockPositions at the state u.
+
+    It concatenates each block's overlap values, in the sequence's order,
+    and then u itself, the frozen exterior.
+    """
+    return np.concatenate([u[pos.overlap] for pos in positions] + [u])
+
+
 def block_kernels(problem, positions):
     """The problem's row kernels on a sequence of BlockPositions, stacked.
 
-    Their local vector X concatenates each block's values at its cells, in
-    the sequence's order, and an entry's column sits in X at its place in
-    its block's cells.
+    Their local vector is block_vector(positions, u): an entry whose column
+    lies in its block's overlap sits at its row there, every other entry
+    at the overlaps' total size plus its column.
     """
-    starts = np.cumsum([0] + [len(pos.cells) for pos in positions])
-    entries = [local_entries(pos.cells, pos.columns) + start
+    sizes = [pos.size for pos in positions]
+    starts, size = np.cumsum([0] + sizes), sum(sizes)
+    entries = [np.where(pos.entries < pos.size, pos.entries + start,
+                        pos.entries - pos.size + size)
                for pos, start in zip(positions, starts)]
     return problem.row_kernels(np.concatenate([pos.overlap for pos in positions]),
                                np.concatenate(entries))
@@ -222,7 +229,6 @@ def stacked_positions(positions):
     the PositionStack fields it sets: the index arrays, kl and ku.
     """
     sizes = np.array([pos.size for pos in positions])
-    widths = np.array([len(pos.cells) for pos in positions])
     counts = np.array([len(pos.columns) for pos in positions])
     kls = np.array([pos.kl for pos in positions])
     kus = np.array([pos.ku for pos in positions])
@@ -235,9 +241,6 @@ def stacked_positions(positions):
                               (2 * kls + kus + 1)[entry_block])
     width = 2 * kl + ku + 1
     return dict(
-        cells=np.concatenate([pos.cells for pos in positions]),
-        overlap=(np.arange(sizes.sum())
-                 + np.repeat(np.cumsum(widths) - widths - block_starts, sizes)),
         sizes=sizes,
         block_starts=block_starts,
         columns=np.concatenate([pos.columns for pos in positions]),

@@ -437,6 +437,16 @@ def test_cli_run_requires_config(capsys):
     assert "config file is required" in capsys.readouterr().err
 
 
+def test_cli_run_takes_the_config_only_as_its_argument(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "exp.cfg", mesh="40", methods="raspen1")
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as caught:
+        cli_main(["run", "--config", str(cfg), "--out", str(out)])
+    assert caught.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_run_rejects_zero_omega(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "exp.cfg", mesh="40", methods="raspen1",
                      field="random", omega="0")

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 from oracles import (
     block_kernels,
+    block_vector,
     brute_frozen_newton,
     dense_darcy_system,
     per_block_positions,
@@ -168,7 +169,7 @@ def test_local_jacobian_copies_no_array(make):
 
     u = 0.3 * np.random.default_rng(31).standard_normal(prob.dof_count)
     block = local_jacobian(dataclasses.replace(stack, jacobian=recording),
-                           u[stack.cells])
+                           stack.gather(u))
     matrix = block.matrix
     assert np.shares_memory(matrix.indices, stack.columns)
     assert np.shares_memory(matrix.indptr, stack.indptr)
@@ -252,7 +253,7 @@ def test_blocks_gathered_by_position_match_slices(make, monkeypatch):
 
     monkeypatch.setattr(local_solver_mod, "dgbtrf", recording_dgbtrf)
     stack = block_positions(prob, lay)
-    block = local_jacobian(stack, u[stack.cells])
+    block = local_jacobian(stack, stack.gather(u))
     assert len(factored) == 1
     ab, kl, ku = factored[0]
     # LAPACK's layout: 2*kl+ku+1 rows, the first kl left for fill-in
@@ -325,7 +326,7 @@ def test_band_factors_match_dense_solve(make, bands):
     dense = prob.jacobian(u).toarray()
     ov = np.concatenate([sub.overlap for sub in lay.subdomains])
     A = _block_diagonal(lay, dense[ov])
-    block = local_jacobian(stack, u[stack.cells])
+    block = local_jacobian(stack, stack.gather(u))
     for _ in range(2):
         w, v = rng.standard_normal(stack.size), rng.standard_normal(n)
         assert np.allclose(_solve(block, w), np.linalg.solve(A, w),
@@ -396,23 +397,48 @@ def test_inner_newton_checks_name_the_subdomain():
 
 def test_sweep_result_holds_the_solved_local_vector():
     # X is the stacked local vector at the solved states: solved overlap
-    # values, the base state's halo values, and no tie to the caller's u
+    # values, then the base state itself, and no tie to the caller's u
     prob = smooth_forchheimer(20, beta=1.0)
-    positions = block_positions(prob, build_1d_layout(20, 4, 2))
+    lay = build_1d_layout(20, 4, 2)
+    positions = block_positions(prob, lay)
     u = np.linspace(0.0, 1.0, 20)
     result, _, _ = sweep_locals(positions, u, SETTINGS)
-    X, overlap = result.X, positions.overlap
+    X, size = result.X, positions.size
     assert result.positions is positions and result.inner_iterations > 0
     assert not X.flags.writeable
-    halo = np.ones(len(X), bool)
-    halo[overlap] = False
-    assert halo.any()
-    assert np.array_equal(X[halo], u[positions.cells[halo]])
-    assert np.allclose(X[overlap] - result.correction, u[positions.cells[overlap]],
+    assert len(X) == size + 20
+    assert X[size:].tobytes() == u.tobytes()
+    assert np.allclose(X[:size] - result.correction, u[lay.cells],
                        rtol=0.0, atol=1e-14)
     before = X.copy()
     u[:] = 7.0  # the caller's array stays the caller's
     assert np.array_equal(X, before)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 4, 2)),
+    lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1)),
+], ids=["1d", "2d"])
+def test_sweep_gathers_the_stacked_overlaps_and_the_state(make):
+    # the sweep's first X is (u[layout.cells], u), read through the layout's
+    # own cells, and the kernels at it are the global rows, bit for bit
+    prob, lay = make()
+    stack = block_positions(prob, lay)
+    assert stack.layout is lay and stack.size == len(lay.cells)
+    seen = []
+
+    def recording(X):
+        seen.append(X.copy())
+        return stack.residual(X)
+
+    u = 0.3 * np.random.default_rng(52).standard_normal(prob.dof_count)
+    solve_local(dataclasses.replace(stack, residual=recording), u, SETTINGS)
+    X = seen[0]
+    assert X.tobytes() == np.concatenate((u[lay.cells], u)).tobytes()
+    assert stack.gather(u).tobytes() == X.tobytes()
+    assert stack.residual(X).tobytes() == prob.residual(u)[lay.cells].tobytes()
+    assert (stack.jacobian(X).tobytes()
+            == prob.jacobian(u)[lay.cells].data.tobytes())
 
 
 def _per_block_action(positions, entries, v):
@@ -453,14 +479,14 @@ def test_stacked_action_bit_identical_to_per_block(make, exact):
         result, _, _ = sweep_locals(stack, u, SETTINGS)
         block = local_jacobian(result.positions, result.X)
         entries = []
-        solved_values = _per_block(stack, result.X[stack.overlap])
+        solved_values = _per_block(stack, result.X[:stack.size])
         for pos, solved in zip(positions, solved_values):
-            x = u[pos.cells]
+            x = block_vector([pos], u)
             x[:pos.size] = solved
             entries.append(block_kernels(prob, [pos])[1](x))
     else:
         J = prob.jacobian(u)
-        block = local_jacobian(stack, u[stack.cells])
+        block = local_jacobian(stack, stack.gather(u))
         entries = [J.data[pos.rows] for pos in positions]
     assert (stack.kl, stack.ku) == (max(pos.kl for pos in positions),
                                     max(pos.ku for pos in positions))
@@ -479,7 +505,7 @@ def test_stacked_action_bit_identical_with_padded_bands():
     rng = np.random.default_rng(30)
     u = rng.standard_normal(12)
     J = prob.jacobian(u)
-    block = local_jacobian(stack, u[stack.cells])
+    block = local_jacobian(stack, stack.gather(u))
     assert (block.positions.kl, block.positions.ku) == (1, 5)
     entries = [J.data[pos.rows] for pos in positions]
     for _ in range(3):
@@ -509,7 +535,7 @@ def test_zero_pivot_names_its_subdomain(first, named, monkeypatch):
                         _zeroing_dgbtrf(start if first else start - 1))
     with pytest.raises(LocalSolveError,
                        match=f"^subdomain {named}: singular local Jacobian$"):
-        local_jacobian(positions, np.zeros(len(positions.cells)))
+        local_jacobian(positions, positions.gather(np.zeros(24)))
 
 
 # ------------------------------------------- subdomains solved together
@@ -553,8 +579,8 @@ _LAYOUTS = {
 }
 
 
-_STACK_ARRAYS = ("cells", "overlap", "sizes", "block_starts", "columns",
-                 "indptr", "block", "held", "slots")
+_STACK_ARRAYS = ("sizes", "block_starts", "columns", "indptr", "block", "held",
+                 "slots")
 
 
 def _assert_matches_per_block_builder(stack, positions):
@@ -609,7 +635,7 @@ def test_batched_sweep_bit_identical_to_sequential_solves(name):
         result, ls_max, ls_min = sweep_locals(stack, u, SETTINGS)
         assert result.correction.tobytes() == np.concatenate(
             [c for c, _, _ in want]).tobytes()
-        assert result.X[stack.overlap].tobytes() == np.concatenate(
+        assert result.X[:stack.size].tobytes() == np.concatenate(
             [s for _, s, _ in want]).tobytes()
         assert result.inner_counts == tuple(n for _, _, n in want)
         assert result.inner_iterations == sum(result.inner_counts)
@@ -627,7 +653,7 @@ def test_converged_subdomains_keep_their_solo_values():
     for pos, correction, solved, count in zip(
             per_block_positions(prob, lay),
             _per_block(stack, result.correction),
-            _per_block(stack, result.X[stack.overlap]),
+            _per_block(stack, result.X[:stack.size]),
             result.inner_counts):
         alone = sequential_local_solve(prob, pos, u, SETTINGS)
         assert alone[2] == count
@@ -780,7 +806,7 @@ def test_overflow_resolve_leaves_every_other_step_as_alone():
     prob, lay = _LAYOUTS["1d-wide-band"]()
     stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
     assert (stack.kl, stack.ku) == (1, 5)
-    X = np.zeros(len(stack.cells))
+    X = stack.gather(np.zeros(12))
     entries, r = stack.jacobian(X), stack.residual(X)
     entries[_entry_ranges(stack)[2]] *= 1e-320
     lu, ipiv, _ = _band_lu(stack, entries)
@@ -825,7 +851,8 @@ def test_local_solve_error_carries_subdomain_and_residual_trail(
     pos = positions[err.subdomain]
     own_residual = alone(err.subdomain)[0]
     assert np.isclose(err.residuals[0],
-                      np.linalg.norm(own_residual(u[pos.cells])), rtol=1e-14)
+                      np.linalg.norm(own_residual(block_vector([pos], u))),
+                      rtol=1e-14)
     if kind == "nonfinite":
         assert not np.isfinite(err.residuals[-1])
         assert np.isfinite(err.residuals[:-1]).all()
@@ -888,6 +915,6 @@ def test_stacks_are_built_once_and_share_their_geometry():
     positions = block_positions(prob, build_1d_layout(24, 4, 2))
     u = np.linspace(0.0, 1.0, 24)
     first = local_jacobian(positions, solve_local(positions, u, SETTINGS).X)
-    second = local_jacobian(positions, (u + 1.0)[positions.cells])
+    second = local_jacobian(positions, positions.gather(u + 1.0))
     assert first.positions is positions and second.positions is positions
     assert not any(getattr(positions, name).flags.writeable for name in _STACK_ARRAYS)

@@ -8,9 +8,10 @@ from oracles import dense_darcy_system, plain_newton, schwarz_preconditioners
 
 import raspen.local_solver as local_solver_mod
 import raspen.precond as precond_mod
-from raspen.coarse import CoarseSolveError
+from raspen.coarse import CoarseSolveError, coarse_space
 from raspen.decomposition import build_1d_layout, build_2d_layout
-from raspen.local_solver import LocalSolveError, SolverSettings, StaleCacheError
+from raspen.local_solver import (LocalSolveError, SolverSettings, StaleCacheError,
+                                 block_positions)
 from raspen.precond import KINDS, PreconditionedSystem
 from raspen.problems import DiffusionProblem2D, smooth_forchheimer
 
@@ -306,6 +307,38 @@ def test_actions_evaluate_one_jacobian_kernel_on_shared_geometry(make, kind, mod
     first, second = blocks
     assert first is not second
     assert first.positions is second.positions is system._positions
+
+
+@pytest.mark.parametrize("kind", ["ASPIN1", "ASPIN2"])
+def test_inexact_blocks_are_taken_at_the_gathered_state(kind):
+    # ASPIN's inexact blocks read the same local vector a sweep starts from
+    prob, lay = smooth_forchheimer(24, beta=1.0), build_1d_layout(24, 4, 2)
+    system = PreconditionedSystem(kind, prob, lay, SETTINGS)
+    stack, seen = system._positions, []
+
+    def recording(X):
+        seen.append(X.copy())
+        return stack.jacobian(X)
+
+    system._positions = dataclasses.replace(stack, jacobian=recording)
+    u = prob.initial_state() + 0.1
+    system.residual(u)
+    del seen[:]
+    system.jacobian_action(u, np.ones(24))
+    (X,) = seen
+    assert X.tobytes() == np.concatenate((u[lay.cells], u)).tobytes()
+
+
+@pytest.mark.parametrize("cells", [60, 140])
+def test_builders_reject_a_layout_of_another_size(cells):
+    prob, lay = smooth_forchheimer(100, 1.0), build_1d_layout(cells, 4, 2)
+    wrong = "^problem and layout dimensions disagree$"
+    for build in (block_positions, coarse_space):
+        with pytest.raises(ValueError, match=wrong):
+            build(prob, lay)
+    for kind in KINDS:
+        with pytest.raises(ValueError, match=wrong):
+            PreconditionedSystem(kind, prob, lay)
 
 
 @pytest.mark.parametrize("kind", KINDS)

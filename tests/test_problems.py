@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from oracles import block_kernels, local_entries, per_block_positions
+from oracles import block_kernels, block_vector, local_entries, per_block_positions
 
 from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.local_solver import block_positions
@@ -415,7 +415,7 @@ def _check_row_kernels(prob, subdomains, rng):
     for u in (rng.standard_normal(n), 1e3 * rng.standard_normal(n)):
         F, J = prob.residual(u), prob.jacobian(u)
         for pos in positions:
-            x = u[pos.cells]
+            x = block_vector([pos], u)
             residual_rows, jacobian_rows = block_kernels(prob, [pos])
             assert residual_rows(x).tobytes() == F[pos.overlap].tobytes()
             assert jacobian_rows(x).tobytes() == J.data[pos.rows].tobytes()
@@ -459,14 +459,13 @@ def test_row_kernels_2d_bit_identical_on_every_subdomain(nx, ny):
             _check_row_kernels(prob, build_2d_layout(nx, ny, N, k).subdomains, rng)
 
 
-def _check_stacked_row_kernels(prob, subdomains, rng):
+def _check_stacked_row_kernels(prob, layout, rng):
     """Stacked row kernels against the global evaluations, bit for bit.
 
     On the layout's whole subdomain set (the stack's own kernels), the set
     in reverse, and every other subdomain: each block's part of the stacked
     output must equal the global rows.
     """
-    layout = SimpleNamespace(subdomains=subdomains)
     stack, positions = block_positions(prob, layout), per_block_positions(prob, layout)
     sets = [(positions, (stack.residual, stack.jacobian))]
     for chosen in (positions[::-1], positions[::2]):
@@ -475,7 +474,7 @@ def _check_stacked_row_kernels(prob, subdomains, rng):
     for u in (rng.standard_normal(n), 1e3 * rng.standard_normal(n)):
         F, J = prob.residual(u), prob.jacobian(u)
         for chosen, (residual_rows, jacobian_rows) in sets:
-            X = u[np.concatenate([p.cells for p in chosen])]
+            X = block_vector(chosen, u)
             assert residual_rows(X).tobytes() == np.concatenate(
                 [F[p.overlap] for p in chosen]).tobytes()
             assert jacobian_rows(X).tobytes() == np.concatenate(
@@ -490,7 +489,7 @@ def test_stacked_row_kernels_1d_bit_identical_on_every_layout(M):
         for I in range(1, M + 1):
             for k in range(min(3, M // I) + 1):
                 layout = build_1d_layout(M, I, k)
-                _check_stacked_row_kernels(prob, layout.subdomains, rng)
+                _check_stacked_row_kernels(prob, layout, rng)
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 6), (6, 1), (6, 4), (9, 6), (8, 12), (10, 5)])
@@ -502,7 +501,7 @@ def test_stacked_row_kernels_2d_bit_identical_on_every_layout(nx, ny):
             continue
         for k in range(min(nx, ny) // N + 1 if N > 1 else 1):
             layout = build_2d_layout(nx, ny, N, k)
-            _check_stacked_row_kernels(prob, layout.subdomains, rng)
+            _check_stacked_row_kernels(prob, layout, rng)
 
 
 _KERNEL_PROBLEMS = [
