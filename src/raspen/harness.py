@@ -304,7 +304,7 @@ def _first_step_residual(system, problem, layout, u0, settings):
     failure); the interesting structure is the concentration at the
     interfaces.
     """
-    u1 = system.fixed_point_step(u0)
+    u1 = u0 + system.residual(u0).value
     r = problem.residual(u1)
     mask = _off_interface_mask(problem, layout)
     if mask.any():

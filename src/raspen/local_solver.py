@@ -63,7 +63,6 @@ __all__ = [
     "PositionStack",
     "SolveError",
     "LocalSolveError",
-    "StaleCacheError",
     "solve_local",
     "block_positions",
     "local_jacobian",
@@ -88,10 +87,6 @@ class LocalSolveError(SolveError):
         super().__init__(message)
         self.subdomain = subdomain
         self.residuals = tuple(residuals)
-
-
-class StaleCacheError(RuntimeError):
-    """A cached factorization was used at a different state than it was built."""
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ coarse solve's count in via the max, since the coarse solve sits on the
 critical path like the slowest subdomain), ls_min the smallest subdomain
 count, and ls_G the GMRES iterations spent on that row's Jacobian solve.
 The terminal evaluation that confirms convergence gets ls_G = 0.  The
-running total is LS_n = sum_{j<=n} (ls_in[j] + ls_G[j]).  An outer Newton
-row also keeps its GMRES solve's relative residual history, ls_G values
-long; rows that solve no GMRES system keep an empty one.
+running total is LS_n = sum_{j<=n} (ls_in[j] + ls_G[j]).  A row also keeps
+every subdomain's inner count and the coarse count, and an outer Newton
+row its GMRES solve's relative residual history, ls_G values long; rows
+that solve no GMRES system keep an empty one.
 
 Errors in the ledger are relative l1 distances to a reference iterate,
 which callers usually obtain from reference_solution(): a tight-tolerance
@@ -66,7 +67,10 @@ class IterationLedger:
 
     gmres_history holds one tuple per row: the relative residuals of the
     row's GMRES solve, one per GMRES iteration (empty for a row without
-    one: the terminal row, fixed-point rows and direct Newton's).
+    one: the terminal row, fixed-point rows and direct Newton's).  The
+    counts come from the row's Evaluation: inner_counts holds one tuple of
+    per-subdomain counts per row, coarse_count the coarse count (0 for
+    one-level rows); direct Newton's rows have none and count 0.
     """
 
     ls_G: list = field(default_factory=list)
@@ -75,11 +79,16 @@ class IterationLedger:
     error: list = field(default_factory=list)
     residual_norm: list = field(default_factory=list)
     gmres_history: list = field(default_factory=list)
+    inner_counts: list = field(default_factory=list)
+    coarse_count: list = field(default_factory=list)
 
-    def record(self, ls_G, ls_in, ls_min, error, residual_norm, gmres_history=()):
+    def record(self, ls_G, error, residual_norm, gmres_history=(), evaluation=None):
+        ev = evaluation
         self.ls_G.append(int(ls_G))
-        self.ls_in.append(int(ls_in))
-        self.ls_min.append(int(ls_min))
+        self.ls_in.append(int(ev.ls_in) if ev else 0)
+        self.ls_min.append(int(ev.ls_min) if ev else 0)
+        self.inner_counts.append(tuple(ev.locals_.inner_counts) if ev else ())
+        self.coarse_count.append(int(ev.coarse_count) if ev else 0)
         self.error.append(float(error))
         self.residual_norm.append(float(residual_norm))
         self.gmres_history.append(tuple(gmres_history))
@@ -122,14 +131,16 @@ def _in_context(exc, context):
 def outer_newton(system, u0, settings=None, u_ref=None):
     """Newton on the preconditioned function with full steps.
 
-    Each iteration evaluates the residual (recording the inner counts),
-    tests ||residual||_2 against outer_tol, then solves one Jacobian
-    system with GMRES and updates u.  GMRES nonconvergence is noted in
-    the reason string but the step is still taken; subdomain or coarse
-    solve failures, in the residual or in the Jacobian actions, propagate
-    with outer-iteration context, keep their attributes (a LocalSolveError's
-    subdomain and residuals) and carry the run's ledger and update count up
-    to the failure, as ledger and outer_iterations.
+    Each iteration evaluates the residual as an Evaluation (recording its
+    counts), tests ||value||_2 against outer_tol, then solves one Jacobian
+    system with GMRES, acting with that evaluation, updates u and drops the
+    evaluation, so that one set of local blocks is alive at a time.  GMRES
+    nonconvergence is noted in the reason string but the step is still
+    taken; subdomain or coarse solve failures, in the residual or in the
+    Jacobian actions, propagate with outer-iteration context, keep their
+    attributes (a LocalSolveError's subdomain and residuals) and carry the
+    run's ledger and update count up to the failure, as ledger and
+    outer_iterations.
     """
     settings = settings or SolverSettings()
     u = np.asarray(u0, dtype=float).copy()
@@ -140,24 +151,24 @@ def outer_newton(system, u0, settings=None, u_ref=None):
     updates = 0
     for _ in range(settings.max_outer):
         try:
-            r = system.residual(u)
-            rnorm = np.linalg.norm(r)
-            ls_in, ls_min = system.last_counts
+            ev = system.residual(u)
+            rnorm = np.linalg.norm(ev.value)
             if rnorm <= settings.outer_tol:
-                ledger.record(0, ls_in, ls_min, _error_of(u, u_ref), rnorm)
+                ledger.record(0, _error_of(u, u_ref), rnorm, evaluation=ev)
                 return RunResult(u, ledger, True, updates, reason)
             if not np.isfinite(rnorm):
-                ledger.record(0, ls_in, ls_min, _error_of(u, u_ref), rnorm)
+                ledger.record(0, _error_of(u, u_ref), rnorm, evaluation=ev)
                 return RunResult(u, ledger, False, updates,
                                  reason or "non-finite residual")
-            delta, report = gmres(lambda v: system.jacobian_action(u, v), -r,
-                                  tol=settings.gmres_tol)
+            delta, report = gmres(lambda v: system.jacobian_action(ev, v),
+                                  -ev.value, tol=settings.gmres_tol)
         except SolveError as exc:
             wrapped = _in_context(exc, f"outer iteration {updates}")
             wrapped.ledger, wrapped.outer_iterations = ledger, updates
             raise wrapped from exc
-        ledger.record(report.iterations, ls_in, ls_min,
-                      _error_of(u, u_ref), rnorm, report.residual_history)
+        ledger.record(report.iterations, _error_of(u, u_ref), rnorm,
+                      report.residual_history, ev)
+        del ev
         if not report.converged and not reason:
             reason = (
                 f"gmres stalled at outer iteration {updates} "
@@ -172,12 +183,13 @@ def outer_newton(system, u0, settings=None, u_ref=None):
 def fixed_point_solve(system, u0, settings=None, max_steps=None, u_ref=None):
     """Run u <- u + F(u) until the error reference is met or budget runs out.
 
-    Stops when the relative l1 error against u_ref drops to outer_tol;
-    stagnation is reported as converged=False, never an exception, and a
-    subdomain or coarse solve failure along the way likewise ends the run
-    with the failure quoted in reason (a divergent iteration typically
-    leaves the basin of the local solves before the error passes the
-    DIVERGENCE_ERROR cutoff).  u_ref defaults to
+    Each step records the counts of its Evaluation F(u) and drops it before
+    the next step evaluates.  Stops when the relative l1 error against u_ref
+    drops to outer_tol; stagnation is reported as converged=False, never an
+    exception, and a subdomain or coarse solve failure along the way
+    likewise ends the run with the failure quoted in reason (a divergent
+    iteration typically leaves the basin of the local solves before the
+    error passes the DIVERGENCE_ERROR cutoff).  u_ref defaults to
     reference_solution(system.problem).  max_steps, when given, replaces
     settings.max_fixed_point.
     """
@@ -191,16 +203,16 @@ def fixed_point_solve(system, u0, settings=None, max_steps=None, u_ref=None):
     ledger = IterationLedger()
     for step in range(1, max_steps + 1):
         try:
-            u_next = system.fixed_point_step(u)
+            ev = system.residual(u)
         except SolveError as exc:
             return RunResult(u, ledger, False, step - 1,
                              f"solve failed at step {step}: {exc}")
-        ls_in, ls_min = system.last_counts
-        err = relative_l1_error(u_next, u_ref)
+        u = u + ev.value
+        err = relative_l1_error(u, u_ref)
         # the stopping test here is the error itself, so it doubles as the
         # residual column (keeps converged => residual_norm[-1] <= tol)
-        ledger.record(0, ls_in, ls_min, err, err)
-        u = u_next
+        ledger.record(0, err, err, evaluation=ev)
+        del ev
         if err <= settings.outer_tol:
             return RunResult(u, ledger, True, step, "")
         if not np.isfinite(err) or err > DIVERGENCE_ERROR:
@@ -256,12 +268,12 @@ def direct_newton(problem, u0, settings=None, u_ref=None):
         r = problem.residual(u)
         rnorm = np.linalg.norm(r)
         if rnorm <= settings.outer_tol:
-            ledger.record(0, 0, 0, _error_of(u, u_ref), rnorm)
+            ledger.record(0, _error_of(u, u_ref), rnorm)
             return RunResult(u, ledger, True, updates, "")
         if not np.isfinite(rnorm) or rnorm > 1e12:
-            ledger.record(0, 0, 0, _error_of(u, u_ref), rnorm)
+            ledger.record(0, _error_of(u, u_ref), rnorm)
             return RunResult(u, ledger, False, updates, "diverged")
-        ledger.record(1, 0, 0, _error_of(u, u_ref), rnorm)
+        ledger.record(1, _error_of(u, u_ref), rnorm)
         u = u + spla.factorized(problem.jacobian(u).tocsc())(-r)
         updates += 1
     return RunResult(u, ledger, False, updates,

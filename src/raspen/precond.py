@@ -25,11 +25,12 @@ are taken at each solved local state (exact mode, always used by the
 RASPEN kinds) or all at u (inexact mode, the ASPIN default; the exact
 variant is jacobian_mode="exact"), by one local_jacobian call either way.
 
-A residual evaluation caches everything the subsequent Jacobian actions
-need, in place of the previous evaluation's cache; the stacked local
-blocks are built and factored, in one band LU, at the first action, so an
-evaluation that no action follows factors nothing.  Actions verify they
-are applied at the cached state and raise StaleCacheError otherwise.
+residual(u) returns an Evaluation, a frozen handle holding a read-only
+copy of u, the value F~(u), the inner counts, the sweep's result and the
+coarse result; jacobian_action takes that handle, so an action is always
+applied at the state its evaluation solved at.  The stacked local blocks
+are built and factored, in one band LU, at the first action and kept on
+the evaluation, so an evaluation that no action follows factors nothing.
 The local solves of an evaluation are one sweep: all subdomains take
 their inner Newton steps together, and its one stacked result, which
 carries the sweep's stack and its local vector at the solved states, is
@@ -48,7 +49,8 @@ restrict by P_0^T, take J_0 by the Galerkin map and solve by dgetrs, with
 the CoarseSpace a two-level system builds once, beside its stack.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,29 +65,51 @@ from .coarse import (
 from .decomposition import prolong, restricted_prolong
 from .local_solver import (
     SolverSettings,
-    StaleCacheError,
     block_positions,
     local_correction_jacobian_action,
     local_jacobian,
     sweep_locals,
 )
 
-__all__ = ["KINDS", "PreconditionedSystem"]
+__all__ = ["KINDS", "Evaluation", "PreconditionedSystem"]
 
 KINDS = ("RASPEN1", "ASPIN1", "RASPEN2", "ASPIN2")
 
 
-@dataclass
-class _EvalCache:
-    """Everything produced by one residual evaluation at state u."""
+@dataclass(frozen=True, eq=False)
+class Evaluation:
+    """One evaluation F~(u) of a PreconditionedSystem, with its derivative data.
 
-    u: np.ndarray
-    locals_: object                # the sweep's one LocalSolveResult
-    ls_in_max: int
-    ls_in_min: int
-    coarse: object = None
-    J_u: object = None             # fine Jacobian at u, for the coarse actions
-    block: object = None           # stacked LocalJacobian, built at the first action
+    u is a read-only copy of the state, value the function's value there,
+    ls_in and ls_min the largest and smallest inner Newton counts (ls_in
+    folds in the coarse count), locals_ the sweep's LocalSolveResult and
+    coarse the coarse result (None for the one-level kinds).  The stacked
+    LocalJacobian (block) and the fine J(u) (J_u, which only the coarse
+    actions read) are built at their first use and kept.
+    """
+
+    u: np.ndarray = field(repr=False)
+    value: np.ndarray = field(repr=False)
+    ls_in: int
+    ls_min: int
+    locals_: object = field(repr=False)
+    coarse: object = field(repr=False)
+    exact: bool  # blocks at the solved local states, else all at u
+
+    @property
+    def coarse_count(self):
+        """The coarse solve's Newton count; 0 for the one-level kinds."""
+        return self.coarse.inner_iterations if self.coarse is not None else 0
+
+    @cached_property
+    def block(self):
+        stack = self.locals_.positions
+        return local_jacobian(stack, self.locals_.X if self.exact
+                              else stack.gather(self.u))
+
+    @cached_property
+    def J_u(self):
+        return self.locals_.positions.problem.jacobian(self.u)
 
 
 class PreconditionedSystem:
@@ -93,8 +117,9 @@ class PreconditionedSystem:
 
     kind selects the function; jacobian_mode selects the derivative
     ("exact" for all kinds, "inexact" only for the ASPIN kinds, which it is
-    the default for).  Jacobian actions are valid only at the state of the
-    most recent residual evaluation.
+    the default for).  residual(u) returns an Evaluation, and
+    jacobian_action applies the derivative at the state of the evaluation
+    it is given.
     """
 
     def __init__(self, kind, problem, layout, settings=None, jacobian_mode=None):
@@ -116,7 +141,6 @@ class PreconditionedSystem:
         self._positions = block_positions(problem, layout)
         self._coarse = coarse_space(problem, layout) if kind.endswith("2") else None
         self._u0_star = None
-        self._cache = None
 
     @property
     def restricted(self):
@@ -129,23 +153,15 @@ class PreconditionedSystem:
             self._u0_star = aspin_coarse_setup(self._coarse, self.settings)
         return self._u0_star
 
-    @property
-    def last_counts(self):
-        """(ls_in_max, ls_in_min) of the most recent residual evaluation."""
-        if self._cache is None:
-            raise StaleCacheError("no residual evaluation cached")
-        return self._cache.ls_in_max, self._cache.ls_in_min
-
     def _glue(self, stacked):
         """sum_i P~_i x_i (restricted) or sum_i P_i x_i (additive) in one call."""
         glue = restricted_prolong if self.restricted else prolong
         return glue(self.layout, stacked)
 
     def residual(self, u):
-        """Evaluate the preconditioned function, caching all intermediates."""
-        # frees the previous state's band before the sweep makes its own
-        self._cache = None
+        """Evaluate the preconditioned function at u, as an Evaluation."""
         u = self.problem._state(u).copy()
+        u.flags.writeable = False
         coarse, pc0, local_state = None, 0.0, u
         if self.kind == "RASPEN2":
             coarse = fas_correction(self._coarse, u, self.settings)
@@ -158,47 +174,19 @@ class PreconditionedSystem:
         result, mx, mn = sweep_locals(self._positions, local_state, self.settings)
         if coarse is not None:
             mx = max(mx, coarse.inner_iterations)
-        glued = self._glue(result.correction)
-        self._cache = _EvalCache(u, result, mx, mn, coarse)
-        return pc0 + glued
+        return Evaluation(u, pc0 + self._glue(result.correction), mx, mn, result,
+                          coarse, self.jacobian_mode == "exact")
 
-    def _require_cache(self, u):
-        if self._cache is None:
-            raise StaleCacheError("jacobian_action before any residual evaluation")
-        if not np.array_equal(u, self._cache.u):
-            raise StaleCacheError(
-                "jacobian_action at a state other than the last residual evaluation"
-            )
-        return self._cache
-
-    def _block(self, cache):
-        """The stacked local block of this evaluation, built at the first action."""
-        if cache.block is None:
-            X = (cache.locals_.X if self.jacobian_mode == "exact"
-                 else self._positions.gather(cache.u))
-            cache.block = local_jacobian(self._positions, X)
-        return cache.block
-
-    def jacobian_action(self, u, v):
-        """Apply the derivative of the preconditioned function at u to v."""
-        cache = self._require_cache(self.problem._state(u))
+    def jacobian_action(self, evaluation, v):
+        """Apply the derivative of the preconditioned function at evaluation.u to v."""
         v = self.problem._state(v)
         pt = 0.0
-        if cache.coarse is not None:
-            if cache.J_u is None:
-                cache.J_u = self.problem.jacobian(cache.u)
+        if evaluation.coarse is not None:
             coarse_action = (fas_correction_jacobian_action
                              if self.kind == "RASPEN2"
                              else aspin_coarse_jacobian_action)
-            pt = self.layout.P0 @ coarse_action(cache.coarse, self._coarse,
-                                                cache.J_u, v)
+            pt = self.layout.P0 @ coarse_action(evaluation.coarse, self._coarse,
+                                                evaluation.J_u, v)
         x = v + pt if self.kind == "RASPEN2" else v
-        # no state check in the coarse or local action: _require_cache
-        # checked the state once, and both belong to that cache
         return pt + self._glue(
-            local_correction_jacobian_action(self._block(cache), x))
-
-    def fixed_point_step(self, u):
-        """One sweep of the underlying fixed-point iteration: u + residual(u)."""
-        u = np.asarray(u, dtype=float)
-        return u + self.residual(u)
+            local_correction_jacobian_action(evaluation.block, x))

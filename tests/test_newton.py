@@ -1,6 +1,8 @@
 """Tests for the outer drivers: Newton, fixed point, and continuation."""
 
 import dataclasses
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from raspen.newton import (
     reference_solution,
     relative_l1_error,
 )
-from raspen.precond import PreconditionedSystem
+from raspen.precond import KINDS, PreconditionedSystem
 from raspen.problems import DiffusionProblem2D, hard_forchheimer, smooth_forchheimer
 
 
@@ -54,6 +56,43 @@ def test_ledger_consistency():
     # the terminal evaluation only confirms convergence, no Jacobian solve
     assert led.ls_G[-1] == 0
     assert led.residual_norm[-1] <= SolverSettings().outer_tol
+
+
+def test_ledger_rows_keep_the_inner_and_coarse_counts():
+    # ls_in is the critical path: the slowest subdomain or the coarse solve
+    led = outer_newton(_system("RASPEN2"), np.zeros(60)).ledger
+    assert len(led.inner_counts) == len(led.coarse_count) == len(led) > 1
+    for ls_in, ls_min, inner, coarse in zip(led.ls_in, led.ls_min,
+                                            led.inner_counts, led.coarse_count):
+        assert len(inner) == 6
+        assert ls_in == max(max(inner), coarse) and ls_min == min(inner)
+    assert max(led.coarse_count) > 0
+    one = outer_newton(_system("RASPEN1"), np.zeros(60)).ledger
+    assert one.coarse_count == [0] * len(one)
+    assert one.ls_in == [max(inner) for inner in one.inner_counts]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("driver", [
+    outer_newton,
+    lambda system, u0: fixed_point_solve(system, u0, max_steps=3,
+                                         u_ref=np.zeros(60)),
+], ids=["outer_newton", "fixed_point_solve"])
+def test_drivers_hold_one_evaluation_at_a_time(driver, kind):
+    # a driver drops each evaluation, and the local blocks factored on it,
+    # before the next sweep, so no two stacked bands are alive at once
+    system = _system(kind)
+    residual, made, alive = system.residual, [], []
+
+    def tracked(u):
+        alive.append(sum(ref() is not None for ref in made))
+        ev = residual(u)
+        made.append(weakref.ref(ev))
+        return ev
+
+    system.residual = tracked
+    driver(system, np.zeros(60))
+    assert len(made) > 2 and alive == [0] * len(made)
 
 
 def test_start_at_solution_is_immediate():
@@ -119,9 +158,9 @@ def test_nonfinite_jacobian_action_stalls_gmres_with_nan():
     system = _system("RASPEN1", M=24, I=3, k=1)
     exact, calls = system.jacobian_action, []
 
-    def action(u, v):
+    def action(ev, v):
         calls.append(v)
-        return exact(u, v) if len(calls) < 3 else np.full(len(v), np.nan)
+        return exact(ev, v) if len(calls) < 3 else np.full(len(v), np.nan)
 
     system.jacobian_action = action
     run = outer_newton(system, np.zeros(24), SolverSettings(max_outer=1))
@@ -384,10 +423,9 @@ def test_as_fixed_point_stalls_on_budget():
 class _DoublingSystem:
     """Stub fixed point u <- 2u, divergent from any nonzero start."""
 
-    last_counts = (1, 1)
-
-    def fixed_point_step(self, u):
-        return 2.0 * u
+    def residual(self, u):
+        return SimpleNamespace(value=u, ls_in=1, ls_min=1, coarse_count=0,
+                               locals_=SimpleNamespace(inner_counts=(1,)))
 
 
 def test_fixed_point_divergence_cutoff():
@@ -488,6 +526,8 @@ def test_direct_newton_counts_one_solve_per_step():
     assert run.converged
     assert run.ledger.LS_total == run.outer_iterations
     assert all(i == 0 for i in run.ledger.ls_in)
+    assert run.ledger.inner_counts == [()] * len(run.ledger)
+    assert run.ledger.coarse_count == [0] * len(run.ledger)
 
 
 @pytest.mark.parametrize("make", [

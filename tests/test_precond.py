@@ -10,8 +10,7 @@ import raspen.local_solver as local_solver_mod
 import raspen.precond as precond_mod
 from raspen.coarse import CoarseSolveError, coarse_space
 from raspen.decomposition import build_1d_layout, build_2d_layout
-from raspen.local_solver import (LocalSolveError, SolverSettings, StaleCacheError,
-                                 block_positions)
+from raspen.local_solver import LocalSolveError, SolverSettings, block_positions
 from raspen.precond import KINDS, PreconditionedSystem
 from raspen.problems import DiffusionProblem2D, smooth_forchheimer
 
@@ -40,7 +39,7 @@ def test_residual_vanishes_at_solution(kind):
     prob, lay = _forchheimer_setup()
     ustar = plain_newton(prob, np.zeros(24))
     system = PreconditionedSystem(kind, prob, lay, SETTINGS)
-    r = system.residual(ustar)
+    r = system.residual(ustar).value
     assert np.linalg.norm(r, np.inf) <= 10 * SETTINGS.inner_tol
 
 
@@ -50,8 +49,8 @@ def test_affine_one_level_residuals():
     M_ras, M_as = schwarz_preconditioners(A, lay)
     rng = np.random.default_rng(40)
     u = rng.standard_normal(24)
-    got_ras = PreconditionedSystem("RASPEN1", prob, lay, SETTINGS).residual(u)
-    got_as = PreconditionedSystem("ASPIN1", prob, lay, SETTINGS).residual(u)
+    got_ras = PreconditionedSystem("RASPEN1", prob, lay, SETTINGS).residual(u).value
+    got_as = PreconditionedSystem("ASPIN1", prob, lay, SETTINGS).residual(u).value
     assert np.allclose(got_ras, M_ras @ (b - A @ u), atol=1e-10)
     assert np.allclose(got_as, M_as @ (b - A @ u), atol=1e-10)
 
@@ -67,7 +66,7 @@ def test_affine_two_level_residual():
     rng = np.random.default_rng(41)
     u = rng.standard_normal(24)
     want = (Q + M_ras @ (np.eye(24) - A @ Q)) @ (b - A @ u)
-    got = PreconditionedSystem("RASPEN2", prob, lay, SETTINGS).residual(u)
+    got = PreconditionedSystem("RASPEN2", prob, lay, SETTINGS).residual(u).value
     assert np.allclose(got, want, atol=1e-9)
 
 
@@ -75,8 +74,8 @@ def test_restricted_equals_additive_outside_overlap():
     prob, lay = _forchheimer_setup(M=30, I=3, k=2)
     rng = np.random.default_rng(42)
     u = 0.3 * rng.standard_normal(30)
-    r_ras = PreconditionedSystem("RASPEN1", prob, lay, SETTINGS).residual(u)
-    r_as = PreconditionedSystem("ASPIN1", prob, lay, SETTINGS).residual(u)
+    r_ras = PreconditionedSystem("RASPEN1", prob, lay, SETTINGS).residual(u).value
+    r_as = PreconditionedSystem("ASPIN1", prob, lay, SETTINGS).residual(u).value
     cover = np.zeros(30, dtype=int)
     for sub in lay.subdomains:
         cover[sub.overlap] += 1
@@ -99,11 +98,11 @@ def test_action_zero_and_linearity(kind, mode):
     system = PreconditionedSystem(kind, prob, lay, SETTINGS, jacobian_mode=mode)
     rng = np.random.default_rng(43)
     u = 0.2 * rng.standard_normal(24)
-    system.residual(u)
-    assert np.allclose(system.jacobian_action(u, np.zeros(24)), 0.0)
+    ev = system.residual(u)
+    assert np.allclose(system.jacobian_action(ev, np.zeros(24)), 0.0)
     v, w = rng.standard_normal(24), rng.standard_normal(24)
-    a = system.jacobian_action(u, 1.5 * v - 2.0 * w)
-    b = 1.5 * system.jacobian_action(u, v) - 2.0 * system.jacobian_action(u, w)
+    a = system.jacobian_action(ev, 1.5 * v - 2.0 * w)
+    b = 1.5 * system.jacobian_action(ev, v) - 2.0 * system.jacobian_action(ev, w)
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -114,14 +113,15 @@ def test_exact_action_matches_fd_forchheimer(kind):
     system = PreconditionedSystem(kind, prob, lay, tight, jacobian_mode="exact")
     rng = np.random.default_rng(44)
     u = 0.2 * rng.standard_normal(60)
-    system.residual(u)
+    ev = system.residual(u)
     for _ in range(5):
         v = rng.standard_normal(60)
         eps = 1e-6
         rp = PreconditionedSystem(kind, prob, lay, tight, "exact")
         rm = PreconditionedSystem(kind, prob, lay, tight, "exact")
-        fd = (rp.residual(u + eps * v) - rm.residual(u - eps * v)) / (2 * eps)
-        got = system.jacobian_action(u, v)
+        fd = (rp.residual(u + eps * v).value
+              - rm.residual(u - eps * v).value) / (2 * eps)
+        got = system.jacobian_action(ev, v)
         assert np.linalg.norm(got - fd) / max(1.0, np.linalg.norm(fd)) < 1e-5
 
 
@@ -132,13 +132,14 @@ def test_exact_action_matches_fd_diffusion2d(kind):
     system = PreconditionedSystem(kind, prob, lay, tight)
     rng = np.random.default_rng(45)
     u = 0.2 * rng.standard_normal(64)
-    system.residual(u)
+    ev = system.residual(u)
     for _ in range(3):
         v = rng.standard_normal(64)
         eps = 1e-6
         probe = PreconditionedSystem(kind, prob, lay, tight)
-        fd = (probe.residual(u + eps * v) - probe.residual(u - eps * v)) / (2 * eps)
-        got = system.jacobian_action(u, v)
+        fd = (probe.residual(u + eps * v).value
+              - probe.residual(u - eps * v).value) / (2 * eps)
+        got = system.jacobian_action(ev, v)
         assert np.linalg.norm(got - fd) / max(1.0, np.linalg.norm(fd)) < 1e-5
 
 
@@ -150,16 +151,17 @@ def test_affine_actions_dense_oracle():
     u = rng.standard_normal(24)
 
     ras = PreconditionedSystem("RASPEN1", prob, lay, SETTINGS)
-    ras.residual(u)
+    ras_ev = ras.residual(u)
     exact = PreconditionedSystem("ASPIN1", prob, lay, SETTINGS, "exact")
-    exact.residual(u)
+    exact_ev = exact.residual(u)
     inexact = PreconditionedSystem("ASPIN1", prob, lay, SETTINGS, "inexact")
-    inexact.residual(u)
+    inexact_ev = inexact.residual(u)
     for _ in range(3):
         v = rng.standard_normal(24)
-        assert np.allclose(ras.jacobian_action(u, v), -(M_ras @ (A @ v)), atol=1e-10)
-        ae = exact.jacobian_action(u, v)
-        ai = inexact.jacobian_action(u, v)
+        assert np.allclose(ras.jacobian_action(ras_ev, v), -(M_ras @ (A @ v)),
+                           atol=1e-10)
+        ae = exact.jacobian_action(exact_ev, v)
+        ai = inexact.jacobian_action(inexact_ev, v)
         assert np.allclose(ae, -(M_as @ (A @ v)), atol=1e-10)
         assert np.allclose(ae, ai, atol=1e-10)
 
@@ -168,11 +170,11 @@ def test_fixed_point_at_solution_and_single_domain():
     prob, lay = _forchheimer_setup()
     ustar = plain_newton(prob, np.zeros(24))
     system = PreconditionedSystem("RASPEN1", prob, lay, SETTINGS)
-    assert np.allclose(system.fixed_point_step(ustar), ustar, atol=1e-7)
+    assert np.allclose(ustar + system.residual(ustar).value, ustar, atol=1e-7)
 
     lay1 = build_1d_layout(24, 1, 0)
     one = PreconditionedSystem("RASPEN1", prob, lay1, SETTINGS)
-    u1 = one.fixed_point_step(np.zeros(24))
+    u1 = one.residual(np.zeros(24)).value
     assert np.allclose(u1, ustar, atol=1e-7)
 
 
@@ -193,7 +195,7 @@ def test_fixed_point_dichotomy_compact():
         u = u0.copy()
         errs = []
         for _ in range(steps):
-            u = system.fixed_point_step(u)
+            u = u + system.residual(u).value
             errs.append(np.linalg.norm(u - ustar, 1) / scale)
         return np.array(errs)
 
@@ -230,13 +232,13 @@ def test_local_blocks_factored_only_for_actions(kind, monkeypatch):
     monkeypatch.setattr(local_solver_mod, "dgbtrf", counting_dgbtrf)
     monkeypatch.setattr(precond_mod, "sweep_locals", recording_sweep)
     u = 0.2 * np.ones(24)
-    system.fixed_point_step(u)
+    ev = system.residual(u)
     inner = max(max(res.inner_counts) for res in solved)
     assert inner > 0
     assert len(factored) == inner
     v = np.ones(24)
-    system.jacobian_action(u, v)
-    system.jacobian_action(u, v)
+    system.jacobian_action(ev, v)
+    system.jacobian_action(ev, v)
     assert len(factored) == inner + 1
 
 
@@ -253,8 +255,7 @@ def test_actions_factor_once_and_solve_once(make, kind, mode, monkeypatch):
     # the first action factors it once, and each action back-substitutes once
     prob, lay = make()
     system = PreconditionedSystem(kind, prob, lay, SETTINGS, jacobian_mode=mode)
-    u = prob.initial_state() + 0.1
-    system.residual(u)
+    ev = system.residual(prob.initial_state() + 0.1)
     calls = {"dgbtrf": 0, "dgbtrs": 0}
     for name in calls:
         def counting(*args, lapack=getattr(local_solver_mod, name), name=name,
@@ -264,8 +265,41 @@ def test_actions_factor_once_and_solve_once(make, kind, mode, monkeypatch):
         monkeypatch.setattr(local_solver_mod, name, counting)
     v = np.random.default_rng(43).standard_normal(prob.dof_count)
     for actions in (1, 2, 3):
-        system.jacobian_action(u, v)
+        system.jacobian_action(ev, v)
         assert calls == {"dgbtrf": 1, "dgbtrs": actions}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (smooth_forchheimer(24, beta=1.0), build_1d_layout(24, 4, 2)),
+    lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1)),
+], ids=["1d", "2d"])
+@pytest.mark.parametrize("kind, mode", [
+    ("RASPEN1", None), ("ASPIN1", None), ("RASPEN2", None), ("ASPIN2", None),
+    ("ASPIN1", "exact"), ("ASPIN2", "exact"),
+])
+def test_live_evaluations_are_independent(make, kind, mode):
+    # an evaluation carries everything its actions read: a later evaluation
+    # of the same system at another state, or a write into the caller's u,
+    # changes no bit of its value or of its actions
+    prob, lay = make()
+    system = PreconditionedSystem(kind, prob, lay, SETTINGS, jacobian_mode=mode)
+    fresh = [PreconditionedSystem(kind, prob, lay, SETTINGS, jacobian_mode=mode)
+             for _ in range(2)]
+    v = np.random.default_rng(47).standard_normal(prob.dof_count)
+    states = [prob.initial_state() + 0.1, prob.initial_state() + 0.2]
+    saved = [u.copy() for u in states]
+    live = []
+    for u in states:
+        live.append(system.residual(u))
+        u += 1.0
+    system.jacobian_action(live[1], v)
+    for ev, u, other in zip(live, saved, fresh):
+        want = other.residual(u)
+        assert not ev.u.flags.writeable and ev.u.tobytes() == u.tobytes()
+        assert ev.value.tobytes() == want.value.tobytes()
+        for _ in range(2):
+            assert (system.jacobian_action(ev, v).tobytes()
+                    == other.jacobian_action(want, v).tobytes())
 
 
 @pytest.mark.parametrize("make", [
@@ -298,12 +332,12 @@ def test_actions_evaluate_one_jacobian_kernel_on_shared_geometry(make, kind, mod
     v = np.random.default_rng(44).standard_normal(prob.dof_count)
     blocks = []
     for u in (prob.initial_state() + 0.1, prob.initial_state() + 0.2):
-        system.residual(u)
+        ev = system.residual(u)
         calls.update(kernel=0, dgbtrf=0)
         for _ in range(3):
-            system.jacobian_action(u, v)
+            system.jacobian_action(ev, v)
         assert calls == {"kernel": 1, "dgbtrf": 1}
-        blocks.append(system._cache.block)
+        blocks.append(ev.block)
     first, second = blocks
     assert first is not second
     assert first.positions is second.positions is system._positions
@@ -322,9 +356,9 @@ def test_inexact_blocks_are_taken_at_the_gathered_state(kind):
 
     system._positions = dataclasses.replace(stack, jacobian=recording)
     u = prob.initial_state() + 0.1
-    system.residual(u)
+    ev = system.residual(u)
     del seen[:]
-    system.jacobian_action(u, np.ones(24))
+    system.jacobian_action(ev, np.ones(24))
     (X,) = seen
     assert X.tobytes() == np.concatenate((u[lay.cells], u)).tobytes()
 
@@ -348,66 +382,18 @@ def test_vectors_of_another_length_are_rejected(kind):
     wrong = "^expected state vector of length 40$"
     with pytest.raises(ValueError, match=wrong):
         system.residual(np.zeros(43))
-    u = np.zeros(40)
-    system.residual(u)
-    for x, v in ((np.zeros(43), np.ones(40)), (u, np.ones(43)),
-                 (u, np.ones((40, 1)))):
+    ev = system.residual(np.zeros(40))
+    for v in (np.ones(43), np.ones((40, 1))):
         with pytest.raises(ValueError, match=wrong):
-            system.jacobian_action(x, v)
+            system.jacobian_action(ev, v)
 
 
-def test_stale_cache_paths():
-    prob, lay = _forchheimer_setup()
-    system = PreconditionedSystem("RASPEN1", prob, lay, SETTINGS)
-    v = np.ones(24)
-    with pytest.raises(StaleCacheError):
-        system.jacobian_action(np.zeros(24), v)
-    with pytest.raises(StaleCacheError):
-        system.last_counts
-    u = np.zeros(24)
-    system.residual(u)
-    system.jacobian_action(u, v)
-    with pytest.raises(StaleCacheError):
-        system.jacobian_action(u + 1e-3, v)
-
-
-@pytest.mark.parametrize("kind", ["RASPEN2", "ASPIN2"])
-def test_two_level_stale_cache(kind, monkeypatch):
-    # the coarse actions check no state: the system's one check raises
-    # before a coarse or local action runs at a state it was not solved at
-    prob, lay = _forchheimer_setup()
-    system = PreconditionedSystem(kind, prob, lay, SETTINGS)
-    name = ("fas_correction_jacobian_action" if kind == "RASPEN2"
-            else "aspin_coarse_jacobian_action")
-    coarse_action, calls = getattr(precond_mod, name), []
-
-    def counted(*args):
-        calls.append(args)
-        return coarse_action(*args)
-
-    monkeypatch.setattr(precond_mod, name, counted)
-    u, v = np.zeros(24), np.ones(24)
-    system.residual(u)
-    system.jacobian_action(u, v)
-    assert len(calls) == 1
-    with pytest.raises(StaleCacheError):
-        system.jacobian_action(u + 1e-3, v)
-    system.residual(u + 1e-3)
-    with pytest.raises(StaleCacheError):
-        system.jacobian_action(u, v)
-    assert len(calls) == 1
-
-
-def test_last_counts_and_u0_star_cached():
+def test_u0_star_cached():
     prob, lay = _forchheimer_setup()
     system = PreconditionedSystem("ASPIN2", prob, lay, SETTINGS)
     star1 = system.u0_star
     star2 = system.u0_star
     assert star1 is star2
-    system.residual(np.zeros(24))
-    mx, mn = system.last_counts
-    assert mx >= mn >= 0
-    assert mx >= 1
 
 
 @pytest.mark.parametrize("value", [1e308, np.nan], ids=["overflow", "nan"])
@@ -430,12 +416,11 @@ def test_nonfinite_state_fails_the_evaluation(kind, error, value):
 @pytest.mark.parametrize("kind", KINDS)
 def test_nonfinite_direction_gives_a_nonfinite_action(kind):
     # GMRES ends its solve at a non-finite action, so every kind must return
-    # one for a nan direction rather than raise; the cache stays usable
+    # one for a nan direction rather than raise; the evaluation stays usable
     prob, lay = smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 4, 2)
     system = PreconditionedSystem(kind, prob, lay, SETTINGS)
-    u = prob.initial_state()
-    system.residual(u)
+    ev = system.residual(prob.initial_state())
     v = np.ones(40)
     v[5] = np.nan
-    assert not np.isfinite(system.jacobian_action(u, v)).all()
-    assert np.isfinite(system.jacobian_action(u, np.ones(40))).all()
+    assert not np.isfinite(system.jacobian_action(ev, v)).all()
+    assert np.isfinite(system.jacobian_action(ev, np.ones(40))).all()
