@@ -1,10 +1,17 @@
 """Overlapping Schwarz decompositions of 1D and structured 2D cell meshes.
 
-A layout splits the global cell set {0..M-1} into a nonoverlapping partition
-(owned cells) plus overlapping supersets obtained by adding k layers of cells
-toward the neighbours.  All subdomains share one stacked overlap space, their
-overlap values concatenated in subdomain order: v[layout.cells] is R_i v for
-every i at once, subdomain i's part holds layout.sizes[i] entries, and
+Both layouts follow one partition rule along each axis: n cells split into
+contiguous near-equal blocks, the remainder cells going to the leading
+blocks, and each block grown by k cells per side, clipped at the domain
+ends.  The 1D layout applies it once; the 2D layout applies it to x and to y
+and takes the product of the two, so a 2D subdomain is a rectangle of the
+row-major grid.  An overlap may reach a neighbour's far edge but never past
+it.  The owned blocks partition the global cell set {0..M-1}; each overlap is
+its owned block plus the k layers toward the neighbours.
+
+All subdomains share one stacked overlap space, their overlap values
+concatenated in subdomain order: v[layout.cells] is R_i v for every i at
+once, subdomain i's part holds layout.sizes[i] entries, and
 layout.owned_slots locates each subdomain's owned entries in it.  A stacked
 x = (x_1, ..., x_I) is glued onto the cells additively by
 prolong (P x = sum_i P_i x_i, P_i the zero extension from the overlap cells)
@@ -70,13 +77,34 @@ class DecompositionLayout:
         return len(self.subdomains)
 
 
-def _partition_blocks(n, parts):
-    """Split n items into `parts` contiguous blocks, remainders to the front."""
+def _blocks(n, parts, k):
+    """The partition rule along one axis: (owned, overlap) slices per block.
+
+    n cells split into `parts` contiguous blocks, the first n % parts of
+    them one cell larger; each overlap adds k cells per side, clipped at
+    0 and n.  Rejects non-integer or out-of-range arguments and an overlap
+    that would extend past an entire neighbouring block.
+    """
+    if not all(isinstance(v, (int, np.integer)) for v in (n, parts, k)):
+        raise ValueError(f"sizes, subdomain counts and overlaps must be "
+                         f"integers, got {n!r}, {parts!r}, {k!r}")
+    n, parts, k = int(n), int(parts), int(k)
+    if not (n >= parts >= 1 and k >= 0):
+        raise ValueError(f"need cells >= subdomains >= 1 and overlap >= 0, "
+                         f"got {n}, {parts}, {k}")
     base, extra = divmod(n, parts)
-    sizes = np.full(parts, base, dtype=int)
-    sizes[:extra] += 1
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    return starts, sizes
+    if parts > 1 and k > base:
+        raise ValueError(f"overlap of {k} layers extends past an entire owned "
+                         f"block (smallest block has {base} cells)")
+    ends = [i * base + min(i, extra) for i in range(parts + 1)]
+    return [(slice(a, b), slice(max(a - k, 0), min(b + k, n)))
+            for a, b in zip(ends, ends[1:])]
+
+
+def _subdomain(grid, owned, overlap):
+    """The subdomain owning grid[owned] and overlapping grid[overlap]."""
+    owned, overlap = grid[owned].ravel(), grid[overlap].ravel()
+    return Subdomain(owned, overlap, np.searchsorted(overlap, owned))
 
 
 def _layout(n_cells, subdomains, P0):
@@ -125,39 +153,19 @@ def _linear_weights(targets, nodes, left, right):
 
 
 def build_1d_layout(n_cells, n_subdomains, overlap_layers, dirichlet=(0.0, 1.0)):
-    """Contiguous-block 1D layout with k overlap layers per side.
+    """1D layout: the partition rule (module docstring) on M cells, I blocks.
 
-    Owned blocks are near-equal (remainder cells go to the leading
-    subdomains); subdomain i overlaps k cells into neighbours i-1 and i+1,
-    clipped at the domain ends.  Rejects overlaps that would extend past a
-    neighbour's entire owned block (an overlap may reach a neighbour's far
-    edge, but not into the subdomain beyond it).
-
-    dirichlet holds the boundary data of the problem the layout will serve;
-    each end of P0 is pinned to 0 when the datum there is zero and extends
-    the nearest coarse value constantly otherwise (see module docstring).
+    Subdomain i overlaps k cells into neighbours i-1 and i+1.  dirichlet
+    holds the boundary data of the problem the layout will serve; each end
+    of P0 is pinned to 0 when the datum there is zero and extends the
+    nearest coarse value constantly otherwise (see module docstring).  The
+    coarse nodes are the means of the owned cell centres.
     """
-    M, I, k = int(n_cells), int(n_subdomains), int(overlap_layers)
-    if not (M >= I >= 1):
-        raise ValueError(f"need n_cells >= n_subdomains >= 1, got {M}, {I}")
-    if k < 0:
-        raise ValueError("overlap_layers must be nonnegative")
-    starts, sizes = _partition_blocks(M, I)
-    if I > 1 and k > sizes.min():
-        raise ValueError(
-            f"overlap of {k} layers extends past an entire owned block "
-            f"(smallest block has {sizes.min()} cells)"
-        )
-    subdomains = []
-    for i in range(I):
-        owned = np.arange(starts[i], starts[i] + sizes[i])
-        lo = max(starts[i] - k, 0)
-        hi = min(starts[i] + sizes[i] + k, M)
-        overlap = np.arange(lo, hi)
-        owned_local = np.searchsorted(overlap, owned)
-        subdomains.append(Subdomain(owned, overlap, owned_local))
-
-    centers = (np.arange(M) + 0.5) / M
+    blocks = _blocks(n_cells, n_subdomains, overlap_layers)
+    M = int(n_cells)
+    grid = np.arange(M)
+    subdomains = [_subdomain(grid, owned, overlap) for owned, overlap in blocks]
+    centers = (grid + 0.5) / M
     nodes = np.array([centers[s.owned].mean() for s in subdomains])
     left, right = ("zero" if d == 0.0 else "const" for d in dirichlet)
     return _layout(M, subdomains,
@@ -165,42 +173,26 @@ def build_1d_layout(n_cells, n_subdomains, overlap_layers, dirichlet=(0.0, 1.0))
 
 
 def build_2d_layout(nx, ny, n_per_side, overlap_layers, dirichlet_value=1.0):
-    """Tensor-product layout of an nx-by-ny cell grid into N x N subdomains.
+    """2D layout: the product of the partition rule on x and on y.
 
-    nx and ny must be divisible by n_per_side.  Cells are numbered row-major,
-    cell (ix, iy) -> iy*nx + ix.  The overlap adds k grid layers in all four
-    directions, clipped at the boundary.  The coarse space has one DOF per
-    subdomain at its geometric center; P0 is bilinear on that lattice and
-    extends constantly toward the three Neumann edges.  Toward the Dirichlet
-    edge x=1 it is pinned to 0 when dirichlet_value is zero and extends
-    constantly otherwise (see module docstring).
+    The nx-by-ny cell grid is split into N x N subdomains, enumerated with
+    y outer and x inner; nx and ny must be divisible by n_per_side.  Cells
+    are numbered row-major, cell (ix, iy) -> iy*nx + ix, so the overlap adds
+    k grid layers in all four directions, clipped at the boundary.  The
+    coarse space has one DOF per subdomain at its geometric center; P0 is
+    bilinear on that lattice and extends constantly toward the three Neumann
+    edges.  Toward the Dirichlet edge x=1 it is pinned to 0 when
+    dirichlet_value is zero and extends constantly otherwise (see module
+    docstring).
     """
-    nx, ny, N, k = int(nx), int(ny), int(n_per_side), int(overlap_layers)
-    if N < 1 or nx < 1 or ny < 1:
-        raise ValueError("grid sizes and subdomain count must be positive")
+    xs = _blocks(nx, n_per_side, overlap_layers)
+    ys = _blocks(ny, n_per_side, overlap_layers)
+    nx, ny, N = int(nx), int(ny), int(n_per_side)
     if nx % N or ny % N:
         raise ValueError(f"nx={nx}, ny={ny} must be divisible by n_per_side={N}")
-    if k < 0:
-        raise ValueError("overlap_layers must be nonnegative")
-    sx, sy = nx // N, ny // N
-    if N > 1 and k > min(sx, sy):
-        raise ValueError(
-            f"overlap of {k} layers extends past an entire owned block "
-            f"({sx}x{sy} cells per subdomain)"
-        )
     grid = np.arange(nx * ny).reshape(ny, nx)
-    subdomains = []
-    for cy in range(N):
-        for cx in range(N):
-            i0, i1 = cx * sx, (cx + 1) * sx
-            j0, j1 = cy * sy, (cy + 1) * sy
-            owned = grid[j0:j1, i0:i1].ravel()
-            overlap = grid[
-                max(j0 - k, 0) : min(j1 + k, ny),
-                max(i0 - k, 0) : min(i1 + k, nx),
-            ].ravel()
-            owned_local = np.searchsorted(overlap, owned)
-            subdomains.append(Subdomain(owned, overlap, owned_local))
+    subdomains = [_subdomain(grid, (owned_y, owned_x), (overlap_y, overlap_x))
+                  for owned_y, overlap_y in ys for owned_x, overlap_x in xs]
 
     # P0 = kron(Wy, Wx): coarse DOF (cx, cy) -> cy*N + cx matches the
     # subdomain enumeration above; x=1 is the Dirichlet edge.

@@ -320,9 +320,10 @@ class DiffusionProblem2D(NonlinearProblem):
     """
 
     def __init__(self, nx, ny, source=default_diffusion_source, dirichlet_value=1.0):
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (nx, ny)):
+            raise ValueError(f"grid must have a positive integer number of cells "
+                             f"per direction, got {nx!r}, {ny!r}")
         self.nx, self.ny = int(nx), int(ny)
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("grid must have at least one cell per direction")
         self.hx, self.hy = 1.0 / self.nx, 1.0 / self.ny
         self.dirichlet_value = float(dirichlet_value)
         self.source = source

@@ -1,5 +1,7 @@
 """Tests for the overlapping decomposition layouts and transfer operators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -357,3 +359,108 @@ def test_stacked_glue_1d_matches_loop_oracle():
 def test_stacked_glue_2d_matches_loop_oracle(nx, ny, N, k):
     _assert_glue_matches_loop(build_2d_layout(nx, ny, N, k),
                               np.random.default_rng(6))
+
+
+# -------------------------------------------------- layouts pinned bit for bit
+
+def _layout_digest(lay):
+    """sha256 over the dtype, shape and bytes of every array of a layout."""
+    arrays = [np.array(lay.n_cells), lay.cells, lay.sizes, lay.owned_slots]
+    for A in (lay.R0, lay.P0):
+        arrays += [np.array(A.shape), A.data, A.indices, A.indptr]
+    for s in lay.subdomains:
+        arrays += [s.owned, s.overlap, s.owned_local]
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:20]
+
+
+# Digests recorded from the builders before they shared one block partition:
+# any change to a layout's arrays, their dtypes or the subdomain order shows.
+_PINNED_LAYOUTS = [
+    # the benchmark's gated layouts
+    (build_1d_layout, (100, 8, 3), {}, "c7e4293e20bf2610b04b"),
+    (build_1d_layout, (800, 40, 3), {}, "41bad03a52f6538ef394"),
+    (build_1d_layout, (240, 8, 2), {}, "054960d61f0fe26f762a"),
+    (build_2d_layout, (64, 64, 8, 1), {}, "aa643f53faaf9310304e"),
+    (build_2d_layout, (64, 64, 8, 1), {"dirichlet_value": 0.0}, "b986f39fae27b34fb199"),
+    # uneven 1D blocks, under each pair of boundary data
+    (build_1d_layout, (10, 3, 1), {}, "ea6347df9de3624a4905"),
+    (build_1d_layout, (103, 7, 2), {"dirichlet": (0.0, 0.0)}, "8eb34812abc30dd7ffbb"),
+    (build_1d_layout, (61, 8, 5), {"dirichlet": (1.0, 0.0)}, "a2d0bd7dc004e01206d5"),
+    (build_1d_layout, (50, 7, 1), {"dirichlet": (1.0, 1.0)}, "0e684a8f74f373393f53"),
+    # no overlap
+    (build_1d_layout, (9, 3, 0), {"dirichlet": (1.0, 1.0)}, "ed5946ae00f35b1ce8dd"),
+    (build_2d_layout, (16, 16, 4, 0), {}, "3b7bdaf59061a9595771"),
+    # an overlap as wide as the smallest block
+    (build_1d_layout, (10, 3, 3), {}, "fc61c3ff0214db8cc0d5"),
+    (build_1d_layout, (61, 8, 7), {"dirichlet": (0.0, 0.0)}, "1cb6ae4d8f4b79d48cfb"),
+    (build_2d_layout, (8, 8, 2, 4), {}, "50ce3d2598364a4f6e0e"),
+    (build_2d_layout, (12, 6, 3, 2), {"dirichlet_value": 0.0}, "05b04e2bc21348c995ae"),
+    # one subdomain
+    (build_1d_layout, (1, 1, 0), {}, "e174d68c12014f07c324"),
+    (build_1d_layout, (5, 1, 4), {"dirichlet": (1.0, 0.0)}, "6844e4296d4026603119"),
+    (build_2d_layout, (7, 7, 1, 0), {}, "488a4b5a1a98d3afeb29"),
+    (build_2d_layout, (7, 5, 1, 3), {"dirichlet_value": 0.0}, "6bdce2509b49140b2902"),
+    # nx != ny
+    (build_2d_layout, (16, 8, 4, 1), {}, "44790fe5122977841b56"),
+    (build_2d_layout, (6, 12, 2, 3), {"dirichlet_value": 0.0}, "a52cf03f2483f97f22ab"),
+    (build_2d_layout, (30, 12, 3, 2), {}, "4e1a972cac1e724dfae0"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, args, kwargs, digest", _PINNED_LAYOUTS,
+    ids=[f"{b.__name__[6:8]}-{'x'.join(map(str, a))}-{i}"
+         for i, (b, a, _, _) in enumerate(_PINNED_LAYOUTS)])
+def test_layout_is_bit_identical_to_the_pinned_digest(build, args, kwargs, digest):
+    assert _layout_digest(build(*args, **kwargs)) == digest
+
+
+@pytest.mark.parametrize("build, args", [
+    # an overlap one layer wider than the smallest block
+    (build_1d_layout, (10, 3, 4)),
+    (build_1d_layout, (61, 8, 8)),
+    (build_2d_layout, (8, 8, 2, 5)),
+    (build_2d_layout, (12, 6, 3, 3)),
+    # sizes, counts and overlaps out of range
+    (build_1d_layout, (3, 4, 0)),
+    (build_1d_layout, (0, 0, 0)),
+    (build_1d_layout, (9, 0, 1)),
+    (build_1d_layout, (9, 3, -1)),
+    (build_2d_layout, (9, 8, 2, 1)),
+    (build_2d_layout, (8, 9, 2, 1)),
+    (build_2d_layout, (8, 8, 0, 0)),
+    (build_2d_layout, (0, 8, 1, 0)),
+    (build_2d_layout, (8, 0, 1, 0)),
+    (build_2d_layout, (2, 2, 4, 0)),
+    (build_2d_layout, (8, 8, 2, -1)),
+])
+def test_builders_reject_invalid_layouts(build, args):
+    with pytest.raises(ValueError):
+        build(*args)
+
+
+@pytest.mark.parametrize("build, args", [
+    (build_1d_layout, (10.7, 2, 1.9)),
+    (build_1d_layout, (10, 2, -0.5)),
+    (build_1d_layout, (10, 2.0, 1)),
+    (build_1d_layout, ("10", 2, 1)),
+    (build_2d_layout, (8.9, 8, 2, 1)),
+    (build_2d_layout, (8, 8.0, 2, 1)),
+    (build_2d_layout, (8, 8, 2.0, 1)),
+    (build_2d_layout, (8, 8, 2, 0.5)),
+])
+def test_builders_reject_non_integer_sizes(build, args):
+    # int() used to truncate these silently: 10.7 cells built 10
+    with pytest.raises(ValueError, match="must be integers"):
+        build(*args)
+
+
+def test_builders_accept_numpy_integers():
+    lay = build_1d_layout(np.int64(10), np.int32(3), np.uint8(1))
+    assert _layout_digest(lay) == _layout_digest(build_1d_layout(10, 3, 1))
+    lay = build_2d_layout(np.int64(16), np.int16(8), np.uint64(4), np.int8(1))
+    assert _layout_digest(lay) == _layout_digest(build_2d_layout(16, 8, 4, 1))

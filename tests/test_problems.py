@@ -287,6 +287,20 @@ def test_diffusion_manufactured_consistency():
     assert r32 < r16 / 2.0
 
 
+@pytest.mark.parametrize("nx, ny", [(8.9, 8), (8, 8.0), ("8", 8), (0, 4),
+                                    (4, -1)])
+def test_diffusion_rejects_non_integer_or_empty_grids(nx, ny):
+    # int() used to truncate 8.9 cells to 8 silently
+    with pytest.raises(ValueError, match="positive integer number of cells"):
+        DiffusionProblem2D(nx, ny)
+
+
+def test_diffusion_accepts_numpy_integer_grids():
+    prob = DiffusionProblem2D(np.int64(6), np.uint8(5))
+    assert (prob.nx, prob.ny) == (6, 5) and type(prob.nx) is int
+    assert np.array_equal(prob.source_cells, DiffusionProblem2D(6, 5).source_cells)
+
+
 def test_diffusion_rejects_wrong_shape():
     prob = DiffusionProblem2D(4, 4)
     with pytest.raises(ValueError):

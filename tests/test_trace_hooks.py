@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 import scipy.sparse.linalg as spla
 # harness too: installed() imports it, and the module set must not change
-from raspen import harness, local_solver, newton, precond, problems  # noqa: F401
+from raspen import (decomposition, harness, local_solver, newton,  # noqa: F401
+                    precond, problems)
 from raspen.decomposition import build_1d_layout
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -68,3 +69,13 @@ def test_trace_hooks_cover_every_layer_and_restore_the_originals():
     # one glue per residual evaluation and per Jacobian action
     assert metrics["decomposition.glue.calls"] == (
         metrics["precond.residual.calls"] + metrics["precond.action.calls"])
+
+
+def test_tracer_counts_one_build_per_layout():
+    # decomposition.build.calls is 2: neither builder goes through the other
+    recorder = tracer.Recorder()
+    with recorder.installed():
+        decomposition.build_1d_layout(40, 4, 2)
+        decomposition.build_2d_layout(8, 8, 2, 1)
+    assert [span[tracer.NAME] for span in recorder.spans] == [
+        "decomposition.build", "decomposition.build"]
