@@ -9,15 +9,16 @@ product and writes four kinds of artifact into the output directory:
   iterations.csv  long format, one row per outer iteration:
                   method,mesh,I,k,beta,n,ls_G,ls_in,ls_min,error,residual
   curve_*.csv     per-run error/work curves: step,error,LS
-  summary.json    config echo, library versions, seed, failure reasons
+  summary.json    config echo, library versions, seed, failure reasons,
+                  failed subdomains with their inner residual norms
 
 Reruns of the same config and seed produce byte-identical CSVs (wall
-times live only in the summary).  Per-combination solver failures are
-recorded in the row as converged=false with the reason kept in the
-summary; they never abort sibling combinations, and a failed outer
-Newton run keeps the counts and iterations it finished.  A failed
-reference solution fails every row of its (mesh, beta) problem the same
-way.
+times live only in the summary).  The drivers return solve failures in
+their RunResult; the row records one as converged=false, keeping the
+iterations before it (a run that recorded none has no ledger and no
+curve) and the reason in the summary, and sibling combinations still
+run.  A failed reference solution fails every row of its (mesh, beta)
+problem the same way.
 
 compare_table checks result rows against a shipped reference table of
 published counts, cell by cell, with the comparison tolerances used
@@ -41,7 +42,7 @@ import scipy
 
 from . import __version__
 from .decomposition import build_1d_layout, build_2d_layout
-from .local_solver import SolveError, SolverSettings
+from .local_solver import LocalSolveError, SolveError, SolverSettings
 from .newton import (RunResult, direct_newton, fixed_point_solve, outer_newton,
                      reference_solution)
 from .precond import PreconditionedSystem
@@ -62,6 +63,8 @@ __all__ = [
 ]
 
 METHODS = ("newton", "ras-fp", "as-fp", "raspen1", "aspin1", "raspen2", "aspin2")
+# the fixed-point methods and the system kind each iterates
+_FIXED_POINT_KINDS = {"ras-fp": "RASPEN1", "as-fp": "ASPIN1"}
 PROBLEMS = ("forchheimer1d", "diffusion2d")
 FIELD_KINDS = ("smooth", "random")
 OUTER_TOL = 1
@@ -114,6 +117,7 @@ class ResultRow:
     reason: str = ""
     wall_time: float = 0.0
     ledger: object = dataclasses.field(default=None, repr=False)
+    failure: SolveError = dataclasses.field(default=None, repr=False)
 
 
 def _parse_list(value, conv):
@@ -295,7 +299,7 @@ def _off_interface_mask(problem, layout):
     return np.logical_and.reduceat(same, P.indptr[:-1])
 
 
-def _first_step_residual(system, problem, layout, u0, settings):
+def _first_step_residual(system, problem, layout, u0):
     """Residual after one restricted Schwarz step, for external plotting.
 
     Away from the subdomain interfaces the glued iterate inherits the
@@ -309,7 +313,7 @@ def _first_step_residual(system, problem, layout, u0, settings):
     mask = _off_interface_mask(problem, layout)
     if mask.any():
         worst = float(np.max(np.abs(r[mask])))
-        if worst > settings.inner_tol:
+        if worst > system.settings.inner_tol:
             raise SolveError(
                 f"off-interface residual {worst:.3e} exceeds the inner "
                 f"tolerance after the first restricted Schwarz step"
@@ -322,35 +326,35 @@ def _tag(row):
             f"_beta{row.beta:g}")
 
 
-def _execute(combo, problem, layout, u_ref, settings):
-    """Run one combination; a SolveError as u_ref fails it with that reason."""
+def _run(combo, problem, layout, u_ref, settings):
+    """The combination's RunResult and ras-fp's first-step residual."""
+    if isinstance(u_ref, SolveError):
+        return RunResult(None, None, False, 0, str(u_ref), failure=u_ref), None
     u0 = problem.initial_state()
-    t0 = time.perf_counter()
+    if combo.method == "newton":
+        return direct_newton(problem, u0, settings, u_ref=u_ref), None
+    kind = _FIXED_POINT_KINDS.get(combo.method, combo.method)
+    system = PreconditionedSystem(kind, problem, layout, settings)
+    if combo.method not in _FIXED_POINT_KINDS:
+        return outer_newton(system, u0, u_ref=u_ref), None
     first_residual = None
-    try:
-        if isinstance(u_ref, SolveError):
-            raise u_ref
-        if combo.method == "newton":
-            run = direct_newton(problem, u0, settings, u_ref=u_ref)
-        elif combo.method in ("ras-fp", "as-fp"):
-            kind = "RASPEN1" if combo.method == "ras-fp" else "ASPIN1"
-            system = PreconditionedSystem(kind, problem, layout, settings)
-            if combo.method == "ras-fp":
-                first_residual = _first_step_residual(system, problem, layout,
-                                                      u0, settings)
-            run = fixed_point_solve(system, u0, settings, u_ref=u_ref)
-        else:
-            system = PreconditionedSystem(combo.method, problem, layout,
-                                          settings)
-            run = outer_newton(system, u0, settings, u_ref=u_ref)
-    except SolveError as exc:
-        # an outer Newton failure keeps the ledger of its finished iterations
-        run = RunResult(None, getattr(exc, "ledger", None) or None, False,
-                        getattr(exc, "outer_iterations", 0), str(exc))
-    ledger = run.ledger
+    if combo.method == "ras-fp":
+        try:
+            first_residual = _first_step_residual(system, problem, layout, u0)
+        except SolveError as exc:
+            return RunResult(None, None, False, 0, str(exc), failure=exc), None
+    return fixed_point_solve(system, u0, u_ref=u_ref), first_residual
+
+
+def _execute(combo, problem, layout, u_ref, settings):
+    """Run one combination into its ResultRow and first-step residual."""
+    t0 = time.perf_counter()
+    run, first_residual = _run(combo, problem, layout, u_ref, settings)
+    ledger = run.ledger or None  # a run that recorded nothing has no ledger
     row = ResultRow(combo.method, combo.mesh, combo.I, combo.k, combo.beta,
                     run.outer_iterations, ledger.LS_total if ledger else 0,
-                    run.converged, run.reason, time.perf_counter() - t0, ledger)
+                    run.converged, run.reason, time.perf_counter() - t0, ledger,
+                    run.failure)
     return row, first_residual
 
 
@@ -422,10 +426,14 @@ def _write_summary(path, config, rows):
         "seed": config.seed,
         "rows": len(rows),
         "reasons": {_tag(r): r.reason for r in rows if r.reason},
+        "failures": {_tag(r): {"subdomain": r.failure.subdomain,
+                               "residuals": [x if math.isfinite(x) else str(x)
+                                             for x in r.failure.residuals]}
+                     for r in rows if isinstance(r.failure, LocalSolveError)},
         "wall_time_s": {_tag(r): round(r.wall_time, 3) for r in rows},
     }
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-
+    path.write_text(json.dumps(summary, indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
 
 # ------------------------------------------------------------- comparisons
 
@@ -442,18 +450,19 @@ def _rows_from_text(text, label):
         raise ValueError(
             f"{label}: schema mismatch, missing columns {', '.join(missing)}"
         )
-    rows = []
-    for rec in reader:
-        rows.append({
-            "method": rec["method"].strip(),
-            "I": int(rec["I"]),
-            "k": int(rec["k"]),
-            "beta": float(rec["beta"]),
-            "outer_iters": int(rec["outer_iters"]),
-            "LS_total": int(rec["LS_total"]),
-            "converged": rec.get("converged", "true").strip().lower() != "false",
-        })
-    return rows
+    return [_record(rec) for rec in reader]
+
+
+def _record(row):
+    """The compared fields, typed, of a CSV record, dict or ResultRow."""
+    row = row if isinstance(row, dict) else vars(row)
+    converged = row.get("converged", True)  # a CSV's: true unless "false"
+    if isinstance(converged, str):
+        converged = converged.strip().lower() != "false"
+    return {"method": str(row["method"]).strip(), "I": int(row["I"]),
+            "k": int(row["k"]), "beta": float(row["beta"]),
+            "outer_iters": int(row["outer_iters"]),
+            "LS_total": int(row["LS_total"]), "converged": bool(converged)}
 
 
 def load_rows(source):
@@ -501,14 +510,8 @@ class CompareReport:
         return [c.line() for c in self.cells]
 
 
-def _get(row, name):
-    """A field of a result row given as a plain dict or as a ResultRow."""
-    return row[name] if isinstance(row, dict) else getattr(row, name)
-
-
-def _row_key(row):
-    return (_get(row, "method"), int(_get(row, "I")), int(_get(row, "k")),
-            float(_get(row, "beta")))
+def _row_key(record):
+    return record["method"], record["I"], record["k"], record["beta"]
 
 
 def compare_table(rows, reference_table_file):
@@ -524,17 +527,13 @@ def compare_table(rows, reference_table_file):
     ref_rows = _rows_from_text(read_reference_table(reference_table_file),
                                str(reference_table_file))
     indexed = {}
-    for row in rows:
-        key = _row_key(row)
+    for record in map(_record, rows):
+        key = _row_key(record)
         if key in indexed:
             method, I, k, beta = key
             raise ValueError(f"two result rows share method={method} I={I} "
                              f"k={k} beta={beta:g}; compare one mesh at a time")
-        indexed[key] = {
-            "outer_iters": int(_get(row, "outer_iters")),
-            "LS_total": int(_get(row, "LS_total")),
-            "converged": bool(_get(row, "converged")),
-        }
+        indexed[key] = record
     cells = []
     for ref in ref_rows:
         key = _row_key(ref)

@@ -12,13 +12,17 @@ every subdomain's inner count and the coarse count, and an outer Newton
 row its GMRES solve's relative residual history, ls_G values long; rows
 that solve no GMRES system keep an empty one.
 
+The three drivers of a PreconditionedSystem (outer_newton,
+fixed_point_solve, continuation_solve) run by the system's own settings
+and return every way a run ends as a RunResult: a subdomain or coarse
+solve failure ends it with that SolveError as its failure, never raised.
+
 Errors in the ledger are relative l1 distances to a reference iterate,
 which callers usually obtain from reference_solution(): a tight-tolerance
 direct Newton solve, falling back to continuation in beta when the cold
 start diverges.
 """
 
-import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,7 +34,6 @@ from .local_solver import SolveError, SolverSettings
 __all__ = [
     "IterationLedger",
     "RunResult",
-    "ContinuationError",
     "outer_newton",
     "fixed_point_solve",
     "continuation_solve",
@@ -44,14 +47,6 @@ DIVERGENCE_ERROR = 1e6
 # problem's beta its continuation fallback solves for, in turn
 REFERENCE_TOL = 1e-12
 REFERENCE_BETAS = (0.0, 0.1, 0.2, 0.5, 1.0)
-
-
-class ContinuationError(RuntimeError):
-    """A continuation stage raised; .completed holds the finished runs."""
-
-    def __init__(self, message, completed):
-        super().__init__(message)
-        self.completed = completed
 
 
 def relative_l1_error(u, u_ref):
@@ -108,41 +103,39 @@ class IterationLedger:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """Final iterate plus the ledger of the run that produced it."""
+    """Final iterate plus the ledger of the run that produced it.
+
+    failure is the SolveError that ended the run, None for a run that
+    ended otherwise; reason quotes it after the iteration it ended.
+    """
 
     u: np.ndarray = field(repr=False)
     ledger: IterationLedger = field(repr=False)
     converged: bool
     outer_iterations: int
     reason: str = ""
+    failure: SolveError = field(default=None, repr=False)
 
 
 def _error_of(u, u_ref):
     return relative_l1_error(u, u_ref) if u_ref is not None else np.nan
 
 
-def _in_context(exc, context):
-    """A copy of exc, attributes included, whose message starts with context."""
-    wrapped = copy.copy(exc)
-    wrapped.args = (f"{context}: {exc}",)
-    return wrapped
-
-
-def outer_newton(system, u0, settings=None, u_ref=None):
+def outer_newton(system, u0, *, u_ref=None):
     """Newton on the preconditioned function with full steps.
 
-    Each iteration evaluates the residual as an Evaluation (recording its
-    counts), tests ||value||_2 against outer_tol, then solves one Jacobian
-    system with GMRES, acting with that evaluation, updates u and drops the
+    Tolerances and budgets are system.settings.  Each iteration evaluates
+    the residual as an Evaluation (recording its counts), tests
+    ||value||_2 against outer_tol, then solves one Jacobian system with
+    GMRES, acting with that evaluation, updates u and drops the
     evaluation, so that one set of local blocks is alive at a time.  GMRES
     nonconvergence is noted in the reason string but the step is still
-    taken; subdomain or coarse solve failures, in the residual or in the
-    Jacobian actions, propagate with outer-iteration context, keep their
-    attributes (a LocalSolveError's subdomain and residuals) and carry the
-    run's ledger and update count up to the failure, as ledger and
-    outer_iterations.
+    taken; a subdomain or coarse solve failure, in the residual or in the
+    Jacobian actions, ends the run with the error as its failure, quoted
+    in reason after the outer iteration it ended, and the ledger and
+    update count up to it.
     """
-    settings = settings or SolverSettings()
+    settings = system.settings
     u = np.asarray(u0, dtype=float).copy()
     if not np.all(np.isfinite(u)):
         raise ValueError("initial guess contains non-finite entries")
@@ -163,9 +156,8 @@ def outer_newton(system, u0, settings=None, u_ref=None):
             delta, report = gmres(lambda v: system.jacobian_action(ev, v),
                                   -ev.value, tol=settings.gmres_tol)
         except SolveError as exc:
-            wrapped = _in_context(exc, f"outer iteration {updates}")
-            wrapped.ledger, wrapped.outer_iterations = ledger, updates
-            raise wrapped from exc
+            return RunResult(u, ledger, False, updates,
+                             f"outer iteration {updates}: {exc}", failure=exc)
         ledger.record(report.iterations, _error_of(u, u_ref), rnorm,
                       report.residual_history, ev)
         del ev
@@ -180,20 +172,21 @@ def outer_newton(system, u0, settings=None, u_ref=None):
                      reason or f"no convergence in {settings.max_outer} outer iterations")
 
 
-def fixed_point_solve(system, u0, settings=None, max_steps=None, u_ref=None):
+def fixed_point_solve(system, u0, *, max_steps=None, u_ref=None):
     """Run u <- u + F(u) until the error reference is met or budget runs out.
 
-    Each step records the counts of its Evaluation F(u) and drops it before
-    the next step evaluates.  Stops when the relative l1 error against u_ref
-    drops to outer_tol; stagnation is reported as converged=False, never an
+    Tolerances and budgets are system.settings.  Each step records the
+    counts of its Evaluation F(u) and drops it before the next step
+    evaluates.  Stops when the relative l1 error against u_ref drops to
+    outer_tol; stagnation is reported as converged=False, never an
     exception, and a subdomain or coarse solve failure along the way
-    likewise ends the run with the failure quoted in reason (a divergent
+    likewise ends the run, as its failure, quoted in reason (a divergent
     iteration typically leaves the basin of the local solves before the
     error passes the DIVERGENCE_ERROR cutoff).  u_ref defaults to
     reference_solution(system.problem).  max_steps, when given, replaces
     settings.max_fixed_point.
     """
-    settings = settings or SolverSettings()
+    settings = system.settings
     if max_steps is not None:
         settings = replace(settings, max_fixed_point=max_steps)
     max_steps = settings.max_fixed_point
@@ -206,7 +199,7 @@ def fixed_point_solve(system, u0, settings=None, max_steps=None, u_ref=None):
             ev = system.residual(u)
         except SolveError as exc:
             return RunResult(u, ledger, False, step - 1,
-                             f"solve failed at step {step}: {exc}")
+                             f"solve failed at step {step}: {exc}", failure=exc)
         u = u + ev.value
         err = relative_l1_error(u, u_ref)
         # the stopping test here is the error itself, so it doubles as the
@@ -232,10 +225,7 @@ def _ladder(betas, u0, solve):
     runs = []
     u = np.asarray(u0, dtype=float)
     for beta in betas:
-        try:
-            run = solve(beta, u)
-        except SolveError as exc:
-            raise ContinuationError(f"beta={beta}: {exc}", runs) from exc
+        run = solve(beta, u)
         runs.append(run)
         if not run.converged:
             break
@@ -243,15 +233,15 @@ def _ladder(betas, u0, solve):
     return runs
 
 
-def continuation_solve(system_factory, betas, u0, settings=None, u_ref=None):
+def continuation_solve(system_factory, betas, u0, *, u_ref=None):
     """Chain outer_newton runs over increasing beta with warm starts.
 
-    Returns the list of RunResults, one per beta, stopping at the first
-    beta whose run does not converge (that run is included).  A raising
-    stage is wrapped in ContinuationError carrying the completed runs.
+    Each stage runs with its system's settings.  Returns the list of
+    RunResults, one per beta, stopping at the first beta whose run does
+    not converge (that run, a failed one included, ends the list).
     """
     return _ladder(betas, u0, lambda beta, u: outer_newton(
-        system_factory(beta), u, settings, u_ref=u_ref))
+        system_factory(beta), u, u_ref=u_ref))
 
 
 def direct_newton(problem, u0, settings=None, u_ref=None):

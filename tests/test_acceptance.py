@@ -107,8 +107,8 @@ def test_criterion_3_affine_collapse():
     err1 = np.max(np.abs(one.residual(u).value - M_ras @ lin))
     err2 = np.max(np.abs(two.residual(u).value
                          - (Q + M_ras @ (np.eye(60) - A @ Q)) @ lin))
-    run1 = outer_newton(one, np.zeros(60), tight)
-    run2 = outer_newton(two, np.zeros(60), tight)
+    run1 = outer_newton(one, np.zeros(60))
+    run2 = outer_newton(two, np.zeros(60))
     dt = time.perf_counter() - t0
     ok = (err1 < 1e-10 and err2 < 1e-10
           and run1.converged and run1.outer_iterations == 1

@@ -21,6 +21,8 @@ from raspen.harness import (
     reference_table_names,
     run_experiment,
 )
+from raspen.local_solver import LocalSolveError
+from raspen.newton import IterationLedger, RunResult
 from raspen.problems import DiffusionProblem2D, smooth_forchheimer
 
 
@@ -235,6 +237,58 @@ def test_failed_outer_newton_row_keeps_its_ledger(tmp_path):
         "raspen2,240,8,2,10,1,15,35,10,")
     curve = (out / "curve_raspen2_M240_I8_k2_beta10.csv").read_text()
     assert curve.splitlines() == ["step,error,LS", "1,1.000000000000e+00,50"]
+    # the summary names the failed subdomain and its inner residual trail
+    failures = json.loads((out / "summary.json").read_text())["failures"]
+    assert failures == {"raspen2_M240_I8_k2_beta10": {
+        "subdomain": 1, "residuals": list(row.failure.residuals)}}
+    assert type(row.failure) is LocalSolveError and row.failure.subdomain == 1
+    assert len(row.failure.residuals) > 1
+
+
+def test_a_run_that_recorded_nothing_has_no_ledger(tmp_path):
+    # one inner iteration fails every run at its first evaluation: as-fp
+    # in its first step, ras-fp in its first-step check, raspen1 in outer
+    # iteration 0; none keeps a ledger or writes a curve
+    config = config_from_dict({
+        "mesh": "40", "subdomains": "4", "overlap": "2",
+        "methods": "as-fp,ras-fp,raspen1", "max_inner": "1",
+        "outdir": str(tmp_path / "none"),
+    })
+    rows = run_experiment(config)
+    assert [r.reason.split(": ")[0] for r in rows] == [
+        "solve failed at step 1", "subdomain 0", "outer iteration 0"]
+    for r in rows:
+        assert not r.converged and r.ledger is None and r.LS_total == 0
+        assert isinstance(r.failure, LocalSolveError)
+    assert list((tmp_path / "none").glob("curve_*.csv")) == []
+    iters = (tmp_path / "none" / "iterations.csv").read_text()
+    assert iters == ",".join(ITER_COLUMNS) + "\n"
+
+
+def test_summary_is_strict_json_with_non_finite_norms_named(tmp_path,
+                                                           monkeypatch):
+    failure = LocalSolveError("subdomain 2: inner Newton produced a "
+                              "non-finite residual", subdomain=2,
+                              residuals=[1.5, np.inf, np.nan])
+
+    def failing(system, u0, *, u_ref):
+        return RunResult(u0, IterationLedger(), False, 0,
+                         f"outer iteration 0: {failure}", failure=failure)
+
+    monkeypatch.setattr(harness_mod, "outer_newton", failing)
+    config = config_from_dict({
+        "mesh": "40", "subdomains": "4", "overlap": "2",
+        "methods": "raspen1", "outdir": str(tmp_path / "nan"),
+    })
+    run_experiment(config)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    text = (tmp_path / "nan" / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=reject)
+    assert summary["failures"] == {"raspen1_M40_I4_k2_beta1": {
+        "subdomain": 2, "residuals": [1.5, "inf", "nan"]}}
 
 
 def test_reference_failure_recorded_without_aborting(tmp_path):

@@ -16,7 +16,6 @@ from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.krylov import GmresReport
 from raspen.local_solver import LocalSolveError, SolveError, SolverSettings
 from raspen.newton import (
-    ContinuationError,
     continuation_solve,
     direct_newton,
     fixed_point_solve,
@@ -124,12 +123,46 @@ def test_quadratic_residual_tail():
     # tight inner/linear tolerances so the final residuals are not noise
     tight = SolverSettings(inner_tol=1e-13, outer_tol=1e-10, gmres_tol=1e-12)
     system = _system("RASPEN1", M=100, I=10, k=3, settings=tight)
-    run = outer_newton(system, np.zeros(100), tight)
+    run = outer_newton(system, np.zeros(100))
     assert run.converged
     r = np.asarray(run.ledger.residual_norm)
     assert len(r) >= 3
     slope = np.log(r[-1] / r[-2]) / np.log(r[-2] / r[-3])
     assert slope >= 1.8, f"tail slope {slope:.2f}"
+
+
+def test_drivers_run_by_the_system_settings():
+    # no driver takes settings of its own: a loose outer_tol on the system
+    # stops the run early, a one-update budget stops it after one update
+    loose = SolverSettings(outer_tol=1e-3)
+    run = outer_newton(_system("RASPEN1", settings=loose), np.zeros(60))
+    full = outer_newton(_system("RASPEN1"), np.zeros(60))
+    r = run.ledger.residual_norm
+    assert run.converged and r[-1] <= 1e-3 < r[-2]
+    assert run.outer_iterations < full.outer_iterations
+    capped = outer_newton(_system("RASPEN1", settings=SolverSettings(max_outer=1)),
+                          np.zeros(60))
+    assert not capped.converged and capped.outer_iterations == 1
+    assert capped.reason == "no convergence in 1 outer iterations"
+    u_ref = reference_solution(smooth_forchheimer(60, beta=1.0))
+    fp = fixed_point_solve(_system("RASPEN1", settings=loose), np.zeros(60),
+                           u_ref=u_ref)
+    assert fp.converged and fp.ledger.error[-1] <= 1e-3 < fp.ledger.error[-2]
+    capped = fixed_point_solve(
+        _system("RASPEN1", settings=SolverSettings(max_fixed_point=2)),
+        np.zeros(60), u_ref=u_ref)
+    assert not capped.converged and capped.reason.endswith("after 2 steps")
+
+
+@pytest.mark.parametrize("driver", [
+    outer_newton,
+    fixed_point_solve,
+    lambda system, u0, *args: continuation_solve(lambda beta: system, [1.0],
+                                                 u0, *args),
+], ids=["outer_newton", "fixed_point_solve", "continuation_solve"])
+def test_drivers_reject_a_positional_settings(driver):
+    with pytest.raises(TypeError):
+        driver(_system("RASPEN1"), np.zeros(60), SolverSettings())
 
 
 def test_nonfinite_initial_guess_rejected():
@@ -141,21 +174,22 @@ def test_nonfinite_initial_guess_rejected():
 
 
 def test_gmres_stall_sets_reason(monkeypatch):
-    system = _system("RASPEN1", M=24, I=3, k=1)
+    system = _system("RASPEN1", M=24, I=3, k=1,
+                     settings=SolverSettings(max_outer=3))
 
     def stalled(action, rhs, tol=1e-8, max_iter=None):
         return np.zeros_like(rhs), GmresReport(5, 1.0, False, (1.0,))
 
     monkeypatch.setattr(newton_mod, "gmres", stalled)
-    run = outer_newton(system, np.zeros(24),
-                       SolverSettings(max_outer=3))
+    run = outer_newton(system, np.zeros(24))
     assert not run.converged
     assert "gmres stalled" in run.reason
 
 
 
 def test_nonfinite_jacobian_action_stalls_gmres_with_nan():
-    system = _system("RASPEN1", M=24, I=3, k=1)
+    system = _system("RASPEN1", M=24, I=3, k=1,
+                     settings=SolverSettings(max_outer=1))
     exact, calls = system.jacobian_action, []
 
     def action(ev, v):
@@ -163,7 +197,7 @@ def test_nonfinite_jacobian_action_stalls_gmres_with_nan():
         return exact(ev, v) if len(calls) < 3 else np.full(len(v), np.nan)
 
     system.jacobian_action = action
-    run = outer_newton(system, np.zeros(24), SolverSettings(max_outer=1))
+    run = outer_newton(system, np.zeros(24))
     assert not run.converged
     assert run.reason == "gmres stalled at outer iteration 0 (relative residual nan)"
     assert run.ledger.ls_G == [3]
@@ -172,6 +206,8 @@ def test_nonfinite_jacobian_action_stalls_gmres_with_nan():
 
 class _BoomSystem:
     """Stub whose residual always fails like a subdomain or coarse solve."""
+
+    settings = SolverSettings()
 
     def __init__(self, error=LocalSolveError):
         self.error = error
@@ -182,8 +218,10 @@ class _BoomSystem:
 
 @pytest.mark.parametrize("error", [LocalSolveError, CoarseSolveError])
 def test_solve_failure_aborts_with_context(error):
-    with pytest.raises(error, match="outer iteration 0"):
-        outer_newton(_BoomSystem(error), np.zeros(4))
+    run = outer_newton(_BoomSystem(error), np.zeros(4))
+    assert not run.converged and run.outer_iterations == 0
+    assert run.reason == "outer iteration 0: synthetic solve failure"
+    assert type(run.failure) is error
 
 
 def _failing_sweep(system, kernel, fail_from):
@@ -218,29 +256,26 @@ def test_local_failure_keeps_subdomain_and_trail_through_outer_context(
     # outer_newton prefixes the outer iteration; the error's subdomain and
     # inner residual trail survive, as they are on the sweep's own error
     settings = SolverSettings(max_inner=1) if failure == "budget" else None
-    errors = []
-    for through_newton in (False, True):
-        system = _system("RASPEN1", settings=settings)
+    systems = []
+    for _ in range(2):
+        systems.append(_system("RASPEN1", settings=settings))
         if failure == "singular":
-            _failing_sweep(system, "jacobian", 2)
+            _failing_sweep(systems[-1], "jacobian", 2)
         elif failure == "nonfinite":
-            _failing_sweep(system, "residual", 3)
-        u = system.problem.initial_state()
-        with pytest.raises(LocalSolveError) as caught:
-            if through_newton:
-                outer_newton(system, u)
-            else:
-                system.residual(u)
-        errors.append(caught.value)
-    direct, wrapped = errors
+            _failing_sweep(systems[-1], "residual", 3)
+    u = systems[0].problem.initial_state()
+    with pytest.raises(LocalSolveError) as caught:
+        systems[0].residual(u)
+    direct = caught.value
+    run = outer_newton(systems[1], u)
     named = 0 if failure == "budget" else 1
     assert str(direct).startswith(f"subdomain {named}: {message}")
-    assert str(wrapped) == f"outer iteration 0: {direct}"
-    assert type(wrapped) is LocalSolveError and wrapped.__cause__ is not None
-    for err in errors:
+    assert not run.converged and run.reason == f"outer iteration 0: {direct}"
+    assert type(run.failure) is LocalSolveError
+    for err in (direct, run.failure):
         assert err.subdomain == named
         assert len(err.residuals) == trail
-    assert np.array_equal(wrapped.residuals, direct.residuals, equal_nan=True)
+    assert np.array_equal(run.failure.residuals, direct.residuals, equal_nan=True)
 
 
 def test_gmres_histories_are_kept_per_row():
@@ -270,9 +305,10 @@ def test_singular_block_at_first_action_gets_outer_context(monkeypatch):
         return r
 
     system.residual = residual_then_singular
-    with pytest.raises(LocalSolveError, match="outer iteration 0: subdomain 0: "
-                                              "singular local Jacobian"):
-        outer_newton(system, system.problem.initial_state())
+    run = outer_newton(system, system.problem.initial_state())
+    assert run.reason.startswith("outer iteration 0: subdomain 0: "
+                                 "singular local Jacobian")
+    assert isinstance(run.failure, LocalSolveError)
 
 
 @pytest.mark.parametrize("first, named", [(True, 3), (False, 2)],
@@ -297,9 +333,10 @@ def test_zero_pivot_in_stacked_block_names_subdomain_with_outer_context(
         return r
 
     system.residual = residual_then_singular
-    with pytest.raises(LocalSolveError, match=f"outer iteration 0: subdomain "
-                                              f"{named}: singular local Jacobian"):
-        outer_newton(system, system.problem.initial_state())
+    run = outer_newton(system, system.problem.initial_state())
+    assert run.reason.startswith(f"outer iteration 0: subdomain "
+                                 f"{named}: singular local Jacobian")
+    assert isinstance(run.failure, LocalSolveError)
 
 
 def _singular_dgbtrf(ab, kl, ku, **kwargs):
@@ -406,6 +443,8 @@ def test_as_fixed_point_not_convergent():
                             u_ref=u_ref)
     assert not run.converged
     assert "solve failed" in run.reason
+    assert run.reason.endswith(str(run.failure))
+    assert isinstance(run.failure, LocalSolveError)
     assert run.outer_iterations == len(run.ledger)
 
 
@@ -422,6 +461,8 @@ def test_as_fixed_point_stalls_on_budget():
 
 class _DoublingSystem:
     """Stub fixed point u <- 2u, divergent from any nonzero start."""
+
+    settings = SolverSettings()
 
     def residual(self, u):
         return SimpleNamespace(value=u, ls_in=1, ls_min=1, coarse_count=0,
@@ -449,13 +490,13 @@ def test_single_subdomain_fixed_point_is_one_step():
 
 # --------------------------------------------------------------- continuation
 
-def _beta_factory(M=60, I=6, k=2, boom_at=None):
+def _beta_factory(M=60, I=6, k=2, boom_at=None, settings=None):
     def factory(beta):
         if boom_at is not None and beta == boom_at:
             return _BoomSystem()
         prob = smooth_forchheimer(M, beta=beta)
         lay = build_1d_layout(M, I, k, dirichlet=prob.dirichlet)
-        return PreconditionedSystem("RASPEN1", prob, lay)
+        return PreconditionedSystem("RASPEN1", prob, lay, settings)
 
     return factory
 
@@ -502,9 +543,8 @@ def test_continuation_validates_betas():
 def test_continuation_stops_at_first_nonconverged():
     # max_outer 2 lets the affine stage finish (one update plus the
     # confirming evaluation) but is too small for beta = 0.5 from cold
-    settings = SolverSettings(max_outer=2)
-    results = continuation_solve(_beta_factory(), [0.0, 0.5, 1.0],
-                                 np.zeros(60), settings)
+    factory = _beta_factory(settings=SolverSettings(max_outer=2))
+    results = continuation_solve(factory, [0.0, 0.5, 1.0], np.zeros(60))
     assert len(results) == 2
     assert results[0].converged
     assert not results[1].converged
@@ -512,10 +552,11 @@ def test_continuation_stops_at_first_nonconverged():
 
 def test_continuation_wraps_raising_stage():
     factory = _beta_factory(boom_at=1.0)
-    with pytest.raises(ContinuationError) as info:
-        continuation_solve(factory, [0.0, 1.0], np.zeros(60))
-    assert len(info.value.completed) == 1
-    assert info.value.completed[0].converged
+    completed, failed = continuation_solve(factory, [0.0, 1.0], np.zeros(60))
+    assert completed.converged
+    assert not failed.converged
+    assert failed.reason == "outer iteration 0: synthetic solve failure"
+    assert type(failed.failure) is LocalSolveError
 
 
 # ------------------------------------------------------------------ reference
