@@ -198,10 +198,14 @@ def _validate(config):
     if config.omega == 0:
         raise ValueError("omega must be nonzero")
     for name, values in (("mesh", config.meshes), ("subdomains", config.subdomains),
-                         ("overlap", config.overlaps), ("beta", config.betas),
-                         ("methods", config.methods)):
+                         ("overlap", config.overlaps), ("methods", config.methods)):
         if len(set(values)) != len(values):
             raise ValueError(f"duplicate entries in {name}")
+    printed = [f"{b:g}" for b in config.betas]  # as rows, tags and keys print it
+    alike = [b for b, text in zip(config.betas, printed) if printed.count(text) > 1]
+    if alike:
+        raise ValueError(f"beta entries {', '.join(map(repr, alike))} print "
+                         f"alike, so their rows would share one key")
     if config.field not in FIELD_KINDS:
         raise ValueError(f"field must be one of {FIELD_KINDS}")
     if config.field == "random" and config.problem != "forchheimer1d":
@@ -342,7 +346,8 @@ def _run(combo, problem, layout, u_ref, settings):
         try:
             first_residual = _first_step_residual(system, problem, layout, u0)
         except SolveError as exc:
-            return RunResult(None, None, False, 0, str(exc), failure=exc), None
+            return RunResult(None, None, False, 0, f"solve failed at step 1: {exc}",
+                             failure=exc), None
     return fixed_point_solve(system, u0, u_ref=u_ref), first_residual
 
 

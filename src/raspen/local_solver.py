@@ -384,13 +384,5 @@ def local_correction_jacobian_action(block, v):
 
 
 def sweep_locals(positions, u, settings):
-    """Solve all subdomains at u; returns (result, ls_in_max, ls_in_min).
-
-    positions is every subdomain's PositionStack, as block_positions
-    returns it, and the one LocalSolveResult stacks every subdomain's
-    correction.  The max/min counts model the parallel wait: all
-    subdomains wait for the slowest.  Failures propagate with the
-    subdomain id attached.
-    """
-    result = solve_local(positions, u, settings)
-    return result, max(result.inner_counts), min(result.inner_counts)
+    """One sweep: solve_local's result as it is, by the name perfbench traces."""
+    return solve_local(positions, u, settings)

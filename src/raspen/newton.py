@@ -1,16 +1,16 @@
 """Outer Newton driver, plain fixed-point driver, and continuation in beta.
 
 Iteration accounting follows the parallel-cost convention of the solver
-comparison: one ledger row per residual evaluation, where ls_in is the
-largest inner Newton count over the subdomains (two-level runs fold the
-coarse solve's count in via the max, since the coarse solve sits on the
+comparison, applied by IterationLedger alone.  One row per residual
+evaluation keeps each subdomain's inner Newton count (inner_counts), the
+coarse count (coarse_count, 0 for one-level rows) and ls_G, the GMRES
+iterations of that row's Jacobian solve (0 for the terminal evaluation
+that confirms convergence).  ls_in, derived, is the largest inner count
+with the coarse count folded in by the max (the coarse solve sits on the
 critical path like the slowest subdomain), ls_min the smallest subdomain
-count, and ls_G the GMRES iterations spent on that row's Jacobian solve.
-The terminal evaluation that confirms convergence gets ls_G = 0.  The
-running total is LS_n = sum_{j<=n} (ls_in[j] + ls_G[j]).  A row also keeps
-every subdomain's inner count and the coarse count, and an outer Newton
-row its GMRES solve's relative residual history, ls_G values long; rows
-that solve no GMRES system keep an empty one.
+count, and LS_n = sum_{j<=n} (ls_in[j] + ls_G[j]).  An outer Newton row
+also keeps its GMRES solve's relative residual history, ls_G values long;
+rows that solve no GMRES system keep an empty one.
 
 The three drivers of a PreconditionedSystem (outer_newton,
 fixed_point_solve, continuation_solve) run by the system's own settings
@@ -64,13 +64,11 @@ class IterationLedger:
     row's GMRES solve, one per GMRES iteration (empty for a row without
     one: the terminal row, fixed-point rows and direct Newton's).  The
     counts come from the row's Evaluation: inner_counts holds one tuple of
-    per-subdomain counts per row, coarse_count the coarse count (0 for
-    one-level rows); direct Newton's rows have none and count 0.
+    per-subdomain counts per row, coarse_count the coarse count; direct
+    Newton's rows have none, so their ls_in and ls_min are 0.
     """
 
     ls_G: list = field(default_factory=list)
-    ls_in: list = field(default_factory=list)
-    ls_min: list = field(default_factory=list)
     error: list = field(default_factory=list)
     residual_norm: list = field(default_factory=list)
     gmres_history: list = field(default_factory=list)
@@ -80,8 +78,6 @@ class IterationLedger:
     def record(self, ls_G, error, residual_norm, gmres_history=(), evaluation=None):
         ev = evaluation
         self.ls_G.append(int(ls_G))
-        self.ls_in.append(int(ev.ls_in) if ev else 0)
-        self.ls_min.append(int(ev.ls_min) if ev else 0)
         self.inner_counts.append(tuple(ev.locals_.inner_counts) if ev else ())
         self.coarse_count.append(int(ev.coarse_count) if ev else 0)
         self.error.append(float(error))
@@ -90,6 +86,16 @@ class IterationLedger:
 
     def __len__(self):
         return len(self.ls_G)
+
+    @property
+    def ls_in(self):
+        """Per row, the critical path: the slowest subdomain or coarse count."""
+        return [max((*i, c)) for i, c in zip(self.inner_counts, self.coarse_count)]
+
+    @property
+    def ls_min(self):
+        """Per row, the smallest subdomain count (0 without subdomains)."""
+        return [min(inner, default=0) for inner in self.inner_counts]
 
     @property
     def LS(self):

@@ -26,11 +26,12 @@ RASPEN kinds) or all at u (inexact mode, the ASPIN default; the exact
 variant is jacobian_mode="exact"), by one local_jacobian call either way.
 
 residual(u) returns an Evaluation, a frozen handle holding a read-only
-copy of u, the value F~(u), the inner counts, the sweep's result and the
-coarse result; jacobian_action takes that handle, so an action is always
-applied at the state its evaluation solved at.  The stacked local blocks
-are built and factored, in one band LU, at the first action and kept on
-the evaluation, so an evaluation that no action follows factors nothing.
+copy of u, the value F~(u), the sweep's result and the coarse result,
+with their Newton counts, which the drivers' ledger combines into cost;
+jacobian_action takes that handle, so an action is always applied at the
+state its evaluation solved at.  The stacked local blocks are built and
+factored, in one band LU, at the first action and kept on the
+evaluation, so an evaluation that no action follows factors nothing.
 The local solves of an evaluation are one sweep: all subdomains take
 their inner Newton steps together, and its one stacked result, which
 carries the sweep's stack and its local vector at the solved states, is
@@ -81,17 +82,15 @@ class Evaluation:
     """One evaluation F~(u) of a PreconditionedSystem, with its derivative data.
 
     u is a read-only copy of the state, value the function's value there,
-    ls_in and ls_min the largest and smallest inner Newton counts (ls_in
-    folds in the coarse count), locals_ the sweep's LocalSolveResult and
-    coarse the coarse result (None for the one-level kinds).  The stacked
-    LocalJacobian (block) and the fine J(u) (J_u, which only the coarse
-    actions read) are built at their first use and kept.
+    locals_ the sweep's LocalSolveResult, with each subdomain's inner
+    Newton count, and coarse the coarse result (None for the one-level
+    kinds).  The stacked LocalJacobian (block) and the fine J(u) (J_u,
+    which only the coarse actions read) are built at their first use and
+    kept.
     """
 
     u: np.ndarray = field(repr=False)
     value: np.ndarray = field(repr=False)
-    ls_in: int
-    ls_min: int
     locals_: object = field(repr=False)
     coarse: object = field(repr=False)
     exact: bool  # blocks at the solved local states, else all at u
@@ -171,10 +170,8 @@ class PreconditionedSystem:
             coarse = aspin_coarse_correction(self._coarse, u, self.u0_star,
                                              self.settings)
             pc0 = self.layout.P0 @ coarse.correction
-        result, mx, mn = sweep_locals(self._positions, local_state, self.settings)
-        if coarse is not None:
-            mx = max(mx, coarse.inner_iterations)
-        return Evaluation(u, pc0 + self._glue(result.correction), mx, mn, result,
+        result = sweep_locals(self._positions, local_state, self.settings)
+        return Evaluation(u, pc0 + self._glue(result.correction), result,
                           coarse, self.jacobian_mode == "exact")
 
     def jacobian_action(self, evaluation, v):

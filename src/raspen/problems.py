@@ -37,9 +37,11 @@ DARCY_THRESHOLD = 1e-12
 class NonlinearProblem:
     """Contract shared by the concrete problems.
 
-    Subclasses set their stencil with _set_stencil and provide
-    `residual(u)` and `jacobian(u)`; all evaluations must be pure (no state
-    mutated), and jacobian(u) must be the exact derivative of residual at u.
+    Subclasses set their stencil with _set_stencil, which makes `residual(u)`
+    and `jacobian(u)` the all-rows kernels, and bind both in their own class
+    body, where perfbench's tracer patches them; all evaluations must be
+    pure (no state mutated), and jacobian(u) must be the exact derivative
+    of residual at u.
     pattern is a canonical CSR matrix (sorted indices, no duplicates) whose
     indptr and indices every jacobian(u) shares, entries that happen to
     vanish included; its data is never read.  That pattern is the stencil
@@ -89,6 +91,14 @@ class NonlinearProblem:
         """
         kernels = self._rows_class(self, rows, entries)
         return kernels.residual, kernels.jacobian
+
+    def residual(self, u):
+        return self._all_rows[0](self._state(u))
+
+    def jacobian(self, u):
+        P = self.pattern
+        return sp.csr_matrix((self._all_rows[1](self._state(u)), P.indices,
+                              P.indptr), shape=P.shape)
 
     def initial_state(self):
         """Cold-start iterate used by the solvers and the harness."""
@@ -195,13 +205,7 @@ class ForchheimerProblem1D(NonlinearProblem):
         self._set_stencil(_tridiagonal(np.arange(self.M), self.M), [-1, 0, 1],
                           _ForchheimerRows)
 
-    def residual(self, u):
-        return self._all_rows[0](self._state(u))
-
-    def jacobian(self, u):
-        P = self.pattern
-        return sp.csr_matrix((self._all_rows[1](self._state(u)), P.indices,
-                              P.indptr), shape=P.shape)
+    residual, jacobian = NonlinearProblem.residual, NonlinearProblem.jacobian
 
 
 class _ForchheimerRows:
@@ -334,13 +338,7 @@ class DiffusionProblem2D(NonlinearProblem):
         self._set_stencil(_five_point(np.arange(self.nx * self.ny), self.nx, self.ny),
                           [-self.nx, -1, 0, 1, self.nx], _DiffusionRows)
 
-    def residual(self, u):
-        return self._all_rows[0](self._state(u))
-
-    def jacobian(self, u):
-        P = self.pattern
-        return sp.csr_matrix((self._all_rows[1](self._state(u)), P.indices,
-                              P.indptr), shape=P.shape)
+    residual, jacobian = NonlinearProblem.residual, NonlinearProblem.jacobian
 
     def initial_state(self):
         """Constant lift of the Dirichlet value.

@@ -1,6 +1,7 @@
 """Tests for the experiment harness, its output files, and the CLI."""
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -94,10 +95,18 @@ def test_parse_config_file(tmp_path):
     {"mesh": "40", "field": "random", "omega": "inf"},
     {"mesh": "40", "field": "random", "omega": "0"},
     {"mesh": "40", "field": "random", "contrast": "1e-2,inf"},
+    {"mesh": "40", "beta": "1,1.000001"},
 ])
 def test_config_validation_errors(raw):
     with pytest.raises(ValueError):
         config_from_dict(raw)
+
+
+def test_betas_that_print_alike_are_named():
+    # distinct values, but one results.csv key and one curve file name
+    with pytest.raises(ValueError, match=r"^beta entries 1\.0, 1\.000001, "
+                       r"1\.0000001 print alike,"):
+        config_from_dict({"mesh": "40", "beta": "1,1.000001,10,1.0000001"})
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -165,6 +174,25 @@ def test_every_row_LS_matches_ledger(sweep):
     _, rows, _ = sweep
     for r in rows:
         assert r.LS_total == sum(r.ledger.ls_G) + sum(r.ledger.ls_in)
+
+
+def test_every_method_keeps_its_per_iteration_counts(tmp_path):
+    # each row's method,n,ls_G,ls_in,ls_min of iterations.csv, all seven
+    # methods (89 rows), pinned by the sha256 of those integer columns as
+    # recorded before the ledger derived ls_in and ls_min from its counts
+    config = config_from_dict({
+        "mesh": "40", "subdomains": "4", "overlap": "2",
+        "methods": ",".join(harness_mod.METHODS), "max_fixed_point": "30",
+        "outdir": str(tmp_path / "counts"),
+    })
+    run_experiment(config)
+    lines = (tmp_path / "counts" / "iterations.csv").read_text().splitlines()
+    wanted = [ITER_COLUMNS.index(c) for c in ("method", "n", "ls_G", "ls_in",
+                                               "ls_min")]
+    counts = [",".join(line.split(",")[i] for i in wanted) for line in lines[1:]]
+    assert len(counts) == 89
+    assert hashlib.sha256("\n".join(counts).encode()).hexdigest() == (
+        "8afc8b58a859dc06902f7c34ef43102c21ebfca8639a90f9a6114777f822ae5a")
 
 
 def test_newton_baseline_on_diffusion2d(tmp_path):
@@ -247,8 +275,8 @@ def test_failed_outer_newton_row_keeps_its_ledger(tmp_path):
 
 def test_a_run_that_recorded_nothing_has_no_ledger(tmp_path):
     # one inner iteration fails every run at its first evaluation: as-fp
-    # in its first step, ras-fp in its first-step check, raspen1 in outer
-    # iteration 0; none keeps a ledger or writes a curve
+    # in its first step, ras-fp in its first-step check (worded alike),
+    # raspen1 in outer iteration 0; none keeps a ledger or writes a curve
     config = config_from_dict({
         "mesh": "40", "subdomains": "4", "overlap": "2",
         "methods": "as-fp,ras-fp,raspen1", "max_inner": "1",
@@ -256,7 +284,7 @@ def test_a_run_that_recorded_nothing_has_no_ledger(tmp_path):
     })
     rows = run_experiment(config)
     assert [r.reason.split(": ")[0] for r in rows] == [
-        "solve failed at step 1", "subdomain 0", "outer iteration 0"]
+        "solve failed at step 1", "solve failed at step 1", "outer iteration 0"]
     for r in rows:
         assert not r.converged and r.ledger is None and r.LS_total == 0
         assert isinstance(r.failure, LocalSolveError)

@@ -347,12 +347,12 @@ def test_sweep_counts_and_single_domain():
     prob = smooth_forchheimer(20, beta=1.0)
     ustar = plain_newton(prob, np.zeros(20))
     lay = build_1d_layout(20, 4, 2)
-    _, ls_max, ls_min = sweep_locals(block_positions(prob, lay), ustar, SETTINGS)
-    assert ls_max <= 1 and ls_min >= 0
+    counts = sweep_locals(block_positions(prob, lay), ustar, SETTINGS).inner_counts
+    assert max(counts) <= 1 and min(counts) >= 0
 
     # one subdomain without overlap degenerates to global Newton
     lay1 = build_1d_layout(20, 1, 0)
-    result, _, _ = sweep_locals(block_positions(prob, lay1), np.zeros(20), SETTINGS)
+    result = sweep_locals(block_positions(prob, lay1), np.zeros(20), SETTINGS)
     assert np.allclose(result.correction, ustar, atol=1e-7)
 
 
@@ -363,10 +363,10 @@ def test_first_sweep_inner_count_smooth_case():
     # so this pins the desk-scale mesh where the published count holds.
     prob = smooth_forchheimer(60, beta=1.0)
     lay = build_1d_layout(60, 10, 3)
-    _, ls_max, ls_min = sweep_locals(block_positions(prob, lay), np.zeros(60),
-                                     SETTINGS)
-    assert abs(ls_max - 4) <= 1
-    assert 0 < ls_min <= ls_max
+    counts = sweep_locals(block_positions(prob, lay), np.zeros(60),
+                          SETTINGS).inner_counts
+    assert abs(max(counts) - 4) <= 1
+    assert 0 < min(counts) <= max(counts)
 
 
 def test_inner_budget_error_names_subdomain():
@@ -402,7 +402,7 @@ def test_sweep_result_holds_the_solved_local_vector():
     lay = build_1d_layout(20, 4, 2)
     positions = block_positions(prob, lay)
     u = np.linspace(0.0, 1.0, 20)
-    result, _, _ = sweep_locals(positions, u, SETTINGS)
+    result = sweep_locals(positions, u, SETTINGS)
     X, size = result.X, positions.size
     assert result.positions is positions and result.inner_iterations > 0
     assert not X.flags.writeable
@@ -476,7 +476,7 @@ def test_stacked_action_bit_identical_to_per_block(make, exact):
     rng = np.random.default_rng(29)
     u = 0.3 * rng.standard_normal(n)
     if exact:
-        result, _, _ = sweep_locals(stack, u, SETTINGS)
+        result = sweep_locals(stack, u, SETTINGS)
         block = local_jacobian(result.positions, result.X)
         entries = []
         solved_values = _per_block(stack, result.X[:stack.size])
@@ -632,14 +632,13 @@ def test_batched_sweep_bit_identical_to_sequential_solves(name):
                 sweep_locals(stack, u, SETTINGS)
             assert str(caught.value) == str(exc)
             continue
-        result, ls_max, ls_min = sweep_locals(stack, u, SETTINGS)
+        result = sweep_locals(stack, u, SETTINGS)
         assert result.correction.tobytes() == np.concatenate(
             [c for c, _, _ in want]).tobytes()
         assert result.X[:stack.size].tobytes() == np.concatenate(
             [s for _, s, _ in want]).tobytes()
         assert result.inner_counts == tuple(n for _, _, n in want)
         assert result.inner_iterations == sum(result.inner_counts)
-        assert (ls_max, ls_min) == (max(result.inner_counts), min(result.inner_counts))
 
 
 def test_converged_subdomains_keep_their_solo_values():

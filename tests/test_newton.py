@@ -16,6 +16,7 @@ from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.krylov import GmresReport
 from raspen.local_solver import LocalSolveError, SolveError, SolverSettings
 from raspen.newton import (
+    IterationLedger,
     continuation_solve,
     direct_newton,
     fixed_point_solve,
@@ -69,6 +70,20 @@ def test_ledger_rows_keep_the_inner_and_coarse_counts():
     one = outer_newton(_system("RASPEN1"), np.zeros(60)).ledger
     assert one.coarse_count == [0] * len(one)
     assert one.ls_in == [max(inner) for inner in one.inner_counts]
+
+
+def test_ledger_derives_ls_in_and_ls_min_from_the_stored_counts():
+    # the coarse count joins the max of ls_in but never ls_min; a row
+    # without an evaluation (direct Newton's) counts 0 for both
+    led = IterationLedger()
+    for inner, coarse in (((3, 5), 7), ((3, 5), 2)):
+        led.record(1, 0.0, 0.0, evaluation=SimpleNamespace(
+            locals_=SimpleNamespace(inner_counts=inner), coarse_count=coarse))
+    led.record(1, 0.0, 0.0)
+    assert (led.ls_in, led.ls_min) == ([7, 5, 0], [3, 3, 0])
+    assert led.LS.tolist() == [8, 14, 15] and led.LS_total == 15
+    # derived, never stored beside the counts they come from
+    assert not {"ls_in", "ls_min"} & {f.name for f in dataclasses.fields(led)}
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -465,7 +480,7 @@ class _DoublingSystem:
     settings = SolverSettings()
 
     def residual(self, u):
-        return SimpleNamespace(value=u, ls_in=1, ls_min=1, coarse_count=0,
+        return SimpleNamespace(value=u, coarse_count=0,
                                locals_=SimpleNamespace(inner_counts=(1,)))
 
 

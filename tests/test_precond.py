@@ -226,7 +226,7 @@ def test_local_blocks_factored_only_for_actions(kind, monkeypatch):
 
     def recording_sweep(*args):
         out = sweep(*args)
-        solved.append(out[0])
+        solved.append(out)
         return out
 
     monkeypatch.setattr(local_solver_mod, "dgbtrf", counting_dgbtrf)

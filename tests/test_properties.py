@@ -2,19 +2,22 @@
 
 Every property runs a fixed, derandomized sample, so the suite stays
 deterministic.  Each invariant is checked against the subdomain index sets
-directly, not against the stacked arrays the glue operators read.
+or the dense operators directly, not against the stacked arrays the glue
+operators and the Galerkin map read.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from raspen.coarse import coarse_jacobian, coarse_space
 from raspen.decomposition import (
     build_1d_layout,
     build_2d_layout,
     prolong,
     restricted_prolong,
 )
+from raspen.problems import DiffusionProblem2D, smooth_forchheimer
 
 _SETTINGS = settings(derandomize=True, max_examples=100, deadline=None,
                      database=None)
@@ -86,3 +89,20 @@ def test_glue_of_stacked_ones_gives_ones_and_overlap_multiplicity(drawn):
     multiplicity = sum(np.isin(np.arange(lay.n_cells), s.overlap).astype(float)
                        for s in lay.subdomains)
     assert np.array_equal(prolong(lay, ones), multiplicity)
+
+
+@_SETTINGS
+@given(_LAYOUTS, st.data())
+def test_galerkin_map_gives_the_dense_coarse_jacobian(drawn, data):
+    # the map reads only J's pattern and P0, so the problem's boundary
+    # values need not be the layout's; its size and grid must be
+    lay, _, shape = drawn
+    problem = (smooth_forchheimer(*shape, 1.0) if len(shape) == 1
+               else DiffusionProblem2D(shape[1], shape[0]))
+    n = lay.n_subdomains
+    u0 = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n,
+                                     max_size=n)))
+    P0 = lay.P0
+    dense = (P0.T @ problem.jacobian(P0 @ u0) @ P0).toarray()
+    J0 = coarse_jacobian(coarse_space(problem, lay), u0)
+    assert np.abs(J0 - dense).max() <= 1e-13 * np.abs(dense).max()
