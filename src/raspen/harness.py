@@ -303,26 +303,30 @@ def _off_interface_mask(problem, layout):
     return np.logical_and.reduceat(same, P.indptr[:-1])
 
 
-def _first_step_residual(system, problem, layout, u0):
-    """Residual after one restricted Schwarz step, for external plotting.
+class _FirstStepChecked(PreconditionedSystem):
+    """RASPEN1 as ras-fp runs it: step 1's own evaluation also gives
+    first_residual, the residual after one restricted Schwarz step.
 
     Away from the subdomain interfaces the glued iterate inherits the
     local solves' accuracy, so those entries must already sit at the
-    inner tolerance (a SolveError otherwise, recorded as the row's
-    failure); the interesting structure is the concentration at the
-    interfaces.
+    inner tolerance (a SolveError otherwise, which fails step 1); the
+    interesting structure is the concentration at the interfaces.
     """
-    u1 = u0 + system.residual(u0).value
-    r = problem.residual(u1)
-    mask = _off_interface_mask(problem, layout)
-    if mask.any():
-        worst = float(np.max(np.abs(r[mask])))
-        if worst > system.settings.inner_tol:
-            raise SolveError(
-                f"off-interface residual {worst:.3e} exceeds the inner "
-                f"tolerance after the first restricted Schwarz step"
-            )
-    return r
+
+    first_residual = None
+
+    def residual(self, u):
+        ev = super().residual(u)
+        if self.first_residual is None:
+            r = self.problem.residual(u + ev.value)
+            mask = _off_interface_mask(self.problem, self.layout)
+            worst = float(np.max(np.abs(r[mask]))) if mask.any() else 0.0
+            if worst > self.settings.inner_tol:
+                raise SolveError(f"off-interface residual {worst:.3e} exceeds the "
+                                 "inner tolerance after the first restricted "
+                                 "Schwarz step")
+            self.first_residual = r
+        return ev
 
 
 def _tag(row):
@@ -338,17 +342,13 @@ def _run(combo, problem, layout, u_ref, settings):
     if combo.method == "newton":
         return direct_newton(problem, u0, settings, u_ref=u_ref), None
     kind = _FIXED_POINT_KINDS.get(combo.method, combo.method)
-    system = PreconditionedSystem(kind, problem, layout, settings)
-    if combo.method not in _FIXED_POINT_KINDS:
-        return outer_newton(system, u0, u_ref=u_ref), None
-    first_residual = None
     if combo.method == "ras-fp":
-        try:
-            first_residual = _first_step_residual(system, problem, layout, u0)
-        except SolveError as exc:
-            return RunResult(None, None, False, 0, f"solve failed at step 1: {exc}",
-                             failure=exc), None
-    return fixed_point_solve(system, u0, u_ref=u_ref), first_residual
+        system = _FirstStepChecked(kind, problem, layout, settings)
+        return fixed_point_solve(system, u0, u_ref=u_ref), system.first_residual
+    system = PreconditionedSystem(kind, problem, layout, settings)
+    if combo.method in _FIXED_POINT_KINDS:
+        return fixed_point_solve(system, u0, u_ref=u_ref), None
+    return outer_newton(system, u0, u_ref=u_ref), None
 
 
 def _execute(combo, problem, layout, u_ref, settings):

@@ -14,12 +14,15 @@ band LU of the block-diagonal matrix diag(A_ii), A_ii = R_i J P_i.
 Taken at a sweep's solved X, at each u^(i), it applies the exact
 derivatives
 
-    dC_i/du = -A_ii^{-1} R_i J(u^(i)),
+    dC_i/du v = -A_ii^{-1} R_i J(u^(i)) v = -(v_i + Z_i v_halo),
 
-taken at positions.gather(u), all at u, ASPIN's inexact ones; either way
-one action, for every subdomain in the block, is one CSR product and one
-band back-substitution (dgbtrs), and returns the stacked vector of the
-layout's stacked overlap space.
+taken at positions.gather(u), all at u, ASPIN's inexact ones, into the
+layout's stacked overlap space; Z_i = A_ii^{-1} B_i, B_i the columns of
+R_i J outside the overlap, is the halo response.  When the halo h (the
+most exterior cells any block's rows touch) is at most kl + ku,
+local_jacobian solves for Z, one dgbtrs with h right-hand sides, and an
+action is one CSR product with the solved rows; otherwise it is one CSR
+product with R_i J and one band back-substitution (dgbtrs).
 
 Every problem's Jacobian has a fixed CSR pattern, the problem's pattern
 attribute, and it is the only description of the stencil read here:
@@ -142,7 +145,13 @@ class PositionStack:
     band matrix with bandwidths kl and ku, the largest of the blocks': the
     stacked entries at block, held[b] of them block b's, go to the flat
     indices slots of a C-order (rows, 2*kl+ku+1) array, whose transpose is
-    LAPACK's band storage (A[r, c] at row kl+ku+r-c of column c).
+    LAPACK's band storage (A[r, c] at row kl+ku+r-c of column c).  A
+    block's halo cells are the columns outside its overlap, at most halo
+    of them.  If halo <= kl + ku, the entries at outside go to halo_slots
+    of a C-order (halo, rows) array, a block's halo cells in column order,
+    and the solved rows A^{-1} R_i J are its solve, flattened with a 1.0
+    appended, at response_take, on the CSR pattern (response_columns,
+    response_indptr): each row's own cell and its block's halo cells.
     """
 
     problem: object = field(repr=False)
@@ -158,6 +167,12 @@ class PositionStack:
     slots: np.ndarray = field(repr=False)
     kl: int
     ku: int
+    halo: int
+    outside: np.ndarray = field(default=None, repr=False)
+    halo_slots: np.ndarray = field(default=None, repr=False)
+    response_columns: np.ndarray = field(default=None, repr=False)
+    response_indptr: np.ndarray = field(default=None, repr=False)
+    response_take: np.ndarray = field(default=None, repr=False)
 
     @property
     def size(self):
@@ -179,12 +194,14 @@ class LocalJacobian:
     """Stacked row blocks R_i J and the band LU of A = diag(A_ii).
 
     positions is the blocks' PositionStack, matrix the stacked R_i J on its
-    CSR pattern and lu dgbtrf's (band factors, pivots) of A, at its bandwidths.
+    CSR pattern, lu dgbtrf's (band factors, pivots) of A at its bandwidths
+    and solved A^{-1} R_i J on its response pattern (None on wide halos).
     """
 
     positions: object = field(repr=False)
     matrix: sp.csr_matrix = field(repr=False)
     lu: tuple = field(repr=False)
+    solved: sp.csr_matrix = field(default=None, repr=False)
 
 
 def block_positions(problem, layout):
@@ -222,16 +239,33 @@ def block_positions(problem, layout):
     block, col = np.flatnonzero(hit), col[hit]  # col: the column's stacked row
     offset = entry_row[block] - col
     kl, ku = int(offset.max(initial=0)), int((-offset).max(initial=0))
+    outside = np.flatnonzero(~hit)
+    cells, at = np.unique(entry_keys[outside], return_inverse=True)  # halo keys
+    halos = np.bincount(cells // n, minlength=len(sizes))
+    h = int(halos.max(initial=0))
     stacked = dict(
         sizes=sizes, block_starts=block_starts, columns=columns, indptr=indptr,
         block=block, held=np.bincount(entry_block[block], minlength=len(sizes)),
         slots=col * (2 * kl + ku + 1) + kl + ku + offset,
     )
+    if h <= kl + ku:  # building Z then costs less than the actions' solves
+        first, per_row = np.cumsum(halos) - halos, halos[row_block]
+        r = np.repeat(np.arange(size), per_row)  # row r's j-th halo cell
+        j = np.arange(len(r)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+        row = np.append(np.arange(size), r)
+        cell = np.append(ov, cells[first[row_block[r]] + j] % n)
+        order = np.argsort(row * n + cell)
+        stacked.update(
+            outside=outside,
+            halo_slots=(at - first[cells[at] // n]) * size + entry_row[outside],
+            response_columns=cell[order].astype(columns.dtype),
+            response_indptr=np.append(0, np.cumsum(per_row + 1)).astype(indptr.dtype),
+            response_take=np.append(np.full(size, h * size), j * size + r)[order])
     for a in stacked.values():
         a.flags.writeable = False
     residual, jacobian = problem.row_kernels(ov, entries)
     return PositionStack(problem, residual, jacobian, layout, kl=kl, ku=ku,
-                         **stacked)
+                         halo=h, **stacked)
 
 
 def _band_lu(stack, entries, active=None):
@@ -274,7 +308,15 @@ def local_jacobian(positions, X):
                               subdomain=i)
     matrix = sp.csr_matrix((entries, positions.columns, positions.indptr),
                            shape=(positions.size, positions.problem.dof_count))
-    return LocalJacobian(positions, matrix, (lu, ipiv))
+    solved = None
+    if positions.response_take is not None:
+        rhs = np.zeros((positions.halo, positions.size))  # rhs.T: LAPACK's order
+        rhs.flat[positions.halo_slots] = entries[positions.outside]
+        z = dgbtrs(lu, positions.kl, positions.ku, rhs.T, ipiv, overwrite_b=True)[0]
+        solved = sp.csr_matrix((np.append(z.T, 1.0)[positions.response_take],
+                                positions.response_columns, positions.response_indptr),
+                               shape=matrix.shape)
+    return LocalJacobian(positions, matrix, (lu, ipiv), solved)
 
 
 def _norms(stack, r):
@@ -376,10 +418,12 @@ def solve_local(positions, u, settings):
 def local_correction_jacobian_action(block, v):
     """Apply every -A_ii^{-1} R_i J of a LocalJacobian to a global vector v.
 
-    The action is one CSR product, every R_i J v at once, and one
-    back-substitution with the one band LU; the result is the stacked
-    vector of the block's overlaps.
+    The action is one CSR product with the solved rows, or, on wide halos,
+    one CSR product, every R_i J v at once, and one back-substitution with
+    the one band LU; the result is the stacked vector of the block's overlaps.
     """
+    if block.solved is not None:
+        return -(block.solved @ v)
     return -_solve(block, block.matrix @ v)
 
 

@@ -18,20 +18,23 @@ Each system also applies its derivative matrix-free, by one formula for
 all four kinds: the coarse derivative (two-level kinds), then every local
 derivative -A_ii^{-1} R_i J glued like the corrections, applied to v, or
 to v plus the prolonged coarse action inside RASPEN2.  The local
-derivatives of an evaluation are one LocalJacobian over all subdomains,
-so an action applies them with one CSR product and one band
-back-substitution, and glues the stacked result directly.  The blocks
-are taken at each solved local state (exact mode, always used by the
-RASPEN kinds) or all at u (inexact mode, the ASPIN default; the exact
-variant is jacobian_mode="exact"), by one local_jacobian call either way.
+derivatives of an evaluation are one LocalJacobian over all subdomains:
+an action applies them with one CSR product, with the solved rows
+A_ii^{-1} R_i J where the stack's halo is at most kl + ku cells wide, else
+with R_i J and one band back-substitution, and glues the stacked result
+directly.  The blocks are taken at each solved local state (exact mode,
+always used by the RASPEN kinds) or all at u (inexact mode, the ASPIN
+default; the exact variant is jacobian_mode="exact"), by one
+local_jacobian call either way.
 
 residual(u) returns an Evaluation, a frozen handle holding a read-only
 copy of u, the value F~(u), the sweep's result and the coarse result,
 with their Newton counts, which the drivers' ledger combines into cost;
 jacobian_action takes that handle, so an action is always applied at the
-state its evaluation solved at.  The stacked local blocks are built and
-factored, in one band LU, at the first action and kept on the
-evaluation, so an evaluation that no action follows factors nothing.
+state its evaluation solved at.  The stacked local blocks are built,
+factored in one band LU and, on narrow halos, solved for their halo
+response at the first action and kept on the evaluation, so an
+evaluation that no action follows factors nothing.
 The local solves of an evaluation are one sweep: all subdomains take
 their inner Newton steps together, and its one stacked result, which
 carries the sweep's stack and its local vector at the solved states, is

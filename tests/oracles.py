@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import lapack, solve_triangular
 
 from raspen.krylov import BREAKDOWN_TOL, GmresReport
@@ -256,6 +257,102 @@ def stacked_positions(positions):
         kl=kl,
         ku=ku,
     )
+
+
+def per_block_action(positions, entries, v, halo=False):
+    """Each block's -A_ii^{-1} R_i J v with its own band LU, concatenated.
+
+    entries[b] are block b's R_i J entries.  By default each block
+    back-substitutes R_i J v.  With halo, each block instead solves for its
+    halo response Z_i = A_ii^{-1} B_i, one right-hand side per halo cell
+    (the sorted columns of R_i J outside the overlap, B_i those columns of
+    R_i J), and applies the solved rows A_ii^{-1} R_i J = [I Z_i], each
+    row's own cell and halo cells in column order, by one CSR product.
+    """
+    out = []
+    for pos, rows in zip(positions, entries, strict=True):
+        m = pos.size
+        band = np.zeros((m, 2 * pos.kl + pos.ku + 1))
+        band.flat[pos.slots] = rows[pos.block]
+        lu, piv, info = lapack.dgbtrf(band.T, pos.kl, pos.ku, overwrite_ab=True)
+        assert info == 0
+        R = sp.csr_matrix((rows, pos.columns, pos.row_indptr), shape=(m, len(v)))
+        if not halo:
+            out.append(-lapack.dgbtrs(lu, pos.kl, pos.ku, R @ v, piv)[0])
+            continue
+        cells = np.setdiff1d(pos.columns, pos.overlap)
+        Z = lapack.dgbtrs(lu, pos.kl, pos.ku, R[:, cells].toarray(), piv)[0]
+        columns = np.column_stack((pos.overlap, np.tile(cells, (m, 1))))
+        values = np.column_stack((np.ones(m), Z))
+        order = np.argsort(columns, axis=1)
+        solved = sp.csr_matrix(
+            (np.take_along_axis(values, order, 1).ravel(),
+             np.take_along_axis(columns, order, 1).ravel(),
+             np.arange(m + 1) * (len(cells) + 1)), shape=(m, len(v)))
+        out.append(-(solved @ v))
+    return np.concatenate(out)
+
+
+# ------------------------------------------- problems with a changed pattern
+
+
+class Repatterned:
+    """A problem whose pattern and Jacobians are passed through change."""
+
+    def __init__(self, problem, change):
+        self.problem, self.change = problem, change
+        self.dof_count = problem.dof_count
+        self.pattern = change(problem.pattern)
+
+    def residual(self, u):
+        return self.problem.residual(u)
+
+    def jacobian(self, u):
+        return self.change(self.problem.jacobian(u))
+
+    def row_kernels(self, rows, entries):
+        # the wrapped problem's kernels take the entries of its own pattern
+        return self.problem.row_kernels(rows, entries[~self._extra(rows)])
+
+    def _extra(self, rows):
+        """Which entries of the rows' pattern the wrapped problem's lacks."""
+        ours, theirs = self.pattern, self.problem.pattern
+        return np.concatenate([~np.isin(ours[r].indices, theirs[r].indices)
+                               for r in rows])
+
+    def initial_state(self):
+        return self.problem.initial_state()
+
+
+def with_entry_above(J):
+    # couples cells 3 and 8, the ends of subdomain 1's overlap in
+    # build_1d_layout(12, 3, 1)
+    extra = J.tolil()
+    extra[3, 8] = 0.5
+    return extra.tocsr()
+
+
+class WideBand(Repatterned):
+    """with_entry_above's pattern, with row kernels that hold its extra entry.
+
+    Entry (3, 8) is 0.5 in every Jacobian, row kernels included, so the
+    inner Newton of subdomain 1 of build_1d_layout(12, 3, 1) runs on a band
+    whose upper bandwidth spans the whole block.
+    """
+
+    def __init__(self, problem):
+        super().__init__(problem, with_entry_above)
+
+    def row_kernels(self, rows, entries):
+        residual, jacobian = super().row_kernels(rows, entries)
+        extra = self._extra(rows)
+
+        def jacobian_rows(X):
+            out = np.full(len(extra), 0.5)
+            out[~extra] = jacobian(X)
+            return out
+
+        return residual, jacobian_rows
 
 
 # --------------------------------------- GMRES on 16-row basis blocks

@@ -24,6 +24,7 @@ from raspen.harness import (
 )
 from raspen.local_solver import LocalSolveError
 from raspen.newton import IterationLedger, RunResult
+from raspen.precond import PreconditionedSystem
 from raspen.problems import DiffusionProblem2D, smooth_forchheimer
 
 
@@ -420,6 +421,31 @@ def test_first_ras_step_residual_export(tmp_path):
     # the glue mismatch concentrates at the interfaces and dominates the
     # off-interface entries, which the harness has already checked
     assert np.max(np.abs(values)) > 1e-3
+
+
+@pytest.mark.parametrize("max_fixed_point", ["30", "600"], ids=["capped", "converged"])
+def test_fixed_point_rows_evaluate_once_per_ledger_row(tmp_path, monkeypatch,
+                                                       max_fixed_point):
+    # ras-fp's first-step residual comes from step 1's own sweep: every
+    # fixed-point row runs one evaluation per ledger row and no more
+    calls = []
+    residual = PreconditionedSystem.residual
+
+    def counting(system, u):
+        calls.append(system.kind)
+        return residual(system, u)
+
+    monkeypatch.setattr(PreconditionedSystem, "residual", counting)
+    config = config_from_dict({
+        "mesh": "40", "subdomains": "4", "overlap": "2",
+        "methods": "ras-fp,as-fp", "max_fixed_point": max_fixed_point,
+        "outdir": str(tmp_path / "fp"),
+    })
+    ras, as_ = run_experiment(config)
+    assert ras.converged == (max_fixed_point == "600")
+    assert (calls.count("RASPEN1"), calls.count("ASPIN1")) == (
+        len(ras.ledger), len(as_.ledger))
+    assert (tmp_path / "fp" / "first_ras_residual_ras-fp_M40_I4_k2_beta1.csv").exists()
 
 
 def _ref_file(tmp_path, ls=92, outer=4):

@@ -4,17 +4,20 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.linalg import lapack
 from oracles import (
+    Repatterned,
+    WideBand,
     block_kernels,
     block_vector,
     brute_frozen_newton,
     dense_darcy_system,
+    per_block_action,
     per_block_positions,
     plain_newton,
     sequential_local_solve,
     stacked_positions,
+    with_entry_above,
 )
 
 import raspen.local_solver as local_solver_mod
@@ -264,52 +267,16 @@ def test_blocks_gathered_by_position_match_slices(make, monkeypatch):
                           _block_diagonal(lay, J[ov].toarray()))
 
 
-class _Repatterned:
-    """A problem whose pattern and Jacobians are passed through change."""
-
-    def __init__(self, problem, change):
-        self.problem, self.change = problem, change
-        self.dof_count = problem.dof_count
-        self.pattern = change(problem.pattern)
-
-    def residual(self, u):
-        return self.problem.residual(u)
-
-    def jacobian(self, u):
-        return self.change(self.problem.jacobian(u))
-
-    def row_kernels(self, rows, entries):
-        # the wrapped problem's kernels take the entries of its own pattern
-        return self.problem.row_kernels(rows, entries[~self._extra(rows)])
-
-    def _extra(self, rows):
-        """Which entries of the rows' pattern the wrapped problem's lacks."""
-        ours, theirs = self.pattern, self.problem.pattern
-        return np.concatenate([~np.isin(ours[r].indices, theirs[r].indices)
-                               for r in rows])
-
-    def initial_state(self):
-        return self.problem.initial_state()
-
-
 def _with_extra_entry(J):
     extra = J.tolil()
     extra[0, 11] = 1.0
     return extra.tocsr()
 
 
-def _with_entry_above(J):
-    # couples cells 3 and 8, the ends of subdomain 1's overlap in
-    # build_1d_layout(12, 3, 1)
-    extra = J.tolil()
-    extra[3, 8] = 0.5
-    return extra.tocsr()
-
-
 @pytest.mark.parametrize("make, bands", [
     # subdomain 1 is cells 3..8: the extra entry widens its upper band to
     # the whole block, the tridiagonal stencil sets its lower one
-    (lambda: (_WideBand(smooth_forchheimer(12, beta=1.0)),
+    (lambda: (WideBand(smooth_forchheimer(12, beta=1.0)),
               build_1d_layout(12, 3, 1)), [(1, 1), (1, 5), (1, 1)]),
     (lambda: (smooth_forchheimer(6, beta=1.0), build_1d_layout(6, 6, 0)),
      [(0, 0)] * 6),
@@ -340,7 +307,7 @@ def test_block_positions_reject_other_patterns():
     prob = smooth_forchheimer(12, beta=1.0)
     lay = build_1d_layout(12, 3, 1)
     with pytest.raises(ValueError, match="CSR"):
-        block_positions(_Repatterned(prob, lambda J: J.tocsc()), lay)
+        block_positions(Repatterned(prob, lambda J: J.tocsc()), lay)
 
 
 def test_sweep_counts_and_single_domain():
@@ -441,35 +408,33 @@ def test_sweep_gathers_the_stacked_overlaps_and_the_state(make):
             == prob.jacobian(u)[lay.cells].data.tobytes())
 
 
-def _per_block_action(positions, entries, v):
-    """Each block's -A_ii^{-1} R_i J v with its own band LU, concatenated."""
-    out = []
-    for pos, rows in zip(positions, entries, strict=True):
-        band = np.zeros((pos.size, 2 * pos.kl + pos.ku + 1))
-        band.flat[pos.slots] = rows[pos.block]
-        lu, piv, info = lapack.dgbtrf(band.T, pos.kl, pos.ku, overwrite_ab=True)
-        assert info == 0
-        Jv = sp.csr_matrix((rows, pos.columns, pos.row_indptr),
-                           shape=(pos.size, len(v))) @ v
-        out.append(-lapack.dgbtrs(lu, pos.kl, pos.ku, Jv, piv)[0])
-    return np.concatenate(out)
+def _assert_action_matches_per_block(block, positions, entries, v):
+    """The action, bit for bit as each block's alone on its own side of the
+    halo rule, and within 1e-13 of the band solve on the halo side."""
+    got = local_correction_jacobian_action(block, v)
+    halo = block.solved is not None
+    assert got.tobytes() == per_block_action(positions, entries, v, halo).tobytes()
+    band = per_block_action(positions, entries, v)
+    assert np.abs(got - band).max() <= 1e-13 * np.abs(band).max()
 
 
-@pytest.mark.parametrize("make", [
-    lambda: (smooth_forchheimer(17, beta=1.0), build_1d_layout(17, 4, 0)),
-    lambda: (smooth_forchheimer(17, beta=1.0), build_1d_layout(17, 5, 2)),
-    lambda: (smooth_forchheimer(9, beta=1.0), build_1d_layout(9, 9, 0)),
-    lambda: (smooth_forchheimer(9, beta=1.0), build_1d_layout(9, 9, 1)),
-    lambda: (smooth_forchheimer(17, beta=1.0), build_1d_layout(17, 1, 0)),
-    lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1)),
-    lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 2, 2)),
-    lambda: (DiffusionProblem2D(8, 12), build_2d_layout(8, 12, 4, 2)),
+# (make, whether the stack takes the halo response: h <= kl + ku)
+@pytest.mark.parametrize("make, halo", [
+    (lambda: (smooth_forchheimer(17, beta=1.0), build_1d_layout(17, 4, 0)), True),
+    (lambda: (smooth_forchheimer(17, beta=1.0), build_1d_layout(17, 5, 2)), True),
+    (lambda: (smooth_forchheimer(9, beta=1.0), build_1d_layout(9, 9, 0)), False),
+    (lambda: (smooth_forchheimer(9, beta=1.0), build_1d_layout(9, 9, 1)), True),
+    (lambda: (smooth_forchheimer(17, beta=1.0), build_1d_layout(17, 1, 0)), True),
+    (lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1)), False),
+    (lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 2, 2)), True),
+    (lambda: (DiffusionProblem2D(8, 12), build_2d_layout(8, 12, 4, 2)), False),
 ], ids=["1d-k0", "1d-k2", "1d-1x1", "1d-I=M-k1", "1d-I=1", "2d-12x8-N4-k1",
         "2d-12x8-N2-k2", "2d-8x12-N4-k2"])
 @pytest.mark.parametrize("exact", [True, False], ids=["solved", "global-J"])
-def test_stacked_action_bit_identical_to_per_block(make, exact):
+def test_stacked_action_bit_identical_to_per_block(make, halo, exact):
     # the stacked band pads every block to the widest bandwidths; the
-    # blocks share no coupling, so each is eliminated exactly as alone
+    # blocks share no coupling, so each is eliminated exactly as alone,
+    # and each block's halo response is its own, column for column
     prob, lay = make()
     n = prob.dof_count
     stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
@@ -490,16 +455,16 @@ def test_stacked_action_bit_identical_to_per_block(make, exact):
         entries = [J.data[pos.rows] for pos in positions]
     assert (stack.kl, stack.ku) == (max(pos.kl for pos in positions),
                                     max(pos.ku for pos in positions))
+    assert (block.solved is not None) == halo
     for scale in (1.0, 1e3):
         v = scale * rng.standard_normal(n)
-        got = local_correction_jacobian_action(block, v)
-        assert got.tobytes() == _per_block_action(positions, entries, v).tobytes()
+        _assert_action_matches_per_block(block, positions, entries, v)
 
 
 def test_stacked_action_bit_identical_with_padded_bands():
     # subdomain 1's upper band spans its whole block while the others' is
     # 1, so blocks 0 and 2 sit in a band padded to ku = 5
-    prob = _WideBand(smooth_forchheimer(12, beta=1.0))
+    prob = WideBand(smooth_forchheimer(12, beta=1.0))
     lay = build_1d_layout(12, 3, 1)
     positions, stack = per_block_positions(prob, lay), block_positions(prob, lay)
     rng = np.random.default_rng(30)
@@ -507,11 +472,12 @@ def test_stacked_action_bit_identical_with_padded_bands():
     J = prob.jacobian(u)
     block = local_jacobian(stack, stack.gather(u))
     assert (block.positions.kl, block.positions.ku) == (1, 5)
+    # block 0 touches cells 5 and 8 outside its overlap: h = 2 <= kl + ku
+    assert stack.halo == 2 and block.solved is not None
     entries = [J.data[pos.rows] for pos in positions]
     for _ in range(3):
-        v = rng.standard_normal(12)
-        got = local_correction_jacobian_action(block, v)
-        assert got.tobytes() == _per_block_action(positions, entries, v).tobytes()
+        _assert_action_matches_per_block(block, positions, entries,
+                                         rng.standard_normal(12))
 
 
 def _zeroing_dgbtrf(column):
@@ -541,29 +507,6 @@ def test_zero_pivot_names_its_subdomain(first, named, monkeypatch):
 # ------------------------------------------- subdomains solved together
 
 
-class _WideBand(_Repatterned):
-    """_with_entry_above's pattern, with row kernels that hold its extra entry.
-
-    Entry (3, 8) is 0.5 in every Jacobian, row kernels included, so the
-    inner Newton of subdomain 1 of build_1d_layout(12, 3, 1) runs on a band
-    whose upper bandwidth spans the whole block.
-    """
-
-    def __init__(self, problem):
-        super().__init__(problem, _with_entry_above)
-
-    def row_kernels(self, rows, entries):
-        residual, jacobian = super().row_kernels(rows, entries)
-        extra = self._extra(rows)
-
-        def jacobian_rows(X):
-            out = np.full(len(extra), 0.5)
-            out[~extra] = jacobian(X)
-            return out
-
-        return residual, jacobian_rows
-
-
 _LAYOUTS = {
     "1d-k0": lambda: (smooth_forchheimer(17, beta=1.0), build_1d_layout(17, 4, 0)),
     "1d-k3": lambda: (smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 8, 3)),
@@ -571,7 +514,7 @@ _LAYOUTS = {
     "1d-I=M-k1": lambda: (smooth_forchheimer(9, beta=1.0), build_1d_layout(9, 9, 1)),
     "1d-I=1": lambda: (smooth_forchheimer(17, beta=1.0), build_1d_layout(17, 1, 0)),
     "1d-rough": lambda: (hard_forchheimer(30, 10.0, seed=4), build_1d_layout(30, 5, 2)),
-    "1d-wide-band": lambda: (_WideBand(smooth_forchheimer(12, beta=1.0)),
+    "1d-wide-band": lambda: (WideBand(smooth_forchheimer(12, beta=1.0)),
                              build_1d_layout(12, 3, 1)),
     "2d-12x8-N4-k1": lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1)),
     "2d-12x8-N2-k2": lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 2, 2)),
@@ -594,9 +537,9 @@ def _assert_matches_per_block_builder(stack, positions):
 
 
 @pytest.mark.parametrize("make", [*_LAYOUTS.values(),
-    lambda: (_Repatterned(smooth_forchheimer(12, beta=1.0), _with_extra_entry),
+    lambda: (Repatterned(smooth_forchheimer(12, beta=1.0), _with_extra_entry),
              build_1d_layout(12, 3, 1)),
-    lambda: (_Repatterned(smooth_forchheimer(12, beta=1.0), _with_entry_above),
+    lambda: (Repatterned(smooth_forchheimer(12, beta=1.0), with_entry_above),
              build_1d_layout(12, 3, 1)),
     lambda: (DiffusionProblem2D(64, 64), build_2d_layout(64, 64, 8, 1)),
 ], ids=[*_LAYOUTS, "1d-extra-entry", "1d-entry-above", "2d-64x64-N8-k1"])

@@ -251,22 +251,32 @@ def test_local_blocks_factored_only_for_actions(kind, monkeypatch):
     ("ASPIN1", "exact"), ("ASPIN2", "exact"),
 ])
 def test_actions_factor_once_and_solve_once(make, kind, mode, monkeypatch):
-    # every local derivative of an evaluation lives in one stacked band:
-    # the first action factors it once, and each action back-substitutes once
+    # every local derivative of an evaluation lives in one stacked band: the
+    # first action factors it once; on the 1D stack (h = 2 = kl + ku) it
+    # also solves once for the halo response, with h right-hand sides, and
+    # no action back-substitutes; on the 2D one (h = 18 > kl + ku = 10)
+    # each action back-substitutes once
     prob, lay = make()
     system = PreconditionedSystem(kind, prob, lay, SETTINGS, jacobian_mode=mode)
+    stack = system._positions
+    halo = not isinstance(prob, DiffusionProblem2D)
+    assert (stack.halo, stack.kl + stack.ku) == ((2, 2) if halo else (18, 10))
     ev = system.residual(prob.initial_state() + 0.1)
     calls = {"dgbtrf": 0, "dgbtrs": 0}
+    right_hand_sides = []
     for name in calls:
         def counting(*args, lapack=getattr(local_solver_mod, name), name=name,
                      **kwargs):
             calls[name] += 1
+            if name == "dgbtrs":
+                right_hand_sides.append(np.shape(args[3])[1:])
             return lapack(*args, **kwargs)
         monkeypatch.setattr(local_solver_mod, name, counting)
     v = np.random.default_rng(43).standard_normal(prob.dof_count)
     for actions in (1, 2, 3):
         system.jacobian_action(ev, v)
-        assert calls == {"dgbtrf": 1, "dgbtrs": actions}
+        assert calls == {"dgbtrf": 1, "dgbtrs": 1 if halo else actions}
+    assert right_hand_sides == ([(2,)] if halo else [()] * 3)
 
 
 @pytest.mark.parametrize("make", [

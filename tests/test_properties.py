@@ -1,14 +1,16 @@
 """Property-based invariants over randomly drawn layouts.
 
 Every property runs a fixed, derandomized sample, so the suite stays
-deterministic.  Each invariant is checked against the subdomain index sets
-or the dense operators directly, not against the stacked arrays the glue
-operators and the Galerkin map read.
+deterministic.  Each invariant is checked against the subdomain index sets,
+the dense operators or the per-block oracles directly, not against the
+stacked arrays the glue operators, the Galerkin map and the local actions
+read.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import WideBand, per_block_action, per_block_positions
 
 from raspen.coarse import coarse_jacobian, coarse_space
 from raspen.decomposition import (
@@ -17,7 +19,17 @@ from raspen.decomposition import (
     prolong,
     restricted_prolong,
 )
-from raspen.problems import DiffusionProblem2D, smooth_forchheimer
+from raspen.local_solver import (
+    block_positions,
+    local_correction_jacobian_action,
+    local_jacobian,
+)
+from raspen.newton import reference_solution
+from raspen.problems import (
+    DiffusionProblem2D,
+    hard_forchheimer,
+    smooth_forchheimer,
+)
 
 _SETTINGS = settings(derandomize=True, max_examples=100, deadline=None,
                      database=None)
@@ -106,3 +118,65 @@ def test_galerkin_map_gives_the_dense_coarse_jacobian(drawn, data):
     dense = (P0.T @ problem.jacobian(P0 @ u0) @ P0).toarray()
     J0 = coarse_jacobian(coarse_space(problem, lay), u0)
     assert np.abs(J0 - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+@st.composite
+def problems_at_states(draw):
+    """(problem, layout, u): a drawn layout's problem at a state u near its
+    reference solution (smooth fields) or far from it (random ones too)."""
+    lay, _, shape = draw(_LAYOUTS)
+    rough = len(shape) == 1 and draw(st.booleans())
+    if len(shape) == 2:
+        problem = DiffusionProblem2D(shape[1], shape[0])
+    elif rough:
+        problem = hard_forchheimer(shape[0], draw(st.sampled_from([0.0, 10.0])),
+                                   seed=draw(st.integers(0, 3)))
+    else:
+        problem = smooth_forchheimer(shape[0], draw(st.sampled_from([0.0, 1.0])))
+    noise = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal(
+        problem.dof_count)
+    # a rough field's reference solve can stall at its roundoff floor
+    if not rough and draw(st.booleans()):
+        return problem, lay, reference_solution(problem) + 1e-6 * noise
+    return problem, lay, problem.initial_state() + 0.5 * noise
+
+
+@_SETTINGS
+@given(problems_at_states())
+# h = 0 (one block), end blocks with one halo cell, and a band padded to
+# ku = 5 on the halo side
+@example((smooth_forchheimer(17, 1.0), build_1d_layout(17, 1, 0),
+          np.linspace(0.0, 1.0, 17)))
+@example((smooth_forchheimer(17, 1.0), build_1d_layout(17, 4, 1),
+          np.linspace(0.0, 1.0, 17)))
+@example((WideBand(smooth_forchheimer(12, 1.0)), build_1d_layout(12, 3, 1),
+          np.linspace(0.0, 1.0, 12)))
+def test_local_action_matches_the_band_solve_on_either_side_of_the_halo_rule(
+        drawn):
+    problem, lay, u = drawn
+    stack, positions = block_positions(problem, lay), per_block_positions(problem, lay)
+    block = local_jacobian(stack, stack.gather(u))
+    # each block's halo: the distinct columns its rows touch outside its overlap
+    halos = [len(np.setdiff1d(pos.columns, pos.overlap)) for pos in positions]
+    kl = max(pos.kl for pos in positions)
+    ku = max(pos.ku for pos in positions)
+    assert stack.halo == max(halos)
+    assert (block.solved is not None) == (max(halos) <= kl + ku)
+    if block.solved is not None:
+        assert block.solved.nnz == sum(pos.size * (1 + h)
+                                       for pos, h in zip(positions, halos))
+    J = problem.jacobian(u)
+    entries = [J.data[pos.rows] for pos in positions]
+    v = np.random.default_rng(7).standard_normal(problem.dof_count)
+    got = local_correction_jacobian_action(block, v)
+    if stack.halo == 0:  # one block, no exterior: A^{-1} R J v = v
+        assert got.tobytes() == (-v[lay.cells]).tobytes()
+    band = per_block_action(positions, entries, v)
+    # the band solve's own forward error grows with the blocks' condition
+    # numbers (up to 5e6 on the rough fields drawn here, where it reads
+    # 3e-12 relative at h = 0, where the halo path is exact)
+    dense = J.toarray()
+    cond = max(np.linalg.cond(dense[np.ix_(pos.overlap, pos.overlap)], 1)
+               for pos in positions)
+    tol = max(1e-13, cond * np.finfo(float).eps)
+    assert np.abs(got - band).max() <= tol * np.abs(band).max()
