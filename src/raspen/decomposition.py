@@ -152,6 +152,13 @@ def _linear_weights(targets, nodes, left, right):
     return sp.csr_matrix((data, (rows, cols)), shape=(len(x), n))
 
 
+def _boundary_rule(datum):
+    """P0's rule toward a Dirichlet boundary with this datum (module docstring)."""
+    if not np.isfinite(datum):
+        raise ValueError(f"Dirichlet data must be finite, got {datum!r}")
+    return "zero" if datum == 0.0 else "const"
+
+
 def build_1d_layout(n_cells, n_subdomains, overlap_layers, dirichlet=(0.0, 1.0)):
     """1D layout: the partition rule (module docstring) on M cells, I blocks.
 
@@ -167,7 +174,7 @@ def build_1d_layout(n_cells, n_subdomains, overlap_layers, dirichlet=(0.0, 1.0))
     subdomains = [_subdomain(grid, owned, overlap) for owned, overlap in blocks]
     centers = (grid + 0.5) / M
     nodes = np.array([centers[s.owned].mean() for s in subdomains])
-    left, right = ("zero" if d == 0.0 else "const" for d in dirichlet)
+    left, right = map(_boundary_rule, dirichlet)
     return _layout(M, subdomains,
                    _linear_weights(centers, nodes, left=left, right=right))
 
@@ -199,7 +206,7 @@ def build_2d_layout(nx, ny, n_per_side, overlap_layers, dirichlet_value=1.0):
     xc = (np.arange(nx) + 0.5) / nx
     yc = (np.arange(ny) + 0.5) / ny
     xn = (np.arange(N) + 0.5) / N
-    right = "zero" if dirichlet_value == 0.0 else "const"
+    right = _boundary_rule(dirichlet_value)
     Wx = _linear_weights(xc, xn, left="const", right=right)
     Wy = _linear_weights(yc, xn, left="const", right="const")
     return _layout(nx * ny, subdomains, sp.kron(Wy, Wx, format="csr"))

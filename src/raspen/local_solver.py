@@ -2,55 +2,53 @@
 
 C_i(u) is the overlap-local vector solving R_i F(u + P_i C_i(u)) = 0 with
 the exterior of the subdomain frozen at u (homogeneous correction outside).
-solve_local solves all subdomains together, one sweep, and returns its
-one handle, a LocalSolveResult: its PositionStack, the stacked local
-vector X at each u^(i) = u + P_i C_i(u), the corrections and each
-subdomain's inner Newton count, but no derivative data.
 
-That lives in a LocalJacobian, built on demand by local_jacobian for all
-subdomains at once: the row blocks R_i J, over the overlap cells and the
-frozen exterior, stacked in subdomain order as one CSR matrix, plus one
-band LU of the block-diagonal matrix diag(A_ii), A_ii = R_i J P_i.
-Taken at a sweep's solved X, at each u^(i), it applies the exact
-derivatives
-
-    dC_i/du v = -A_ii^{-1} R_i J(u^(i)) v = -(v_i + Z_i v_halo),
-
-taken at positions.gather(u), all at u, ASPIN's inexact ones, into the
-layout's stacked overlap space; Z_i = A_ii^{-1} B_i, B_i the columns of
-R_i J outside the overlap, is the halo response.  When the halo h (the
-most exterior cells any block's rows touch) is at most kl + ku,
-local_jacobian solves for Z, one dgbtrs with h right-hand sides, and an
-action is one CSR product with the solved rows; otherwise it is one CSR
-product with R_i J and one band back-substitution (dgbtrs).
-
-Every problem's Jacobian has a fixed CSR pattern, the problem's pattern
-attribute, and it is the only description of the stencil read here:
-block_positions reads it once, evaluating no Jacobian, and returns a
-PositionStack, computed for all subdomains in one pass of array
-operations, block b for subdomain b in the layout's stacked order: where
-A_ii's entries go in the LAPACK band storage of diag(A_ii), and the
-problem's row kernels on the stacked rows, fed with where their entries'
-columns sit in the stacked local vector X = (w[layout.cells], w) at a
-state w.  An entry whose column lies in its block's overlap reads that
-block's stacked row; every other entry reads the frozen exterior, the
-state itself, at size + column.
+The stack.  Every problem's Jacobian has a fixed CSR pattern, the
+problem's pattern attribute, and it is the only description of the
+stencil read here: block_positions reads it once, evaluating no Jacobian,
+and returns a PositionStack, computed for all subdomains in one pass of
+array operations, block b for subdomain b in the layout's stacked order.
+It holds the problem's row kernels on the stacked rows, fed with where
+their entries' columns sit in the stacked local vector
+X = (w[layout.cells], w) at a state w: an entry whose column lies in its
+block's overlap reads that block's stacked row, every other entry the
+frozen exterior, the state itself, at size + column.  It also holds where
+the entries of A_ii = R_i J P_i go in the LAPACK band storage of
+diag(A_ii), and, on a halo stack (below), the halo response pattern.
 Every solve and block function takes a PositionStack.
 
-All subdomains take their inner Newton steps together, on X: a step is
-one residual-kernel call, one Jacobian-kernel call, one band fill and one
-dgbtrf/dgbtrs at the stack's bandwidths, and changes only X[:size], so a
-sweep costs O(sum_i m_i + M), not O(I M).  A subdomain whose residual
-norm reaches the tolerance is frozen: its block becomes the identity and
-its right-hand side zero, so its step is exactly zero and its values
-never change again.  The band has the widest block's bandwidths; its
-blocks share no coupling, so band LU eliminates each exactly as it would
-alone, and every subdomain's values and count are bit for bit those of a
-solve of that subdomain alone.  For the same reason a block whose step
-overflows is solved again on the same band, with every other block the
-identity, and takes the step it takes alone.  local_jacobian calls the
-Jacobian kernel once, at the X it is given.  _band_lu is the one place a
-band is filled and factored, from the Jacobian kernel's R_i J entries.
+The sweep.  solve_local solves all subdomains together and returns one
+LocalSolveResult: the stack, X at each u^(i) = u + P_i C_i(u), the
+corrections and each subdomain's inner Newton count, but no derivative
+data.  An inner step is one residual-kernel call, one Jacobian-kernel
+call, one band fill and one dgbtrf/dgbtrs at the stack's bandwidths, and
+changes only X[:size], so a sweep costs O(sum_i m_i + M), not O(I M).  A
+subdomain whose residual norm reaches the tolerance is frozen: its block
+becomes the identity and its right-hand side zero, so its step is exactly
+zero.  The band has the widest block's bandwidths; its blocks share no
+coupling, so band LU eliminates each exactly as it would alone, and every
+subdomain's values and count are bit for bit those of a solve of that
+subdomain alone.  For the same reason a block whose step overflows is
+solved again on the same band, with every other block the identity.
+_band_lu is the one place a band is filled and factored, from the
+Jacobian kernel's R_i J entries.
+
+The derivatives.  local_jacobian builds a LocalJacobian from one
+Jacobian-kernel call and one dgbtrf at the X it is given: at a sweep's
+solved X the exact blocks, each at its u^(i); at positions.gather(u) the
+blocks of J(u), ASPIN's inexact ones.  Its action applies
+
+    dC_i/du v = -A_ii^{-1} R_i J v = -(v_i + Z_i v_halo)
+
+into the layout's stacked overlap space; Z_i = A_ii^{-1} B_i, B_i the
+columns of R_i J outside the overlap, is the halo response.  The form
+depends only on the stack's geometry.  On a halo stack, whose halo h (the
+most exterior cells any block's rows touch) is at most kl + ku,
+local_jacobian solves for Z, one dgbtrs with h right-hand sides, and keeps
+as rows the solved rows [I | Z_i] on the response pattern, with lu None:
+an action is one CSR product.  On a band stack rows is R_i J on the
+stack's CSR pattern and lu its band factors: an action is one CSR product
+and one back-substitution (dgbtrs).
 """
 
 from dataclasses import dataclass, field
@@ -191,17 +189,16 @@ class PositionStack:
 
 @dataclass(frozen=True, eq=False)
 class LocalJacobian:
-    """Stacked row blocks R_i J and the band LU of A = diag(A_ii).
+    """The one operator a local Jacobian action applies (module docstring).
 
-    positions is the blocks' PositionStack, matrix the stacked R_i J on its
-    CSR pattern, lu dgbtrf's (band factors, pivots) of A at its bandwidths
-    and solved A^{-1} R_i J on its response pattern (None on wide halos).
+    positions is the blocks' PositionStack.  On a halo stack rows is
+    A^{-1} R_i J on its response pattern; else it is the stacked R_i J on
+    its CSR pattern and lu dgbtrf's (band factors, pivots) of A = diag(A_ii).
     """
 
     positions: object = field(repr=False)
-    matrix: sp.csr_matrix = field(repr=False)
-    lu: tuple = field(repr=False)
-    solved: sp.csr_matrix = field(default=None, repr=False)
+    rows: sp.csr_matrix = field(repr=False)
+    lu: tuple = field(default=None, repr=False)
 
 
 def block_positions(problem, layout):
@@ -286,12 +283,6 @@ def _band_lu(stack, entries, active=None):
     return dgbtrf(band.T, stack.kl, stack.ku, overwrite_ab=True)
 
 
-def _solve(block, b):
-    """A^{-1} b by back-substitution with a LocalJacobian's band LU factors."""
-    stack = block.positions
-    return dgbtrs(block.lu[0], stack.kl, stack.ku, b, block.lu[1])[0]
-
-
 def local_jacobian(positions, X):
     """The blocks of a PositionStack's subdomains at the stacked local vector X.
 
@@ -306,17 +297,16 @@ def local_jacobian(positions, X):
         i = positions.block_of(info - 1)
         raise LocalSolveError(f"subdomain {i}: singular local Jacobian",
                               subdomain=i)
-    matrix = sp.csr_matrix((entries, positions.columns, positions.indptr),
-                           shape=(positions.size, positions.problem.dof_count))
-    solved = None
-    if positions.response_take is not None:
-        rhs = np.zeros((positions.halo, positions.size))  # rhs.T: LAPACK's order
-        rhs.flat[positions.halo_slots] = entries[positions.outside]
-        z = dgbtrs(lu, positions.kl, positions.ku, rhs.T, ipiv, overwrite_b=True)[0]
-        solved = sp.csr_matrix((np.append(z.T, 1.0)[positions.response_take],
-                                positions.response_columns, positions.response_indptr),
-                               shape=matrix.shape)
-    return LocalJacobian(positions, matrix, (lu, ipiv), solved)
+    shape = (positions.size, positions.problem.dof_count)
+    if positions.response_take is None:
+        return LocalJacobian(positions, sp.csr_matrix(
+            (entries, positions.columns, positions.indptr), shape=shape), (lu, ipiv))
+    rhs = np.zeros((positions.halo, positions.size))  # rhs.T: LAPACK's order
+    rhs.flat[positions.halo_slots] = entries[positions.outside]
+    z = dgbtrs(lu, positions.kl, positions.ku, rhs.T, ipiv, overwrite_b=True)[0]
+    return LocalJacobian(positions, sp.csr_matrix(
+        (np.append(z.T, 1.0)[positions.response_take], positions.response_columns,
+         positions.response_indptr), shape=shape))
 
 
 def _norms(stack, r):
@@ -418,13 +408,15 @@ def solve_local(positions, u, settings):
 def local_correction_jacobian_action(block, v):
     """Apply every -A_ii^{-1} R_i J of a LocalJacobian to a global vector v.
 
-    The action is one CSR product with the solved rows, or, on wide halos,
-    one CSR product, every R_i J v at once, and one back-substitution with
-    the one band LU; the result is the stacked vector of the block's overlaps.
+    One CSR product with block.rows, then, on a band stack, one
+    back-substitution with the band LU; the result is the stacked vector
+    of the block's overlaps.
     """
-    if block.solved is not None:
-        return -(block.solved @ v)
-    return -_solve(block, block.matrix @ v)
+    w = block.rows @ v
+    if block.lu is not None:
+        stack = block.positions
+        w = dgbtrs(block.lu[0], stack.kl, stack.ku, w, block.lu[1])[0]
+    return -w
 
 
 def sweep_locals(positions, u, settings):

@@ -18,39 +18,24 @@ Each system also applies its derivative matrix-free, by one formula for
 all four kinds: the coarse derivative (two-level kinds), then every local
 derivative -A_ii^{-1} R_i J glued like the corrections, applied to v, or
 to v plus the prolonged coarse action inside RASPEN2.  The local
-derivatives of an evaluation are one LocalJacobian over all subdomains:
-an action applies them with one CSR product, with the solved rows
-A_ii^{-1} R_i J where the stack's halo is at most kl + ku cells wide, else
-with R_i J and one band back-substitution, and glues the stacked result
-directly.  The blocks are taken at each solved local state (exact mode,
-always used by the RASPEN kinds) or all at u (inexact mode, the ASPIN
-default; the exact variant is jacobian_mode="exact"), by one
-local_jacobian call either way.
+derivatives are taken at each solved local state (exact mode, always used
+by the RASPEN kinds) or all at u (inexact mode, the ASPIN default; the
+exact variant is jacobian_mode="exact").  The stack, the sweep and the two
+forms of the local derivatives are described in local_solver.
 
 residual(u) returns an Evaluation, a frozen handle holding a read-only
 copy of u, the value F~(u), the sweep's result and the coarse result,
 with their Newton counts, which the drivers' ledger combines into cost;
 jacobian_action takes that handle, so an action is always applied at the
-state its evaluation solved at.  The stacked local blocks are built,
-factored in one band LU and, on narrow halos, solved for their halo
-response at the first action and kept on the evaluation, so an
-evaluation that no action follows factors nothing.
-The local solves of an evaluation are one sweep: all subdomains take
-their inner Newton steps together, and its one stacked result, which
-carries the sweep's stack and its local vector at the solved states, is
-glued as it is and alone gives the exact blocks.  The sweep and the
-blocks use the PositionStack that block_positions builds, for all
-subdomains in one pass, when the system is built: it reads the
-problem's pattern, evaluating no Jacobian, and holds the stacked row
-kernels and band geometry that every evaluation shares.  The
-inner solves and the local blocks evaluate only those row kernels, on
-all overlap rows at once, so a one-level evaluation and its actions, of
-either mode, assemble no global residual or Jacobian, and a sweep costs
-O(sum_i m_i).  The fine Jacobian J(u), which only the coarse actions
-read, is assembled at most once per evaluation.  The coarse solves
-evaluate the global residual and Jacobian; they and the coarse actions
-restrict by P_0^T, take J_0 by the Galerkin map and solve by dgetrs, with
-the CoarseSpace a two-level system builds once, beside its stack.
+state its evaluation solved at.  The evaluation's LocalJacobian is built
+by one local_jacobian call at the first action and kept, so an evaluation
+that no action follows factors nothing.  A system builds its
+PositionStack once, and a two-level system its CoarseSpace beside it; a
+one-level evaluation and its actions evaluate only the stack's row
+kernels, no global residual or Jacobian.  The fine Jacobian J(u), which only the coarse actions read, is
+assembled at most once per evaluation.  The coarse solves evaluate the
+global residual and Jacobian; they and the coarse actions restrict by
+P_0^T, take J_0 by the Galerkin map and solve by dgetrs.
 """
 
 from dataclasses import dataclass, field

@@ -162,10 +162,10 @@ def build_transmissibilities(lambda_field, h):
     half cell, T = 2*lam/h.
     """
     lam = np.asarray(lambda_field, dtype=float)
-    if np.any(lam <= 0):
-        raise ValueError("permeability must be strictly positive")
-    if h <= 0:
-        raise ValueError("cell size must be positive")
+    if not np.all((lam > 0) & (lam < np.inf)):  # nan fails too
+        raise ValueError("permeability must be strictly positive and finite")
+    if not 0 < h < np.inf:
+        raise ValueError("cell size must be positive and finite")
     T = np.empty(len(lam) + 1)
     T[1:-1] = 1.0 / (h / (2.0 * lam[:-1]) + h / (2.0 * lam[1:]))
     T[0] = 2.0 * lam[0] / h
@@ -192,8 +192,10 @@ class ForchheimerProblem1D(NonlinearProblem):
     def __init__(self, lambda_field, source, beta, L=1.5, dirichlet=(0.0, 1.0)):
         self.lambda_field = np.asarray(lambda_field, dtype=float)
         self.source = np.asarray(source, dtype=float)
-        if self.lambda_field.shape != self.source.shape or self.lambda_field.ndim != 1:
-            raise ValueError("lambda_field and source must be 1D of equal length")
+        if (self.lambda_field.shape != self.source.shape or self.lambda_field.ndim != 1
+                or not self.lambda_field.size):
+            raise ValueError("lambda_field and source must be 1D of equal, "
+                             "nonzero length")
         self.M = len(self.lambda_field)
         self.L = float(L)
         self.h = self.L / self.M
@@ -201,6 +203,8 @@ class ForchheimerProblem1D(NonlinearProblem):
         if not 0 <= self.beta < np.inf:
             raise ValueError("beta must be finite and nonnegative")
         self.dirichlet = (float(dirichlet[0]), float(dirichlet[1]))
+        if not (np.isfinite(self.source).all() and np.isfinite(self.dirichlet).all()):
+            raise ValueError("source and dirichlet data must be finite")
         self.transmissibilities = build_transmissibilities(self.lambda_field, self.h)
         self._set_stencil(_tridiagonal(np.arange(self.M), self.M), [-1, 0, 1],
                           _ForchheimerRows)
@@ -257,6 +261,11 @@ def _five_point(cells, nx, ny):
 
 
 def _cell_edges(M, L):
+    """The M + 1 edges of M equal cells on (0, L)."""
+    if not (isinstance(M, (int, np.integer)) and M >= 1):
+        raise ValueError(f"mesh must be a positive integer number of cells, got {M!r}")
+    if not 0 < L < np.inf:
+        raise ValueError(f"domain length must be positive and finite, got {L!r}")
     return np.linspace(0.0, L, M + 1)
 
 
@@ -293,14 +302,16 @@ def hard_forchheimer(
     needs omega != 0.  The same (M, seed) pair always produces the same
     fields.
     """
-    if omega == 0:
-        raise ValueError("omega must be nonzero")
-    rng = np.random.default_rng(seed)
+    if not 0 < abs(omega) < np.inf:
+        raise ValueError("omega must be nonzero and finite")
+    if not np.isfinite(amplitude):
+        raise ValueError("amplitude must be finite")
     lo, hi = contrast
-    if not (0 < lo <= hi):
-        raise ValueError("contrast bounds must satisfy 0 < lo <= hi")
-    lam = np.exp(rng.uniform(np.log(lo), np.log(hi), size=M))
+    if not (0 < lo <= hi < np.inf):
+        raise ValueError("contrast bounds must satisfy 0 < lo <= hi < inf")
     edges = _cell_edges(M, L)
+    rng = np.random.default_rng(seed)
+    lam = np.exp(rng.uniform(np.log(lo), np.log(hi), size=M))
     w = omega * np.pi
     f = amplitude * (np.cos(w * edges[:-1]) - np.cos(w * edges[1:])) / w
     return ForchheimerProblem1D(lam, f, beta, L=L, dirichlet=dirichlet)
@@ -335,6 +346,8 @@ class DiffusionProblem2D(NonlinearProblem):
         yc = (np.arange(self.ny) + 0.5) * self.hy
         X, Y = np.meshgrid(xc, yc)
         self.source_cells = np.asarray(source(X, Y), dtype=float) * self.hx * self.hy
+        if not (np.isfinite(self.dirichlet_value) and np.isfinite(self.source_cells).all()):
+            raise ValueError("source and dirichlet_value must be finite")
         self._set_stencil(_five_point(np.arange(self.nx * self.ny), self.nx, self.ny),
                           [-self.nx, -1, 0, 1, self.nx], _DiffusionRows)
 

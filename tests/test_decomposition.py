@@ -459,6 +459,19 @@ def test_builders_reject_non_integer_sizes(build, args):
         build(*args)
 
 
+@pytest.mark.parametrize("build, args, kwargs", [
+    # nan != 0.0 read as a nonzero datum, so P0 extended constantly
+    (build_1d_layout, (10, 2, 1), dict(dirichlet=(np.nan, 1.0))),
+    (build_1d_layout, (10, 2, 1), dict(dirichlet=(0.0, np.nan))),
+    (build_1d_layout, (10, 2, 1), dict(dirichlet=(np.inf, 1.0))),
+    (build_2d_layout, (8, 8, 2, 1), dict(dirichlet_value=np.nan)),
+    (build_2d_layout, (8, 8, 2, 1), dict(dirichlet_value=-np.inf)),
+], ids=["1d-left-nan", "1d-right-nan", "1d-left-inf", "2d-nan", "2d-inf"])
+def test_builders_reject_nonfinite_dirichlet_data(build, args, kwargs):
+    with pytest.raises(ValueError, match="Dirichlet data must be finite"):
+        build(*args, **kwargs)
+
+
 def test_builders_accept_numpy_integers():
     lay = build_1d_layout(np.int64(10), np.int32(3), np.uint8(1))
     assert _layout_digest(lay) == _layout_digest(build_1d_layout(10, 3, 1))

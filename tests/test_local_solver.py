@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import lapack
 from oracles import (
     Repatterned,
@@ -26,7 +27,6 @@ from raspen.local_solver import (
     LocalSolveError,
     SolverSettings,
     _band_lu,
-    _solve,
     _step,
     block_positions,
     local_correction_jacobian_action,
@@ -53,6 +53,18 @@ def _block_diagonal(layout, rows):
         A[block, block] = rows[block][:, sub.overlap]
         at = block.stop
     return A
+
+
+def _kernel_blocks(stack, X):
+    """The Jacobian kernel's stacked R_i J at X, dense, and A^{-1} by the
+    band factors of diag(A_ii) that local_jacobian makes from the same
+    entries (_band_lu, then dgbtrs)."""
+    entries = stack.jacobian(X)
+    rows = sp.csr_matrix((entries, stack.columns, stack.indptr),
+                         shape=(stack.size, stack.problem.dof_count))
+    lu, ipiv, info = _band_lu(stack, entries)
+    assert info == 0
+    return rows.toarray(), lambda w: lapack.dgbtrs(lu, stack.kl, stack.ku, w, ipiv)[0]
 
 
 def _band_to_dense(ab, kl, ku):
@@ -144,12 +156,12 @@ def test_factorization_round_trip():
     lay = build_1d_layout(30, 3, 2)
     stack = block_positions(prob, lay)
     u = np.linspace(0, 1, 30)
-    block = local_jacobian(stack, solve_local(stack, u, SETTINGS).X)
-    A = _block_diagonal(lay, block.matrix.toarray())
+    rows, solve = _kernel_blocks(stack, solve_local(stack, u, SETTINGS).X)
+    A = _block_diagonal(lay, rows)
     rng = np.random.default_rng(23)
     for _ in range(5):
         w = rng.standard_normal(stack.size)
-        back = A @ _solve(block, w)
+        back = A @ solve(w)
         assert np.linalg.norm(back - w) / np.linalg.norm(w) < 1e-10
 
 
@@ -158,8 +170,9 @@ def test_factorization_round_trip():
     lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1)),
 ], ids=["1d", "2d"])
 def test_local_jacobian_copies_no_array(make):
-    # the block's CSR matrix is built on the stack's index arrays and on the
-    # Jacobian kernel's output, so building it copies none of them
+    # on a band stack (2D) the block's rows R_i J are built on the stack's
+    # index arrays and on the Jacobian kernel's output, so building them
+    # copies none of them; a halo stack (1D) keeps only its solved rows
     prob, lay = make()
     stack = block_positions(prob, lay)
     assert stack.indptr.dtype == stack.columns.dtype
@@ -173,11 +186,41 @@ def test_local_jacobian_copies_no_array(make):
     u = 0.3 * np.random.default_rng(31).standard_normal(prob.dof_count)
     block = local_jacobian(dataclasses.replace(stack, jacobian=recording),
                            stack.gather(u))
-    matrix = block.matrix
-    assert np.shares_memory(matrix.indices, stack.columns)
-    assert np.shares_memory(matrix.indptr, stack.indptr)
-    assert len(outputs) == 1 and matrix.data.size == outputs[0].size
-    assert np.shares_memory(matrix.data, outputs[0])
+    assert len(outputs) == 1
+    if stack.response_take is not None:
+        assert block.lu is None
+        return
+    rows = block.rows
+    assert np.shares_memory(rows.indices, stack.columns)
+    assert np.shares_memory(rows.indptr, stack.indptr)
+    assert rows.data.size == outputs[0].size
+    assert np.shares_memory(rows.data, outputs[0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (smooth_forchheimer(30, beta=1.0), build_1d_layout(30, 3, 2)),
+    lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 2, 2)),
+    lambda: (WideBand(smooth_forchheimer(12, beta=1.0)), build_1d_layout(12, 3, 1)),
+], ids=["1d", "2d-N2-k2", "1d-wide-band"])
+def test_halo_stack_keeps_only_its_solved_rows(make):
+    # h <= kl + ku: the LocalJacobian holds A^{-1} R_i J on the response
+    # pattern and nothing else, neither R_i J nor the band factors
+    prob, lay = make()
+    stack = block_positions(prob, lay)
+    assert stack.halo <= stack.kl + stack.ku
+    u = 0.3 * np.random.default_rng(32).standard_normal(prob.dof_count)
+    X = stack.gather(u)
+    block = local_jacobian(stack, X)
+    assert [f.name for f in dataclasses.fields(block)] == ["positions", "rows", "lu"]
+    assert block.positions is stack and block.lu is None
+    rows = block.rows
+    assert rows.shape == (stack.size, prob.dof_count)
+    assert rows.indices.tobytes() == stack.response_columns.tobytes()
+    assert rows.indptr.tobytes() == stack.response_indptr.tobytes()
+    assert not np.shares_memory(rows.indices, stack.columns)
+    R, solve = _kernel_blocks(stack, X)
+    want = solve(R)
+    assert np.abs(rows.toarray() - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_jacobian_action_zero_and_linear():
@@ -256,13 +299,15 @@ def test_blocks_gathered_by_position_match_slices(make, monkeypatch):
 
     monkeypatch.setattr(local_solver_mod, "dgbtrf", recording_dgbtrf)
     stack = block_positions(prob, lay)
-    block = local_jacobian(stack, stack.gather(u))
+    local_jacobian(stack, stack.gather(u))
     assert len(factored) == 1
     ab, kl, ku = factored[0]
     # LAPACK's layout: 2*kl+ku+1 rows, the first kl left for fill-in
     assert ab.shape == (2 * kl + ku + 1, stack.size) and not ab[:kl].any()
     ov = np.concatenate([sub.overlap for sub in lay.subdomains])
-    assert np.array_equal(block.matrix.toarray(), J[ov].toarray())
+    rows = sp.csr_matrix((stack.jacobian(stack.gather(u)), stack.columns,
+                          stack.indptr), shape=(stack.size, n))
+    assert np.array_equal(rows.toarray(), J[ov].toarray())
     assert np.array_equal(_band_to_dense(ab, kl, ku),
                           _block_diagonal(lay, J[ov].toarray()))
 
@@ -293,10 +338,12 @@ def test_band_factors_match_dense_solve(make, bands):
     dense = prob.jacobian(u).toarray()
     ov = np.concatenate([sub.overlap for sub in lay.subdomains])
     A = _block_diagonal(lay, dense[ov])
-    block = local_jacobian(stack, stack.gather(u))
+    X = stack.gather(u)
+    block = local_jacobian(stack, X)
+    _, solve = _kernel_blocks(stack, X)
     for _ in range(2):
         w, v = rng.standard_normal(stack.size), rng.standard_normal(n)
-        assert np.allclose(_solve(block, w), np.linalg.solve(A, w),
+        assert np.allclose(solve(w), np.linalg.solve(A, w),
                            rtol=1e-12, atol=1e-12)
         assert np.allclose(local_correction_jacobian_action(block, v),
                            -np.linalg.solve(A, dense[ov] @ v),
@@ -412,7 +459,7 @@ def _assert_action_matches_per_block(block, positions, entries, v):
     """The action, bit for bit as each block's alone on its own side of the
     halo rule, and within 1e-13 of the band solve on the halo side."""
     got = local_correction_jacobian_action(block, v)
-    halo = block.solved is not None
+    halo = block.lu is None
     assert got.tobytes() == per_block_action(positions, entries, v, halo).tobytes()
     band = per_block_action(positions, entries, v)
     assert np.abs(got - band).max() <= 1e-13 * np.abs(band).max()
@@ -455,7 +502,7 @@ def test_stacked_action_bit_identical_to_per_block(make, halo, exact):
         entries = [J.data[pos.rows] for pos in positions]
     assert (stack.kl, stack.ku) == (max(pos.kl for pos in positions),
                                     max(pos.ku for pos in positions))
-    assert (block.solved is not None) == halo
+    assert (block.lu is None) == halo
     for scale in (1.0, 1e3):
         v = scale * rng.standard_normal(n)
         _assert_action_matches_per_block(block, positions, entries, v)
@@ -473,7 +520,7 @@ def test_stacked_action_bit_identical_with_padded_bands():
     block = local_jacobian(stack, stack.gather(u))
     assert (block.positions.kl, block.positions.ku) == (1, 5)
     # block 0 touches cells 5 and 8 outside its overlap: h = 2 <= kl + ku
-    assert stack.halo == 2 and block.solved is not None
+    assert stack.halo == 2 and block.lu is None
     entries = [J.data[pos.rows] for pos in positions]
     for _ in range(3):
         _assert_action_matches_per_block(block, positions, entries,

@@ -203,6 +203,42 @@ def test_hard_forchheimer_rejects_zero_omega():
         hard_forchheimer(40, 1.0, seed=1, omega=0.0)
 
 
+_BAD_DATA = {
+    # each divided by M = 0 (ZeroDivisionError)
+    "empty-fields": lambda: ForchheimerProblem1D([], [], 1.0),
+    "smooth-M=0": lambda: smooth_forchheimer(0, 1.0),
+    "hard-M=0": lambda: hard_forchheimer(0, 1.0, 1),
+    # each was accepted and gave nan or inf data, or warned on the way
+    "L=nan": lambda: ForchheimerProblem1D(np.ones(4), np.zeros(4), 1.0, L=np.nan),
+    "L=inf": lambda: ForchheimerProblem1D(np.ones(4), np.zeros(4), 1.0, L=np.inf),
+    "smooth-L=nan": lambda: smooth_forchheimer(10, 1.0, L=np.nan),
+    "smooth-L=inf": lambda: smooth_forchheimer(10, 1.0, L=np.inf),
+    "lambda-nan": lambda: ForchheimerProblem1D([1.0, np.nan, 1.0], np.zeros(3), 1.0),
+    "lambda-inf": lambda: ForchheimerProblem1D([1.0, np.inf, 1.0], np.zeros(3), 1.0),
+    "source-nan": lambda: ForchheimerProblem1D(np.ones(3), [0.0, np.nan, 0.0], 1.0),
+    "source-inf": lambda: ForchheimerProblem1D(np.ones(3), [0.0, -np.inf, 0.0], 1.0),
+    "dirichlet-nan": lambda: ForchheimerProblem1D(np.ones(3), np.zeros(3), 1.0,
+                                                  dirichlet=(np.nan, 1.0)),
+    "dirichlet-inf": lambda: smooth_forchheimer(10, 1.0, dirichlet=(0.0, np.inf)),
+    "amplitude-inf": lambda: hard_forchheimer(10, 1.0, 1, amplitude=np.inf),
+    "amplitude-nan": lambda: hard_forchheimer(10, 1.0, 1, amplitude=np.nan),
+    "omega-inf": lambda: hard_forchheimer(10, 1.0, 1, omega=np.inf),
+    "omega-nan": lambda: hard_forchheimer(10, 1.0, 1, omega=np.nan),
+    # numpy's OverflowError from the log-uniform draw
+    "contrast-inf": lambda: hard_forchheimer(10, 1.0, 1, contrast=(1e-2, np.inf)),
+    "2d-dirichlet-nan": lambda: DiffusionProblem2D(4, 4, dirichlet_value=np.nan),
+    "2d-dirichlet-inf": lambda: DiffusionProblem2D(4, 4, dirichlet_value=np.inf),
+    "2d-source-nan": lambda: DiffusionProblem2D(
+        4, 4, source=lambda x, y: np.full_like(x, np.nan)),
+}
+
+
+@pytest.mark.parametrize("make", _BAD_DATA.values(), ids=_BAD_DATA)
+def test_constructors_reject_empty_and_nonfinite_data(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 # ---------------------------------------------------------- diffusion 2D
 
 

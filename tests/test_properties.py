@@ -2,13 +2,13 @@
 
 Every property runs a fixed, derandomized sample, so the suite stays
 deterministic.  Each invariant is checked against the subdomain index sets,
-the dense operators or the per-block oracles directly, not against the
-stacked arrays the glue operators, the Galerkin map and the local actions
-read.
+the dense operators, the per-block oracles or finite differences directly,
+not against the stacked arrays the glue operators, the Galerkin map and the
+local actions read.
 """
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import WideBand, per_block_action, per_block_positions
 
@@ -20,11 +20,14 @@ from raspen.decomposition import (
     restricted_prolong,
 )
 from raspen.local_solver import (
+    SolverSettings,
+    SolveError,
     block_positions,
     local_correction_jacobian_action,
     local_jacobian,
 )
 from raspen.newton import reference_solution
+from raspen.precond import PreconditionedSystem
 from raspen.problems import (
     DiffusionProblem2D,
     hard_forchheimer,
@@ -161,10 +164,10 @@ def test_local_action_matches_the_band_solve_on_either_side_of_the_halo_rule(
     kl = max(pos.kl for pos in positions)
     ku = max(pos.ku for pos in positions)
     assert stack.halo == max(halos)
-    assert (block.solved is not None) == (max(halos) <= kl + ku)
-    if block.solved is not None:
-        assert block.solved.nnz == sum(pos.size * (1 + h)
-                                       for pos, h in zip(positions, halos))
+    assert (block.lu is None) == (max(halos) <= kl + ku)
+    if block.lu is None:
+        assert block.rows.nnz == sum(pos.size * (1 + h)
+                                     for pos, h in zip(positions, halos))
     J = problem.jacobian(u)
     entries = [J.data[pos.rows] for pos in positions]
     v = np.random.default_rng(7).standard_normal(problem.dof_count)
@@ -180,3 +183,23 @@ def test_local_action_matches_the_band_solve_on_either_side_of_the_halo_rule(
                for pos in positions)
     tol = max(1e-13, cond * np.finfo(float).eps)
     assert np.abs(got - band).max() <= tol * np.abs(band).max()
+
+
+@settings(_SETTINGS, max_examples=50)
+@given(problems_at_states(), st.integers(0, 2**16))
+def test_every_kinds_action_matches_finite_differences(drawn, seed):
+    # criterion 2 on drawn layouts, which fall on both sides of the halo
+    # rule: the exact derivative against central differences of the value
+    problem, lay, u = drawn
+    tight = SolverSettings(inner_tol=1e-12)
+    v = np.random.default_rng(seed).standard_normal(problem.dof_count)
+    eps = 1e-6
+    for kind in ("RASPEN1", "ASPIN1", "RASPEN2"):
+        system = PreconditionedSystem(kind, problem, lay, tight, jacobian_mode="exact")
+        try:
+            got = system.jacobian_action(system.residual(u), v)
+            fd = (system.residual(u + eps * v).value
+                  - system.residual(u - eps * v).value) / (2 * eps)
+        except SolveError:
+            assume(False)
+        assert np.linalg.norm(got - fd) / max(1.0, np.linalg.norm(fd)) < 1e-5
