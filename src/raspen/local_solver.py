@@ -48,13 +48,19 @@ local_jacobian solves for Z, one dgbtrs with h right-hand sides, and keeps
 as rows the solved rows [I | Z_i] on the response pattern, with lu None:
 an action is one CSR product.  On a band stack rows is R_i J on the
 stack's CSR pattern and lu its band factors: an action is one CSR product
-and one back-substitution (dgbtrs).
+and the band LU solve.  Where dgbtrf swapped no rows, that solve is two
+triangular band solves (dtbsv), L from one copy of the multiplier rows
+made per LocalJacobian and U read in place: dgbtrs's arithmetic bit for
+bit, without its rank-1 update per column of L.  Factors with an
+interchange keep dgbtrs.  The sweep's steps keep dgbtrs too: each of
+their factorizations serves one solve, which the copy would not repay.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 __all__ = [
@@ -193,7 +199,10 @@ class LocalJacobian:
 
     positions is the blocks' PositionStack.  On a halo stack rows is
     A^{-1} R_i J on its response pattern; else it is the stacked R_i J on
-    its CSR pattern and lu dgbtrf's (band factors, pivots) of A = diag(A_ii).
+    its CSR pattern and lu is (band factors, pivots, L) of A = diag(A_ii):
+    dgbtrf's output and, when it swapped no rows, a Fortran-ordered copy of
+    the factors' unit-lower multiplier rows, the band storage of L (None
+    after an interchange).
     """
 
     positions: object = field(repr=False)
@@ -299,8 +308,11 @@ def local_jacobian(positions, X):
                               subdomain=i)
     shape = (positions.size, positions.problem.dof_count)
     if positions.response_take is None:
+        swapped = not np.array_equal(ipiv, np.arange(positions.size))  # 0-based
+        lower = None if swapped else np.asfortranarray(lu[positions.kl + positions.ku:])
         return LocalJacobian(positions, sp.csr_matrix(
-            (entries, positions.columns, positions.indptr), shape=shape), (lu, ipiv))
+            (entries, positions.columns, positions.indptr), shape=shape),
+            (lu, ipiv, lower))
     rhs = np.zeros((positions.halo, positions.size))  # rhs.T: LAPACK's order
     rhs.flat[positions.halo_slots] = entries[positions.outside]
     z = dgbtrs(lu, positions.kl, positions.ku, rhs.T, ipiv, overwrite_b=True)[0]
@@ -408,14 +420,20 @@ def solve_local(positions, u, settings):
 def local_correction_jacobian_action(block, v):
     """Apply every -A_ii^{-1} R_i J of a LocalJacobian to a global vector v.
 
-    One CSR product with block.rows, then, on a band stack, one
-    back-substitution with the band LU; the result is the stacked vector
-    of the block's overlaps.
+    One CSR product with block.rows, then, on a band stack, the band LU
+    solve: two triangular band solves (dtbsv), L from its kept copy and U
+    read in place from the factors, which is dgbtrs's arithmetic without
+    interchanges, or one dgbtrs where dgbtrf swapped rows.  The result is
+    the stacked vector of the block's overlaps.
     """
     w = block.rows @ v
     if block.lu is not None:
-        stack = block.positions
-        w = dgbtrs(block.lu[0], stack.kl, stack.ku, w, block.lu[1])[0]
+        stack, (lu, ipiv, lower) = block.positions, block.lu
+        if lower is None:
+            w = dgbtrs(lu, stack.kl, stack.ku, w, ipiv)[0]
+        else:
+            w = dtbsv(stack.kl, lower, w, lower=1, diag=1, overwrite_x=1)
+            w = dtbsv(stack.kl + stack.ku, lu, w, overwrite_x=1)
     return -w
 
 

@@ -254,7 +254,9 @@ def direct_newton(problem, u0, settings=None, u_ref=None):
     """Plain Newton on F(u) = 0 with one sparse direct solve per step.
 
     Ledger rows carry ls_in = 0 and ls_G = 1 per update (the single
-    global solve), so LS_total equals the number of Newton steps.
+    global solve), so LS_total equals the number of Newton steps.  A
+    Jacobian that SuperLU finds exactly singular ends the run with a
+    SolveError as its failure, quoted in reason after the Newton step.
     """
     settings = settings or SolverSettings()
     u = np.asarray(u0, dtype=float).copy()
@@ -269,8 +271,14 @@ def direct_newton(problem, u0, settings=None, u_ref=None):
         if not np.isfinite(rnorm) or rnorm > 1e12:
             ledger.record(0, _error_of(u, u_ref), rnorm)
             return RunResult(u, ledger, False, updates, "diverged")
+        try:  # the factors die with the step: one set is alive at a time
+            step = spla.factorized(problem.jacobian(u).tocsc())(-r)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            failure = SolveError(f"singular Jacobian ({exc})")
+            return RunResult(u, ledger, False, updates,
+                             f"Newton step {updates}: {failure}", failure=failure)
         ledger.record(1, _error_of(u, u_ref), rnorm)
-        u = u + spla.factorized(problem.jacobian(u).tocsc())(-r)
+        u = u + step
         updates += 1
     return RunResult(u, ledger, False, updates,
                      f"no convergence in {settings.max_outer} Newton steps")

@@ -355,6 +355,36 @@ class WideBand(Repatterned):
         return residual, jacobian_rows
 
 
+class ShrunkDiagonal(Repatterned):
+    """A problem whose Jacobian entry (cell, cell) is scaled by factor.
+
+    The row kernels scale it too, in every stacked copy of the cell's row;
+    the residual is the wrapped problem's.  With the cell first in its
+    block and factor small, its column's pivot is smaller than the entries
+    below it, so the block's band LU swaps rows.
+    """
+
+    def __init__(self, problem, cell, factor=1e-3):
+        self.cell, self.factor = cell, factor
+        super().__init__(problem, self._shrink)
+
+    def _shrink(self, J):
+        J = J.tocsr(copy=True)
+        J[self.cell, self.cell] *= self.factor
+        return J
+
+    def row_kernels(self, rows, entries):
+        residual, jacobian = super().row_kernels(rows, entries)
+        diagonal = np.concatenate([(self.pattern[r].indices == self.cell)
+                                   & (r == self.cell) for r in rows])
+
+        def jacobian_rows(X):
+            out = jacobian(X)
+            return np.where(diagonal, self.factor * out, out)
+
+        return residual, jacobian_rows
+
+
 # --------------------------------------- GMRES on 16-row basis blocks
 
 

@@ -6,7 +6,9 @@ published tables.  Here each workload's set-up and one pass run as the
 benchmark runs them, from perfbench/workloads.py, and the totals over the
 preconditioned runs must be exact.  On the outer Newton workloads each
 kind's GMRES iterations per outer iteration are pinned too, so that shifts
-which cancel in the totals still show.
+which cancel in the totals still show.  The 2D scale probe, which no
+gated workload runs, has its GMRES iterations per outer step pinned the
+same way.
 """
 
 import sys
@@ -17,7 +19,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
-from raspen import newton, precond  # noqa: E402
+from raspen import decomposition, newton, precond, problems  # noqa: E402
 
 GATED = {
     "fp-sweep": (494, 1615),
@@ -54,3 +56,21 @@ def test_gmres_iterations_per_outer_step_are_exact(name):
         system = precond.PreconditionedSystem(kind, problem, layout)
         got[kind] = newton.outer_newton(system, u0, u_ref=u_ref).ledger.ls_G
     assert got == GMRES_PER_OUTER[name]
+
+
+# the scale probe: a 128 x 128 grid in 16 x 16 subdomains of overlap 1, a
+# band stack (h > kl + ku) of 24,964 rows, four times newton-2d's
+SCALE_PROBE_GMRES_PER_OUTER = {"RASPEN2": [14, 17, 17, 0],
+                               "RASPEN1": [123, 124, 124, 0]}
+
+
+@pytest.mark.parametrize("kind", SCALE_PROBE_GMRES_PER_OUTER)
+def test_scale_probe_gmres_iterations_per_outer_step_are_exact(kind):
+    problem = problems.DiffusionProblem2D(128, 128)
+    layout = decomposition.build_2d_layout(128, 128, 16, 1)
+    system = precond.PreconditionedSystem(kind, problem, layout)
+    stack = system._positions
+    assert stack.size == 24964 and stack.halo > stack.kl + stack.ku
+    run = newton.outer_newton(system, problem.initial_state())
+    assert run.converged
+    assert run.ledger.ls_G == SCALE_PROBE_GMRES_PER_OUTER[kind]

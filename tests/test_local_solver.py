@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 from oracles import (
     Repatterned,
+    ShrunkDiagonal,
     WideBand,
     block_kernels,
     block_vector,
@@ -525,6 +526,55 @@ def test_stacked_action_bit_identical_with_padded_bands():
     for _ in range(3):
         _assert_action_matches_per_block(block, positions, entries,
                                          rng.standard_normal(12))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["solved", "gathered"])
+def test_band_action_is_dgbtrs_bit_for_bit_on_the_64x64_stack(exact):
+    # the benchmark's 2D stack: dgbtrf swaps no rows, and the two
+    # triangular band solves give dgbtrs's output on the same factors
+    prob = DiffusionProblem2D(64, 64)
+    lay = build_2d_layout(64, 64, 8, 1, dirichlet_value=prob.dirichlet_value)
+    stack = block_positions(prob, lay)
+    assert stack.halo > stack.kl + stack.ku
+    u = prob.initial_state() + 0.1
+    X = sweep_locals(stack, u, SETTINGS).X if exact else stack.gather(u)
+    block = local_jacobian(stack, X)
+    lu, ipiv, lower = block.lu
+    assert np.array_equal(ipiv, np.arange(stack.size)) and lower.flags.f_contiguous
+    rng = np.random.default_rng(31)
+    for _ in range(2):
+        v = rng.standard_normal(prob.dof_count)
+        want = -lapack.dgbtrs(lu, stack.kl, stack.ku, block.rows @ v, ipiv)[0]
+        assert local_correction_jacobian_action(block, v).tobytes() == want.tobytes()
+
+
+def test_band_action_after_a_row_interchange_takes_dgbtrs(monkeypatch):
+    # a shrunk diagonal entry at the first cell of block 1 makes dgbtrf
+    # swap rows there: the action solves with dgbtrs, not the triangular
+    # solves, and stays each block's own band solve, bit for bit
+    base = DiffusionProblem2D(12, 8)
+    lay = build_2d_layout(12, 8, 4, 1)
+    first = int(lay.cells[block_positions(base, lay).block_starts[1]])
+    prob = ShrunkDiagonal(base, first)
+    stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
+    assert stack.halo > stack.kl + stack.ku
+    u = 0.3 * np.random.default_rng(33).standard_normal(prob.dof_count)
+    block = local_jacobian(stack, stack.gather(u))
+    lu, ipiv, lower = block.lu
+    assert lower is None and not np.array_equal(ipiv, np.arange(stack.size))
+    calls = {"dgbtrs": 0, "dtbsv": 0}
+    for name in calls:
+        def counting(*args, lapack=getattr(local_solver_mod, name), name=name,
+                     **kwargs):
+            calls[name] += 1
+            return lapack(*args, **kwargs)
+        monkeypatch.setattr(local_solver_mod, name, counting)
+    J = prob.jacobian(u)
+    entries = [J.data[pos.rows] for pos in positions]
+    v = np.random.default_rng(34).standard_normal(prob.dof_count)
+    got = local_correction_jacobian_action(block, v)
+    assert calls == {"dgbtrs": 1, "dtbsv": 0}
+    assert got.tobytes() == per_block_action(positions, entries, v).tobytes()
 
 
 def _zeroing_dgbtrf(column):

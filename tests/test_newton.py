@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import plain_newton
+from oracles import Repatterned, plain_newton
 
 import raspen.local_solver as local_solver_mod
 import raspen.newton as newton_mod
@@ -584,6 +584,32 @@ def test_direct_newton_counts_one_solve_per_step():
     assert all(i == 0 for i in run.ledger.ls_in)
     assert run.ledger.inner_counts == [()] * len(run.ledger)
     assert run.ledger.coarse_count == [0] * len(run.ledger)
+
+
+def _zero_row(J, row=20):
+    # stored zeros: the pattern stays, the row's entries are all 0
+    J = J.tocsr(copy=True)
+    J.data[J.indptr[row]:J.indptr[row + 1]] = 0.0
+    return J
+
+
+def test_direct_newton_ends_on_a_singular_jacobian():
+    # SuperLU's "Factor is exactly singular" ends the run as a failure
+    # that names the Newton step, as the other drivers' failures do
+    prob = Repatterned(smooth_forchheimer(40, beta=1.0), _zero_row)
+    run = direct_newton(prob, prob.initial_state())
+    assert not run.converged and run.outer_iterations == 0
+    assert isinstance(run.failure, SolveError)
+    assert run.reason == f"Newton step 0: {run.failure}"
+    assert str(run.failure).startswith("singular Jacobian")
+    assert len(run.ledger) == 0 and run.ledger.LS_total == 0
+
+
+def test_reference_solution_of_a_singular_jacobian_raises_solve_error():
+    prob = Repatterned(smooth_forchheimer(40, beta=1.0), _zero_row)
+    with pytest.raises(SolveError, match="^reference Newton failed: "
+                                         "Newton step 0: singular Jacobian"):
+        reference_solution(prob)
 
 
 @pytest.mark.parametrize("make", [

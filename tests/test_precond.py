@@ -255,14 +255,15 @@ def test_actions_factor_once_and_solve_once(make, kind, mode, monkeypatch):
     # first action factors it once; on the 1D stack (h = 2 = kl + ku) it
     # also solves once for the halo response, with h right-hand sides, and
     # no action back-substitutes; on the 2D one (h = 18 > kl + ku = 10)
-    # each action back-substitutes once
+    # dgbtrf swaps no rows, so each action solves with L, then with U,
+    # two triangular band solves and no dgbtrs
     prob, lay = make()
     system = PreconditionedSystem(kind, prob, lay, SETTINGS, jacobian_mode=mode)
     stack = system._positions
     halo = not isinstance(prob, DiffusionProblem2D)
     assert (stack.halo, stack.kl + stack.ku) == ((2, 2) if halo else (18, 10))
     ev = system.residual(prob.initial_state() + 0.1)
-    calls = {"dgbtrf": 0, "dgbtrs": 0}
+    calls = {"dgbtrf": 0, "dgbtrs": 0, "dtbsv": 0}
     right_hand_sides = []
     for name in calls:
         def counting(*args, lapack=getattr(local_solver_mod, name), name=name,
@@ -275,8 +276,9 @@ def test_actions_factor_once_and_solve_once(make, kind, mode, monkeypatch):
     v = np.random.default_rng(43).standard_normal(prob.dof_count)
     for actions in (1, 2, 3):
         system.jacobian_action(ev, v)
-        assert calls == {"dgbtrf": 1, "dgbtrs": 1 if halo else actions}
-    assert right_hand_sides == ([(2,)] if halo else [()] * 3)
+        assert calls == ({"dgbtrf": 1, "dgbtrs": 1, "dtbsv": 0} if halo
+                         else {"dgbtrf": 1, "dgbtrs": 0, "dtbsv": 2 * actions})
+    assert right_hand_sides == ([(2,)] if halo else [])
 
 
 @pytest.mark.parametrize("make", [
