@@ -33,7 +33,9 @@ import json
 import math
 import platform
 import time
+import typing
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -80,18 +82,21 @@ ITER_COLUMNS = ("method", "mesh", "I", "k", "beta", "n", "ls_G", "ls_in",
 class ExperimentConfig:
     """Validated experiment matrix; see parse_config for the file format.
 
-    Every instance is validated, dataclasses.replace copies included.
+    The fields are the config schema: each is a config key (meshes,
+    overlaps and betas in the singular) parsed by its annotation, and
+    settings takes SolverSettings' fields as flat keys.  Every instance is
+    validated, dataclasses.replace copies included.
     """
 
     problem: str = "forchheimer1d"
-    meshes: tuple = ()
+    meshes: tuple[int, ...] = ()
     cells_per_subdomain: int = 0
-    subdomains: tuple = (4,)
-    overlaps: tuple = (1,)
-    betas: tuple = (1.0,)
-    methods: tuple = ("raspen1",)
+    subdomains: tuple[int, ...] = (4,)
+    overlaps: tuple[int, ...] = (1,)
+    betas: tuple[float, ...] = (1.0,)
+    methods: tuple[str, ...] = ("raspen1",)
     field: str = "smooth"
-    contrast: tuple = (1e-2, 1e2)
+    contrast: tuple[float, ...] = (1e-2, 1e2)
     amplitude: float = 1.0
     omega: float = 20.0
     settings: SolverSettings = dataclasses.field(default_factory=SolverSettings)
@@ -104,7 +109,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class ResultRow:
-    """Outcome of one (method, mesh, I, k, beta) combination."""
+    """Outcome of one (method, mesh, I, k, beta) combination.
+
+    first_residual is the residual after one restricted Schwarz step on
+    ras-fp rows whose first step passed its check, and None otherwise.
+    """
 
     method: str
     mesh: int
@@ -118,6 +127,7 @@ class ResultRow:
     wall_time: float = 0.0
     ledger: object = dataclasses.field(default=None, repr=False)
     failure: SolveError = dataclasses.field(default=None, repr=False)
+    first_residual: np.ndarray = dataclasses.field(default=None, repr=False)
 
 
 def _parse_list(value, conv):
@@ -127,26 +137,21 @@ def _parse_list(value, conv):
     return tuple(map(conv, items))
 
 
-# config key -> (attribute, converter)
-_CONFIG_KEYS = {
-    "problem": ("problem", str),
-    "mesh": ("meshes", lambda v: _parse_list(v, int)),
-    "cells_per_subdomain": ("cells_per_subdomain", int),
-    "subdomains": ("subdomains", lambda v: _parse_list(v, int)),
-    "overlap": ("overlaps", lambda v: _parse_list(v, int)),
-    "beta": ("betas", lambda v: _parse_list(v, float)),
-    "methods": ("methods", lambda v: _parse_list(v, str)),
-    "field": ("field", str),
-    "contrast": ("contrast", lambda v: _parse_list(v, float)),
-    "amplitude": ("amplitude", float),
-    "omega": ("omega", float),
-    "seed": ("seed", int),
-    "outdir": ("outdir", str),
-}
-# SolverSettings fields are flat config keys too (inner_tol = 1e-10)
+def _converter(kind):
+    """The parser of a field annotated kind; tuple[T, ...] reads 'a, b'."""
+    if typing.get_origin(kind) is tuple:
+        return partial(_parse_list, conv=typing.get_args(kind)[0])
+    return kind
+
+
+# the list fields keyed in the singular (mesh = 40, 80)
+_SINGULAR = {"meshes": "mesh", "overlaps": "overlap", "betas": "beta"}
+# config key -> (attribute, converter); SolverSettings fields are flat
+# config keys too (inner_tol = 1e-10)
 _SETTINGS_FIELDS = tuple(f.name for f in dataclasses.fields(SolverSettings))
-_CONFIG_KEYS.update({f.name: (f.name, f.type)
-                     for f in dataclasses.fields(SolverSettings)})
+_CONFIG_KEYS = {_SINGULAR.get(f.name, f.name): (f.name, _converter(f.type))
+                for cls in (ExperimentConfig, SolverSettings)
+                for f in dataclasses.fields(cls) if f.name != "settings"}
 
 
 def parse_config(path):
@@ -228,26 +233,15 @@ def _validate(config):
         raise ValueError("seed must be nonnegative")
 
 
-@dataclass(frozen=True)
-class _Combo:
-    mesh: int
-    I: int
-    k: int
-    beta: float
-    method: str
-
-
 def _combos(config):
-    out = []
-    for I in config.subdomains:
-        meshes = ((config.cells_per_subdomain * I,) if config.cells_per_subdomain
-                  else config.meshes)
-        for mesh in meshes:
-            for k in config.overlaps:
-                for beta in config.betas:
-                    for method in config.methods:
-                        out.append(_Combo(mesh, I, k, beta, method))
-    return out
+    """Every combination's (method, mesh, I, k, beta), in matrix order."""
+    return [(method, mesh, I, k, beta)
+            for I in config.subdomains
+            for mesh in ((config.cells_per_subdomain * I,)
+                         if config.cells_per_subdomain else config.meshes)
+            for k in config.overlaps
+            for beta in config.betas
+            for method in config.methods]
 
 
 def _build_problem(config, mesh, beta):
@@ -267,26 +261,26 @@ def _build_layout(config, problem, mesh, I, k):
     return build_1d_layout(mesh, I, k, dirichlet=problem.dirichlet)
 
 
+def _labelled(label, build, *args):
+    """build(*args), with label leading the message of a ValueError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from exc
+
+
 def _prepare(config):
     """Fail-fast construction of every problem and layout in the matrix."""
     combos = _combos(config)
     problems, layouts = {}, {}
-    for c in combos:
-        pkey = (c.mesh, c.beta)
-        if pkey not in problems:
-            try:
-                problems[pkey] = _build_problem(config, c.mesh, c.beta)
-            except ValueError as exc:
-                raise ValueError(f"mesh={c.mesh} beta={c.beta:g}: {exc}") from exc
-        lkey = (c.mesh, c.I, c.k)
-        if lkey not in layouts:
-            try:
-                layouts[lkey] = _build_layout(config, problems[pkey],
-                                              c.mesh, c.I, c.k)
-            except ValueError as exc:
-                raise ValueError(
-                    f"mesh={c.mesh} subdomains={c.I} overlap={c.k}: {exc}"
-                ) from exc
+    for _, mesh, I, k, beta in combos:
+        if (mesh, beta) not in problems:
+            problems[mesh, beta] = _labelled(f"mesh={mesh} beta={beta:g}",
+                                             _build_problem, config, mesh, beta)
+        if (mesh, I, k) not in layouts:
+            layouts[mesh, I, k] = _labelled(
+                f"mesh={mesh} subdomains={I} overlap={k}",
+                _build_layout, config, problems[mesh, beta], mesh, I, k)
     return combos, problems, layouts
 
 
@@ -334,33 +328,21 @@ def _tag(row):
             f"_beta{row.beta:g}")
 
 
-def _run(combo, problem, layout, u_ref, settings):
-    """The combination's RunResult and ras-fp's first-step residual."""
+def _run(method, problem, layout, u_ref, settings):
+    """The method's RunResult and ras-fp's first-step residual."""
     if isinstance(u_ref, SolveError):
         return RunResult(None, None, False, 0, str(u_ref), failure=u_ref), None
     u0 = problem.initial_state()
-    if combo.method == "newton":
+    if method == "newton":
         return direct_newton(problem, u0, settings, u_ref=u_ref), None
-    kind = _FIXED_POINT_KINDS.get(combo.method, combo.method)
-    if combo.method == "ras-fp":
+    kind = _FIXED_POINT_KINDS.get(method, method)
+    if method == "ras-fp":
         system = _FirstStepChecked(kind, problem, layout, settings)
         return fixed_point_solve(system, u0, u_ref=u_ref), system.first_residual
     system = PreconditionedSystem(kind, problem, layout, settings)
-    if combo.method in _FIXED_POINT_KINDS:
+    if method in _FIXED_POINT_KINDS:
         return fixed_point_solve(system, u0, u_ref=u_ref), None
     return outer_newton(system, u0, u_ref=u_ref), None
-
-
-def _execute(combo, problem, layout, u_ref, settings):
-    """Run one combination into its ResultRow and first-step residual."""
-    t0 = time.perf_counter()
-    run, first_residual = _run(combo, problem, layout, u_ref, settings)
-    ledger = run.ledger or None  # a run that recorded nothing has no ledger
-    row = ResultRow(combo.method, combo.mesh, combo.I, combo.k, combo.beta,
-                    run.outer_iterations, ledger.LS_total if ledger else 0,
-                    run.converged, run.reason, time.perf_counter() - t0, ledger,
-                    run.failure)
-    return row, first_residual
 
 
 def run_experiment(config):
@@ -373,20 +355,25 @@ def run_experiment(config):
     refs = {}
     for (mesh, beta), problem in problems.items():
         try:
-            refs[(mesh, beta)] = reference_solution(problem, settings)
+            refs[mesh, beta] = reference_solution(problem, settings)
         except SolveError as exc:
             # every run on this problem fails with the reference's reason
-            refs[(mesh, beta)] = SolveError(
+            refs[mesh, beta] = SolveError(
                 f"reference solution for mesh={mesh} beta={beta:g}: {exc}")
 
-    outcomes = [_execute(c, problems[(c.mesh, c.beta)],
-                         layouts[(c.mesh, c.I, c.k)], refs[(c.mesh, c.beta)],
-                         settings)
-                for c in combos]
+    rows = []
+    for method, mesh, I, k, beta in combos:
+        t0 = time.perf_counter()
+        run, first_residual = _run(method, problems[mesh, beta],
+                                   layouts[mesh, I, k], refs[mesh, beta], settings)
+        ledger = run.ledger or None  # a run that recorded nothing has no ledger
+        rows.append(ResultRow(
+            method, mesh, I, k, beta, run.outer_iterations,
+            ledger.LS_total if ledger else 0, run.converged, run.reason,
+            time.perf_counter() - t0, ledger, run.failure, first_residual))
 
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = [row for row, _ in outcomes]
     _write_csv(outdir / "results.csv", ROW_COLUMNS, (
         f"{_key_fields(r)},{r.outer_iters},{r.LS_total},"
         f"{'true' if r.converged else 'false'}" for r in rows))
@@ -396,15 +383,15 @@ def run_experiment(config):
         for n, (g, ls_in, ls_min, e, res) in enumerate(zip(
             r.ledger.ls_G, r.ledger.ls_in, r.ledger.ls_min, r.ledger.error,
             r.ledger.residual_norm), 1)))
-    for row, first_residual in outcomes:
+    for row in rows:
         if row.ledger is not None:
             steps = enumerate(zip(row.ledger.error, row.ledger.LS), 1)
             _write_csv(outdir / f"curve_{_tag(row)}.csv", ("step", "error", "LS"),
                        (f"{n},{e:.12e},{ls}" for n, (e, ls) in steps))
-        if first_residual is not None:
+        if row.first_residual is not None:
             _write_csv(outdir / f"first_ras_residual_{_tag(row)}.csv",
                        ("index", "residual"),
-                       (f"{i},{r:.12e}" for i, r in enumerate(first_residual)))
+                       (f"{i},{r:.12e}" for i, r in enumerate(row.first_residual)))
     _write_summary(outdir / "summary.json", config, rows)
     return rows
 
@@ -515,8 +502,17 @@ class CompareReport:
         return [c.line() for c in self.cells]
 
 
-def _row_key(record):
-    return record["method"], record["I"], record["k"], record["beta"]
+def _indexed(records, side, hint=""):
+    """records by (method, I, k, beta); two sharing a key raise ValueError."""
+    indexed = {}
+    for record in records:
+        key = record["method"], record["I"], record["k"], record["beta"]
+        if key in indexed:
+            method, I, k, beta = key
+            raise ValueError(f"two {side} rows share method={method} I={I} "
+                             f"k={k} beta={beta:g}{hint}")
+        indexed[key] = record
+    return indexed
 
 
 def compare_table(rows, reference_table_file):
@@ -526,22 +522,15 @@ def compare_table(rows, reference_table_file):
     +/- OUTER_TOL, LS_total within a relative LS_RTOL; a row that did
     not converge fails both cells.  The reference may be a path or the
     name of a shipped table.  Raises on schema mismatch, when nothing
-    matches, or when two result rows share a key (such as the rows of
-    one combination on two meshes).
+    matches, or when two rows of either side share a key (such as the
+    result rows of one combination on two meshes).
     """
-    ref_rows = _rows_from_text(read_reference_table(reference_table_file),
-                               str(reference_table_file))
-    indexed = {}
-    for record in map(_record, rows):
-        key = _row_key(record)
-        if key in indexed:
-            method, I, k, beta = key
-            raise ValueError(f"two result rows share method={method} I={I} "
-                             f"k={k} beta={beta:g}; compare one mesh at a time")
-        indexed[key] = record
+    refs = _indexed(_rows_from_text(read_reference_table(reference_table_file),
+                                    str(reference_table_file)), "reference")
+    indexed = _indexed(map(_record, rows), "result",
+                       "; compare one mesh at a time")
     cells = []
-    for ref in ref_rows:
-        key = _row_key(ref)
+    for key, ref in refs.items():
         got = indexed.get(key)
         if got is None:
             continue

@@ -45,7 +45,8 @@ def _grown(A, B):
 def gmres(action, rhs, tol=1e-8, max_iter=None):
     """Solve action(x) = rhs by full GMRES from the zero initial guess.
 
-    `action` must be a linear map on vectors of the same length as rhs.
+    `action` must be a linear map on vectors of the same length as rhs,
+    which must be finite.
     Step k orthogonalizes the action's output against the basis V[:k+1] by
     two-pass classical Gram-Schmidt (CGS2, orthogonal to working precision:
     h = V w, w -= h V, twice).  The accumulated rotation matrix P, the
@@ -63,6 +64,8 @@ def gmres(action, rhs, tol=1e-8, max_iter=None):
     if not 0 < tol < np.inf:  # nan fails too
         raise ValueError("tol must be positive and finite")
     rhs = np.asarray(rhs, dtype=float)
+    if not np.isfinite(rhs).all():
+        raise ValueError("rhs must be finite")
     n = len(rhs)
     if max_iter is None:
         max_iter = n

@@ -103,6 +103,60 @@ def test_config_validation_errors(raw):
         config_from_dict(raw)
 
 
+# every config key, the attribute it sets (settings.* inside the nested
+# SolverSettings) and the value a sample parses to, with its element type
+_SCHEMA = {
+    "problem": ({"mesh": "8", "problem": "diffusion2d"}, "problem", "diffusion2d"),
+    "mesh": ({"mesh": "40, 80"}, "meshes", (40, 80)),
+    "cells_per_subdomain": ({"cells_per_subdomain": "8"}, "cells_per_subdomain", 8),
+    "subdomains": ({"mesh": "40", "subdomains": "2, 4"}, "subdomains", (2, 4)),
+    "overlap": ({"mesh": "40", "overlap": "1, 2"}, "overlaps", (1, 2)),
+    "beta": ({"mesh": "40", "beta": "1, 10"}, "betas", (1.0, 10.0)),
+    "methods": ({"mesh": "40", "methods": "raspen1, aspin2"}, "methods",
+                ("raspen1", "aspin2")),
+    "field": ({"mesh": "40", "field": "random"}, "field", "random"),
+    "contrast": ({"mesh": "40", "contrast": "1e-2, 1"}, "contrast", (0.01, 1.0)),
+    "amplitude": ({"mesh": "40", "amplitude": "2"}, "amplitude", 2.0),
+    "omega": ({"mesh": "40", "omega": "5"}, "omega", 5.0),
+    "seed": ({"mesh": "40", "seed": "3"}, "seed", 3),
+    "outdir": ({"mesh": "40", "outdir": "out"}, "outdir", "out"),
+    "inner_tol": ({"mesh": "40", "inner_tol": "1e-10"}, "settings.inner_tol", 1e-10),
+    "outer_tol": ({"mesh": "40", "outer_tol": "1e-9"}, "settings.outer_tol", 1e-9),
+    "gmres_tol": ({"mesh": "40", "gmres_tol": "1e-7"}, "settings.gmres_tol", 1e-7),
+    "max_inner": ({"mesh": "40", "max_inner": "7"}, "settings.max_inner", 7),
+    "max_outer": ({"mesh": "40", "max_outer": "9"}, "settings.max_outer", 9),
+    "max_fixed_point": ({"mesh": "40", "max_fixed_point": "30"},
+                        "settings.max_fixed_point", 30),
+}
+
+
+def test_config_keys_are_the_schema():
+    with pytest.raises(ValueError, match=r"^unknown config key 'nonsense' \(known: "
+                       + ", ".join(sorted(_SCHEMA)) + r"\)$"):
+        config_from_dict({"mesh": "40", "nonsense": "1"})
+    assert len(_SCHEMA) == 19
+
+
+@pytest.mark.parametrize("key", sorted(_SCHEMA))
+def test_config_key_sets_its_attribute_with_its_type(key):
+    raw, attr, want = _SCHEMA[key]
+
+    def read(config):
+        for part in attr.split("."):
+            config = getattr(config, part)
+        return config
+
+    got = read(config_from_dict(raw))
+    assert got == want
+    # list keys parse to tuples; compare the element types too
+    assert type(got) is type(want)
+    items = (lambda x: x if isinstance(x, tuple) else (x,))
+    assert list(map(type, items(got))) == list(map(type, items(want)))
+    # the sample is not the default, so the key itself set the attribute
+    others = {k: v for k, v in raw.items() if k != key}
+    assert read(config_from_dict(others or {"mesh": "12"})) != want
+
+
 def test_betas_that_print_alike_are_named():
     # distinct values, but one results.csv key and one curve file name
     with pytest.raises(ValueError, match=r"^beta entries 1\.0, 1\.000001, "
@@ -406,6 +460,27 @@ def test_rows_of_a_multi_mesh_sweep_name_their_mesh(tmp_path):
         ("newton", "40"), ("newton", "80")}
 
 
+def test_cells_per_subdomain_scales_the_mesh_with_the_subdomains(tmp_path):
+    # 8x8 cells per subdomain: 2 subdomains per side on 16^2, 4 on 32^2.
+    # The counts are this code's; four of the eight cells differ from
+    # diffusion2d_scalability.csv beyond the comparison tolerances
+    config = config_from_dict({
+        "problem": "diffusion2d", "cells_per_subdomain": "8",
+        "subdomains": "2, 4", "overlap": "1",
+        "methods": "raspen1, aspin1, raspen2, aspin2",
+        "outdir": str(tmp_path / "cells"),
+    })
+    rows = run_experiment(config)
+    assert [(r.method, r.mesh, r.I, r.k, r.beta) for r in rows] == [
+        (method, 8 * I, I, 1, 0.0) for I in (2, 4)
+        for method in ("raspen1", "aspin1", "raspen2", "aspin2")]
+    assert [(r.outer_iters, r.LS_total) for r in rows] == [
+        (3, 50), (4, 80), (3, 42), (4, 77), (3, 97), (4, 142), (3, 51), (4, 88)]
+    assert all(r.converged for r in rows)
+    results = (tmp_path / "cells" / "results.csv").read_text().splitlines()
+    assert [line.split(",")[1] for line in results[1:]] == ["16"] * 4 + ["32"] * 4
+
+
 def test_first_ras_step_residual_export(tmp_path):
     config = config_from_dict({
         "mesh": "40", "subdomains": "4", "overlap": "2",
@@ -477,6 +552,18 @@ def test_compare_rejects_rows_sharing_a_key(tmp_path):
     rows = [dict(_result_rows()[0], mesh=mesh) for mesh in (200, 400)]
     with pytest.raises(ValueError, match="method=raspen1 I=10 k=3 beta=1;"):
         compare_table(rows, _ref_file(tmp_path))
+
+
+def test_compare_rejects_reference_rows_sharing_a_key(tmp_path):
+    # two reference rows for one cell compared one result row twice, with
+    # PASS and FAIL for the same cells
+    ref = tmp_path / "twice.csv"
+    ref.write_text("method,I,k,beta,outer_iters,LS_total\n"
+                   "raspen1,10,3,1,4,92\n"
+                   "raspen1,10,3,1,9,300\n")
+    with pytest.raises(ValueError, match=r"^two reference rows share "
+                       r"method=raspen1 I=10 k=3 beta=1"):
+        compare_table(_result_rows(), ref)
 
 
 def test_compare_schema_and_overlap_errors(tmp_path):

@@ -161,6 +161,23 @@ def test_arguments_are_checked_before_any_action(name, value):
     assert not calls
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_nonfinite_rhs_is_rejected_before_any_action(value):
+    # a nan rhs ran the action on a nan vector and returned zeros; an
+    # infinite one ended in numpy's invalid-value warning
+    calls = []
+
+    def action(v):
+        calls.append(v)
+        return 2.0 * v
+
+    rhs = np.ones(4)
+    rhs[2] = value
+    with pytest.raises(ValueError, match="^rhs must be finite$"):
+        gmres(action, rhs)
+    assert not calls
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-16, 1e-20, 1e20])
 def test_breakdown_is_relative_to_the_operator_scale(scale):
     # a scaled operator has the same Krylov spaces: an absolute breakdown
