@@ -59,7 +59,8 @@ def gmres(action, rhs, tol=1e-8, max_iter=None):
     Returns (solution, GmresReport); when max_iter is hit, or a step adds
     no direction because the operator is singular on the Krylov space, the
     last least-squares iterate is returned with converged=False.  An action
-    output that is not finite ends the solve so too, with a nan residual.
+    output that is not finite, or whose norm overflows, ends the solve so
+    too, with a nan residual; an rhs whose norm overflows raises ValueError.
     """
     if not 0 < tol < np.inf:  # nan fails too
         raise ValueError("tol must be positive and finite")
@@ -71,7 +72,10 @@ def gmres(action, rhs, tol=1e-8, max_iter=None):
         max_iter = n
     elif not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
         raise ValueError("max_iter must be an integer of at least 1")
-    bnorm = math.sqrt(rhs @ rhs)
+    with np.errstate(over="ignore"):  # an overflow reads inf, tested below
+        bnorm = math.sqrt(rhs @ rhs)
+    if not math.isfinite(bnorm):
+        raise ValueError("rhs norm overflows")
     if bnorm == 0.0:
         return np.zeros(n), GmresReport(0, 0.0, True, ())
 
@@ -87,7 +91,8 @@ def gmres(action, rhs, tol=1e-8, max_iter=None):
             V = _grown(V, np.empty((cap, n)))  # rows past k: written before read
             P, R = _grown(P, np.zeros((cap, cap))), _grown(R, np.zeros((cap, cap)))
         w = np.array(action(V[k]), dtype=float)  # our copy, updated in place
-        wnorm = math.sqrt(w @ w)
+        with np.errstate(over="ignore"):
+            wnorm = math.sqrt(w @ w)
         if not math.isfinite(wnorm):
             history.append(math.nan)
             break

@@ -21,11 +21,24 @@ Errors in the ledger are relative l1 distances to a reference iterate,
 which callers usually obtain from reference_solution(): a tight-tolerance
 direct Newton solve, falling back to continuation in beta when the cold
 start diverges.
+
+Direct Newton chooses SuperLU's column order once per run, from the
+problem's pattern: COLAMD, SuperLU's default, when the pattern's bandwidth
+is at most 1 (every 1D problem), and minimum degree on A^T + A, the order
+SuperLU recommends for structurally symmetric matrices, otherwise.  A
+tridiagonal factor fills in no order, so another order gains nothing in
+1D, and the rough-field references sit at the roundoff floor, where the
+order's rounding decides them: over hard_forchheimer(240, beta, seed),
+seeds 1-3 and beta 0, 1, 10 and 100, 4 of the 12 references fail with
+COLAMD, and NATURAL, MMD_AT_PLUS_A and MMD_ATA each fail seed 2 at
+beta = 10 as well.  On the 64 x 64 diffusion Jacobian minimum degree
+fills L + U with 126,532 entries against COLAMD's 220,624.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .krylov import gmres
@@ -255,13 +268,23 @@ def direct_newton(problem, u0, settings=None, u_ref=None):
 
     Ledger rows carry ls_in = 0 and ls_G = 1 per update (the single
     global solve), so LS_total equals the number of Newton steps.  A
-    Jacobian that SuperLU finds exactly singular ends the run with a
-    SolveError as its failure, quoted in reason after the Newton step.
+    Jacobian that SuperLU finds exactly singular, at any step, ends the run
+    with a SolveError as its failure, quoted in reason after the Newton step.
+
+    The first step factors J with the column order of the module docstring
+    (COLAMD for a pattern of bandwidth at most 1, which keeps every 1D
+    step bit for bit as with a fresh COLAMD factor per step, MMD_AT_PLUS_A
+    otherwise) and keeps q = argsort(perm_c) and a gather map from J's CSR
+    data on problem.pattern to J(q, q) in CSC.  Every later step gathers
+    J(q, q), factors it in that order (NATURAL), solves for step[q] and
+    scatters back.  The order lives in this call only, and one factor is
+    alive at a time.
     """
     settings = settings or SolverSettings()
     u = np.asarray(u0, dtype=float).copy()
     ledger = IterationLedger()
     updates = 0
+    ordered = None  # from the first step: q and J(q, q)'s CSC layout and gather
     for _ in range(settings.max_outer):
         r = problem.residual(u)
         rnorm = np.linalg.norm(r)
@@ -272,7 +295,14 @@ def direct_newton(problem, u0, settings=None, u_ref=None):
             ledger.record(0, _error_of(u, u_ref), rnorm)
             return RunResult(u, ledger, False, updates, "diverged")
         try:  # the factors die with the step: one set is alive at a time
-            step = spla.factorized(problem.jacobian(u).tocsc())(-r)
+            if ordered is None:
+                step, ordered = _first_step(problem, problem.jacobian(u), -r)
+            else:
+                q, indices, indptr, gather = ordered
+                J = sp.csc_matrix((problem.jacobian(u).data[gather], indices, indptr),
+                                  shape=(len(q), len(q)))
+                step = np.empty_like(r)
+                step[q] = spla.splu(J, permc_spec="NATURAL").solve(-r[q])
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             failure = SolveError(f"singular Jacobian ({exc})")
             return RunResult(u, ledger, False, updates,
@@ -282,6 +312,23 @@ def direct_newton(problem, u0, settings=None, u_ref=None):
         updates += 1
     return RunResult(u, ledger, False, updates,
                      f"no convergence in {settings.max_outer} Newton steps")
+
+
+def _first_step(problem, J, rhs):
+    """direct_newton's first step and the column order its factor chose.
+
+    Returns the step J^{-1} rhs and (q, indices, indptr, gather): q =
+    argsort(perm_c) orders the unknowns, and J(q, q) is the CSC matrix
+    (J.data[gather], indices, indptr) for any J on problem.pattern.
+    """
+    pattern = problem.pattern.tocoo()
+    narrow = np.abs(pattern.row - pattern.col).max(initial=0) <= 1
+    lu = spla.splu(J.tocsc(), permc_spec="COLAMD" if narrow else "MMD_AT_PLUS_A")
+    q = np.argsort(lu.perm_c)
+    numbered = sp.csr_matrix((np.arange(pattern.nnz), problem.pattern.indices,
+                              problem.pattern.indptr), shape=pattern.shape)
+    ordered = numbered[q][:, q].tocsc()
+    return lu.solve(rhs), (q, ordered.indices, ordered.indptr, ordered.data)
 
 
 def reference_solution(problem, settings=None):

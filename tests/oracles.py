@@ -10,10 +10,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import lapack, solve_triangular
 
 from raspen.krylov import BREAKDOWN_TOL, GmresReport
-from raspen.local_solver import LocalSolveError
+from raspen.local_solver import LocalSolveError, SolveError, SolverSettings
+from raspen.newton import IterationLedger, RunResult
 
 
 def dense_darcy_system(problem):
@@ -61,6 +63,37 @@ def plain_newton(problem, u0, tol=1e-12, maxit=80):
             return u
         u -= np.linalg.solve(problem.jacobian(u).toarray(), F)
     raise AssertionError("plain Newton oracle failed to converge")
+
+
+def default_order_newton(problem, u0, settings=None, u_ref=None):
+    """direct_newton with SuperLU's default COLAMD order at every step.
+
+    The direct Newton that chose no order of its own: each step factors
+    J(u) afresh, splu(J.tocsc()).solve(-r).  Same stopping rules, ledger,
+    reasons and singular-Jacobian failure; u_ref is taken and ignored (its
+    rows' errors are nan).
+    """
+    settings = settings or SolverSettings()
+    u = np.asarray(u0, dtype=float).copy()
+    ledger = IterationLedger()
+    for updates in range(settings.max_outer):
+        r = problem.residual(u)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= settings.outer_tol or not np.isfinite(rnorm) or rnorm > 1e12:
+            ledger.record(0, np.nan, rnorm)
+            converged = rnorm <= settings.outer_tol
+            return RunResult(u, ledger, converged, updates,
+                             "" if converged else "diverged")
+        try:
+            step = spla.splu(problem.jacobian(u).tocsc()).solve(-r)
+        except RuntimeError as exc:
+            failure = SolveError(f"singular Jacobian ({exc})")
+            return RunResult(u, ledger, False, updates,
+                             f"Newton step {updates}: {failure}", failure=failure)
+        ledger.record(1, np.nan, rnorm)
+        u = u + step
+    return RunResult(u, ledger, False, settings.max_outer,
+                     f"no convergence in {settings.max_outer} Newton steps")
 
 
 def schwarz_preconditioners(A, layout):

@@ -212,6 +212,38 @@ def test_nonfinite_action_output_ends_the_solve():
     assert np.array_equal(x, two)
 
 
+def test_rhs_whose_norm_overflows_is_rejected_before_any_action():
+    # every entry is finite, but the squared norm 4e400 is not: numpy's
+    # overflow warning escaped from rhs @ rhs
+    calls = []
+
+    def action(v):
+        calls.append(v)
+        return 2.0 * v
+
+    with pytest.raises(ValueError, match="^rhs norm overflows$"):
+        gmres(action, np.full(4, 1e200))
+    assert not calls
+
+
+def test_action_output_whose_norm_overflows_ends_the_solve():
+    # the output's entries, 5e299, are finite and their squares are not:
+    # numpy's overflow warning escaped from w @ w
+    calls = []
+
+    def action(v):
+        calls.append(v)
+        return 1e300 * v
+
+    x, rep = gmres(action, np.ones(4))
+    assert len(calls) == rep.iterations == 1
+    assert not rep.converged
+    assert math.isnan(rep.relative_residual)
+    assert len(rep.residual_history) == 1
+    assert math.isnan(rep.residual_history[0])
+    assert np.array_equal(x, np.zeros(4))
+
+
 def test_solve_across_basis_blocks_against_dense_solve():
     n = 150
     A = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)

@@ -6,7 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import Repatterned, plain_newton
+import scipy.sparse.linalg as spla
+from oracles import Repatterned, default_order_newton, plain_newton
 
 import raspen.local_solver as local_solver_mod
 import raspen.newton as newton_mod
@@ -632,3 +633,106 @@ def test_reference_failure_is_no_subdomain_failure(beta, reason):
     with pytest.raises(SolveError, match=f"^{reason}") as caught:
         reference_solution(hard_forchheimer(240, beta=beta, seed=2))
     assert not isinstance(caught.value, LocalSolveError)
+
+
+# ------------------------------------------- direct Newton's elimination order
+
+ROUGH_1D = [(seed, beta) for seed in (1, 2, 3) for beta in (0.0, 1.0, 10.0, 100.0)]
+
+
+def _reference_or_reason(problem):
+    try:
+        return reference_solution(problem).tobytes()
+    except SolveError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("make", [lambda: smooth_forchheimer(800, 1.0)] + [
+    lambda seed=seed, beta=beta: hard_forchheimer(240, beta, seed=seed)
+    for seed, beta in ROUGH_1D
+], ids=["smooth-800"] + [f"rough-seed{s}-beta{b:g}" for s, b in ROUGH_1D])
+def test_direct_newton_in_1d_is_the_default_order_bit_for_bit(make, monkeypatch):
+    # a tridiagonal pattern keeps COLAMD's order, and every later step
+    # factors J(q, q) in it: the steps, the reference solutions, and the
+    # references that fail at the roundoff floor (4 of these 12 rough ones)
+    # with their reasons, are those of a fresh default-order factor per step
+    problem = make()
+    run = direct_newton(problem, problem.initial_state())
+    oracle = default_order_newton(problem, problem.initial_state())
+    assert run.u.tobytes() == oracle.u.tobytes()
+    assert (run.converged, run.outer_iterations, run.reason) == (
+        oracle.converged, oracle.outer_iterations, oracle.reason)
+    assert run.ledger.residual_norm == oracle.ledger.residual_norm
+    reference = _reference_or_reason(problem)
+    monkeypatch.setattr(newton_mod, "direct_newton", default_order_newton)
+    assert reference == _reference_or_reason(problem)
+
+
+def _counted_splu(monkeypatch):
+    """Record (permc_spec, L.nnz + U.nnz) for every splu call, keeping no factor."""
+    calls, splu = [], spla.splu
+
+    def counted(A, permc_spec=None, **kwargs):
+        lu = splu(A, permc_spec=permc_spec, **kwargs)
+        calls.append((permc_spec, lu.L.nnz + lu.U.nnz))
+        return lu
+
+    monkeypatch.setattr(spla, "splu", counted)
+    return calls
+
+
+def test_direct_newton_in_2d_orders_by_minimum_degree(monkeypatch):
+    # on the 64 x 64 five-point pattern MMD on A^T + A fills L + U with
+    # 126,532 entries against COLAMD's 220,624; the steps agree at roundoff
+    problem = DiffusionProblem2D(64, 64)
+    u0 = problem.initial_state()
+    default = spla.splu(problem.jacobian(u0).tocsc())
+    default_fill = default.L.nnz + default.U.nnz
+    del default
+    oracle = default_order_newton(problem, u0)
+    calls = _counted_splu(monkeypatch)
+    run = direct_newton(problem, u0)
+    assert run.converged and oracle.converged
+    assert run.outer_iterations == oracle.outer_iterations
+    assert (np.linalg.norm(run.u - oracle.u, np.inf)
+            <= 1e-12 * np.linalg.norm(oracle.u, np.inf))
+    spec, fill = calls[0]
+    assert spec == "MMD_AT_PLUS_A"
+    assert fill <= 0.7 * default_fill
+
+
+@pytest.mark.parametrize("problem, first", [
+    (smooth_forchheimer(100, 10.0), "COLAMD"),
+    (DiffusionProblem2D(32, 32), "MMD_AT_PLUS_A"),
+], ids=["1d", "2d"])
+def test_direct_newton_orders_once_per_run(problem, first, monkeypatch):
+    # the first step chooses the order; every later one factors J(q, q)
+    # in it, with no ordering of its own
+    calls = _counted_splu(monkeypatch)
+    jacobian, evaluations = problem.jacobian, []
+    monkeypatch.setattr(problem, "jacobian",
+                        lambda u: evaluations.append(u) or jacobian(u))
+    run = direct_newton(problem, problem.initial_state())
+    assert run.converged and run.outer_iterations >= 3
+    assert [spec for spec, _ in calls] == (
+        [first] + ["NATURAL"] * (run.outer_iterations - 1))
+    assert len(evaluations) == run.outer_iterations
+
+
+def test_direct_newton_ends_on_a_jacobian_singular_at_a_later_step():
+    # the pattern is built from one call of the change and step 0's
+    # Jacobian from the second; the third, step 1's, is singular, so the
+    # failure comes from the factor in the first step's order
+    changes = []
+
+    def zero_row_at_step_1(J):
+        changes.append(J)
+        return _zero_row(J) if len(changes) == 3 else J
+
+    prob = Repatterned(smooth_forchheimer(40, beta=1.0), zero_row_at_step_1)
+    run = direct_newton(prob, prob.initial_state())
+    assert not run.converged and run.outer_iterations == 1
+    assert isinstance(run.failure, SolveError)
+    assert run.reason == f"Newton step 1: {run.failure}"
+    assert str(run.failure).startswith("singular Jacobian (")
+    assert len(run.ledger) == 1 and run.ledger.LS_total == 1
