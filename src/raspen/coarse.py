@@ -20,13 +20,14 @@ precomputes the coarse solution u_0* (F_0(u_0*) = 0) once and solves
 
     F_0(C_0^A(u) + u_0*) = -P_0^T F(u)
 
-from the initial guess u_0*.  Both are one coarse Newton solve that differs
-only in its start value and right-hand side, as is the base solve for
-u_0*.  Coarse Newton factors each iterate's dense coarse Jacobian once, by
-LU (dgetrf), steps with those factors (dgetrs) and fails with
-CoarseSolveError on a non-finite residual (the start's included), a
-singular Jacobian or a spent budget.  Both corrections retain the factors
-at the converged iterate (J^_0) for the outer Jacobian actions
+from the initial guess u_0*, whose factors it takes from the base solve.
+Both are one coarse Newton solve that differs only in its start value and
+right-hand side, as is the base solve for u_0*.  Coarse Newton factors
+each iterate's dense coarse Jacobian once, by LU (dgetrf), steps with
+those factors (dgetrs) and fails with CoarseSolveError on a non-finite
+residual (the start's included), a singular Jacobian or a spent budget.
+Both corrections retain the factors at the converged iterate (J^_0) for
+the outer Jacobian actions
 
     dC_0/du   = -R_0 + J^_0^{-1} (J_0 R_0 - P_0^T J(u)),
     dC_0^A/du = -J^_0^{-1} P_0^T J(u).
@@ -71,8 +72,9 @@ class CoarseSolveResult:
     """Outcome of one coarse correction solve.
 
     J0 is the coarse Jacobian at the initial guess (read by the FAS action
-    only); J0_hat_lu is the LU factorization (lu, piv), as dgetrf returns
-    it and dgetrs takes it, of the coarse Jacobian at the converged iterate.
+    only; None when the solve started from given factors); J0_hat_lu is
+    the LU factorization (lu, piv), as dgetrf returns it and dgetrs takes
+    it, of the coarse Jacobian at the converged iterate.
     """
 
     correction: np.ndarray
@@ -129,16 +131,16 @@ def coarse_jacobian(space, u0):
     """Dense F_0'(u_0) = P_0^T J(P_0 u_0) P_0, by the Galerkin map."""
     J0T = np.zeros((space.layout.n_subdomains,) * 2)
     data = space.problem.jacobian(_prolonged(space, u0)).data
-    J0T.flat[space.slots] = space.G2 @ (space.G1 @ data)
+    J0T.reshape(-1)[space.slots] = space.G2 @ (space.G1 @ data)
     return J0T.T
 
 
-def _coarse_newton(space, start, rhs, settings, what):
+def _coarse_newton(space, start, rhs, settings, what, factors=None):
     """Solve F_0(start + c) = rhs for c by coarse Newton from start.
 
     Every iterate, start included, must have a finite residual; its coarse
-    Jacobian is factored once, by LU.  The result keeps the coarse Jacobian
-    at start and the factors of J^_0, at the converged iterate.
+    Jacobian is factored once, by LU, or at start given as factors.  The
+    result keeps the coarse Jacobian at start and the factors of J^_0.
     """
     w = np.asarray(start, dtype=float).copy()
     J0, iterations = None, 0
@@ -152,15 +154,16 @@ def _coarse_newton(space, start, rhs, settings, what):
                 f"{what}: coarse Newton did not reach {settings.inner_tol} "
                 f"within {settings.max_inner} iterations (residual {rnorm:.3e})"
             )
-        J = coarse_jacobian(space, w)
-        J0 = J if J0 is None else J0
-        lu, piv, info = dgetrf(J)
-        if info > 0:
-            raise CoarseSolveError(f"{what}: singular coarse Jacobian")
+        if factors is None:
+            J = coarse_jacobian(space, w)
+            J0 = J if iterations == 0 else J0
+            *factors, info = dgetrf(J)
+            if info > 0:
+                raise CoarseSolveError(f"{what}: singular coarse Jacobian")
         if rnorm <= settings.inner_tol:
-            return CoarseSolveResult(w - start, J0, (lu, piv), iterations)
-        w -= dgetrs(lu, piv, r)[0]
-        iterations += 1
+            return CoarseSolveResult(w - start, J0, tuple(factors), iterations)
+        w -= dgetrs(*factors, r)[0]
+        factors, iterations = None, iterations + 1
 
 
 def fas_correction(space, u, settings):
@@ -178,15 +181,16 @@ def fas_correction_jacobian_action(result, space, J_u, v):
 
 
 def aspin_coarse_setup(space, settings):
-    """Solve the plain coarse problem F_0(u_0*) = 0 once, from zero."""
+    """Solve F_0(u_0*) = 0 once, from zero; u_0* is the result's correction."""
     zero = np.zeros(space.layout.n_subdomains)
-    return _coarse_newton(space, zero, zero, settings, "coarse base solve").correction
+    return _coarse_newton(space, zero, zero, settings, "coarse base solve")
 
 
-def aspin_coarse_correction(space, u, u0_star, settings):
-    """Additive-Schwarz coarse correction: F_0(C_0^A + u_0*) = -P_0^T F(u)."""
+def aspin_coarse_correction(space, u, base, settings):
+    """F_0(C_0^A + u_0*) = -P_0^T F(u), from base = aspin_coarse_setup(...)."""
     rhs = -(space.P0T @ space.problem.residual(np.asarray(u, dtype=float)))
-    return _coarse_newton(space, u0_star, rhs, settings, "AS coarse correction")
+    return _coarse_newton(space, base.correction, rhs, settings,
+                          "AS coarse correction", base.J0_hat_lu)
 
 
 def aspin_coarse_jacobian_action(result, space, J_u, v):

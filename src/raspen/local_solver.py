@@ -20,16 +20,18 @@ Every solve and block function takes a PositionStack.
 The sweep.  solve_local solves all subdomains together and returns one
 LocalSolveResult: the stack, X at each u^(i) = u + P_i C_i(u), the
 corrections and each subdomain's inner Newton count, but no derivative
-data.  An inner step is one residual-kernel call, one Jacobian-kernel
-call, one band fill and one dgbtrf/dgbtrs at the stack's bandwidths, and
-changes only X[:size], so a sweep costs O(sum_i m_i + M), not O(I M).  A
-subdomain whose residual norm reaches the tolerance is frozen: its block
-becomes the identity and its right-hand side zero, so its step is exactly
-zero.  The band has the widest block's bandwidths; its blocks share no
-coupling, so band LU eliminates each exactly as it would alone, and every
-subdomain's values and count are bit for bit those of a solve of that
-subdomain alone.  For the same reason a block whose step overflows is
-solved again on the same band, with every other block the identity.
+data.  Every iterate is one face pass of the row kernels, from which the
+residual derives; an iterate that steps also derives the Jacobian entries
+from it, fills the band and takes one dgbtrf/dgbtrs at the stack's
+bandwidths.  A step changes only X[:size], so a sweep costs
+O(sum_i m_i + M), not O(I M).  A subdomain whose residual norm reaches
+the tolerance is frozen: its band columns become the identity's and its
+right-hand side zero, so its step is exactly zero.  The band has the
+widest block's bandwidths; its blocks share no coupling, so band LU
+eliminates each exactly as it would alone, and every subdomain's values
+and count are bit for bit those of a solve of that subdomain alone.  For
+the same reason a block whose step overflows is solved again on the same
+band, with every other block the identity.
 _band_lu is the one place a band is filled and factored, from the
 Jacobian kernel's R_i J entries.
 
@@ -141,15 +143,15 @@ class PositionStack:
 
     Block b is subdomain b of layout.  X, the stacked local vector at a
     state w, is (w[layout.cells], w): the stacked overlaps, then the state
-    (gather); residual and jacobian are the problem's row kernels on the
-    stacked overlap rows, functions of X.  Block b has sizes[b] stacked
-    rows, from block_starts[b].  R_i J's entries, stacked, are the
-    jacobian kernel's output, in the CSR pattern (columns, indptr) of one
-    index dtype, so a CSR matrix on it copies neither.  diag(A_ii) is a
-    band matrix with bandwidths kl and ku, the largest of the blocks': the
-    stacked entries at block, held[b] of them block b's, go to the flat
-    indices slots of a C-order (rows, 2*kl+ku+1) array, whose transpose is
-    LAPACK's band storage (A[r, c] at row kl+ku+r-c of column c).  A
+    (gather); kernels are the problem's row kernels on the stacked overlap
+    rows, whose face pass reads X.  Block b has sizes[b] stacked rows, from
+    block_starts[b].  R_i J's entries, stacked, are the jacobian kernel's
+    output, in the CSR pattern (columns, indptr) of one index dtype, so a
+    CSR matrix on it copies neither.  diag(A_ii) is a band matrix with
+    bandwidths kl and ku, the largest of the blocks': the stacked entries
+    at block go to the flat indices slots of a C-order (rows, 2*kl+ku+1)
+    array, whose transpose is LAPACK's band storage (A[r, c] at row
+    kl+ku+r-c of column c).  A
     block's halo cells are the columns outside its overlap, at most halo
     of them.  If halo <= kl + ku, the entries at outside go to halo_slots
     of a C-order (halo, rows) array, a block's halo cells in column order,
@@ -159,15 +161,13 @@ class PositionStack:
     """
 
     problem: object = field(repr=False)
-    residual: object = field(repr=False)
-    jacobian: object = field(repr=False)
+    kernels: object = field(repr=False)
     layout: object = field(repr=False)
     sizes: np.ndarray = field(repr=False)
     block_starts: np.ndarray = field(repr=False)
     columns: np.ndarray = field(repr=False)
     indptr: np.ndarray = field(repr=False)
     block: np.ndarray = field(repr=False)
-    held: np.ndarray = field(repr=False)
     slots: np.ndarray = field(repr=False)
     kl: int
     ku: int
@@ -251,9 +251,7 @@ def block_positions(problem, layout):
     h = int(halos.max(initial=0))
     stacked = dict(
         sizes=sizes, block_starts=block_starts, columns=columns, indptr=indptr,
-        block=block, held=np.bincount(entry_block[block], minlength=len(sizes)),
-        slots=col * (2 * kl + ku + 1) + kl + ku + offset,
-    )
+        block=block, slots=col * (2 * kl + ku + 1) + kl + ku + offset)
     if h <= kl + ku:  # building Z then costs less than the actions' solves
         first, per_row = np.cumsum(halos) - halos, halos[row_block]
         r = np.repeat(np.arange(size), per_row)  # row r's j-th halo cell
@@ -269,26 +267,22 @@ def block_positions(problem, layout):
             response_take=np.append(np.full(size, h * size), j * size + r)[order])
     for a in stacked.values():
         a.flags.writeable = False
-    residual, jacobian = problem.row_kernels(ov, entries)
-    return PositionStack(problem, residual, jacobian, layout, kl=kl, ku=ku,
-                         halo=h, **stacked)
+    return PositionStack(problem, problem.row_kernels(ov, entries), layout, kl=kl,
+                         ku=ku, halo=h, **stacked)
 
 
 def _band_lu(stack, entries, active=None):
     """dgbtrf's (lu, ipiv, info) of diag(A_ii), A_ii's entries among entries.
 
     The blocks that active (one flag per block) does not mark are replaced
-    by the identity.
+    by the identity: band row c holds column c of A, and a block's columns
+    hold only its own entries.
     """
-    width = 2 * stack.kl + stack.ku + 1
-    band = np.zeros((stack.size, width))
-    values = entries[stack.block]
-    if active is None or active.all():
-        band.flat[stack.slots] = values
-    else:
-        band.flat[stack.slots] = np.where(np.repeat(active, stack.held), values, 0.0)
-        frozen = np.flatnonzero(~np.repeat(active, stack.sizes))
-        band.flat[frozen * width + stack.kl + stack.ku] = 1.0  # the diagonal
+    band = np.zeros((stack.size, 2 * stack.kl + stack.ku + 1))
+    band.reshape(-1)[stack.slots] = entries[stack.block]
+    if active is not None and not np.logical_and.reduce(active):
+        diagonal = np.arange(band.shape[1]) == stack.kl + stack.ku
+        band[~np.repeat(active, stack.sizes)] = diagonal  # the identity's columns
     return dgbtrf(band.T, stack.kl, stack.ku, overwrite_ab=True)
 
 
@@ -300,7 +294,7 @@ def local_jacobian(positions, X):
     its u^(i) (not at u + P_i correction, which can differ in the last
     bit); at positions.gather(u) they are the blocks of J(u), bit for bit.
     """
-    entries = positions.jacobian(X)
+    entries = positions.kernels.jacobian(X)
     lu, ipiv, info = _band_lu(positions, entries)
     if info > 0:
         i = positions.block_of(info - 1)
@@ -314,16 +308,11 @@ def local_jacobian(positions, X):
             (entries, positions.columns, positions.indptr), shape=shape),
             (lu, ipiv, lower))
     rhs = np.zeros((positions.halo, positions.size))  # rhs.T: LAPACK's order
-    rhs.flat[positions.halo_slots] = entries[positions.outside]
+    rhs.reshape(-1)[positions.halo_slots] = entries[positions.outside]
     z = dgbtrs(lu, positions.kl, positions.ku, rhs.T, ipiv, overwrite_b=True)[0]
     return LocalJacobian(positions, sp.csr_matrix(
         (np.append(z.T, 1.0)[positions.response_take], positions.response_columns,
          positions.response_indptr), shape=shape))
-
-
-def _norms(stack, r):
-    """Each block's residual norm, from the stacked residual r."""
-    return np.sqrt(np.add.reduceat(r * r, stack.block_starts))
 
 
 def _step(stack, entries, r, active, failures):
@@ -339,14 +328,15 @@ def _step(stack, entries, r, active, failures):
         b = stack.block_of(info - 1)
         failures[b] = "singular local Jacobian"
         active[b] = False
-    moving = np.repeat(active, stack.sizes)
-    step = dgbtrs(lu, stack.kl, stack.ku, np.where(moving, r, 0.0), ipiv)[0]
-    if not np.isfinite(step).all():
+    rhs = r if np.logical_and.reduce(active) else np.where(
+        np.repeat(active, stack.sizes), r, 0.0)
+    step = dgbtrs(lu, stack.kl, stack.ku, rhs, ipiv)[0]
+    if not np.logical_and.reduce(np.isfinite(step)):
         # 0 * inf spills a non-finite step into the blocks the band pads
         # next to it: frozen blocks keep still, and every other block with
         # a non-finite entry is solved again on the band with every other
         # block the identity, which eliminates it exactly as alone
-        step[~moving] = 0.0
+        step[~np.repeat(active, stack.sizes)] = 0.0
         finite = np.logical_and.reduceat(np.isfinite(step), stack.block_starts)
         for b in np.flatnonzero(~finite):
             alone = np.arange(len(active)) == b
@@ -361,17 +351,18 @@ def solve_local(positions, u, settings):
     """Solve R_i F(u + P_i c_i) = 0 for every c_i = C_i(u) of a stack's subdomains.
 
     Inner Newton from the zero corrections with full steps, on the stacked
-    local vector X = positions.gather(u): each step evaluates the stacked
-    row kernels at X and refactorizes diag(A_ii), with every block whose
-    residual norm is at or below settings.inner_tol frozen, and only the
-    stacked overlaps X[:size] change.
-    A subdomain fails when its residual is non-finite, the start residual
-    included, when it runs out of settings.max_inner steps or when its
-    block is singular; it then stops, the others run on, and the failure
-    of the lowest-index subdomain is raised.  The result's X is gathered
-    from u, so no later change to u reaches it.
+    local vector X = positions.gather(u): each iterate makes one face pass
+    of the stacked row kernels at X and derives the residual from it; a
+    step derives the Jacobian entries from the same pass and refactorizes
+    diag(A_ii), with every block whose residual norm is at or below
+    settings.inner_tol frozen; only the stacked overlaps X[:size] change.
+    A subdomain fails when its residual or its residual norm is not
+    finite, the start's included, when it runs out of settings.max_inner
+    steps or when its block is singular; it then stops, the others run on,
+    and the failure of the lowest-index subdomain is raised.  The result's
+    X is gathered from u, so no later change to u reaches it.
     """
-    X, size = positions.gather(u), positions.size
+    X, size, kernels = positions.gather(u), positions.size, positions.kernels
     start = X[:size].copy()
     tol, budget = settings.inner_tol, settings.max_inner
     trail = []
@@ -379,29 +370,35 @@ def solve_local(positions, u, settings):
     failures = {}
     active = np.ones(len(positions.sizes), dtype=bool)
     steps = 0  # every active subdomain has taken this many
-    while True:
-        r = positions.residual(X)
-        norms = _norms(positions, r)
-        trail.append(norms)
-        finite = np.isfinite(norms)
-        if not finite.all():
-            for b in np.flatnonzero(active & ~finite):
-                failures[b] = "inner Newton produced a non-finite residual"
-            active &= finite
-        active &= norms > tol
-        if not active.any():
-            break
-        if steps == budget:
-            for b in np.flatnonzero(active):
-                failures[b] = (f"inner Newton did not reach {tol} within {budget} "
-                               f"iterations (residual {norms[b]:.3e})")
-            break
-        step = _step(positions, positions.jacobian(X), r, active, failures)
-        if not active.any():
-            break
-        X[:size] -= step
-        steps += 1
-        counts[active] = steps
+    with np.errstate(over="ignore"):
+        while True:
+            faces = kernels.faces(X)
+            r = kernels.residual_of(faces)
+            # each block's norm, inf where its square sum overflows
+            norms = np.sqrt(np.add.reduceat(r * r, positions.block_starts))
+            trail.append(norms)
+            finite = np.isfinite(norms)
+            if not np.logical_and.reduce(finite):
+                rows = np.logical_and.reduceat(np.isfinite(r), positions.block_starts)
+                for b in np.flatnonzero(active & ~finite):
+                    failures[b] = ("inner Newton's residual is finite, but its norm "
+                                   "overflowed" if rows[b] else
+                                   "inner Newton produced a non-finite residual")
+                active &= finite
+            active &= norms > tol
+            if not np.logical_or.reduce(active):
+                break
+            if steps == budget:
+                for b in np.flatnonzero(active):
+                    failures[b] = (f"inner Newton did not reach {tol} within "
+                                   f"{budget} iterations (residual {norms[b]:.3e})")
+                break
+            step = _step(positions, kernels.jacobian_of(faces), r, active, failures)
+            if not np.logical_or.reduce(active):
+                break
+            X[:size] -= step
+            steps += 1
+            counts[active] = steps
 
     if failures:
         b = int(min(failures))

@@ -127,18 +127,15 @@ class PreconditionedSystem:
         self.jacobian_mode = jacobian_mode
         self._positions = block_positions(problem, layout)
         self._coarse = coarse_space(problem, layout) if kind.endswith("2") else None
-        self._u0_star = None
 
     @property
     def restricted(self):
         return self.kind.startswith("RASPEN")
 
-    @property
-    def u0_star(self):
-        """Coarse base solution for ASPIN2, computed once per system."""
-        if self._u0_star is None:
-            self._u0_star = aspin_coarse_setup(self._coarse, self.settings)
-        return self._u0_star
+    @cached_property
+    def coarse_base(self):
+        """ASPIN2's coarse base solve, once per system: u_0* and its factors."""
+        return aspin_coarse_setup(self._coarse, self.settings)
 
     def _glue(self, stacked):
         """sum_i P~_i x_i (restricted) or sum_i P_i x_i (additive) in one call."""
@@ -155,7 +152,7 @@ class PreconditionedSystem:
             pc0 = self.layout.P0 @ coarse.correction
             local_state = u + pc0
         elif self.kind == "ASPIN2":
-            coarse = aspin_coarse_correction(self._coarse, u, self.u0_star,
+            coarse = aspin_coarse_correction(self._coarse, u, self.coarse_base,
                                              self.settings)
             pc0 = self.layout.P0 @ coarse.correction
         result = sweep_locals(self._positions, local_state, self.settings)

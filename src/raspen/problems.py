@@ -7,9 +7,10 @@ returning the exact sparse derivative of the residual as a CSR matrix on
 that pattern; and `row_kernels(rows, entries)`, which evaluates any rows of
 the residual and the Jacobian from a local vector that holds the values at
 the rows' pattern columns.  An evaluation only fills a data array.  Each
-problem has one stencil-row kernel, in which every row computes its own
-face fluxes; `residual` and `jacobian` are its all-rows case, with the
-local vector u itself.
+problem has one set of stencil-row kernels: one pass over the rows' faces,
+from which the residual rows and the Jacobian entries both derive (in 1D
+each face once); `residual` and `jacobian` are their all-rows case, with
+the local vector u itself.
 Residuals are written in integrated finite-volume form (flux balance minus
 integrated source per cell), so a zero residual means discrete conservation
 cell by cell.
@@ -60,8 +61,7 @@ class NonlinearProblem:
         Row c of the pattern holds the columns c + offsets[k] for which
         have[c, k] is set; the offsets are sorted, so the pattern is
         canonical, and its index arrays are int32, as scipy stores them, and
-        read-only.  rows_class(problem, rows, entries) holds the row kernels
-        as its residual and jacobian methods.
+        read-only.  rows_class(problem, rows, entries) builds the row kernels.
         """
         n = len(have)
         indptr = np.append(0, np.cumsum(have.sum(axis=1))).astype(np.int32)
@@ -83,21 +83,23 @@ class NonlinearProblem:
         rows may come in any order and repeat; entries gives, for every
         entry of their rows in the Jacobian pattern, row by row in the
         pattern's order, where its column's value sits in a local vector X
-        (ValueError if they do not match the pattern).  Returns two
-        functions of X, giving residual(u)[rows] and the rows' Jacobian data
-        in the pattern's order, bit for bit, when X holds u there: residual
-        and jacobian are row_kernels(arange(n), pattern indices) at X = u.
-        Building the kernels costs index work; calling them reads only X.
+        (ValueError if they do not match the pattern).  Returns the kernels,
+        whose residual(X) and jacobian(X) give residual(u)[rows] and the
+        rows' Jacobian data in the pattern's order, bit for bit, when X holds
+        u there: residual and jacobian are row_kernels(arange(n), pattern
+        indices) at X = u.  Each composes faces(X), one pass over the rows'
+        faces, with residual_of or jacobian_of, which derive from a pass and
+        leave it as it was.  Building the kernels costs index work; calling
+        them reads only X.
         """
-        kernels = self._rows_class(self, rows, entries)
-        return kernels.residual, kernels.jacobian
+        return self._rows_class(self, rows, entries)
 
     def residual(self, u):
-        return self._all_rows[0](self._state(u))
+        return self._all_rows.residual(self._state(u))
 
     def jacobian(self, u):
         P = self.pattern
-        return sp.csr_matrix((self._all_rows[1](self._state(u)), P.indices,
+        return sp.csr_matrix((self._all_rows.jacobian(self._state(u)), P.indices,
                               P.indptr), shape=P.shape)
 
     def initial_state(self):
@@ -125,6 +127,29 @@ def _columns(have, entries):
     return table
 
 
+class _RowKernels:
+    """A face pass, faces(X), and the residual and Jacobian derived from it."""
+
+    def residual(self, X):
+        return self.residual_of(self.faces(X))
+
+    def jacobian(self, X):
+        return self.jacobian_of(self.faces(X))
+
+
+def _root(g, beta):
+    """sqrt(1 + 4 beta |g|), from which q and q' derive; None for Darcy flow."""
+    return None if beta <= DARCY_THRESHOLD else np.sqrt(1.0 + 4.0 * beta * np.abs(g))
+
+
+def _q(g, root):
+    return g if root is None else 2.0 * g / (1.0 + root)
+
+
+def _dq(g, root):
+    return np.ones_like(g) if root is None else 1.0 / root
+
+
 def q_flux(g, beta):
     """Flux function q(g) = sgn(g)(-1 + sqrt(1 + 4*beta*|g|)) / (2*beta).
 
@@ -135,9 +160,7 @@ def q_flux(g, beta):
     g = np.asarray(g, dtype=float)
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    if beta <= DARCY_THRESHOLD:
-        return g.copy() if g.ndim else float(g)
-    out = 2.0 * g / (1.0 + np.sqrt(1.0 + 4.0 * beta * np.abs(g)))
+    out = np.array(_q(g, _root(g, beta)))
     return out if g.ndim else float(out)
 
 
@@ -146,10 +169,7 @@ def q_flux_derivative(g, beta):
     g = np.asarray(g, dtype=float)
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    if beta <= DARCY_THRESHOLD:
-        out = np.ones_like(g)
-    else:
-        out = 1.0 / np.sqrt(1.0 + 4.0 * beta * np.abs(g))
+    out = _dq(g, _root(g, beta))
     return out if g.ndim else float(out)
 
 
@@ -212,36 +232,48 @@ class ForchheimerProblem1D(NonlinearProblem):
     residual, jacobian = NonlinearProblem.residual, NonlinearProblem.jacobian
 
 
-class _ForchheimerRows:
-    """ForchheimerProblem1D's row kernels: each row's two face fluxes.
+class _ForchheimerRows(_RowKernels):
+    """ForchheimerProblem1D's row kernels, on the rows' faces, each once.
 
     The row of cell c is q at its right face, T_{c+1} (u_c - u_{c+1}),
     minus q at its left face, T_c (u_{c-1} - u_c), minus its source, as in
     the global evaluation; the Dirichlet values stand in for cells -1 and
-    M.  X is read padded to (dirichlet[0], dirichlet[1], X).
+    M.  X is read padded to (dirichlet[0], dirichlet[1], X).  A row's left
+    face is the previous row's right face when both read the same values
+    at the same T: all rows hold M + 1 faces, a stack m_i + 1 per block.
     """
 
     def __init__(self, problem, rows, entries):
-        have = _tridiagonal(rows, problem.M)
-        # c-1, c, c+1 in the padded X: the left faces' cells [:2], right [1:]
-        self.at = np.where(have, _columns(have, entries) + 2, [0, 0, 1]).T.copy()
-        self.T = problem.transmissibilities[np.stack((rows, rows + 1))]
+        have, m = _tridiagonal(rows, problem.M), len(rows)
+        # c-1, c, c+1 in the padded X
+        at = np.where(have, _columns(have, entries) + 2, [0, 0, 1])
+        new = np.full(m, 2)  # the faces each row adds
+        new[1:] -= (at[1:, :2] == at[:-1, 1:]).all(axis=1) & (rows[1:] == rows[:-1] + 1)
+        self.at = np.cumsum(new) - [[2], [1]]  # each row's left and right face
+        faces = np.empty((3, new.sum()), dtype=np.intp)  # left, right, T index
+        faces[:, self.at] = [[at[:, 0], at[:, 1]], [at[:, 1], at[:, 2]],
+                             [rows, rows + 1]]
+        self.left, self.right = faces[:2]
+        self.T = problem.transmissibilities[faces[2]]
         self.source, self.beta = problem.source[rows], problem.beta
         self.ends = np.array(problem.dirichlet)
         # row c holds -w at its left face, w right + w left, -w at its right
-        self.take = (np.arange(len(rows))[:, None] + len(rows) * np.arange(3))[have]
+        self.take = np.column_stack((self.at[0], len(self.T) + np.arange(m),
+                                     self.at[1]))[have]
 
-    def _gradients(self, X):
-        u = np.concatenate((self.ends, X))[self.at]
-        return self.T * (u[:2] - u[1:])
+    def faces(self, X):
+        u = np.concatenate((self.ends, X))
+        g = self.T * (u[self.left] - u[self.right])
+        return g, _root(g, self.beta)
 
-    def residual(self, X):
-        a = q_flux(self._gradients(X), self.beta)
+    def residual_of(self, faces):
+        a = _q(*faces)[self.at]
         return a[1] - a[0] - self.source
 
-    def jacobian(self, X):
-        wl, wr = q_flux_derivative(self._gradients(X), self.beta) * self.T
-        return np.concatenate((-wl, wr + wl, -wr))[self.take]
+    def jacobian_of(self, faces):
+        w = _dq(*faces) * self.T
+        wl, wr = w[self.at]
+        return np.concatenate((-w, wr + wl))[self.take]
 
 
 def _tridiagonal(cells, M):
@@ -363,7 +395,7 @@ class DiffusionProblem2D(NonlinearProblem):
         return np.full(self.nx * self.ny, self.dirichlet_value)
 
 
-class _DiffusionRows:
+class _DiffusionRows(_RowKernels):
     """DiffusionProblem2D's row kernels: each row's four face fluxes.
 
     A face's flux is T a (u_L - u_R), L its -x (-y) cell, R the other, a
@@ -389,7 +421,7 @@ class _DiffusionRows:
         self.neg_source = 0.0 - problem.source_cells.ravel()[rows]
         self.take = (np.arange(m)[:, None] + m * np.arange(5))[have]
 
-    def _faces(self, X):
+    def faces(self, X):
         """u_c, u_n, u_c^2, the faces' mean a and u_c - u_n, n the neighbours."""
         u = X[self.at]
         sq = u**2
@@ -399,24 +431,23 @@ class _DiffusionRows:
         mean_a += 1.0
         return uc, un, sq[0], mean_a, uc - un
 
-    def residual(self, X):
-        uc, _, sq, flux, d = self._faces(X)
-        flux *= self.T
+    def residual_of(self, faces):
+        uc, _, sq, mean_a, d = faces
+        flux = self.T * mean_a
         flux *= d
         s, w, e, n = flux
         return (self.neg_source + e + w + n + s
                 + self.boundary * (1.0 + sq) * (uc - self.dv))
 
-    def jacobian(self, X):
-        uc, un, sq, mean_a, d = self._faces(X)
+    def jacobian_of(self, faces):
+        uc, un, sq, mean_a, d = faces
         diagonal = uc * d
         diagonal += mean_a
         diagonal *= self.T
         s, w, e, n = diagonal
         centre = (e + w + n + s
                   + self.boundary * ((1.0 + sq) + 2.0 * uc * (uc - self.dv)))
-        coupling = d
-        coupling *= un
+        coupling = d * un
         coupling -= mean_a
         coupling *= self.T
         coupling += 0.0

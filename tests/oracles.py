@@ -14,7 +14,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack, solve_triangular
 
 from raspen.krylov import BREAKDOWN_TOL, GmresReport
-from raspen.local_solver import LocalSolveError, SolveError, SolverSettings
+from raspen.local_solver import (LocalSolveError, LocalSolveResult, SolveError,
+                                 SolverSettings)
 from raspen.newton import IterationLedger, RunResult
 
 
@@ -125,10 +126,12 @@ def sequential_local_solve(problem, pos, u, settings, kernels=None):
     before they took their steps together: full Newton steps on the
     subdomain's local vector, with its own band LU, raising LocalSolveError
     on the first failed check; a non-finite start residual fails too.
-    kernels defaults to the problem's row kernels on the subdomain alone
+    kernels, a (residual, jacobian) pair of functions of the local vector,
+    defaults to the problem's row kernels on the subdomain alone
     (block_kernels).
     """
-    residual, jacobian = kernels or block_kernels(problem, [pos])
+    own = block_kernels(problem, [pos])
+    residual, jacobian = kernels or (own.residual, own.jacobian)
     i, m, kl, ku = pos.subdomain, pos.size, pos.kl, pos.ku
     u = np.asarray(u, dtype=float)
     x = block_vector([pos], u)
@@ -158,6 +161,91 @@ def sequential_local_solve(problem, pos, u, settings, kernels=None):
         rnorm = np.linalg.norm(r)
     solved = x[:m].copy()
     return solved - u[pos.overlap], solved, iterations
+
+
+def masked_band_lu(stack, entries, active):
+    """dgbtrf of diag(A_ii) with every block that active does not mark the identity.
+
+    The band is filled through the .flat iterator, an inactive block's
+    entries zeroed one by one by np.where and its diagonal set to 1.0.
+    """
+    width = 2 * stack.kl + stack.ku + 1
+    band = np.zeros((stack.size, width))
+    held = np.repeat(active, stack.sizes)[stack.slots // width]
+    band.flat[stack.slots] = np.where(held, entries[stack.block], 0.0)
+    frozen = np.flatnonzero(~np.repeat(active, stack.sizes))
+    band.flat[frozen * width + stack.kl + stack.ku] = 1.0
+    return lapack.dgbtrf(band.T, stack.kl, stack.ku, overwrite_ab=True)
+
+
+def two_call_solve_local(positions, u, settings):
+    """A sweep as solve_local took it with one kernel call per output.
+
+    The stacked inner loop that preceded the shared face pass: every
+    iterate calls the residual kernel, and every step the Jacobian kernel
+    too, each with its own face pass; bands are masked_band_lu's, and every
+    right-hand side is masked.  Returns solve_local's result, or raises
+    its LocalSolveError; a residual norm that overflows counts as a
+    non-finite residual.
+    """
+    kernels, stack = positions.kernels, positions
+    X, size = positions.gather(u), positions.size
+    start = X[:size].copy()
+    tol, budget = settings.inner_tol, settings.max_inner
+    trail, failures, steps = [], {}, 0
+    counts = np.zeros(len(stack.sizes), dtype=int)
+    active = np.ones(len(stack.sizes), dtype=bool)
+
+    def solve(lu, ipiv, r, moving):
+        return lapack.dgbtrs(lu, stack.kl, stack.ku, np.where(moving, r, 0.0),
+                             ipiv)[0]
+
+    while True:
+        r = kernels.residual(X)
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.add.reduceat(r * r, stack.block_starts))
+        trail.append(norms)
+        finite = np.isfinite(norms)
+        for b in np.flatnonzero(active & ~finite):
+            failures[b] = "inner Newton produced a non-finite residual"
+        active &= finite & (norms > tol)
+        if not active.any():
+            break
+        if steps == budget:
+            for b in np.flatnonzero(active):
+                failures[b] = (f"inner Newton did not reach {tol} within {budget} "
+                               f"iterations (residual {norms[b]:.3e})")
+            break
+        entries = kernels.jacobian(X)
+        while True:
+            lu, ipiv, info = masked_band_lu(stack, entries, active)
+            if info == 0:
+                break
+            b = stack.block_of(info - 1)
+            failures[b] = "singular local Jacobian"
+            active[b] = False
+        moving = np.repeat(active, stack.sizes)
+        step = solve(lu, ipiv, r, moving)
+        if not np.isfinite(step).all():
+            step[~moving] = 0.0
+            finite = np.logical_and.reduceat(np.isfinite(step), stack.block_starts)
+            for b in np.flatnonzero(~finite):
+                alone = np.arange(len(active)) == b
+                rows = np.repeat(alone, stack.sizes)
+                lu, ipiv, _ = masked_band_lu(stack, entries, alone)
+                step[rows] = solve(lu, ipiv, r, rows)[rows]
+        if not active.any():
+            break
+        X[:size] -= step
+        steps += 1
+        counts[active] = steps
+    if failures:
+        b = int(min(failures))
+        raise LocalSolveError(f"subdomain {b}: {failures[b]}", subdomain=b,
+                              residuals=[float(n[b]) for n in trail[:counts[b] + 1]])
+    X.flags.writeable = False
+    return LocalSolveResult(positions, X, X[:size] - start, tuple(counts.tolist()),
+                            int(counts.sum()))
 
 
 # ------------------------------------- block positions, one block at a time
@@ -284,7 +372,6 @@ def stacked_positions(positions):
         ).astype(positions[0].columns.dtype),
         block=(np.concatenate([pos.block for pos in positions])
                + first_entry[entry_block]),
-        held=held,
         slots=((col + block_starts[entry_block]) * width + band_row
                + (kl + ku - kls - kus)[entry_block]),
         kl=kl,
@@ -327,6 +414,26 @@ def per_block_action(positions, entries, v, halo=False):
 
 
 # ------------------------------------------- problems with a changed pattern
+
+
+class Kernels:
+    """Row kernels with some of their pieces replaced.
+
+    faces, residual_of and jacobian_of are the given functions, else the
+    wrapped kernels' own; residual(X) and jacobian(X) compose them as the
+    problems' kernels do.
+    """
+
+    def __init__(self, kernels, **pieces):
+        for name in ("faces", "residual_of", "jacobian_of"):
+            setattr(self, name, pieces.pop(name, getattr(kernels, name)))
+        assert not pieces, pieces
+
+    def residual(self, X):
+        return self.residual_of(self.faces(X))
+
+    def jacobian(self, X):
+        return self.jacobian_of(self.faces(X))
 
 
 class Repatterned:
@@ -377,15 +484,15 @@ class WideBand(Repatterned):
         super().__init__(problem, with_entry_above)
 
     def row_kernels(self, rows, entries):
-        residual, jacobian = super().row_kernels(rows, entries)
+        kernels = super().row_kernels(rows, entries)
         extra = self._extra(rows)
 
-        def jacobian_rows(X):
+        def jacobian_of(faces):
             out = np.full(len(extra), 0.5)
-            out[~extra] = jacobian(X)
+            out[~extra] = kernels.jacobian_of(faces)
             return out
 
-        return residual, jacobian_rows
+        return Kernels(kernels, jacobian_of=jacobian_of)
 
 
 class ShrunkDiagonal(Repatterned):
@@ -407,15 +514,15 @@ class ShrunkDiagonal(Repatterned):
         return J
 
     def row_kernels(self, rows, entries):
-        residual, jacobian = super().row_kernels(rows, entries)
+        kernels = super().row_kernels(rows, entries)
         diagonal = np.concatenate([(self.pattern[r].indices == self.cell)
                                    & (r == self.cell) for r in rows])
 
-        def jacobian_rows(X):
-            out = jacobian(X)
+        def jacobian_of(faces):
+            out = kernels.jacobian_of(faces)
             return np.where(diagonal, self.factor * out, out)
 
-        return residual, jacobian_rows
+        return Kernels(kernels, jacobian_of=jacobian_of)
 
 
 # --------------------------------------- GMRES on 16-row basis blocks

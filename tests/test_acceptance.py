@@ -222,8 +222,8 @@ def test_criterion_8_consistency_at_solution():
         space = coarse_space(prob, lay)
         fas = fas_correction(space, ustar, settings)
         worst_coarse = max(worst_coarse, np.max(np.abs(fas.correction)))
-        u0_star = aspin_coarse_setup(space, settings)
-        asc = aspin_coarse_correction(space, ustar, u0_star, settings)
+        base = aspin_coarse_setup(space, settings)
+        asc = aspin_coarse_correction(space, ustar, base, settings)
         worst_coarse = max(worst_coarse, np.max(np.abs(asc.correction)))
     dt = time.perf_counter() - t0
     ok = worst_res <= tol and worst_coarse <= tol and dt < 30.0

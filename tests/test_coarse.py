@@ -24,6 +24,7 @@ from raspen.local_solver import SolverSettings
 from raspen.problems import (
     DiffusionProblem2D,
     ForchheimerProblem1D,
+    hard_forchheimer,
     smooth_forchheimer,
 )
 
@@ -171,19 +172,19 @@ def test_aspin_coarse_base_and_correction():
     prob = smooth_forchheimer(24, beta=1.0)
     lay = build_1d_layout(24, 4, 2)
     space = coarse_space(prob, lay)
-    u0_star = aspin_coarse_setup(space, SETTINGS)
-    assert np.linalg.norm(coarse_residual(space, u0_star)) <= SETTINGS.inner_tol
+    base = aspin_coarse_setup(space, SETTINGS)
+    assert np.linalg.norm(coarse_residual(space, base.correction)) <= SETTINGS.inner_tol
 
     # at the fine solution the correction vanishes
     ustar = plain_newton(prob, np.zeros(24))
-    res = aspin_coarse_correction(space, ustar, u0_star, SETTINGS)
+    res = aspin_coarse_correction(space, ustar, base, SETTINGS)
     assert np.allclose(res.correction, 0.0, atol=1e-6)
 
     # defining equation at a generic state
     rng = np.random.default_rng(36)
     u = 0.3 * rng.standard_normal(24)
-    res = aspin_coarse_correction(space, u, u0_star, SETTINGS)
-    lhs = coarse_residual(space, res.correction + u0_star)
+    res = aspin_coarse_correction(space, u, base, SETTINGS)
+    lhs = coarse_residual(space, res.correction + base.correction)
     rhs = -(lay.P0.T @ prob.residual(u))
     assert np.linalg.norm(lhs - rhs) <= SETTINGS.inner_tol
 
@@ -194,10 +195,10 @@ def test_aspin_coarse_affine_matches_fas():
     lay = build_1d_layout(20, 4, 1)
     space = coarse_space(prob, lay)
     A, b, A0 = _coarse_ops(prob, lay)
-    u0_star = aspin_coarse_setup(space, SETTINGS)
+    base = aspin_coarse_setup(space, SETTINGS)
     rng = np.random.default_rng(37)
     u = rng.standard_normal(20)
-    res = aspin_coarse_correction(space, u, u0_star, SETTINGS)
+    res = aspin_coarse_correction(space, u, base, SETTINGS)
     want = np.linalg.solve(A0, lay.P0.T @ (b - A @ u))
     assert np.allclose(res.correction, want, atol=1e-9)
 
@@ -207,15 +208,15 @@ def test_aspin_action_fd():
     lay = build_1d_layout(24, 3, 2)
     space = coarse_space(prob, lay)
     tight = SolverSettings(inner_tol=1e-13)
-    u0_star = aspin_coarse_setup(space, tight)
+    base = aspin_coarse_setup(space, tight)
     rng = np.random.default_rng(38)
     u = 0.2 * rng.standard_normal(24)
-    res = aspin_coarse_correction(space, u, u0_star, tight)
+    res = aspin_coarse_correction(space, u, base, tight)
     for _ in range(3):
         v = rng.standard_normal(24)
         eps = 1e-6
-        cp = aspin_coarse_correction(space, u + eps * v, u0_star, tight).correction
-        cm = aspin_coarse_correction(space, u - eps * v, u0_star, tight).correction
+        cp = aspin_coarse_correction(space, u + eps * v, base, tight).correction
+        cm = aspin_coarse_correction(space, u - eps * v, base, tight).correction
         fd = (cp - cm) / (2 * eps)
         got = aspin_coarse_jacobian_action(res, space, prob.jacobian(u), v)
         assert np.linalg.norm(got - fd) / max(1.0, np.linalg.norm(fd)) < 1e-5
@@ -273,11 +274,11 @@ def test_galerkin_map_matches_the_sparse_triple_product(setup):
 def _coarse_solves(prob, lay, u):
     """Each coarse Newton entry point as a function of the settings, by label."""
     space = coarse_space(prob, lay)
-    u0_star = aspin_coarse_setup(space, SETTINGS)
+    base = aspin_coarse_setup(space, SETTINGS)
     return {
         "FAS coarse correction": lambda s: fas_correction(space, u, s),
         "AS coarse correction": lambda s: aspin_coarse_correction(
-            space, u, u0_star, s),
+            space, u, base, s),
         "coarse base solve": lambda s: aspin_coarse_setup(space, s),
     }
 
@@ -328,11 +329,29 @@ def test_coarse_nonfinite_start_error(what, value):
 
 @pytest.mark.parametrize("what", ["FAS coarse correction", "AS coarse correction"])
 def test_coarse_newton_evaluates_one_jacobian_per_iterate(what, monkeypatch):
+    # the AS correction's start is u_0*, whose Jacobian the base solve
+    # factored: it assembles and factors one Jacobian fewer
     prob, lay = smooth_forchheimer(36, beta=1.0), build_1d_layout(36, 4, 3)
     u = 0.3 * np.random.default_rng(40).standard_normal(36)
     solve = _coarse_solves(prob, lay, u)[what]
     calls, jacobian = [], prob.jacobian
     monkeypatch.setattr(prob, "jacobian", lambda w: calls.append(w) or jacobian(w))
+    factored, dgetrf = [], coarse_mod.dgetrf
+    monkeypatch.setattr(coarse_mod, "dgetrf", lambda J: factored.append(J) or dgetrf(J))
     result = solve(SETTINGS)
     assert result.inner_iterations >= 2
-    assert len(calls) == result.inner_iterations + 1
+    own = result.inner_iterations + (what == "FAS coarse correction")
+    assert len(calls) == len(factored) == own
+    assert (result.J0 is None) is (what == "AS coarse correction")
+
+
+def test_as_correction_starts_from_the_base_solves_factors():
+    # the base solve's factors of J_0(u_0*) are the ones the AS correction
+    # would compute at its start, bit for bit
+    prob, lay = hard_forchheimer(40, beta=10.0, seed=2), build_1d_layout(40, 5, 2)
+    space = coarse_space(prob, lay)
+    base = aspin_coarse_setup(space, SETTINGS)
+    lu, piv, info = sla.lapack.dgetrf(coarse_jacobian(space, base.correction))
+    assert info == 0
+    assert lu.tobytes() == base.J0_hat_lu[0].tobytes()
+    assert piv.tobytes() == base.J0_hat_lu[1].tobytes()

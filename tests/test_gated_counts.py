@@ -8,7 +8,7 @@ preconditioned runs must be exact.  On the outer Newton workloads each
 kind's GMRES iterations per outer iteration are pinned too, so that shifts
 which cancel in the totals still show.  The 2D scale probe, which no
 gated workload runs, has its GMRES iterations per outer step pinned the
-same way.
+same way, and on fp-sweep each kind's total inner iterations are pinned.
 """
 
 import sys
@@ -36,6 +36,23 @@ def test_gated_workload_counts_are_exact(name, tmp_path, monkeypatch):
     runs = [r for r in workload.run_pass(workload.setup(1)) if r.preconditioned]
     assert all(r.converged is r.expected for r in runs if r.expected is not None)
     assert (sum(r.outer for r in runs), sum(r.ls for r in runs)) == GATED[name]
+
+
+# each fp-sweep kind's inner Newton iterations, summed over every sweep's
+# subdomains: LS_total keeps only each sweep's slowest subdomain, so a shift
+# among the others would not show there
+FP_INNER_ITERATIONS = {"RASPEN1": 8044, "RASPEN2": 815, "ASPIN1": 2595}
+
+
+def test_fp_sweep_inner_iterations_are_exact():
+    problem, layout, u0, u_ref = workloads.WORKLOADS["fp-sweep"].setup(1)
+    got = {}
+    for kind, budget in (("RASPEN1", None), ("RASPEN2", None),
+                         ("ASPIN1", workloads.AS_STEP_BUDGET)):
+        system = precond.PreconditionedSystem(kind, problem, layout)
+        run = newton.fixed_point_solve(system, u0, max_steps=budget, u_ref=u_ref)
+        got[kind] = sum(map(sum, run.ledger.inner_counts))
+    assert got == FP_INNER_ITERATIONS
 
 
 # ledger.ls_G of each kind's outer_newton run: one GMRES solve per outer

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import lapack
 from oracles import (
+    Kernels,
     Repatterned,
     ShrunkDiagonal,
     WideBand,
@@ -14,15 +15,18 @@ from oracles import (
     block_vector,
     brute_frozen_newton,
     dense_darcy_system,
+    masked_band_lu,
     per_block_action,
     per_block_positions,
     plain_newton,
     sequential_local_solve,
     stacked_positions,
+    two_call_solve_local,
     with_entry_above,
 )
 
 import raspen.local_solver as local_solver_mod
+import raspen.precond as precond_mod
 from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.local_solver import (
     LocalSolveError,
@@ -35,6 +39,8 @@ from raspen.local_solver import (
     solve_local,
     sweep_locals,
 )
+from raspen.newton import fixed_point_solve, outer_newton
+from raspen.precond import KINDS, PreconditionedSystem
 from raspen.problems import DiffusionProblem2D, hard_forchheimer, smooth_forchheimer
 
 SETTINGS = SolverSettings()
@@ -60,7 +66,7 @@ def _kernel_blocks(stack, X):
     """The Jacobian kernel's stacked R_i J at X, dense, and A^{-1} by the
     band factors of diag(A_ii) that local_jacobian makes from the same
     entries (_band_lu, then dgbtrs)."""
-    entries = stack.jacobian(X)
+    entries = stack.kernels.jacobian(X)
     rows = sp.csr_matrix((entries, stack.columns, stack.indptr),
                          shape=(stack.size, stack.problem.dof_count))
     lu, ipiv, info = _band_lu(stack, entries)
@@ -180,12 +186,13 @@ def test_local_jacobian_copies_no_array(make):
     assert len(stack.indptr) == stack.size + 1
     outputs = []
 
-    def recording(X):
-        outputs.append(stack.jacobian(X))
+    def recording(faces):
+        outputs.append(stack.kernels.jacobian_of(faces))
         return outputs[-1]
 
     u = 0.3 * np.random.default_rng(31).standard_normal(prob.dof_count)
-    block = local_jacobian(dataclasses.replace(stack, jacobian=recording),
+    kernels = Kernels(stack.kernels, jacobian_of=recording)
+    block = local_jacobian(dataclasses.replace(stack, kernels=kernels),
                            stack.gather(u))
     assert len(outputs) == 1
     if stack.response_take is not None:
@@ -306,7 +313,7 @@ def test_blocks_gathered_by_position_match_slices(make, monkeypatch):
     # LAPACK's layout: 2*kl+ku+1 rows, the first kl left for fill-in
     assert ab.shape == (2 * kl + ku + 1, stack.size) and not ab[:kl].any()
     ov = np.concatenate([sub.overlap for sub in lay.subdomains])
-    rows = sp.csr_matrix((stack.jacobian(stack.gather(u)), stack.columns,
+    rows = sp.csr_matrix((stack.kernels.jacobian(stack.gather(u)), stack.columns,
                           stack.indptr), shape=(stack.size, n))
     assert np.array_equal(rows.toarray(), J[ov].toarray())
     assert np.array_equal(_band_to_dense(ab, kl, ku),
@@ -444,15 +451,17 @@ def test_sweep_gathers_the_stacked_overlaps_and_the_state(make):
 
     def recording(X):
         seen.append(X.copy())
-        return stack.residual(X)
+        return stack.kernels.faces(X)
 
     u = 0.3 * np.random.default_rng(52).standard_normal(prob.dof_count)
-    solve_local(dataclasses.replace(stack, residual=recording), u, SETTINGS)
+    kernels = Kernels(stack.kernels, faces=recording)
+    solve_local(dataclasses.replace(stack, kernels=kernels), u, SETTINGS)
     X = seen[0]
     assert X.tobytes() == np.concatenate((u[lay.cells], u)).tobytes()
     assert stack.gather(u).tobytes() == X.tobytes()
-    assert stack.residual(X).tobytes() == prob.residual(u)[lay.cells].tobytes()
-    assert (stack.jacobian(X).tobytes()
+    assert (stack.kernels.residual(X).tobytes()
+            == prob.residual(u)[lay.cells].tobytes())
+    assert (stack.kernels.jacobian(X).tobytes()
             == prob.jacobian(u)[lay.cells].data.tobytes())
 
 
@@ -496,7 +505,7 @@ def test_stacked_action_bit_identical_to_per_block(make, halo, exact):
         for pos, solved in zip(positions, solved_values):
             x = block_vector([pos], u)
             x[:pos.size] = solved
-            entries.append(block_kernels(prob, [pos])[1](x))
+            entries.append(block_kernels(prob, [pos]).jacobian(x))
     else:
         J = prob.jacobian(u)
         block = local_jacobian(stack, stack.gather(u))
@@ -619,8 +628,7 @@ _LAYOUTS = {
 }
 
 
-_STACK_ARRAYS = ("sizes", "block_starts", "columns", "indptr", "block", "held",
-                 "slots")
+_STACK_ARRAYS = ("sizes", "block_starts", "columns", "indptr", "block", "slots")
 
 
 def _assert_matches_per_block_builder(stack, positions):
@@ -651,6 +659,23 @@ def _states(prob, seed):
     n = prob.dof_count
     return [prob.initial_state(), 0.3 * rng.standard_normal(n),
             prob.initial_state() + rng.standard_normal(n)]
+
+
+@pytest.mark.parametrize("name", _LAYOUTS)
+def test_frozen_blocks_factor_as_the_masked_band(name):
+    # a frozen block's band rows are zeroed and their diagonal set to 1.0:
+    # the factors are those of the band whose inactive entries are masked
+    # to 0.0 one by one, bit for bit, for any set of frozen blocks
+    prob, lay = _LAYOUTS[name]()
+    stack, n = block_positions(prob, lay), lay.n_subdomains
+    entries = stack.kernels.jacobian(stack.gather(_states(prob, 53)[1]))
+    rng = np.random.default_rng(53)
+    for active in (np.ones(n, bool), np.zeros(n, bool), np.arange(n) % 2 == 0,
+                   rng.random(n) < 0.5, np.arange(n) == n - 1):
+        lu, ipiv, info = _band_lu(stack, entries, active.copy())
+        want_lu, want_ipiv, want_info = masked_band_lu(stack, entries, active)
+        assert lu.tobytes() == want_lu.tobytes()
+        assert ipiv.tobytes() == want_ipiv.tobytes() and info == want_info == 0
 
 
 @pytest.mark.parametrize("name", _LAYOUTS)
@@ -713,27 +738,27 @@ def _row_range(stack, b):
 def _failing(stack, positions, singular=(), nonfinite=(), tiny=()):
     """The stack with failures injected into its kernels.
 
-    singular maps blocks to the Jacobian-kernel call (1 = first) from which
-    their entries are zero, nonfinite maps blocks to the residual-kernel
-    call from which their rows are nan, and tiny maps blocks to the
-    Jacobian-kernel call from which their entries are scaled by 1e-320, so
+    singular maps blocks to the Jacobian derivation (1 = first) from which
+    their entries are zero, nonfinite maps blocks to the residual
+    derivation from which their rows are nan, and tiny maps blocks to the
+    Jacobian derivation from which their entries are scaled by 1e-320, so
     that the step overflows.  Returns the failing stack and, per block,
-    kernels that fail the same way on that block alone, whose
-    BlockPositions positions lists.
+    (residual, jacobian) kernels that fail the same way on that block
+    alone, whose BlockPositions positions lists.
     """
     entries, calls = _entry_ranges(stack), {"residual": 0, "jacobian": 0}
 
-    def residual(X):
+    def residual(faces):
         calls["residual"] += 1
-        r = stack.residual(X)
+        r = stack.kernels.residual_of(faces)
         for b, at in dict(nonfinite).items():
             if calls["residual"] >= at:
                 r[_row_range(stack, b)] = np.nan
         return r
 
-    def jacobian(X):
+    def jacobian(faces):
         calls["jacobian"] += 1
-        data = stack.jacobian(X)
+        data = stack.kernels.jacobian_of(faces)
         for faults, scale in ((singular, 0.0), (tiny, 1e-320)):
             for b, at in dict(faults).items():
                 if calls["jacobian"] >= at:
@@ -742,7 +767,8 @@ def _failing(stack, positions, singular=(), nonfinite=(), tiny=()):
 
     def alone(b):
         pos = positions[b]
-        own_residual, own_jacobian = block_kernels(stack.problem, [pos])
+        kernels = block_kernels(stack.problem, [pos])
+        own_residual, own_jacobian = kernels.residual, kernels.jacobian
         own = {"residual": 0, "jacobian": 0}
 
         def r(x):
@@ -763,7 +789,8 @@ def _failing(stack, positions, singular=(), nonfinite=(), tiny=()):
 
         return r, j
 
-    return dataclasses.replace(stack, residual=residual, jacobian=jacobian), alone
+    kernels = Kernels(stack.kernels, residual_of=residual, jacobian_of=jacobian)
+    return dataclasses.replace(stack, kernels=kernels), alone
 
 
 def _sequential_error(prob, positions, u, settings, alone):
@@ -846,7 +873,7 @@ def test_overflow_resolve_leaves_every_other_step_as_alone():
     stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
     assert (stack.kl, stack.ku) == (1, 5)
     X = stack.gather(np.zeros(12))
-    entries, r = stack.jacobian(X), stack.residual(X)
+    entries, r = stack.kernels.jacobian(X), stack.kernels.residual(X)
     entries[_entry_ranges(stack)[2]] *= 1e-320
     lu, ipiv, _ = _band_lu(stack, entries)
     spilled = lapack.dgbtrs(lu, stack.kl, stack.ku, r, ipiv)[0]
@@ -901,20 +928,20 @@ def test_local_solve_error_carries_subdomain_and_residual_trail(
 
 
 def _counting(stack):
-    """The stack with its kernels counted, and the counts."""
-    calls = {"residual": 0, "jacobian": 0}
+    """The stack with its face passes and derivations counted, and the counts."""
+    calls = {"faces": 0, "residual_of": 0, "jacobian_of": 0}
 
     def counted(name):
-        kernel = getattr(stack, name)
+        piece = getattr(stack.kernels, name)
 
-        def call(X):
+        def call(arg):
             calls[name] += 1
-            return kernel(X)
+            return piece(arg)
 
         return call
 
-    return dataclasses.replace(stack, residual=counted("residual"),
-                               jacobian=counted("jacobian")), calls
+    kernels = Kernels(stack.kernels, **{name: counted(name) for name in calls})
+    return dataclasses.replace(stack, kernels=kernels), calls
 
 
 @pytest.mark.parametrize("make", [
@@ -922,8 +949,10 @@ def _counting(stack):
     lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1)),
 ], ids=["1d", "2d"])
 def test_sweep_cost_is_set_by_the_slowest_subdomain(make, monkeypatch):
-    # one stacked factorization per step of the slowest subdomain, and one
-    # residual evaluation more; the solved block is one Jacobian-kernel call
+    # one stacked factorization and one Jacobian derivation per step of the
+    # slowest subdomain, and one face pass and residual derivation more, so
+    # k inner steps make k + 1 face passes; the solved block is one face
+    # pass and one Jacobian derivation
     prob, lay = make()
     stack, calls = _counting(block_positions(prob, lay))
     factored = []
@@ -936,16 +965,17 @@ def test_sweep_cost_is_set_by_the_slowest_subdomain(make, monkeypatch):
     monkeypatch.setattr(local_solver_mod, "dgbtrf", counting_dgbtrf)
     for u in _states(prob, 51):
         del factored[:]
-        calls.update(residual=0, jacobian=0)
+        calls.update(faces=0, residual_of=0, jacobian_of=0)
         result = solve_local(stack, u, SETTINGS)
         steps = max(result.inner_counts)
         assert steps > 0
-        assert len(factored) == steps == calls["jacobian"]
-        assert calls["residual"] == steps + 1
+        assert len(factored) == steps == calls["jacobian_of"]
+        assert calls["faces"] == calls["residual_of"] == steps + 1
         assert set(factored) == {(2 * stack.kl + stack.ku + 1, stack.size)}
-        calls.update(jacobian=0)
+        calls.update(faces=0, residual_of=0, jacobian_of=0)
         local_jacobian(result.positions, result.X)
-        assert calls["jacobian"] == 1 and len(factored) == steps + 1
+        assert calls == {"faces": 1, "residual_of": 0, "jacobian_of": 1}
+        assert len(factored) == steps + 1
 
 
 def test_stacks_are_built_once_and_share_their_geometry():
@@ -957,3 +987,75 @@ def test_stacks_are_built_once_and_share_their_geometry():
     second = local_jacobian(positions, positions.gather(u + 1.0))
     assert first.positions is positions and second.positions is positions
     assert not any(getattr(positions, name).flags.writeable for name in _STACK_ARRAYS)
+
+
+def test_finite_residual_whose_norm_overflows_fails_as_an_overflow():
+    # |r| reaches 1.07e162, which is finite, but r * r overflows: the block
+    # fails with a reason that says so, and no overflow warning escapes
+    prob, lay = smooth_forchheimer(40, beta=0.0), build_1d_layout(40, 4, 1)
+    u = 1e160 * (-1.0) ** np.arange(40)
+    assert np.isfinite(prob.residual(u)).all()
+    with pytest.raises(LocalSolveError) as caught:
+        solve_local(block_positions(prob, lay), u, SETTINGS)
+    assert str(caught.value) == (
+        "subdomain 0: inner Newton's residual is finite, but its norm overflowed")
+    assert caught.value.residuals == (np.inf,)
+
+
+def _checking_sweeps(monkeypatch):
+    """Make every system's sweep check solve_local against the two-call loop.
+
+    Each sweep must give the oracle's X, correction and counts bit for bit,
+    or raise its error, with the same reason and trail.  Returns the list
+    of checked sweeps' outcomes.
+    """
+    checked = []
+
+    def sweep(positions, u, settings):
+        try:
+            want = two_call_solve_local(positions, u, settings)
+        except LocalSolveError as exc:
+            with pytest.raises(LocalSolveError) as caught:
+                solve_local(positions, u, settings)
+            got = caught.value
+            assert (str(got), got.subdomain) == (str(exc), exc.subdomain)
+            assert (np.array(got.residuals).tobytes()
+                    == np.array(exc.residuals).tobytes())
+            checked.append(str(exc))
+            raise
+        got = solve_local(positions, u, settings)
+        assert got.X.tobytes() == want.X.tobytes()
+        assert got.correction.tobytes() == want.correction.tobytes()
+        assert got.inner_counts == want.inner_counts
+        checked.append(got.inner_counts)
+        return got
+
+    monkeypatch.setattr(precond_mod, "sweep_locals", sweep)
+    return checked
+
+
+def test_sweeps_match_the_two_call_loop_along_the_fp_sweep_trajectory(monkeypatch):
+    # perfbench's fp-sweep: its RASPEN1 fixed point takes 451 sweeps and
+    # 8,044 inner iterations
+    checked = _checking_sweeps(monkeypatch)
+    prob, lay = smooth_forchheimer(100, 1.0, L=1.0), build_1d_layout(100, 8, 3)
+    u0 = 0.5 * np.sin(40 * np.pi * (np.arange(100) + 0.5) / 100.0)
+    run = fixed_point_solve(PreconditionedSystem("RASPEN1", prob, lay), u0)
+    assert run.converged and len(checked) == 451
+    assert sum(map(sum, checked)) == 8044
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sweeps_match_the_two_call_loop_on_the_rough_fields(seed, monkeypatch):
+    # rough-sweep's fields and layout, with each run's failures compared too
+    checked = _checking_sweeps(monkeypatch)
+    lay = build_1d_layout(240, 8, 2)
+    for beta in (0.0, 1.0, 100.0):
+        prob = hard_forchheimer(240, beta, seed)
+        u0 = prob.initial_state()
+        for kind in KINDS:
+            system = PreconditionedSystem(kind, prob, lay)
+            outer_newton(system, u0, u_ref=u0)
+            fixed_point_solve(system, u0, max_steps=10, u_ref=u0)
+    # every seed has sweeps that converge and sweeps that fail
+    assert {type(outcome) for outcome in checked} == {tuple, str}

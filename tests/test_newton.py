@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from oracles import Repatterned, default_order_newton, plain_newton
+from oracles import Kernels, Repatterned, default_order_newton, plain_newton
 
 import raspen.local_solver as local_solver_mod
 import raspen.newton as newton_mod
@@ -244,22 +244,23 @@ def _failing_sweep(system, kernel, fail_from):
     """Make subdomain 1's kernel output fail from the fail_from-th call on.
 
     kernel "jacobian" zeros subdomain 1's entries (a singular block),
-    "residual" turns its rows into nan.
+    "residual" turns its rows into nan; each is derived from a face pass.
     """
     stack = system._positions
     rows = slice(stack.block_starts[1], stack.block_starts[2])
     entries = slice(*stack.indptr[stack.block_starts[1:3]])
     calls = [0]
 
-    def failing(X):
+    def failing(faces):
         calls[0] += 1
-        out = getattr(stack, kernel)(X)
+        out = getattr(stack.kernels, f"{kernel}_of")(faces)
         if calls[0] >= fail_from:
             out[rows if kernel == "residual" else entries] *= (
                 np.nan if kernel == "residual" else 0.0)
         return out
 
-    system._positions = dataclasses.replace(stack, **{kernel: failing})
+    kernels = Kernels(stack.kernels, **{f"{kernel}_of": failing})
+    system._positions = dataclasses.replace(stack, kernels=kernels)
 
 
 @pytest.mark.parametrize("failure, message, trail", [

@@ -4,11 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import dense_darcy_system, plain_newton, schwarz_preconditioners
+from oracles import Kernels, dense_darcy_system, plain_newton, schwarz_preconditioners
 
+import raspen.coarse as coarse_mod
 import raspen.local_solver as local_solver_mod
 import raspen.precond as precond_mod
-from raspen.coarse import CoarseSolveError, coarse_space
+from raspen.coarse import CoarseSolveError, coarse_residual, coarse_space
 from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.local_solver import LocalSolveError, SolverSettings, block_positions
 from raspen.precond import KINDS, PreconditionedSystem
@@ -331,15 +332,16 @@ def test_actions_evaluate_one_jacobian_kernel_on_shared_geometry(make, kind, mod
     system = PreconditionedSystem(kind, prob, lay, SETTINGS, jacobian_mode=mode)
     stack, calls = system._positions, {"kernel": 0, "dgbtrf": 0}
 
-    def counted_kernel(X):
+    def counted_kernel(faces):
         calls["kernel"] += 1
-        return stack.jacobian(X)
+        return stack.kernels.jacobian_of(faces)
 
     def counted_dgbtrf(*args, dgbtrf=local_solver_mod.dgbtrf, **kwargs):
         calls["dgbtrf"] += 1
         return dgbtrf(*args, **kwargs)
 
-    system._positions = dataclasses.replace(stack, jacobian=counted_kernel)
+    system._positions = dataclasses.replace(
+        stack, kernels=Kernels(stack.kernels, jacobian_of=counted_kernel))
     monkeypatch.setattr(local_solver_mod, "dgbtrf", counted_dgbtrf)
     v = np.random.default_rng(44).standard_normal(prob.dof_count)
     blocks = []
@@ -364,9 +366,10 @@ def test_inexact_blocks_are_taken_at_the_gathered_state(kind):
 
     def recording(X):
         seen.append(X.copy())
-        return stack.jacobian(X)
+        return stack.kernels.faces(X)
 
-    system._positions = dataclasses.replace(stack, jacobian=recording)
+    system._positions = dataclasses.replace(
+        stack, kernels=Kernels(stack.kernels, faces=recording))
     u = prob.initial_state() + 0.1
     ev = system.residual(u)
     del seen[:]
@@ -403,9 +406,11 @@ def test_vectors_of_another_length_are_rejected(kind):
 def test_u0_star_cached():
     prob, lay = _forchheimer_setup()
     system = PreconditionedSystem("ASPIN2", prob, lay, SETTINGS)
-    star1 = system.u0_star
-    star2 = system.u0_star
-    assert star1 is star2
+    base1 = system.coarse_base
+    base2 = system.coarse_base
+    assert base1 is base2
+    space = coarse_space(prob, lay)
+    assert np.linalg.norm(coarse_residual(space, base1.correction)) <= SETTINGS.inner_tol
 
 
 @pytest.mark.parametrize("value", [1e308, np.nan], ids=["overflow", "nan"])
@@ -436,3 +441,21 @@ def test_nonfinite_direction_gives_a_nonfinite_action(kind):
     v[5] = np.nan
     assert not np.isfinite(system.jacobian_action(ev, v)).all()
     assert np.isfinite(system.jacobian_action(ev, np.ones(40))).all()
+
+
+def test_aspin2_evaluation_reuses_the_base_solves_factors(monkeypatch):
+    # the AS coarse correction starts at u_0* with the base solve's factors
+    # of J_0(u_0*): an evaluation assembles and factors one coarse Jacobian
+    # per coarse Newton step, none at its start
+    prob, lay = _forchheimer_setup()
+    system = PreconditionedSystem("ASPIN2", prob, lay, SETTINGS)
+    system.coarse_base
+    calls, jacobian = [], prob.jacobian
+    monkeypatch.setattr(prob, "jacobian", lambda w: calls.append(w) or jacobian(w))
+    factored, dgetrf = [], coarse_mod.dgetrf
+    monkeypatch.setattr(coarse_mod, "dgetrf", lambda J: factored.append(J) or dgetrf(J))
+    for u in (prob.initial_state() + 0.1, np.linspace(0.0, 1.0, 24)):
+        del calls[:], factored[:]
+        ev = system.residual(u)
+        assert ev.coarse_count >= 2
+        assert len(calls) == len(factored) == ev.coarse_count

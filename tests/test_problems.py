@@ -458,6 +458,22 @@ def test_residual_matches_sliced_sums_bit_for_bit(prob):
 # ------------------------------------------------------------ row kernels
 
 
+def _outputs(kernels, X):
+    """The residual and Jacobian rows of kernels at X, as bytes.
+
+    Both derive from one face pass, the Jacobian first, and each must equal
+    the kernels' own residual(X) and jacobian(X) bit for bit; deriving
+    either leaves the pass as it was.
+    """
+    faces = kernels.faces(X)
+    data = kernels.jacobian_of(faces).tobytes()
+    rows = kernels.residual_of(faces).tobytes()
+    assert kernels.jacobian_of(faces).tobytes() == data
+    assert rows == kernels.residual(X).tobytes()
+    assert data == kernels.jacobian(X).tobytes()
+    return rows, data
+
+
 def _check_row_kernels(prob, subdomains, rng):
     """Every subdomain's row kernels against the global evaluations, bit for bit."""
     positions = per_block_positions(prob, SimpleNamespace(subdomains=subdomains))
@@ -465,10 +481,9 @@ def _check_row_kernels(prob, subdomains, rng):
     for u in (rng.standard_normal(n), 1e3 * rng.standard_normal(n)):
         F, J = prob.residual(u), prob.jacobian(u)
         for pos in positions:
-            x = block_vector([pos], u)
-            residual_rows, jacobian_rows = block_kernels(prob, [pos])
-            assert residual_rows(x).tobytes() == F[pos.overlap].tobytes()
-            assert jacobian_rows(x).tobytes() == J.data[pos.rows].tobytes()
+            rows, data = _outputs(block_kernels(prob, [pos]), block_vector([pos], u))
+            assert rows == F[pos.overlap].tobytes()
+            assert data == J.data[pos.rows].tobytes()
 
 
 def test_row_kernels_1d_bit_identical_on_every_interval():
@@ -489,12 +504,11 @@ def test_row_kernels_1d_bit_identical_on_every_interval():
                     halo = np.array([c for c in (lo - 1, hi) if 0 <= c < M], dtype=int)
                     entries = local_entries(np.concatenate((cells, halo)),
                                             indices[indptr[lo]:indptr[hi]])
-                    residual_rows, jacobian_rows = prob.row_kernels(cells, entries)
+                    kernels = prob.row_kernels(cells, entries)
                     for u, F, J in states:
-                        x = u[np.concatenate((cells, halo))]
-                        assert residual_rows(x).tobytes() == F[lo:hi].tobytes()
-                        assert (jacobian_rows(x).tobytes()
-                                == J.data[J.indptr[lo]:J.indptr[hi]].tobytes())
+                        rows, data = _outputs(kernels, u[np.concatenate((cells, halo))])
+                        assert rows == F[lo:hi].tobytes()
+                        assert data == J.data[J.indptr[lo]:J.indptr[hi]].tobytes()
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 6), (6, 1), (2, 6), (6, 4),
@@ -517,18 +531,16 @@ def _check_stacked_row_kernels(prob, layout, rng):
     output must equal the global rows.
     """
     stack, positions = block_positions(prob, layout), per_block_positions(prob, layout)
-    sets = [(positions, (stack.residual, stack.jacobian))]
+    sets = [(positions, stack.kernels)]
     for chosen in (positions[::-1], positions[::2]):
         sets.append((chosen, block_kernels(prob, chosen)))
     n = prob.dof_count
     for u in (rng.standard_normal(n), 1e3 * rng.standard_normal(n)):
         F, J = prob.residual(u), prob.jacobian(u)
-        for chosen, (residual_rows, jacobian_rows) in sets:
-            X = block_vector(chosen, u)
-            assert residual_rows(X).tobytes() == np.concatenate(
-                [F[p.overlap] for p in chosen]).tobytes()
-            assert jacobian_rows(X).tobytes() == np.concatenate(
-                [J.data[p.rows] for p in chosen]).tobytes()
+        for chosen, kernels in sets:
+            rows, data = _outputs(kernels, block_vector(chosen, u))
+            assert rows == np.concatenate([F[p.overlap] for p in chosen]).tobytes()
+            assert data == np.concatenate([J.data[p.rows] for p in chosen]).tobytes()
 
 
 @pytest.mark.parametrize("M", [1, 2, 9, 17, 40])
@@ -580,9 +592,7 @@ def test_row_kernels_bit_identical_on_shuffled_and_repeated_rows(prob):
         want_data = np.concatenate(
             [J.data[J.indptr[r]:J.indptr[r + 1]] for r in rows]).tobytes()
         for X, at in ((u, entries), (u[perm], local_entries(perm, entries))):
-            residual_rows, jacobian_rows = prob.row_kernels(rows, at)
-            assert residual_rows(X).tobytes() == want_rows
-            assert jacobian_rows(X).tobytes() == want_data
+            assert _outputs(prob.row_kernels(rows, at), X) == (want_rows, want_data)
 
 
 @pytest.mark.parametrize("prob", _KERNEL_PROBLEMS, ids=_KERNEL_IDS)
@@ -594,3 +604,29 @@ def test_row_kernels_reject_entries_off_the_pattern(prob):
     for wrong in (entries[1:], np.append(entries, 0), J.indices):
         with pytest.raises(ValueError, match="pattern"):
             prob.row_kernels(rows, wrong)
+
+
+@pytest.mark.parametrize("prob", _KERNEL_PROBLEMS, ids=_KERNEL_IDS)
+def test_all_rows_face_pass_gives_the_global_evaluations(prob):
+    rng = np.random.default_rng(38)
+    n = prob.dof_count
+    kernels = prob.row_kernels(np.arange(n), prob.pattern.indices)
+    for u in (rng.standard_normal(n), 1e3 * rng.standard_normal(n)):
+        assert _outputs(kernels, u) == (prob.residual(u).tobytes(),
+                                        prob.jacobian(u).data.tobytes())
+
+
+@pytest.mark.parametrize("M", [1, 2, 13, 40])
+def test_1d_face_pass_computes_each_face_once(M):
+    # all rows hold the mesh's M + 1 faces; a stack holds m_i + 1 per block,
+    # its blocks' overlaps sharing no face
+    prob = smooth_forchheimer(M, beta=1.0)
+    u = np.linspace(0.0, 1.0, M)
+    gradients, _ = prob.row_kernels(np.arange(M), prob.pattern.indices).faces(u)
+    assert len(gradients) == M + 1
+    for I in range(1, M + 1):
+        for k in range(min(3, M // I) + 1):
+            layout = build_1d_layout(M, I, k)
+            stack = block_positions(prob, layout)
+            gradients, _ = stack.kernels.faces(stack.gather(u))
+            assert len(gradients) == stack.size + layout.n_subdomains
