@@ -18,21 +18,15 @@ and return every way a run ends as a RunResult: a subdomain or coarse
 solve failure ends it with that SolveError as its failure, never raised.
 
 Errors in the ledger are relative l1 distances to a reference iterate,
-which callers usually obtain from reference_solution(): a tight-tolerance
-direct Newton solve, falling back to continuation in beta when the cold
-start diverges.
+which callers usually obtain from reference_solution(): flux integration
+in 1D, tight-tolerance direct Newton otherwise.
 
 Direct Newton chooses SuperLU's column order once per run, from the
-problem's pattern: COLAMD, SuperLU's default, when the pattern's bandwidth
-is at most 1 (every 1D problem), and minimum degree on A^T + A, the order
-SuperLU recommends for structurally symmetric matrices, otherwise.  A
-tridiagonal factor fills in no order, so another order gains nothing in
-1D, and the rough-field references sit at the roundoff floor, where the
-order's rounding decides them: over hard_forchheimer(240, beta, seed),
-seeds 1-3 and beta 0, 1, 10 and 100, 4 of the 12 references fail with
-COLAMD, and NATURAL, MMD_AT_PLUS_A and MMD_ATA each fail seed 2 at
-beta = 10 as well.  On the 64 x 64 diffusion Jacobian minimum degree
-fills L + U with 126,532 entries against COLAMD's 220,624.
+problem's pattern: COLAMD, SuperLU's default, at bandwidth at most 1 (every
+1D problem, whose tridiagonal factor fills in no order), and otherwise
+minimum degree on A^T + A, the order SuperLU recommends for structurally
+symmetric matrices: on the 64 x 64 diffusion Jacobian it fills L + U with
+126,532 entries against COLAMD's 220,624.
 """
 
 from dataclasses import dataclass, field, replace
@@ -56,10 +50,8 @@ __all__ = [
 ]
 
 DIVERGENCE_ERROR = 1e6
-# reference_solution's residual tolerance, and the fractions of the
-# problem's beta its continuation fallback solves for, in turn
+# the residual tolerance of reference_solution's direct Newton
 REFERENCE_TOL = 1e-12
-REFERENCE_BETAS = (0.0, 0.1, 0.2, 0.5, 1.0)
 
 
 def relative_l1_error(u, u_ref):
@@ -181,10 +173,8 @@ def outer_newton(system, u0, *, u_ref=None):
                       report.residual_history, ev)
         del ev
         if not report.converged and not reason:
-            reason = (
-                f"gmres stalled at outer iteration {updates} "
-                f"(relative residual {report.relative_residual:.3e})"
-            )
+            reason = (f"gmres stalled at outer iteration {updates} "
+                      f"(relative residual {report.relative_residual:.3e})")
         u = u + delta
         updates += 1
     return RunResult(u, ledger, False, updates,
@@ -205,9 +195,8 @@ def fixed_point_solve(system, u0, *, max_steps=None, u_ref=None):
     reference_solution(system.problem).  max_steps, when given, replaces
     settings.max_fixed_point.
     """
-    settings = system.settings
-    if max_steps is not None:
-        settings = replace(settings, max_fixed_point=max_steps)
+    settings = system.settings if max_steps is None else replace(
+        system.settings, max_fixed_point=max_steps)
     max_steps = settings.max_fixed_point
     if u_ref is None:
         u_ref = reference_solution(system.problem, settings)
@@ -234,24 +223,6 @@ def fixed_point_solve(system, u0, *, max_steps=None, u_ref=None):
                      f"error {ledger.error[-1]:.3e} after {max_steps} steps")
 
 
-def _ladder(betas, u0, solve):
-    """continuation_solve's beta ladder, with solve(beta, u) as its stage run."""
-    betas = list(betas)
-    if not betas:
-        raise ValueError("betas must be nonempty")
-    if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-        raise ValueError("betas must be strictly increasing")
-    runs = []
-    u = np.asarray(u0, dtype=float)
-    for beta in betas:
-        run = solve(beta, u)
-        runs.append(run)
-        if not run.converged:
-            break
-        u = run.u
-    return runs
-
-
 def continuation_solve(system_factory, betas, u0, *, u_ref=None):
     """Chain outer_newton runs over increasing beta with warm starts.
 
@@ -259,8 +230,16 @@ def continuation_solve(system_factory, betas, u0, *, u_ref=None):
     RunResults, one per beta, stopping at the first beta whose run does
     not converge (that run, a failed one included, ends the list).
     """
-    return _ladder(betas, u0, lambda beta, u: outer_newton(
-        system_factory(beta), u, u_ref=u_ref))
+    betas = list(betas)
+    if not betas or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
+        raise ValueError("betas must be nonempty and strictly increasing")
+    runs, u = [], np.asarray(u0, dtype=float)
+    for beta in betas:
+        runs.append(outer_newton(system_factory(beta), u, u_ref=u_ref))
+        if not runs[-1].converged:
+            break
+        u = runs[-1].u
+    return runs
 
 
 def direct_newton(problem, u0, settings=None, u_ref=None):
@@ -332,28 +311,17 @@ def _first_step(problem, J, rhs):
 
 
 def reference_solution(problem, settings=None):
-    """Tight-tolerance discrete reference solution of F(u) = 0.
+    """The discrete solution of F(u) = 0 that errors are measured against.
 
-    Plain Newton to a residual of REFERENCE_TOL from the problem's
-    cold-start iterate; if that diverges on a Forchheimer problem, retries
-    by continuation, solving for the REFERENCE_BETAS ladder (scaled to end
-    at the problem's beta) and warm-starting each stage.  A failure raises
-    SolveError.
+    problem.discrete_solution() if it has one (flux integration in 1D), else
+    plain Newton from initial_state() to ||F|| <= REFERENCE_TOL, or SolveError.
     """
+    if hasattr(problem, "discrete_solution"):
+        return problem.discrete_solution()
     settings = settings or SolverSettings()
     strict = replace(settings, outer_tol=REFERENCE_TOL,
                      max_outer=max(settings.max_outer, 100))
     run = direct_newton(problem, problem.initial_state(), strict)
-    if run.converged:
-        return run.u
-    beta = getattr(problem, "beta", None)
-    if beta is None or beta <= 0:
+    if not run.converged:
         raise SolveError(f"reference Newton failed: {run.reason}")
-    betas = sorted({min(f * beta, beta) for f in REFERENCE_BETAS})
-    runs = _ladder(betas, problem.initial_state(), lambda b, u: direct_newton(
-        type(problem)(problem.lambda_field, problem.source, b, L=problem.L,
-                      dirichlet=problem.dirichlet), u, strict))
-    if not runs[-1].converged:
-        raise SolveError(f"reference continuation failed at "
-                         f"beta={betas[len(runs) - 1]}: {runs[-1].reason}")
-    return runs[-1].u
+    return run.u

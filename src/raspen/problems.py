@@ -19,6 +19,8 @@ cell by cell.
 import numpy as np
 import scipy.sparse as sp
 
+from .local_solver import SolveError
+
 __all__ = [
     "NonlinearProblem",
     "ForchheimerProblem1D",
@@ -33,6 +35,8 @@ __all__ = [
 
 # below this the Darcy limit q(g)=g is used verbatim
 DARCY_THRESHOLD = 1e-12
+# the residual norm ForchheimerProblem1D.discrete_solution must reach
+DISCRETE_RESIDUAL = 1e-10
 
 
 class NonlinearProblem:
@@ -188,8 +192,7 @@ def build_transmissibilities(lambda_field, h):
         raise ValueError("cell size must be positive and finite")
     T = np.empty(len(lam) + 1)
     T[1:-1] = 1.0 / (h / (2.0 * lam[:-1]) + h / (2.0 * lam[1:]))
-    T[0] = 2.0 * lam[0] / h
-    T[-1] = 2.0 * lam[-1] / h
+    T[[0, -1]] = 2.0 * lam[[0, -1]] / h
     return T
 
 
@@ -230,6 +233,35 @@ class ForchheimerProblem1D(NonlinearProblem):
                           _ForchheimerRows)
 
     residual, jacobian = NonlinearProblem.residual, NonlinearProblem.jacobian
+
+    def discrete_solution(self):
+        """The u with residual(u) = 0, by integrating the face fluxes.
+
+        Face f carries the flux phi_f = c + S_f, S_f the sources left of f,
+        and the drop (phi_f + beta phi_f |phi_f|) / T_f, which q inverts.
+        c, where the drops sum to d0 - d1, is bisected to adjacent floats,
+        from where max(phi), and min(phi), is q((d0 - d1) / sum(1 / T)); u
+        is d0 less the cumulative drops at the end whose sum is nearer.
+        SolveError if the bracket ends non-finite or ||F(u)|| > DISCRETE_RESIDUAL.
+        """
+        S, T = np.append(0.0, np.cumsum(self.source)), self.transmissibilities
+        beta = self.beta if self.beta > DARCY_THRESHOLD else 0.0
+        drop = self.dirichlet[0] - self.dirichlet[1]
+
+        def drops(c):
+            return (c + S) * (1.0 + beta * np.abs(c + S)) / T
+
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            mid = q_flux(drop / np.sum(1.0 / T), self.beta)
+            lo, hi = mid - S.max(), mid - S.min()
+            while lo < (c := 0.5 * (lo + hi)) < hi:
+                lo, hi = (c, hi) if drops(c).sum() < drop else (lo, c)
+            c = min((lo, hi), key=lambda c: abs(drops(c).sum() - drop))
+            u = self.dirichlet[0] - np.cumsum(drops(c)[:-1])
+            rnorm = np.linalg.norm(self.residual(u))
+        if not (np.isfinite([lo, hi]).all() and rnorm <= DISCRETE_RESIDUAL):
+            raise SolveError(f"flux integration: residual norm {rnorm:.3e}")
+        return u
 
 
 class _ForchheimerRows(_RowKernels):

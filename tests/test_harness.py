@@ -22,8 +22,8 @@ from raspen.harness import (
     reference_table_names,
     run_experiment,
 )
-from raspen.local_solver import LocalSolveError
-from raspen.newton import IterationLedger, RunResult
+from raspen.local_solver import LocalSolveError, SolveError
+from raspen.newton import IterationLedger, RunResult, reference_solution
 from raspen.precond import PreconditionedSystem
 from raspen.problems import DiffusionProblem2D, smooth_forchheimer
 
@@ -374,10 +374,15 @@ def test_summary_is_strict_json_with_non_finite_norms_named(tmp_path,
         "subdomain": 2, "residuals": [1.5, "inf", "nan"]}}
 
 
-def test_reference_failure_recorded_without_aborting(tmp_path):
-    # on this rough field the beta=0 reference stalls at the roundoff
-    # floor and the beta=1 continuation through beta=0 with it; their rows
-    # fail with the reason while the beta=10 rows still run
+def test_reference_failure_recorded_without_aborting(tmp_path, monkeypatch):
+    # a failed reference fails every row of its (mesh, beta) with its
+    # reason, while the rows of the other betas still run
+    def reference(problem, settings):
+        if problem.beta == 1.0:
+            raise SolveError("synthetic reference failure")
+        return reference_solution(problem, settings)
+
+    monkeypatch.setattr(harness_mod, "reference_solution", reference)
     config = config_from_dict({
         "mesh": "240", "subdomains": "8", "overlap": "2", "beta": "0,1,10",
         "field": "random", "seed": "2", "methods": "newton,raspen1",
@@ -386,18 +391,19 @@ def test_reference_failure_recorded_without_aborting(tmp_path):
     rows = run_experiment(config)
     assert [(r.method, r.beta) for r in rows] == [
         (m, b) for b in (0.0, 1.0, 10.0) for m in ("newton", "raspen1")]
-    for r in rows[:4]:
+    for r in rows[2:4]:
         assert not r.converged and r.ledger is None
-        assert r.reason.startswith(f"reference solution for mesh=240 "
-                                   f"beta={r.beta:g}: ")
+        assert r.reason == ("reference solution for mesh=240 beta=1: "
+                            "synthetic reference failure")
+    assert all(r.ledger is not None for r in rows[:2] + rows[4:])
     assert rows[5].converged
     text = (tmp_path / "ref" / "results.csv").read_text()
-    assert "newton,240,8,2,0,0,0,false" in text
+    assert "newton,240,8,2,1,0,0,false" in text
     assert "raspen1,240,8,2,1,0,0,false" in text
     reasons = json.loads((tmp_path / "ref" / "summary.json").read_text())[
         "reasons"]
-    assert "reference Newton failed" in reasons["raspen1_M240_I8_k2_beta0"]
-    assert "reference continuation failed" in reasons["newton_M240_I8_k2_beta1"]
+    assert "synthetic reference failure" in reasons["newton_M240_I8_k2_beta1"]
+    assert "synthetic reference failure" in reasons["raspen1_M240_I8_k2_beta1"]
 
 
 def _geometric_off_interface_mask(problem, layout):

@@ -17,6 +17,7 @@ from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.krylov import GmresReport
 from raspen.local_solver import LocalSolveError, SolveError, SolverSettings
 from raspen.newton import (
+    REFERENCE_TOL,
     IterationLedger,
     continuation_solve,
     direct_newton,
@@ -26,7 +27,12 @@ from raspen.newton import (
     relative_l1_error,
 )
 from raspen.precond import KINDS, PreconditionedSystem
-from raspen.problems import DiffusionProblem2D, hard_forchheimer, smooth_forchheimer
+from raspen.problems import (
+    DISCRETE_RESIDUAL,
+    DiffusionProblem2D,
+    hard_forchheimer,
+    smooth_forchheimer,
+)
 
 
 def _system(kind, M=60, I=6, k=2, beta=1.0, settings=None):
@@ -608,10 +614,13 @@ def test_direct_newton_ends_on_a_singular_jacobian():
 
 
 def test_reference_solution_of_a_singular_jacobian_raises_solve_error():
+    # the wrapper hides discrete_solution, so the reference is direct
+    # Newton's, and its failure is no subdomain failure
     prob = Repatterned(smooth_forchheimer(40, beta=1.0), _zero_row)
     with pytest.raises(SolveError, match="^reference Newton failed: "
-                                         "Newton step 0: singular Jacobian"):
+                                         "Newton step 0: singular Jacobian") as caught:
         reference_solution(prob)
+    assert not isinstance(caught.value, LocalSolveError)
 
 
 @pytest.mark.parametrize("make", [
@@ -624,21 +633,44 @@ def test_reference_solution_solves_problem(make):
     assert np.linalg.norm(prob.residual(u), np.inf) <= 1e-11
 
 
-@pytest.mark.parametrize("beta, reason", [
-    (0.0, "reference Newton failed: "),
-    (1.0, "reference continuation failed at beta=0.0: "),
-], ids=["newton", "continuation"])
-def test_reference_failure_is_no_subdomain_failure(beta, reason):
-    # on this rough field plain Newton stalls at the roundoff floor at
-    # beta = 0, so the beta = 1 continuation fails at its first stage
-    with pytest.raises(SolveError, match=f"^{reason}") as caught:
-        reference_solution(hard_forchheimer(240, beta=beta, seed=2))
+@pytest.mark.parametrize("beta", [1.0, 10.0, 100.0])
+def test_reference_solution_solves_a_rough_field(beta):
+    # undamped direct Newton cycles on this field at every beta
+    prob = hard_forchheimer(240, beta=beta, seed=4)
+    u = reference_solution(prob)
+    assert np.linalg.norm(prob.residual(u)) <= DISCRETE_RESIDUAL
+
+
+ROUGH_1D = [(seed, beta) for seed in (1, 2, 3) for beta in (0.0, 1.0, 10.0, 100.0)]
+
+
+@pytest.mark.parametrize("seed, beta", ROUGH_1D,
+                         ids=[f"seed{s}-beta{b:g}" for s, b in ROUGH_1D])
+def test_reference_solution_agrees_with_tight_direct_newton(seed, beta):
+    # where tight direct Newton converges (7 of these 12), it finds the
+    # same discrete solution
+    prob = hard_forchheimer(240, beta=beta, seed=seed)
+    u = reference_solution(prob)
+    assert np.linalg.norm(prob.residual(u)) <= DISCRETE_RESIDUAL
+    strict = SolverSettings(outer_tol=REFERENCE_TOL, max_outer=100)
+    run = direct_newton(prob, prob.initial_state(), strict)
+    if run.converged:
+        assert relative_l1_error(u, run.u) <= 1e-12
+
+
+@pytest.mark.parametrize("beta, dirichlet", [
+    (1.0, (0.0, 1e300)), (0.0, (0.0, 1e300)), (1.0, (-1e308, 1e308)),
+], ids=["drop-1e300", "darcy-drop-1e300", "drop-overflows"])
+def test_reference_solution_of_an_extreme_drop_ends(beta, dirichlet):
+    # the bisection ends, and a residual that overflows, or fails the
+    # bound at this scale, raises instead of warning or returning
+    prob = smooth_forchheimer(40, beta=beta, dirichlet=dirichlet)
+    with pytest.raises(SolveError, match="^flux integration: residual norm ") as caught:
+        reference_solution(prob)
     assert not isinstance(caught.value, LocalSolveError)
 
 
 # ------------------------------------------- direct Newton's elimination order
-
-ROUGH_1D = [(seed, beta) for seed in (1, 2, 3) for beta in (0.0, 1.0, 10.0, 100.0)]
 
 
 def _reference_or_reason(problem):
@@ -654,9 +686,9 @@ def _reference_or_reason(problem):
 ], ids=["smooth-800"] + [f"rough-seed{s}-beta{b:g}" for s, b in ROUGH_1D])
 def test_direct_newton_in_1d_is_the_default_order_bit_for_bit(make, monkeypatch):
     # a tridiagonal pattern keeps COLAMD's order, and every later step
-    # factors J(q, q) in it: the steps, the reference solutions, and the
-    # references that fail at the roundoff floor (4 of these 12 rough ones)
-    # with their reasons, are those of a fresh default-order factor per step
+    # factors J(q, q) in it: the steps are those of a fresh default-order
+    # factor per step, and the references, which in 1D take no Newton
+    # step, are the same under either
     problem = make()
     run = direct_newton(problem, problem.initial_state())
     oracle = default_order_newton(problem, problem.initial_state())

@@ -11,6 +11,7 @@ from oracles import block_kernels, block_vector, local_entries, per_block_positi
 from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.local_solver import block_positions
 from raspen.problems import (
+    DISCRETE_RESIDUAL,
     DiffusionProblem2D,
     ForchheimerProblem1D,
     build_transmissibilities,
@@ -154,6 +155,30 @@ def test_residual_vanishes_at_solution():
     prob = smooth_forchheimer(40, beta=1.0)
     u = _newton(prob, np.zeros(40))
     assert np.linalg.norm(prob.residual(u)) <= 1e-10
+
+
+def test_discrete_solution_of_darcy_flow_is_the_linear_solve():
+    # at beta = 0 the residual is affine, F(u) = F(0) + J u; below the
+    # Darcy threshold q is the identity, so the flux solve is beta = 0's
+    prob = hard_forchheimer(60, beta=0.0, seed=7)
+    u = prob.discrete_solution()
+    zero = np.zeros(60)
+    exact = spla.spsolve(prob.jacobian(zero).tocsc(), -prob.residual(zero))
+    assert np.linalg.norm(u - exact, 1) <= 1e-13 * np.linalg.norm(exact, 1)
+    below = hard_forchheimer(60, beta=1e-13, seed=7)
+    assert below.discrete_solution().tobytes() == u.tobytes()
+
+
+@pytest.mark.parametrize("prob", [
+    smooth_forchheimer(1, beta=1.0),
+    smooth_forchheimer(40, beta=10.0, dirichlet=(3.0, -2.0)),
+    ForchheimerProblem1D(np.ones(5), np.zeros(5), 1.0, dirichlet=(2.0, 2.0)),
+], ids=["one-cell", "reversed-drop", "no-flow"])
+def test_discrete_solution_solves_the_problem(prob):
+    u = prob.discrete_solution()
+    assert np.linalg.norm(prob.residual(u)) <= DISCRETE_RESIDUAL
+    if not prob.source.any():  # no flow: the Dirichlet value throughout
+        assert np.array_equal(u, np.full(prob.M, prob.dirichlet[0]))
 
 
 def test_darcy_manufactured_consistency():
