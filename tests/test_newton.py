@@ -614,12 +614,24 @@ def test_direct_newton_ends_on_a_singular_jacobian():
 
 
 def test_reference_solution_of_a_singular_jacobian_raises_solve_error():
-    # the wrapper hides discrete_solution, so the reference is direct
-    # Newton's, and its failure is no subdomain failure
+    # the wrapper hides discrete_solution, so the reference is direct Newton's
     prob = Repatterned(smooth_forchheimer(40, beta=1.0), _zero_row)
     with pytest.raises(SolveError, match="^reference Newton failed: "
-                                         "Newton step 0: singular Jacobian") as caught:
+                                         "Newton step 0: singular Jacobian"):
         reference_solution(prob)
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda: Repatterned(smooth_forchheimer(40, beta=1.0), _zero_row),
+     "reference Newton failed: "),
+    (lambda: smooth_forchheimer(40, beta=1.0, dirichlet=(-1e308, 1e308)),
+     "flux integration: "),
+], ids=["newton", "flux-integration"])
+def test_reference_failure_is_no_subdomain_failure(make, reason):
+    # both reference paths fail with a plain SolveError, never with the
+    # LocalSolveError that marks a subdomain failure
+    with pytest.raises(SolveError, match=f"^{reason}") as caught:
+        reference_solution(make())
     assert not isinstance(caught.value, LocalSolveError)
 
 
