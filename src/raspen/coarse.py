@@ -146,9 +146,12 @@ def _coarse_newton(space, start, rhs, settings, what, factors=None):
     J0, iterations = None, 0
     while True:
         r = coarse_residual(space, w) - rhs
-        rnorm = np.linalg.norm(r)
+        with np.errstate(over="ignore"):
+            rnorm = np.linalg.norm(r)
         if not np.isfinite(rnorm):
-            raise CoarseSolveError(f"{what}: coarse Newton produced non-finite values")
+            raise CoarseSolveError(f"{what}: " + (
+                "coarse Newton's residual is finite, but its norm overflowed"
+                if np.isfinite(r).all() else "coarse Newton produced non-finite values"))
         if rnorm > settings.inner_tol and iterations == settings.max_inner:
             raise CoarseSolveError(
                 f"{what}: coarse Newton did not reach {settings.inner_tol} "

@@ -25,13 +25,13 @@ residual derives; an iterate that steps also derives the Jacobian entries
 from it, fills the band and takes one dgbtrf/dgbtrs at the stack's
 bandwidths.  A step changes only X[:size], so a sweep costs
 O(sum_i m_i + M), not O(I M).  A subdomain whose residual norm reaches
-the tolerance is frozen: its band columns become the identity's and its
-right-hand side zero, so its step is exactly zero.  The band has the
-widest block's bandwidths; its blocks share no coupling, so band LU
-eliminates each exactly as it would alone, and every subdomain's values
-and count are bit for bit those of a solve of that subdomain alone.  For
-the same reason a block whose step overflows is solved again on the same
-band, with every other block the identity.
+the tolerance is frozen: it is left out of the band, and its step is
+exactly zero.  The band has the widest block's bandwidths; its blocks
+share no coupling, so the active blocks' band rows are a band too, band
+LU eliminates each block exactly as it would alone, and every
+subdomain's values and count are bit for bit those of a solve of that
+subdomain alone.  For the same reason a block whose step overflows is
+solved again on its own rows.
 _band_lu is the one place a band is filled and factored, from the
 Jacobian kernel's R_i J entries.
 
@@ -271,19 +271,17 @@ def block_positions(problem, layout):
                          ku=ku, halo=h, **stacked)
 
 
-def _band_lu(stack, entries, active=None):
+def _band_lu(stack, entries, rows=None):
     """dgbtrf's (lu, ipiv, info) of diag(A_ii), A_ii's entries among entries.
 
-    The blocks that active (one flag per block) does not mark are replaced
-    by the identity: band row c holds column c of A, and a block's columns
-    hold only its own entries.
+    rows, a mask of whole blocks' band rows, factors those blocks only:
+    band row c holds column c of A and the blocks share no coupling, so
+    their rows are a band at the stack's kl and ku, and info counts in it.
     """
     band = np.zeros((stack.size, 2 * stack.kl + stack.ku + 1))
     band.reshape(-1)[stack.slots] = entries[stack.block]
-    if active is not None and not np.logical_and.reduce(active):
-        diagonal = np.arange(band.shape[1]) == stack.kl + stack.ku
-        band[~np.repeat(active, stack.sizes)] = diagonal  # the identity's columns
-    return dgbtrf(band.T, stack.kl, stack.ku, overwrite_ab=True)
+    return dgbtrf((band if rows is None else band[rows]).T, stack.kl, stack.ku,
+                  overwrite_ab=True)
 
 
 def local_jacobian(positions, X):
@@ -318,32 +316,35 @@ def local_jacobian(positions, X):
 def _step(stack, entries, r, active, failures):
     """The Newton step of the active blocks, stacked; the others' is 0.
 
-    entries and r are the row kernels' output.  A block found singular
-    fails (failures maps blocks to their messages) and stops being active.
+    entries and r are the row kernels' output.  While a block is frozen,
+    only the active blocks' band rows are factored and solved (_band_lu).
+    A block found singular fails (failures maps blocks to their messages)
+    and stops being active; when none is left, the step is None.
     """
     while True:
-        lu, ipiv, info = _band_lu(stack, entries, active)
+        rows = None if np.logical_and.reduce(active) else np.repeat(active, stack.sizes)
+        lu, ipiv, info = _band_lu(stack, entries, rows)
         if info == 0:
             break
-        b = stack.block_of(info - 1)
+        b = stack.block_of(info - 1 if rows is None else np.flatnonzero(rows)[info - 1])
         failures[b] = "singular local Jacobian"
         active[b] = False
-    rhs = r if np.logical_and.reduce(active) else np.where(
-        np.repeat(active, stack.sizes), r, 0.0)
-    step = dgbtrs(lu, stack.kl, stack.ku, rhs, ipiv)[0]
+    if not np.logical_or.reduce(active):
+        return None
+    if rows is None:
+        step = dgbtrs(lu, stack.kl, stack.ku, r, ipiv)[0]
+    else:
+        step = np.zeros(stack.size)
+        step[rows] = dgbtrs(lu, stack.kl, stack.ku, r[rows], ipiv)[0]
     if not np.logical_and.reduce(np.isfinite(step)):
         # 0 * inf spills a non-finite step into the blocks the band pads
-        # next to it: frozen blocks keep still, and every other block with
-        # a non-finite entry is solved again on the band with every other
-        # block the identity, which eliminates it exactly as alone
-        step[~np.repeat(active, stack.sizes)] = 0.0
+        # next to it: every block with a non-finite entry is solved again
+        # on its own rows, which eliminates it exactly as alone
         finite = np.logical_and.reduceat(np.isfinite(step), stack.block_starts)
         for b in np.flatnonzero(~finite):
-            alone = np.arange(len(active)) == b
-            lu, ipiv, _ = _band_lu(stack, entries, alone)
-            rows = np.repeat(alone, stack.sizes)
-            step[rows] = dgbtrs(lu, stack.kl, stack.ku, np.where(rows, r, 0.0),
-                                ipiv)[0][rows]
+            rows = np.repeat(np.arange(len(active)) == b, stack.sizes)
+            lu, ipiv, _ = _band_lu(stack, entries, rows)
+            step[rows] = dgbtrs(lu, stack.kl, stack.ku, r[rows], ipiv)[0]
     return step
 
 

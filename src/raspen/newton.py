@@ -266,7 +266,8 @@ def direct_newton(problem, u0, settings=None, u_ref=None):
     ordered = None  # from the first step: q and J(q, q)'s CSC layout and gather
     for _ in range(settings.max_outer):
         r = problem.residual(u)
-        rnorm = np.linalg.norm(r)
+        with np.errstate(over="ignore"):  # a finite r's norm can overflow: diverged
+            rnorm = np.linalg.norm(r)
         if rnorm <= settings.outer_tol:
             ledger.record(0, _error_of(u, u_ref), rnorm)
             return RunResult(u, ledger, True, updates, "")

@@ -327,6 +327,28 @@ def test_coarse_nonfinite_start_error(what, value):
         solve(SETTINGS)
 
 
+def _overflowing_space():
+    """A coarse space whose coarse residual at zero is finite, up to 4.8e300,
+    but whose norm overflows: u(L) = 1e300."""
+    prob = smooth_forchheimer(40, beta=0.0, dirichlet=(0.0, 1e300))
+    return coarse_space(prob, build_1d_layout(40, 4, 1))
+
+
+def test_fas_correction_residual_whose_norm_overflows_fails_as_an_overflow():
+    # no overflow warning escapes, and the reason says what overflowed
+    with pytest.raises(CoarseSolveError, match="^FAS coarse correction: coarse "
+                       "Newton's residual is finite, but its norm overflowed$"):
+        fas_correction(_overflowing_space(), np.zeros(40), SETTINGS)
+
+
+def test_coarse_base_solve_residual_whose_norm_overflows_fails_as_an_overflow():
+    space = _overflowing_space()
+    assert np.isfinite(coarse_residual(space, np.zeros(4))).all()
+    with pytest.raises(CoarseSolveError, match="^coarse base solve: coarse "
+                       "Newton's residual is finite, but its norm overflowed$"):
+        aspin_coarse_setup(space, SETTINGS)
+
+
 @pytest.mark.parametrize("what", ["FAS coarse correction", "AS coarse correction"])
 def test_coarse_newton_evaluates_one_jacobian_per_iterate(what, monkeypatch):
     # the AS correction's start is u_0*, whose Jacobian the base solve

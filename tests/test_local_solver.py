@@ -15,7 +15,6 @@ from oracles import (
     block_vector,
     brute_frozen_newton,
     dense_darcy_system,
-    masked_band_lu,
     per_block_action,
     per_block_positions,
     plain_newton,
@@ -82,6 +81,16 @@ def _band_to_dense(ab, kl, ku):
         for r in range(max(0, c - ku), min(m, c + kl + 1)):
             A[r, c] = ab[kl + ku + r - c, c]
     return A
+
+
+def _dense_to_band(A, kl, ku):
+    """LAPACK band storage of the square matrix A (A[r, c] at kl+ku+r-c, c)."""
+    m = A.shape[0]
+    ab = np.zeros((2 * kl + ku + 1, m))
+    for c in range(m):
+        for r in range(max(0, c - ku), min(m, c + kl + 1)):
+            ab[kl + ku + r - c, c] = A[r, c]
+    return ab
 
 
 def test_settings_validation():
@@ -663,19 +672,32 @@ def _states(prob, seed):
 
 @pytest.mark.parametrize("name", _LAYOUTS)
 def test_frozen_blocks_factor_as_the_masked_band(name):
-    # a frozen block's band rows are zeroed and their diagonal set to 1.0:
-    # the factors are those of the band whose inactive entries are masked
-    # to 0.0 one by one, bit for bit, for any set of frozen blocks
+    # the band masked to the active blocks' rows factors, block by block, as
+    # each active block alone at the stack's kl and ku, bit for bit: its
+    # columns of lu are the block's own factors and its pivots the block's
+    # own, offset by the block's start in the masked band
     prob, lay = _LAYOUTS[name]()
     stack, n = block_positions(prob, lay), lay.n_subdomains
     entries = stack.kernels.jacobian(stack.gather(_states(prob, 53)[1]))
+    rows = sp.csr_matrix((entries, stack.columns, stack.indptr),
+                         shape=(stack.size, prob.dof_count)).toarray()
+    A = _block_diagonal(lay, rows)
     rng = np.random.default_rng(53)
     for active in (np.ones(n, bool), np.zeros(n, bool), np.arange(n) % 2 == 0,
                    rng.random(n) < 0.5, np.arange(n) == n - 1):
-        lu, ipiv, info = _band_lu(stack, entries, active.copy())
-        want_lu, want_ipiv, want_info = masked_band_lu(stack, entries, active)
-        assert lu.tobytes() == want_lu.tobytes()
-        assert ipiv.tobytes() == want_ipiv.tobytes() and info == want_info == 0
+        lu, ipiv, info = _band_lu(stack, entries, np.repeat(active, stack.sizes))
+        assert info == 0
+        assert lu.shape == (2 * stack.kl + stack.ku + 1, stack.sizes[active].sum())
+        at = 0
+        for b in np.flatnonzero(active):
+            own = _row_range(stack, b)
+            own_lu, own_ipiv, own_info = lapack.dgbtrf(
+                _dense_to_band(A[own][:, own], stack.kl, stack.ku), stack.kl, stack.ku)
+            assert own_info == 0
+            part = slice(at, at + len(own))
+            assert lu[:, part].tobytes() == own_lu.tobytes()
+            assert ipiv[part].tobytes() == (own_ipiv + at).tobytes()
+            at = part.stop
 
 
 @pytest.mark.parametrize("name", _LAYOUTS)
@@ -829,6 +851,23 @@ def test_first_failure_in_subdomain_order_is_raised(faults, settings, named):
     assert caught.value.subdomain == named
 
 
+def test_singular_block_among_frozen_ones_is_named_by_its_own_rows():
+    # subdomains 0-2 take four steps and subdomain 3 a fifth, alone in the
+    # band; its block turns singular there, so dgbtrf's pivot counts in the
+    # band of its rows only and must map back to subdomain 3, not 0
+    prob, lay = smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 4, 2)
+    stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
+    u = np.zeros(40)
+    assert solve_local(stack, u, SETTINGS).inner_counts == (4, 4, 4, 5)
+    failing, alone = _failing(stack, positions, singular={3: 5})
+    want = _sequential_error(prob, positions, u, SETTINGS, alone)
+    assert str(want) == "subdomain 3: singular local Jacobian"
+    with pytest.raises(LocalSolveError) as caught:
+        solve_local(failing, u, SETTINGS)
+    assert str(caught.value) == str(want)
+    assert caught.value.subdomain == 3
+
+
 def test_overflowing_step_spills_into_no_other_subdomain():
     # subdomain 2's block is scaled to 1e-320 at its second step, so that
     # step overflows; in the band, 0 * inf would turn the padded neighbours'
@@ -867,8 +906,7 @@ def test_nonfinite_start_residual_fails_its_subdomain(value):
 def test_overflow_resolve_leaves_every_other_step_as_alone():
     # block 2's entries scaled to 1e-320 make its step overflow; in the band,
     # padded to block 1's upper bandwidth 5, 0 * inf spills into its
-    # neighbours, so each non-finite block is solved again on the band with
-    # every other block the identity
+    # neighbours, so each non-finite block is solved again on its own rows
     prob, lay = _LAYOUTS["1d-wide-band"]()
     stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
     assert (stack.kl, stack.ku) == (1, 5)
@@ -971,11 +1009,18 @@ def test_sweep_cost_is_set_by_the_slowest_subdomain(make, monkeypatch):
         assert steps > 0
         assert len(factored) == steps == calls["jacobian_of"]
         assert calls["faces"] == calls["residual_of"] == steps + 1
-        assert set(factored) == {(2 * stack.kl + stack.ku + 1, stack.size)}
+        # step k factors the band rows of the blocks still active, those
+        # of the subdomains taking at least k steps; so the sweep factors
+        # sum_b sizes[b] * inner_counts[b] columns, not steps * size
+        counts = np.array(result.inner_counts)
+        assert factored == [(2 * stack.kl + stack.ku + 1, stack.sizes[counts >= k].sum())
+                            for k in range(1, steps + 1)]
+        assert sum(m for _, m in factored) == stack.sizes @ counts
         calls.update(faces=0, residual_of=0, jacobian_of=0)
         local_jacobian(result.positions, result.X)
         assert calls == {"faces": 1, "residual_of": 0, "jacobian_of": 1}
         assert len(factored) == steps + 1
+        assert factored[-1] == (2 * stack.kl + stack.ku + 1, stack.size)
 
 
 def test_stacks_are_built_once_and_share_their_geometry():

@@ -781,3 +781,13 @@ def test_direct_newton_ends_on_a_jacobian_singular_at_a_later_step():
     assert run.reason == f"Newton step 1: {run.failure}"
     assert str(run.failure).startswith("singular Jacobian (")
     assert len(run.ledger) == 1 and run.ledger.LS_total == 1
+
+
+def test_direct_newton_ends_a_residual_whose_norm_overflows_as_diverged():
+    # u(L) = 1e300 makes F(0) finite, up to 4.8e300, but its norm overflows:
+    # the run ends diverged, and no overflow warning escapes
+    prob = smooth_forchheimer(40, beta=0.0, dirichlet=(0.0, 1e300))
+    assert np.isfinite(prob.residual(np.zeros(40))).all()
+    run = direct_newton(prob, np.zeros(40))
+    assert not run.converged and run.reason == "diverged"
+    assert run.outer_iterations == 0 and run.ledger.residual_norm == [np.inf]
