@@ -14,7 +14,9 @@ X = (w[layout.cells], w) at a state w: an entry whose column lies in its
 block's overlap reads that block's stacked row, every other entry the
 frozen exterior, the state itself, at size + column.  It also holds where
 the entries of A_ii = R_i J P_i go in the LAPACK band storage of
-diag(A_ii), and, on a halo stack (below), the halo response pattern.
+diag(A_ii), on a tridiagonal stack (bandwidths at most 1, every 1D one)
+where they sit on its three diagonals, and, on a halo stack (below), the
+halo response pattern.
 Every solve and block function takes a PositionStack.
 
 The sweep.  solve_local solves all subdomains together and returns one
@@ -22,18 +24,17 @@ LocalSolveResult: the stack, X at each u^(i) = u + P_i C_i(u), the
 corrections and each subdomain's inner Newton count, but no derivative
 data.  Every iterate is one face pass of the row kernels, from which the
 residual derives; an iterate that steps also derives the Jacobian entries
-from it, fills the band and takes one dgbtrf/dgbtrs at the stack's
-bandwidths.  A step changes only X[:size], so a sweep costs
-O(sum_i m_i + M), not O(I M).  A subdomain whose residual norm reaches
-the tolerance is frozen: it is left out of the band, and its step is
-exactly zero.  The band has the widest block's bandwidths; its blocks
-share no coupling, so the active blocks' band rows are a band too, band
-LU eliminates each block exactly as it would alone, and every
-subdomain's values and count are bit for bit those of a solve of that
-subdomain alone.  For the same reason a block whose step overflows is
-solved again on its own rows.
-_band_lu is the one place a band is filled and factored, from the
-Jacobian kernel's R_i J entries.
+from it and solves diag(A_ii) in one LAPACK call on a tridiagonal stack,
+dgtsv on the three diagonals, else in dgbtrf/dgbtrs of the band that
+_band_lu fills at the widest block's bandwidths.  A step changes only
+X[:size], so a sweep costs O(sum_i m_i + M), not O(I M).  A subdomain
+whose residual norm reaches the tolerance is frozen: its rows are left
+out of the solve, and its step is exactly zero.  The blocks share no
+coupling, so the active blocks' rows are a tridiagonal or band matrix
+too, either solver eliminates each block exactly as it would alone, and
+every subdomain's values and count are bit for bit those of a solve of
+that subdomain alone by the same solver.  For the same reason a block
+whose step overflows is solved again on its own rows.
 
 The derivatives.  local_jacobian builds a LocalJacobian from one
 Jacobian-kernel call and one dgbtrf at the X it is given: at a sweep's
@@ -54,8 +55,8 @@ and the band LU solve.  Where dgbtrf swapped no rows, that solve is two
 triangular band solves (dtbsv), L from one copy of the multiplier rows
 made per LocalJacobian and U read in place: dgbtrs's arithmetic bit for
 bit, without its rank-1 update per column of L.  Factors with an
-interchange keep dgbtrs.  The sweep's steps keep dgbtrs too: each of
-their factorizations serves one solve, which the copy would not repay.
+interchange keep dgbtrs.  A band stack's sweep steps keep dgbtrs too: each
+of their factorizations serves one solve, which the copy would not repay.
 """
 
 from dataclasses import dataclass, field
@@ -63,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv
 
 __all__ = [
     "SolverSettings",
@@ -77,6 +78,7 @@ __all__ = [
     "local_jacobian",
     "local_correction_jacobian_action",
     "sweep_locals",
+    "tridiagonal_solve",
 ]
 
 
@@ -151,7 +153,9 @@ class PositionStack:
     bandwidths kl and ku, the largest of the blocks': the stacked entries
     at block go to the flat indices slots of a C-order (rows, 2*kl+ku+1)
     array, whose transpose is LAPACK's band storage (A[r, c] at row
-    kl+ku+r-c of column c).  A
+    kl+ku+r-c of column c).  If kl and ku are at most 1, diagonals[k, r]
+    is where A's entry (r, r + k - 1) sits among the entries, or past
+    their end, where it is 0 (tridiagonal_solve's index).  A
     block's halo cells are the columns outside its overlap, at most halo
     of them.  If halo <= kl + ku, the entries at outside go to halo_slots
     of a C-order (halo, rows) array, a block's halo cells in column order,
@@ -172,6 +176,7 @@ class PositionStack:
     kl: int
     ku: int
     halo: int
+    diagonals: np.ndarray = field(default=None, repr=False)
     outside: np.ndarray = field(default=None, repr=False)
     halo_slots: np.ndarray = field(default=None, repr=False)
     response_columns: np.ndarray = field(default=None, repr=False)
@@ -252,6 +257,10 @@ def block_positions(problem, layout):
     stacked = dict(
         sizes=sizes, block_starts=block_starts, columns=columns, indptr=indptr,
         block=block, slots=col * (2 * kl + ku + 1) + kl + ku + offset)
+    if kl <= 1 and ku <= 1:
+        diagonals = np.full((3, size), len(columns))
+        diagonals[1 - offset, entry_row[block]] = block
+        stacked.update(diagonals=diagonals)
     if h <= kl + ku:  # building Z then costs less than the actions' solves
         first, per_row = np.cumsum(halos) - halos, halos[row_block]
         r = np.repeat(np.arange(size), per_row)  # row r's j-th halo cell
@@ -271,7 +280,7 @@ def block_positions(problem, layout):
                          ku=ku, halo=h, **stacked)
 
 
-def _band_lu(stack, entries, rows=None):
+def _band_lu(stack, entries, rows=slice(None)):
     """dgbtrf's (lu, ipiv, info) of diag(A_ii), A_ii's entries among entries.
 
     rows, a mask of whole blocks' band rows, factors those blocks only:
@@ -280,8 +289,7 @@ def _band_lu(stack, entries, rows=None):
     """
     band = np.zeros((stack.size, 2 * stack.kl + stack.ku + 1))
     band.reshape(-1)[stack.slots] = entries[stack.block]
-    return dgbtrf((band if rows is None else band[rows]).T, stack.kl, stack.ku,
-                  overwrite_ab=True)
+    return dgbtrf(band[rows].T, stack.kl, stack.ku, overwrite_ab=True)
 
 
 def local_jacobian(positions, X):
@@ -313,38 +321,65 @@ def local_jacobian(positions, X):
          positions.response_indptr), shape=shape))
 
 
+_ZERO = np.zeros(1)  # read for the diagonal entries a tridiagonal A lacks
+
+
+def tridiagonal_solve(entries, diagonals, rhs):
+    """dgtsv's (x, info) for A x = rhs, A's diagonals entries[diagonals].
+
+    diagonals[k, r] is where A's entry (r, r + k - 1) sits in entries, or
+    len(entries), where A has none: it is 0.  One call factors and solves.
+    """
+    t, n = np.concatenate((entries, _ZERO))[diagonals], len(rhs)
+    # f2py takes no empty diagonal: a 1 x 1 system passes its zeros
+    *_, x, info = dgtsv(t[0, min(n - 1, 1):], t[1], t[2, :max(n - 1, 1)], rhs,
+                        overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    return x, info
+
+
+def _solve(stack, entries, r, rows):
+    """diag(A_ii)^{-1} r on rows (whole blocks' rows), 0 elsewhere, and info.
+
+    A tridiagonal stack takes one tridiagonal_solve, any other _band_lu and
+    dgbtrs; either solves each block as alone, and info counts in rows.
+    """
+    if stack.diagonals is not None:
+        x, info = tridiagonal_solve(entries, stack.diagonals[:, rows], r[rows])
+    else:
+        lu, ipiv, info = _band_lu(stack, entries, rows)
+        x = dgbtrs(lu, stack.kl, stack.ku, r[rows], ipiv)[0]
+    step = np.zeros(stack.size)
+    step[rows] = x
+    return step, info
+
+
 def _step(stack, entries, r, active, failures):
     """The Newton step of the active blocks, stacked; the others' is 0.
 
     entries and r are the row kernels' output.  While a block is frozen,
-    only the active blocks' band rows are factored and solved (_band_lu).
-    A block found singular fails (failures maps blocks to their messages)
-    and stops being active; when none is left, the step is None.
+    only the active blocks' rows are solved (_solve).  A block found
+    singular fails (failures maps blocks to their messages) and stops
+    being active; when none is left, the step is None.
     """
-    while True:
-        rows = None if np.logical_and.reduce(active) else np.repeat(active, stack.sizes)
-        lu, ipiv, info = _band_lu(stack, entries, rows)
+    while np.logical_or.reduce(active):
+        rows = (slice(None) if np.logical_and.reduce(active)
+                else np.repeat(active, stack.sizes))
+        step, info = _solve(stack, entries, r, rows)
         if info == 0:
             break
-        b = stack.block_of(info - 1 if rows is None else np.flatnonzero(rows)[info - 1])
+        b = stack.block_of(np.arange(stack.size)[rows][info - 1])
         failures[b] = "singular local Jacobian"
         active[b] = False
-    if not np.logical_or.reduce(active):
-        return None
-    if rows is None:
-        step = dgbtrs(lu, stack.kl, stack.ku, r, ipiv)[0]
     else:
-        step = np.zeros(stack.size)
-        step[rows] = dgbtrs(lu, stack.kl, stack.ku, r[rows], ipiv)[0]
+        return None
     if not np.logical_and.reduce(np.isfinite(step)):
-        # 0 * inf spills a non-finite step into the blocks the band pads
-        # next to it: every block with a non-finite entry is solved again
-        # on its own rows, which eliminates it exactly as alone
+        # 0 * inf spills a non-finite step into the blocks next to it:
+        # every block with a non-finite entry is solved again on its own
+        # rows, which eliminates it exactly as alone
         finite = np.logical_and.reduceat(np.isfinite(step), stack.block_starts)
         for b in np.flatnonzero(~finite):
             rows = np.repeat(np.arange(len(active)) == b, stack.sizes)
-            lu, ipiv, _ = _band_lu(stack, entries, rows)
-            step[rows] = dgbtrs(lu, stack.kl, stack.ku, r[rows], ipiv)[0]
+            step[rows] = _solve(stack, entries, r, rows)[0][rows]
     return step
 
 
@@ -371,7 +406,8 @@ def solve_local(positions, u, settings):
     failures = {}
     active = np.ones(len(positions.sizes), dtype=bool)
     steps = 0  # every active subdomain has taken this many
-    with np.errstate(over="ignore"):
+    # an overflowing step's inf - inf in the next face pass reads nan
+    with np.errstate(over="ignore", invalid="ignore"):
         while True:
             faces = kernels.faces(X)
             r = kernels.residual_of(faces)

@@ -21,12 +21,13 @@ Errors in the ledger are relative l1 distances to a reference iterate,
 which callers usually obtain from reference_solution(): flux integration
 in 1D, tight-tolerance direct Newton otherwise.
 
-Direct Newton chooses SuperLU's column order once per run, from the
-problem's pattern: COLAMD, SuperLU's default, at bandwidth at most 1 (every
-1D problem, whose tridiagonal factor fills in no order), and otherwise
-minimum degree on A^T + A, the order SuperLU recommends for structurally
-symmetric matrices: on the 64 x 64 diffusion Jacobian it fills L + U with
-126,532 entries against COLAMD's 220,624.
+Direct Newton picks its solver once per run, from the problem's pattern: at
+bandwidth at most 1 (every 1D problem) one LAPACK dgtsv call factors and
+solves each step on J's three diagonals; any wider pattern is factored by
+SuperLU in the column order of minimum degree on A^T + A, the order
+SuperLU recommends for structurally symmetric matrices: on the 64 x 64
+diffusion Jacobian it fills L + U with 126,532 entries against COLAMD's
+220,624.
 """
 
 from dataclasses import dataclass, field, replace
@@ -36,7 +37,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .krylov import gmres
-from .local_solver import SolveError, SolverSettings
+from .local_solver import SolveError, SolverSettings, tridiagonal_solve
 
 __all__ = [
     "IterationLedger",
@@ -247,22 +248,28 @@ def direct_newton(problem, u0, settings=None, u_ref=None):
 
     Ledger rows carry ls_in = 0 and ls_G = 1 per update (the single
     global solve), so LS_total equals the number of Newton steps.  A
-    Jacobian that SuperLU finds exactly singular, at any step, ends the run
-    with a SolveError as its failure, quoted in reason after the Newton step.
+    Jacobian found exactly singular, at any step, ends the run with a
+    SolveError as its failure, quoted in reason after the Newton step.
 
-    The first step factors J with the column order of the module docstring
-    (COLAMD for a pattern of bandwidth at most 1, which keeps every 1D
-    step bit for bit as with a fresh COLAMD factor per step, MMD_AT_PLUS_A
-    otherwise) and keeps q = argsort(perm_c) and a gather map from J's CSR
-    data on problem.pattern to J(q, q) in CSC.  Every later step gathers
-    J(q, q), factors it in that order (NATURAL), solves for step[q] and
-    scatters back.  The order lives in this call only, and one factor is
-    alive at a time.
+    On a pattern of bandwidth at most 1 each step is one dgtsv call on
+    J's diagonals, whose positions in J.data are read once from
+    problem.pattern.  Otherwise the first step factors J with SuperLU in
+    the module docstring's order and keeps q = argsort(perm_c) and a
+    gather map from J's CSR data on problem.pattern to J(q, q) in CSC.
+    Every later step gathers J(q, q), factors it in that order (NATURAL),
+    solves for step[q] and scatters back.  The order lives in this call
+    only, and one factor is alive at a time.
     """
     settings = settings or SolverSettings()
     u = np.asarray(u0, dtype=float).copy()
     ledger = IterationLedger()
     updates = 0
+    pattern = problem.pattern
+    row = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+    diagonals = None  # J's diagonals' positions in J.data, at bandwidth <= 1
+    if np.abs(pattern.indices - row).max(initial=0) <= 1:
+        diagonals = np.full((3, pattern.shape[0]), pattern.nnz)
+        diagonals[pattern.indices - row + 1, row] = np.arange(pattern.nnz)
     ordered = None  # from the first step: q and J(q, q)'s CSC layout and gather
     for _ in range(settings.max_outer):
         r = problem.residual(u)
@@ -275,7 +282,11 @@ def direct_newton(problem, u0, settings=None, u_ref=None):
             ledger.record(0, _error_of(u, u_ref), rnorm)
             return RunResult(u, ledger, False, updates, "diverged")
         try:  # the factors die with the step: one set is alive at a time
-            if ordered is None:
+            if diagonals is not None:
+                step, info = tridiagonal_solve(problem.jacobian(u).data, diagonals, -r)
+                if info:
+                    raise RuntimeError(f"dgtsv: pivot {info} is exactly zero")
+            elif ordered is None:
                 step, ordered = _first_step(problem, problem.jacobian(u), -r)
             else:
                 q, indices, indptr, gather = ordered
@@ -283,7 +294,7 @@ def direct_newton(problem, u0, settings=None, u_ref=None):
                                   shape=(len(q), len(q)))
                 step = np.empty_like(r)
                 step[q] = spla.splu(J, permc_spec="NATURAL").solve(-r[q])
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"; dgtsv above
             failure = SolveError(f"singular Jacobian ({exc})")
             return RunResult(u, ledger, False, updates,
                              f"Newton step {updates}: {failure}", failure=failure)
@@ -295,18 +306,17 @@ def direct_newton(problem, u0, settings=None, u_ref=None):
 
 
 def _first_step(problem, J, rhs):
-    """direct_newton's first step and the column order its factor chose.
+    """direct_newton's first SuperLU step and the column order its factor chose.
 
     Returns the step J^{-1} rhs and (q, indices, indptr, gather): q =
     argsort(perm_c) orders the unknowns, and J(q, q) is the CSC matrix
     (J.data[gather], indices, indptr) for any J on problem.pattern.
     """
-    pattern = problem.pattern.tocoo()
-    narrow = np.abs(pattern.row - pattern.col).max(initial=0) <= 1
-    lu = spla.splu(J.tocsc(), permc_spec="COLAMD" if narrow else "MMD_AT_PLUS_A")
+    lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
     q = np.argsort(lu.perm_c)
-    numbered = sp.csr_matrix((np.arange(pattern.nnz), problem.pattern.indices,
-                              problem.pattern.indptr), shape=pattern.shape)
+    pattern = problem.pattern
+    numbered = sp.csr_matrix((np.arange(pattern.nnz), pattern.indices,
+                              pattern.indptr), shape=pattern.shape)
     ordered = numbered[q][:, q].tocsc()
     return lu.solve(rhs), (q, ordered.indices, ordered.indptr, ordered.data)
 

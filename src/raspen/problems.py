@@ -35,7 +35,7 @@ __all__ = [
 
 # below this the Darcy limit q(g)=g is used verbatim
 DARCY_THRESHOLD = 1e-12
-# the residual norm ForchheimerProblem1D.discrete_solution must reach
+# the floor of the residual norm ForchheimerProblem1D.discrete_solution must reach
 DISCRETE_RESIDUAL = 1e-10
 
 
@@ -242,7 +242,10 @@ class ForchheimerProblem1D(NonlinearProblem):
         c, where the drops sum to d0 - d1, is bisected to adjacent floats,
         from where max(phi), and min(phi), is q((d0 - d1) / sum(1 / T)); u
         is d0 less the cumulative drops at the end whose sum is nearer.
-        SolveError if the bracket ends non-finite or ||F(u)|| > DISCRETE_RESIDUAL.
+        SolveError if the bracket ends non-finite, if the roundoff bound
+        4 eps max(T) ||u|| overflows (rounding u to floats moves F that far:
+        a row is a difference of two fluxes q(T du), q 1-Lipschitz), or if
+        ||F(u)|| exceeds both that bound and DISCRETE_RESIDUAL.
         """
         S, T = np.append(0.0, np.cumsum(self.source)), self.transmissibilities
         beta = self.beta if self.beta > DARCY_THRESHOLD else 0.0
@@ -259,8 +262,11 @@ class ForchheimerProblem1D(NonlinearProblem):
             c = min((lo, hi), key=lambda c: abs(drops(c).sum() - drop))
             u = self.dirichlet[0] - np.cumsum(drops(c)[:-1])
             rnorm = np.linalg.norm(self.residual(u))
-        if not (np.isfinite([lo, hi]).all() and rnorm <= DISCRETE_RESIDUAL):
-            raise SolveError(f"flux integration: residual norm {rnorm:.3e}")
+            bound = max(DISCRETE_RESIDUAL,
+                        4 * np.finfo(float).eps * T.max() * np.linalg.norm(u))
+        if not (np.isfinite([lo, hi, bound]).all() and rnorm <= bound):
+            raise SolveError(f"flux integration: residual norm {rnorm:.3e} "
+                             f"(bound {bound:.3e})")
         return u
 
 

@@ -74,6 +74,27 @@ def default_order_newton(problem, u0, settings=None, u_ref=None):
     reasons and singular-Jacobian failure; u_ref is taken and ignored (its
     rows' errors are nan).
     """
+    return _newton_oracle(problem, u0, settings,
+                          lambda J, rhs: spla.splu(J.tocsc()).solve(rhs))
+
+
+def tridiagonal_newton(problem, u0, settings=None, u_ref=None):
+    """default_order_newton with one dgtsv call per step on J's diagonals.
+
+    The diagonals are read from each J by J.diagonal(k); a zero pivot
+    fails as direct_newton's does.  For tridiagonal J of at least 2 rows.
+    """
+    def solve(J, rhs):
+        *_, x, info = lapack.dgtsv(J.diagonal(-1), J.diagonal(), J.diagonal(1), rhs)
+        if info:
+            raise RuntimeError(f"dgtsv: pivot {info} is exactly zero")
+        return x
+
+    return _newton_oracle(problem, u0, settings, solve)
+
+
+def _newton_oracle(problem, u0, settings, solve):
+    """Direct Newton's loop, each step solve(J(u), -r) (RuntimeError: singular)."""
     settings = settings or SolverSettings()
     u = np.asarray(u0, dtype=float).copy()
     ledger = IterationLedger()
@@ -86,7 +107,7 @@ def default_order_newton(problem, u0, settings=None, u_ref=None):
             return RunResult(u, ledger, converged, updates,
                              "" if converged else "diverged")
         try:
-            step = spla.splu(problem.jacobian(u).tocsc()).solve(-r)
+            step = solve(problem.jacobian(u), -r)
         except RuntimeError as exc:
             failure = SolveError(f"singular Jacobian ({exc})")
             return RunResult(u, ledger, False, updates,
@@ -119,20 +140,44 @@ def schwarz_preconditioners(A, layout):
     return M_ras, M_as
 
 
-def sequential_local_solve(problem, pos, u, settings, kernels=None):
+def band_step(band, kl, ku, r, tridiagonal):
+    """(A^{-1} r, LAPACK's info) for A held in band, None for a singular A.
+
+    band is a C-order (m, 2*kl+ku+1) array whose transpose is LAPACK's band
+    storage (A[r, c] at [c, kl+ku+r-c]).  With tridiagonal (kl, ku <= 1)
+    one dgtsv call solves A's three diagonals, read from band; otherwise
+    dgbtrf factors band and dgbtrs solves.
+    """
+    if not tridiagonal:
+        lu, ipiv, info = lapack.dgbtrf(band.T, kl, ku)
+        return (None if info else lapack.dgbtrs(lu, kl, ku, r, ipiv)[0]), info
+    assert kl <= 1 and ku <= 1
+    m, mid = len(r), kl + ku
+    lower = band[:-1, mid + 1] if kl else np.zeros(m - 1)  # A[c + 1, c]
+    upper = band[1:, mid - 1] if ku else np.zeros(m - 1)   # A[c - 1, c]
+    if m == 1:  # f2py takes no empty diagonal
+        lower = upper = np.zeros(1)
+    *_, x, info = lapack.dgtsv(lower, band[:, mid], upper, r)
+    return (None if info else x), info
+
+
+def sequential_local_solve(problem, pos, u, settings, kernels=None, tridiagonal=None):
     """One subdomain's inner Newton, alone: (correction, solved, iterations).
 
     The per-subdomain loop that solved the subdomains one after another
     before they took their steps together: full Newton steps on the
-    subdomain's local vector, with its own band LU, raising LocalSolveError
-    on the first failed check; a non-finite start residual fails too.
-    kernels, a (residual, jacobian) pair of functions of the local vector,
-    defaults to the problem's row kernels on the subdomain alone
-    (block_kernels).
+    subdomain's local vector, each solved alone by band_step, raising
+    LocalSolveError on the first failed check; a non-finite start residual
+    fails too.  kernels, a (residual, jacobian) pair of functions of the
+    local vector, defaults to the problem's row kernels on the subdomain
+    alone (block_kernels).  tridiagonal, whether the block's stack solves
+    with dgtsv, defaults to the block's own bandwidths being at most 1.
     """
     own = block_kernels(problem, [pos])
     residual, jacobian = kernels or (own.residual, own.jacobian)
     i, m, kl, ku = pos.subdomain, pos.size, pos.kl, pos.ku
+    if tridiagonal is None:
+        tridiagonal = kl <= 1 and ku <= 1
     u = np.asarray(u, dtype=float)
     x = block_vector([pos], u)
     iterations = 0
@@ -152,10 +197,10 @@ def sequential_local_solve(problem, pos, u, settings, kernels=None):
             )
         band = np.zeros((m, 2 * kl + ku + 1))
         band.flat[pos.slots] = jacobian(x)[pos.block]
-        lu, ipiv, info = lapack.dgbtrf(band.T, kl, ku, overwrite_ab=True)
+        step, info = band_step(band, kl, ku, r, tridiagonal)
         if info > 0:
             raise LocalSolveError(f"subdomain {i}: singular local Jacobian")
-        x[:m] -= lapack.dgbtrs(lu, kl, ku, r, ipiv)[0]
+        x[:m] -= step
         iterations += 1
         r = residual(x)
         rnorm = np.linalg.norm(r)
@@ -163,8 +208,8 @@ def sequential_local_solve(problem, pos, u, settings, kernels=None):
     return solved - u[pos.overlap], solved, iterations
 
 
-def masked_band_lu(stack, entries, active):
-    """dgbtrf of diag(A_ii) with every block that active does not mark the identity.
+def masked_band(stack, entries, active):
+    """diag(A_ii) in band_step's storage, with every block not active the identity.
 
     The band is filled through the .flat iterator, an inactive block's
     entries zeroed one by one by np.where and its diagonal set to 1.0.
@@ -175,7 +220,7 @@ def masked_band_lu(stack, entries, active):
     band.flat[stack.slots] = np.where(held, entries[stack.block], 0.0)
     frozen = np.flatnonzero(~np.repeat(active, stack.sizes))
     band.flat[frozen * width + stack.kl + stack.ku] = 1.0
-    return lapack.dgbtrf(band.T, stack.kl, stack.ku, overwrite_ab=True)
+    return band
 
 
 def two_call_solve_local(positions, u, settings):
@@ -183,9 +228,10 @@ def two_call_solve_local(positions, u, settings):
 
     The stacked inner loop that preceded the shared face pass: every
     iterate calls the residual kernel, and every step the Jacobian kernel
-    too, each with its own face pass; bands are masked_band_lu's, and every
-    right-hand side is masked.  Returns solve_local's result, or raises
-    its LocalSolveError; a residual norm that overflows counts as a
+    too, each with its own face pass; bands are masked_band's, every
+    right-hand side is masked, and band_step solves them, by dgtsv on a
+    stack whose bandwidths are at most 1.  Returns solve_local's result, or
+    raises its LocalSolveError; a residual norm that overflows counts as a
     non-finite residual.
     """
     kernels, stack = positions.kernels, positions
@@ -195,10 +241,13 @@ def two_call_solve_local(positions, u, settings):
     trail, failures, steps = [], {}, 0
     counts = np.zeros(len(stack.sizes), dtype=int)
     active = np.ones(len(stack.sizes), dtype=bool)
+    tridiagonal = stack.kl <= 1 and stack.ku <= 1
 
-    def solve(lu, ipiv, r, moving):
-        return lapack.dgbtrs(lu, stack.kl, stack.ku, np.where(moving, r, 0.0),
-                             ipiv)[0]
+    def solve(active, r):
+        band = masked_band(stack, entries, active)
+        moving = np.repeat(active, stack.sizes)
+        return band_step(band, stack.kl, stack.ku, np.where(moving, r, 0.0),
+                         tridiagonal)
 
     while True:
         r = kernels.residual(X)
@@ -218,22 +267,20 @@ def two_call_solve_local(positions, u, settings):
             break
         entries = kernels.jacobian(X)
         while True:
-            lu, ipiv, info = masked_band_lu(stack, entries, active)
+            step, info = solve(active, r)
             if info == 0:
                 break
             b = stack.block_of(info - 1)
             failures[b] = "singular local Jacobian"
             active[b] = False
         moving = np.repeat(active, stack.sizes)
-        step = solve(lu, ipiv, r, moving)
         if not np.isfinite(step).all():
             step[~moving] = 0.0
             finite = np.logical_and.reduceat(np.isfinite(step), stack.block_starts)
             for b in np.flatnonzero(~finite):
                 alone = np.arange(len(active)) == b
                 rows = np.repeat(alone, stack.sizes)
-                lu, ipiv, _ = masked_band_lu(stack, entries, alone)
-                step[rows] = solve(lu, ipiv, r, rows)[rows]
+                step[rows] = solve(alone, r)[0][rows]
         if not active.any():
             break
         X[:size] -= step

@@ -40,7 +40,8 @@ from raspen.local_solver import (
 )
 from raspen.newton import fixed_point_solve, outer_newton
 from raspen.precond import KINDS, PreconditionedSystem
-from raspen.problems import DiffusionProblem2D, hard_forchheimer, smooth_forchheimer
+from raspen.problems import (DiffusionProblem2D, ForchheimerProblem1D, hard_forchheimer,
+                             smooth_forchheimer)
 
 SETTINGS = SolverSettings()
 
@@ -709,9 +710,15 @@ def test_batched_sweep_bit_identical_to_sequential_solves(name):
         assert len({(pos.kl, pos.ku) for pos in positions}) > 1
     if name == "1d-wide-band":
         assert (stack.kl, stack.ku) == (1, 5)
+    # each block is solved as its stack solves: by dgtsv on a stack of
+    # bandwidths at most 1, else by band LU, the wide band's tridiagonal
+    # blocks included
+    tridiagonal = stack.kl <= 1 and stack.ku <= 1
+    assert tridiagonal == (name.startswith("1d") and name != "1d-wide-band")
     for u in _states(prob, 50):
         try:
-            want = [sequential_local_solve(prob, pos, u, SETTINGS) for pos in positions]
+            want = [sequential_local_solve(prob, pos, u, SETTINGS, tridiagonal=tridiagonal)
+                    for pos in positions]
         except LocalSolveError as exc:
             # the rough field's cold start: the first failure in subdomain
             # order, with its message
@@ -870,13 +877,15 @@ def test_singular_block_among_frozen_ones_is_named_by_its_own_rows():
 
 def test_overflowing_step_spills_into_no_other_subdomain():
     # subdomain 2's block is scaled to 1e-320 at its second step, so that
-    # step overflows; in the band, 0 * inf would turn the padded neighbours'
-    # steps into nan, and subdomain 0 or 1 would be named instead
+    # step overflows; in the stacked solve, 0 * inf would turn the
+    # neighbours' steps into nan, and subdomain 0 or 1 would be named
+    # instead; dgtsv's step holds inf, whose next face pass reads nan
     prob, lay = smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 4, 2)
     stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
     u = np.zeros(40)
     failing, alone = _failing(stack, positions, tiny={2: 2})
-    want = _sequential_error(prob, positions, u, SETTINGS, alone)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _sequential_error(prob, positions, u, SETTINGS, alone)
     assert str(want) == "subdomain 2: inner Newton produced a non-finite residual"
     with pytest.raises(LocalSolveError) as caught:
         solve_local(failing, u, SETTINGS)
@@ -982,25 +991,35 @@ def _counting(stack):
     return dataclasses.replace(stack, kernels=kernels), calls
 
 
+def _recorded_solves(monkeypatch, names):
+    """Record (name, rows) for each call local_solver makes to the named
+    LAPACK routines (dgtsv, dgbtrf or dgbtrs), in call order."""
+    recorded = []
+    for name in names:
+        def record(*args, routine=getattr(local_solver_mod, name), name=name,
+                   **kwargs):
+            recorded.append((name, len(args[1]) if name == "dgtsv" else args[0].shape[1]))
+            return routine(*args, **kwargs)
+        monkeypatch.setattr(local_solver_mod, name, record)
+    return recorded
+
+
 @pytest.mark.parametrize("make", [
     lambda: (smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 4, 2)),
     lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1)),
 ], ids=["1d", "2d"])
 def test_sweep_cost_is_set_by_the_slowest_subdomain(make, monkeypatch):
-    # one stacked factorization and one Jacobian derivation per step of the
+    # one stacked solve and one Jacobian derivation per step of the
     # slowest subdomain, and one face pass and residual derivation more, so
     # k inner steps make k + 1 face passes; the solved block is one face
-    # pass and one Jacobian derivation
+    # pass and one Jacobian derivation.  The 1D stack (kl = ku = 1) solves
+    # each step with one dgtsv call, the 2D one with dgbtrf and dgbtrs
     prob, lay = make()
     stack, calls = _counting(block_positions(prob, lay))
-    factored = []
-    dgbtrf = local_solver_mod.dgbtrf
-
-    def counting_dgbtrf(ab, kl, ku, **kwargs):
-        factored.append(ab.shape)
-        return dgbtrf(ab, kl, ku, **kwargs)
-
-    monkeypatch.setattr(local_solver_mod, "dgbtrf", counting_dgbtrf)
+    tridiagonal = (stack.kl, stack.ku) == (1, 1)
+    assert tridiagonal == isinstance(prob, ForchheimerProblem1D)
+    factored = _recorded_solves(monkeypatch, ("dgbtrf", "dgtsv"))
+    solver = "dgtsv" if tridiagonal else "dgbtrf"
     for u in _states(prob, 51):
         del factored[:]
         calls.update(faces=0, residual_of=0, jacobian_of=0)
@@ -1009,18 +1028,42 @@ def test_sweep_cost_is_set_by_the_slowest_subdomain(make, monkeypatch):
         assert steps > 0
         assert len(factored) == steps == calls["jacobian_of"]
         assert calls["faces"] == calls["residual_of"] == steps + 1
-        # step k factors the band rows of the blocks still active, those
-        # of the subdomains taking at least k steps; so the sweep factors
-        # sum_b sizes[b] * inner_counts[b] columns, not steps * size
+        # step k solves the rows of the blocks still active, those of the
+        # subdomains taking at least k steps; so the sweep solves
+        # sum_b sizes[b] * inner_counts[b] rows, not steps * size
         counts = np.array(result.inner_counts)
-        assert factored == [(2 * stack.kl + stack.ku + 1, stack.sizes[counts >= k].sum())
+        assert factored == [(solver, stack.sizes[counts >= k].sum())
                             for k in range(1, steps + 1)]
         assert sum(m for _, m in factored) == stack.sizes @ counts
         calls.update(faces=0, residual_of=0, jacobian_of=0)
         local_jacobian(result.positions, result.X)
         assert calls == {"faces": 1, "residual_of": 0, "jacobian_of": 1}
-        assert len(factored) == steps + 1
-        assert factored[-1] == (2 * stack.kl + stack.ku + 1, stack.size)
+        # the local Jacobian factors the full band on either stack
+        assert factored[steps:] == [("dgbtrf", stack.size)]
+
+
+@pytest.mark.parametrize("make, calls", [
+    (lambda: (smooth_forchheimer(800, 1.0), build_1d_layout(800, 40, 3)), ["dgtsv"]),
+    (lambda: (DiffusionProblem2D(64, 64), build_2d_layout(64, 64, 8, 1)),
+     ["dgbtrf", "dgbtrs"]),
+], ids=["newton-1d", "newton-2d"])
+def test_a_step_makes_one_solver_call_per_stack(make, calls, monkeypatch):
+    # the benchmark's stacks: a tridiagonal one (kl = ku = 1) solves a
+    # step, frozen blocks or not, with one dgtsv call on the active rows,
+    # the 2D band with one dgbtrf and one dgbtrs
+    prob, lay = make()
+    stack = block_positions(prob, lay)
+    X = stack.gather(prob.initial_state() + 0.1)
+    entries, r = stack.kernels.jacobian(X), stack.kernels.residual(X)
+    made = _recorded_solves(monkeypatch, ("dgtsv", "dgbtrf", "dgbtrs"))
+    n = lay.n_subdomains
+    for active in (np.ones(n, bool), np.arange(n) != 3, np.arange(n) == n - 1):
+        del made[:]
+        failures = {}
+        step = _step(stack, entries, r, active.copy(), failures)
+        assert failures == {} and np.isfinite(step).all()
+        assert made == [(name, stack.sizes[active].sum()) for name in calls]
+        assert not step[~np.repeat(active, stack.sizes)].any()
 
 
 def test_stacks_are_built_once_and_share_their_geometry():

@@ -212,35 +212,37 @@ def test_fixed_point_dichotomy_compact():
 
 @pytest.mark.parametrize("kind", ["RASPEN1", "RASPEN2"])
 def test_local_blocks_factored_only_for_actions(kind, monkeypatch):
-    # a fixed-point step applies no derivative, so its only local
-    # factorizations are the inner Newton steps', one stacked band per step
-    # of the slowest subdomain; the first Jacobian action then factors all
-    # blocks once, as one stacked band, and later actions reuse it
+    # a fixed-point step applies no derivative, so its only local solves
+    # are the inner Newton steps', one stacked dgtsv call per step of the
+    # slowest subdomain on this 1D stack, and no band factorization; the
+    # first Jacobian action then factors all blocks once, as one stacked
+    # band, and later actions reuse it
     prob, lay = _forchheimer_setup()
     system = PreconditionedSystem(kind, prob, lay, SETTINGS)
-    factored, solved = [], []
-    dgbtrf, sweep = local_solver_mod.dgbtrf, precond_mod.sweep_locals
-
-    def counting_dgbtrf(ab, kl, ku, **kwargs):
-        factored.append(ab.shape)
-        return dgbtrf(ab, kl, ku, **kwargs)
+    calls, solved = {"dgbtrf": 0, "dgtsv": 0}, []
+    sweep = precond_mod.sweep_locals
 
     def recording_sweep(*args):
         out = sweep(*args)
         solved.append(out)
         return out
 
-    monkeypatch.setattr(local_solver_mod, "dgbtrf", counting_dgbtrf)
+    for name in calls:
+        def counting(*args, routine=getattr(local_solver_mod, name), name=name,
+                     **kwargs):
+            calls[name] += 1
+            return routine(*args, **kwargs)
+        monkeypatch.setattr(local_solver_mod, name, counting)
     monkeypatch.setattr(precond_mod, "sweep_locals", recording_sweep)
     u = 0.2 * np.ones(24)
     ev = system.residual(u)
     inner = max(max(res.inner_counts) for res in solved)
     assert inner > 0
-    assert len(factored) == inner
+    assert calls == {"dgbtrf": 0, "dgtsv": inner}
     v = np.ones(24)
     system.jacobian_action(ev, v)
     system.jacobian_action(ev, v)
-    assert len(factored) == inner + 1
+    assert calls == {"dgbtrf": 1, "dgtsv": inner}
 
 
 @pytest.mark.parametrize("make", [

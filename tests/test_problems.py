@@ -181,6 +181,20 @@ def test_discrete_solution_solves_the_problem(prob):
         assert np.array_equal(u, np.full(prob.M, prob.dirichlet[0]))
 
 
+def test_discrete_solution_of_a_high_contrast_field_meets_its_roundoff_bound():
+    # permeabilities over 16 decades put max T at 3.93e9 and max |u| at
+    # 3.7e3, so rounding u to floats alone leaves ||F|| far above 1e-10:
+    # the solution is accepted on its bound 4 eps max(T) ||u||, and one
+    # Newton step from it moves it only at roundoff
+    prob = hard_forchheimer(240, 10.0, 4, contrast=(1e-8, 1e8))
+    u = prob.discrete_solution()
+    rnorm = np.linalg.norm(prob.residual(u))
+    bound = 4 * np.finfo(float).eps * prob.transmissibilities.max() * np.linalg.norm(u)
+    assert DISCRETE_RESIDUAL < rnorm <= bound
+    step = spla.spsolve(prob.jacobian(u).tocsc(), prob.residual(u))
+    assert np.linalg.norm(step, 1) <= 1e-13 * np.linalg.norm(u, 1)
+
+
 def test_darcy_manufactured_consistency():
     # u = x/L + sin(2 pi x / L), lambda = 1: residual of the sampled exact
     # solution shrinks when the mesh is refined
