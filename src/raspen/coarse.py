@@ -38,6 +38,8 @@ once per state and makes sure that the correction was solved at u.
 Each system builds one CoarseSpace from J's fixed pattern and P_0: P_0^T
 as CSR, for every restriction, and the Galerkin map, two sparse stages
 that take J.data onto the entries of J P_0 and those onto the dense J_0.
+Coarse Newton prolongs each iterate once, for its residual and Jacobian;
+every CSR product is one csr_apply call, bit for bit the product by @.
 """
 
 from dataclasses import dataclass, field
@@ -46,7 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .local_solver import SolveError
+from .local_solver import SolveError, csr_apply
 
 __all__ = [
     "CoarseSpace",
@@ -119,33 +121,40 @@ def _prolonged(space, u0):
     u0, n = np.asarray(u0, dtype=float), space.layout.n_subdomains
     if u0.shape != (n,):
         raise ValueError(f"expected coarse vector of length {n}")
-    return space.layout.P0 @ u0
+    return csr_apply(space.layout.P0, u0)
+
+
+def _galerkin_jacobian(space, u):
+    """Dense P_0^T J(u) P_0, at a fine state u, by the Galerkin map."""
+    J0T = np.zeros((space.layout.n_subdomains,) * 2)
+    data = space.problem.jacobian(u).data
+    J0T.reshape(-1)[space.slots] = csr_apply(space.G2, csr_apply(space.G1, data))
+    return J0T.T
 
 
 def coarse_residual(space, u0):
     """F_0(u_0) = P_0^T F(P_0 u_0)."""
-    return space.P0T @ space.problem.residual(_prolonged(space, u0))
+    return csr_apply(space.P0T, space.problem.residual(_prolonged(space, u0)))
 
 
 def coarse_jacobian(space, u0):
     """Dense F_0'(u_0) = P_0^T J(P_0 u_0) P_0, by the Galerkin map."""
-    J0T = np.zeros((space.layout.n_subdomains,) * 2)
-    data = space.problem.jacobian(_prolonged(space, u0)).data
-    J0T.reshape(-1)[space.slots] = space.G2 @ (space.G1 @ data)
-    return J0T.T
+    return _galerkin_jacobian(space, _prolonged(space, u0))
 
 
 def _coarse_newton(space, start, rhs, settings, what, factors=None):
     """Solve F_0(start + c) = rhs for c by coarse Newton from start.
 
-    Every iterate, start included, must have a finite residual; its coarse
-    Jacobian is factored once, by LU, or at start given as factors.  The
-    result keeps the coarse Jacobian at start and the factors of J^_0.
+    Every iterate, start included, is prolonged once and must have a finite
+    residual; its coarse Jacobian is factored once, by LU, or at start given
+    as factors.  The result keeps the coarse Jacobian at start and the
+    factors of J^_0.
     """
     w = np.asarray(start, dtype=float).copy()
     J0, iterations = None, 0
     while True:
-        r = coarse_residual(space, w) - rhs
+        fine = _prolonged(space, w)
+        r = csr_apply(space.P0T, space.problem.residual(fine)) - rhs
         with np.errstate(over="ignore"):
             rnorm = np.linalg.norm(r)
         if not np.isfinite(rnorm):
@@ -158,7 +167,7 @@ def _coarse_newton(space, start, rhs, settings, what, factors=None):
                 f"within {settings.max_inner} iterations (residual {rnorm:.3e})"
             )
         if factors is None:
-            J = coarse_jacobian(space, w)
+            J = _galerkin_jacobian(space, fine)
             J0 = J if iterations == 0 else J0
             *factors, info = dgetrf(J)
             if info > 0:
@@ -171,15 +180,15 @@ def _coarse_newton(space, start, rhs, settings, what, factors=None):
 
 def fas_correction(space, u, settings):
     """Full-approximation-scheme coarse correction C_0(u)."""
-    u0 = space.layout.R0 @ np.asarray(u, dtype=float)
-    rhs = coarse_residual(space, u0) - space.P0T @ space.problem.residual(u)
+    u0 = csr_apply(space.layout.R0, np.asarray(u, dtype=float))
+    rhs = coarse_residual(space, u0) - csr_apply(space.P0T, space.problem.residual(u))
     return _coarse_newton(space, u0, rhs, settings, "FAS coarse correction")
 
 
 def fas_correction_jacobian_action(result, space, J_u, v):
     """Apply dC_0/du = -R_0 + J^_0^{-1}(J_0 R_0 - P_0^T J(u)) to v, J_u = J(u)."""
-    R0v = space.layout.R0 @ v
-    w = result.J0 @ R0v - space.P0T @ (J_u @ v)
+    R0v = csr_apply(space.layout.R0, v)
+    w = result.J0 @ R0v - csr_apply(space.P0T, csr_apply(J_u, v))
     return -R0v + dgetrs(*result.J0_hat_lu, w)[0]
 
 
@@ -191,11 +200,11 @@ def aspin_coarse_setup(space, settings):
 
 def aspin_coarse_correction(space, u, base, settings):
     """F_0(C_0^A + u_0*) = -P_0^T F(u), from base = aspin_coarse_setup(...)."""
-    rhs = -(space.P0T @ space.problem.residual(np.asarray(u, dtype=float)))
+    rhs = -csr_apply(space.P0T, space.problem.residual(np.asarray(u, dtype=float)))
     return _coarse_newton(space, base.correction, rhs, settings,
                           "AS coarse correction", base.J0_hat_lu)
 
 
 def aspin_coarse_jacobian_action(result, space, J_u, v):
     """Apply dC_0^A/du = -J^_0^{-1} P_0^T J(u) to v, J_u the fine J(u)."""
-    return -dgetrs(*result.J0_hat_lu, space.P0T @ (J_u @ v))[0]
+    return -dgetrs(*result.J0_hat_lu, csr_apply(space.P0T, csr_apply(J_u, v)))[0]

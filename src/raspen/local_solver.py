@@ -49,12 +49,12 @@ depends only on the stack's geometry.  On a halo stack, whose halo h (the
 most exterior cells any block's rows touch) is at most kl + ku,
 local_jacobian solves for Z, one dgbtrs with h right-hand sides, and keeps
 as rows the solved rows [I | Z_i] on the response pattern, with lu None:
-an action is one CSR product.  On a band stack rows is R_i J on the
-stack's CSR pattern and lu its band factors: an action is one CSR product
-and the band LU solve.  Where dgbtrf swapped no rows, that solve is two
-triangular band solves (dtbsv), L from one copy of the multiplier rows
-made per LocalJacobian and U read in place: dgbtrs's arithmetic bit for
-bit, without its rank-1 update per column of L.  Factors with an
+an action is one CSR product, by csr_apply.  On a band stack rows is R_i J
+on the stack's CSR pattern and lu its band factors: an action is that
+product and the band LU solve.  Where dgbtrf swapped no rows, that solve
+is two triangular band solves (dtbsv), L from one copy of the multiplier
+rows made per LocalJacobian and U read in place: dgbtrs's arithmetic bit
+for bit, without its rank-1 update per column of L.  Factors with an
 interchange keep dgbtrs.  A band stack's sweep steps keep dgbtrs too: each
 of their factorizations serves one solve, which the copy would not repay.
 """
@@ -65,6 +65,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv
+from scipy.sparse import _sparsetools
 
 __all__ = [
     "SolverSettings",
@@ -79,6 +80,7 @@ __all__ = [
     "local_correction_jacobian_action",
     "sweep_locals",
     "tridiagonal_solve",
+    "csr_apply",
 ]
 
 
@@ -337,6 +339,27 @@ def tridiagonal_solve(entries, diagonals, rhs):
     return x, info
 
 
+def csr_apply(A, x):
+    """A @ x, bit for bit: scipy's compiled csr_matvec into a zero result.
+
+    A is a float64 CSR matrix of one index dtype and x a float64 vector of
+    its column count, else ValueError: the kernel checks nothing.  A @ x
+    ends in the same call, after a Python dispatch that costs as much as the
+    kernel on the actions' and coarse solves' small operators.  No public
+    entry point skips it (csr_array @ x pays it too, and np.bincount over
+    the entries is slower than @), hence the private import.
+    """
+    n_row, n_col = A.shape
+    if (getattr(A, "format", None) != "csr" or A.data.dtype != float
+            or A.indices.dtype != A.indptr.dtype or x.dtype != float
+            or x.shape != (n_col,)):
+        raise ValueError("csr_apply takes a float64 CSR matrix of one index "
+                         "dtype and a float64 vector of its column count")
+    y = np.zeros(n_row)
+    _sparsetools.csr_matvec(n_row, n_col, A.indptr, A.indices, A.data, x, y)
+    return y
+
+
 def _solve(stack, entries, r, rows):
     """diag(A_ii)^{-1} r on rows (whole blocks' rows), 0 elsewhere, and info.
 
@@ -344,7 +367,9 @@ def _solve(stack, entries, r, rows):
     dgbtrs; either solves each block as alone, and info counts in rows.
     """
     if stack.diagonals is not None:
-        x, info = tridiagonal_solve(entries, stack.diagonals[:, rows], r[rows])
+        diagonals = (stack.diagonals if isinstance(rows, slice)
+                     else stack.diagonals.compress(rows, axis=1))
+        x, info = tridiagonal_solve(entries, diagonals, r[rows])
     else:
         lu, ipiv, info = _band_lu(stack, entries, rows)
         x = dgbtrs(lu, stack.kl, stack.ku, r[rows], ipiv)[0]
@@ -454,13 +479,13 @@ def solve_local(positions, u, settings):
 def local_correction_jacobian_action(block, v):
     """Apply every -A_ii^{-1} R_i J of a LocalJacobian to a global vector v.
 
-    One CSR product with block.rows, then, on a band stack, the band LU
-    solve: two triangular band solves (dtbsv), L from its kept copy and U
-    read in place from the factors, which is dgbtrs's arithmetic without
-    interchanges, or one dgbtrs where dgbtrf swapped rows.  The result is
-    the stacked vector of the block's overlaps.
+    One CSR product with block.rows, by csr_apply, then, on a band stack,
+    the band LU solve: two triangular band solves (dtbsv), L from its kept
+    copy and U read in place from the factors, which is dgbtrs's arithmetic
+    without interchanges, or one dgbtrs where dgbtrf swapped rows.  The
+    result is the stacked vector of the block's overlaps.
     """
-    w = block.rows @ v
+    w = csr_apply(block.rows, v)
     if block.lu is not None:
         stack, (lu, ipiv, lower) = block.positions, block.lu
         if lower is None:

@@ -35,7 +35,8 @@ one-level evaluation and its actions evaluate only the stack's row
 kernels, no global residual or Jacobian.  The fine Jacobian J(u), which only the coarse actions read, is
 assembled at most once per evaluation.  The coarse solves evaluate the
 global residual and Jacobian; they and the coarse actions restrict by
-P_0^T, take J_0 by the Galerkin map and solve by dgetrs.
+P_0^T, take J_0 by the Galerkin map and solve by dgetrs.  Every CSR
+product here and below them, P_0's included, is one csr_apply call.
 """
 
 from dataclasses import dataclass, field
@@ -55,6 +56,7 @@ from .decomposition import prolong, restricted_prolong
 from .local_solver import (
     SolverSettings,
     block_positions,
+    csr_apply,
     local_correction_jacobian_action,
     local_jacobian,
     sweep_locals,
@@ -149,12 +151,12 @@ class PreconditionedSystem:
         coarse, pc0, local_state = None, 0.0, u
         if self.kind == "RASPEN2":
             coarse = fas_correction(self._coarse, u, self.settings)
-            pc0 = self.layout.P0 @ coarse.correction
+            pc0 = csr_apply(self.layout.P0, coarse.correction)
             local_state = u + pc0
         elif self.kind == "ASPIN2":
             coarse = aspin_coarse_correction(self._coarse, u, self.coarse_base,
                                              self.settings)
-            pc0 = self.layout.P0 @ coarse.correction
+            pc0 = csr_apply(self.layout.P0, coarse.correction)
         result = sweep_locals(self._positions, local_state, self.settings)
         return Evaluation(u, pc0 + self._glue(result.correction), result,
                           coarse, self.jacobian_mode == "exact")
@@ -167,8 +169,8 @@ class PreconditionedSystem:
             coarse_action = (fas_correction_jacobian_action
                              if self.kind == "RASPEN2"
                              else aspin_coarse_jacobian_action)
-            pt = self.layout.P0 @ coarse_action(evaluation.coarse, self._coarse,
-                                                evaluation.J_u, v)
+            pt = csr_apply(self.layout.P0, coarse_action(
+                evaluation.coarse, self._coarse, evaluation.J_u, v))
         x = v + pt if self.kind == "RASPEN2" else v
         return pt + self._glue(
             local_correction_jacobian_action(evaluation.block, x))

@@ -244,8 +244,9 @@ class ForchheimerProblem1D(NonlinearProblem):
         is d0 less the cumulative drops at the end whose sum is nearer.
         SolveError if the bracket ends non-finite, if the roundoff bound
         4 eps max(T) ||u|| overflows (rounding u to floats moves F that far:
-        a row is a difference of two fluxes q(T du), q 1-Lipschitz), or if
-        ||F(u)|| exceeds both that bound and DISCRETE_RESIDUAL.
+        a row is a difference of two fluxes q(T du), q 1-Lipschitz; ||u|| by
+        hypot, without squares), or if ||F(u)|| exceeds both that bound and
+        DISCRETE_RESIDUAL.
         """
         S, T = np.append(0.0, np.cumsum(self.source)), self.transmissibilities
         beta = self.beta if self.beta > DARCY_THRESHOLD else 0.0
@@ -263,7 +264,7 @@ class ForchheimerProblem1D(NonlinearProblem):
             u = self.dirichlet[0] - np.cumsum(drops(c)[:-1])
             rnorm = np.linalg.norm(self.residual(u))
             bound = max(DISCRETE_RESIDUAL,
-                        4 * np.finfo(float).eps * T.max() * np.linalg.norm(u))
+                        4 * np.finfo(float).eps * T.max() * np.hypot.reduce(u))
         if not (np.isfinite([lo, hi, bound]).all() and rnorm <= bound):
             raise SolveError(f"flux integration: residual norm {rnorm:.3e} "
                              f"(bound {bound:.3e})")

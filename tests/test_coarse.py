@@ -20,7 +20,7 @@ from raspen.coarse import (
     fas_correction_jacobian_action,
 )
 from raspen.decomposition import build_1d_layout, build_2d_layout
-from raspen.local_solver import SolverSettings
+from raspen.local_solver import SolverSettings, csr_apply
 from raspen.problems import (
     DiffusionProblem2D,
     ForchheimerProblem1D,
@@ -299,12 +299,43 @@ def test_coarse_budget_error(what):
 
 @pytest.mark.parametrize("what", ["FAS coarse correction", "AS coarse correction",
                                   "coarse base solve"])
+def test_coarse_newton_prolongs_each_iterate_once(what, monkeypatch):
+    # an iterate's coarse residual and coarse Jacobian read one P_0 w; the
+    # FAS correction prolongs R_0 u once more, for its right-hand side
+    prob, lay = smooth_forchheimer(36, beta=1.0), build_1d_layout(36, 4, 3)
+    u = 0.3 * np.random.default_rng(40).standard_normal(36)
+    solve = _coarse_solves(prob, lay, u)[what]
+    prolonged, jacobian_states = [], []
+
+    def counted(A, x):
+        y = csr_apply(A, x)
+        if A is lay.P0:
+            prolonged.append(y)
+        return y
+
+    monkeypatch.setattr(coarse_mod, "csr_apply", counted)
+    jacobian = prob.jacobian
+    monkeypatch.setattr(prob, "jacobian",
+                        lambda w: jacobian_states.append(w) or jacobian(w))
+    result = solve(SETTINGS)
+    rhs = what == "FAS coarse correction"
+    assert result.inner_iterations >= 2
+    assert len(prolonged) == result.inner_iterations + 1 + rhs
+    # each Jacobian is taken at its iterate's prolongation, not a new one
+    assert all(any(w is p for p in prolonged) for w in jacobian_states)
+    assert len(jacobian_states) == result.inner_iterations + (
+        what != "AS coarse correction")
+
+
+@pytest.mark.parametrize("what", ["FAS coarse correction", "AS coarse correction",
+                                  "coarse base solve"])
 def test_coarse_singular_error(what, monkeypatch):
     # the factorization's info reports the zero pivot; no LinAlgWarning
     prob, lay = smooth_forchheimer(24, beta=1.0), build_1d_layout(24, 4, 2)
     solve = _coarse_solves(prob, lay, np.linspace(0.0, 1.0, 24))[what]
-    monkeypatch.setattr(coarse_mod, "coarse_jacobian",
-                        lambda space, u0: np.zeros((4, 4)))
+    # coarse Newton takes each iterate's coarse Jacobian at its prolongation
+    monkeypatch.setattr(coarse_mod, "_galerkin_jacobian",
+                        lambda space, u: np.zeros((4, 4)))
     with warnings.catch_warnings():
         warnings.simplefilter("error", sla.LinAlgWarning)
         with pytest.raises(CoarseSolveError,

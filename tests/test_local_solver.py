@@ -26,6 +26,7 @@ from oracles import (
 
 import raspen.local_solver as local_solver_mod
 import raspen.precond as precond_mod
+from raspen.coarse import coarse_space
 from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.local_solver import (
     LocalSolveError,
@@ -33,6 +34,7 @@ from raspen.local_solver import (
     _band_lu,
     _step,
     block_positions,
+    csr_apply,
     local_correction_jacobian_action,
     local_jacobian,
     solve_local,
@@ -1147,3 +1149,71 @@ def test_sweeps_match_the_two_call_loop_on_the_rough_fields(seed, monkeypatch):
             fixed_point_solve(system, u0, max_steps=10, u_ref=u0)
     # every seed has sweeps that converge and sweeps that fail
     assert {type(outcome) for outcome in checked} == {tuple, str}
+
+
+def _applied_operators():
+    """Every CSR operator family the library applies by csr_apply, by name."""
+    operators = {}
+    for halo, prob, lay in (
+            (True, smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 4, 2)),
+            (False, DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1))):
+        stack, space = block_positions(prob, lay), coarse_space(prob, lay)
+        assert (stack.halo <= stack.kl + stack.ku) == halo
+        u = 0.3 * np.random.default_rng(37).standard_normal(prob.dof_count)
+        dim = "1d" if halo else "2d"
+        operators.update({
+            "halo-stack-rows" if halo else "band-stack-rows":
+                local_jacobian(stack, stack.gather(u)).rows,
+            f"{dim}-J": prob.jacobian(u), f"{dim}-R0": lay.R0, f"{dim}-P0": lay.P0,
+            f"{dim}-P0T": space.P0T, f"{dim}-G1": space.G1, f"{dim}-G2": space.G2})
+    return operators
+
+
+_OPERATORS = _applied_operators()
+
+
+def _int64_copy(A):
+    B = A.copy()
+    B.indices, B.indptr = A.indices.astype(np.int64), A.indptr.astype(np.int64)
+    return B
+
+
+def _mixed_indices(A):
+    """A with int64 column indices beside int32 row pointers."""
+    B = A.copy()
+    B.indices = A.indices.astype(np.int64)
+    return B
+
+
+@pytest.mark.parametrize("index", ["int32", "int64"])
+@pytest.mark.parametrize("name", list(_OPERATORS))
+def test_csr_apply_is_the_product_bit_for_bit(name, index):
+    A = _OPERATORS[name]
+    assert A.indices.dtype == A.indptr.dtype == np.int32
+    if index == "int64":
+        A = _int64_copy(A)
+        assert A.indices.dtype == A.indptr.dtype == np.int64
+    rng = np.random.default_rng(38)
+    n = A.shape[1]
+    # a strided x is copied by the kernel's argument conversion, as by @
+    for x in (rng.standard_normal(n), np.zeros(n), rng.standard_normal(2 * n)[::2]):
+        assert csr_apply(A, x).tobytes() == (A @ x).tobytes()
+
+
+@pytest.mark.parametrize("operand", [
+    lambda A, x: (A.tocsc(), x),
+    lambda A, x: (A.tocoo(), x),
+    lambda A, x: (A.toarray(), x),
+    lambda A, x: (_mixed_indices(A), x),
+    lambda A, x: (A.astype(np.float32), x),
+    lambda A, x: (A, x[:-1]),
+    lambda A, x: (A, np.append(x, 0.0)),
+    lambda A, x: (A, x.astype(np.float32)),
+    lambda A, x: (A, np.ones(len(x), dtype=int)),
+], ids=["csc", "coo", "dense", "mixed-index-dtypes", "float32-data", "short-x",
+        "long-x", "float32-x", "int-x"])
+def test_csr_apply_raises_on_an_operand_the_kernel_does_not_take(operand):
+    # the kernel converts or reads past what it is given without a check
+    A, x = operand(_OPERATORS["1d-J"], np.ones(40))
+    with pytest.raises(ValueError, match="^csr_apply takes"):
+        csr_apply(A, x)

@@ -671,13 +671,19 @@ def test_reference_solution_agrees_with_tight_direct_newton(seed, beta):
         assert relative_l1_error(u, run.u) <= 1e-12
 
 
-@pytest.mark.parametrize("beta, dirichlet", [
-    (1.0, (0.0, 1e300)), (0.0, (0.0, 1e300)), (1.0, (-1e308, 1e308)),
+@pytest.mark.parametrize("beta, dirichlet, solved", [
+    (1.0, (0.0, 1e300), True), (0.0, (0.0, 1e300), False),
+    (1.0, (-1e308, 1e308), False),
 ], ids=["drop-1e300", "darcy-drop-1e300", "drop-overflows"])
-def test_reference_solution_of_an_extreme_drop_ends(beta, dirichlet):
-    # the bisection ends, and a residual that overflows, or fails the
-    # bound at this scale, raises instead of warning or returning
+def test_reference_solution_of_an_extreme_drop_ends(beta, dirichlet, solved):
+    # the bisection ends; a solution within its roundoff bound returns
+    # (test_problems checks drop-1e300's bound), and a residual that
+    # overflows (darcy-drop-1e300) or is nan (drop-overflows) raises
+    # instead of warning or returning
     prob = smooth_forchheimer(40, beta=beta, dirichlet=dirichlet)
+    if solved:
+        assert np.isfinite(reference_solution(prob)).all()
+        return
     with pytest.raises(SolveError, match="^flux integration: residual norm ") as caught:
         reference_solution(prob)
     assert not isinstance(caught.value, LocalSolveError)

@@ -195,6 +195,19 @@ def test_discrete_solution_of_a_high_contrast_field_meets_its_roundoff_bound():
     assert np.linalg.norm(step, 1) <= 1e-13 * np.linalg.norm(u, 1)
 
 
+def test_discrete_solution_of_a_drop_of_1e300_meets_its_roundoff_bound():
+    # max |u| is 9.4e299, so ||u||_2 overflows as a plain sum of squares;
+    # the bound must not, and ||F(u)|| (1.9e135, 3.4e-15 of the largest
+    # face flux) meets 4 eps max(T) ||u||, here with ||u|| taken scaled
+    prob = smooth_forchheimer(40, beta=1.0, dirichlet=(0.0, 1e300))
+    u = prob.discrete_solution()
+    scale = np.abs(u).max()
+    bound = (4 * np.finfo(float).eps * prob.transmissibilities.max()
+             * scale * np.linalg.norm(u / scale))
+    assert np.isfinite(u).all()
+    assert np.linalg.norm(prob.residual(u)) <= bound
+
+
 def test_darcy_manufactured_consistency():
     # u = x/L + sin(2 pi x / L), lambda = 1: residual of the sampled exact
     # solution shrinks when the mesh is refined
