@@ -38,8 +38,9 @@ once per state and makes sure that the correction was solved at u.
 Each system builds one CoarseSpace from J's fixed pattern and P_0: P_0^T
 as CSR, for every restriction, and the Galerkin map, two sparse stages
 that take J.data onto the entries of J P_0 and those onto the dense J_0.
-Coarse Newton prolongs each iterate once, for its residual and Jacobian;
-every CSR product is one csr_apply call, bit for bit the product by @.
+Coarse Newton prolongs each iterate once, for its residual and Jacobian,
+and the FAS correction hands it F_0(R_0 u) from its right-hand side; every
+CSR product is one csr_apply call, bit for bit the product by @.
 """
 
 from dataclasses import dataclass, field
@@ -132,9 +133,15 @@ def _galerkin_jacobian(space, u):
     return J0T.T
 
 
+def _evaluated(space, u0):
+    """(P_0 u_0, F_0(u_0)): a coarse vector's prolongation and residual."""
+    fine = _prolonged(space, u0)
+    return fine, csr_apply(space.P0T, space.problem.residual(fine))
+
+
 def coarse_residual(space, u0):
     """F_0(u_0) = P_0^T F(P_0 u_0)."""
-    return csr_apply(space.P0T, space.problem.residual(_prolonged(space, u0)))
+    return _evaluated(space, u0)[1]
 
 
 def coarse_jacobian(space, u0):
@@ -142,19 +149,19 @@ def coarse_jacobian(space, u0):
     return _galerkin_jacobian(space, _prolonged(space, u0))
 
 
-def _coarse_newton(space, start, rhs, settings, what, factors=None):
+def _coarse_newton(space, start, rhs, settings, what, factors=None, evaluated=None):
     """Solve F_0(start + c) = rhs for c by coarse Newton from start.
 
     Every iterate, start included, is prolonged once and must have a finite
     residual; its coarse Jacobian is factored once, by LU, or at start given
-    as factors.  The result keeps the coarse Jacobian at start and the
-    factors of J^_0.
+    as factors, as may be its evaluated = (P_0 start, F_0(start)).  The
+    result keeps the coarse Jacobian at start and the factors of J^_0.
     """
     w = np.asarray(start, dtype=float).copy()
     J0, iterations = None, 0
     while True:
-        fine = _prolonged(space, w)
-        r = csr_apply(space.P0T, space.problem.residual(fine)) - rhs
+        fine, F0 = evaluated or _evaluated(space, w)
+        r = F0 - rhs
         with np.errstate(over="ignore"):
             rnorm = np.linalg.norm(r)
         if not np.isfinite(rnorm):
@@ -175,14 +182,16 @@ def _coarse_newton(space, start, rhs, settings, what, factors=None):
         if rnorm <= settings.inner_tol:
             return CoarseSolveResult(w - start, J0, tuple(factors), iterations)
         w -= dgetrs(*factors, r)[0]
-        factors, iterations = None, iterations + 1
+        factors, evaluated, iterations = None, None, iterations + 1
 
 
 def fas_correction(space, u, settings):
     """Full-approximation-scheme coarse correction C_0(u)."""
     u0 = csr_apply(space.layout.R0, np.asarray(u, dtype=float))
-    rhs = coarse_residual(space, u0) - csr_apply(space.P0T, space.problem.residual(u))
-    return _coarse_newton(space, u0, rhs, settings, "FAS coarse correction")
+    evaluated = _evaluated(space, u0)
+    rhs = evaluated[1] - csr_apply(space.P0T, space.problem.residual(u))
+    return _coarse_newton(space, u0, rhs, settings, "FAS coarse correction",
+                          evaluated=evaluated)
 
 
 def fas_correction_jacobian_action(result, space, J_u, v):

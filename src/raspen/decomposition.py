@@ -9,14 +9,15 @@ row-major grid.  An overlap may reach a neighbour's far edge but never past
 it.  The owned blocks partition the global cell set {0..M-1}; each overlap is
 its owned block plus the k layers toward the neighbours.
 
-All subdomains share one stacked overlap space, their overlap values
-concatenated in subdomain order: v[layout.cells] is R_i v for every i at
-once, subdomain i's part holds layout.sizes[i] entries, and
-layout.owned_slots locates each subdomain's owned entries in it.  A stacked
-x = (x_1, ..., x_I) is glued onto the cells additively by
-prolong (P x = sum_i P_i x_i, P_i the zero extension from the overlap cells)
-or by restricted_prolong (P~ x = sum_i P~_i x_i, P~_i writing the owned cells
-only), so restricted_prolong(layout, v[layout.cells]) == v holds exactly.
+A layout is five arrays: cells, sizes, owned_slots, R0 and P0.  All
+subdomains share one stacked overlap space, their overlap values
+concatenated in subdomain order: v[cells] is R_i v for every i at once,
+subdomain i's overlap is cells[start_i : start_i + sizes[i]] (start_i the
+sum of the earlier sizes), and the ascending owned_slots locate the owned
+entries in it.  A stacked x = (x_1, ..., x_I) is glued onto the cells
+additively by prolong (P x = sum_i P_i x_i, P_i the zero extension from the
+overlap cells) or by restricted_prolong (P~ x = sum_i P~_i x_i, P~_i writing
+the owned cells only), so restricted_prolong(layout, v[cells]) == v exactly.
 Both sum each cell's contributions from 0.0 in subdomain order.
 
 The coarse space has one degree of freedom per subdomain: R0 averages over the
@@ -37,7 +38,6 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "Subdomain",
     "DecompositionLayout",
     "build_1d_layout",
     "build_2d_layout",
@@ -47,25 +47,16 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class Subdomain:
-    """Index sets of one subdomain (sorted, 0-based global cell indices)."""
-
-    owned: np.ndarray        # nonoverlapping partition member
-    overlap: np.ndarray      # owned plus k layers into the neighbours
-    owned_local: np.ndarray  # positions of the owned cells inside `overlap`
-
-
-@dataclass(frozen=True, eq=False)
 class DecompositionLayout:
     """Immutable decomposition of {0..n_cells-1} with coarse-space operators.
 
-    cells, sizes and owned_slots index the stacked overlap space (module
-    docstring), read-only; coarse DOF i belongs to subdomain i.  R0 / P0 are
-    sparse operator matrices.
+    cells, sizes and owned_slots index the stacked overlap space, read-only:
+    subdomain i's overlap is cells[start_i : start_i + sizes[i]], and its
+    owned cells are the cells[owned_slots] in that range (module docstring).
+    Coarse DOF i belongs to subdomain i; R0 / P0 are sparse operator matrices.
     """
 
     n_cells: int
-    subdomains: tuple
     cells: np.ndarray = field(repr=False)
     sizes: np.ndarray = field(repr=False)
     owned_slots: np.ndarray = field(repr=False)
@@ -74,7 +65,7 @@ class DecompositionLayout:
 
     @property
     def n_subdomains(self):
-        return len(self.subdomains)
+        return len(self.sizes)
 
 
 def _blocks(n, parts, k):
@@ -101,28 +92,24 @@ def _blocks(n, parts, k):
             for a, b in zip(ends, ends[1:])]
 
 
-def _subdomain(grid, owned, overlap):
-    """The subdomain owning grid[owned] and overlapping grid[overlap]."""
-    owned, overlap = grid[owned].ravel(), grid[overlap].ravel()
-    return Subdomain(owned, overlap, np.searchsorted(overlap, owned))
-
-
-def _layout(n_cells, subdomains, P0):
-    """The layout of `subdomains`: stacked-space indices and R0 (owned means)."""
-    sizes = np.array([len(s.overlap) for s in subdomains])
+def _layout(grid, blocks, P0):
+    """The layout of blocks, (owned, overlap) index pairs into the cell grid:
+    stacked-space indices and R0 (owned means)."""
+    owned = [grid[o].ravel() for o, _ in blocks]
+    overlap = [grid[v].ravel() for _, v in blocks]
+    sizes = np.array([len(v) for v in overlap])
     starts = np.cumsum(sizes) - sizes
-    cells = np.concatenate([s.overlap for s in subdomains])
-    owned_slots = np.concatenate([start + s.owned_local
-                                  for start, s in zip(starts, subdomains)])
+    cells = np.concatenate(overlap)
+    owned_slots = np.concatenate([start + np.searchsorted(v, o)
+                                  for start, o, v in zip(starts, owned, overlap)])
     for a in (cells, sizes, owned_slots):
         a.flags.writeable = False
-    counts = np.array([len(s.owned) for s in subdomains])
+    counts = np.array([len(o) for o in owned])
     R0 = sp.csr_matrix(
         (np.repeat(1.0 / counts, counts),
-         (np.repeat(np.arange(len(subdomains)), counts), cells[owned_slots])),
-        shape=(len(subdomains), n_cells))
-    return DecompositionLayout(n_cells, tuple(subdomains), cells, sizes, owned_slots,
-                               R0, P0)
+         (np.repeat(np.arange(len(blocks)), counts), cells[owned_slots])),
+        shape=(len(blocks), grid.size))
+    return DecompositionLayout(grid.size, cells, sizes, owned_slots, R0, P0)
 
 
 def _linear_weights(targets, nodes, left, right):
@@ -171,12 +158,10 @@ def build_1d_layout(n_cells, n_subdomains, overlap_layers, dirichlet=(0.0, 1.0))
     blocks = _blocks(n_cells, n_subdomains, overlap_layers)
     M = int(n_cells)
     grid = np.arange(M)
-    subdomains = [_subdomain(grid, owned, overlap) for owned, overlap in blocks]
     centers = (grid + 0.5) / M
-    nodes = np.array([centers[s.owned].mean() for s in subdomains])
+    nodes = np.array([centers[owned].mean() for owned, _ in blocks])
     left, right = map(_boundary_rule, dirichlet)
-    return _layout(M, subdomains,
-                   _linear_weights(centers, nodes, left=left, right=right))
+    return _layout(grid, blocks, _linear_weights(centers, nodes, left=left, right=right))
 
 
 def build_2d_layout(nx, ny, n_per_side, overlap_layers, dirichlet_value=1.0):
@@ -197,9 +182,8 @@ def build_2d_layout(nx, ny, n_per_side, overlap_layers, dirichlet_value=1.0):
     nx, ny, N = int(nx), int(ny), int(n_per_side)
     if nx % N or ny % N:
         raise ValueError(f"nx={nx}, ny={ny} must be divisible by n_per_side={N}")
-    grid = np.arange(nx * ny).reshape(ny, nx)
-    subdomains = [_subdomain(grid, (owned_y, owned_x), (overlap_y, overlap_x))
-                  for owned_y, overlap_y in ys for owned_x, overlap_x in xs]
+    blocks = [((owned_y, owned_x), (overlap_y, overlap_x))
+              for owned_y, overlap_y in ys for owned_x, overlap_x in xs]
 
     # P0 = kron(Wy, Wx): coarse DOF (cx, cy) -> cy*N + cx matches the
     # subdomain enumeration above; x=1 is the Dirichlet edge.
@@ -209,7 +193,8 @@ def build_2d_layout(nx, ny, n_per_side, overlap_layers, dirichlet_value=1.0):
     right = _boundary_rule(dirichlet_value)
     Wx = _linear_weights(xc, xn, left="const", right=right)
     Wy = _linear_weights(yc, xn, left="const", right="const")
-    return _layout(nx * ny, subdomains, sp.kron(Wy, Wx, format="csr"))
+    return _layout(np.arange(nx * ny).reshape(ny, nx), blocks,
+                   sp.kron(Wy, Wx, format="csr"))
 
 
 def _stacked(layout, x):

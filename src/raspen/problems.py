@@ -246,7 +246,8 @@ class ForchheimerProblem1D(NonlinearProblem):
         4 eps max(T) ||u|| overflows (rounding u to floats moves F that far:
         a row is a difference of two fluxes q(T du), q 1-Lipschitz; ||u|| by
         hypot, without squares), or if ||F(u)|| exceeds both that bound and
-        DISCRETE_RESIDUAL.
+        DISCRETE_RESIDUAL (a finite F(u) whose squares overflow is scaled by
+        its largest entry first).
         """
         S, T = np.append(0.0, np.cumsum(self.source)), self.transmissibilities
         beta = self.beta if self.beta > DARCY_THRESHOLD else 0.0
@@ -262,7 +263,10 @@ class ForchheimerProblem1D(NonlinearProblem):
                 lo, hi = (c, hi) if drops(c).sum() < drop else (lo, c)
             c = min((lo, hi), key=lambda c: abs(drops(c).sum() - drop))
             u = self.dirichlet[0] - np.cumsum(drops(c)[:-1])
-            rnorm = np.linalg.norm(self.residual(u))
+            r = self.residual(u)
+            rnorm = np.linalg.norm(r)
+            if np.isinf(rnorm) and np.isfinite(r).all():
+                rnorm = (big := np.abs(r).max()) * np.linalg.norm(r / big)
             bound = max(DISCRETE_RESIDUAL,
                         4 * np.finfo(float).eps * T.max() * np.hypot.reduce(u))
         if not (np.isfinite([lo, hi, bound]).all() and rnorm <= bound):

@@ -43,7 +43,7 @@ def brute_frozen_newton(problem, layout, i, u, tol=1e-12, maxit=60):
     Returns the full state whose overlap cells solve the local system with
     the exterior held at u.
     """
-    ov = layout.subdomains[i].overlap
+    ov = layout_blocks(layout)[i].overlap
     w = np.asarray(u, dtype=float).copy()
     for _ in range(maxit):
         r = problem.residual(w)[ov]
@@ -127,7 +127,7 @@ def schwarz_preconditioners(A, layout):
     n = A.shape[0]
     M_ras = np.zeros((n, n))
     M_as = np.zeros((n, n))
-    for sub in layout.subdomains:
+    for sub in layout_blocks(layout):
         ov = sub.overlap
         Ainv = np.linalg.inv(A[np.ix_(ov, ov)])
         R = np.zeros((len(ov), n))
@@ -295,6 +295,33 @@ def two_call_solve_local(positions, u, settings):
                             int(counts.sum()))
 
 
+# ------------------------------------------ a layout, one subdomain at a time
+
+
+@dataclass(frozen=True, eq=False)
+class Block:
+    """Subdomain i's index sets, read off a layout's stacked arrays.
+
+    overlap is cells[start_i : start_i + sizes[i]], start_i the sum of the
+    earlier sizes; owned_local are the owned_slots in that range, less
+    start_i, and owned is overlap[owned_local].
+    """
+
+    owned: np.ndarray
+    overlap: np.ndarray
+    owned_local: np.ndarray
+
+
+def layout_blocks(layout):
+    """Every subdomain's Block, in subdomain order."""
+    ends = np.cumsum(layout.sizes)
+    starts, slots = ends - layout.sizes, layout.owned_slots
+    assert ends[-1] == len(layout.cells) and (np.diff(slots) > 0).all()
+    parts = np.split(slots, np.searchsorted(slots, ends[:-1]))
+    return [Block(layout.cells[s], layout.cells[a:b], s - a)
+            for a, b, s in zip(starts, ends, parts)]
+
+
 # ------------------------------------- block positions, one block at a time
 
 
@@ -334,7 +361,7 @@ def per_block_positions(problem, layout):
     """Every subdomain's BlockPositions, built one subdomain after another."""
     J = problem.jacobian(problem.initial_state())
     return [subdomain_positions(J, i, sub.overlap)
-            for i, sub in enumerate(layout.subdomains)]
+            for i, sub in enumerate(layout_blocks(layout))]
 
 
 def subdomain_positions(J, i, ov):

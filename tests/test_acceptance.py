@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import dense_darcy_system, schwarz_preconditioners
+from oracles import dense_darcy_system, layout_blocks, schwarz_preconditioners
 
 from raspen.coarse import (
     aspin_coarse_correction,
@@ -36,7 +36,7 @@ def _verdict(num, label, ok, detail):
 def _pou_matrices(layout):
     """Dense 0/1 restriction and glued prolongation per subdomain."""
     M = layout.n_cells
-    for sub in layout.subdomains:
+    for sub in layout_blocks(layout):
         R = np.zeros((len(sub.overlap), M))
         R[np.arange(len(sub.overlap)), sub.overlap] = 1.0
         P_tilde = np.zeros((M, len(sub.overlap)))

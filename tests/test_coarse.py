@@ -301,11 +301,12 @@ def test_coarse_budget_error(what):
                                   "coarse base solve"])
 def test_coarse_newton_prolongs_each_iterate_once(what, monkeypatch):
     # an iterate's coarse residual and coarse Jacobian read one P_0 w; the
-    # FAS correction prolongs R_0 u once more, for its right-hand side
+    # FAS correction's right-hand side evaluates F_0(R_0 u), which coarse
+    # Newton takes as its start's, so no solve prolongs any iterate twice
     prob, lay = smooth_forchheimer(36, beta=1.0), build_1d_layout(36, 4, 3)
     u = 0.3 * np.random.default_rng(40).standard_normal(36)
     solve = _coarse_solves(prob, lay, u)[what]
-    prolonged, jacobian_states = [], []
+    prolonged, jacobian_states, residual_states = [], [], []
 
     def counted(A, x):
         y = csr_apply(A, x)
@@ -314,13 +315,19 @@ def test_coarse_newton_prolongs_each_iterate_once(what, monkeypatch):
         return y
 
     monkeypatch.setattr(coarse_mod, "csr_apply", counted)
-    jacobian = prob.jacobian
+    jacobian, residual = prob.jacobian, prob.residual
     monkeypatch.setattr(prob, "jacobian",
                         lambda w: jacobian_states.append(w) or jacobian(w))
+    monkeypatch.setattr(prob, "residual",
+                        lambda w: residual_states.append(w) or residual(w))
     result = solve(SETTINGS)
-    rhs = what == "FAS coarse correction"
     assert result.inner_iterations >= 2
-    assert len(prolonged) == result.inner_iterations + 1 + rhs
+    assert len(prolonged) == result.inner_iterations + 1
+    # one fine residual at each prolongation, in order, and one F(u) for
+    # the FAS and AS right-hand sides
+    at = [w for w in residual_states if any(w is p for p in prolonged)]
+    assert len(at) == len(prolonged) and all(w is p for w, p in zip(at, prolonged))
+    assert len(residual_states) == len(prolonged) + (what != "coarse base solve")
     # each Jacobian is taken at its iterate's prolongation, not a new one
     assert all(any(w is p for p in prolonged) for w in jacobian_states)
     assert len(jacobian_states) == result.inner_iterations + (

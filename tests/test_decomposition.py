@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from oracles import layout_blocks
 
 from raspen.decomposition import (
     build_1d_layout,
@@ -15,31 +16,30 @@ from raspen.decomposition import (
 
 
 def test_1d_blocks_no_overlap():
-    lay = build_1d_layout(9, 3, 0)
-    assert [s.owned.tolist() for s in lay.subdomains] == [
+    blocks = layout_blocks(build_1d_layout(9, 3, 0))
+    assert [s.owned.tolist() for s in blocks] == [
         [0, 1, 2],
         [3, 4, 5],
         [6, 7, 8],
     ]
-    for s in lay.subdomains:
+    for s in blocks:
         assert s.overlap.tolist() == s.owned.tolist()
         assert s.owned_local.tolist() == [0, 1, 2]
 
 
 def test_1d_blocks_one_layer():
-    lay = build_1d_layout(9, 3, 1)
-    assert lay.subdomains[0].overlap.tolist() == [0, 1, 2, 3]
-    assert lay.subdomains[1].overlap.tolist() == [2, 3, 4, 5, 6]
-    assert lay.subdomains[2].overlap.tolist() == [5, 6, 7, 8]
-    assert lay.subdomains[1].owned_local.tolist() == [1, 2, 3]
+    blocks = layout_blocks(build_1d_layout(9, 3, 1))
+    assert blocks[0].overlap.tolist() == [0, 1, 2, 3]
+    assert blocks[1].overlap.tolist() == [2, 3, 4, 5, 6]
+    assert blocks[2].overlap.tolist() == [5, 6, 7, 8]
+    assert blocks[1].owned_local.tolist() == [1, 2, 3]
     # owned blocks still partition the cells
-    allowned = np.concatenate([s.owned for s in lay.subdomains])
+    allowned = np.concatenate([s.owned for s in blocks])
     assert sorted(allowned.tolist()) == list(range(9))
 
 
 def test_1d_uneven_blocks():
-    lay = build_1d_layout(10, 3, 1)
-    sizes = [len(s.owned) for s in lay.subdomains]
+    sizes = [len(s.owned) for s in layout_blocks(build_1d_layout(10, 3, 1))]
     assert sizes == [4, 3, 3]
     assert sum(sizes) == 10
 
@@ -59,14 +59,13 @@ def test_2d_layout_enumeration():
     lay = build_2d_layout(8, 8, 2, 1)
     assert lay.n_subdomains == 4
     # subdomain 0 owns the lower-left 4x4 block, row-major cell ids
-    s0 = lay.subdomains[0]
+    s0, _, _, s3 = layout_blocks(lay)
     expect = [j * 8 + i for j in range(4) for i in range(4)]
     assert s0.owned.tolist() == expect
     # its overlap is the 5x5 block (clipped at the boundary on two sides)
     expect = [j * 8 + i for j in range(5) for i in range(5)]
     assert s0.overlap.tolist() == expect
     # subdomain 3 (top-right) overlap extends down and left
-    s3 = lay.subdomains[3]
     expect = [j * 8 + i for j in range(3, 8) for i in range(3, 8)]
     assert s3.overlap.tolist() == expect
 
@@ -115,7 +114,7 @@ def test_restrict_prolong_identity():
     lay = build_1d_layout(20, 4, 2)
     rng = np.random.default_rng(2)
     start = 0
-    for sub in lay.subdomains:
+    for sub in layout_blocks(lay):
         block = slice(start, start + len(sub.overlap))
         start = block.stop
         assert np.array_equal(lay.cells[block], sub.overlap)
@@ -153,7 +152,7 @@ def test_coarse_prolong_1d_oracle():
     # zero data at both ends: pinned to 0 on both sides
     lay00 = build_1d_layout(12, 3, 1, dirichlet=(0.0, 0.0))
     centers = (np.arange(12) + 0.5) / 12
-    nodes = np.array([lay.subdomains[i].owned.mean() + 0.5 for i in range(3)]) / 12
+    nodes = np.array([s.owned.mean() + 0.5 for s in layout_blocks(lay)]) / 12
     rng = np.random.default_rng(3)
     for _ in range(5):
         v0 = rng.standard_normal(3)
@@ -265,7 +264,7 @@ def test_coarse_prolong_1d_matches_loop_oracle(dirichlet):
         centers = (np.arange(M) + 0.5) / M
         for I in sorted({min(I, M) for I in (1, 2, 3, M // 7, M // 2, M)} - {0}):
             lay = build_1d_layout(M, I, 0, dirichlet=dirichlet)
-            nodes = np.array([centers[s.owned].mean() for s in lay.subdomains])
+            nodes = np.array([centers[s.owned].mean() for s in layout_blocks(lay)])
             want = _loop_linear_weights(centers, nodes, left, right)
             assert _same_csr(lay.P0, want), (M, I)
             checked += 1
@@ -306,7 +305,7 @@ def _loop_glue(lay, x, restricted):
     replace, kept as their oracle."""
     acc = np.zeros(lay.n_cells)
     start = 0
-    for sub in lay.subdomains:
+    for sub in layout_blocks(lay):
         x_i = x[start:start + len(sub.overlap)]
         start += len(sub.overlap)
         out = np.zeros(lay.n_cells)
@@ -321,7 +320,7 @@ def _loop_glue(lay, x, restricted):
 def _loop_coarse_mean(lay):
     """R0 built cell by cell from the owned sets, the oracle for R0."""
     rows, cols, data = [], [], []
-    for i, sub in enumerate(lay.subdomains):
+    for i, sub in enumerate(layout_blocks(lay)):
         rows.extend([i] * len(sub.owned))
         cols.extend(sub.owned.tolist())
         data.extend([1.0 / len(sub.owned)] * len(sub.owned))
@@ -368,7 +367,7 @@ def _layout_digest(lay):
     arrays = [np.array(lay.n_cells), lay.cells, lay.sizes, lay.owned_slots]
     for A in (lay.R0, lay.P0):
         arrays += [np.array(A.shape), A.data, A.indices, A.indptr]
-    for s in lay.subdomains:
+    for s in layout_blocks(lay):
         arrays += [s.owned, s.overlap, s.owned_local]
     h = hashlib.sha256()
     for a in arrays:

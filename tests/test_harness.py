@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import layout_blocks
 
 import raspen.harness as harness_mod
 from raspen.cli import main as cli_main
@@ -409,7 +410,7 @@ def test_reference_failure_recorded_without_aborting(tmp_path, monkeypatch):
 def _geometric_off_interface_mask(problem, layout):
     """Oracle: the two-point flux stencils, from the grid geometry."""
     owner = np.empty(problem.dof_count, dtype=int)
-    for idx, sub in enumerate(layout.subdomains):
+    for idx, sub in enumerate(layout_blocks(layout)):
         owner[sub.owned] = idx
     if isinstance(problem, DiffusionProblem2D):
         own = owner.reshape(problem.ny, problem.nx)

@@ -15,6 +15,7 @@ from oracles import (
     block_vector,
     brute_frozen_newton,
     dense_darcy_system,
+    layout_blocks,
     per_block_action,
     per_block_positions,
     plain_newton,
@@ -57,7 +58,7 @@ def _block_diagonal(layout, rows):
     """diag(A_ii), A_ii = R_i J P_i, from every subdomain's R_i J stacked in rows."""
     A = np.zeros((len(rows), len(rows)))
     at = 0
-    for sub in layout.subdomains:
+    for sub in layout_blocks(layout):
         block = slice(at, at + len(sub.overlap))
         A[block, block] = rows[block][:, sub.overlap]
         at = block.stop
@@ -134,7 +135,7 @@ def test_affine_correction_formula():
     stack = block_positions(prob, lay)
     res = solve_local(stack, u, SETTINGS)
     assert res.inner_counts == (1,) * lay.n_subdomains
-    for sub, correction in zip(lay.subdomains, _per_block(stack, res.correction)):
+    for sub, correction in zip(layout_blocks(lay), _per_block(stack, res.correction)):
         ov = sub.overlap
         A_i = A[np.ix_(ov, ov)]
         want = np.linalg.solve(A_i, (b - A @ u)[ov])
@@ -151,7 +152,7 @@ def test_matches_brute_force_local_newton():
     for i, correction in enumerate(_per_block(stack, res.correction)):
         want = brute_frozen_newton(prob, lay, i, u)
         got = u.copy()
-        got[lay.subdomains[i].overlap] += correction
+        got[layout_blocks(lay)[i].overlap] += correction
         assert np.max(np.abs(got - want)) < 1e-8
 
 
@@ -162,7 +163,7 @@ def test_exterior_untouched_and_residual_small():
     u = rng.standard_normal(64)
     stack = block_positions(prob, lay)
     res = solve_local(stack, u, SETTINGS)
-    ov = lay.subdomains[1].overlap
+    ov = layout_blocks(lay)[1].overlap
     v = u.copy()
     v[ov] += _per_block(stack, res.correction)[1]
     outside = np.setdiff1d(np.arange(64), ov)
@@ -268,7 +269,7 @@ def test_jacobian_action_affine_oracle():
     for _ in range(3):
         v = rng.standard_normal(15)
         got = _per_block(stack, local_correction_jacobian_action(block, v))
-        for sub, got_i in zip(lay.subdomains, got):
+        for sub, got_i in zip(layout_blocks(lay), got):
             ov = sub.overlap
             want = -np.linalg.solve(A[np.ix_(ov, ov)], (A @ v)[ov])
             assert np.allclose(got_i, want, atol=1e-10)
@@ -324,7 +325,7 @@ def test_blocks_gathered_by_position_match_slices(make, monkeypatch):
     ab, kl, ku = factored[0]
     # LAPACK's layout: 2*kl+ku+1 rows, the first kl left for fill-in
     assert ab.shape == (2 * kl + ku + 1, stack.size) and not ab[:kl].any()
-    ov = np.concatenate([sub.overlap for sub in lay.subdomains])
+    ov = np.concatenate([sub.overlap for sub in layout_blocks(lay)])
     rows = sp.csr_matrix((stack.kernels.jacobian(stack.gather(u)), stack.columns,
                           stack.indptr), shape=(stack.size, n))
     assert np.array_equal(rows.toarray(), J[ov].toarray())
@@ -356,7 +357,7 @@ def test_band_factors_match_dense_solve(make, bands):
     rng = np.random.default_rng(28)
     u = rng.standard_normal(n)
     dense = prob.jacobian(u).toarray()
-    ov = np.concatenate([sub.overlap for sub in lay.subdomains])
+    ov = np.concatenate([sub.overlap for sub in layout_blocks(lay)])
     A = _block_diagonal(lay, dense[ov])
     X = stack.gather(u)
     block = local_jacobian(stack, X)

@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from oracles import (Kernels, Repatterned, default_order_newton, plain_newton,
-                     tridiagonal_newton)
+from oracles import (Kernels, Repatterned, default_order_newton, layout_blocks,
+                     plain_newton, tridiagonal_newton)
 
 import raspen.local_solver as local_solver_mod
 import raspen.newton as newton_mod
@@ -342,7 +342,7 @@ def test_zero_pivot_in_stacked_block_names_subdomain_with_outer_context(
     # all local blocks are factored as one band: a zero pivot at subdomain
     # 3's first column, or at subdomain 2's last, names that subdomain
     system = _system("RASPEN1")
-    start = sum(len(sub.overlap) for sub in system.layout.subdomains[:3])
+    start = sum(len(sub.overlap) for sub in layout_blocks(system.layout)[:3])
     column = start if first else start - 1
     residual = system.residual
     dgbtrf = local_solver_mod.dgbtrf
@@ -672,14 +672,14 @@ def test_reference_solution_agrees_with_tight_direct_newton(seed, beta):
 
 
 @pytest.mark.parametrize("beta, dirichlet, solved", [
-    (1.0, (0.0, 1e300), True), (0.0, (0.0, 1e300), False),
-    (1.0, (-1e308, 1e308), False),
-], ids=["drop-1e300", "darcy-drop-1e300", "drop-overflows"])
+    (1.0, (0.0, 1e300), True), (0.0, (0.0, 1e300), True),
+    (0.0, (0.0, 1e308), False), (1.0, (-1e308, 1e308), False),
+], ids=["drop-1e300", "darcy-drop-1e300", "darcy-bound-overflows", "drop-overflows"])
 def test_reference_solution_of_an_extreme_drop_ends(beta, dirichlet, solved):
     # the bisection ends; a solution within its roundoff bound returns
-    # (test_problems checks drop-1e300's bound), and a residual that
-    # overflows (darcy-drop-1e300) or is nan (drop-overflows) raises
-    # instead of warning or returning
+    # (test_problems checks both drop-1e300 bounds), and a roundoff bound
+    # that overflows (darcy-bound-overflows) or a nan residual
+    # (drop-overflows) raises instead of warning or returning
     prob = smooth_forchheimer(40, beta=beta, dirichlet=dirichlet)
     if solved:
         assert np.isfinite(reference_solution(prob)).all()

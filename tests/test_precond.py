@@ -4,7 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import Kernels, dense_darcy_system, plain_newton, schwarz_preconditioners
+from oracles import (Kernels, dense_darcy_system, layout_blocks, plain_newton,
+                     schwarz_preconditioners)
 
 import raspen.coarse as coarse_mod
 import raspen.local_solver as local_solver_mod
@@ -78,7 +79,7 @@ def test_restricted_equals_additive_outside_overlap():
     r_ras = PreconditionedSystem("RASPEN1", prob, lay, SETTINGS).residual(u).value
     r_as = PreconditionedSystem("ASPIN1", prob, lay, SETTINGS).residual(u).value
     cover = np.zeros(30, dtype=int)
-    for sub in lay.subdomains:
+    for sub in layout_blocks(lay):
         cover[sub.overlap] += 1
     once = cover == 1
     assert once.any() and (~once).any()

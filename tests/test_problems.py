@@ -1,7 +1,5 @@
 """Tests for the discrete problems against independent dense/FD oracles."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -206,6 +204,21 @@ def test_discrete_solution_of_a_drop_of_1e300_meets_its_roundoff_bound():
              * scale * np.linalg.norm(u / scale))
     assert np.isfinite(u).all()
     assert np.linalg.norm(prob.residual(u)) <= bound
+
+
+@pytest.mark.parametrize("drop", [1e200, 1e300])
+def test_discrete_solution_of_a_huge_darcy_drop_meets_its_roundoff_bound(drop):
+    # F(u) is finite, but its squares overflow (max |F| 7.6e184 at a drop
+    # of 1e200, 1.1e285 at 1e300): the residual norm, taken scaled, meets
+    # 4 eps max(T) ||u|| instead of reading inf
+    prob = smooth_forchheimer(40, beta=0.0, dirichlet=(0.0, drop))
+    u = prob.discrete_solution()
+    r, scale = prob.residual(u), np.abs(u).max()
+    assert np.isfinite(u).all() and np.isfinite(r).all()
+    bound = (4 * np.finfo(float).eps * prob.transmissibilities.max()
+             * scale * np.linalg.norm(u / scale))
+    big = np.abs(r).max()
+    assert big * np.linalg.norm(r / big) <= bound
 
 
 def test_darcy_manufactured_consistency():
@@ -526,9 +539,9 @@ def _outputs(kernels, X):
     return rows, data
 
 
-def _check_row_kernels(prob, subdomains, rng):
+def _check_row_kernels(prob, layout, rng):
     """Every subdomain's row kernels against the global evaluations, bit for bit."""
-    positions = per_block_positions(prob, SimpleNamespace(subdomains=subdomains))
+    positions = per_block_positions(prob, layout)
     n = prob.dof_count
     for u in (rng.standard_normal(n), 1e3 * rng.standard_normal(n)):
         F, J = prob.residual(u), prob.jacobian(u)
@@ -572,7 +585,7 @@ def test_row_kernels_2d_bit_identical_on_every_subdomain(nx, ny):
         if nx % N or ny % N:
             continue
         for k in range(min(nx, ny) // N + 1 if N > 1 else 1):
-            _check_row_kernels(prob, build_2d_layout(nx, ny, N, k).subdomains, rng)
+            _check_row_kernels(prob, build_2d_layout(nx, ny, N, k), rng)
 
 
 def _check_stacked_row_kernels(prob, layout, rng):

@@ -10,7 +10,7 @@ local actions read.
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import WideBand, per_block_action, per_block_positions
+from oracles import WideBand, layout_blocks, per_block_action, per_block_positions
 
 from raspen.coarse import coarse_jacobian, coarse_space
 from raspen.decomposition import (
@@ -73,13 +73,14 @@ def _box(cells, shape):
 @given(_LAYOUTS)
 def test_owned_sets_partition_the_cells_into_near_equal_boxes(drawn):
     lay, _, shape = drawn
-    owned = np.concatenate([s.owned for s in lay.subdomains])
+    blocks = layout_blocks(lay)
+    owned = np.concatenate([s.owned for s in blocks])
     assert np.array_equal(np.sort(owned), np.arange(lay.n_cells))
-    for s in lay.subdomains:
+    for s in blocks:
         box = _box(s.owned, shape)
         assert len(s.owned) == np.prod([hi - lo for lo, hi in box])
     # blocks along an axis differ by at most one cell, larger ones first
-    sizes = [len(s.owned) for s in lay.subdomains]
+    sizes = [len(s.owned) for s in blocks]
     assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True)
 
 
@@ -88,7 +89,7 @@ def test_owned_sets_partition_the_cells_into_near_equal_boxes(drawn):
 def test_each_overlap_is_its_owned_block_grown_by_k_and_clipped(drawn):
     lay, k, shape = drawn
     grid = np.arange(lay.n_cells).reshape(shape)
-    for s in lay.subdomains:
+    for s in layout_blocks(lay):
         grown = tuple(slice(max(lo - k, 0), min(hi + k, n))
                       for (lo, hi), n in zip(_box(s.owned, shape), shape))
         assert np.array_equal(s.overlap, grid[grown].ravel())
@@ -102,7 +103,7 @@ def test_glue_of_stacked_ones_gives_ones_and_overlap_multiplicity(drawn):
     ones = np.ones(len(lay.cells))
     assert np.array_equal(restricted_prolong(lay, ones), np.ones(lay.n_cells))
     multiplicity = sum(np.isin(np.arange(lay.n_cells), s.overlap).astype(float)
-                       for s in lay.subdomains)
+                       for s in layout_blocks(lay))
     assert np.array_equal(prolong(lay, ones), multiplicity)
 
 
