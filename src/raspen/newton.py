@@ -1,4 +1,4 @@
-"""Outer Newton driver, plain fixed-point driver, and continuation in beta.
+"""Outer Newton driver, plain fixed-point driver and direct Newton.
 
 Iteration accounting follows the parallel-cost convention of the solver
 comparison, applied by IterationLedger alone.  One row per residual
@@ -12,10 +12,10 @@ count, and LS_n = sum_{j<=n} (ls_in[j] + ls_G[j]).  An outer Newton row
 also keeps its GMRES solve's relative residual history, ls_G values long;
 rows that solve no GMRES system keep an empty one.
 
-The three drivers of a PreconditionedSystem (outer_newton,
-fixed_point_solve, continuation_solve) run by the system's own settings
-and return every way a run ends as a RunResult: a subdomain or coarse
-solve failure ends it with that SolveError as its failure, never raised.
+The two drivers of a PreconditionedSystem (outer_newton and
+fixed_point_solve) run by the system's own settings and return every way
+a run ends as a RunResult: a subdomain or coarse solve failure ends it
+with that SolveError as its failure, never raised.
 
 Errors in the ledger are relative l1 distances to a reference iterate,
 which callers usually obtain from reference_solution(): flux integration
@@ -25,9 +25,7 @@ Direct Newton picks its solver once per run, from the problem's pattern: at
 bandwidth at most 1 (every 1D problem) one LAPACK dgtsv call factors and
 solves each step on J's three diagonals; any wider pattern is factored by
 SuperLU in the column order of minimum degree on A^T + A, the order
-SuperLU recommends for structurally symmetric matrices: on the 64 x 64
-diffusion Jacobian it fills L + U with 126,532 entries against COLAMD's
-220,624.
+SuperLU recommends for structurally symmetric matrices.
 """
 
 from dataclasses import dataclass, field, replace
@@ -44,7 +42,6 @@ __all__ = [
     "RunResult",
     "outer_newton",
     "fixed_point_solve",
-    "continuation_solve",
     "direct_newton",
     "reference_solution",
     "relative_l1_error",
@@ -222,25 +219,6 @@ def fixed_point_solve(system, u0, *, max_steps=None, u_ref=None):
                              f"diverged (error {err:.3e} at step {step})")
     return RunResult(u, ledger, False, max_steps,
                      f"error {ledger.error[-1]:.3e} after {max_steps} steps")
-
-
-def continuation_solve(system_factory, betas, u0, *, u_ref=None):
-    """Chain outer_newton runs over increasing beta with warm starts.
-
-    Each stage runs with its system's settings.  Returns the list of
-    RunResults, one per beta, stopping at the first beta whose run does
-    not converge (that run, a failed one included, ends the list).
-    """
-    betas = list(betas)
-    if not betas or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-        raise ValueError("betas must be nonempty and strictly increasing")
-    runs, u = [], np.asarray(u0, dtype=float)
-    for beta in betas:
-        runs.append(outer_newton(system_factory(beta), u, u_ref=u_ref))
-        if not runs[-1].converged:
-            break
-        u = runs[-1].u
-    return runs
 
 
 def direct_newton(problem, u0, settings=None, u_ref=None):

@@ -33,8 +33,6 @@ __all__ = [
     "default_diffusion_source",
 ]
 
-# below this the Darcy limit q(g)=g is used verbatim
-DARCY_THRESHOLD = 1e-12
 # the floor of the residual norm ForchheimerProblem1D.discrete_solution must reach
 DISCRETE_RESIDUAL = 1e-10
 
@@ -142,39 +140,40 @@ class _RowKernels:
 
 
 def _root(g, beta):
-    """sqrt(1 + 4 beta |g|), from which q and q' derive; None for Darcy flow."""
-    return None if beta <= DARCY_THRESHOLD else np.sqrt(1.0 + 4.0 * beta * np.abs(g))
+    """sqrt(1 + 4 beta |g|), from which q and q' derive."""
+    return np.sqrt(1.0 + 4.0 * beta * np.abs(g))
 
 
 def _q(g, root):
-    return g if root is None else 2.0 * g / (1.0 + root)
+    return g / ((1.0 + root) * 0.5)
 
 
 def _dq(g, root):
-    return np.ones_like(g) if root is None else 1.0 / root
+    return 1.0 / root
+
+
+def _flux(f, g, beta):
+    """f(g, root) at a finite, nonnegative beta; a float for a scalar g."""
+    if not 0 <= beta < np.inf:  # nan fails too
+        raise ValueError("beta must be finite and nonnegative")
+    g = np.asarray(g, dtype=float)
+    out = f(g, _root(g, beta))
+    return out if g.ndim else float(out)
 
 
 def q_flux(g, beta):
     """Flux function q(g) = sgn(g)(-1 + sqrt(1 + 4*beta*|g|)) / (2*beta).
 
-    Evaluated in the equivalent form 2g / (1 + sqrt(1 + 4*beta*|g|)) which
-    is exact for g = 0 and free of cancellation for small beta*|g|.  For
-    beta below the Darcy threshold the linear limit q(g) = g is returned.
+    Evaluated in the equivalent form g / ((1 + sqrt(1 + 4*beta*|g|)) / 2),
+    which is exact for g = 0, free of cancellation for small beta*|g| and,
+    at beta = 0, the Darcy law q(g) = g exactly at every finite g.
     """
-    g = np.asarray(g, dtype=float)
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    out = np.array(_q(g, _root(g, beta)))
-    return out if g.ndim else float(out)
+    return _flux(_q, g, beta)
 
 
 def q_flux_derivative(g, beta):
     """q'(g) = 1 / sqrt(1 + 4*beta*|g|) (even, positive, q'(0) = 1)."""
-    g = np.asarray(g, dtype=float)
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    out = _dq(g, _root(g, beta))
-    return out if g.ndim else float(out)
+    return _flux(_dq, g, beta)
 
 
 def build_transmissibilities(lambda_field, h):
@@ -244,17 +243,16 @@ class ForchheimerProblem1D(NonlinearProblem):
         is d0 less the cumulative drops at the end whose sum is nearer.
         SolveError if the bracket ends non-finite, if the roundoff bound
         4 eps max(T) ||u|| overflows (rounding u to floats moves F that far:
-        a row is a difference of two fluxes q(T du), q 1-Lipschitz; ||u|| by
-        hypot, without squares), or if ||F(u)|| exceeds both that bound and
-        DISCRETE_RESIDUAL (a finite F(u) whose squares overflow is scaled by
-        its largest entry first).
+        a row is a difference of two fluxes q(T du), q 1-Lipschitz), or if
+        ||F(u)|| exceeds both that bound and DISCRETE_RESIDUAL; both norms
+        are scaled by the largest entry, so neither overflows by its squares
+        and the bound only where its own value does.
         """
         S, T = np.append(0.0, np.cumsum(self.source)), self.transmissibilities
-        beta = self.beta if self.beta > DARCY_THRESHOLD else 0.0
         drop = self.dirichlet[0] - self.dirichlet[1]
 
         def drops(c):
-            return (c + S) * (1.0 + beta * np.abs(c + S)) / T
+            return (c + S) * (1.0 + self.beta * np.abs(c + S)) / T
 
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             mid = q_flux(drop / np.sum(1.0 / T), self.beta)
@@ -263,16 +261,19 @@ class ForchheimerProblem1D(NonlinearProblem):
                 lo, hi = (c, hi) if drops(c).sum() < drop else (lo, c)
             c = min((lo, hi), key=lambda c: abs(drops(c).sum() - drop))
             u = self.dirichlet[0] - np.cumsum(drops(c)[:-1])
-            r = self.residual(u)
-            rnorm = np.linalg.norm(r)
-            if np.isinf(rnorm) and np.isfinite(r).all():
-                rnorm = (big := np.abs(r).max()) * np.linalg.norm(r / big)
+            rnorm = _scaled_norm(self.residual(u))
             bound = max(DISCRETE_RESIDUAL,
-                        4 * np.finfo(float).eps * T.max() * np.hypot.reduce(u))
+                        _scaled_norm(u, 4 * np.finfo(float).eps * T.max()))
         if not (np.isfinite([lo, hi, bound]).all() and rnorm <= bound):
             raise SolveError(f"flux integration: residual norm {rnorm:.3e} "
                              f"(bound {bound:.3e})")
         return u
+
+
+def _scaled_norm(v, factor=1.0):
+    """factor ||v||_2 as (factor max|v|) ||v / max|v|||, free of squares."""
+    big = np.abs(v).max()
+    return factor * big * np.linalg.norm(v / big) if big else 0.0
 
 
 class _ForchheimerRows(_RowKernels):
@@ -406,7 +407,8 @@ class DiffusionProblem2D(NonlinearProblem):
     is eliminated into the residual through a half-cell flux with the
     one-sided cell coefficient, and the remaining edges are zero-flux.
     The linearization at u = 0 is therefore the plain 5-point Poisson
-    matrix with this boundary closure.
+    matrix with this boundary closure.  source(X, Y) is read at the cell
+    centres and broadcast to the grid, so a constant source is a number.
     """
 
     def __init__(self, nx, ny, source=default_diffusion_source, dirichlet_value=1.0):
@@ -420,7 +422,8 @@ class DiffusionProblem2D(NonlinearProblem):
         xc = (np.arange(self.nx) + 0.5) * self.hx
         yc = (np.arange(self.ny) + 0.5) * self.hy
         X, Y = np.meshgrid(xc, yc)
-        self.source_cells = np.asarray(source(X, Y), dtype=float) * self.hx * self.hy
+        self.source_cells = (np.broadcast_to(np.asarray(source(X, Y), dtype=float),
+                                             X.shape) * self.hx * self.hy)
         if not (np.isfinite(self.dirichlet_value) and np.isfinite(self.source_cells).all()):
             raise ValueError("source and dirichlet_value must be finite")
         self._set_stencil(_five_point(np.arange(self.nx * self.ny), self.nx, self.ny),

@@ -27,8 +27,11 @@ def test_q_flux_values():
     assert q_flux(0.0, 1.0) == 0.0
     # sqrt(1+8) = 3, (-1+3)/2 = 1
     assert q_flux(2.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-    for g in (-3.0, 0.5, 7.0):
-        assert q_flux(g, 0.0) == g
+    # Darcy flow, also where 2g overflows
+    for g in (-3.0, 0.5, 7.0, 9e307, -1.7e308, np.finfo(float).max):
+        assert q_flux(g, 0.0) == g and q_flux_derivative(g, 0.0) == 1.0
+    # sqrt(1 + 4e7) / 2e-13 to roundoff at a tiny beta, not the Darcy 1e20
+    assert q_flux(1e20, 1e-13) == 3.1617776996968496e16
 
 
 def test_q_flux_odd_and_monotone():
@@ -55,8 +58,11 @@ def test_q_flux_derivative_is_fd_of_q():
 
 
 def test_q_flux_rejects_negative_beta():
-    with pytest.raises(ValueError):
-        q_flux(1.0, -0.1)
+    # also a nan beta, which gave nan, and an infinite one, which gave 0.0
+    for flux in (q_flux, q_flux_derivative):
+        for beta in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                flux(1.0, beta)
 
 
 # ------------------------------------------------- transmissibilities
@@ -156,15 +162,18 @@ def test_residual_vanishes_at_solution():
 
 
 def test_discrete_solution_of_darcy_flow_is_the_linear_solve():
-    # at beta = 0 the residual is affine, F(u) = F(0) + J u; below the
-    # Darcy threshold q is the identity, so the flux solve is beta = 0's
+    # at beta = 0 the residual is affine, F(u) = F(0) + J u; at a tiny
+    # beta the flux solve meets its own bound and lies at roundoff of it
     prob = hard_forchheimer(60, beta=0.0, seed=7)
     u = prob.discrete_solution()
     zero = np.zeros(60)
     exact = spla.spsolve(prob.jacobian(zero).tocsc(), -prob.residual(zero))
     assert np.linalg.norm(u - exact, 1) <= 1e-13 * np.linalg.norm(exact, 1)
-    below = hard_forchheimer(60, beta=1e-13, seed=7)
-    assert below.discrete_solution().tobytes() == u.tobytes()
+    tiny = hard_forchheimer(60, beta=1e-13, seed=7)
+    v = tiny.discrete_solution()
+    bound = 4 * np.finfo(float).eps * tiny.transmissibilities.max() * np.linalg.norm(v)
+    assert np.linalg.norm(tiny.residual(v)) <= max(DISCRETE_RESIDUAL, bound)
+    assert np.linalg.norm(v - u, 1) <= 1e-12 * np.linalg.norm(u, 1)
 
 
 @pytest.mark.parametrize("prob", [
@@ -295,6 +304,8 @@ _BAD_DATA = {
     "2d-dirichlet-inf": lambda: DiffusionProblem2D(4, 4, dirichlet_value=np.inf),
     "2d-source-nan": lambda: DiffusionProblem2D(
         4, 4, source=lambda x, y: np.full_like(x, np.nan)),
+    # a source that is not the grid's shape raised IndexError
+    "2d-source-shape": lambda: DiffusionProblem2D(4, 4, source=lambda x, y: np.ones(3)),
 }
 
 
@@ -310,6 +321,14 @@ def test_constructors_reject_empty_and_nonfinite_data(make):
 def test_diffusion_constant_state():
     prob = DiffusionProblem2D(6, 5, source=lambda x, y: 0.0 * x)
     assert np.allclose(prob.residual(np.ones(30)), 0.0, atol=1e-15)
+
+
+def test_diffusion_constant_source_is_broadcast():
+    # a number is the source of every cell, as the full array of it is
+    u = np.random.default_rng(3).standard_normal(30)
+    constant = DiffusionProblem2D(6, 5, source=lambda x, y: 2.5)
+    full = DiffusionProblem2D(6, 5, source=lambda x, y: np.full_like(x, 2.5))
+    assert constant.residual(u).tobytes() == full.residual(u).tobytes()
 
 
 def _dense_poisson(nx, ny, dval_coeff=1.0):
