@@ -3,60 +3,56 @@
 C_i(u) is the overlap-local vector solving R_i F(u + P_i C_i(u)) = 0 with
 the exterior of the subdomain frozen at u (homogeneous correction outside).
 
-The stack.  Every problem's Jacobian has a fixed CSR pattern, the
-problem's pattern attribute, and it is the only description of the
-stencil read here: block_positions reads it once, evaluating no Jacobian,
-and returns a PositionStack, computed for all subdomains in one pass of
-array operations, block b for subdomain b in the layout's stacked order.
-It holds the problem's row kernels on the stacked rows, fed with where
-their entries' columns sit in the stacked local vector
-X = (w[layout.cells], w) at a state w: an entry whose column lies in its
-block's overlap reads that block's stacked row, every other entry the
-frozen exterior, the state itself, at size + column.  It also holds where
-the entries of A_ii = R_i J P_i go in the LAPACK band storage of
-diag(A_ii), on a tridiagonal stack (bandwidths at most 1, every 1D one)
-where they sit on its three diagonals, and, on a halo stack (below), the
-halo response pattern.
-Every solve and block function takes a PositionStack.
+The solver rule.  A tridiagonal pattern (bandwidths at most 1, as in every
+1D problem) is solved by LAPACK dgtsv everywhere, on tridiagonal_index's
+diagonals: sweep steps, local derivatives and direct Newton's steps.  A
+wider one is solved by band LU locally and by SuperLU in direct Newton.
+
+The stack.  block_positions reads the problem's CSR pattern, the only
+description of the stencil read here, once, evaluating no Jacobian, and
+returns a PositionStack of all subdomains, built in one pass of array
+operations, block b for subdomain b in the layout's stacked order.  It
+holds the problem's row kernels on the stacked rows, fed with where their
+entries' columns sit in the stacked local vector X = (w[layout.cells], w)
+at a state w: an entry whose column lies in its block's overlap reads that
+block's stacked row, every other entry the frozen exterior, the state
+itself, at size + column.  It also holds where the entries of the blocks
+A_ii = R_i J P_i go in the band storage of diag(A_ii) and, on a
+tridiagonal stack, on its diagonals, and the halo response pattern.
 
 The sweep.  solve_local solves all subdomains together and returns one
 LocalSolveResult: the stack, X at each u^(i) = u + P_i C_i(u), the
-corrections and each subdomain's inner Newton count, but no derivative
-data.  Every iterate is one face pass of the row kernels, from which the
-residual derives; an iterate that steps also derives the Jacobian entries
-from it and solves diag(A_ii) in one LAPACK call on a tridiagonal stack,
-dgtsv on the three diagonals, else in dgbtrf/dgbtrs of the band that
-_band_lu fills at the widest block's bandwidths.  A step changes only
-X[:size], so a sweep costs O(sum_i m_i + M), not O(I M).  A subdomain
-whose residual norm reaches the tolerance is frozen: its rows are left
-out of the solve, and its step is exactly zero.  The blocks share no
-coupling, so the active blocks' rows are a tridiagonal or band matrix
-too, either solver eliminates each block exactly as it would alone, and
-every subdomain's values and count are bit for bit those of a solve of
+corrections and each subdomain's inner Newton count.  Every iterate is one
+face pass of the row kernels, from which the residual derives; an iterate
+that steps also derives the Jacobian entries from it and solves diag(A_ii)
+in one LAPACK call: dgtsv, or dgbtrf/dgbtrs of the band that _band_lu
+fills at the widest block's bandwidths.  A step changes only X[:size], so
+a sweep costs O(sum_i m_i + M), not O(I M).  A subdomain whose residual
+norm reaches the tolerance is frozen, left out of the solve.  The blocks
+share no coupling, so either solver eliminates each block exactly as alone,
+and every subdomain's values and count are bit for bit those of a solve of
 that subdomain alone by the same solver.  For the same reason a block
 whose step overflows is solved again on its own rows.
 
 The derivatives.  local_jacobian builds a LocalJacobian from one
-Jacobian-kernel call and one dgbtrf at the X it is given: at a sweep's
-solved X the exact blocks, each at its u^(i); at positions.gather(u) the
-blocks of J(u), ASPIN's inexact ones.  Its action applies
+Jacobian-kernel call and one LAPACK call at the X it is given: at a
+sweep's solved X the exact blocks, at positions.gather(u) those of J(u),
+ASPIN's inexact ones.  Its action applies
 
     dC_i/du v = -A_ii^{-1} R_i J v = -(v_i + Z_i v_halo)
 
-into the layout's stacked overlap space; Z_i = A_ii^{-1} B_i, B_i the
-columns of R_i J outside the overlap, is the halo response.  The form
-depends only on the stack's geometry.  On a halo stack, whose halo h (the
-most exterior cells any block's rows touch) is at most kl + ku,
-local_jacobian solves for Z, one dgbtrs with h right-hand sides, and keeps
-as rows the solved rows [I | Z_i] on the response pattern, with lu None:
-an action is one CSR product, by csr_apply.  On a band stack rows is R_i J
-on the stack's CSR pattern and lu its band factors: an action is that
-product and the band LU solve.  Where dgbtrf swapped no rows, that solve
-is two triangular band solves (dtbsv), L from one copy of the multiplier
-rows made per LocalJacobian and U read in place: dgbtrs's arithmetic bit
-for bit, without its rank-1 update per column of L.  Factors with an
-interchange keep dgbtrs.  A band stack's sweep steps keep dgbtrs too: each
-of their factorizations serves one solve, which the copy would not repay.
+into the stacked overlap space; Z_i = A_ii^{-1} B_i, B_i the columns of
+R_i J outside the overlap, is the halo response.  A tridiagonal stack solves
+for Z in one dgtsv call with h right-hand sides (h, the halo: the most
+exterior cells any block's rows touch) and keeps the solved rows [I | Z_i],
+with lu None: an action is one CSR product, by csr_apply.  A band stack
+(any other) keeps R_i J and the band factors: an action is that product and
+the band LU solve.  Where dgbtrf swapped no rows, that solve is two
+triangular band solves (dtbsv), L from one copy of the multiplier rows made
+per LocalJacobian and U read in place: dgbtrs's arithmetic bit for bit,
+without its rank-1 update per column of L.  Factors with an interchange
+keep dgbtrs, and so do a band stack's sweep steps: each of their
+factorizations serves one solve, which the copy would not repay.
 """
 
 from dataclasses import dataclass, field
@@ -79,6 +75,7 @@ __all__ = [
     "local_jacobian",
     "local_correction_jacobian_action",
     "sweep_locals",
+    "tridiagonal_index",
     "tridiagonal_solve",
     "csr_apply",
 ]
@@ -145,25 +142,23 @@ class LocalSolveResult:
 class PositionStack:
     """Where every subdomain's block sits, and what their solves share.
 
-    Block b is subdomain b of layout.  X, the stacked local vector at a
-    state w, is (w[layout.cells], w): the stacked overlaps, then the state
-    (gather); kernels are the problem's row kernels on the stacked overlap
-    rows, whose face pass reads X.  Block b has sizes[b] stacked rows, from
-    block_starts[b].  R_i J's entries, stacked, are the jacobian kernel's
-    output, in the CSR pattern (columns, indptr) of one index dtype, so a
-    CSR matrix on it copies neither.  diag(A_ii) is a band matrix with
-    bandwidths kl and ku, the largest of the blocks': the stacked entries
-    at block go to the flat indices slots of a C-order (rows, 2*kl+ku+1)
+    Block b is subdomain b of layout, with sizes[b] stacked rows from
+    block_starts[b].  X, the stacked local vector at a state w, is
+    (w[layout.cells], w) (gather); kernels are the problem's row kernels on
+    the stacked rows, whose face pass reads X.  R_i J's entries, stacked,
+    are the jacobian kernel's output, in the CSR pattern (columns, indptr)
+    of one index dtype, so a CSR matrix on it copies neither.  diag(A_ii)
+    has bandwidths kl and ku, the largest of the blocks': the entries at
+    block go to the flat indices slots of a C-order (rows, 2*kl+ku+1)
     array, whose transpose is LAPACK's band storage (A[r, c] at row
-    kl+ku+r-c of column c).  If kl and ku are at most 1, diagonals[k, r]
-    is where A's entry (r, r + k - 1) sits among the entries, or past
-    their end, where it is 0 (tridiagonal_solve's index).  A
-    block's halo cells are the columns outside its overlap, at most halo
-    of them.  If halo <= kl + ku, the entries at outside go to halo_slots
-    of a C-order (halo, rows) array, a block's halo cells in column order,
-    and the solved rows A^{-1} R_i J are its solve, flattened with a 1.0
-    appended, at response_take, on the CSR pattern (response_columns,
-    response_indptr): each row's own cell and its block's halo cells.
+    kl+ku+r-c of column c).  A block's halo cells are the columns outside
+    its overlap, at most halo of them.  Only a tridiagonal stack (kl, ku at
+    most 1) sets the rest: diagonals, A's tridiagonal_index; outside, the
+    entries going to halo_slots of a C-order (halo, rows) array, a block's
+    halo cells in column order; and response_take, where the solved rows
+    A^{-1} R_i J take that array's solve, flattened with a 1.0 appended, on
+    the CSR pattern (response_columns, response_indptr) of each row's own
+    cell and its block's halo cells.
     """
 
     problem: object = field(repr=False)
@@ -204,9 +199,9 @@ class PositionStack:
 class LocalJacobian:
     """The one operator a local Jacobian action applies (module docstring).
 
-    positions is the blocks' PositionStack.  On a halo stack rows is
-    A^{-1} R_i J on its response pattern; else it is the stacked R_i J on
-    its CSR pattern and lu is (band factors, pivots, L) of A = diag(A_ii):
+    positions is the blocks' PositionStack.  On a tridiagonal stack rows
+    is A^{-1} R_i J on its response pattern; else it is the stacked R_i J
+    on its CSR pattern and lu is (band factors, pivots, L) of A = diag(A_ii):
     dgbtrf's output and, when it swapped no rows, a Fortran-ordered copy of
     the factors' unit-lower multiplier rows, the band storage of L (None
     after an interchange).
@@ -259,11 +254,8 @@ def block_positions(problem, layout):
     stacked = dict(
         sizes=sizes, block_starts=block_starts, columns=columns, indptr=indptr,
         block=block, slots=col * (2 * kl + ku + 1) + kl + ku + offset)
-    if kl <= 1 and ku <= 1:
-        diagonals = np.full((3, size), len(columns))
-        diagonals[1 - offset, entry_row[block]] = block
-        stacked.update(diagonals=diagonals)
-    if h <= kl + ku:  # building Z then costs less than the actions' solves
+    diagonals = tridiagonal_index(entry_row[block], col, block, len(columns), size)
+    if diagonals is not None:  # dgtsv solves for the halo response as well
         first, per_row = np.cumsum(halos) - halos, halos[row_block]
         r = np.repeat(np.arange(size), per_row)  # row r's j-th halo cell
         j = np.arange(len(r)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
@@ -271,7 +263,7 @@ def block_positions(problem, layout):
         cell = np.append(ov, cells[first[row_block[r]] + j] % n)
         order = np.argsort(row * n + cell)
         stacked.update(
-            outside=outside,
+            diagonals=diagonals, outside=outside,
             halo_slots=(at - first[cells[at] // n]) * size + entry_row[outside],
             response_columns=cell[order].astype(columns.dtype),
             response_indptr=np.append(0, np.cumsum(per_row + 1)).astype(indptr.dtype),
@@ -297,46 +289,59 @@ def _band_lu(stack, entries, rows=slice(None)):
 def local_jacobian(positions, X):
     """The blocks of a PositionStack's subdomains at the stacked local vector X.
 
-    One Jacobian-kernel call at X gives every R_i J, one band LU factors
-    diag(A_ii).  At a sweep's solved X these are the exact blocks, each at
-    its u^(i) (not at u + P_i correction, which can differ in the last
-    bit); at positions.gather(u) they are the blocks of J(u), bit for bit.
+    One Jacobian-kernel call and one LAPACK call: at a sweep's solved X each
+    block is at its u^(i), not at u + P_i correction, which can differ in
+    the last bit; at positions.gather(u) they are J(u)'s, bit for bit.
     """
     entries = positions.kernels.jacobian(X)
-    lu, ipiv, info = _band_lu(positions, entries)
-    if info > 0:
-        i = positions.block_of(info - 1)
-        raise LocalSolveError(f"subdomain {i}: singular local Jacobian",
-                              subdomain=i)
     shape = (positions.size, positions.problem.dof_count)
-    if positions.response_take is None:
+    if positions.diagonals is None:
+        lu, ipiv, info = _band_lu(positions, entries)
         swapped = not np.array_equal(ipiv, np.arange(positions.size))  # 0-based
         lower = None if swapped else np.asfortranarray(lu[positions.kl + positions.ku:])
-        return LocalJacobian(positions, sp.csr_matrix(
-            (entries, positions.columns, positions.indptr), shape=shape),
-            (lu, ipiv, lower))
-    rhs = np.zeros((positions.halo, positions.size))  # rhs.T: LAPACK's order
-    rhs.reshape(-1)[positions.halo_slots] = entries[positions.outside]
-    z = dgbtrs(lu, positions.kl, positions.ku, rhs.T, ipiv, overwrite_b=True)[0]
-    return LocalJacobian(positions, sp.csr_matrix(
-        (np.append(z.T, 1.0)[positions.response_take], positions.response_columns,
-         positions.response_indptr), shape=shape))
+        rows = sp.csr_matrix((entries, positions.columns, positions.indptr), shape=shape)
+        block = LocalJacobian(positions, rows, (lu, ipiv, lower))
+    else:
+        rhs = np.zeros((positions.halo, positions.size))  # rhs.T: LAPACK's order
+        rhs.reshape(-1)[positions.halo_slots] = entries[positions.outside]
+        z, info = tridiagonal_solve(entries, positions.diagonals, rhs.T)
+        block = LocalJacobian(positions, sp.csr_matrix(
+            (np.append(z.T, 1.0)[positions.response_take], positions.response_columns,
+             positions.response_indptr), shape=shape))
+    if info > 0:
+        i = positions.block_of(info - 1)
+        raise LocalSolveError(f"subdomain {i}: singular local Jacobian", subdomain=i)
+    return block
 
 
 _ZERO = np.zeros(1)  # read for the diagonal entries a tridiagonal A lacks
 
 
+def tridiagonal_index(rows, columns, at, count, n):
+    """tridiagonal_solve's diagonals of an n x n A, None if A is wider.
+
+    A's entry (rows[k], columns[k]) sits at at[k] of count entries;
+    diagonals[k, r] is where its entry (r, r + k - 1) sits, else count.
+    """
+    if np.abs(columns - rows).max(initial=0) <= 1:
+        diagonals = np.full((3, n), count)
+        diagonals[columns - rows + 1, rows] = at
+        return diagonals
+
+
 def tridiagonal_solve(entries, diagonals, rhs):
     """dgtsv's (x, info) for A x = rhs, A's diagonals entries[diagonals].
 
-    diagonals[k, r] is where A's entry (r, r + k - 1) sits in entries, or
-    len(entries), where A has none: it is 0.  One call factors and solves.
+    diagonals is A's tridiagonal_index among entries (count reads a 0);
+    rhs is a vector, or one column per right-hand side.
     """
     t, n = np.concatenate((entries, _ZERO))[diagonals], len(rhs)
-    # f2py takes no empty diagonal: a 1 x 1 system passes its zeros
-    *_, x, info = dgtsv(t[0, min(n - 1, 1):], t[1], t[2, :max(n - 1, 1)], rhs,
+    # f2py takes no empty diagonal: a 1 x 1 system passes its zeros; and an
+    # empty right-hand side corrupts the heap: one zero column stands in
+    b = rhs if rhs.size else np.zeros((n, 1))
+    *_, x, info = dgtsv(t[0, min(n - 1, 1):], t[1], t[2, :max(n - 1, 1)], b,
                         overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-    return x, info
+    return (x if rhs.size else x[:, :0]), info
 
 
 def csr_apply(A, x):
@@ -345,9 +350,8 @@ def csr_apply(A, x):
     A is a float64 CSR matrix of one index dtype and x a float64 vector of
     its column count, else ValueError: the kernel checks nothing.  A @ x
     ends in the same call, after a Python dispatch that costs as much as the
-    kernel on the actions' and coarse solves' small operators.  No public
-    entry point skips it (csr_array @ x pays it too, and np.bincount over
-    the entries is slower than @), hence the private import.
+    kernel on the actions' and coarse solves' small operators, and no
+    public entry point skips it (CHANGES.md), hence the private import.
     """
     n_row, n_col = A.shape
     if (getattr(A, "format", None) != "csr" or A.data.dtype != float
@@ -363,8 +367,7 @@ def csr_apply(A, x):
 def _solve(stack, entries, r, rows):
     """diag(A_ii)^{-1} r on rows (whole blocks' rows), 0 elsewhere, and info.
 
-    A tridiagonal stack takes one tridiagonal_solve, any other _band_lu and
-    dgbtrs; either solves each block as alone, and info counts in rows.
+    One dgtsv, or _band_lu and dgbtrs (module docstring); info counts in rows.
     """
     if stack.diagonals is not None:
         diagonals = (stack.diagonals if isinstance(rows, slice)
@@ -426,9 +429,8 @@ def solve_local(positions, u, settings):
     X, size, kernels = positions.gather(u), positions.size, positions.kernels
     start = X[:size].copy()
     tol, budget = settings.inner_tol, settings.max_inner
-    trail = []
+    trail, failures = [], {}
     counts = np.zeros(len(positions.sizes), dtype=int)
-    failures = {}
     active = np.ones(len(positions.sizes), dtype=bool)
     steps = 0  # every active subdomain has taken this many
     # an overflowing step's inf - inf in the next face pass reads nan
@@ -467,23 +469,16 @@ def solve_local(positions, u, settings):
         raise LocalSolveError(f"subdomain {b}: {failures[b]}", subdomain=b,
                               residuals=[float(n[b]) for n in trail[:counts[b] + 1]])
     X.flags.writeable = False
-    return LocalSolveResult(
-        positions=positions,
-        X=X,
-        correction=X[:size] - start,
-        inner_counts=tuple(counts.tolist()),
-        inner_iterations=int(counts.sum()),
-    )
+    return LocalSolveResult(positions=positions, X=X, correction=X[:size] - start,
+                            inner_counts=tuple(counts.tolist()),
+                            inner_iterations=int(counts.sum()))
 
 
 def local_correction_jacobian_action(block, v):
     """Apply every -A_ii^{-1} R_i J of a LocalJacobian to a global vector v.
 
     One CSR product with block.rows, by csr_apply, then, on a band stack,
-    the band LU solve: two triangular band solves (dtbsv), L from its kept
-    copy and U read in place from the factors, which is dgbtrs's arithmetic
-    without interchanges, or one dgbtrs where dgbtrf swapped rows.  The
-    result is the stacked vector of the block's overlaps.
+    the band LU solve (module docstring), into the stacked overlaps.
     """
     w = csr_apply(block.rows, v)
     if block.lu is not None:

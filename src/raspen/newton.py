@@ -8,22 +8,22 @@ iterations of that row's Jacobian solve (0 for the terminal evaluation
 that confirms convergence).  ls_in, derived, is the largest inner count
 with the coarse count folded in by the max (the coarse solve sits on the
 critical path like the slowest subdomain), ls_min the smallest subdomain
-count, and LS_n = sum_{j<=n} (ls_in[j] + ls_G[j]).  An outer Newton row
-also keeps its GMRES solve's relative residual history, ls_G values long;
-rows that solve no GMRES system keep an empty one.
+count, and LS_n = sum_{j<=n} (ls_in[j] + ls_G[j]).  A row also keeps its
+GMRES residual history (IterationLedger).
 
 The two drivers of a PreconditionedSystem (outer_newton and
 fixed_point_solve) run by the system's own settings and return every way
 a run ends as a RunResult: a subdomain or coarse solve failure ends it
-with that SolveError as its failure, never raised.
+with that SolveError as its failure, never raised.  All three drivers
+reject a start with a non-finite entry (ValueError).
 
 Errors in the ledger are relative l1 distances to a reference iterate,
 which callers usually obtain from reference_solution(): flux integration
 in 1D, tight-tolerance direct Newton otherwise.
 
-Direct Newton picks its solver once per run, from the problem's pattern: at
-bandwidth at most 1 (every 1D problem) one LAPACK dgtsv call factors and
-solves each step on J's three diagonals; any wider pattern is factored by
+Direct Newton follows local_solver's solver rule, read once per run from
+the problem's pattern: on a tridiagonal one (every 1D problem) one LAPACK
+dgtsv call factors and solves each step; any wider pattern is factored by
 SuperLU in the column order of minimum degree on A^T + A, the order
 SuperLU recommends for structurally symmetric matrices.
 """
@@ -35,7 +35,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .krylov import gmres
-from .local_solver import SolveError, SolverSettings, tridiagonal_solve
+from .local_solver import SolveError, SolverSettings, tridiagonal_index, tridiagonal_solve
 
 __all__ = [
     "IterationLedger",
@@ -130,6 +130,14 @@ def _error_of(u, u_ref):
     return relative_l1_error(u, u_ref) if u_ref is not None else np.nan
 
 
+def _start(u0):
+    """A float copy of the initial guess u0, or ValueError if one is not finite."""
+    u = np.array(u0, dtype=float)
+    if not np.isfinite(u).all():
+        raise ValueError("initial guess contains non-finite entries")
+    return u
+
+
 def outer_newton(system, u0, *, u_ref=None):
     """Newton on the preconditioned function with full steps.
 
@@ -145,9 +153,7 @@ def outer_newton(system, u0, *, u_ref=None):
     update count up to it.
     """
     settings = system.settings
-    u = np.asarray(u0, dtype=float).copy()
-    if not np.all(np.isfinite(u)):
-        raise ValueError("initial guess contains non-finite entries")
+    u = _start(u0)
     ledger = IterationLedger()
     reason = ""
     updates = 0
@@ -185,20 +191,19 @@ def fixed_point_solve(system, u0, *, max_steps=None, u_ref=None):
     Tolerances and budgets are system.settings.  Each step records the
     counts of its Evaluation F(u) and drops it before the next step
     evaluates.  Stops when the relative l1 error against u_ref drops to
-    outer_tol; stagnation is reported as converged=False, never an
-    exception, and a subdomain or coarse solve failure along the way
-    likewise ends the run, as its failure, quoted in reason (a divergent
+    outer_tol; stagnation is reported as converged=False, and so is a
+    solve failure (module docstring), quoted in reason: a divergent
     iteration typically leaves the basin of the local solves before the
-    error passes the DIVERGENCE_ERROR cutoff).  u_ref defaults to
-    reference_solution(system.problem).  max_steps, when given, replaces
+    error passes the DIVERGENCE_ERROR cutoff.  u_ref defaults to
+    reference_solution(system.problem); max_steps replaces
     settings.max_fixed_point.
     """
     settings = system.settings if max_steps is None else replace(
         system.settings, max_fixed_point=max_steps)
     max_steps = settings.max_fixed_point
+    u = _start(u0)
     if u_ref is None:
         u_ref = reference_solution(system.problem, settings)
-    u = np.asarray(u0, dtype=float).copy()
     ledger = IterationLedger()
     for step in range(1, max_steps + 1):
         try:
@@ -229,25 +234,22 @@ def direct_newton(problem, u0, settings=None, u_ref=None):
     Jacobian found exactly singular, at any step, ends the run with a
     SolveError as its failure, quoted in reason after the Newton step.
 
-    On a pattern of bandwidth at most 1 each step is one dgtsv call on
-    J's diagonals, whose positions in J.data are read once from
-    problem.pattern.  Otherwise the first step factors J with SuperLU in
-    the module docstring's order and keeps q = argsort(perm_c) and a
-    gather map from J's CSR data on problem.pattern to J(q, q) in CSC.
-    Every later step gathers J(q, q), factors it in that order (NATURAL),
-    solves for step[q] and scatters back.  The order lives in this call
-    only, and one factor is alive at a time.
+    On a tridiagonal pattern each step is one dgtsv call on J's diagonals.
+    Otherwise the first step factors J with SuperLU in the module
+    docstring's order and keeps q = argsort(perm_c) and a gather map from
+    J's CSR data on problem.pattern to J(q, q) in CSC.  Every later step
+    gathers J(q, q), factors it in that order (NATURAL), solves for step[q]
+    and scatters back.  The order lives in this call only, and one factor
+    is alive at a time.
     """
     settings = settings or SolverSettings()
-    u = np.asarray(u0, dtype=float).copy()
+    u = _start(u0)
     ledger = IterationLedger()
     updates = 0
-    pattern = problem.pattern
-    row = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
-    diagonals = None  # J's diagonals' positions in J.data, at bandwidth <= 1
-    if np.abs(pattern.indices - row).max(initial=0) <= 1:
-        diagonals = np.full((3, pattern.shape[0]), pattern.nnz)
-        diagonals[pattern.indices - row + 1, row] = np.arange(pattern.nnz)
+    pattern, n = problem.pattern, problem.pattern.shape[0]
+    row = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    diagonals = tridiagonal_index(row, pattern.indices, np.arange(pattern.nnz),
+                                  pattern.nnz, n)  # None beyond bandwidth 1
     ordered = None  # from the first step: q and J(q, q)'s CSC layout and gather
     for _ in range(settings.max_outer):
         r = problem.residual(u)

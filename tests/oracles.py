@@ -13,6 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack, solve_triangular
 
+import raspen.local_solver as local_solver
 from raspen.krylov import BREAKDOWN_TOL, GmresReport
 from raspen.local_solver import (LocalSolveError, LocalSolveResult, SolveError,
                                  SolverSettings)
@@ -454,28 +455,33 @@ def stacked_positions(positions):
 
 
 def per_block_action(positions, entries, v, halo=False):
-    """Each block's -A_ii^{-1} R_i J v with its own band LU, concatenated.
+    """Each block's -A_ii^{-1} R_i J v, solved alone, concatenated.
 
     entries[b] are block b's R_i J entries.  By default each block
-    back-substitutes R_i J v.  With halo, each block instead solves for its
-    halo response Z_i = A_ii^{-1} B_i, one right-hand side per halo cell
-    (the sorted columns of R_i J outside the overlap, B_i those columns of
-    R_i J), and applies the solved rows A_ii^{-1} R_i J = [I Z_i], each
-    row's own cell and halo cells in column order, by one CSR product.
+    back-substitutes R_i J v with its own band LU.  With halo (tridiagonal
+    blocks only), each block instead solves for its halo response
+    Z_i = A_ii^{-1} B_i by one dgtsv call (band_step), one right-hand side
+    per halo cell (the sorted columns of R_i J outside the overlap, B_i
+    those columns of R_i J; none without a halo), and applies the solved
+    rows A_ii^{-1} R_i J = [I Z_i], each row's own cell and halo cells in
+    column order, by one CSR product.
     """
     out = []
     for pos, rows in zip(positions, entries, strict=True):
         m = pos.size
         band = np.zeros((m, 2 * pos.kl + pos.ku + 1))
         band.flat[pos.slots] = rows[pos.block]
-        lu, piv, info = lapack.dgbtrf(band.T, pos.kl, pos.ku, overwrite_ab=True)
-        assert info == 0
         R = sp.csr_matrix((rows, pos.columns, pos.row_indptr), shape=(m, len(v)))
         if not halo:
+            lu, piv, info = lapack.dgbtrf(band.T, pos.kl, pos.ku, overwrite_ab=True)
+            assert info == 0
             out.append(-lapack.dgbtrs(lu, pos.kl, pos.ku, R @ v, piv)[0])
             continue
         cells = np.setdiff1d(pos.columns, pos.overlap)
-        Z = lapack.dgbtrs(lu, pos.kl, pos.ku, R[:, cells].toarray(), piv)[0]
+        Z = np.zeros((m, 0))  # dgtsv takes no empty right-hand side
+        if len(cells):
+            Z, info = band_step(band, pos.kl, pos.ku, R[:, cells].toarray(), True)
+            assert info == 0
         columns = np.column_stack((pos.overlap, np.tile(cells, (m, 1))))
         values = np.column_stack((np.ones(m), Z))
         order = np.argsort(columns, axis=1)
@@ -485,6 +491,51 @@ def per_block_action(positions, entries, v, halo=False):
              np.arange(m + 1) * (len(cells) + 1)), shape=(m, len(v)))
         out.append(-(solved @ v))
     return np.concatenate(out)
+
+
+def recorded_calls(monkeypatch, names):
+    """Record each call local_solver makes to the named routines, in order.
+
+    Every name (a LAPACK routine such as dgtsv, dgbtrf, dgbtrs or dtbsv)
+    is replaced in local_solver, through monkeypatch, by a wrapper that
+    appends (name, args) to the returned list, array arguments copied as
+    they were passed, and then calls the routine.
+    """
+    calls = []
+    for name in names:
+        def record(*args, routine=getattr(local_solver, name), name=name, **kwargs):
+            calls.append((name, tuple(np.copy(a) if isinstance(a, np.ndarray) else a
+                                      for a in args)))
+            return routine(*args, **kwargs)
+        monkeypatch.setattr(local_solver, name, record)
+    return calls
+
+
+def call_counts(calls, names):
+    """{name: the number of recorded calls to it} for each of names."""
+    return {name: sum(called == name for called, _ in calls) for name in names}
+
+
+def zero_pivot(name, column):
+    """local_solver's dgtsv or dgbtrf after zeroing column column of its A.
+
+    Nothing else then reaches that column, so its pivot is exactly zero
+    and LAPACK's info is column + 1.  dgtsv's column is d[column] with
+    dl[column] below and du[column - 1] above it (0 < column < n - 1);
+    band storage keeps A[:, column] in column column of ab.
+    """
+    routine = getattr(local_solver, name)
+
+    def zeroed(*args, **kwargs):
+        if name == "dgtsv":
+            dl, d, du = args[:3]
+            assert 0 < column < len(d) - 1
+            d[column] = dl[column] = du[column - 1] = 0.0
+        else:
+            args[0][:, column] = 0.0
+        return routine(*args, **kwargs)
+
+    return zeroed
 
 
 # ------------------------------------------- problems with a changed pattern

@@ -14,15 +14,18 @@ from oracles import (
     block_kernels,
     block_vector,
     brute_frozen_newton,
+    call_counts,
     dense_darcy_system,
     layout_blocks,
     per_block_action,
     per_block_positions,
     plain_newton,
+    recorded_calls,
     sequential_local_solve,
     stacked_positions,
     two_call_solve_local,
     with_entry_above,
+    zero_pivot,
 )
 
 import raspen.local_solver as local_solver_mod
@@ -40,6 +43,7 @@ from raspen.local_solver import (
     local_jacobian,
     solve_local,
     sweep_locals,
+    tridiagonal_solve,
 )
 from raspen.newton import fixed_point_solve, outer_newton
 from raspen.precond import KINDS, PreconditionedSystem
@@ -192,7 +196,7 @@ def test_factorization_round_trip():
 def test_local_jacobian_copies_no_array(make):
     # on a band stack (2D) the block's rows R_i J are built on the stack's
     # index arrays and on the Jacobian kernel's output, so building them
-    # copies none of them; a halo stack (1D) keeps only its solved rows
+    # copies none of them; a tridiagonal stack (1D) keeps only its solved rows
     prob, lay = make()
     stack = block_positions(prob, lay)
     assert stack.indptr.dtype == stack.columns.dtype
@@ -220,15 +224,16 @@ def test_local_jacobian_copies_no_array(make):
 
 @pytest.mark.parametrize("make", [
     lambda: (smooth_forchheimer(30, beta=1.0), build_1d_layout(30, 3, 2)),
-    lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 2, 2)),
-    lambda: (WideBand(smooth_forchheimer(12, beta=1.0)), build_1d_layout(12, 3, 1)),
-], ids=["1d", "2d-N2-k2", "1d-wide-band"])
+    lambda: (smooth_forchheimer(9, beta=1.0), build_1d_layout(9, 9, 0)),
+    lambda: (smooth_forchheimer(17, beta=1.0), build_1d_layout(17, 1, 0)),
+], ids=["1d", "1d-1x1", "1d-I=1"])
 def test_halo_stack_keeps_only_its_solved_rows(make):
-    # h <= kl + ku: the LocalJacobian holds A^{-1} R_i J on the response
-    # pattern and nothing else, neither R_i J nor the band factors
+    # a tridiagonal stack (kl, ku <= 1; 1x1 blocks and a lone block with no
+    # halo too) takes the halo form: the LocalJacobian holds A^{-1} R_i J
+    # on the response pattern and nothing else, neither R_i J nor factors
     prob, lay = make()
     stack = block_positions(prob, lay)
-    assert stack.halo <= stack.kl + stack.ku
+    assert stack.kl <= 1 and stack.ku <= 1 and stack.diagonals is not None
     u = 0.3 * np.random.default_rng(32).standard_normal(prob.dof_count)
     X = stack.gather(u)
     block = local_jacobian(stack, X)
@@ -311,26 +316,25 @@ def test_blocks_gathered_by_position_match_slices(make, monkeypatch):
     n = prob.dof_count
     u = np.random.default_rng(27).standard_normal(n)
     J = prob.jacobian(u)
-    factored = []
-    dgbtrf = local_solver_mod.dgbtrf
-
-    def recording_dgbtrf(ab, kl, ku, **kwargs):
-        factored.append((ab.copy(order="F"), kl, ku))  # factored in place
-        return dgbtrf(ab, kl, ku, **kwargs)
-
-    monkeypatch.setattr(local_solver_mod, "dgbtrf", recording_dgbtrf)
+    calls = recorded_calls(monkeypatch, ("dgbtrf", "dgtsv"))
     stack = block_positions(prob, lay)
     local_jacobian(stack, stack.gather(u))
-    assert len(factored) == 1
-    ab, kl, ku = factored[0]
-    # LAPACK's layout: 2*kl+ku+1 rows, the first kl left for fill-in
-    assert ab.shape == (2 * kl + ku + 1, stack.size) and not ab[:kl].any()
+    # one LAPACK call: dgtsv on the 1D stacks' diagonals, dgbtrf on the 2D band
+    [(name, args)] = calls
+    assert name == ("dgtsv" if isinstance(prob, ForchheimerProblem1D) else "dgbtrf")
     ov = np.concatenate([sub.overlap for sub in layout_blocks(lay)])
     rows = sp.csr_matrix((stack.kernels.jacobian(stack.gather(u)), stack.columns,
                           stack.indptr), shape=(stack.size, n))
     assert np.array_equal(rows.toarray(), J[ov].toarray())
-    assert np.array_equal(_band_to_dense(ab, kl, ku),
-                          _block_diagonal(lay, J[ov].toarray()))
+    if name == "dgtsv":
+        dl, d, du = args[:3]
+        A = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+    else:
+        ab, kl, ku = args
+        # LAPACK's layout: 2*kl+ku+1 rows, the first kl left for fill-in
+        assert ab.shape == (2 * kl + ku + 1, stack.size) and not ab[:kl].any()
+        A = _band_to_dense(ab, kl, ku)
+    assert np.array_equal(A, _block_diagonal(lay, J[ov].toarray()))
 
 
 def _with_extra_entry(J):
@@ -488,15 +492,15 @@ def _assert_action_matches_per_block(block, positions, entries, v):
     assert np.abs(got - band).max() <= 1e-13 * np.abs(band).max()
 
 
-# (make, whether the stack takes the halo response: h <= kl + ku)
+# (make, whether the stack is tridiagonal, and so takes the halo response)
 @pytest.mark.parametrize("make, halo", [
     (lambda: (smooth_forchheimer(17, beta=1.0), build_1d_layout(17, 4, 0)), True),
     (lambda: (smooth_forchheimer(17, beta=1.0), build_1d_layout(17, 5, 2)), True),
-    (lambda: (smooth_forchheimer(9, beta=1.0), build_1d_layout(9, 9, 0)), False),
+    (lambda: (smooth_forchheimer(9, beta=1.0), build_1d_layout(9, 9, 0)), True),
     (lambda: (smooth_forchheimer(9, beta=1.0), build_1d_layout(9, 9, 1)), True),
     (lambda: (smooth_forchheimer(17, beta=1.0), build_1d_layout(17, 1, 0)), True),
     (lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1)), False),
-    (lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 2, 2)), True),
+    (lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 2, 2)), False),
     (lambda: (DiffusionProblem2D(8, 12), build_2d_layout(8, 12, 4, 2)), False),
 ], ids=["1d-k0", "1d-k2", "1d-1x1", "1d-I=M-k1", "1d-I=1", "2d-12x8-N4-k1",
         "2d-12x8-N2-k2", "2d-8x12-N4-k2"])
@@ -504,7 +508,8 @@ def _assert_action_matches_per_block(block, positions, entries, v):
 def test_stacked_action_bit_identical_to_per_block(make, halo, exact):
     # the stacked band pads every block to the widest bandwidths; the
     # blocks share no coupling, so each is eliminated exactly as alone,
-    # and each block's halo response is its own, column for column
+    # and each block's halo response is its own dgtsv solve, column for
+    # column
     prob, lay = make()
     n = prob.dof_count
     stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
@@ -525,7 +530,7 @@ def test_stacked_action_bit_identical_to_per_block(make, halo, exact):
         entries = [J.data[pos.rows] for pos in positions]
     assert (stack.kl, stack.ku) == (max(pos.kl for pos in positions),
                                     max(pos.ku for pos in positions))
-    assert (block.lu is None) == halo
+    assert (block.lu is None) == (stack.diagonals is not None) == halo
     for scale in (1.0, 1e3):
         v = scale * rng.standard_normal(n)
         _assert_action_matches_per_block(block, positions, entries, v)
@@ -533,7 +538,8 @@ def test_stacked_action_bit_identical_to_per_block(make, halo, exact):
 
 def test_stacked_action_bit_identical_with_padded_bands():
     # subdomain 1's upper band spans its whole block while the others' is
-    # 1, so blocks 0 and 2 sit in a band padded to ku = 5
+    # 1, so blocks 0 and 2 sit in a band padded to ku = 5: a band stack,
+    # whose action solves each block by band LU as alone
     prob = WideBand(smooth_forchheimer(12, beta=1.0))
     lay = build_1d_layout(12, 3, 1)
     positions, stack = per_block_positions(prob, lay), block_positions(prob, lay)
@@ -542,8 +548,9 @@ def test_stacked_action_bit_identical_with_padded_bands():
     J = prob.jacobian(u)
     block = local_jacobian(stack, stack.gather(u))
     assert (block.positions.kl, block.positions.ku) == (1, 5)
-    # block 0 touches cells 5 and 8 outside its overlap: h = 2 <= kl + ku
-    assert stack.halo == 2 and block.lu is None
+    # block 0 touches cells 5 and 8 outside its overlap, yet h = 2 sets
+    # no form: only a tridiagonal stack takes the halo response
+    assert stack.halo == 2 and block.lu is not None and stack.diagonals is None
     entries = [J.data[pos.rows] for pos in positions]
     for _ in range(3):
         _assert_action_matches_per_block(block, positions, entries,
@@ -557,7 +564,7 @@ def test_band_action_is_dgbtrs_bit_for_bit_on_the_64x64_stack(exact):
     prob = DiffusionProblem2D(64, 64)
     lay = build_2d_layout(64, 64, 8, 1, dirichlet_value=prob.dirichlet_value)
     stack = block_positions(prob, lay)
-    assert stack.halo > stack.kl + stack.ku
+    assert stack.diagonals is None  # a band stack
     u = prob.initial_state() + 0.1
     X = sweep_locals(stack, u, SETTINGS).X if exact else stack.gather(u)
     block = local_jacobian(stack, X)
@@ -579,48 +586,72 @@ def test_band_action_after_a_row_interchange_takes_dgbtrs(monkeypatch):
     first = int(lay.cells[block_positions(base, lay).block_starts[1]])
     prob = ShrunkDiagonal(base, first)
     stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
-    assert stack.halo > stack.kl + stack.ku
+    assert stack.diagonals is None  # a band stack
     u = 0.3 * np.random.default_rng(33).standard_normal(prob.dof_count)
     block = local_jacobian(stack, stack.gather(u))
     lu, ipiv, lower = block.lu
     assert lower is None and not np.array_equal(ipiv, np.arange(stack.size))
-    calls = {"dgbtrs": 0, "dtbsv": 0}
-    for name in calls:
-        def counting(*args, lapack=getattr(local_solver_mod, name), name=name,
-                     **kwargs):
-            calls[name] += 1
-            return lapack(*args, **kwargs)
-        monkeypatch.setattr(local_solver_mod, name, counting)
+    calls = recorded_calls(monkeypatch, ("dgbtrs", "dtbsv"))
     J = prob.jacobian(u)
     entries = [J.data[pos.rows] for pos in positions]
     v = np.random.default_rng(34).standard_normal(prob.dof_count)
     got = local_correction_jacobian_action(block, v)
-    assert calls == {"dgbtrs": 1, "dtbsv": 0}
+    assert call_counts(calls, ("dgbtrs", "dtbsv")) == {"dgbtrs": 1, "dtbsv": 0}
     assert got.tobytes() == per_block_action(positions, entries, v).tobytes()
-
-
-def _zeroing_dgbtrf(column):
-    """dgbtrf after zeroing the stacked band's column: that pivot is zero."""
-    dgbtrf = local_solver_mod.dgbtrf
-
-    def zeroed(ab, kl, ku, **kwargs):
-        ab[:, column] = 0.0  # band storage keeps A[:, c] in column c
-        return dgbtrf(ab, kl, ku, **kwargs)
-
-    return zeroed
 
 
 @pytest.mark.parametrize("first, named", [(True, 2), (False, 1)],
                          ids=["own-first-column", "previous-last-column"])
 def test_zero_pivot_names_its_subdomain(first, named, monkeypatch):
+    # the 1D stack's halo response is one dgtsv call on all blocks
     prob = smooth_forchheimer(24, beta=1.0)
     positions = block_positions(prob, build_1d_layout(24, 4, 2))
     start = positions.block_starts[2]  # subdomain 2's first column
-    monkeypatch.setattr(local_solver_mod, "dgbtrf",
-                        _zeroing_dgbtrf(start if first else start - 1))
+    monkeypatch.setattr(local_solver_mod, "dgtsv",
+                        zero_pivot("dgtsv", start if first else start - 1))
     with pytest.raises(LocalSolveError,
                        match=f"^subdomain {named}: singular local Jacobian$"):
         local_jacobian(positions, positions.gather(np.zeros(24)))
+
+
+@pytest.mark.parametrize("first, named", [(True, 2), (False, 1)],
+                         ids=["own-first-column", "previous-last-column"])
+def test_zero_pivot_in_a_band_stack_names_its_subdomain(first, named, monkeypatch):
+    # the 2D stack's blocks are one dgbtrf call on all blocks
+    prob = DiffusionProblem2D(12, 8)
+    positions = block_positions(prob, build_2d_layout(12, 8, 4, 1))
+    assert positions.diagonals is None
+    start = positions.block_starts[2]  # subdomain 2's first column
+    monkeypatch.setattr(local_solver_mod, "dgbtrf",
+                        zero_pivot("dgbtrf", start if first else start - 1))
+    with pytest.raises(LocalSolveError,
+                       match=f"^subdomain {named}: singular local Jacobian$"):
+        local_jacobian(positions, positions.gather(prob.initial_state()))
+
+
+def test_halo_response_without_a_halo_passes_dgtsv_no_empty_right_hand_side(
+        monkeypatch):
+    # one subdomain (I = 1) has no halo, h = 0: f2py's dgtsv corrupts the
+    # heap on a right-hand side without columns, so tridiagonal_solve
+    # solves one zero column instead, and its singular check still runs
+    prob = smooth_forchheimer(17, beta=1.0)
+    stack = block_positions(prob, build_1d_layout(17, 1, 0))
+    assert stack.halo == 0 and stack.diagonals is not None
+    calls = recorded_calls(monkeypatch, ("dgtsv",))
+    v = np.random.default_rng(35).standard_normal(17)
+    for u in (np.zeros(17), np.linspace(0.0, 1.0, 17)):
+        block = local_jacobian(stack, stack.gather(u))
+        assert block.lu is None
+        assert local_correction_jacobian_action(block, v).tobytes() == (-v).tobytes()
+    X = stack.gather(np.zeros(17))
+    entries = stack.kernels.jacobian(X)
+    z, info = tridiagonal_solve(entries, stack.diagonals, np.zeros((17, 0)))
+    assert z.shape == (17, 0) and info == 0
+    entries[stack.diagonals[1, 5]] = 0.0  # A[5, 5], and then its column
+    entries[stack.diagonals[0, 6]] = entries[stack.diagonals[2, 4]] = 0.0
+    assert tridiagonal_solve(entries, stack.diagonals, np.zeros((17, 0)))[1] == 6
+    assert len(calls) == 4
+    assert all(np.ndim(b) == 1 or np.shape(b)[1] > 0 for _, (*_, b) in calls)
 
 
 # ------------------------------------------- subdomains solved together
@@ -994,17 +1025,10 @@ def _counting(stack):
     return dataclasses.replace(stack, kernels=kernels), calls
 
 
-def _recorded_solves(monkeypatch, names):
-    """Record (name, rows) for each call local_solver makes to the named
-    LAPACK routines (dgtsv, dgbtrf or dgbtrs), in call order."""
-    recorded = []
-    for name in names:
-        def record(*args, routine=getattr(local_solver_mod, name), name=name,
-                   **kwargs):
-            recorded.append((name, len(args[1]) if name == "dgtsv" else args[0].shape[1]))
-            return routine(*args, **kwargs)
-        monkeypatch.setattr(local_solver_mod, name, record)
-    return recorded
+def _solved_rows(calls):
+    """(name, rows) of each recorded dgtsv, dgbtrf or dgbtrs call."""
+    return [(name, len(args[1]) if name == "dgtsv" else args[0].shape[1])
+            for name, args in calls]
 
 
 @pytest.mark.parametrize("make", [
@@ -1021,7 +1045,7 @@ def test_sweep_cost_is_set_by_the_slowest_subdomain(make, monkeypatch):
     stack, calls = _counting(block_positions(prob, lay))
     tridiagonal = (stack.kl, stack.ku) == (1, 1)
     assert tridiagonal == isinstance(prob, ForchheimerProblem1D)
-    factored = _recorded_solves(monkeypatch, ("dgbtrf", "dgtsv"))
+    factored = recorded_calls(monkeypatch, ("dgbtrf", "dgtsv"))
     solver = "dgtsv" if tridiagonal else "dgbtrf"
     for u in _states(prob, 51):
         del factored[:]
@@ -1035,14 +1059,15 @@ def test_sweep_cost_is_set_by_the_slowest_subdomain(make, monkeypatch):
         # subdomains taking at least k steps; so the sweep solves
         # sum_b sizes[b] * inner_counts[b] rows, not steps * size
         counts = np.array(result.inner_counts)
-        assert factored == [(solver, stack.sizes[counts >= k].sum())
-                            for k in range(1, steps + 1)]
-        assert sum(m for _, m in factored) == stack.sizes @ counts
+        assert _solved_rows(factored) == [(solver, stack.sizes[counts >= k].sum())
+                                          for k in range(1, steps + 1)]
+        assert sum(m for _, m in _solved_rows(factored)) == stack.sizes @ counts
         calls.update(faces=0, residual_of=0, jacobian_of=0)
         local_jacobian(result.positions, result.X)
         assert calls == {"faces": 1, "residual_of": 0, "jacobian_of": 1}
-        # the local Jacobian factors the full band on either stack
-        assert factored[steps:] == [("dgbtrf", stack.size)]
+        # the local Jacobian makes one call on the full stack by the same
+        # solver: dgtsv for the 1D halo response, dgbtrf for the 2D factors
+        assert _solved_rows(factored[steps:]) == [(solver, stack.size)]
 
 
 @pytest.mark.parametrize("make, calls", [
@@ -1058,14 +1083,15 @@ def test_a_step_makes_one_solver_call_per_stack(make, calls, monkeypatch):
     stack = block_positions(prob, lay)
     X = stack.gather(prob.initial_state() + 0.1)
     entries, r = stack.kernels.jacobian(X), stack.kernels.residual(X)
-    made = _recorded_solves(monkeypatch, ("dgtsv", "dgbtrf", "dgbtrs"))
+    made = recorded_calls(monkeypatch, ("dgtsv", "dgbtrf", "dgbtrs"))
     n = lay.n_subdomains
     for active in (np.ones(n, bool), np.arange(n) != 3, np.arange(n) == n - 1):
         del made[:]
         failures = {}
         step = _step(stack, entries, r, active.copy(), failures)
         assert failures == {} and np.isfinite(step).all()
-        assert made == [(name, stack.sizes[active].sum()) for name in calls]
+        assert _solved_rows(made) == [(name, stack.sizes[active].sum())
+                                      for name in calls]
         assert not step[~np.repeat(active, stack.sizes)].any()
 
 
@@ -1159,7 +1185,7 @@ def _applied_operators():
             (True, smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 4, 2)),
             (False, DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1))):
         stack, space = block_positions(prob, lay), coarse_space(prob, lay)
-        assert (stack.halo <= stack.kl + stack.ku) == halo
+        assert (stack.diagonals is not None) == halo
         u = 0.3 * np.random.default_rng(37).standard_normal(prob.dof_count)
         dim = "1d" if halo else "2d"
         operators.update({

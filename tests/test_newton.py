@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from oracles import (Kernels, Repatterned, default_order_newton, layout_blocks,
-                     plain_newton, tridiagonal_newton)
+                     plain_newton, recorded_calls, tridiagonal_newton, zero_pivot)
 
 import raspen.local_solver as local_solver_mod
 import raspen.newton as newton_mod
@@ -183,12 +183,20 @@ def test_drivers_reject_a_positional_settings(driver):
         driver(_system("RASPEN1"), np.zeros(60), SolverSettings())
 
 
-def test_nonfinite_initial_guess_rejected():
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("driver", [
+    lambda system, u0: outer_newton(system, u0),
+    lambda system, u0: fixed_point_solve(system, u0),
+    lambda system, u0: direct_newton(system.problem, u0),
+], ids=["outer_newton", "fixed_point_solve", "direct_newton"])
+def test_nonfinite_initial_guess_rejected(driver, value):
+    # every driver rejects it before any work, with the same error: none
+    # lets a warning escape, ends "diverged" or fails in a sweep
     system = _system("RASPEN1", M=24, I=3, k=1)
     u0 = np.zeros(24)
-    u0[3] = np.nan
-    with pytest.raises(ValueError):
-        outer_newton(system, u0)
+    u0[3] = value
+    with pytest.raises(ValueError, match="^initial guess contains non-finite entries$"):
+        driver(system, u0)
 
 
 def test_gmres_stall_sets_reason(monkeypatch):
@@ -320,7 +328,7 @@ def test_singular_block_at_first_action_gets_outer_context(monkeypatch):
 
     def residual_then_singular(u):
         r = residual(u)
-        monkeypatch.setattr(local_solver_mod, "dgbtrf", _singular_dgbtrf)
+        monkeypatch.setattr(local_solver_mod, "dgtsv", _singular_dgtsv)
         return r
 
     system.residual = residual_then_singular
@@ -334,21 +342,17 @@ def test_singular_block_at_first_action_gets_outer_context(monkeypatch):
                          ids=["own-first-column", "previous-last-column"])
 def test_zero_pivot_in_stacked_block_names_subdomain_with_outer_context(
         first, named, monkeypatch):
-    # all local blocks are factored as one band: a zero pivot at subdomain
-    # 3's first column, or at subdomain 2's last, names that subdomain
+    # all local blocks' halo responses are one stacked dgtsv call: a zero
+    # pivot at subdomain 3's first column, or at subdomain 2's last, names
+    # that subdomain
     system = _system("RASPEN1")
     start = sum(len(sub.overlap) for sub in layout_blocks(system.layout)[:3])
-    column = start if first else start - 1
+    zeroed = zero_pivot("dgtsv", start if first else start - 1)
     residual = system.residual
-    dgbtrf = local_solver_mod.dgbtrf
-
-    def zeroed(ab, kl, ku, **kwargs):
-        ab[:, column] = 0.0  # band storage keeps A[:, c] in column c
-        return dgbtrf(ab, kl, ku, **kwargs)
 
     def residual_then_singular(u):
         r = residual(u)
-        monkeypatch.setattr(local_solver_mod, "dgbtrf", zeroed)
+        monkeypatch.setattr(local_solver_mod, "dgtsv", zeroed)
         return r
 
     system.residual = residual_then_singular
@@ -358,9 +362,9 @@ def test_zero_pivot_in_stacked_block_names_subdomain_with_outer_context(
     assert isinstance(run.failure, LocalSolveError)
 
 
-def _singular_dgbtrf(ab, kl, ku, **kwargs):
+def _singular_dgtsv(dl, d, du, b, **kwargs):
     # LAPACK reports an exactly zero pivot U(1,1) as info = 1
-    return ab, np.zeros(ab.shape[1], dtype=np.int32), 1
+    return dl, d, du, b, 1
 
 
 # ---------------------------------------------------------------- fixed point
@@ -744,10 +748,7 @@ def test_direct_newton_in_1d_makes_no_splu_call(monkeypatch):
     # newton-1d's problem: every step is one dgtsv call, no SuperLU factor
     problem = smooth_forchheimer(800, 1.0)
     calls = _counted_splu(monkeypatch)
-    solves = []
-    dgtsv = local_solver_mod.dgtsv
-    monkeypatch.setattr(local_solver_mod, "dgtsv",
-                        lambda *args, **kwargs: solves.append(1) or dgtsv(*args, **kwargs))
+    solves = recorded_calls(monkeypatch, ("dgtsv",))
     run = direct_newton(problem, problem.initial_state())
     assert run.converged and run.outer_iterations == 20
     assert calls == [] and len(solves) == 20

@@ -4,15 +4,15 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import (Kernels, dense_darcy_system, layout_blocks, plain_newton,
-                     schwarz_preconditioners)
+from oracles import (Kernels, call_counts, dense_darcy_system, layout_blocks,
+                     plain_newton, recorded_calls, schwarz_preconditioners)
 
 import raspen.coarse as coarse_mod
-import raspen.local_solver as local_solver_mod
 import raspen.precond as precond_mod
 from raspen.coarse import CoarseSolveError, coarse_residual, coarse_space
 from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.local_solver import LocalSolveError, SolverSettings, block_positions
+from raspen.newton import outer_newton
 from raspen.precond import KINDS, PreconditionedSystem
 from raspen.problems import DiffusionProblem2D, smooth_forchheimer
 
@@ -215,12 +215,12 @@ def test_fixed_point_dichotomy_compact():
 def test_local_blocks_factored_only_for_actions(kind, monkeypatch):
     # a fixed-point step applies no derivative, so its only local solves
     # are the inner Newton steps', one stacked dgtsv call per step of the
-    # slowest subdomain on this 1D stack, and no band factorization; the
-    # first Jacobian action then factors all blocks once, as one stacked
-    # band, and later actions reuse it
+    # slowest subdomain on this 1D stack; the first Jacobian action then
+    # solves all blocks' halo responses in one more stacked dgtsv call, and
+    # later actions reuse them; nothing is band factored
     prob, lay = _forchheimer_setup()
     system = PreconditionedSystem(kind, prob, lay, SETTINGS)
-    calls, solved = {"dgbtrf": 0, "dgtsv": 0}, []
+    names, solved = ("dgbtrf", "dgtsv"), []
     sweep = precond_mod.sweep_locals
 
     def recording_sweep(*args):
@@ -228,22 +228,49 @@ def test_local_blocks_factored_only_for_actions(kind, monkeypatch):
         solved.append(out)
         return out
 
-    for name in calls:
-        def counting(*args, routine=getattr(local_solver_mod, name), name=name,
-                     **kwargs):
-            calls[name] += 1
-            return routine(*args, **kwargs)
-        monkeypatch.setattr(local_solver_mod, name, counting)
+    calls = recorded_calls(monkeypatch, names)
     monkeypatch.setattr(precond_mod, "sweep_locals", recording_sweep)
     u = 0.2 * np.ones(24)
     ev = system.residual(u)
     inner = max(max(res.inner_counts) for res in solved)
     assert inner > 0
-    assert calls == {"dgbtrf": 0, "dgtsv": inner}
+    assert call_counts(calls, names) == {"dgbtrf": 0, "dgtsv": inner}
     v = np.ones(24)
     system.jacobian_action(ev, v)
     system.jacobian_action(ev, v)
-    assert calls == {"dgbtrf": 1, "dgtsv": inner}
+    assert call_counts(calls, names) == {"dgbtrf": 0, "dgtsv": inner + 1}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_tridiagonal_stack_never_takes_band_lu(kind, monkeypatch):
+    # every 1D solve, in sweeps, local derivatives and actions, is a dgtsv
+    # call: no band factor is ever made or used
+    prob, lay = _forchheimer_setup()
+    system = PreconditionedSystem(kind, prob, lay, SETTINGS)
+    calls = recorded_calls(monkeypatch, ("dgtsv", "dgbtrf", "dgbtrs", "dtbsv"))
+    assert outer_newton(system, prob.initial_state()).converged
+    assert {name for name, _ in calls} == {"dgtsv"}
+
+
+@pytest.mark.parametrize("kind, LS, ls_G", [
+    ("RASPEN1", 85, [25, 27, 27, 0]), ("ASPIN1", 124, [29, 29, 29, 30, 0]),
+], ids=["RASPEN1", "ASPIN1"])
+def test_wide_band_stack_with_a_small_halo_keeps_its_band_factors(kind, LS, ls_G):
+    # 64 x 64 in two subdomains: h = kl + ku = 66, so a halo response would
+    # cost h right-hand sides where each action's band solve costs one;
+    # the band form halves outer_newton's time here and keeps the counts
+    # measured with the halo form: RASPEN1 3/85 and ASPIN1 4/124
+    prob = DiffusionProblem2D(64, 64)
+    lay = build_2d_layout(64, 64, 2, 1, dirichlet_value=1.0)
+    system = PreconditionedSystem(kind, prob, lay)
+    stack = system._positions
+    assert stack.halo == stack.kl + stack.ku == 66 and stack.diagonals is None
+    ev = system.residual(prob.initial_state())
+    system.jacobian_action(ev, np.ones(prob.dof_count))
+    assert ev.block.lu is not None
+    run = outer_newton(system, prob.initial_state())
+    assert run.converged and run.ledger.ls_G == ls_G
+    assert (run.outer_iterations, run.ledger.LS_total) == (len(ls_G) - 1, LS)
 
 
 @pytest.mark.parametrize("make", [
@@ -255,34 +282,29 @@ def test_local_blocks_factored_only_for_actions(kind, monkeypatch):
     ("ASPIN1", "exact"), ("ASPIN2", "exact"),
 ])
 def test_actions_factor_once_and_solve_once(make, kind, mode, monkeypatch):
-    # every local derivative of an evaluation lives in one stacked band: the
-    # first action factors it once; on the 1D stack (h = 2 = kl + ku) it
-    # also solves once for the halo response, with h right-hand sides, and
-    # no action back-substitutes; on the 2D one (h = 18 > kl + ku = 10)
-    # dgbtrf swaps no rows, so each action solves with L, then with U,
-    # two triangular band solves and no dgbtrs
+    # every local derivative of an evaluation is one stacked LAPACK call,
+    # made by the first action: on the tridiagonal 1D stack one dgtsv call
+    # solves for the halo response, with h = 2 right-hand sides, and no
+    # action solves again; on the 2D band stack dgbtrf factors once and
+    # swaps no rows, so each action solves with L, then with U, two
+    # triangular band solves and no dgbtrs
     prob, lay = make()
     system = PreconditionedSystem(kind, prob, lay, SETTINGS, jacobian_mode=mode)
     stack = system._positions
     halo = not isinstance(prob, DiffusionProblem2D)
+    assert (stack.diagonals is not None) == halo
     assert (stack.halo, stack.kl + stack.ku) == ((2, 2) if halo else (18, 10))
     ev = system.residual(prob.initial_state() + 0.1)
-    calls = {"dgbtrf": 0, "dgbtrs": 0, "dtbsv": 0}
-    right_hand_sides = []
-    for name in calls:
-        def counting(*args, lapack=getattr(local_solver_mod, name), name=name,
-                     **kwargs):
-            calls[name] += 1
-            if name == "dgbtrs":
-                right_hand_sides.append(np.shape(args[3])[1:])
-            return lapack(*args, **kwargs)
-        monkeypatch.setattr(local_solver_mod, name, counting)
+    names = ("dgtsv", "dgbtrf", "dgbtrs", "dtbsv")
+    calls = recorded_calls(monkeypatch, names)
     v = np.random.default_rng(43).standard_normal(prob.dof_count)
     for actions in (1, 2, 3):
         system.jacobian_action(ev, v)
-        assert calls == ({"dgbtrf": 1, "dgbtrs": 1, "dtbsv": 0} if halo
-                         else {"dgbtrf": 1, "dgbtrs": 0, "dtbsv": 2 * actions})
-    assert right_hand_sides == ([(2,)] if halo else [])
+        assert call_counts(calls, names) == (
+            {"dgtsv": 1, "dgbtrf": 0, "dgbtrs": 0, "dtbsv": 0} if halo
+            else {"dgtsv": 0, "dgbtrf": 1, "dgbtrs": 0, "dtbsv": 2 * actions})
+    assert [np.shape(args[3])[1:] for name, args in calls if name == "dgtsv"] == (
+        [(2,)] if halo else [])
 
 
 @pytest.mark.parametrize("make", [
@@ -328,32 +350,30 @@ def test_live_evaluations_are_independent(make, kind, mode):
 def test_actions_evaluate_one_jacobian_kernel_on_shared_geometry(make, kind, mode,
                                                                  monkeypatch):
     # the blocks of an evaluation are one Jacobian-kernel call, at the
-    # solved stack (exact) or at u (inexact), and one dgbtrf; the stacked
-    # geometry is the system's, built once, so two evaluations' blocks
-    # share it
+    # solved stack (exact) or at u (inexact), and one LAPACK call: dgtsv
+    # for the 1D halo response, dgbtrf for the 2D band factors; the
+    # stacked geometry is the system's, built once, so two evaluations'
+    # blocks share it
     prob, lay = make()
     system = PreconditionedSystem(kind, prob, lay, SETTINGS, jacobian_mode=mode)
-    stack, calls = system._positions, {"kernel": 0, "dgbtrf": 0}
+    stack, kernel_calls = system._positions, []
+    solver = "dgbtrf" if isinstance(prob, DiffusionProblem2D) else "dgtsv"
 
     def counted_kernel(faces):
-        calls["kernel"] += 1
+        kernel_calls.append(1)
         return stack.kernels.jacobian_of(faces)
-
-    def counted_dgbtrf(*args, dgbtrf=local_solver_mod.dgbtrf, **kwargs):
-        calls["dgbtrf"] += 1
-        return dgbtrf(*args, **kwargs)
 
     system._positions = dataclasses.replace(
         stack, kernels=Kernels(stack.kernels, jacobian_of=counted_kernel))
-    monkeypatch.setattr(local_solver_mod, "dgbtrf", counted_dgbtrf)
+    calls = recorded_calls(monkeypatch, ("dgtsv", "dgbtrf"))
     v = np.random.default_rng(44).standard_normal(prob.dof_count)
     blocks = []
     for u in (prob.initial_state() + 0.1, prob.initial_state() + 0.2):
         ev = system.residual(u)
-        calls.update(kernel=0, dgbtrf=0)
+        del kernel_calls[:], calls[:]
         for _ in range(3):
             system.jacobian_action(ev, v)
-        assert calls == {"kernel": 1, "dgbtrf": 1}
+        assert (len(kernel_calls), [name for name, _ in calls]) == (1, [solver])
         blocks.append(ev.block)
     first, second = blocks
     assert first is not second
