@@ -85,7 +85,9 @@ class ExperimentConfig:
     The fields are the config schema: each is a config key (meshes,
     overlaps and betas in the singular) parsed by its annotation, and
     settings takes SolverSettings' fields as flat keys.  Every instance is
-    validated, dataclasses.replace copies included.
+    validated, dataclasses.replace copies included, against the schema and
+    for finite numbers; run_experiment's problem and layout builders check
+    the values before it writes anything.
     """
 
     problem: str = "forchheimer1d"
@@ -112,7 +114,7 @@ class ResultRow:
     """Outcome of one (method, mesh, I, k, beta) combination.
 
     first_residual is the residual after one restricted Schwarz step on
-    ras-fp rows whose first step passed its check, and None otherwise.
+    ras-fp rows whose first step completed, and None otherwise.
     """
 
     method: str
@@ -200,8 +202,6 @@ def _validate(config):
     if not all(map(math.isfinite, (*config.betas, *config.contrast,
                                    config.amplitude, config.omega))):
         raise ValueError("beta, contrast, amplitude and omega must be finite")
-    if config.omega == 0:
-        raise ValueError("omega must be nonzero")
     for name, values in (("mesh", config.meshes), ("subdomains", config.subdomains),
                          ("overlap", config.overlaps), ("methods", config.methods)):
         if len(set(values)) != len(values):
@@ -219,16 +219,8 @@ def _validate(config):
         raise ValueError("beta applies to forchheimer1d only")
     if bool(config.meshes) == bool(config.cells_per_subdomain):
         raise ValueError("give exactly one of 'mesh' and 'cells_per_subdomain'")
-    if config.cells_per_subdomain < 0:
-        raise ValueError("cells_per_subdomain must be positive")
-    for name, values in (("mesh", config.meshes),
-                         ("subdomains", config.subdomains)):
-        if any(v < 1 for v in values):
-            raise ValueError(f"{name} entries must be positive")
-    if any(k < 0 for k in config.overlaps):
-        raise ValueError("overlap entries must be nonnegative")
-    if len(config.contrast) != 2 or not 0 < config.contrast[0] <= config.contrast[1]:
-        raise ValueError("contrast must be 'lo,hi' with 0 < lo <= hi")
+    if len(config.contrast) != 2:
+        raise ValueError("contrast must be 'lo,hi'")
     if config.seed < 0:
         raise ValueError("seed must be nonnegative")
 
@@ -284,42 +276,16 @@ def _prepare(config):
     return combos, problems, layouts
 
 
-def _off_interface_mask(problem, layout):
-    """Cells whose whole stencil is owned by a single subdomain.
-
-    A cell's stencil is the column set of its row in problem.pattern; its
-    owner is the row of R0, subdomain i's owned mean, that holds it.
-    """
-    R0, P = layout.R0, problem.pattern
-    owner = np.empty(problem.dof_count, dtype=int)
-    owner[R0.indices] = np.repeat(np.arange(R0.shape[0]), np.diff(R0.indptr))
-    same = owner[P.indices] == np.repeat(owner, np.diff(P.indptr))
-    return np.logical_and.reduceat(same, P.indptr[:-1])
-
-
-class _FirstStepChecked(PreconditionedSystem):
+class _FirstStepRecorded(PreconditionedSystem):
     """RASPEN1 as ras-fp runs it: step 1's own evaluation also gives
-    first_residual, the residual after one restricted Schwarz step.
-
-    Away from the subdomain interfaces the glued iterate inherits the
-    local solves' accuracy, so those entries must already sit at the
-    inner tolerance (a SolveError otherwise, which fails step 1); the
-    interesting structure is the concentration at the interfaces.
-    """
+    first_residual, the residual after one restricted Schwarz step."""
 
     first_residual = None
 
     def residual(self, u):
         ev = super().residual(u)
         if self.first_residual is None:
-            r = self.problem.residual(u + ev.value)
-            mask = _off_interface_mask(self.problem, self.layout)
-            worst = float(np.max(np.abs(r[mask]))) if mask.any() else 0.0
-            if worst > self.settings.inner_tol:
-                raise SolveError(f"off-interface residual {worst:.3e} exceeds the "
-                                 "inner tolerance after the first restricted "
-                                 "Schwarz step")
-            self.first_residual = r
+            self.first_residual = self.problem.residual(u + ev.value)
         return ev
 
 
@@ -337,7 +303,7 @@ def _run(method, problem, layout, u_ref, settings):
         return direct_newton(problem, u0, settings, u_ref=u_ref), None
     kind = _FIXED_POINT_KINDS.get(method, method)
     if method == "ras-fp":
-        system = _FirstStepChecked(kind, problem, layout, settings)
+        system = _FirstStepRecorded(kind, problem, layout, settings)
         return fixed_point_solve(system, u0, u_ref=u_ref), system.first_residual
     system = PreconditionedSystem(kind, problem, layout, settings)
     if method in _FIXED_POINT_KINDS:

@@ -50,6 +50,8 @@ __all__ = [
 DIVERGENCE_ERROR = 1e6
 # the residual tolerance of reference_solution's direct Newton
 REFERENCE_TOL = 1e-12
+# outer_newton's largest ||F(u)|| / ||F(u0)|| at a zero it reports converged
+SPURIOUS_RTOL = 1e-4
 
 
 def relative_l1_error(u, u_ref):
@@ -138,6 +140,20 @@ def _start(u0):
     return u
 
 
+def _spurious_zero(problem, u, u0, tol):
+    """Why a zero u of the preconditioned function fails F(u) = 0, or "".
+
+    u fails when ||F(u)|| > max(SPURIOUS_RTOL ||F(u0)||, 100 tol): a
+    two-level function can vanish where F does not.
+    """
+    with np.errstate(over="ignore"):  # a finite residual's norm can overflow
+        norm, start = (np.linalg.norm(problem.residual(v)) for v in (u, u0))
+    if norm <= max(SPURIOUS_RTOL * start, 100 * tol):
+        return ""
+    return (f"spurious zero: ||F(u)|| = {norm:.3e} against "
+            f"||F(u0)|| = {start:.3e}")
+
+
 def outer_newton(system, u0, *, u_ref=None):
     """Newton on the preconditioned function with full steps.
 
@@ -145,7 +161,9 @@ def outer_newton(system, u0, *, u_ref=None):
     the residual as an Evaluation (recording its counts), tests
     ||value||_2 against outer_tol, then solves one Jacobian system with
     GMRES, acting with that evaluation, updates u and drops the
-    evaluation, so that one set of local blocks is alive at a time.  GMRES
+    evaluation, so that one set of local blocks is alive at a time.  A u
+    that meets outer_tol is converged only if F(u) = 0 too (_spurious_zero,
+    which names both global residual norms otherwise).  GMRES
     nonconvergence is noted in the reason string but the step is still
     taken; a subdomain or coarse solve failure, in the residual or in the
     Jacobian actions, ends the run with the error as its failure, quoted
@@ -153,7 +171,7 @@ def outer_newton(system, u0, *, u_ref=None):
     update count up to it.
     """
     settings = system.settings
-    u = _start(u0)
+    u = start = _start(u0)
     ledger = IterationLedger()
     reason = ""
     updates = 0
@@ -163,7 +181,8 @@ def outer_newton(system, u0, *, u_ref=None):
             rnorm = np.linalg.norm(ev.value)
             if rnorm <= settings.outer_tol:
                 ledger.record(0, _error_of(u, u_ref), rnorm, evaluation=ev)
-                return RunResult(u, ledger, True, updates, reason)
+                spurious = _spurious_zero(system.problem, u, start, settings.outer_tol)
+                return RunResult(u, ledger, not spurious, updates, spurious or reason)
             if not np.isfinite(rnorm):
                 ledger.record(0, _error_of(u, u_ref), rnorm, evaluation=ev)
                 return RunResult(u, ledger, False, updates,

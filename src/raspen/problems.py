@@ -157,8 +157,8 @@ def _flux(f, g, beta):
     if not 0 <= beta < np.inf:  # nan fails too
         raise ValueError("beta must be finite and nonnegative")
     g = np.asarray(g, dtype=float)
-    with np.errstate(over="ignore"):
-        root = _root(g, beta)
+    with np.errstate(over="ignore"):  # beta * g first: 4 beta alone may overflow
+        root = _root(beta * g, 1.0)
     huge = np.isinf(root) & np.isfinite(g)  # 1 + 4 beta |g| overflowed: drop the 1
     out = f(g, np.where(huge, 2.0 * np.sqrt(beta) * np.sqrt(np.abs(g)), root))
     return out if g.ndim else float(out)

@@ -73,6 +73,13 @@ def test_q_flux_where_one_plus_4_beta_g_overflows():
         assert q_flux_derivative(gi, 10.0) == pytest.approx(dq, rel=1e-15)
 
 
+def test_q_flux_at_zero_gradient_where_4_beta_overflows():
+    # 4 beta = inf for beta = 1e308, and inf * 0 gave nan with an "invalid
+    # value" warning (an error here); the law gives q(0) = 0 and q'(0) = 1
+    assert q_flux(0.0, 1e308) == 0.0
+    assert q_flux_derivative(0.0, 1e308) == 1.0
+
+
 def test_q_flux_is_unchanged_wherever_one_plus_4_beta_g_is_finite():
     # the overflow branch leaves every other value bit for bit: the digest
     # of both functions over 4,007 values of g, subnormal to 1.8e308, at
