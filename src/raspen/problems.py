@@ -35,6 +35,7 @@ __all__ = [
 
 # the floor of the residual norm ForchheimerProblem1D.discrete_solution must reach
 DISCRETE_RESIDUAL = 1e-10
+_ZERO = np.zeros(1)  # the row kernels' values end in it
 
 
 class NonlinearProblem:
@@ -91,8 +92,9 @@ class NonlinearProblem:
         u there: residual and jacobian are row_kernels(arange(n), pattern
         indices) at X = u.  Each composes faces(X), one pass over the rows'
         faces, with residual_of or jacobian_of, which derive from a pass and
-        leave it as it was.  Building the kernels costs index work; calling
-        them reads only X.
+        leave it as it was; jacobian_of is values_of(faces)[take], whose
+        values end in a 0.0 that take does not read.  Building the kernels
+        costs index work; calling them reads only X.
         """
         return self._rows_class(self, rows, entries)
 
@@ -137,6 +139,9 @@ class _RowKernels:
 
     def jacobian(self, X):
         return self.jacobian_of(self.faces(X))
+
+    def jacobian_of(self, faces):
+        return self.values_of(faces)[self.take]
 
 
 def _root(g, beta):
@@ -317,10 +322,10 @@ class _ForchheimerRows(_RowKernels):
         a = _q(*faces)[self.at]
         return a[1] - a[0] - self.source
 
-    def jacobian_of(self, faces):
+    def values_of(self, faces):
         w = _dq(*faces) * self.T
         wl, wr = w[self.at]
-        return np.concatenate((-w, wr + wl))[self.take]
+        return np.concatenate((-w, wr + wl, _ZERO))
 
 
 def _tridiagonal(cells, M):
@@ -488,7 +493,7 @@ class _DiffusionRows(_RowKernels):
         return (self.neg_source + e + w + n + s
                 + self.boundary * (1.0 + sq) * (uc - self.dv))
 
-    def jacobian_of(self, faces):
+    def values_of(self, faces):
         uc, un, sq, mean_a, d = faces
         diagonal = uc * d
         diagonal += mean_a
@@ -500,5 +505,5 @@ class _DiffusionRows(_RowKernels):
         coupling -= mean_a
         coupling *= self.T
         coupling += 0.0
-        return np.concatenate((coupling[:2].ravel(), centre, coupling[2:].ravel()))[
-            self.take]
+        return np.concatenate((coupling[:2].ravel(), centre, coupling[2:].ravel(),
+                               _ZERO))

@@ -544,13 +544,16 @@ def zero_pivot(name, column):
 class Kernels:
     """Row kernels with some of their pieces replaced.
 
-    faces, residual_of and jacobian_of are the given functions, else the
-    wrapped kernels' own; residual(X) and jacobian(X) compose them as the
-    problems' kernels do.
+    faces, residual_of and values_of are the given functions and take the
+    given gather, else the wrapped kernels' own; residual(X), jacobian_of
+    (values_of(faces)[take]) and jacobian(X) compose them as the problems'
+    kernels do.  A stack reads the values by its diagonals and outside,
+    built on its own kernels' take, so kernels given to a stack by
+    dataclasses.replace must lay their values out as its own do.
     """
 
     def __init__(self, kernels, **pieces):
-        for name in ("faces", "residual_of", "jacobian_of"):
+        for name in ("faces", "residual_of", "values_of", "take"):
             setattr(self, name, pieces.pop(name, getattr(kernels, name)))
         assert not pieces, pieces
 
@@ -559,6 +562,9 @@ class Kernels:
 
     def jacobian(self, X):
         return self.jacobian_of(self.faces(X))
+
+    def jacobian_of(self, faces):
+        return self.values_of(faces)[self.take]
 
 
 class Repatterned:
@@ -576,8 +582,13 @@ class Repatterned:
         return self.change(self.problem.jacobian(u))
 
     def row_kernels(self, rows, entries):
-        # the wrapped problem's kernels take the entries of its own pattern
-        return self.problem.row_kernels(rows, entries[~self._extra(rows)])
+        # the wrapped problem's kernels take the entries of its own pattern;
+        # the entries it lacks read the values' trailing 0.0
+        extra = self._extra(rows)
+        kernels = self.problem.row_kernels(rows, entries[~extra])
+        take = np.full(len(extra), -1)
+        take[~extra] = kernels.take
+        return Kernels(kernels, take=take)
 
     def _extra(self, rows):
         """Which entries of the rows' pattern the wrapped problem's lacks."""
@@ -610,14 +621,13 @@ class WideBand(Repatterned):
 
     def row_kernels(self, rows, entries):
         kernels = super().row_kernels(rows, entries)
-        extra = self._extra(rows)
+        # the extra entry reads a 0.5 put in front of the values
+        take = np.where(self._extra(rows), 0, kernels.take + 1)
 
-        def jacobian_of(faces):
-            out = np.full(len(extra), 0.5)
-            out[~extra] = kernels.jacobian_of(faces)
-            return out
+        def values_of(faces):
+            return np.append(0.5, kernels.values_of(faces))
 
-        return Kernels(kernels, jacobian_of=jacobian_of)
+        return Kernels(kernels, values_of=values_of, take=take)
 
 
 class ShrunkDiagonal(Repatterned):
@@ -642,12 +652,17 @@ class ShrunkDiagonal(Repatterned):
         kernels = super().row_kernels(rows, entries)
         diagonal = np.concatenate([(self.pattern[r].indices == self.cell)
                                    & (r == self.cell) for r in rows])
+        # each copy of the entry reads a value of its own, which no other
+        # entry reads
+        scaled = kernels.take[diagonal]
+        assert not np.isin(kernels.take[~diagonal], scaled).any()
 
-        def jacobian_of(faces):
-            out = kernels.jacobian_of(faces)
-            return np.where(diagonal, self.factor * out, out)
+        def values_of(faces):
+            out = kernels.values_of(faces)
+            out[scaled] = self.factor * out[scaled]
+            return out
 
-        return Kernels(kernels, jacobian_of=jacobian_of)
+        return Kernels(kernels, values_of=values_of)
 
 
 # --------------------------------------- GMRES on 16-row basis blocks

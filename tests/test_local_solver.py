@@ -196,25 +196,32 @@ def test_factorization_round_trip():
 def test_local_jacobian_copies_no_array(make):
     # on a band stack (2D) the block's rows R_i J are built on the stack's
     # index arrays and on the Jacobian kernel's output, so building them
-    # copies none of them; a tridiagonal stack (1D) keeps only its solved rows
+    # copies none of them; a tridiagonal stack (1D) keeps only its solved
+    # rows; either derives the Jacobian values once
     prob, lay = make()
     stack = block_positions(prob, lay)
     assert stack.indptr.dtype == stack.columns.dtype
     assert len(stack.indptr) == stack.size + 1
-    outputs = []
+    outputs, derived = [], []
 
-    def recording(faces):
-        outputs.append(stack.kernels.jacobian_of(faces))
-        return outputs[-1]
+    def values_of(faces):
+        derived.append(1)
+        return stack.kernels.values_of(faces)
+
+    class Recording(Kernels):
+        def jacobian_of(self, faces):
+            outputs.append(super().jacobian_of(faces))
+            return outputs[-1]
 
     u = 0.3 * np.random.default_rng(31).standard_normal(prob.dof_count)
-    kernels = Kernels(stack.kernels, jacobian_of=recording)
+    kernels = Recording(stack.kernels, values_of=values_of)
     block = local_jacobian(dataclasses.replace(stack, kernels=kernels),
                            stack.gather(u))
-    assert len(outputs) == 1
+    assert len(derived) == 1
     if stack.response_take is not None:
-        assert block.lu is None
+        assert block.lu is None and outputs == []
         return
+    assert len(outputs) == 1
     rows = block.rows
     assert np.shares_memory(rows.indices, stack.columns)
     assert np.shares_memory(rows.indptr, stack.indptr)
@@ -643,13 +650,12 @@ def test_halo_response_without_a_halo_passes_dgtsv_no_empty_right_hand_side(
         block = local_jacobian(stack, stack.gather(u))
         assert block.lu is None
         assert local_correction_jacobian_action(block, v).tobytes() == (-v).tobytes()
-    X = stack.gather(np.zeros(17))
-    entries = stack.kernels.jacobian(X)
-    z, info = tridiagonal_solve(entries, stack.diagonals, np.zeros((17, 0)))
+    values = stack.kernels.values_of(stack.kernels.faces(stack.gather(np.zeros(17))))
+    z, info = tridiagonal_solve(values, stack.diagonals, np.zeros((17, 0)))
     assert z.shape == (17, 0) and info == 0
-    entries[stack.diagonals[1, 5]] = 0.0  # A[5, 5], and then its column
-    entries[stack.diagonals[0, 6]] = entries[stack.diagonals[2, 4]] = 0.0
-    assert tridiagonal_solve(entries, stack.diagonals, np.zeros((17, 0)))[1] == 6
+    values[stack.diagonals[1, 5]] = 0.0  # A[5, 5], and then its column
+    values[stack.diagonals[0, 6]] = values[stack.diagonals[2, 4]] = 0.0
+    assert tridiagonal_solve(values, stack.diagonals, np.zeros((17, 0)))[1] == 6
     assert len(calls) == 4
     assert all(np.ndim(b) == 1 or np.shape(b)[1] > 0 for _, (*_, b) in calls)
 
@@ -805,7 +811,10 @@ def _failing(stack, positions, singular=(), nonfinite=(), tiny=()):
     their entries are zero, nonfinite maps blocks to the residual
     derivation from which their rows are nan, and tiny maps blocks to the
     Jacobian derivation from which their entries are scaled by 1e-320, so
-    that the step overflows.  Returns the failing stack and, per block,
+    that the step overflows.  A Jacobian derivation is a values_of call; a
+    block's entries read values that no other block's entries read, so
+    scaling those values scales its entries alone.  Returns the failing
+    stack and, per block,
     (residual, jacobian) kernels that fail the same way on that block
     alone, whose BlockPositions positions lists.
     """
@@ -819,13 +828,16 @@ def _failing(stack, positions, singular=(), nonfinite=(), tiny=()):
                 r[_row_range(stack, b)] = np.nan
         return r
 
+    values = [np.unique(stack.kernels.take[at]) for at in entries]
+    assert len(np.unique(np.concatenate(values))) == sum(map(len, values))
+
     def jacobian(faces):
         calls["jacobian"] += 1
-        data = stack.kernels.jacobian_of(faces)
+        data = stack.kernels.values_of(faces)
         for faults, scale in ((singular, 0.0), (tiny, 1e-320)):
             for b, at in dict(faults).items():
                 if calls["jacobian"] >= at:
-                    data[entries[b]] *= scale
+                    data[values[b]] *= scale
         return data
 
     def alone(b):
@@ -852,7 +864,7 @@ def _failing(stack, positions, singular=(), nonfinite=(), tiny=()):
 
         return r, j
 
-    kernels = Kernels(stack.kernels, residual_of=residual, jacobian_of=jacobian)
+    kernels = Kernels(stack.kernels, residual_of=residual, values_of=jacobian)
     return dataclasses.replace(stack, kernels=kernels), alone
 
 
@@ -953,16 +965,18 @@ def test_overflow_resolve_leaves_every_other_step_as_alone():
     prob, lay = _LAYOUTS["1d-wide-band"]()
     stack, positions = block_positions(prob, lay), per_block_positions(prob, lay)
     assert (stack.kl, stack.ku) == (1, 5)
-    X = stack.gather(np.zeros(12))
-    entries, r = stack.kernels.jacobian(X), stack.kernels.residual(X)
-    entries[_entry_ranges(stack)[2]] *= 1e-320
+    faces = stack.kernels.faces(stack.gather(np.zeros(12)))
+    values, r = stack.kernels.values_of(faces), stack.kernels.residual_of(faces)
+    values[np.unique(stack.kernels.take[_entry_ranges(stack)[2]])] *= 1e-320
+    entries = values[stack.kernels.take]
     lu, ipiv, _ = _band_lu(stack, entries)
     spilled = lapack.dgbtrs(lu, stack.kl, stack.ku, r, ipiv)[0]
     assert not all(np.isfinite(part).all() for b, part in
                    enumerate(_per_block(stack, spilled)) if b != 2)
     active, failures = np.ones(lay.n_subdomains, bool), {}
-    step = _step(stack, entries, r, active, failures)
-    assert active.all() and failures == {}
+    with np.errstate(over="ignore", invalid="ignore"):  # as solve_local calls it
+        step, rows = _step(stack, values, r, active, failures)
+    assert active.all() and failures == {} and rows == slice(None)
     for b, (pos, got) in enumerate(zip(positions, _per_block(stack, step))):
         if b == 2:
             assert not np.isfinite(got).all()
@@ -1010,7 +1024,7 @@ def test_local_solve_error_carries_subdomain_and_residual_trail(
 
 def _counting(stack):
     """The stack with its face passes and derivations counted, and the counts."""
-    calls = {"faces": 0, "residual_of": 0, "jacobian_of": 0}
+    calls = {"faces": 0, "residual_of": 0, "values_of": 0}
 
     def counted(name):
         piece = getattr(stack.kernels, name)
@@ -1036,11 +1050,12 @@ def _solved_rows(calls):
     lambda: (DiffusionProblem2D(12, 8), build_2d_layout(12, 8, 4, 1)),
 ], ids=["1d", "2d"])
 def test_sweep_cost_is_set_by_the_slowest_subdomain(make, monkeypatch):
-    # one stacked solve and one Jacobian derivation per step of the
-    # slowest subdomain, and one face pass and residual derivation more, so
-    # k inner steps make k + 1 face passes; the solved block is one face
-    # pass and one Jacobian derivation.  The 1D stack (kl = ku = 1) solves
-    # each step with one dgtsv call, the 2D one with dgbtrf and dgbtrs
+    # one stacked solve and one Jacobian derivation (a values_of call) per
+    # step of the slowest subdomain, and one face pass and residual
+    # derivation more, so k inner steps make k + 1 face passes; the solved
+    # block is one face pass and one Jacobian derivation.  The 1D stack
+    # (kl = ku = 1) solves each step with one dgtsv call, the 2D one with
+    # dgbtrf and dgbtrs
     prob, lay = make()
     stack, calls = _counting(block_positions(prob, lay))
     tridiagonal = (stack.kl, stack.ku) == (1, 1)
@@ -1049,11 +1064,11 @@ def test_sweep_cost_is_set_by_the_slowest_subdomain(make, monkeypatch):
     solver = "dgtsv" if tridiagonal else "dgbtrf"
     for u in _states(prob, 51):
         del factored[:]
-        calls.update(faces=0, residual_of=0, jacobian_of=0)
+        calls.update(faces=0, residual_of=0, values_of=0)
         result = solve_local(stack, u, SETTINGS)
         steps = max(result.inner_counts)
         assert steps > 0
-        assert len(factored) == steps == calls["jacobian_of"]
+        assert len(factored) == steps == calls["values_of"]
         assert calls["faces"] == calls["residual_of"] == steps + 1
         # step k solves the rows of the blocks still active, those of the
         # subdomains taking at least k steps; so the sweep solves
@@ -1062,9 +1077,9 @@ def test_sweep_cost_is_set_by_the_slowest_subdomain(make, monkeypatch):
         assert _solved_rows(factored) == [(solver, stack.sizes[counts >= k].sum())
                                           for k in range(1, steps + 1)]
         assert sum(m for _, m in _solved_rows(factored)) == stack.sizes @ counts
-        calls.update(faces=0, residual_of=0, jacobian_of=0)
+        calls.update(faces=0, residual_of=0, values_of=0)
         local_jacobian(result.positions, result.X)
-        assert calls == {"faces": 1, "residual_of": 0, "jacobian_of": 1}
+        assert calls == {"faces": 1, "residual_of": 0, "values_of": 1}
         # the local Jacobian makes one call on the full stack by the same
         # solver: dgtsv for the 1D halo response, dgbtrf for the 2D factors
         assert _solved_rows(factored[steps:]) == [(solver, stack.size)]
@@ -1078,21 +1093,24 @@ def test_sweep_cost_is_set_by_the_slowest_subdomain(make, monkeypatch):
 def test_a_step_makes_one_solver_call_per_stack(make, calls, monkeypatch):
     # the benchmark's stacks: a tridiagonal one (kl = ku = 1) solves a
     # step, frozen blocks or not, with one dgtsv call on the active rows,
-    # the 2D band with one dgbtrf and one dgbtrs
+    # the 2D band with one dgbtrf and one dgbtrs; either returns the step
+    # of the active rows only, with the rows it solved
     prob, lay = make()
     stack = block_positions(prob, lay)
-    X = stack.gather(prob.initial_state() + 0.1)
-    entries, r = stack.kernels.jacobian(X), stack.kernels.residual(X)
+    faces = stack.kernels.faces(stack.gather(prob.initial_state() + 0.1))
+    values, r = stack.kernels.values_of(faces), stack.kernels.residual_of(faces)
     made = recorded_calls(monkeypatch, ("dgtsv", "dgbtrf", "dgbtrs"))
     n = lay.n_subdomains
     for active in (np.ones(n, bool), np.arange(n) != 3, np.arange(n) == n - 1):
         del made[:]
         failures = {}
-        step = _step(stack, entries, r, active.copy(), failures)
-        assert failures == {} and np.isfinite(step).all()
+        x, rows = _step(stack, values, r, active.copy(), failures)
+        assert failures == {} and np.isfinite(x).all()
         assert _solved_rows(made) == [(name, stack.sizes[active].sum())
                                       for name in calls]
-        assert not step[~np.repeat(active, stack.sizes)].any()
+        moving = np.flatnonzero(np.repeat(active, stack.sizes))
+        assert np.array_equal(np.arange(stack.size)[rows], moving)
+        assert x.shape == moving.shape
 
 
 def test_stacks_are_built_once_and_share_their_geometry():

@@ -253,23 +253,27 @@ def test_solve_failure_aborts_with_context(error):
 def _failing_sweep(system, kernel, fail_from):
     """Make subdomain 1's kernel output fail from the fail_from-th call on.
 
-    kernel "jacobian" zeros subdomain 1's entries (a singular block),
-    "residual" turns its rows into nan; each is derived from a face pass.
+    kernel "jacobian" zeros the values subdomain 1's entries read, which no
+    other subdomain's entries read (a singular block), "residual" turns its
+    rows into nan; each is derived from a face pass.
     """
     stack = system._positions
     rows = slice(stack.block_starts[1], stack.block_starts[2])
     entries = slice(*stack.indptr[stack.block_starts[1:3]])
+    values = np.unique(stack.kernels.take[entries])
+    assert not np.isin(np.delete(stack.kernels.take, np.r_[entries]), values).any()
+    name = "residual_of" if kernel == "residual" else "values_of"
     calls = [0]
 
     def failing(faces):
         calls[0] += 1
-        out = getattr(stack.kernels, f"{kernel}_of")(faces)
+        out = getattr(stack.kernels, name)(faces)
         if calls[0] >= fail_from:
-            out[rows if kernel == "residual" else entries] *= (
+            out[rows if kernel == "residual" else values] *= (
                 np.nan if kernel == "residual" else 0.0)
         return out
 
-    kernels = Kernels(stack.kernels, **{f"{kernel}_of": failing})
+    kernels = Kernels(stack.kernels, **{name: failing})
     system._positions = dataclasses.replace(stack, kernels=kernels)
 
 
@@ -501,6 +505,33 @@ def test_fixed_point_divergence_cutoff():
     assert "diverged" in run.reason
     assert run.outer_iterations < 100
     assert run.ledger.error[-1] > newton_mod.DIVERGENCE_ERROR
+
+
+class _IterateRecording:
+    """A system whose every evaluation at u records the next iterate u + F(u)."""
+
+    def __init__(self, system):
+        self.system, self.settings, self.iterates = system, system.settings, []
+
+    def residual(self, u):
+        ev = self.system.residual(u)
+        self.iterates.append(u + ev.value)
+        return ev
+
+
+@pytest.mark.parametrize("reference", ["solution", "zero"])
+def test_fixed_point_errors_are_the_iterates_relative_l1_errors(reference):
+    # the run takes ||u_ref||_1 once; each recorded error is still
+    # relative_l1_error's float, the plain l1 norm for a zero reference
+    system = _IterateRecording(_system("RASPEN1"))
+    u_ref = (reference_solution(system.system.problem) if reference == "solution"
+             else np.zeros(60))
+    run = fixed_point_solve(system, np.zeros(60), max_steps=6, u_ref=u_ref)
+    assert len(run.ledger.error) == len(system.iterates) == 6
+    for err, u in zip(run.ledger.error, system.iterates):
+        assert err == relative_l1_error(u, u_ref)
+        if reference == "zero":
+            assert err == np.linalg.norm(u, 1) > 0.0
 
 
 def test_single_subdomain_fixed_point_is_one_step():

@@ -359,12 +359,12 @@ def test_actions_evaluate_one_jacobian_kernel_on_shared_geometry(make, kind, mod
     stack, kernel_calls = system._positions, []
     solver = "dgbtrf" if isinstance(prob, DiffusionProblem2D) else "dgtsv"
 
-    def counted_kernel(faces):
+    def counted_kernel(faces):  # the Jacobian values every derivation reads
         kernel_calls.append(1)
-        return stack.kernels.jacobian_of(faces)
+        return stack.kernels.values_of(faces)
 
     system._positions = dataclasses.replace(
-        stack, kernels=Kernels(stack.kernels, jacobian_of=counted_kernel))
+        stack, kernels=Kernels(stack.kernels, values_of=counted_kernel))
     calls = recorded_calls(monkeypatch, ("dgtsv", "dgbtrf"))
     v = np.random.default_rng(44).standard_normal(prob.dof_count)
     blocks = []

@@ -587,10 +587,14 @@ def _outputs(kernels, X):
 
     Both derive from one face pass, the Jacobian first, and each must equal
     the kernels' own residual(X) and jacobian(X) bit for bit; deriving
-    either leaves the pass as it was.
+    either leaves the pass as it was.  The Jacobian rows are the values'
+    gather by take, and the values end in a 0.0 that take does not read.
     """
     faces = kernels.faces(X)
     data = kernels.jacobian_of(faces).tobytes()
+    values = kernels.values_of(faces)
+    assert values[kernels.take].tobytes() == data
+    assert values[-1] == 0.0 and len(values) - 1 not in kernels.take
     rows = kernels.residual_of(faces).tobytes()
     assert kernels.jacobian_of(faces).tobytes() == data
     assert rows == kernels.residual(X).tobytes()

@@ -8,9 +8,16 @@ local actions read.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import WideBand, layout_blocks, per_block_action, per_block_positions
+from oracles import (
+    WideBand,
+    layout_blocks,
+    per_block_action,
+    per_block_positions,
+    sequential_local_solve,
+)
 
 from raspen.coarse import coarse_jacobian, coarse_space
 from raspen.decomposition import (
@@ -20,11 +27,13 @@ from raspen.decomposition import (
     restricted_prolong,
 )
 from raspen.local_solver import (
+    LocalSolveError,
     SolverSettings,
     SolveError,
     block_positions,
     local_correction_jacobian_action,
     local_jacobian,
+    sweep_locals,
 )
 from raspen.newton import reference_solution
 from raspen.precond import PreconditionedSystem
@@ -209,3 +218,64 @@ def test_every_kinds_action_matches_finite_differences(drawn, seed):
         except SolveError:
             assume(False)
         assert np.linalg.norm(got - fd) / max(1.0, np.linalg.norm(fd)) < 1e-5
+
+
+@st.composite
+def sweeps(draw):
+    """(problem, layout, u, settings): a small drawn layout's problem at a
+    smooth, rough or large state, under an inner budget that can run out."""
+    if draw(st.integers(0, 2)):  # two 1D layouts to one 2D
+        M = draw(st.integers(1, 40))
+        # up to eight blocks, or one-cell blocks (I = M)
+        I = draw(st.integers(1, min(M, 8)) | st.just(M))
+        k = draw(st.integers(0, min(3, M // I if I > 1 else M)))
+        lay, beta = build_1d_layout(M, I, k), draw(st.sampled_from([0.0, 1.0, 10.0]))
+        problem = (hard_forchheimer(M, beta, seed=draw(st.integers(0, 3)))
+                   if draw(st.booleans()) else smooth_forchheimer(M, beta))
+    else:
+        N = draw(st.integers(1, 3))
+        nx, ny = N * draw(st.integers(1, 4)), N * draw(st.integers(1, 4))
+        k = draw(st.integers(0, min(nx, ny) // N if N > 1 else 1))
+        lay, problem = build_2d_layout(nx, ny, N, k), DiffusionProblem2D(nx, ny)
+    n, base = problem.dof_count, problem.initial_state()
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    u = {"smooth": base + 0.5 * np.sin(np.pi * (np.arange(n) + 0.5) / n),
+         "rough": base + 0.5 * rng.standard_normal(n),
+         "large": 1e6 * rng.standard_normal(n)}[
+        draw(st.sampled_from(["smooth", "rough", "large"]))]
+    budget = draw(st.sampled_from([50, 50, 50, 2]))
+    return problem, lay, u, SolverSettings(max_inner=budget)
+
+
+@_SETTINGS
+@given(sweeps())
+# one block (I = 1, no halo), one-cell blocks (I = M, k = 0), and a rough
+# field whose blocks run out of a two-step budget
+@example((smooth_forchheimer(17, 1.0), build_1d_layout(17, 1, 0), np.zeros(17),
+          SolverSettings()))
+@example((smooth_forchheimer(9, 1.0), build_1d_layout(9, 9, 0), np.zeros(9),
+          SolverSettings()))
+@example((hard_forchheimer(30, 10.0, seed=4), build_1d_layout(30, 5, 2),
+          np.zeros(30), SolverSettings(max_inner=2)))
+def test_sweep_matches_the_per_block_solves(drawn):
+    # the stacked sweep against each subdomain solved alone by
+    # sequential_local_solve, with the stack's solver (dgtsv on a
+    # tridiagonal stack, else band LU), bit for bit: corrections, solved
+    # X, the state behind it and counts, or the first failure's message
+    problem, lay, u, inner = drawn
+    stack = block_positions(problem, lay)
+    tridiagonal = stack.diagonals is not None
+    # the sweep ignores overflow and inf - inf in its iterates; so does its oracle
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = [sequential_local_solve(problem, pos, u, inner, tridiagonal=tridiagonal)
+                    for pos in per_block_positions(problem, lay)]
+        except LocalSolveError as exc:
+            with pytest.raises(LocalSolveError) as caught:
+                sweep_locals(stack, u, inner)
+            assert str(caught.value) == str(exc)
+            return
+    result = sweep_locals(stack, u, inner)
+    assert result.correction.tobytes() == np.concatenate([c for c, _, _ in want]).tobytes()
+    assert result.X.tobytes() == np.concatenate([s for _, s, _ in want] + [u]).tobytes()
+    assert result.inner_counts == tuple(count for _, _, count in want)
