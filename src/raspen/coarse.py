@@ -35,12 +35,15 @@ the outer Jacobian actions
 An action takes the fine Jacobian J(u) from its caller, which assembles it
 once per state and makes sure that the correction was solved at u.
 
-Each system builds one CoarseSpace from J's fixed pattern and P_0: P_0^T
-as CSR, for every restriction, and the Galerkin map, two sparse stages
-that take J.data onto the entries of J P_0 and those onto the dense J_0.
+Each two-level system builds one CoarseSpace from J's fixed pattern and
+P_0, evaluating no Jacobian: P_0^T as CSR, for every restriction, and the
+Galerkin map.  J's pattern is fixed, so the entries of J_0 = P_0^T J P_0
+are a fixed linear function of J.data, which the map applies in two
+sparse stages, onto the entries of J P_0 and then onto those of J_0, with
+a few terms per entry of J in each.  So a coarse Jacobian costs one global
+Jacobian, two CSR products and a scatter into a dense N x N array.
 Coarse Newton prolongs each iterate once, for its residual and Jacobian,
-and the FAS correction hands it F_0(R_0 u) from its right-hand side; every
-CSR product is one csr_apply call, bit for bit the product by @.
+and the FAS correction hands it F_0(R_0 u) from its right-hand side.
 """
 
 from dataclasses import dataclass, field
@@ -150,12 +153,10 @@ def coarse_jacobian(space, u0):
 
 
 def _coarse_newton(space, start, rhs, settings, what, factors=None, evaluated=None):
-    """Solve F_0(start + c) = rhs for c by coarse Newton from start.
+    """Solve F_0(start + c) = rhs for c by coarse Newton from start (module docstring).
 
-    Every iterate, start included, is prolonged once and must have a finite
-    residual; its coarse Jacobian is factored once, by LU, or at start given
-    as factors, as may be its evaluated = (P_0 start, F_0(start)).  The
-    result keeps the coarse Jacobian at start and the factors of J^_0.
+    factors, the LU factors of the coarse Jacobian at start, and evaluated,
+    (P_0 start, F_0(start)), may be given.
     """
     w = np.asarray(start, dtype=float).copy()
     J0, iterations = None, 0

@@ -5,9 +5,8 @@ contiguous near-equal blocks, the remainder cells going to the leading
 blocks, and each block grown by k cells per side, clipped at the domain
 ends.  The 1D layout applies it once; the 2D layout applies it to x and to y
 and takes the product of the two, so a 2D subdomain is a rectangle of the
-row-major grid.  An overlap may reach a neighbour's far edge but never past
-it.  The owned blocks partition the global cell set {0..M-1}; each overlap is
-its owned block plus the k layers toward the neighbours.
+row-major grid.  The owned blocks partition the global cell set {0..M-1}.
+An overlap may reach a neighbour's far edge but never past it.
 
 A layout is five arrays: cells, sizes, owned_slots, R0 and P0.  All
 subdomains share one stacked overlap space, their overlap values
@@ -20,16 +19,16 @@ overlap cells) or by restricted_prolong (P~ x = sum_i P~_i x_i, P~_i writing
 the owned cells only), so restricted_prolong(layout, v[cells]) == v exactly.
 Both sum each cell's contributions from 0.0 in subdomain order.
 
-The coarse space has one degree of freedom per subdomain: R0 averages over the
-owned cells, and P0 interpolates linearly (1D) or bilinearly (2D) through the
-owned-block centers.
-Toward a boundary whose Dirichlet datum is zero, P0 pins the interpolant to 0
-(corrections vanish there); toward a Neumann boundary or a boundary with
-nonzero Dirichlet datum it extends the nearest nodal value constantly.  Early
-iterates have not absorbed a nonzero datum yet, so their corrections carry the
-full boundary mismatch; pinning 0 there would exclude that error from the
-coarse space and noticeably slow both the two-level fixed point and Newton on
-the two-level function.
+The coarse space has one degree of freedom per subdomain: R0 averages over
+the owned cells, and P0 interpolates linearly (1D) or bilinearly (2D)
+through the owned-block centers.  Toward a boundary whose Dirichlet datum
+is zero, P0 pins the interpolant to 0 (corrections vanish there); toward a
+Neumann boundary or a boundary with nonzero Dirichlet datum it extends the
+nearest nodal value constantly.  Early iterates have not absorbed a
+nonzero datum yet, so their corrections carry the full boundary mismatch;
+pinning 0 there would exclude that error from the coarse space and
+noticeably slow both the two-level fixed point and Newton on the two-level
+function.
 """
 
 from dataclasses import dataclass, field
@@ -50,10 +49,9 @@ __all__ = [
 class DecompositionLayout:
     """Immutable decomposition of {0..n_cells-1} with coarse-space operators.
 
-    cells, sizes and owned_slots index the stacked overlap space, read-only:
-    subdomain i's overlap is cells[start_i : start_i + sizes[i]], and its
-    owned cells are the cells[owned_slots] in that range (module docstring).
-    Coarse DOF i belongs to subdomain i; R0 / P0 are sparse operator matrices.
+    cells, sizes and owned_slots are the stacked overlap space's arrays,
+    read-only, and R0 and P0 the coarse operators, as CSR matrices (module
+    docstring).  Coarse DOF i belongs to subdomain i.
     """
 
     n_cells: int
@@ -71,10 +69,8 @@ class DecompositionLayout:
 def _blocks(n, parts, k):
     """The partition rule along one axis: (owned, overlap) slices per block.
 
-    n cells split into `parts` contiguous blocks, the first n % parts of
-    them one cell larger; each overlap adds k cells per side, clipped at
-    0 and n.  Rejects non-integer or out-of-range arguments and an overlap
-    that would extend past an entire neighbouring block.
+    Rejects non-integer or out-of-range arguments and an overlap that would
+    extend past an entire neighbouring block.
     """
     if not all(isinstance(v, (int, np.integer)) for v in (n, parts, k)):
         raise ValueError(f"sizes, subdomain counts and overlaps must be "
@@ -149,11 +145,9 @@ def _boundary_rule(datum):
 def build_1d_layout(n_cells, n_subdomains, overlap_layers, dirichlet=(0.0, 1.0)):
     """1D layout: the partition rule (module docstring) on M cells, I blocks.
 
-    Subdomain i overlaps k cells into neighbours i-1 and i+1.  dirichlet
-    holds the boundary data of the problem the layout will serve; each end
-    of P0 is pinned to 0 when the datum there is zero and extends the
-    nearest coarse value constantly otherwise (see module docstring).  The
-    coarse nodes are the means of the owned cell centres.
+    dirichlet holds the boundary data of the problem the layout will serve,
+    which pick P0's rule at each end (module docstring).  The coarse nodes
+    are the means of the owned cell centres.
     """
     blocks = _blocks(n_cells, n_subdomains, overlap_layers)
     M = int(n_cells)
@@ -169,13 +163,10 @@ def build_2d_layout(nx, ny, n_per_side, overlap_layers, dirichlet_value=1.0):
 
     The nx-by-ny cell grid is split into N x N subdomains, enumerated with
     y outer and x inner; nx and ny must be divisible by n_per_side.  Cells
-    are numbered row-major, cell (ix, iy) -> iy*nx + ix, so the overlap adds
-    k grid layers in all four directions, clipped at the boundary.  The
-    coarse space has one DOF per subdomain at its geometric center; P0 is
-    bilinear on that lattice and extends constantly toward the three Neumann
-    edges.  Toward the Dirichlet edge x=1 it is pinned to 0 when
-    dirichlet_value is zero and extends constantly otherwise (see module
-    docstring).
+    are numbered row-major, cell (ix, iy) -> iy*nx + ix.  The coarse nodes
+    are the subdomains' geometric centres.  The three edges other than x=1
+    are Neumann; dirichlet_value, the datum at x=1, picks P0's rule there
+    (module docstring).
     """
     xs = _blocks(nx, n_per_side, overlap_layers)
     ys = _blocks(ny, n_per_side, overlap_layers)

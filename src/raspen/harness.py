@@ -1,16 +1,13 @@
-"""Experiment harness: flat-file configs, solver matrices, CSV/JSON output.
+"""Experiment harness: configs, solver matrices, CSV/JSON output, comparisons.
 
 A config names one problem family and lists of meshes, subdomain counts,
 overlaps, beta values, and methods; run_experiment executes the full cross
-product and writes four kinds of artifact into the output directory:
-
-  results.csv     one row per combination: method,mesh,I,k,beta,
-                  outer_iters,LS_total,converged
-  iterations.csv  long format, one row per outer iteration:
-                  method,mesh,I,k,beta,n,ls_G,ls_in,ls_min,error,residual
-  curve_*.csv     per-run error/work curves: step,error,LS
-  summary.json    config echo, library versions, seed, failure reasons,
-                  failed subdomains with their inner residual norms
+product and writes into the output directory results.csv (ROW_COLUMNS, one
+row per combination), iterations.csv (ITER_COLUMNS, one row per ledger
+row), per run curve_*.csv (step,error,LS) and, for ras-fp,
+first_ras_residual_*.csv (index,residual), and summary.json (config echo,
+library versions, seed, failure reasons, failed subdomains with their
+inner residual norms, wall times).
 
 Reruns of the same config and seed produce byte-identical CSVs (wall
 times live only in the summary).  The drivers return solve failures in
@@ -19,11 +16,6 @@ iterations before it (a run that recorded none has no ledger and no
 curve) and the reason in the summary, and sibling combinations still
 run.  A failed reference solution fails every row of its (mesh, beta)
 problem the same way.
-
-compare_table checks result rows against a shipped reference table of
-published counts, cell by cell, with the comparison tolerances used
-throughout: outer iterations within +/-1 (OUTER_TOL), linear-solve totals
-within +/-15% (LS_RTOL).
 """
 
 import csv

@@ -24,10 +24,8 @@ FIRST_ROWS = 16
 class GmresReport:
     """Outcome of one GMRES solve.
 
-    iterations equals the number of operator applications.  converged is
-    true exactly when the relative residual reached the tolerance.  An
-    Arnoldi breakdown ends the iteration either way: a lucky one (the
-    Krylov space contains the solution) converges, a singular one does not.
+    converged is true exactly when the relative residual reached the
+    tolerance, as after a lucky breakdown (gmres).
     """
 
     iterations: int

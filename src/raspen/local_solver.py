@@ -6,56 +6,53 @@ the exterior of the subdomain frozen at u (homogeneous correction outside).
 The solver rule.  A tridiagonal pattern (bandwidths at most 1, as in every
 1D problem) is solved by LAPACK dgtsv everywhere, on tridiagonal_index's
 diagonals: sweep steps, local derivatives and direct Newton's steps.  A
-wider one is solved by band LU locally and by SuperLU in direct Newton.
+wider one is solved by band LU (dgbtrf/dgbtrs) locally and by SuperLU in
+direct Newton.
 
-The stack.  block_positions reads the problem's CSR pattern, the only
-description of the stencil read here, once, evaluating no Jacobian, and
-returns a PositionStack of all subdomains, built in one pass of array
-operations, block b for subdomain b in the layout's stacked order.  It
-holds the problem's row kernels on the stacked rows, fed with where their
-entries' columns sit in the stacked local vector X = (w[layout.cells], w)
-at a state w: an entry whose column lies in its block's overlap reads that
-block's stacked row, every other entry the frozen exterior, the state
-itself, at size + column.  It also holds where the entries of the blocks
-A_ii = R_i J P_i go in the band storage of diag(A_ii) and, on a
-tridiagonal stack, on its diagonals, and the halo response pattern.
+The stack.  block_positions reads the problem's CSR pattern once,
+evaluating no Jacobian, and returns a PositionStack of all subdomains,
+built in one pass of array operations, block b for subdomain b in the
+layout's stacked order.  It holds the problem's row kernels on the
+stacked rows, fed with where their entries' columns sit in the stacked
+local vector X = (w[layout.cells], w) at a state w: an entry whose column
+lies in its block's overlap reads that block's stacked row, every other
+entry the frozen exterior, the state itself, at size + column.  It also
+holds where the entries of the blocks A_ii = R_i J P_i go in the solves.
 
-The sweep.  solve_local solves all subdomains together and returns one
-LocalSolveResult: the stack, X at each u^(i) = u + P_i C_i(u), the
-corrections and each subdomain's inner Newton count.  Every iterate is one
-face pass of the row kernels, from which the residual derives; an iterate
-that steps also derives the Jacobian values from it (values_of) and solves
-diag(A_ii) in one LAPACK call: dgtsv on the diagonals, read from the values
-in one gather, or dgbtrf/dgbtrs of the band that _band_lu fills at the
-widest block's bandwidths.  A step changes only X[:size], so a sweep costs
-O(sum_i m_i + M), not O(I M).  A subdomain whose residual norm reaches the
-tolerance is frozen, left out of the solve and the update.  On fp-sweep's
-stack (142 rows) a step costs about 26 us: the kernels ~12, norms and tests
-~3, the solve ~7 (dgtsv ~4), the rest per-call overhead.  The blocks
-share no coupling, so either solver eliminates each block exactly as alone,
-and every subdomain's values and count are bit for bit those of a solve of
-that subdomain alone by the same solver.  For the same reason a block
-whose step overflows is solved again on its own rows.
+The sweep.  solve_local solves all subdomains together.  Every iterate is
+one face pass of the row kernels, from which the residual derives; an
+iterate that steps also derives the Jacobian values from it (values_of)
+and solves diag(A_ii) in one LAPACK call: dgtsv on the diagonals, read
+from the values in one gather, or dgbtrf/dgbtrs of the band that _band_lu
+fills at the widest block's bandwidths.  A step changes only the active
+rows of X[:size], so a sweep costs O(sum_i m_i + M), not O(I M), and takes
+as many steps as its slowest subdomain.  A subdomain whose residual norm
+reaches the tolerance is frozen, left out of the solve and the update.
+The blocks share no coupling, so either solver eliminates each block
+exactly as alone, and every subdomain's values and count are bit for bit
+those of a solve of that subdomain alone by the same solver.  For the same
+reason a block whose step overflows is solved again on its own rows.
 
 The derivatives.  local_jacobian builds a LocalJacobian from one
 Jacobian-kernel call and one LAPACK call at the X it is given: at a
-sweep's solved X the exact blocks, at positions.gather(u) those of J(u),
-ASPIN's inexact ones.  Its action applies
+sweep's solved X the exact blocks, each at its u^(i), which can differ
+from u + P_i C_i(u) in the last bit; at positions.gather(u) those of J(u),
+bit for bit, ASPIN's inexact ones.  Its action applies
 
     dC_i/du v = -A_ii^{-1} R_i J v = -(v_i + Z_i v_halo)
 
 into the stacked overlap space; Z_i = A_ii^{-1} B_i, B_i the columns of
 R_i J outside the overlap, is the halo response.  A tridiagonal stack solves
 for Z in one dgtsv call with h right-hand sides (h, the halo: the most
-exterior cells any block's rows touch) and keeps the solved rows [I | Z_i],
-with lu None: an action is one CSR product, by csr_apply.  A band stack
-(any other) keeps R_i J and the band factors: an action is that product and
-the band LU solve.  Where dgbtrf swapped no rows, that solve is two
-triangular band solves (dtbsv), L from one copy of the multiplier rows made
-per LocalJacobian and U read in place: dgbtrs's arithmetic bit for bit,
-without its rank-1 update per column of L.  Factors with an interchange
-keep dgbtrs, and so do a band stack's sweep steps: each of their
-factorizations serves one solve, which the copy would not repay.
+exterior cells any block's rows touch) and keeps the solved rows [I | Z_i]:
+an action is one CSR product.  A band stack (any other) keeps R_i J and
+the band factors: an action is that product and the band LU solve.  Where
+dgbtrf swapped no rows, that solve is two triangular band solves (dtbsv),
+L from one copy of the multiplier rows made per LocalJacobian and U read
+in place: dgbtrs's arithmetic bit for bit, without its rank-1 update per
+column of L.  Factors with an interchange keep dgbtrs, and so do a band
+stack's sweep steps: each of their factorizations serves one solve, which
+the copy would not repay.
 """
 
 import math
@@ -129,10 +126,9 @@ class LocalSolveResult:
     """Outcome of one sweep: the local solves of a PositionStack's subdomains.
 
     X is positions' stacked local vector at the solved states u^(i),
-    read-only: X[:size] holds the solved values on the stacked overlaps,
-    X[size:] the base state u, the frozen exterior.  correction stacks, in
-    subdomain order, each subdomain's correction; inner_counts holds each
-    subdomain's inner Newton count and inner_iterations their sum.
+    read-only, its exterior the base state u.  correction stacks each
+    subdomain's correction; inner_counts holds each subdomain's inner
+    Newton count and inner_iterations their sum.
     """
 
     positions: object = field(repr=False)
@@ -146,24 +142,20 @@ class LocalSolveResult:
 class PositionStack:
     """Where every subdomain's block sits, and what their solves share.
 
-    Block b is subdomain b of layout, with sizes[b] stacked rows from
-    block_starts[b].  X, the stacked local vector at a state w, is
-    (w[layout.cells], w) (gather); kernels are the problem's row kernels on
-    the stacked rows, whose face pass reads X.  R_i J's entries, stacked,
-    are the jacobian kernel's output, in the CSR pattern (columns, indptr)
-    of one index dtype, so a CSR matrix on it copies neither.  diag(A_ii)
-    has bandwidths kl and ku, the largest of the blocks': the entries at
-    block go to the flat indices slots of a C-order (rows, 2*kl+ku+1)
-    array, whose transpose is LAPACK's band storage (A[r, c] at row
-    kl+ku+r-c of column c).  A block's halo cells are the columns outside
-    its overlap, at most halo of them.  Only a tridiagonal stack (kl, ku at
-    most 1) sets the rest, in the kernels' values (values_of, whose gather
-    take gives the entries): diagonals, A's tridiagonal_index; outside, the
-    values going to halo_slots of a C-order (halo, rows) array, a block's
-    halo cells in column order; and response_take, where the solved rows
-    A^{-1} R_i J take that array's solve, flattened with a 1.0 appended, on
-    the CSR pattern (response_columns, response_indptr) of each row's own
-    cell and its block's halo cells.
+    Block b has sizes[b] stacked rows from block_starts[b]; kernels are the
+    row kernels on the stacked rows.  The jacobian kernel's output, R_i J's
+    entries, lies on the CSR pattern (columns, indptr) of one index dtype,
+    so a CSR matrix on it copies neither.  diag(A_ii) has bandwidths kl and
+    ku, the blocks' largest: the entries at block go to the flat indices
+    slots of a C-order (rows, 2*kl+ku+1) array, whose transpose is LAPACK's
+    band storage (A[r, c] at row kl+ku+r-c of column c).  halo is h (module
+    docstring).  Only a tridiagonal stack sets the rest, in the kernels'
+    values: diagonals, A's tridiagonal_index; outside, the values going to
+    halo_slots of a C-order (halo, rows) array, a block's halo cells in
+    column order; and response_take, where the solved rows A^{-1} R_i J
+    take that array's solve, flattened with a 1.0 appended, on the CSR
+    pattern (response_columns, response_indptr) of each row's own cell and
+    its block's halo cells.
     """
 
     problem: object = field(repr=False)
@@ -204,12 +196,10 @@ class PositionStack:
 class LocalJacobian:
     """The one operator a local Jacobian action applies (module docstring).
 
-    positions is the blocks' PositionStack.  On a tridiagonal stack rows
-    is A^{-1} R_i J on its response pattern; else it is the stacked R_i J
-    on its CSR pattern and lu is (band factors, pivots, L) of A = diag(A_ii):
-    dgbtrf's output and, when it swapped no rows, a Fortran-ordered copy of
-    the factors' unit-lower multiplier rows, the band storage of L (None
-    after an interchange).
+    On a tridiagonal stack rows is A^{-1} R_i J on its response pattern;
+    else it is the stacked R_i J and lu is (band factors, pivots, L) of
+    A = diag(A_ii): dgbtrf's output and, when it swapped no rows, a
+    Fortran-ordered copy of the band storage of L (else None).
     """
 
     positions: object = field(repr=False)
@@ -218,16 +208,11 @@ class LocalJacobian:
 
 
 def block_positions(problem, layout):
-    """Every subdomain's positions in the problem's Jacobian pattern, stacked.
+    """The PositionStack of problem's subdomains on layout (module docstring).
 
-    Block b is subdomain b, its rows the layout's stacked cells from
-    block_starts[b].  The pattern is problem.pattern, which must be a CSR
-    matrix with sorted, unique indices; no Jacobian is evaluated.  Every
-    stacked row's entries are read from it at once; an entry's column lies
-    in its block's overlap when its (block, column) key is one of the
-    overlap's, and then it reads that stacked row of X, else the state at
-    size + column.  The problem's row kernels are built once, on all
-    overlap rows.
+    problem.pattern must be a CSR matrix with sorted, unique indices.  An
+    entry's column lies in its block's overlap when its (block, column) key
+    is one of the overlap's.
     """
     pattern = problem.pattern
     if pattern.format != "csr" or not pattern.has_canonical_format:
@@ -293,11 +278,9 @@ def _band_lu(stack, entries, rows=slice(None)):
 
 
 def local_jacobian(positions, X):
-    """The blocks of a PositionStack's subdomains at the stacked local vector X.
+    """The LocalJacobian of a PositionStack's blocks at the stacked local vector X.
 
-    One Jacobian-kernel call and one LAPACK call: at a sweep's solved X each
-    block is at its u^(i), not at u + P_i correction, which can differ in
-    the last bit; at positions.gather(u) they are J(u)'s, bit for bit.
+    LocalSolveError names the first subdomain whose block is singular.
     """
     kernels, shape = positions.kernels, (positions.size, positions.problem.dof_count)
     faces = kernels.faces(X)
@@ -353,11 +336,13 @@ def tridiagonal_solve(values, diagonals, rhs):
 def csr_apply(A, x):
     """A @ x, bit for bit: scipy's compiled csr_matvec into a zero result.
 
-    A is a float64 CSR matrix of one index dtype and x a float64 vector of
-    its column count, else ValueError: the kernel checks nothing.  A @ x
-    ends in the same call, after a Python dispatch that costs as much as the
-    kernel on the actions' and coarse solves' small operators, and no
-    public entry point skips it (CHANGES.md), hence the private import.
+    Every CSR product of a Jacobian action, an evaluation and a coarse
+    Newton iterate is one csr_apply call.  A is a float64 CSR matrix of one
+    index dtype and x a float64 vector of its column count, else
+    ValueError: the kernel checks nothing.  A @ x ends in the same call,
+    after a Python dispatch that costs as much as the kernel on these small
+    operators, and no public entry point skips it (CHANGES.md), hence the
+    private import.
     """
     n_row, n_col = A.shape
     if (getattr(A, "format", None) != "csr" or A.data.dtype != float
@@ -373,8 +358,7 @@ def csr_apply(A, x):
 def _solve(stack, values, r, rows):
     """diag(A_ii)^{-1} r on rows (whole blocks' rows), and info, both in rows.
 
-    values is the row kernels' values_of output.  One dgtsv on the rows'
-    diagonals, or _band_lu and dgbtrs (module docstring).
+    values is the row kernels' values_of output.
     """
     if stack.diagonals is not None:
         diagonals = (stack.diagonals if isinstance(rows, slice)
@@ -419,17 +403,13 @@ def _step(stack, values, r, active, failures):
 def solve_local(positions, u, settings):
     """Solve R_i F(u + P_i c_i) = 0 for every c_i = C_i(u) of a stack's subdomains.
 
-    Inner Newton from the zero corrections with full steps, on the stacked
-    local vector X = positions.gather(u): each iterate makes one face pass
-    of the stacked row kernels at X and derives the residual from it; a
-    step derives the Jacobian values from the same pass and refactorizes
-    diag(A_ii), with every block whose residual norm is at or below
-    settings.inner_tol frozen; only the stacked overlaps X[:size] change.
-    A subdomain fails when its residual or its residual norm is not
-    finite, the start's included, when it runs out of settings.max_inner
-    steps or when its block is singular; it then stops, the others run on,
-    and the failure of the lowest-index subdomain is raised.  The result's
-    X is gathered from u, so no later change to u reaches it.
+    The sweep (module docstring): inner Newton from the zero corrections
+    with full steps, to settings.inner_tol.  A subdomain fails when its
+    residual or its residual norm is not finite, the start's included,
+    when it runs out of settings.max_inner steps or when its block is
+    singular; it then stops, the others run on, and the lowest-index
+    subdomain's LocalSolveError is raised.  The result's X is gathered
+    from u, so no later change to u reaches it.
     """
     X, size, kernels = positions.gather(u), positions.size, positions.kernels
     overlaps, start = X[:size], X[:size].copy()
@@ -483,8 +463,7 @@ def solve_local(positions, u, settings):
 def local_correction_jacobian_action(block, v):
     """Apply every -A_ii^{-1} R_i J of a LocalJacobian to a global vector v.
 
-    One CSR product with block.rows, by csr_apply, then, on a band stack,
-    the band LU solve (module docstring), into the stacked overlaps.
+    The result is in the stacked overlap space (module docstring).
     """
     w = csr_apply(block.rows, v)
     if block.lu is not None:

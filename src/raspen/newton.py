@@ -1,31 +1,9 @@
 """Outer Newton driver, plain fixed-point driver and direct Newton.
 
-Iteration accounting follows the parallel-cost convention of the solver
-comparison, applied by IterationLedger alone.  One row per residual
-evaluation keeps each subdomain's inner Newton count (inner_counts), the
-coarse count (coarse_count, 0 for one-level rows) and ls_G, the GMRES
-iterations of that row's Jacobian solve (0 for the terminal evaluation
-that confirms convergence).  ls_in, derived, is the largest inner count
-with the coarse count folded in by the max (the coarse solve sits on the
-critical path like the slowest subdomain), ls_min the smallest subdomain
-count, and LS_n = sum_{j<=n} (ls_in[j] + ls_G[j]).  A row also keeps its
-GMRES residual history (IterationLedger).
-
-The two drivers of a PreconditionedSystem (outer_newton and
-fixed_point_solve) run by the system's own settings and return every way
-a run ends as a RunResult: a subdomain or coarse solve failure ends it
-with that SolveError as its failure, never raised.  All three drivers
-reject a start with a non-finite entry (ValueError).
-
-Errors in the ledger are relative l1 distances to a reference iterate,
-which callers usually obtain from reference_solution(): flux integration
-in 1D, tight-tolerance direct Newton otherwise.
-
-Direct Newton follows local_solver's solver rule, read once per run from
-the problem's pattern: on a tridiagonal one (every 1D problem) one LAPACK
-dgtsv call factors and solves each step; any wider pattern is factored by
-SuperLU in the column order of minimum degree on A^T + A, the order
-SuperLU recommends for structurally symmetric matrices.
+The two drivers of a PreconditionedSystem, outer_newton and
+fixed_point_solve, run by the system's own settings.  Every driver
+returns a RunResult however its run ends, records its cost in an
+IterationLedger and rejects a start with a non-finite entry (ValueError).
 """
 
 from dataclasses import dataclass, field, replace
@@ -63,14 +41,24 @@ def relative_l1_error(u, u_ref):
 
 @dataclass
 class IterationLedger:
-    """Per-evaluation iteration records; LS is the running solve total.
+    """Per-evaluation iteration records, and the one place counts become cost.
 
-    gmres_history holds one tuple per row: the relative residuals of the
-    row's GMRES solve, one per GMRES iteration (empty for a row without
-    one: the terminal row, fixed-point rows and direct Newton's).  The
-    counts come from the row's Evaluation: inner_counts holds one tuple of
-    per-subdomain counts per row, coarse_count the coarse count; direct
-    Newton's rows have none, so their ls_in and ls_min are 0.
+    The cost follows the parallel convention of the solver comparison.
+    Each residual evaluation appends one row: ls_G, the GMRES iterations of
+    its Jacobian solve (0 without one, as on the terminal evaluation that
+    confirms convergence and on fixed-point rows), and gmres_history, that
+    solve's relative residuals, one per iteration (empty without one, as on
+    direct Newton's rows, whose ls_G is 1).  From the row's Evaluation,
+    inner_counts keeps the tuple of per-subdomain inner Newton counts, in
+    subdomain order, and coarse_count the coarse Newton count (0 for
+    one-level rows); direct Newton's rows have none.  error is the relative
+    l1 distance to the run's reference iterate, nan without one.
+
+    ls_in is the larger of max(inner_counts) and coarse_count: the coarse
+    solve sits on the critical path like the slowest subdomain.  ls_min is
+    the smallest subdomain count; both are 0 without subdomains.  LS is
+    the running total LS_n = sum_{j<=n} (ls_in[j] + ls_G[j]), and
+    LS_total, its last value, the cost of the whole run.
     """
 
     ls_G: list = field(default_factory=list)
@@ -94,12 +82,12 @@ class IterationLedger:
 
     @property
     def ls_in(self):
-        """Per row, the critical path: the slowest subdomain or coarse count."""
+        """Per row, the slowest subdomain or coarse count."""
         return [max((*i, c)) for i, c in zip(self.inner_counts, self.coarse_count)]
 
     @property
     def ls_min(self):
-        """Per row, the smallest subdomain count (0 without subdomains)."""
+        """Per row, the smallest subdomain count."""
         return [min(inner, default=0) for inner in self.inner_counts]
 
     @property
@@ -114,10 +102,14 @@ class IterationLedger:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """Final iterate plus the ledger of the run that produced it.
+    """How a run ended: its final iterate, its ledger and why it stopped.
 
-    failure is the SolveError that ended the run, None for a run that
-    ended otherwise; reason quotes it after the iteration it ended.
+    converged is whether the driver's own test was met (outer_newton's
+    includes F(u) = 0); reason says why a run that did not converge ended,
+    and may note a GMRES stall in one that did.  A subdomain or coarse
+    solve failure is never raised: it ends the run with that SolveError as
+    failure (None otherwise), quoted in reason after the iteration it
+    ended, and the ledger and outer_iterations count up to it.
     """
 
     u: np.ndarray = field(repr=False)
@@ -141,11 +133,7 @@ def _start(u0):
 
 
 def _spurious_zero(problem, u, u0, tol):
-    """Why a zero u of the preconditioned function fails F(u) = 0, or "".
-
-    u fails when ||F(u)|| > max(SPURIOUS_RTOL ||F(u0)||, 100 tol): a
-    two-level function can vanish where F does not.
-    """
+    """Why u is a spurious zero (outer_newton's rule), or ""."""
     with np.errstate(over="ignore"):  # a finite residual's norm can overflow
         norm, start = (np.linalg.norm(problem.residual(v)) for v in (u, u0))
     if norm <= max(SPURIOUS_RTOL * start, 100 * tol):
@@ -157,18 +145,17 @@ def _spurious_zero(problem, u, u0, tol):
 def outer_newton(system, u0, *, u_ref=None):
     """Newton on the preconditioned function with full steps.
 
-    Tolerances and budgets are system.settings.  Each iteration evaluates
-    the residual as an Evaluation (recording its counts), tests
-    ||value||_2 against outer_tol, then solves one Jacobian system with
-    GMRES, acting with that evaluation, updates u and drops the
-    evaluation, so that one set of local blocks is alive at a time.  A u
-    that meets outer_tol is converged only if F(u) = 0 too (_spurious_zero,
-    which names both global residual norms otherwise).  GMRES
-    nonconvergence is noted in the reason string but the step is still
-    taken; a subdomain or coarse solve failure, in the residual or in the
-    Jacobian actions, ends the run with the error as its failure, quoted
-    in reason after the outer iteration it ended, and the ledger and
-    update count up to it.
+    Each iteration evaluates the residual as an Evaluation (recording its
+    counts), tests ||value||_2 against outer_tol, then solves one Jacobian
+    system with GMRES, acting with that evaluation, updates u and drops the
+    evaluation, so that one set of local blocks is alive at a time.  GMRES
+    nonconvergence is noted in reason but the step is still taken.  A u
+    that meets outer_tol is converged only if it also solves F(u) = 0:
+    with ||F(u)|| above max(SPURIOUS_RTOL ||F(u0)||, 100 outer_tol) it is a
+    spurious zero of the preconditioned function, at which some two-level
+    runs on rough fields stop, and the run is not converged, with both
+    norms in reason.  A solve failure, in the residual or in the Jacobian
+    actions, ends the run (RunResult).
     """
     settings = system.settings
     u = start = _start(u0)
@@ -207,13 +194,12 @@ def outer_newton(system, u0, *, u_ref=None):
 def fixed_point_solve(system, u0, *, max_steps=None, u_ref=None):
     """Run u <- u + F(u) until the error reference is met or budget runs out.
 
-    Tolerances and budgets are system.settings.  Each step records the
-    counts of its Evaluation F(u) and drops it before the next step
-    evaluates.  Stops when the relative l1 error against u_ref drops to
-    outer_tol; stagnation is reported as converged=False, and so is a
-    solve failure (module docstring), quoted in reason: a divergent
-    iteration typically leaves the basin of the local solves before the
-    error passes the DIVERGENCE_ERROR cutoff.  u_ref defaults to
+    Each step records the counts of its Evaluation F(u) and drops it before
+    the next step evaluates.  Stops when the relative l1 error against
+    u_ref drops to outer_tol; stagnation is reported as converged=False,
+    and so is a solve failure (RunResult): a divergent iteration typically
+    leaves the basin of the local solves before the error passes the
+    DIVERGENCE_ERROR cutoff.  u_ref defaults to
     reference_solution(system.problem); max_steps replaces
     settings.max_fixed_point.
     """
@@ -249,18 +235,17 @@ def fixed_point_solve(system, u0, *, max_steps=None, u_ref=None):
 def direct_newton(problem, u0, settings=None, u_ref=None):
     """Plain Newton on F(u) = 0 with one sparse direct solve per step.
 
-    Ledger rows carry ls_in = 0 and ls_G = 1 per update (the single
-    global solve), so LS_total equals the number of Newton steps.  A
-    Jacobian found exactly singular, at any step, ends the run with a
-    SolveError as its failure, quoted in reason after the Newton step.
+    Each update's ledger row has ls_G = 1, its one global solve, so
+    LS_total equals the number of Newton steps.  A Jacobian found exactly
+    singular ends the run with a SolveError as its failure (RunResult).
 
-    On a tridiagonal pattern each step is one dgtsv call on J's diagonals.
-    Otherwise the first step factors J with SuperLU in the module
-    docstring's order and keeps q = argsort(perm_c) and a gather map from
-    J's CSR data on problem.pattern to J(q, q) in CSC.  Every later step
-    gathers J(q, q), factors it in that order (NATURAL), solves for step[q]
-    and scatters back.  The order lives in this call only, and one factor
-    is alive at a time.
+    Steps follow local_solver's solver rule, read once per run from
+    problem.pattern.  With SuperLU, _first_step factors J in the column
+    order of minimum degree on A^T + A, which SuperLU recommends for
+    structurally symmetric matrices; every later step gathers J(q, q) in
+    that order, factors it (NATURAL), solves for step[q] and scatters
+    back.  The order lives in this call only, and one factor is alive at a
+    time.
     """
     settings = settings or SolverSettings()
     u = _start(u0)

@@ -8,35 +8,22 @@ correction equation built from subdomain solves:
     RASPEN2:  P_0 C_0(u) + sum_i P~_i C_i(w) = 0,   w = u + P_0 C_0(u)
     ASPIN2:   P_0 C_0^A(u) + sum_i P_i C_i(u) = 0
 
-where C_i are the local corrections, C_0 the full-approximation-scheme
-coarse correction (applied multiplicatively inside RASPEN2) and C_0^A the
-additive coarse correction around the precomputed coarse solution u_0*.
-The local corrections are concatenated in the layout's stacked overlap
-space and glued in one call: by P~ (restricted_prolong) for the RASPEN
-kinds, by P (prolong) for the ASPIN kinds.
-Each system also applies its derivative matrix-free, by one formula for
-all four kinds: the coarse derivative (two-level kinds), then every local
-derivative -A_ii^{-1} R_i J glued like the corrections, applied to v, or
-to v plus the prolonged coarse action inside RASPEN2.  The local
-derivatives are taken at each solved local state (exact mode, always used
-by the RASPEN kinds) or all at u (inexact mode, the ASPIN default; the
-exact variant is jacobian_mode="exact").  The stack, the sweep and the two
-forms of the local derivatives are described in local_solver.
+where C_i are the local corrections (local_solver), C_0 the
+full-approximation-scheme coarse correction (applied multiplicatively
+inside RASPEN2) and C_0^A the additive coarse correction around the
+precomputed coarse solution u_0* (coarse).  The local corrections are
+glued in one call: by P~ (restricted_prolong) for the RASPEN kinds, by P
+(prolong) for the ASPIN kinds.
 
-residual(u) returns an Evaluation, a frozen handle holding a read-only
-copy of u, the value F~(u), the sweep's result and the coarse result,
-with their Newton counts, which the drivers' ledger combines into cost;
-jacobian_action takes that handle, so an action is always applied at the
-state its evaluation solved at.  The evaluation's LocalJacobian is built
-by one local_jacobian call at the first action and kept, so an evaluation
-that no action follows factors nothing.  A system builds its
-PositionStack once, and a two-level system its CoarseSpace beside it; a
-one-level evaluation and its actions evaluate only the stack's row
-kernels, no global residual or Jacobian.  The fine Jacobian J(u), which only the coarse actions read, is
-assembled at most once per evaluation.  The coarse solves evaluate the
-global residual and Jacobian; they and the coarse actions restrict by
-P_0^T, take J_0 by the Galerkin map and solve by dgetrs.  Every CSR
-product here and below them, P_0's included, is one csr_apply call.
+Each system also applies its derivative matrix-free, by one formula for
+all four kinds: the coarse derivative (two-level kinds), then the local
+derivatives glued like the corrections, applied to v, or to v plus the
+prolonged coarse action inside RASPEN2.  The local derivatives are taken
+at each solved local state (exact mode) or all at u (inexact mode).
+
+A system builds its PositionStack once, and a two-level system its
+CoarseSpace beside it.  A one-level evaluation and its actions evaluate
+only the stack's row kernels, no global residual or Jacobian.
 """
 
 from dataclasses import dataclass, field
@@ -72,11 +59,11 @@ class Evaluation:
     """One evaluation F~(u) of a PreconditionedSystem, with its derivative data.
 
     u is a read-only copy of the state, value the function's value there,
-    locals_ the sweep's LocalSolveResult, with each subdomain's inner
-    Newton count, and coarse the coarse result (None for the one-level
-    kinds).  The stacked LocalJacobian (block) and the fine J(u) (J_u,
-    which only the coarse actions read) are built at their first use and
-    kept.
+    locals_ the sweep's LocalSolveResult and coarse the coarse result (None
+    for the one-level kinds).  The stacked LocalJacobian (block) and the
+    fine J(u) (J_u, which only the coarse actions read) are built at their
+    first use and kept: an evaluation that no action follows factors
+    nothing, and dropping one frees them.
     """
 
     u: np.ndarray = field(repr=False)
@@ -105,10 +92,8 @@ class PreconditionedSystem:
     """One preconditioned nonlinear function bound to a problem and layout.
 
     kind selects the function; jacobian_mode selects the derivative
-    ("exact" for all kinds, "inexact" only for the ASPIN kinds, which it is
-    the default for).  residual(u) returns an Evaluation, and
-    jacobian_action applies the derivative at the state of the evaluation
-    it is given.
+    ("exact" for all kinds, "inexact", the default, only for the ASPIN
+    kinds).
     """
 
     def __init__(self, kind, problem, layout, settings=None, jacobian_mode=None):

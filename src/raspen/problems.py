@@ -1,19 +1,8 @@
 """Discrete nonlinear problems: 1D Forchheimer flow and 2D nonlinear diffusion.
 
-Both problems expose the same contract: `dof_count`; `pattern`, the fixed
-canonical CSR structure of the Jacobian, built once from the problem's
-stencil; `residual(u)` returning a vector of the same length; `jacobian(u)`
-returning the exact sparse derivative of the residual as a CSR matrix on
-that pattern; and `row_kernels(rows, entries)`, which evaluates any rows of
-the residual and the Jacobian from a local vector that holds the values at
-the rows' pattern columns.  An evaluation only fills a data array.  Each
-problem has one set of stencil-row kernels: one pass over the rows' faces,
-from which the residual rows and the Jacobian entries both derive (in 1D
-each face once); `residual` and `jacobian` are their all-rows case, with
-the local vector u itself.
-Residuals are written in integrated finite-volume form (flux balance minus
-integrated source per cell), so a zero residual means discrete conservation
-cell by cell.
+Both meet the NonlinearProblem contract.  Residuals are written in
+integrated finite-volume form (flux balance minus integrated source per
+cell), so a zero residual means discrete conservation cell by cell.
 """
 
 import numpy as np
@@ -41,21 +30,17 @@ _ZERO = np.zeros(1)  # the row kernels' values end in it
 class NonlinearProblem:
     """Contract shared by the concrete problems.
 
-    Subclasses set their stencil with _set_stencil, which makes `residual(u)`
-    and `jacobian(u)` the all-rows kernels, and bind both in their own class
-    body, where perfbench's tracer patches them; all evaluations must be
-    pure (no state mutated), and jacobian(u) must be the exact derivative
-    of residual at u.
-    pattern is a canonical CSR matrix (sorted indices, no duplicates) whose
-    indptr and indices every jacobian(u) shares, entries that happen to
-    vanish included; its data is never read.  That pattern is the stencil
-    the local solvers and the harness read: local_solver.block_positions
-    reads every subdomain's block positions from it, in one pass over all
-    subdomains, and no solver evaluates a Jacobian to find it.  A local
-    solve never evaluates the global residual or Jacobian: it calls the row
-    kernels on the stacked overlap rows, at the stacked overlaps followed by
-    the state, so its steps' cost grows with the subdomains, not with the
-    mesh.
+    A problem has dof_count unknowns; residual(u) returns the residual, a
+    vector of that length, and jacobian(u) its exact derivative as a CSR
+    matrix on pattern.  pattern is a canonical CSR matrix (sorted indices,
+    no duplicates) whose indptr and indices every jacobian(u) shares,
+    entries that happen to vanish included; its data is never read.  It is
+    the only description of the stencil the solvers read, and no solver
+    evaluates a Jacobian to find it.  row_kernels evaluates any rows of
+    both.  All evaluations must be pure (no state mutated).  Subclasses set
+    their stencil with _set_stencil, which makes residual(u) and
+    jacobian(u) the all-rows kernels, and bind both in their own class
+    body, where perfbench's tracer patches them.
     """
 
     def _set_stencil(self, have, offsets, rows_class):

@@ -168,11 +168,12 @@ def sequential_local_solve(problem, pos, u, settings, kernels=None, tridiagonal=
     The per-subdomain loop that solved the subdomains one after another
     before they took their steps together: full Newton steps on the
     subdomain's local vector, each solved alone by band_step, raising
-    LocalSolveError on the first failed check; a non-finite start residual
-    fails too.  kernels, a (residual, jacobian) pair of functions of the
-    local vector, defaults to the problem's row kernels on the subdomain
-    alone (block_kernels).  tridiagonal, whether the block's stack solves
-    with dgtsv, defaults to the block's own bandwidths being at most 1.
+    LocalSolveError on the first failed check, with solve_local's message;
+    a non-finite start residual, or one whose norm overflows, fails too.
+    kernels, a (residual, jacobian) pair of functions of the local vector,
+    defaults to the problem's row kernels on the subdomain alone
+    (block_kernels).  tridiagonal, whether the block's stack solves with
+    dgtsv, defaults to the block's own bandwidths being at most 1.
     """
     own = block_kernels(problem, [pos])
     residual, jacobian = kernels or (own.residual, own.jacobian)
@@ -186,9 +187,10 @@ def sequential_local_solve(problem, pos, u, settings, kernels=None, tridiagonal=
     rnorm = np.linalg.norm(r)
     while True:
         if not np.isfinite(rnorm):
-            raise LocalSolveError(
-                f"subdomain {i}: inner Newton produced a non-finite residual"
-            )
+            raise LocalSolveError(f"subdomain {i}: " + (
+                "inner Newton's residual is finite, but its norm overflowed"
+                if np.isfinite(r).all() else
+                "inner Newton produced a non-finite residual"))
         if rnorm <= settings.inner_tol:
             break
         if iterations >= settings.max_inner:

@@ -19,7 +19,7 @@ from oracles import (
     sequential_local_solve,
 )
 
-from raspen.coarse import coarse_jacobian, coarse_space
+from raspen.coarse import CoarseSolveError, coarse_jacobian, coarse_space
 from raspen.decomposition import (
     build_1d_layout,
     build_2d_layout,
@@ -36,7 +36,7 @@ from raspen.local_solver import (
     sweep_locals,
 )
 from raspen.newton import reference_solution
-from raspen.precond import PreconditionedSystem
+from raspen.precond import KINDS, PreconditionedSystem
 from raspen.problems import (
     DiffusionProblem2D,
     hard_forchheimer,
@@ -221,28 +221,39 @@ def test_every_kinds_action_matches_finite_differences(drawn, seed):
 
 
 @st.composite
-def sweeps(draw):
-    """(problem, layout, u, settings): a small drawn layout's problem at a
-    smooth, rough or large state, under an inner budget that can run out."""
+def small_problems(draw, betas=(0.0, 1.0, 10.0)):
+    """(problem, layout, rough): a small drawn 1D layout's smooth or rough
+    problem at one of betas, or a small 2D grid's diffusion problem."""
     if draw(st.integers(0, 2)):  # two 1D layouts to one 2D
         M = draw(st.integers(1, 40))
         # up to eight blocks, or one-cell blocks (I = M)
         I = draw(st.integers(1, min(M, 8)) | st.just(M))
         k = draw(st.integers(0, min(3, M // I if I > 1 else M)))
-        lay, beta = build_1d_layout(M, I, k), draw(st.sampled_from([0.0, 1.0, 10.0]))
+        lay, beta = build_1d_layout(M, I, k), draw(st.sampled_from(betas))
+        rough = draw(st.booleans())
         problem = (hard_forchheimer(M, beta, seed=draw(st.integers(0, 3)))
-                   if draw(st.booleans()) else smooth_forchheimer(M, beta))
-    else:
-        N = draw(st.integers(1, 3))
-        nx, ny = N * draw(st.integers(1, 4)), N * draw(st.integers(1, 4))
-        k = draw(st.integers(0, min(nx, ny) // N if N > 1 else 1))
-        lay, problem = build_2d_layout(nx, ny, N, k), DiffusionProblem2D(nx, ny)
+                   if rough else smooth_forchheimer(M, beta))
+        return problem, lay, rough
+    N = draw(st.integers(1, 3))
+    nx, ny = N * draw(st.integers(1, 4)), N * draw(st.integers(1, 4))
+    k = draw(st.integers(0, min(nx, ny) // N if N > 1 else 1))
+    return DiffusionProblem2D(nx, ny), build_2d_layout(nx, ny, N, k), False
+
+
+@st.composite
+def sweeps(draw):
+    """(problem, layout, u, settings): a small drawn layout's problem at a
+    smooth, rough, large or huge state (one whose residual norm can
+    overflow while its entries stay finite), under an inner budget that can
+    run out."""
+    problem, lay, _ = draw(small_problems())
     n, base = problem.dof_count, problem.initial_state()
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     u = {"smooth": base + 0.5 * np.sin(np.pi * (np.arange(n) + 0.5) / n),
          "rough": base + 0.5 * rng.standard_normal(n),
-         "large": 1e6 * rng.standard_normal(n)}[
-        draw(st.sampled_from(["smooth", "rough", "large"]))]
+         "large": 1e6 * rng.standard_normal(n),
+         "huge": 1e160 * rng.standard_normal(n)}[
+        draw(st.sampled_from(["smooth", "rough", "large", "huge"]))]
     budget = draw(st.sampled_from([50, 50, 50, 2]))
     return problem, lay, u, SolverSettings(max_inner=budget)
 
@@ -279,3 +290,28 @@ def test_sweep_matches_the_per_block_solves(drawn):
     assert result.correction.tobytes() == np.concatenate([c for c, _, _ in want]).tobytes()
     assert result.X.tobytes() == np.concatenate([s for _, s, _ in want] + [u]).tobytes()
     assert result.inner_counts == tuple(count for _, _, count in want)
+
+
+@settings(_SETTINGS, max_examples=80)
+@given(small_problems(betas=(0.0, 1.0, 10.0, 100.0)))
+# one block (I = 1) and one-cell blocks (I = M), smooth and rough
+@example((smooth_forchheimer(17, 1.0), build_1d_layout(17, 1, 0), False))
+@example((hard_forchheimer(12, 100.0, seed=2), build_1d_layout(12, 12, 0), True))
+# a single coarse unknown on which ASPIN2's coarse base solve cycles
+@example((hard_forchheimer(25, 1.0, seed=1), build_1d_layout(25, 1, 0), True))
+def test_every_kind_vanishes_at_the_reference_solution(drawn):
+    # criterion 8 on drawn layouts: at the reference every local and
+    # coarse solve starts within its tolerance, so every correction is zero
+    problem, lay, rough = drawn
+    u = reference_solution(problem)
+    for kind in KINDS:
+        system = PreconditionedSystem(kind, problem, lay)
+        try:
+            value = system.residual(u).value
+        except CoarseSolveError:
+            # ASPIN2's coarse base solve is undamped coarse Newton from
+            # zero, which can cycle on a rough field
+            if kind == "ASPIN2" and rough:
+                continue
+            raise
+        assert np.all(value == 0.0), kind
