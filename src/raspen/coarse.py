@@ -26,6 +26,9 @@ right-hand side, as is the base solve for u_0*.  Coarse Newton factors
 each iterate's dense coarse Jacobian once, by LU (dgetrf), steps with
 those factors (dgetrs) and fails with CoarseSolveError on a non-finite
 residual (the start's included), a singular Jacobian or a spent budget.
+The three solves run under the sweep's np.errstate(over="ignore",
+invalid="ignore"): a non-finite or huge state's face passes read inf - inf
+or overflow on the way to that error, and warn nothing.
 Both corrections retain the factors at the converged iterate (J^_0) for
 the outer Jacobian actions
 
@@ -36,14 +39,20 @@ An action takes the fine Jacobian J(u) from its caller, which assembles it
 once per state and makes sure that the correction was solved at u.
 
 Each two-level system builds one CoarseSpace from J's fixed pattern and
-P_0, evaluating no Jacobian: P_0^T as CSR, for every restriction, and the
-Galerkin map.  J's pattern is fixed, so the entries of J_0 = P_0^T J P_0
-are a fixed linear function of J.data, which the map applies in two
-sparse stages, onto the entries of J P_0 and then onto those of J_0, with
-a few terms per entry of J in each.  So a coarse Jacobian costs one global
-Jacobian, two CSR products and a scatter into a dense N x N array.
-Coarse Newton prolongs each iterate once, for its residual and Jacobian,
-and the FAS correction hands it F_0(R_0 u) from its right-hand side.
+P_0, evaluating no Jacobian: P_0^T as CSR, for every restriction, the
+Galerkin map, and the problem's all-rows row kernels, which give
+residual(u) and jacobian(u).data bit for bit.  J's pattern is fixed, so
+the entries of J_0 = P_0^T J P_0 are a fixed linear function of J.data,
+which the map applies in two sparse stages, onto the entries of J P_0 and
+then onto those of J_0, with a few terms per entry of J in each.  J.data
+is the kernels' values[take], so the first stage reads the values
+themselves, each term at its entry's value, in the same order.  Coarse
+Newton prolongs each iterate once and makes one face pass there, from
+which it derives F_0 (residual_of and a CSR product) and, when it
+factors, J_0 (values_of, two CSR products and a scatter into a dense
+N x N array): no global residual or Jacobian, and no sparse matrix built
+per iterate.  The FAS correction hands it F_0(R_0 u) from its right-hand
+side.
 """
 
 from dataclasses import dataclass, field
@@ -91,10 +100,16 @@ class CoarseSolveResult:
 
 @dataclass(frozen=True, eq=False)
 class CoarseSpace:
-    """G2 @ (G1 @ J.data) are J_0^T's entries, at `slots` of an N x N array."""
+    """G2 @ (G1 @ values) are J_0^T's entries, at `slots` of an N x N array.
+
+    kernels are the problem's all-rows row kernels, and values their
+    values_of at P_0 u_0, whose length is G1's column count (module
+    docstring).
+    """
 
     problem: object
     layout: object
+    kernels: object = field(repr=False)
     P0T: sp.csr_matrix = field(repr=False)
     G1: sp.csr_matrix = field(repr=False)
     G2: sp.csr_matrix = field(repr=False)
@@ -114,32 +129,36 @@ def coarse_space(problem, layout):
     """P_0^T and the Galerkin map of J's pattern; evaluates no Jacobian."""
     if problem.dof_count != layout.n_cells:
         raise ValueError("problem and layout dimensions disagree")
-    P0, n, J = layout.P0, layout.n_subdomains, problem.pattern
+    P0, n, J, kernels = layout.P0, layout.n_subdomains, problem.pattern, problem._all_rows
     G1, jp = _stage(P0, np.repeat(np.arange(J.shape[0]), np.diff(J.indptr)), J.indices)
     G2, slots = _stage(P0, jp % n, jp // n)  # X = (J P_0)^T: X P_0 = J_0^T
-    return CoarseSpace(problem, layout, P0.T.tocsr(), G1, G2, slots)
+    # J.data is values[take]: G1's columns read the values instead, term for
+    # term, and one face pass at zero gives the values' length
+    values = kernels.values_of(kernels.faces(np.zeros(J.shape[0])))
+    G1 = sp.csr_matrix((G1.data, kernels.take[G1.indices], G1.indptr),
+                       shape=(G1.shape[0], len(values)))
+    return CoarseSpace(problem, layout, kernels, P0.T.tocsr(), G1, G2, slots)
 
 
-def _prolonged(space, u0):
-    """P_0 u_0, for a coarse vector u_0 of the space."""
+def _faces(space, u0):
+    """The kernels' face pass at P_0 u_0, for a coarse vector u_0 of the space."""
     u0, n = np.asarray(u0, dtype=float), space.layout.n_subdomains
     if u0.shape != (n,):
         raise ValueError(f"expected coarse vector of length {n}")
-    return csr_apply(space.layout.P0, u0)
+    return space.kernels.faces(csr_apply(space.layout.P0, u0))
 
 
-def _galerkin_jacobian(space, u):
-    """Dense P_0^T J(u) P_0, at a fine state u, by the Galerkin map."""
+def _galerkin_jacobian(space, values):
+    """Dense P_0^T J P_0, from the kernels' values of J, by the Galerkin map."""
     J0T = np.zeros((space.layout.n_subdomains,) * 2)
-    data = space.problem.jacobian(u).data
-    J0T.reshape(-1)[space.slots] = csr_apply(space.G2, csr_apply(space.G1, data))
+    J0T.reshape(-1)[space.slots] = csr_apply(space.G2, csr_apply(space.G1, values))
     return J0T.T
 
 
 def _evaluated(space, u0):
-    """(P_0 u_0, F_0(u_0)): a coarse vector's prolongation and residual."""
-    fine = _prolonged(space, u0)
-    return fine, csr_apply(space.P0T, space.problem.residual(fine))
+    """(the face pass at P_0 u_0, F_0(u_0)), for a coarse vector u_0."""
+    faces = _faces(space, u0)
+    return faces, csr_apply(space.P0T, space.kernels.residual_of(faces))
 
 
 def coarse_residual(space, u0):
@@ -149,22 +168,22 @@ def coarse_residual(space, u0):
 
 def coarse_jacobian(space, u0):
     """Dense F_0'(u_0) = P_0^T J(P_0 u_0) P_0, by the Galerkin map."""
-    return _galerkin_jacobian(space, _prolonged(space, u0))
+    return _galerkin_jacobian(space, space.kernels.values_of(_faces(space, u0)))
 
 
 def _coarse_newton(space, start, rhs, settings, what, factors=None, evaluated=None):
     """Solve F_0(start + c) = rhs for c by coarse Newton from start (module docstring).
 
     factors, the LU factors of the coarse Jacobian at start, and evaluated,
-    (P_0 start, F_0(start)), may be given.
+    _evaluated(space, start), may be given.  Callers run it under
+    np.errstate(over="ignore", invalid="ignore").
     """
     w = np.asarray(start, dtype=float).copy()
     J0, iterations = None, 0
     while True:
-        fine, F0 = evaluated or _evaluated(space, w)
+        faces, F0 = evaluated or _evaluated(space, w)
         r = F0 - rhs
-        with np.errstate(over="ignore"):
-            rnorm = np.linalg.norm(r)
+        rnorm = np.linalg.norm(r)
         if not np.isfinite(rnorm):
             raise CoarseSolveError(f"{what}: " + (
                 "coarse Newton's residual is finite, but its norm overflowed"
@@ -175,7 +194,7 @@ def _coarse_newton(space, start, rhs, settings, what, factors=None, evaluated=No
                 f"within {settings.max_inner} iterations (residual {rnorm:.3e})"
             )
         if factors is None:
-            J = _galerkin_jacobian(space, fine)
+            J = _galerkin_jacobian(space, space.kernels.values_of(faces))
             J0 = J if iterations == 0 else J0
             *factors, info = dgetrf(J)
             if info > 0:
@@ -189,10 +208,11 @@ def _coarse_newton(space, start, rhs, settings, what, factors=None, evaluated=No
 def fas_correction(space, u, settings):
     """Full-approximation-scheme coarse correction C_0(u)."""
     u0 = csr_apply(space.layout.R0, np.asarray(u, dtype=float))
-    evaluated = _evaluated(space, u0)
-    rhs = evaluated[1] - csr_apply(space.P0T, space.problem.residual(u))
-    return _coarse_newton(space, u0, rhs, settings, "FAS coarse correction",
-                          evaluated=evaluated)
+    with np.errstate(over="ignore", invalid="ignore"):
+        evaluated = _evaluated(space, u0)
+        rhs = evaluated[1] - csr_apply(space.P0T, space.problem.residual(u))
+        return _coarse_newton(space, u0, rhs, settings, "FAS coarse correction",
+                              evaluated=evaluated)
 
 
 def fas_correction_jacobian_action(result, space, J_u, v):
@@ -205,14 +225,16 @@ def fas_correction_jacobian_action(result, space, J_u, v):
 def aspin_coarse_setup(space, settings):
     """Solve F_0(u_0*) = 0 once, from zero; u_0* is the result's correction."""
     zero = np.zeros(space.layout.n_subdomains)
-    return _coarse_newton(space, zero, zero, settings, "coarse base solve")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _coarse_newton(space, zero, zero, settings, "coarse base solve")
 
 
 def aspin_coarse_correction(space, u, base, settings):
     """F_0(C_0^A + u_0*) = -P_0^T F(u), from base = aspin_coarse_setup(...)."""
-    rhs = -csr_apply(space.P0T, space.problem.residual(np.asarray(u, dtype=float)))
-    return _coarse_newton(space, base.correction, rhs, settings,
-                          "AS coarse correction", base.J0_hat_lu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = -csr_apply(space.P0T, space.problem.residual(np.asarray(u, dtype=float)))
+        return _coarse_newton(space, base.correction, rhs, settings,
+                              "AS coarse correction", base.J0_hat_lu)
 
 
 def aspin_coarse_jacobian_action(result, space, J_u, v):

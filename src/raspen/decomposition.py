@@ -8,16 +8,18 @@ and takes the product of the two, so a 2D subdomain is a rectangle of the
 row-major grid.  The owned blocks partition the global cell set {0..M-1}.
 An overlap may reach a neighbour's far edge but never past it.
 
-A layout is five arrays: cells, sizes, owned_slots, R0 and P0.  All
+A layout is six arrays: cells, sizes, owned_slots, owner, R0 and P0.  All
 subdomains share one stacked overlap space, their overlap values
 concatenated in subdomain order: v[cells] is R_i v for every i at once,
 subdomain i's overlap is cells[start_i : start_i + sizes[i]] (start_i the
-sum of the earlier sizes), and the ascending owned_slots locate the owned
-entries in it.  A stacked x = (x_1, ..., x_I) is glued onto the cells
-additively by prolong (P x = sum_i P_i x_i, P_i the zero extension from the
-overlap cells) or by restricted_prolong (P~ x = sum_i P~_i x_i, P~_i writing
-the owned cells only), so restricted_prolong(layout, v[cells]) == v exactly.
-Both sum each cell's contributions from 0.0 in subdomain order.
+sum of the earlier sizes), the ascending owned_slots locate the owned
+entries in it, and owner[c] is the owned entry of cell c.  A stacked
+x = (x_1, ..., x_I) is glued onto the cells additively by prolong
+(P x = sum_i P_i x_i, P_i the zero extension from the overlap cells), which
+sums each cell's contributions from 0.0 in subdomain order, or by
+restricted_prolong (P~ x = sum_i P~_i x_i, P~_i writing the owned cells
+only), the gather x[owner] + 0.0: a cell has one owned entry, so this is
+that sum too, and restricted_prolong(layout, v[cells]) == v exactly.
 
 The coarse space has one degree of freedom per subdomain: R0 averages over
 the owned cells, and P0 interpolates linearly (1D) or bilinearly (2D)
@@ -49,15 +51,16 @@ __all__ = [
 class DecompositionLayout:
     """Immutable decomposition of {0..n_cells-1} with coarse-space operators.
 
-    cells, sizes and owned_slots are the stacked overlap space's arrays,
-    read-only, and R0 and P0 the coarse operators, as CSR matrices (module
-    docstring).  Coarse DOF i belongs to subdomain i.
+    cells, sizes, owned_slots and owner are the stacked overlap space's
+    arrays, read-only, and R0 and P0 the coarse operators, as CSR matrices
+    (module docstring).  Coarse DOF i belongs to subdomain i.
     """
 
     n_cells: int
     cells: np.ndarray = field(repr=False)
     sizes: np.ndarray = field(repr=False)
     owned_slots: np.ndarray = field(repr=False)
+    owner: np.ndarray = field(repr=False)
     R0: sp.csr_matrix = field(repr=False)
     P0: sp.csr_matrix = field(repr=False)
 
@@ -98,14 +101,16 @@ def _layout(grid, blocks, P0):
     cells = np.concatenate(overlap)
     owned_slots = np.concatenate([start + np.searchsorted(v, o)
                                   for start, o, v in zip(starts, owned, overlap)])
-    for a in (cells, sizes, owned_slots):
+    owner = np.empty(grid.size, dtype=owned_slots.dtype)
+    owner[cells[owned_slots]] = owned_slots
+    for a in (cells, sizes, owned_slots, owner):
         a.flags.writeable = False
     counts = np.array([len(o) for o in owned])
     R0 = sp.csr_matrix(
         (np.repeat(1.0 / counts, counts),
          (np.repeat(np.arange(len(blocks)), counts), cells[owned_slots])),
         shape=(len(blocks), grid.size))
-    return DecompositionLayout(grid.size, cells, sizes, owned_slots, R0, P0)
+    return DecompositionLayout(grid.size, cells, sizes, owned_slots, owner, R0, P0)
 
 
 def _linear_weights(targets, nodes, left, right):
@@ -202,6 +207,4 @@ def prolong(layout, x):
 
 def restricted_prolong(layout, x):
     """P~ x = sum_i P~_i x_i: write each subdomain's owned values only."""
-    slots = layout.owned_slots
-    return np.bincount(layout.cells[slots], _stacked(layout, x)[slots],
-                       layout.n_cells)
+    return _stacked(layout, x)[layout.owner] + 0.0

@@ -45,7 +45,11 @@ into the stacked overlap space; Z_i = A_ii^{-1} B_i, B_i the columns of
 R_i J outside the overlap, is the halo response.  A tridiagonal stack solves
 for Z in one dgtsv call with h right-hand sides (h, the halo: the most
 exterior cells any block's rows touch) and keeps the solved rows [I | Z_i]:
-an action is one CSR product.  A band stack (any other) keeps R_i J and
+an action is one CSR product.  Restricted gluing reads one stacked row per
+cell, its owned one, so it also keeps those rows negated and in cell
+order, the owned operator: RASPEN's glued local derivative is then one CSR
+product with no glue, equal bit for bit to the glued action (both sum
+from 0.0 and negation is exact).  A band stack (any other) keeps R_i J and
 the band factors: an action is that product and the band LU solve.  Where
 dgbtrf swapped no rows, that solve is two triangular band solves (dtbsv),
 L from one copy of the multiplier rows made per LocalJacobian and U read
@@ -152,10 +156,12 @@ class PositionStack:
     docstring).  Only a tridiagonal stack sets the rest, in the kernels'
     values: diagonals, A's tridiagonal_index; outside, the values going to
     halo_slots of a C-order (halo, rows) array, a block's halo cells in
-    column order; and response_take, where the solved rows A^{-1} R_i J
+    column order; response_take, where the solved rows A^{-1} R_i J
     take that array's solve, flattened with a 1.0 appended, on the CSR
     pattern (response_columns, response_indptr) of each row's own cell and
-    its block's halo cells.
+    its block's halo cells; and owned, the owned rows of that pattern in
+    cell order (row c is row layout.owner[c]), as a CSR matrix whose data
+    are their response_take.
     """
 
     problem: object = field(repr=False)
@@ -176,6 +182,7 @@ class PositionStack:
     response_columns: np.ndarray = field(default=None, repr=False)
     response_indptr: np.ndarray = field(default=None, repr=False)
     response_take: np.ndarray = field(default=None, repr=False)
+    owned: sp.csr_matrix = field(default=None, repr=False)
 
     @property
     def size(self):
@@ -194,17 +201,19 @@ class PositionStack:
 
 @dataclass(frozen=True, eq=False)
 class LocalJacobian:
-    """The one operator a local Jacobian action applies (module docstring).
+    """The operators a local Jacobian action applies (module docstring).
 
-    On a tridiagonal stack rows is A^{-1} R_i J on its response pattern;
-    else it is the stacked R_i J and lu is (band factors, pivots, L) of
-    A = diag(A_ii): dgbtrf's output and, when it swapped no rows, a
-    Fortran-ordered copy of the band storage of L (else None).
+    On a tridiagonal stack rows is A^{-1} R_i J on its response pattern and
+    owned, the owned operator, is -rows[layout.owner] as a CSR matrix; else
+    rows is the stacked R_i J, owned is None and lu is (band factors,
+    pivots, L) of A = diag(A_ii): dgbtrf's output and, when it swapped no
+    rows, a Fortran-ordered copy of the band storage of L (else None).
     """
 
     positions: object = field(repr=False)
     rows: sp.csr_matrix = field(repr=False)
     lu: tuple = field(default=None, repr=False)
+    owned: sp.csr_matrix = field(default=None, repr=False)
 
 
 def block_positions(problem, layout):
@@ -262,6 +271,9 @@ def block_positions(problem, layout):
             response_take=np.append(np.full(size, h * size), j * size + r)[order])
     for a in stacked.values():
         a.flags.writeable = False
+    if diagonals is not None:  # the response pattern's owned rows, in cell order
+        response = tuple(stacked[f"response_{a}"] for a in ("take", "columns", "indptr"))
+        stacked["owned"] = sp.csr_matrix(response, shape=(size, n))[layout.owner]
     return PositionStack(problem, kernels, layout, kl=kl, ku=ku, halo=h, **stacked)
 
 
@@ -296,9 +308,11 @@ def local_jacobian(positions, X):
         rhs = np.zeros((positions.halo, positions.size))  # rhs.T: LAPACK's order
         rhs.reshape(-1)[positions.halo_slots] = values[positions.outside]
         z, info = tridiagonal_solve(values, positions.diagonals, rhs.T)
+        solved, owned = np.append(z.T, 1.0), positions.owned
         block = LocalJacobian(positions, sp.csr_matrix(
-            (np.append(z.T, 1.0)[positions.response_take], positions.response_columns,
-             positions.response_indptr), shape=shape))
+            (solved[positions.response_take], positions.response_columns,
+             positions.response_indptr), shape=shape), owned=sp.csr_matrix(
+            (-solved[owned.data], owned.indices, owned.indptr), shape=owned.shape))
     if info > 0:
         i = positions.block_of(info - 1)
         raise LocalSolveError(f"subdomain {i}: singular local Jacobian", subdomain=i)

@@ -257,8 +257,10 @@ def direct_newton(problem, u0, settings=None, u_ref=None):
                                   pattern.nnz, n)  # None beyond bandwidth 1
     ordered = None  # from the first step: q and J(q, q)'s CSC layout and gather
     for _ in range(settings.max_outer):
-        r = problem.residual(u)
-        with np.errstate(over="ignore"):  # a finite r's norm can overflow: diverged
+        # a finite r's norm can overflow, and a huge u's face pass read inf -
+        # inf: both end the run "diverged"
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = problem.residual(u)
             rnorm = np.linalg.norm(r)
         if rnorm <= settings.outer_tol:
             ledger.record(0, _error_of(u, u_ref), rnorm)

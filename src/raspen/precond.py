@@ -18,8 +18,10 @@ glued in one call: by P~ (restricted_prolong) for the RASPEN kinds, by P
 Each system also applies its derivative matrix-free, by one formula for
 all four kinds: the coarse derivative (two-level kinds), then the local
 derivatives glued like the corrections, applied to v, or to v plus the
-prolonged coarse action inside RASPEN2.  The local derivatives are taken
-at each solved local state (exact mode) or all at u (inexact mode).
+prolonged coarse action inside RASPEN2.  On a tridiagonal stack the RASPEN
+kinds apply the glued local derivatives as one product, with the owned
+operator (local_solver), and glue nothing.  The local derivatives are
+taken at each solved local state (exact mode) or all at u (inexact mode).
 
 A system builds its PositionStack once, and a two-level system its
 CoarseSpace beside it.  A one-level evaluation and its actions evaluate
@@ -157,5 +159,6 @@ class PreconditionedSystem:
             pt = csr_apply(self.layout.P0, coarse_action(
                 evaluation.coarse, self._coarse, evaluation.J_u, v))
         x = v + pt if self.kind == "RASPEN2" else v
-        return pt + self._glue(
-            local_correction_jacobian_action(evaluation.block, x))
+        if self.restricted and evaluation.block.owned is not None:
+            return pt + csr_apply(evaluation.block.owned, x)
+        return pt + self._glue(local_correction_jacobian_action(evaluation.block, x))

@@ -5,6 +5,8 @@ integrated finite-volume form (flux balance minus integrated source per
 cell), so a zero residual means discrete conservation cell by cell.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -38,13 +40,19 @@ class NonlinearProblem:
     the only description of the stencil the solvers read, and no solver
     evaluates a Jacobian to find it.  row_kernels evaluates any rows of
     both.  All evaluations must be pure (no state mutated).  Subclasses set
-    their stencil with _set_stencil, which makes residual(u) and
-    jacobian(u) the all-rows kernels, and bind both in their own class
-    body, where perfbench's tracer patches them.
+    their stencil with _set_stencil.  residual(u) and jacobian(u) are the
+    all-rows kernels, _all_rows, built at first use; subclasses bind both
+    in their own class body, where perfbench's tracer patches them.  So the
+    tracer counts the
+    callers of residual and jacobian: direct Newton and the reference
+    solves, outer Newton's spurious-zero check, a coarse correction's F(u)
+    and a coarse action's J(u).  The local sweeps and derivatives read row
+    kernels of the stacked rows, and coarse Newton's iterates the all-rows
+    kernels themselves (_all_rows), so neither shows there.
     """
 
     def _set_stencil(self, have, offsets, rows_class):
-        """Set pattern from the stencil of every cell, and the all-rows kernels.
+        """Set pattern from the stencil of every cell, and the row kernels' class.
 
         Row c of the pattern holds the columns c + offsets[k] for which
         have[c, k] is set; the offsets are sorted, so the pattern is
@@ -59,11 +67,15 @@ class NonlinearProblem:
             a.flags.writeable = False
         self.pattern = sp.csr_matrix((data, indices, indptr), shape=(n, n))
         self._rows_class = rows_class
-        self._all_rows = self.row_kernels(np.arange(n), indices)
 
     @property
     def dof_count(self):
         return self.pattern.shape[0]
+
+    @cached_property
+    def _all_rows(self):
+        """The row kernels of all rows, built at first use."""
+        return self.row_kernels(np.arange(self.dof_count), self.pattern.indices)
 
     def row_kernels(self, rows, entries):
         """Residual and Jacobian rows of the global cells rows, from local values.

@@ -325,6 +325,24 @@ def layout_blocks(layout):
             for a, b, s in zip(starts, ends, parts)]
 
 
+def loop_glue(lay, x, restricted):
+    """sum_i P~_i x_i or sum_i P_i x_i one subdomain at a time, each P_i x_i
+    a zeroed length-M vector: the per-subdomain gluing the stacked operators
+    replace, kept as their oracle."""
+    acc = np.zeros(lay.n_cells)
+    start = 0
+    for sub in layout_blocks(lay):
+        x_i = x[start:start + len(sub.overlap)]
+        start += len(sub.overlap)
+        out = np.zeros(lay.n_cells)
+        if restricted:
+            out[sub.owned] = x_i[sub.owned_local]
+        else:
+            out[sub.overlap] = x_i
+        acc += out
+    return acc
+
+
 # ------------------------------------- block positions, one block at a time
 
 

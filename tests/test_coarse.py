@@ -271,9 +271,41 @@ def test_galerkin_map_matches_the_sparse_triple_product(setup):
                               lay.P0.T @ prob.residual(fine))
 
 
-def _coarse_solves(prob, lay, u):
-    """Each coarse Newton entry point as a function of the settings, by label."""
-    space = coarse_space(prob, lay)
+_ORACLE_SETUPS = {
+    "1d-smooth": lambda: (smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 5, 2)),
+    "1d-rough": lambda: (hard_forchheimer(40, beta=10.0, seed=2),
+                         build_1d_layout(40, 5, 2)),
+    "1d-one-subdomain": lambda: (hard_forchheimer(30, beta=100.0, seed=1),
+                                 build_1d_layout(30, 1, 0)),
+    "2d-N2": lambda: (DiffusionProblem2D(8, 8), build_2d_layout(8, 8, 2, 1)),
+    "2d-N4": lambda: _diffusion(1.0, 4),
+}
+
+
+@pytest.mark.parametrize("setup", _ORACLE_SETUPS)
+def test_coarse_evaluations_are_the_global_ones_bit_for_bit(setup):
+    # F_0 and J_0 from the kernels' one face pass equal P_0^T F(P_0 u_0) and
+    # the Galerkin map applied to J(P_0 u_0).data, the global evaluations
+    prob, lay = _ORACLE_SETUPS[setup]()
+    space, n, J = coarse_space(prob, lay), lay.n_subdomains, prob.pattern
+    G1, _ = coarse_mod._stage(lay.P0, np.repeat(np.arange(J.shape[0]),
+                                                np.diff(J.indptr)), J.indices)
+    rng = np.random.default_rng(42)
+    for scale in (0.1, 1.0, 10.0, 1e3):
+        u0 = prob.initial_state()[:n] + scale * rng.standard_normal(n)
+        fine = csr_apply(lay.P0, u0)
+        want = csr_apply(space.P0T, prob.residual(fine))
+        assert coarse_residual(space, u0).tobytes() == want.tobytes()
+        J0T = np.zeros((n, n))
+        J0T.reshape(-1)[space.slots] = csr_apply(
+            space.G2, csr_apply(G1, prob.jacobian(fine).data))
+        assert coarse_jacobian(space, u0).tobytes() == J0T.T.tobytes()
+
+
+def _coarse_solves(prob, lay, u, space=None):
+    """Each coarse Newton entry point on space (by default a new one) as a
+    function of the settings, by label."""
+    space = space or coarse_space(prob, lay)
     base = aspin_coarse_setup(space, SETTINGS)
     return {
         "FAS coarse correction": lambda s: fas_correction(space, u, s),
@@ -297,16 +329,37 @@ def test_coarse_budget_error(what):
         solve(SolverSettings(max_inner=1))
 
 
+def _spied_kernels(space, monkeypatch):
+    """Record the face passes (state, faces) and the values_of arguments of
+    the space's row kernels, the problem's all-rows kernels."""
+    kernels = space.kernels
+    passes, derived = [], []
+    faces, values_of = kernels.faces, kernels.values_of
+    monkeypatch.setattr(kernels, "faces",
+                        lambda X: passes.append((X, faces(X))) or passes[-1][1])
+    monkeypatch.setattr(kernels, "values_of",
+                        lambda f: derived.append(f) or values_of(f))
+    return passes, derived
+
+
+def _no_jacobian(prob, monkeypatch):
+    def jacobian(u):
+        raise AssertionError("a coarse solve evaluated the global Jacobian")
+    monkeypatch.setattr(prob, "jacobian", jacobian)
+
+
 @pytest.mark.parametrize("what", ["FAS coarse correction", "AS coarse correction",
                                   "coarse base solve"])
 def test_coarse_newton_prolongs_each_iterate_once(what, monkeypatch):
-    # an iterate's coarse residual and coarse Jacobian read one P_0 w; the
-    # FAS correction's right-hand side evaluates F_0(R_0 u), which coarse
-    # Newton takes as its start's, so no solve prolongs any iterate twice
+    # an iterate's coarse residual and coarse Jacobian derive from one face
+    # pass of the space's row kernels at one P_0 w; the FAS correction's
+    # right-hand side evaluates F_0(R_0 u), which coarse Newton takes as its
+    # start's, so no solve prolongs any iterate twice
     prob, lay = smooth_forchheimer(36, beta=1.0), build_1d_layout(36, 4, 3)
     u = 0.3 * np.random.default_rng(40).standard_normal(36)
-    solve = _coarse_solves(prob, lay, u)[what]
-    prolonged, jacobian_states, residual_states = [], [], []
+    space = coarse_space(prob, lay)
+    solve = _coarse_solves(prob, lay, u, space)[what]
+    prolonged, residual_states = [], []
 
     def counted(A, x):
         y = csr_apply(A, x)
@@ -315,23 +368,23 @@ def test_coarse_newton_prolongs_each_iterate_once(what, monkeypatch):
         return y
 
     monkeypatch.setattr(coarse_mod, "csr_apply", counted)
-    jacobian, residual = prob.jacobian, prob.residual
-    monkeypatch.setattr(prob, "jacobian",
-                        lambda w: jacobian_states.append(w) or jacobian(w))
+    passes, derived = _spied_kernels(space, monkeypatch)
+    _no_jacobian(prob, monkeypatch)
+    residual = prob.residual
     monkeypatch.setattr(prob, "residual",
                         lambda w: residual_states.append(w) or residual(w))
     result = solve(SETTINGS)
     assert result.inner_iterations >= 2
     assert len(prolonged) == result.inner_iterations + 1
-    # one fine residual at each prolongation, in order, and one F(u) for
-    # the FAS and AS right-hand sides
-    at = [w for w in residual_states if any(w is p for p in prolonged)]
-    assert len(at) == len(prolonged) and all(w is p for w, p in zip(at, prolonged))
-    assert len(residual_states) == len(prolonged) + (what != "coarse base solve")
-    # each Jacobian is taken at its iterate's prolongation, not a new one
-    assert all(any(w is p for p in prolonged) for w in jacobian_states)
-    assert len(jacobian_states) == result.inner_iterations + (
-        what != "AS coarse correction")
+    # one face pass at each prolongation, in order, and one more, inside
+    # the global F(u), for the FAS and AS right-hand sides
+    at = [(X, f) for X, f in passes if any(X is p for p in prolonged)]
+    assert len(at) == len(prolonged) and all(X is p for (X, _), p in zip(at, prolonged))
+    assert len(passes) == len(prolonged) + (what != "coarse base solve")
+    assert len(residual_states) == (what != "coarse base solve")
+    # each Jacobian derives from its iterate's face pass, not a new one
+    assert all(any(f is g for _, g in at) for f in derived)
+    assert len(derived) == result.inner_iterations + (what != "AS coarse correction")
 
 
 @pytest.mark.parametrize("what", ["FAS coarse correction", "AS coarse correction",
@@ -340,28 +393,32 @@ def test_coarse_singular_error(what, monkeypatch):
     # the factorization's info reports the zero pivot; no LinAlgWarning
     prob, lay = smooth_forchheimer(24, beta=1.0), build_1d_layout(24, 4, 2)
     solve = _coarse_solves(prob, lay, np.linspace(0.0, 1.0, 24))[what]
-    # coarse Newton takes each iterate's coarse Jacobian at its prolongation
+    # coarse Newton derives each iterate's coarse Jacobian from the values
+    # of its face pass
+    seen = []
     monkeypatch.setattr(coarse_mod, "_galerkin_jacobian",
-                        lambda space, u: np.zeros((4, 4)))
+                        lambda space, values: seen.append(values) or np.zeros((4, 4)))
     with warnings.catch_warnings():
         warnings.simplefilter("error", sla.LinAlgWarning)
         with pytest.raises(CoarseSolveError,
                            match=f"^{what}: singular coarse Jacobian$"):
             solve(SETTINGS)
+    (values,) = seen
+    assert values.shape == (coarse_space(prob, lay).G1.shape[1],)
 
 
 @pytest.mark.parametrize("value", [1e308, np.nan], ids=["overflow", "nan"])
 @pytest.mark.parametrize("what", ["FAS coarse correction", "AS coarse correction"])
 def test_coarse_nonfinite_start_error(what, value):
     # F(u) is non-finite in rows 4-6, so the start residual is: a nan norm
-    # passes no tolerance test, and nan must not reach the factorization
+    # passes no tolerance test, and nan must not reach the factorization;
+    # the face passes' inf - inf warns nothing on the way
     prob, lay = smooth_forchheimer(40, beta=1.0), build_1d_layout(40, 4, 2)
     u = np.zeros(40)
     u[5] = value
     solve = _coarse_solves(prob, lay, u)[what]
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            CoarseSolveError,
-            match=f"^{what}: coarse Newton produced non-finite values$"):
+    with pytest.raises(CoarseSolveError,
+                       match=f"^{what}: coarse Newton produced non-finite values$"):
         solve(SETTINGS)
 
 
@@ -390,18 +447,19 @@ def test_coarse_base_solve_residual_whose_norm_overflows_fails_as_an_overflow():
 @pytest.mark.parametrize("what", ["FAS coarse correction", "AS coarse correction"])
 def test_coarse_newton_evaluates_one_jacobian_per_iterate(what, monkeypatch):
     # the AS correction's start is u_0*, whose Jacobian the base solve
-    # factored: it assembles and factors one Jacobian fewer
+    # factored: it derives and factors one Jacobian fewer
     prob, lay = smooth_forchheimer(36, beta=1.0), build_1d_layout(36, 4, 3)
     u = 0.3 * np.random.default_rng(40).standard_normal(36)
-    solve = _coarse_solves(prob, lay, u)[what]
-    calls, jacobian = [], prob.jacobian
-    monkeypatch.setattr(prob, "jacobian", lambda w: calls.append(w) or jacobian(w))
+    space = coarse_space(prob, lay)
+    solve = _coarse_solves(prob, lay, u, space)[what]
+    _, derived = _spied_kernels(space, monkeypatch)
+    _no_jacobian(prob, monkeypatch)
     factored, dgetrf = [], coarse_mod.dgetrf
     monkeypatch.setattr(coarse_mod, "dgetrf", lambda J: factored.append(J) or dgetrf(J))
     result = solve(SETTINGS)
     assert result.inner_iterations >= 2
     own = result.inner_iterations + (what == "FAS coarse correction")
-    assert len(calls) == len(factored) == own
+    assert len(derived) == len(factored) == own
     assert (result.J0 is None) is (what == "AS coarse correction")
 
 

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import layout_blocks
+from oracles import layout_blocks, loop_glue
 
 from raspen.decomposition import (
     build_1d_layout,
@@ -299,24 +299,6 @@ def test_shape_validation():
 
 # ------------------------------------------- stacked gluing against the loop
 
-def _loop_glue(lay, x, restricted):
-    """sum_i P~_i x_i or sum_i P_i x_i one subdomain at a time, each P_i x_i
-    a zeroed length-M vector: the per-subdomain gluing the stacked operators
-    replace, kept as their oracle."""
-    acc = np.zeros(lay.n_cells)
-    start = 0
-    for sub in layout_blocks(lay):
-        x_i = x[start:start + len(sub.overlap)]
-        start += len(sub.overlap)
-        out = np.zeros(lay.n_cells)
-        if restricted:
-            out[sub.owned] = x_i[sub.owned_local]
-        else:
-            out[sub.overlap] = x_i
-        acc += out
-    return acc
-
-
 def _loop_coarse_mean(lay):
     """R0 built cell by cell from the owned sets, the oracle for R0."""
     rows, cols, data = [], [], []
@@ -336,7 +318,7 @@ def _assert_glue_matches_loop(lay, rng):
     x = np.where(rng.random(n) < 0.5, rng.choice(_EXTREMES, n),
                  rng.standard_normal(n))
     for glue, restricted in ((prolong, False), (restricted_prolong, True)):
-        assert glue(lay, x).tobytes() == _loop_glue(lay, x, restricted).tobytes()
+        assert glue(lay, x).tobytes() == loop_glue(lay, x, restricted).tobytes()
     assert _same_csr(lay.R0, _loop_coarse_mean(lay))
 
 

@@ -237,20 +237,26 @@ def test_local_jacobian_copies_no_array(make):
 def test_halo_stack_keeps_only_its_solved_rows(make):
     # a tridiagonal stack (kl, ku <= 1; 1x1 blocks and a lone block with no
     # halo too) takes the halo form: the LocalJacobian holds A^{-1} R_i J
-    # on the response pattern and nothing else, neither R_i J nor factors
+    # on the response pattern, and its owned rows negated in cell order,
+    # and nothing else, neither R_i J nor factors
     prob, lay = make()
     stack = block_positions(prob, lay)
     assert stack.kl <= 1 and stack.ku <= 1 and stack.diagonals is not None
     u = 0.3 * np.random.default_rng(32).standard_normal(prob.dof_count)
     X = stack.gather(u)
     block = local_jacobian(stack, X)
-    assert [f.name for f in dataclasses.fields(block)] == ["positions", "rows", "lu"]
+    assert [f.name for f in dataclasses.fields(block)] == [
+        "positions", "rows", "lu", "owned"]
     assert block.positions is stack and block.lu is None
     rows = block.rows
     assert rows.shape == (stack.size, prob.dof_count)
     assert rows.indices.tobytes() == stack.response_columns.tobytes()
     assert rows.indptr.tobytes() == stack.response_indptr.tobytes()
     assert not np.shares_memory(rows.indices, stack.columns)
+    owned, want_owned = block.owned, -rows[lay.owner]
+    assert owned.shape == (prob.dof_count, prob.dof_count)
+    for a in ("data", "indices", "indptr"):
+        assert getattr(owned, a).tobytes() == getattr(want_owned, a).tobytes(), a
     R, solve = _kernel_blocks(stack, X)
     want = solve(R)
     assert np.abs(rows.toarray() - want).max() <= 1e-13 * np.abs(want).max()
@@ -1206,9 +1212,11 @@ def _applied_operators():
         assert (stack.diagonals is not None) == halo
         u = 0.3 * np.random.default_rng(37).standard_normal(prob.dof_count)
         dim = "1d" if halo else "2d"
+        block = local_jacobian(stack, stack.gather(u))
+        if halo:  # RASPEN's owned rows, in cell order
+            operators["halo-stack-owned"] = block.owned
         operators.update({
-            "halo-stack-rows" if halo else "band-stack-rows":
-                local_jacobian(stack, stack.gather(u)).rows,
+            "halo-stack-rows" if halo else "band-stack-rows": block.rows,
             f"{dim}-J": prob.jacobian(u), f"{dim}-R0": lay.R0, f"{dim}-P0": lay.P0,
             f"{dim}-P0T": space.P0T, f"{dim}-G1": space.G1, f"{dim}-G2": space.G2})
     return operators

@@ -814,3 +814,12 @@ def test_direct_newton_ends_a_residual_whose_norm_overflows_as_diverged():
     run = direct_newton(prob, np.zeros(40))
     assert not run.converged and run.reason == "diverged"
     assert run.outer_iterations == 0 and run.ledger.residual_norm == [np.inf]
+
+
+def test_direct_newton_ends_a_huge_2d_state_as_diverged_without_a_warning():
+    # squaring 1e200 overflows in the face pass, and inf - inf follows: the
+    # run ends diverged, and tier-1's filter turns no RuntimeWarning into
+    # an error first
+    run = direct_newton(DiffusionProblem2D(8, 8), np.full(64, 1e200))
+    assert not run.converged and run.reason == "diverged"
+    assert run.outer_iterations == 0 and not np.isfinite(run.ledger.residual_norm).any()

@@ -448,9 +448,34 @@ def test_nonfinite_state_fails_the_evaluation(kind, error, value):
     system = PreconditionedSystem(kind, prob, lay, SETTINGS)
     u = np.zeros(40)
     u[5] = value
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as caught:
+    with pytest.raises(error) as caught:
         system.residual(u)
     assert "non-finite" in str(caught.value)
+
+
+_HUGE_STATES = {
+    "1d-inf": lambda: (smooth_forchheimer(40, 1.0), build_1d_layout(40, 4, 2), np.inf),
+    "2d-inf": lambda: (DiffusionProblem2D(8, 8), build_2d_layout(8, 8, 2, 1), np.inf),
+    "2d-1e200": lambda: (DiffusionProblem2D(8, 8), build_2d_layout(8, 8, 2, 1), 1e200),
+}
+
+
+@pytest.mark.parametrize("state", _HUGE_STATES)
+@pytest.mark.parametrize("kind, what", [("RASPEN2", "FAS coarse correction"),
+                                        ("ASPIN2", "AS coarse correction")])
+def test_a_two_level_evaluation_at_a_huge_state_fails_without_a_warning(
+        kind, what, state):
+    # the coarse path's fine face passes read inf - inf (and square 1e200
+    # in 2D) as the sweep's do, under its errstate: the evaluation raises
+    # its CoarseSolveError, and tier-1's filter turns no RuntimeWarning
+    # into an error first
+    prob, lay, value = _HUGE_STATES[state]()
+    u = prob.initial_state()
+    u[5] = value
+    system = PreconditionedSystem(kind, prob, lay, SETTINGS)
+    with pytest.raises(CoarseSolveError,
+                       match=f"^{what}: coarse Newton produced non-finite values$"):
+        system.residual(u)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -468,13 +493,19 @@ def test_nonfinite_direction_gives_a_nonfinite_action(kind):
 
 def test_aspin2_evaluation_reuses_the_base_solves_factors(monkeypatch):
     # the AS coarse correction starts at u_0* with the base solve's factors
-    # of J_0(u_0*): an evaluation assembles and factors one coarse Jacobian
-    # per coarse Newton step, none at its start
+    # of J_0(u_0*): an evaluation derives and factors one coarse Jacobian
+    # per coarse Newton step, none at its start, from the values of the
+    # problem's all-rows kernels, and evaluates no global Jacobian
     prob, lay = _forchheimer_setup()
     system = PreconditionedSystem("ASPIN2", prob, lay, SETTINGS)
     system.coarse_base
-    calls, jacobian = [], prob.jacobian
-    monkeypatch.setattr(prob, "jacobian", lambda w: calls.append(w) or jacobian(w))
+    kernels = system._coarse.kernels
+    calls, values_of = [], kernels.values_of
+    monkeypatch.setattr(kernels, "values_of", lambda f: calls.append(f) or values_of(f))
+
+    def jacobian(u):
+        raise AssertionError("an evaluation evaluated the global Jacobian")
+    monkeypatch.setattr(prob, "jacobian", jacobian)
     factored, dgetrf = [], coarse_mod.dgetrf
     monkeypatch.setattr(coarse_mod, "dgetrf", lambda J: factored.append(J) or dgetrf(J))
     for u in (prob.initial_state() + 0.1, np.linspace(0.0, 1.0, 24)):

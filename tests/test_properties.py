@@ -14,12 +14,18 @@ from hypothesis import strategies as st
 from oracles import (
     WideBand,
     layout_blocks,
+    loop_glue,
     per_block_action,
     per_block_positions,
     sequential_local_solve,
 )
 
-from raspen.coarse import CoarseSolveError, coarse_jacobian, coarse_space
+from raspen.coarse import (
+    CoarseSolveError,
+    coarse_jacobian,
+    coarse_space,
+    fas_correction_jacobian_action,
+)
 from raspen.decomposition import (
     build_1d_layout,
     build_2d_layout,
@@ -31,6 +37,7 @@ from raspen.local_solver import (
     SolverSettings,
     SolveError,
     block_positions,
+    csr_apply,
     local_correction_jacobian_action,
     local_jacobian,
     sweep_locals,
@@ -315,3 +322,46 @@ def test_every_kind_vanishes_at_the_reference_solution(drawn):
                 continue
             raise
         assert np.all(value == 0.0), kind
+
+
+def _directions(rng, n):
+    """A random direction, and one holding zeros and -0.0 beside it."""
+    v = rng.standard_normal(n)
+    signed = np.where(rng.random(n) < 0.5, rng.choice([0.0, -0.0], n), v)
+    return v, signed, np.full(n, -0.0)
+
+
+@settings(_SETTINGS, max_examples=40)
+@given(small_problems(), st.integers(0, 2**16))
+# one block (I = 1), one-cell blocks (I = M, k = 0), smooth and rough
+@example((smooth_forchheimer(17, 1.0), build_1d_layout(17, 1, 0), False), 0)
+@example((hard_forchheimer(12, 10.0, seed=2), build_1d_layout(12, 12, 0), True), 1)
+@example((DiffusionProblem2D(6, 6), build_2d_layout(6, 6, 3, 1), False), 2)
+def test_raspen_actions_are_the_restricted_glue_of_the_local_actions(drawn, seed):
+    # the RASPEN derivatives, P~(-A_i^{-1} R_i J v) and, with pt the
+    # prolonged FAS action, pt + P~(-A_i^{-1} R_i J (v + pt)), rebuilt from
+    # public pieces, against jacobian_action, bit for bit; and the
+    # restricted glue against the per-subdomain loop, -0.0 included
+    problem, lay, _ = drawn
+    rng = np.random.default_rng(seed)
+    n, stacked = problem.dof_count, rng.standard_normal(len(lay.cells))
+    stacked[rng.random(len(stacked)) < 0.5] = -0.0
+    assert (restricted_prolong(lay, stacked).tobytes()
+            == loop_glue(lay, stacked, True).tobytes())
+    u = reference_solution(problem) + 1e-3 * rng.standard_normal(n)
+    space = coarse_space(problem, lay)
+    for kind in ("RASPEN1", "RASPEN2"):
+        system = PreconditionedSystem(kind, problem, lay)
+        try:
+            ev = system.residual(u)
+        except SolveError:
+            continue
+        for v in _directions(rng, n):
+            pt = 0.0
+            if kind == "RASPEN2":
+                pt = csr_apply(lay.P0, fas_correction_jacobian_action(
+                    ev.coarse, space, ev.J_u, v))
+            x = v + pt if kind == "RASPEN2" else v
+            local = local_correction_jacobian_action(ev.block, x)
+            want = pt + restricted_prolong(lay, local)
+            assert system.jacobian_action(ev, v).tobytes() == want.tobytes(), kind

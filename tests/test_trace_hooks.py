@@ -6,6 +6,7 @@ only `perfbench/run.py --trace 1`, silently.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -66,9 +67,21 @@ def test_trace_hooks_cover_every_layer_and_restore_the_originals():
                  "coarse.correction.calls", "coarse.action.calls",
                  "coarse.setup.s", "precond.action.calls", "krylov.gmres.calls"):
         assert metrics[name] > 0, name
-    # one glue per residual evaluation and per Jacobian action
+    # one glue per residual evaluation and per ASPIN Jacobian action: a
+    # RASPEN action on this tridiagonal stack is one product of the owned
+    # rows, which glues nothing and applies no local action
     assert metrics["decomposition.glue.calls"] == (
-        metrics["precond.residual.calls"] + metrics["precond.action.calls"])
+        metrics["precond.residual.calls"] + metrics["local_solver.action.calls"])
+    runs = [span[tracer.RUN] for span in recorder.spans
+            if span[tracer.NAME] == "newton.driver"]
+    assert len(runs) == len(precond.KINDS)
+    count = Counter((span[tracer.RUN], span[tracer.NAME]) for span in recorder.spans)
+    for run, kind in zip(runs, precond.KINDS):
+        actions = count[run, "precond.action"]
+        glued = 0 if kind.startswith("RASPEN") else actions
+        assert actions > 0 and count[run, "local_solver.action"] == glued, kind
+        assert count[run, "decomposition.glue"] == (
+            count[run, "precond.residual"] + glued), kind
 
 
 def test_tracer_counts_one_build_per_layout():
