@@ -106,7 +106,15 @@ class LocalSolveError(SolveError):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tolerances and iteration budgets shared across the solver stack."""
+    """Tolerances and iteration budgets shared across the solver stack.
+
+    A budget counts steps, and every Newton loop tests the iterate after
+    its last allowed step: inner Newton in the sweep and coarse Newton
+    take at most max_inner steps, outer_newton and direct_newton at most
+    max_outer, and a run is out of budget only when that last iterate
+    misses its tolerance too.  fixed_point_solve tests each of its at most
+    max_fixed_point steps' results.
+    """
 
     inner_tol: float = 1e-8
     outer_tol: float = 1e-8

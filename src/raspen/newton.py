@@ -162,18 +162,20 @@ def outer_newton(system, u0, *, u_ref=None):
     ledger = IterationLedger()
     reason = ""
     updates = 0
-    for _ in range(settings.max_outer):
+    while True:
         try:
             ev = system.residual(u)
             rnorm = np.linalg.norm(ev.value)
-            if rnorm <= settings.outer_tol:
+            converged = rnorm <= settings.outer_tol
+            if converged or not np.isfinite(rnorm) or updates == settings.max_outer:
                 ledger.record(0, _error_of(u, u_ref), rnorm, evaluation=ev)
-                spurious = _spurious_zero(system.problem, u, start, settings.outer_tol)
-                return RunResult(u, ledger, not spurious, updates, spurious or reason)
-            if not np.isfinite(rnorm):
-                ledger.record(0, _error_of(u, u_ref), rnorm, evaluation=ev)
-                return RunResult(u, ledger, False, updates,
-                                 reason or "non-finite residual")
+                if converged:
+                    spurious = _spurious_zero(system.problem, u, start,
+                                              settings.outer_tol)
+                    return RunResult(u, ledger, not spurious, updates, spurious or reason)
+                return RunResult(u, ledger, False, updates, reason or (
+                    f"no convergence in {updates} outer iterations"
+                    if np.isfinite(rnorm) else "non-finite residual"))
             delta, report = gmres(lambda v: system.jacobian_action(ev, v),
                                   -ev.value, tol=settings.gmres_tol)
         except SolveError as exc:
@@ -187,8 +189,6 @@ def outer_newton(system, u0, *, u_ref=None):
                       f"(relative residual {report.relative_residual:.3e})")
         u = u + delta
         updates += 1
-    return RunResult(u, ledger, False, updates,
-                     reason or f"no convergence in {settings.max_outer} outer iterations")
 
 
 def fixed_point_solve(system, u0, *, max_steps=None, u_ref=None):
@@ -233,53 +233,58 @@ def fixed_point_solve(system, u0, *, max_steps=None, u_ref=None):
 
 
 def direct_newton(problem, u0, settings=None, u_ref=None):
-    """Plain Newton on F(u) = 0 with one sparse direct solve per step.
+    """Plain Newton on F(u) = 0 with one direct solve per step.
 
-    Each update's ledger row has ls_G = 1, its one global solve, so
-    LS_total equals the number of Newton steps.  A Jacobian found exactly
-    singular ends the run with a SolveError as its failure (RunResult).
+    Each iterate is one face pass of the problem's all-rows kernels
+    (problem._all_rows), from which F derives and, at an iterate that
+    steps, J's values.  Each update's ledger row has ls_G = 1, its one
+    global solve, so LS_total equals the number of Newton steps.  A
+    Jacobian found exactly singular ends the run with a SolveError as its
+    failure (RunResult).
 
     Steps follow local_solver's solver rule, read once per run from
     problem.pattern.  With SuperLU, _first_step factors J in the column
     order of minimum degree on A^T + A, which SuperLU recommends for
     structurally symmetric matrices; every later step gathers J(q, q) in
-    that order, factors it (NATURAL), solves for step[q] and scatters
-    back.  The order lives in this call only, and one factor is alive at a
-    time.
+    that order from the values, factors it (NATURAL), solves for step[q]
+    and scatters back.  The order lives in this call only, and one factor
+    is alive at a time.
     """
     settings = settings or SolverSettings()
     u = _start(u0)
     ledger = IterationLedger()
     updates = 0
-    pattern, n = problem.pattern, problem.pattern.shape[0]
+    kernels, pattern, n = problem._all_rows, problem.pattern, problem.dof_count
+    if u.shape != (n,):
+        raise ValueError(f"expected state vector of length {n}")
     row = np.repeat(np.arange(n), np.diff(pattern.indptr))
-    diagonals = tridiagonal_index(row, pattern.indices, np.arange(pattern.nnz),
-                                  pattern.nnz, n)  # None beyond bandwidth 1
+    # None beyond bandwidth 1; an entry absent from J reads the values' 0.0
+    diagonals = tridiagonal_index(row, pattern.indices, kernels.take, -1, n)
     ordered = None  # from the first step: q and J(q, q)'s CSC layout and gather
-    for _ in range(settings.max_outer):
+    while True:
         # a finite r's norm can overflow, and a huge u's face pass read inf -
         # inf: both end the run "diverged"
         with np.errstate(over="ignore", invalid="ignore"):
-            r = problem.residual(u)
+            faces = kernels.faces(u)
+            r = kernels.residual_of(faces)
             rnorm = np.linalg.norm(r)
-        if rnorm <= settings.outer_tol:
+        converged, diverged = bool(rnorm <= settings.outer_tol), not rnorm <= 1e12
+        if converged or diverged or updates == settings.max_outer:
             ledger.record(0, _error_of(u, u_ref), rnorm)
-            return RunResult(u, ledger, True, updates, "")
-        if not np.isfinite(rnorm) or rnorm > 1e12:
-            ledger.record(0, _error_of(u, u_ref), rnorm)
-            return RunResult(u, ledger, False, updates, "diverged")
+            return RunResult(u, ledger, converged, updates, "" if converged else
+                             "diverged" if diverged else
+                             f"no convergence in {updates} Newton steps")
         try:  # the factors die with the step: one set is alive at a time
+            values = kernels.values_of(faces)
             if diagonals is not None:
-                data = np.append(problem.jacobian(u).data, 0.0)  # absent: index nnz
-                step, info = tridiagonal_solve(data, diagonals, -r)
+                step, info = tridiagonal_solve(values, diagonals, -r)
                 if info:
                     raise RuntimeError(f"dgtsv: pivot {info} is exactly zero")
             elif ordered is None:
-                step, ordered = _first_step(problem, problem.jacobian(u), -r)
+                step, ordered = _first_step(pattern, values, kernels.take, -r)
             else:
                 q, indices, indptr, gather = ordered
-                J = sp.csc_matrix((problem.jacobian(u).data[gather], indices, indptr),
-                                  shape=(len(q), len(q)))
+                J = sp.csc_matrix((values[gather], indices, indptr), shape=(n, n))
                 step = np.empty_like(r)
                 step[q] = spla.splu(J, permc_spec="NATURAL").solve(-r[q])
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"; dgtsv above
@@ -289,23 +294,21 @@ def direct_newton(problem, u0, settings=None, u_ref=None):
         ledger.record(1, _error_of(u, u_ref), rnorm)
         u = u + step
         updates += 1
-    return RunResult(u, ledger, False, updates,
-                     f"no convergence in {settings.max_outer} Newton steps")
 
 
-def _first_step(problem, J, rhs):
+def _first_step(pattern, values, take, rhs):
     """direct_newton's first SuperLU step and the column order its factor chose.
 
+    J is the CSR matrix (values[take], pattern.indices, pattern.indptr).
     Returns the step J^{-1} rhs and (q, indices, indptr, gather): q =
     argsort(perm_c) orders the unknowns, and J(q, q) is the CSC matrix
-    (J.data[gather], indices, indptr) for any J on problem.pattern.
+    (values[gather], indices, indptr) for the values of any face pass.
     """
+    structure = pattern.indices, pattern.indptr
+    J = sp.csr_matrix((values[take], *structure), shape=pattern.shape)
     lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
     q = np.argsort(lu.perm_c)
-    pattern = problem.pattern
-    numbered = sp.csr_matrix((np.arange(pattern.nnz), pattern.indices,
-                              pattern.indptr), shape=pattern.shape)
-    ordered = numbered[q][:, q].tocsc()
+    ordered = sp.csr_matrix((take, *structure), shape=pattern.shape)[q][:, q].tocsc()
     return lu.solve(rhs), (q, ordered.indices, ordered.indptr, ordered.data)
 
 

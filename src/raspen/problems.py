@@ -43,12 +43,13 @@ class NonlinearProblem:
     their stencil with _set_stencil.  residual(u) and jacobian(u) are the
     all-rows kernels, _all_rows, built at first use; subclasses bind both
     in their own class body, where perfbench's tracer patches them.  So the
-    tracer counts the
-    callers of residual and jacobian: direct Newton and the reference
-    solves, outer Newton's spurious-zero check, a coarse correction's F(u)
-    and a coarse action's J(u).  The local sweeps and derivatives read row
-    kernels of the stacked rows, and coarse Newton's iterates the all-rows
-    kernels themselves (_all_rows), so neither shows there.
+    tracer counts the callers of residual and jacobian: the 1D reference's
+    check of its flux integration, outer Newton's spurious-zero check, a
+    coarse correction's F(u), a coarse action's J(u) and the harness's
+    first RAS residual.  The local sweeps and derivatives read row kernels
+    of the stacked rows, and the iterates of coarse and direct Newton (so
+    the 2D reference solves) the all-rows kernels themselves (_all_rows),
+    so none of them shows there.
     """
 
     def _set_stencil(self, have, offsets, rows_class):

@@ -7,6 +7,7 @@ checked against an independent path.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,19 +95,43 @@ def tridiagonal_newton(problem, u0, settings=None, u_ref=None):
     return _newton_oracle(problem, u0, settings, solve)
 
 
+def ordered_newton(problem, u0, settings=None, u_ref=None):
+    """default_order_newton with SuperLU's steps in one order per run.
+
+    The first step factors J(u) in the column order of minimum degree on
+    A^T + A and keeps q = argsort(perm_c); every later step factors
+    J[q][:, q] with no order of its own (NATURAL) and solves for step[q].
+    """
+    order = []
+
+    def solve(J, rhs):
+        if not order:
+            lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            order.append(np.argsort(lu.perm_c))
+            return lu.solve(rhs)
+        q, step = order[0], np.empty_like(rhs)
+        step[q] = spla.splu(J[q][:, q].tocsc(), permc_spec="NATURAL").solve(rhs[q])
+        return step
+
+    return _newton_oracle(problem, u0, settings, solve)
+
+
 def _newton_oracle(problem, u0, settings, solve):
     """Direct Newton's loop, each step solve(J(u), -r) (RuntimeError: singular)."""
     settings = settings or SolverSettings()
     u = np.asarray(u0, dtype=float).copy()
     ledger = IterationLedger()
-    for updates in range(settings.max_outer):
+    for updates in range(settings.max_outer + 1):
         r = problem.residual(u)
         rnorm = np.linalg.norm(r)
-        if rnorm <= settings.outer_tol or not np.isfinite(rnorm) or rnorm > 1e12:
+        converged = rnorm <= settings.outer_tol
+        diverged = not np.isfinite(rnorm) or rnorm > 1e12
+        if converged or diverged or updates == settings.max_outer:
+            # the iterate after the last allowed step is tested too
             ledger.record(0, np.nan, rnorm)
-            converged = rnorm <= settings.outer_tol
-            return RunResult(u, ledger, converged, updates,
-                             "" if converged else "diverged")
+            reason = ("" if converged else "diverged" if diverged else
+                      f"no convergence in {settings.max_outer} Newton steps")
+            return RunResult(u, ledger, converged, updates, reason)
         try:
             step = solve(problem.jacobian(u), -r)
         except RuntimeError as exc:
@@ -115,8 +140,6 @@ def _newton_oracle(problem, u0, settings, solve):
                              f"Newton step {updates}: {failure}", failure=failure)
         ledger.record(1, np.nan, rnorm)
         u = u + step
-    return RunResult(u, ledger, False, settings.max_outer,
-                     f"no convergence in {settings.max_outer} Newton steps")
 
 
 def schwarz_preconditioners(A, layout):
@@ -588,7 +611,12 @@ class Kernels:
 
 
 class Repatterned:
-    """A problem whose pattern and Jacobians are passed through change."""
+    """A problem whose pattern and Jacobians are passed through change.
+
+    Its all-rows kernels pass through change too: their values are the
+    data of change(J), J the CSR matrix of the wrapped kernels' values on
+    the wrapped pattern, and change is called once per derivation.
+    """
 
     def __init__(self, problem, change):
         self.problem, self.change = problem, change
@@ -600,6 +628,17 @@ class Repatterned:
 
     def jacobian(self, u):
         return self.change(self.problem.jacobian(u))
+
+    @cached_property
+    def _all_rows(self):
+        kernels, theirs = self.problem._all_rows, self.problem.pattern
+
+        def values_of(faces):
+            J = sp.csr_matrix((kernels.jacobian_of(faces), theirs.indices,
+                               theirs.indptr), shape=theirs.shape)
+            return np.append(self.change(J).data, 0.0)
+
+        return Kernels(kernels, values_of=values_of, take=np.arange(self.pattern.nnz))
 
     def row_kernels(self, rows, entries):
         # the wrapped problem's kernels take the entries of its own pattern;

@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from oracles import (Kernels, Repatterned, default_order_newton, layout_blocks,
-                     plain_newton, recorded_calls, tridiagonal_newton, zero_pivot)
+                     ordered_newton, plain_newton, recorded_calls, tridiagonal_newton,
+                     zero_pivot)
 
 import raspen.local_solver as local_solver_mod
 import raspen.newton as newton_mod
 import raspen.precond as precond_mod
-from raspen.coarse import CoarseSolveError, coarse_space
+from raspen.coarse import CoarseSolveError, coarse_space, fas_correction
 from raspen.decomposition import build_1d_layout, build_2d_layout
 from raspen.krylov import GmresReport
-from raspen.local_solver import LocalSolveError, SolveError, SolverSettings
+from raspen.local_solver import (LocalSolveError, SolveError, SolverSettings,
+                                 block_positions, solve_local)
 from raspen.newton import (
     REFERENCE_TOL,
     IterationLedger,
@@ -199,6 +201,12 @@ def test_nonfinite_initial_guess_rejected(driver, value):
         driver(system, u0)
 
 
+@pytest.mark.parametrize("length", [39, 41])
+def test_direct_newton_rejects_a_start_of_the_wrong_length(length):
+    with pytest.raises(ValueError, match="^expected state vector of length 40$"):
+        direct_newton(smooth_forchheimer(40, 1.0), np.zeros(length))
+
+
 def test_gmres_stall_sets_reason(monkeypatch):
     system = _system("RASPEN1", M=24, I=3, k=1,
                      settings=SolverSettings(max_outer=3))
@@ -211,6 +219,43 @@ def test_gmres_stall_sets_reason(monkeypatch):
     assert not run.converged
     assert "gmres stalled" in run.reason
 
+
+def _steps(run):
+    return run.outer_iterations if run.converged else None
+
+
+# each Newton loop from zero on smooth_forchheimer(40, 1.0) and
+# build_1d_layout(40, 4, 2): its budget, the steps it needs and the steps
+# a run under given settings takes (None, or SolveError, where it fails)
+_BUDGETED = {
+    "inner": ("max_inner", 5, lambda p, lay, s: max(
+        solve_local(block_positions(p, lay), np.zeros(40), s).inner_counts)),
+    "fas": ("max_inner", 7, lambda p, lay, s: fas_correction(
+        coarse_space(p, lay), np.zeros(40), s).inner_iterations),
+    "direct": ("max_outer", 7, lambda p, lay, s: _steps(
+        direct_newton(p, np.zeros(40), s))),
+    "raspen1": ("max_outer", 4, lambda p, lay, s: _steps(
+        outer_newton(PreconditionedSystem("RASPEN1", p, lay, s), np.zeros(40)))),
+}
+
+
+@pytest.mark.parametrize("loop", list(_BUDGETED))
+def test_a_budget_of_the_steps_a_run_needs_converges(loop):
+    # every Newton loop tests the iterate after its last allowed step
+    # (SolverSettings), so a budget one step short fails and one equal to
+    # the steps the run needs converges
+    name, needed, steps = _BUDGETED[loop]
+    problem = smooth_forchheimer(40, 1.0)
+    layout = build_1d_layout(40, 4, 2, dirichlet=problem.dirichlet)
+
+    def run(budget):
+        try:
+            return steps(problem, layout, SolverSettings(**{name: budget}))
+        except SolveError:
+            return None
+
+    assert run(needed - 1) is None
+    assert run(needed) == needed
 
 
 def test_nonfinite_jacobian_action_stalls_gmres_with_nan():
@@ -226,7 +271,8 @@ def test_nonfinite_jacobian_action_stalls_gmres_with_nan():
     run = outer_newton(system, np.zeros(24))
     assert not run.converged
     assert run.reason == "gmres stalled at outer iteration 0 (relative residual nan)"
-    assert run.ledger.ls_G == [3]
+    # the one step's row, then the evaluation after the budget's last step
+    assert run.ledger.ls_G == [3, 0]
     assert np.isnan(run.ledger.gmres_history[0][-1])
     assert np.all(np.isfinite(run.u))
 
@@ -593,16 +639,40 @@ def _zero_row(J, row=20):
     return J
 
 
-def test_direct_newton_ends_on_a_singular_jacobian():
-    # SuperLU's "Factor is exactly singular" ends the run as a failure
-    # that names the Newton step, as the other drivers' failures do
-    prob = Repatterned(smooth_forchheimer(40, beta=1.0), _zero_row)
+def _ends_singular(problem, change, step, message):
+    # the solver's exactly singular Jacobian at Newton step step ends the
+    # run as a failure that names the step, as the other drivers' failures do
+    prob = Repatterned(problem, change)
     run = direct_newton(prob, prob.initial_state())
-    assert not run.converged and run.outer_iterations == 0
+    assert not run.converged and run.outer_iterations == step
     assert isinstance(run.failure, SolveError)
-    assert run.reason == f"Newton step 0: {run.failure}"
-    assert str(run.failure).startswith("singular Jacobian")
-    assert len(run.ledger) == 0 and run.ledger.LS_total == 0
+    assert run.reason == f"Newton step {step}: {run.failure}"
+    assert str(run.failure) == f"singular Jacobian ({message})"
+    assert len(run.ledger) == step and run.ledger.LS_total == step
+
+
+def _zero_row_at_step_1():
+    # the pattern is built from one call of the change and step 0's
+    # Jacobian from the second; the third, step 1's, is singular
+    changes = []
+
+    def zero_row_at_step_1(J):
+        changes.append(J)
+        return _zero_row(J) if len(changes) == 3 else J
+
+    return zero_row_at_step_1
+
+
+def test_direct_newton_ends_on_a_singular_jacobian():
+    # a 1D pattern's steps are dgtsv's, whose zero pivot ends the run
+    _ends_singular(smooth_forchheimer(40, beta=1.0), _zero_row, 0,
+                   "dgtsv: pivot 40 is exactly zero")
+
+
+def test_direct_newton_in_2d_ends_on_a_singular_jacobian():
+    # a 2D pattern's steps are SuperLU's, and its first factor, in the
+    # minimum-degree order, finds J exactly singular
+    _ends_singular(DiffusionProblem2D(8, 8), _zero_row, 0, "Factor is exactly singular")
 
 
 def test_reference_solution_of_a_singular_jacobian_raises_solve_error():
@@ -729,6 +799,26 @@ def test_direct_newton_in_1d_keeps_the_default_order_outcomes(make, monkeypatch)
     assert reference == _reference_or_reason(problem)
 
 
+@pytest.mark.parametrize("shape", [(8, 8), (12, 7), (32, 32), (64, 64)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_direct_newton_in_2d_is_ordered_superlu_bit_for_bit(shape):
+    # a wider pattern solves each step by SuperLU, in the order its first
+    # step chose, which the oracle takes from J = problem.jacobian(u); so
+    # do the 2D reference solves, at REFERENCE_TOL
+    problem = DiffusionProblem2D(*shape)
+    strict = SolverSettings(outer_tol=REFERENCE_TOL, max_outer=100)
+    for settings in (None, strict):
+        run = direct_newton(problem, problem.initial_state(), settings)
+        oracle = ordered_newton(problem, problem.initial_state(), settings)
+        assert run.converged
+        assert run.u.tobytes() == oracle.u.tobytes()
+        assert (run.converged, run.outer_iterations, run.reason) == (
+            oracle.converged, oracle.outer_iterations, oracle.reason)
+        assert run.ledger.residual_norm == oracle.ledger.residual_norm
+        assert run.ledger.ls_G == oracle.ledger.ls_G
+    assert reference_solution(problem).tobytes() == oracle.u.tobytes()
+
+
 def _counted_splu(monkeypatch):
     """Record (permc_spec, L.nnz + U.nnz) for every splu call, keeping no factor."""
     calls, splu = [], spla.splu
@@ -765,16 +855,44 @@ def test_direct_newton_in_2d_orders_by_minimum_degree(monkeypatch):
 @pytest.mark.parametrize("problem", [DiffusionProblem2D(32, 32)], ids=["2d"])
 def test_direct_newton_orders_once_per_run(problem, monkeypatch):
     # the first step chooses the order; every later one factors J(q, q)
-    # in it, with no ordering of its own
+    # in it, with no ordering of its own, from one derivation of J's values
     calls = _counted_splu(monkeypatch)
-    jacobian, evaluations = problem.jacobian, []
-    monkeypatch.setattr(problem, "jacobian",
-                        lambda u: evaluations.append(u) or jacobian(u))
+    kernels, derived = problem._all_rows, []
+    values_of = kernels.values_of
+    monkeypatch.setattr(kernels, "values_of",
+                        lambda faces: derived.append(faces) or values_of(faces))
     run = direct_newton(problem, problem.initial_state())
     assert run.converged and run.outer_iterations >= 3
     assert [spec for spec, _ in calls] == (
         ["MMD_AT_PLUS_A"] + ["NATURAL"] * (run.outer_iterations - 1))
-    assert len(evaluations) == run.outer_iterations
+    assert len(derived) == run.outer_iterations
+
+
+@pytest.mark.parametrize("make", [lambda: smooth_forchheimer(40, 1.0),
+                                  lambda: DiffusionProblem2D(12, 12)], ids=["1d", "2d"])
+def test_direct_newton_evaluates_each_iterate_by_one_face_pass(make, monkeypatch):
+    # each iterate's F and, where it steps, J's values derive from one face
+    # pass of the all-rows kernels at it; no global residual or Jacobian
+    # is evaluated
+    problem = make()
+    kernels, passes, derived = problem._all_rows, [], []
+    faces, values_of = kernels.faces, kernels.values_of
+    monkeypatch.setattr(kernels, "faces",
+                        lambda X: passes.append((X, faces(X))) or passes[-1][1])
+    monkeypatch.setattr(kernels, "values_of",
+                        lambda f: derived.append(f) or values_of(f))
+
+    def evaluated(u):
+        raise AssertionError("direct Newton evaluated a global residual or Jacobian")
+
+    monkeypatch.setattr(problem, "residual", evaluated)
+    monkeypatch.setattr(problem, "jacobian", evaluated)
+    run = direct_newton(problem, problem.initial_state())
+    assert run.converged and run.outer_iterations >= 3
+    assert len(passes) == len(run.ledger) == run.outer_iterations + 1
+    assert passes[-1][0] is run.u
+    assert len(derived) == run.outer_iterations
+    assert all(f is p for f, (_, p) in zip(derived, passes))
 
 
 def test_direct_newton_in_1d_makes_no_splu_call(monkeypatch):
@@ -788,22 +906,14 @@ def test_direct_newton_in_1d_makes_no_splu_call(monkeypatch):
 
 
 def test_direct_newton_ends_on_a_jacobian_singular_at_a_later_step():
-    # the pattern is built from one call of the change and step 0's
-    # Jacobian from the second; the third, step 1's, is singular, so the
-    # failure comes from the factor in the first step's order
-    changes = []
+    _ends_singular(smooth_forchheimer(40, beta=1.0), _zero_row_at_step_1(), 1,
+                   "dgtsv: pivot 40 is exactly zero")
 
-    def zero_row_at_step_1(J):
-        changes.append(J)
-        return _zero_row(J) if len(changes) == 3 else J
 
-    prob = Repatterned(smooth_forchheimer(40, beta=1.0), zero_row_at_step_1)
-    run = direct_newton(prob, prob.initial_state())
-    assert not run.converged and run.outer_iterations == 1
-    assert isinstance(run.failure, SolveError)
-    assert run.reason == f"Newton step 1: {run.failure}"
-    assert str(run.failure).startswith("singular Jacobian (")
-    assert len(run.ledger) == 1 and run.ledger.LS_total == 1
+def test_direct_newton_in_2d_ends_on_a_jacobian_singular_at_a_later_step():
+    # the failure comes from the factor in the first step's order
+    _ends_singular(DiffusionProblem2D(8, 8), _zero_row_at_step_1(), 1,
+                   "Factor is exactly singular")
 
 
 def test_direct_newton_ends_a_residual_whose_norm_overflows_as_diverged():
