@@ -38,16 +38,16 @@ the outer Jacobian actions
 An action takes the fine Jacobian J(u) from its caller, which assembles it
 once per state and makes sure that the correction was solved at u.
 
-Each two-level system builds one CoarseSpace from J's fixed pattern and
-P_0, evaluating no Jacobian: P_0^T as CSR, for every restriction, the
-Galerkin map, and the problem's all-rows row kernels, which give
-residual(u) and jacobian(u).data bit for bit.  J's pattern is fixed, so
-the entries of J_0 = P_0^T J P_0 are a fixed linear function of J.data,
-which the map applies in two sparse stages, onto the entries of J P_0 and
-then onto those of J_0, with a few terms per entry of J in each.  J.data
-is the kernels' values[take], so the first stage reads the values
-themselves, each term at its entry's value, in the same order.  Coarse
-Newton prolongs each iterate once and makes one face pass there, from
+A CoarseSpace is built once per problem and layout (precond), from J's
+fixed pattern and P_0, evaluating no Jacobian: P_0^T as CSR, for every
+restriction, the Galerkin map, and the problem's all-rows row kernels,
+which give residual(u) and jacobian(u).data bit for bit.  J's pattern is
+fixed, so the entries of J_0 = P_0^T J P_0 are a fixed linear function of
+J.data, which the map applies in two sparse stages, onto the entries of
+J P_0 and then onto those of J_0, with a few terms per entry of J in
+each.  J.data is the kernels' values[take], so the first stage reads the
+values themselves, each term at its entry's value, in the same order.
+Coarse Newton prolongs each iterate once and makes one face pass there, from
 which it derives F_0 (residual_of and a CSR product) and, when it
 factors, J_0 (values_of, two CSR products and a scatter into a dense
 N x N array): no global residual or Jacobian, and no sparse matrix built
@@ -121,7 +121,11 @@ def _stage(P0, rows, cols):
     width = np.diff(P0.indptr)[cols]
     e = np.repeat(np.arange(cols.size), width)
     p = np.arange(e.size) + np.repeat(P0.indptr[cols] - width.cumsum() + width, width)
-    slots, dest = np.unique(rows[e] * P0.shape[1] + P0.indices[p], return_inverse=True)
+    keys = rows[e] * P0.shape[1] + P0.indices[p]
+    order = np.argsort(keys, kind="stable")  # np.unique's slots and inverse, one sort
+    new = np.diff(keys[order], prepend=-1) != 0  # where the sorted keys (all >= 0) change
+    dest, slots = np.empty_like(order), keys[order[new]]
+    dest[order] = np.cumsum(new) - 1
     return sp.csr_matrix((P0.data[p], (dest, e)), shape=(slots.size, cols.size)), slots
 
 

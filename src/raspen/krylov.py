@@ -44,7 +44,7 @@ def gmres(action, rhs, tol=1e-8, max_iter=None):
     """Solve action(x) = rhs by full GMRES from the zero initial guess.
 
     `action` must be a linear map on vectors of the same length as rhs,
-    which must be finite.
+    which must be finite; its output is read, never written.
     Step k orthogonalizes the action's output against the basis V[:k+1] by
     two-pass classical Gram-Schmidt (CGS2, orthogonal to working precision:
     h = V w, w -= h V, twice).  The accumulated rotation matrix P, the
@@ -88,19 +88,18 @@ def gmres(action, rhs, tol=1e-8, max_iter=None):
             cap = min(2 * cap, max_iter + 1)
             V = _grown(V, np.empty((cap, n)))  # rows past k: written before read
             P, R = _grown(P, np.zeros((cap, cap))), _grown(R, np.zeros((cap, cap)))
-        w = np.array(action(V[k]), dtype=float)  # our copy, updated in place
-        with np.errstate(over="ignore"):
-            wnorm = math.sqrt(w @ w)
+        w = action(V[k])
+        wnorm = math.sqrt(np.vdot(w, w))
         if not math.isfinite(wnorm):
             history.append(math.nan)
             break
         Vk = V[: k + 1]
         h = Vk @ w
-        w -= h @ Vk
+        w = w - h @ Vk          # a new array: the action's output is only read
         h2 = Vk @ w
         w -= h2 @ Vk
         h += h2
-        hnext = math.sqrt(w @ w)
+        hnext = math.sqrt(np.vdot(w, w))
         breakdown = hnext <= BREAKDOWN_TOL * wnorm
         if not breakdown:
             np.divide(w, hnext, out=V[k + 1])
@@ -111,14 +110,15 @@ def gmres(action, rhs, tol=1e-8, max_iter=None):
         # and residual stay as they were
         singular = denom <= BREAKDOWN_TOL * wnorm
         if not singular:
-            c, s = r[k] / denom, hnext / denom
+            c, s = r[k].item() / denom, hnext / denom
             P[k + 1, : k + 1] = -s * P[k, : k + 1]
             P[k, : k + 1] *= c
             P[k, k + 1], P[k + 1, k + 1] = s, c
-            R[k, :k], R[k, k] = r[:k], denom
+            r[k] = denom
+            R[k, : k + 1] = r
             m += 1
 
-        history.append(float(abs(P[m, 0])))
+        history.append(abs(P.item(m, 0)))
         if history[-1] <= tol or breakdown or singular:
             break
 

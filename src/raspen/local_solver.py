@@ -302,7 +302,7 @@ def local_jacobian(positions, X):
 
     LocalSolveError names the first subdomain whose block is singular.
     """
-    kernels, shape = positions.kernels, (positions.size, positions.problem.dof_count)
+    kernels, shape = positions.kernels, (positions.size, positions.layout.n_cells)
     faces = kernels.faces(X)
     if positions.diagonals is None:
         entries = kernels.jacobian_of(faces)

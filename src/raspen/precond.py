@@ -23,11 +23,19 @@ kinds apply the glued local derivatives as one product, with the owned
 operator (local_solver), and glue nothing.  The local derivatives are
 taken at each solved local state (exact mode) or all at u (inexact mode).
 
-A system builds its PositionStack once, and a two-level system its
-CoarseSpace beside it.  A one-level evaluation and its actions evaluate
-only the stack's row kernels, no global residual or Jacobian.
+Systems share their set-up.  A problem keeps one per layout it is paired
+with, in a dict keyed by the layout (NonlinearProblem._setups): the
+PositionStack, built by the first system on the pair, and the CoarseSpace,
+built by the first two-level one.  Both are built on a weak proxy of the
+problem, so no reference cycle holds them: a set-up lives exactly as long
+as its problem, which each system holds, and keeps its layout alive; a
+pickle or copy of the problem leaves it behind.  ASPIN2's coarse base
+solve depends on the settings, so each system solves its own
+(coarse_base).  A one-level evaluation and its actions evaluate only the
+stack's row kernels, no global residual or Jacobian.
 """
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -95,7 +103,8 @@ class PreconditionedSystem:
 
     kind selects the function; jacobian_mode selects the derivative
     ("exact" for all kinds, "inexact", the default, only for the ASPIN
-    kinds).
+    kinds).  The stack and coarse space come from the problem's set-up for
+    layout (module docstring).
     """
 
     def __init__(self, kind, problem, layout, settings=None, jacobian_mode=None):
@@ -114,8 +123,13 @@ class PreconditionedSystem:
         if jacobian_mode == "inexact" and not kind.startswith("ASPIN"):
             raise ValueError(f"{kind} has no inexact Jacobian variant")
         self.jacobian_mode = jacobian_mode
-        self._positions = block_positions(problem, layout)
-        self._coarse = coarse_space(problem, layout) if kind.endswith("2") else None
+        setup = problem._setups.setdefault(layout, {})
+        if "stack" not in setup:
+            setup["stack"] = block_positions(weakref.proxy(problem), layout)
+        if kind.endswith("2") and "coarse" not in setup:
+            setup["coarse"] = coarse_space(weakref.proxy(problem), layout)
+        self._positions = setup["stack"]
+        self._coarse = setup["coarse"] if kind.endswith("2") else None
 
     @property
     def restricted(self):

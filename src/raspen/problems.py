@@ -78,6 +78,15 @@ class NonlinearProblem:
         """The row kernels of all rows, built at first use."""
         return self.row_kernels(np.arange(self.dof_count), self.pattern.indices)
 
+    @cached_property
+    def _setups(self):
+        """The systems' set-ups on this problem, one per layout (precond)."""
+        return {}
+
+    def __getstate__(self):
+        """A pickle or copy leaves the set-ups behind (precond)."""
+        return {k: v for k, v in vars(self).items() if k != "_setups"}
+
     def row_kernels(self, rows, entries):
         """Residual and Jacobian rows of the global cells rows, from local values.
 

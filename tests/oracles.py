@@ -15,7 +15,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack, solve_triangular
 
 import raspen.local_solver as local_solver
-from raspen.krylov import BREAKDOWN_TOL, GmresReport
+from raspen.krylov import BREAKDOWN_TOL, FIRST_ROWS, GmresReport
 from raspen.local_solver import (LocalSolveError, LocalSolveResult, SolveError,
                                  SolverSettings)
 from raspen.newton import IterationLedger, RunResult
@@ -800,3 +800,85 @@ def blocked_gmres(action, rhs, tol=1e-8, max_iter=None):
         x += y[i : i + BLOCK_ROWS] @ V[: m - i]
     rel = history[-1]
     return x, GmresReport(len(history), rel, rel <= tol, tuple(history))
+
+
+def _grown(A, B):
+    """B, a larger array, with A copied into its leading corner."""
+    B[: len(A), : A.shape[1]] = A
+    return B
+
+
+def cgs2_gmres(action, rhs, tol=1e-8, max_iter=None):
+    """krylov.gmres's CGS2 arithmetic, written out with numpy throughout.
+
+    Each step copies the action's output, takes its norms by matmul under
+    np.errstate and keeps the Givens scalars and history entries as numpy
+    floats.  Returns (solution, GmresReport), which krylov.gmres must
+    match in every byte.
+    """
+    if not 0 < tol < np.inf:  # nan fails too
+        raise ValueError("tol must be positive and finite")
+    rhs = np.asarray(rhs, dtype=float)
+    if not np.isfinite(rhs).all():
+        raise ValueError("rhs must be finite")
+    n = len(rhs)
+    if max_iter is None:
+        max_iter = n
+    elif not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError("max_iter must be an integer of at least 1")
+    with np.errstate(over="ignore"):  # an overflow reads inf, tested below
+        bnorm = math.sqrt(rhs @ rhs)
+    if not math.isfinite(bnorm):
+        raise ValueError("rhs norm overflows")
+    if bnorm == 0.0:
+        return np.zeros(n), GmresReport(0, 0.0, True, ())
+
+    cap = min(max_iter + 1, FIRST_ROWS)
+    V = np.empty((cap, n))      # basis vector k is row k
+    V[0] = rhs / bnorm
+    P = np.eye(cap)             # leading m + 1 rows: the rotations, multiplied
+    R = np.zeros((cap, cap))    # R transposed: row k is R's column k
+    m, history = 0, []          # m rotations, the order of R
+    for k in range(max_iter):
+        if k + 1 == cap:        # this step may write basis vector k + 1
+            cap = min(2 * cap, max_iter + 1)
+            V = _grown(V, np.empty((cap, n)))  # rows past k: written before read
+            P, R = _grown(P, np.zeros((cap, cap))), _grown(R, np.zeros((cap, cap)))
+        w = np.array(action(V[k]), dtype=float)  # our copy, updated in place
+        with np.errstate(over="ignore"):
+            wnorm = math.sqrt(w @ w)
+        if not math.isfinite(wnorm):
+            history.append(math.nan)
+            break
+        Vk = V[: k + 1]
+        h = Vk @ w
+        w -= h @ Vk
+        h2 = Vk @ w
+        w -= h2 @ Vk
+        h += h2
+        hnext = math.sqrt(w @ w)
+        breakdown = hnext <= BREAKDOWN_TOL * wnorm
+        if not breakdown:
+            np.divide(w, hnext, out=V[k + 1])
+        r = P[: k + 1, : k + 1] @ h
+        denom = math.hypot(r[k], hnext)
+        # a rotated diagonal that is zero next to the column's norm, wnorm
+        # (w = h V + hnext v), adds no direction: the least-squares iterate
+        # and residual stay as they were
+        singular = denom <= BREAKDOWN_TOL * wnorm
+        if not singular:
+            c, s = r[k] / denom, hnext / denom
+            P[k + 1, : k + 1] = -s * P[k, : k + 1]
+            P[k, : k + 1] *= c
+            P[k, k + 1], P[k + 1, k + 1] = s, c
+            R[k, :k], R[k, k] = r[:k], denom
+            m += 1
+
+        history.append(float(abs(P[m, 0])))
+        if history[-1] <= tol or breakdown or singular:
+            break
+
+    # the least-squares iterate x = y V, with R y = ||rhs|| P[:m, 0]
+    y = solve_triangular(R[:m, :m], bnorm * P[:m, 0], trans="T", lower=True)
+    rel = history[-1]
+    return y @ V[:m], GmresReport(len(history), rel, rel <= tol, tuple(history))

@@ -5,7 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import blocked_gmres
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import blocked_gmres, cgs2_gmres
 
 from raspen.krylov import FIRST_ROWS, gmres
 
@@ -113,8 +115,8 @@ def test_zero_operator_divides_by_no_zero_diagonal():
 
 
 def test_rhs_and_returned_arrays_left_unchanged():
-    # the orthogonalization works on its own copy of each action's output,
-    # so an action may hand back the same stored array on every call
+    # the first projection makes a new array and never writes the action's
+    # output, so an action may hand back the same stored array on every call
     rng = np.random.default_rng(12)
     n = 12
     A = np.eye(n) + 0.2 * rng.standard_normal((n, n))
@@ -347,3 +349,66 @@ def test_matches_the_blocked_oracle(make, n, tol, max_iter):
     assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
     if make is _grcar:
         assert rep.iterations > 4 * FIRST_ROWS
+
+
+def _operator(case, n, rng):
+    """A dense operator of the drawn case, and an rhs for it."""
+    rhs = rng.standard_normal(n)
+    if case == "well-conditioned":
+        return np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n), rhs
+    if case == "rank-deficient":
+        # rhs in the range of a rank-r operator: the Krylov space closes
+        B = rng.standard_normal((n, rng.integers(1, n + 1)))
+        A = B @ rng.standard_normal(B.shape[::-1])
+        return A, A @ rng.standard_normal(n)
+    if case == "singular-on-krylov":
+        # few distinct eigenvalues, one of them zero, seen by rhs
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        eig = rng.choice([0.0, 1.0, -2.0, 3.5], n)
+        eig[0] = 0.0
+        return (Q * eig) @ Q.T, rhs
+    # nilpotent shift: the residual stays at 1 until the output is zero
+    return np.eye(n, k=-1), np.eye(n)[0]
+
+
+@st.composite
+def _gmres_problems(draw):
+    """(action factory, rhs, tol, max_iter) over the step's exits."""
+    case = draw(st.sampled_from(["well-conditioned", "rank-deficient",
+                                 "singular-on-krylov", "shift"]))
+    n = draw(st.integers(1, 40))
+    A, rhs = _operator(case, n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    A = A * draw(st.sampled_from([1.0, 1e-20, 1e20]))
+    max_iter = draw(st.none() | st.integers(1, n + 2))
+    # from its bad_call-th call on, the action returns nan, inf or finite
+    # entries whose norm overflows
+    bad_call = draw(st.none() | st.integers(1, n + 1))
+    bad = draw(st.sampled_from([np.nan, np.inf, 1e300]))
+
+    def make_action():
+        calls = []
+
+        def action(v):
+            calls.append(None)
+            return A @ v if bad_call is None or len(calls) < bad_call else np.full(n, bad)
+
+        return action
+
+    tol = draw(st.sampled_from([1e-8, 1e-12, 1e-3]))
+    return make_action, rhs, tol, max_iter
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_gmres_problems())
+def test_matches_the_cgs2_oracle_bit_for_bit(problem):
+    # the same arithmetic in the same order: the step reads the action's
+    # output without copying it, takes its norms by BLAS dot and keeps its
+    # scalars as Python floats, and none of that may move a bit
+    make_action, rhs, tol, max_iter = problem
+    x, rep = gmres(make_action(), rhs, tol=tol, max_iter=max_iter)
+    want, ref = cgs2_gmres(make_action(), rhs, tol=tol, max_iter=max_iter)
+    assert x.tobytes() == want.tobytes()
+    assert (np.array(rep.residual_history).tobytes()
+            == np.array(ref.residual_history).tobytes())
+    assert rep.iterations == ref.iterations
+    assert rep.converged == ref.converged

@@ -1,6 +1,10 @@
 """Tests for the preconditioned systems against dense and FD oracles."""
 
+import copy
 import dataclasses
+import gc
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -399,6 +403,82 @@ def test_inexact_blocks_are_taken_at_the_gathered_state(kind):
     system.jacobian_action(ev, np.ones(24))
     (X,) = seen
     assert X.tobytes() == np.concatenate((u[lay.cells], u)).tobytes()
+
+
+def _counted_builders(monkeypatch):
+    """Count the stack and coarse-space builds precond makes, by name."""
+    built = {"block_positions": 0, "coarse_space": 0}
+    for name in built:
+        def count(problem, layout, build=getattr(precond_mod, name), name=name):
+            built[name] += 1
+            return build(problem, layout)
+        monkeypatch.setattr(precond_mod, name, count)
+    return built
+
+
+@pytest.mark.parametrize("make, lay, other_lay", [
+    (lambda: smooth_forchheimer(24, beta=1.0), build_1d_layout(24, 4, 2),
+     build_1d_layout(24, 3, 1)),
+    (lambda: DiffusionProblem2D(8, 8), build_2d_layout(8, 8, 2, 1),
+     build_2d_layout(8, 8, 4, 1)),
+], ids=["1d", "2d"])
+def test_systems_on_one_problem_and_layout_share_one_set_up(make, lay, other_lay,
+                                                            monkeypatch):
+    # the stack and, for the two-level kinds, the coarse space are built
+    # once per (problem, layout) and kept on the problem
+    built = _counted_builders(monkeypatch)
+    prob = make()
+    systems = [PreconditionedSystem(kind, prob, lay) for kind in KINDS + KINDS]
+    assert built == {"block_positions": 1, "coarse_space": 1}
+    assert len({id(s._positions) for s in systems}) == 1
+    assert len({id(s._coarse) for s in systems if s.kind.endswith("2")}) == 1
+    assert all(s._coarse is None for s in systems if s.kind.endswith("1"))
+    # another layout, or another problem, gets its own set-up
+    for p, la in ((prob, other_lay), (make(), lay)):
+        system = PreconditionedSystem("RASPEN2", p, la)
+        assert system._positions is not systems[0]._positions
+        assert system._coarse is not systems[2]._coarse
+        # the set-up refers to its problem through a weak proxy, equal to it
+        assert system._positions.problem == p and system._positions.layout is la
+    assert built == {"block_positions": 3, "coarse_space": 3}
+    # a one-level kind builds no coarse space, even on a fresh pair
+    PreconditionedSystem("RASPEN1", make(), lay)
+    assert built == {"block_positions": 4, "coarse_space": 3}
+
+
+def test_a_fresh_problem_holds_no_set_up():
+    # set-ups are made by the first system on a problem, so a fresh
+    # problem pickles as it did, whatever systems other problems hold
+    used, (fresh, lay) = _forchheimer_setup()[0], _forchheimer_setup()
+    for kind in KINDS:
+        PreconditionedSystem(kind, used, lay)
+    assert "_setups" not in vars(fresh)
+    assert pickle.dumps(fresh) == pickle.dumps(_forchheimer_setup()[0])
+    assert "_setups" in vars(used)
+    # a used problem pickles and copies without its set-ups, and a copy
+    # builds its own
+    for twin in (pickle.loads(pickle.dumps(used)), copy.copy(used)):
+        assert "_setups" not in vars(twin)
+        system = PreconditionedSystem("RASPEN1", twin, lay)
+        assert system._positions is not used._setups[lay]["stack"]
+        assert outer_newton(system, twin.initial_state()).converged
+
+
+def test_a_problems_set_ups_are_freed_with_it():
+    # a set-up refers to its problem weakly, so no reference cycle keeps
+    # either alive once the problem is dropped: no collection is needed
+    prob, lay = _forchheimer_setup()
+    for kind in KINDS:
+        assert outer_newton(PreconditionedSystem(kind, prob, lay),
+                            prob.initial_state()).converged
+    alive = weakref.ref(prob)
+    stack = weakref.ref(prob._setups[lay]["stack"])
+    gc.disable()
+    try:
+        del prob
+        assert alive() is None and stack() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("cells", [60, 140])
