@@ -20,12 +20,12 @@ precomputes the coarse solution u_0* (F_0(u_0*) = 0) once and solves
 
     F_0(C_0^A(u) + u_0*) = -P_0^T F(u)
 
-from the initial guess u_0*, whose factors it takes from the base solve.
-Both are one coarse Newton solve that differs only in its start value and
-right-hand side, as is the base solve for u_0*.  Coarse Newton factors
-each iterate's dense coarse Jacobian once, by LU (dgetrf), steps with
-those factors (dgetrs) and fails with CoarseSolveError on a non-finite
-residual (the start's included), a singular Jacobian or a spent budget.
+from the initial guess u_0*.  Both are one coarse Newton solve that
+differs only in its start value and right-hand side, as is the base solve
+for u_0*.  Coarse Newton factors each iterate's dense coarse Jacobian,
+its start's included, once by LU (dgetrf), steps with those factors
+(dgetrs) and fails with CoarseSolveError on a non-finite residual (the
+start's included), a singular Jacobian or a spent budget.
 The three solves run under the sweep's np.errstate(over="ignore",
 invalid="ignore"): a non-finite or huge state's face passes read inf - inf
 or overflow on the way to that error, and warn nothing.
@@ -47,12 +47,11 @@ J.data, which the map applies in two sparse stages, onto the entries of
 J P_0 and then onto those of J_0, with a few terms per entry of J in
 each.  J.data is the kernels' values[take], so the first stage reads the
 values themselves, each term at its entry's value, in the same order.
-Coarse Newton prolongs each iterate once and makes one face pass there, from
-which it derives F_0 (residual_of and a CSR product) and, when it
-factors, J_0 (values_of, two CSR products and a scatter into a dense
+Coarse Newton prolongs each iterate, its start included, once and makes
+one face pass there, from which it derives F_0 (residual_of and a CSR
+product) and J_0 (values_of, two CSR products and a scatter into a dense
 N x N array): no global residual or Jacobian, and no sparse matrix built
-per iterate.  The FAS correction hands it F_0(R_0 u) from its right-hand
-side.
+per iterate.
 """
 
 from dataclasses import dataclass, field
@@ -61,7 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .local_solver import SolveError, csr_apply
+from .local_solver import SolveError, csr_apply, read_only
 
 __all__ = [
     "CoarseSpace",
@@ -87,9 +86,8 @@ class CoarseSolveResult:
     """Outcome of one coarse correction solve.
 
     J0 is the coarse Jacobian at the initial guess (read by the FAS action
-    only; None when the solve started from given factors); J0_hat_lu is
-    the LU factorization (lu, piv), as dgetrf returns it and dgetrs takes
-    it, of the coarse Jacobian at the converged iterate.
+    only); J0_hat_lu is the LU factorization (lu, piv), as dgetrf returns
+    it and dgetrs takes it, of the coarse Jacobian at the converged iterate.
     """
 
     correction: np.ndarray
@@ -104,7 +102,8 @@ class CoarseSpace:
 
     kernels are the problem's all-rows row kernels, and values their
     values_of at P_0 u_0, whose length is G1's column count (module
-    docstring).
+    docstring).  P0T, G1, G2 and slots are read-only, the matrices'
+    arrays included.
     """
 
     problem: object
@@ -141,7 +140,9 @@ def coarse_space(problem, layout):
     values = kernels.values_of(kernels.faces(np.zeros(J.shape[0])))
     G1 = sp.csr_matrix((G1.data, kernels.take[G1.indices], G1.indptr),
                        shape=(G1.shape[0], len(values)))
-    return CoarseSpace(problem, layout, kernels, P0.T.tocsr(), G1, G2, slots)
+    P0T = P0.T.tocsr()
+    read_only(P0T, G1, G2, slots)
+    return CoarseSpace(problem, layout, kernels, P0T, G1, G2, slots)
 
 
 def _faces(space, u0):
@@ -159,15 +160,9 @@ def _galerkin_jacobian(space, values):
     return J0T.T
 
 
-def _evaluated(space, u0):
-    """(the face pass at P_0 u_0, F_0(u_0)), for a coarse vector u_0."""
-    faces = _faces(space, u0)
-    return faces, csr_apply(space.P0T, space.kernels.residual_of(faces))
-
-
 def coarse_residual(space, u0):
     """F_0(u_0) = P_0^T F(P_0 u_0)."""
-    return _evaluated(space, u0)[1]
+    return csr_apply(space.P0T, space.kernels.residual_of(_faces(space, u0)))
 
 
 def coarse_jacobian(space, u0):
@@ -175,18 +170,15 @@ def coarse_jacobian(space, u0):
     return _galerkin_jacobian(space, space.kernels.values_of(_faces(space, u0)))
 
 
-def _coarse_newton(space, start, rhs, settings, what, factors=None, evaluated=None):
+def _coarse_newton(space, start, rhs, settings, what):
     """Solve F_0(start + c) = rhs for c by coarse Newton from start (module docstring).
 
-    factors, the LU factors of the coarse Jacobian at start, and evaluated,
-    _evaluated(space, start), may be given.  Callers run it under
-    np.errstate(over="ignore", invalid="ignore").
+    Callers run it under np.errstate(over="ignore", invalid="ignore").
     """
     w = np.asarray(start, dtype=float).copy()
-    J0, iterations = None, 0
-    while True:
-        faces, F0 = evaluated or _evaluated(space, w)
-        r = F0 - rhs
+    for iterations in range(settings.max_inner + 1):  # the last one returns or raises
+        faces = _faces(space, w)
+        r = csr_apply(space.P0T, space.kernels.residual_of(faces)) - rhs
         rnorm = np.linalg.norm(r)
         if not np.isfinite(rnorm):
             raise CoarseSolveError(f"{what}: " + (
@@ -197,26 +189,22 @@ def _coarse_newton(space, start, rhs, settings, what, factors=None, evaluated=No
                 f"{what}: coarse Newton did not reach {settings.inner_tol} "
                 f"within {settings.max_inner} iterations (residual {rnorm:.3e})"
             )
-        if factors is None:
-            J = _galerkin_jacobian(space, space.kernels.values_of(faces))
-            J0 = J if iterations == 0 else J0
-            *factors, info = dgetrf(J)
-            if info > 0:
-                raise CoarseSolveError(f"{what}: singular coarse Jacobian")
+        J = _galerkin_jacobian(space, space.kernels.values_of(faces))
+        J0 = J if iterations == 0 else J0
+        *factors, info = dgetrf(J)
+        if info > 0:
+            raise CoarseSolveError(f"{what}: singular coarse Jacobian")
         if rnorm <= settings.inner_tol:
             return CoarseSolveResult(w - start, J0, tuple(factors), iterations)
         w -= dgetrs(*factors, r)[0]
-        factors, evaluated, iterations = None, None, iterations + 1
 
 
 def fas_correction(space, u, settings):
     """Full-approximation-scheme coarse correction C_0(u)."""
     u0 = csr_apply(space.layout.R0, np.asarray(u, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        evaluated = _evaluated(space, u0)
-        rhs = evaluated[1] - csr_apply(space.P0T, space.problem.residual(u))
-        return _coarse_newton(space, u0, rhs, settings, "FAS coarse correction",
-                              evaluated=evaluated)
+        rhs = coarse_residual(space, u0) - csr_apply(space.P0T, space.problem.residual(u))
+        return _coarse_newton(space, u0, rhs, settings, "FAS coarse correction")
 
 
 def fas_correction_jacobian_action(result, space, J_u, v):
@@ -238,7 +226,7 @@ def aspin_coarse_correction(space, u, base, settings):
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = -csr_apply(space.P0T, space.problem.residual(np.asarray(u, dtype=float)))
         return _coarse_newton(space, base.correction, rhs, settings,
-                              "AS coarse correction", base.J0_hat_lu)
+                              "AS coarse correction")
 
 
 def aspin_coarse_jacobian_action(result, space, J_u, v):

@@ -8,12 +8,13 @@ and takes the product of the two, so a 2D subdomain is a rectangle of the
 row-major grid.  The owned blocks partition the global cell set {0..M-1}.
 An overlap may reach a neighbour's far edge but never past it.
 
-A layout is six arrays: cells, sizes, owned_slots, owner, R0 and P0.  All
-subdomains share one stacked overlap space, their overlap values
-concatenated in subdomain order: v[cells] is R_i v for every i at once,
-subdomain i's overlap is cells[start_i : start_i + sizes[i]] (start_i the
-sum of the earlier sizes), the ascending owned_slots locate the owned
-entries in it, and owner[c] is the owned entry of cell c.  A stacked
+A layout is five arrays: cells, sizes, owner, R0 and P0.  All subdomains
+share one stacked overlap space, their overlap values concatenated in
+subdomain order: v[cells] is R_i v for every i at once, subdomain i's
+overlap is cells[start_i : start_i + sizes[i]] (start_i the sum of the
+earlier sizes), and owner[c] is cell c's entry in the overlap of the
+subdomain that owns it, its owned entry.  Each overlap's cells ascend, so
+the (subdomain, cell) pairs of the stacked entries ascend too.  A stacked
 x = (x_1, ..., x_I) is glued onto the cells additively by prolong
 (P x = sum_i P_i x_i, P_i the zero extension from the overlap cells), which
 sums each cell's contributions from 0.0 in subdomain order, or by
@@ -38,6 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .local_solver import read_only
+
 __all__ = [
     "DecompositionLayout",
     "build_1d_layout",
@@ -51,15 +54,15 @@ __all__ = [
 class DecompositionLayout:
     """Immutable decomposition of {0..n_cells-1} with coarse-space operators.
 
-    cells, sizes, owned_slots and owner are the stacked overlap space's
-    arrays, read-only, and R0 and P0 the coarse operators, as CSR matrices
-    (module docstring).  Coarse DOF i belongs to subdomain i.
+    cells, sizes and owner are the stacked overlap space's arrays, and R0
+    and P0 the coarse operators, as CSR matrices (module docstring); all
+    are read-only, arrays of the matrices included.  Coarse DOF i belongs
+    to subdomain i.
     """
 
     n_cells: int
     cells: np.ndarray = field(repr=False)
     sizes: np.ndarray = field(repr=False)
-    owned_slots: np.ndarray = field(repr=False)
     owner: np.ndarray = field(repr=False)
     R0: sp.csr_matrix = field(repr=False)
     P0: sp.csr_matrix = field(repr=False)
@@ -103,14 +106,13 @@ def _layout(grid, blocks, P0):
                                   for start, o, v in zip(starts, owned, overlap)])
     owner = np.empty(grid.size, dtype=owned_slots.dtype)
     owner[cells[owned_slots]] = owned_slots
-    for a in (cells, sizes, owned_slots, owner):
-        a.flags.writeable = False
     counts = np.array([len(o) for o in owned])
     R0 = sp.csr_matrix(
         (np.repeat(1.0 / counts, counts),
          (np.repeat(np.arange(len(blocks)), counts), cells[owned_slots])),
         shape=(len(blocks), grid.size))
-    return DecompositionLayout(grid.size, cells, sizes, owned_slots, owner, R0, P0)
+    read_only(cells, sizes, owner, R0, P0)
+    return DecompositionLayout(grid.size, cells, sizes, owner, R0, P0)
 
 
 def _linear_weights(targets, nodes, left, right):

@@ -164,12 +164,11 @@ class PositionStack:
     docstring).  Only a tridiagonal stack sets the rest, in the kernels'
     values: diagonals, A's tridiagonal_index; outside, the values going to
     halo_slots of a C-order (halo, rows) array, a block's halo cells in
-    column order; response_take, where the solved rows A^{-1} R_i J
-    take that array's solve, flattened with a 1.0 appended, on the CSR
-    pattern (response_columns, response_indptr) of each row's own cell and
-    its block's halo cells; and owned, the owned rows of that pattern in
-    cell order (row c is row layout.owner[c]), as a CSR matrix whose data
-    are their response_take.
+    column order; response, a CSR matrix on the pattern of each row's own
+    cell and its block's halo cells, whose data are where the solved rows
+    A^{-1} R_i J take that array's solve, flattened with a 1.0 appended;
+    and owned, response[layout.owner], its owned rows in cell order.  The
+    arrays and matrices above are read-only, the matrices' arrays included.
     """
 
     problem: object = field(repr=False)
@@ -187,9 +186,7 @@ class PositionStack:
     diagonals: np.ndarray = field(default=None, repr=False)
     outside: np.ndarray = field(default=None, repr=False)
     halo_slots: np.ndarray = field(default=None, repr=False)
-    response_columns: np.ndarray = field(default=None, repr=False)
-    response_indptr: np.ndarray = field(default=None, repr=False)
-    response_take: np.ndarray = field(default=None, repr=False)
+    response: sp.csr_matrix = field(default=None, repr=False)
     owned: sp.csr_matrix = field(default=None, repr=False)
 
     @property
@@ -229,7 +226,8 @@ def block_positions(problem, layout):
 
     problem.pattern must be a CSR matrix with sorted, unique indices.  An
     entry's column lies in its block's overlap when its (block, column) key
-    is one of the overlap's.
+    is one of the overlap's, which a binary search finds: the layout's
+    (block, cell) keys ascend (decomposition), else ValueError.
     """
     pattern = problem.pattern
     if pattern.format != "csr" or not pattern.has_canonical_format:
@@ -246,9 +244,9 @@ def block_positions(problem, layout):
     entry_row = np.repeat(np.arange(size), counts)
     entry_block = row_block[entry_row]
     keys, entry_keys = row_block * n + ov, entry_block * n + columns
-    order = np.argsort(keys, kind="stable")
-    found = np.searchsorted(keys[order], entry_keys)
-    col = order[np.minimum(found, size - 1)]
+    if (np.diff(keys) <= 0).any():
+        raise ValueError("each overlap must list its cells in ascending order")
+    col = np.minimum(np.searchsorted(keys, entry_keys), size - 1)
     hit = keys[col] == entry_keys
     entries = np.where(hit, col, size + columns)  # each entry's column in X
     block, col = np.flatnonzero(hit), col[hit]  # col: the column's stacked row
@@ -271,17 +269,15 @@ def block_positions(problem, layout):
         row = np.append(np.arange(size), r)
         cell = np.append(ov, cells[first[row_block[r]] + j] % n)
         order = np.argsort(row * n + cell)
+        response = sp.csr_matrix(
+            (np.append(np.full(size, h * size), j * size + r)[order],
+             cell[order].astype(columns.dtype),
+             np.append(0, np.cumsum(per_row + 1)).astype(indptr.dtype)), shape=(size, n))
         stacked.update(
             diagonals=diagonals, outside=kernels.take[outside],
             halo_slots=(at - first[cells[at] // n]) * size + entry_row[outside],
-            response_columns=cell[order].astype(columns.dtype),
-            response_indptr=np.append(0, np.cumsum(per_row + 1)).astype(indptr.dtype),
-            response_take=np.append(np.full(size, h * size), j * size + r)[order])
-    for a in stacked.values():
-        a.flags.writeable = False
-    if diagonals is not None:  # the response pattern's owned rows, in cell order
-        response = tuple(stacked[f"response_{a}"] for a in ("take", "columns", "indptr"))
-        stacked["owned"] = sp.csr_matrix(response, shape=(size, n))[layout.owner]
+            response=response, owned=response[layout.owner])
+    read_only(*stacked.values())
     return PositionStack(problem, kernels, layout, kl=kl, ku=ku, halo=h, **stacked)
 
 
@@ -316,11 +312,11 @@ def local_jacobian(positions, X):
         rhs = np.zeros((positions.halo, positions.size))  # rhs.T: LAPACK's order
         rhs.reshape(-1)[positions.halo_slots] = values[positions.outside]
         z, info = tridiagonal_solve(values, positions.diagonals, rhs.T)
-        solved, owned = np.append(z.T, 1.0), positions.owned
+        solved, response, owned = np.append(z.T, 1.0), positions.response, positions.owned
         block = LocalJacobian(positions, sp.csr_matrix(
-            (solved[positions.response_take], positions.response_columns,
-             positions.response_indptr), shape=shape), owned=sp.csr_matrix(
-            (-solved[owned.data], owned.indices, owned.indptr), shape=owned.shape))
+            (solved[response.data], response.indices, response.indptr), shape=shape),
+            owned=sp.csr_matrix((-solved[owned.data], owned.indices, owned.indptr),
+                                shape=owned.shape))
     if info > 0:
         i = positions.block_of(info - 1)
         raise LocalSolveError(f"subdomain {i}: singular local Jacobian", subdomain=i)
@@ -375,6 +371,13 @@ def csr_apply(A, x):
     y = np.zeros(n_row)
     _sparsetools.csr_matvec(n_row, n_col, A.indptr, A.indices, A.data, x, y)
     return y
+
+
+def read_only(*arrays):
+    """Mark each array, and each sparse matrix's data, indices and indptr, read-only."""
+    for a in arrays:
+        for a in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
+            a.flags.writeable = False
 
 
 def _solve(stack, values, r, rows):

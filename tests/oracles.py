@@ -329,8 +329,8 @@ class Block:
     """Subdomain i's index sets, read off a layout's stacked arrays.
 
     overlap is cells[start_i : start_i + sizes[i]], start_i the sum of the
-    earlier sizes; owned_local are the owned_slots in that range, less
-    start_i, and owned is overlap[owned_local].
+    earlier sizes; owned_local are the owned entries (np.sort(owner)) in
+    that range, less start_i, and owned is overlap[owned_local].
     """
 
     owned: np.ndarray
@@ -341,7 +341,7 @@ class Block:
 def layout_blocks(layout):
     """Every subdomain's Block, in subdomain order."""
     ends = np.cumsum(layout.sizes)
-    starts, slots = ends - layout.sizes, layout.owned_slots
+    starts, slots = ends - layout.sizes, np.sort(layout.owner)
     assert ends[-1] == len(layout.cells) and (np.diff(slots) > 0).all()
     parts = np.split(slots, np.searchsorted(slots, ends[:-1]))
     return [Block(layout.cells[s], layout.cells[a:b], s - a)

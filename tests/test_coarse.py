@@ -351,10 +351,10 @@ def _no_jacobian(prob, monkeypatch):
 @pytest.mark.parametrize("what", ["FAS coarse correction", "AS coarse correction",
                                   "coarse base solve"])
 def test_coarse_newton_prolongs_each_iterate_once(what, monkeypatch):
-    # an iterate's coarse residual and coarse Jacobian derive from one face
-    # pass of the space's row kernels at one P_0 w; the FAS correction's
-    # right-hand side evaluates F_0(R_0 u), which coarse Newton takes as its
-    # start's, so no solve prolongs any iterate twice
+    # every iterate, the start included, is one face pass of the space's row
+    # kernels at one P_0 w, from which its coarse residual and coarse
+    # Jacobian derive; the FAS correction's right-hand side evaluates
+    # F_0(R_0 u) by one more prolongation and face pass, before the solve
     prob, lay = smooth_forchheimer(36, beta=1.0), build_1d_layout(36, 4, 3)
     u = 0.3 * np.random.default_rng(40).standard_normal(36)
     space = coarse_space(prob, lay)
@@ -375,16 +375,18 @@ def test_coarse_newton_prolongs_each_iterate_once(what, monkeypatch):
                         lambda w: residual_states.append(w) or residual(w))
     result = solve(SETTINGS)
     assert result.inner_iterations >= 2
-    assert len(prolonged) == result.inner_iterations + 1
+    fas = what == "FAS coarse correction"
+    assert len(prolonged) == result.inner_iterations + 1 + fas
+    if fas:  # the right-hand side's P_0 R_0 u and the start's, bit for bit
+        assert prolonged[0].tobytes() == prolonged[1].tobytes()
     # one face pass at each prolongation, in order, and one more, inside
     # the global F(u), for the FAS and AS right-hand sides
     at = [(X, f) for X, f in passes if any(X is p for p in prolonged)]
     assert len(at) == len(prolonged) and all(X is p for (X, _), p in zip(at, prolonged))
     assert len(passes) == len(prolonged) + (what != "coarse base solve")
     assert len(residual_states) == (what != "coarse base solve")
-    # each Jacobian derives from its iterate's face pass, not a new one
-    assert all(any(f is g for _, g in at) for f in derived)
-    assert len(derived) == result.inner_iterations + (what != "AS coarse correction")
+    # each iterate's Jacobian derives from its face pass, not a new one
+    assert [id(f) for f in derived] == [id(g) for _, g in at[fas:]]
 
 
 @pytest.mark.parametrize("what", ["FAS coarse correction", "AS coarse correction",
@@ -444,10 +446,11 @@ def test_coarse_base_solve_residual_whose_norm_overflows_fails_as_an_overflow():
         aspin_coarse_setup(space, SETTINGS)
 
 
-@pytest.mark.parametrize("what", ["FAS coarse correction", "AS coarse correction"])
+@pytest.mark.parametrize("what", ["FAS coarse correction", "AS coarse correction",
+                                  "coarse base solve"])
 def test_coarse_newton_evaluates_one_jacobian_per_iterate(what, monkeypatch):
-    # the AS correction's start is u_0*, whose Jacobian the base solve
-    # factored: it derives and factors one Jacobian fewer
+    # every iterate, the start included, derives and factors one coarse
+    # Jacobian, and J0 is the start's
     prob, lay = smooth_forchheimer(36, beta=1.0), build_1d_layout(36, 4, 3)
     u = 0.3 * np.random.default_rng(40).standard_normal(36)
     space = coarse_space(prob, lay)
@@ -458,9 +461,8 @@ def test_coarse_newton_evaluates_one_jacobian_per_iterate(what, monkeypatch):
     monkeypatch.setattr(coarse_mod, "dgetrf", lambda J: factored.append(J) or dgetrf(J))
     result = solve(SETTINGS)
     assert result.inner_iterations >= 2
-    own = result.inner_iterations + (what == "FAS coarse correction")
-    assert len(derived) == len(factored) == own
-    assert (result.J0 is None) is (what == "AS coarse correction")
+    assert len(derived) == len(factored) == result.inner_iterations + 1
+    assert result.J0 is factored[0]
 
 
 def test_as_correction_starts_from_the_base_solves_factors():

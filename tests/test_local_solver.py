@@ -218,7 +218,7 @@ def test_local_jacobian_copies_no_array(make):
     block = local_jacobian(dataclasses.replace(stack, kernels=kernels),
                            stack.gather(u))
     assert len(derived) == 1
-    if stack.response_take is not None:
+    if stack.response is not None:
         assert block.lu is None and outputs == []
         return
     assert len(outputs) == 1
@@ -250,8 +250,8 @@ def test_halo_stack_keeps_only_its_solved_rows(make):
     assert block.positions is stack and block.lu is None
     rows = block.rows
     assert rows.shape == (stack.size, prob.dof_count)
-    assert rows.indices.tobytes() == stack.response_columns.tobytes()
-    assert rows.indptr.tobytes() == stack.response_indptr.tobytes()
+    assert rows.indices.tobytes() == stack.response.indices.tobytes()
+    assert rows.indptr.tobytes() == stack.response.indptr.tobytes()
     assert not np.shares_memory(rows.indices, stack.columns)
     owned, want_owned = block.owned, -rows[lay.owner]
     assert owned.shape == (prob.dof_count, prob.dof_count)
@@ -393,6 +393,20 @@ def test_block_positions_reject_other_patterns():
     lay = build_1d_layout(12, 3, 1)
     with pytest.raises(ValueError, match="CSR"):
         block_positions(Repatterned(prob, lambda J: J.tocsc()), lay)
+
+
+def test_block_positions_reject_an_overlap_whose_cells_do_not_ascend():
+    # the search for an entry's stacked row needs each overlap's cells in
+    # ascending order, as the builders list them; a hand-built layout with
+    # one overlap reversed (owner following its cells) is refused
+    prob, lay = smooth_forchheimer(24, beta=1.0), build_1d_layout(24, 4, 2)
+    n = lay.sizes[0]
+    perm = np.append(np.arange(n)[::-1], np.arange(n, lay.cells.size))
+    reversed_first = dataclasses.replace(lay, cells=lay.cells[perm],
+                                         owner=np.argsort(perm)[lay.owner])
+    with pytest.raises(ValueError, match="^each overlap must list its cells "
+                       "in ascending order$"):
+        block_positions(prob, reversed_first)
 
 
 def test_sweep_counts_and_single_domain():

@@ -8,6 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from oracles import (Kernels, call_counts, dense_darcy_system, layout_blocks,
                      plain_newton, recorded_calls, schwarz_preconditioners)
 
@@ -446,6 +447,26 @@ def test_systems_on_one_problem_and_layout_share_one_set_up(make, lay, other_lay
     assert built == {"block_positions": 4, "coarse_space": 3}
 
 
+@pytest.mark.parametrize("make, lay, tridiagonal", [
+    (lambda: smooth_forchheimer(24, beta=1.0), build_1d_layout(24, 4, 2), True),
+    (lambda: DiffusionProblem2D(8, 8), build_2d_layout(8, 8, 2, 1), False),
+], ids=["1d", "2d"])
+def test_shared_set_ups_are_read_only(make, lay, tridiagonal):
+    # every system on a (problem, layout) reads the layout, the stack and
+    # the coarse space, so no array of theirs may be written, a CSR
+    # matrix's data, indices and indptr included
+    system = PreconditionedSystem("RASPEN2", make(), lay)
+    stack = system._positions
+    assert (stack.response is not None) is (stack.owned is not None) is tridiagonal
+    for held in (lay, stack, system._coarse):
+        for f in dataclasses.fields(held):
+            value = getattr(held, f.name)
+            arrays = ((value.data, value.indices, value.indptr) if sp.issparse(value)
+                      else (value,) if isinstance(value, np.ndarray) else ())
+            for a in arrays:
+                assert not a.flags.writeable, f"{type(held).__name__}.{f.name}"
+
+
 def test_a_fresh_problem_holds_no_set_up():
     # set-ups are made by the first system on a problem, so a fresh
     # problem pickles as it did, whatever systems other problems hold
@@ -571,11 +592,11 @@ def test_nonfinite_direction_gives_a_nonfinite_action(kind):
     assert np.isfinite(system.jacobian_action(ev, np.ones(40))).all()
 
 
-def test_aspin2_evaluation_reuses_the_base_solves_factors(monkeypatch):
-    # the AS coarse correction starts at u_0* with the base solve's factors
-    # of J_0(u_0*): an evaluation derives and factors one coarse Jacobian
-    # per coarse Newton step, none at its start, from the values of the
-    # problem's all-rows kernels, and evaluates no global Jacobian
+def test_aspin2_evaluation_factors_one_coarse_jacobian_per_iterate(monkeypatch):
+    # the AS coarse correction starts at u_0*: an evaluation derives and
+    # factors one coarse Jacobian per coarse Newton iterate, its start's
+    # included, from the values of the problem's all-rows kernels, and
+    # evaluates no global Jacobian
     prob, lay = _forchheimer_setup()
     system = PreconditionedSystem("ASPIN2", prob, lay, SETTINGS)
     system.coarse_base
@@ -592,4 +613,4 @@ def test_aspin2_evaluation_reuses_the_base_solves_factors(monkeypatch):
         del calls[:], factored[:]
         ev = system.residual(u)
         assert ev.coarse_count >= 2
-        assert len(calls) == len(factored) == ev.coarse_count
+        assert len(calls) == len(factored) == ev.coarse_count + 1
